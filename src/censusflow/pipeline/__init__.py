@@ -9,8 +9,9 @@ nodes have no internet access:
 * integrate (connected): validate result payloads and append them to the
   results store exactly once.
 
-Coordination state lives entirely in per-task manifest files plus an
-append-only transition log, which makes every step idempotent and crash
+Coordination state lives entirely in one append-only task log per
+workspace, whose fold gives every task's manifest; a torn last line left by
+a kill is dropped on open. That makes every step idempotent and crash
 recovery a matter of re-running the batch.
 """
 
@@ -26,7 +27,6 @@ from .manifests import (
     task_id_for,
 )
 from .schedulers import (
-    HandleStatus,
     LocalExecutor,
     SchedulerAdapter,
     SimulatedBatchScheduler,
@@ -56,7 +56,6 @@ __all__ = [
     "EmptySelection",
     "ExternalProcessWorker",
     "FailureInfo",
-    "HandleStatus",
     "IllegalTransition",
     "LocalExecutor",
     "ManifestStore",

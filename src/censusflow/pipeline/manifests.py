@@ -1,9 +1,12 @@
 """Task manifests: the unit of pipeline state and crash recovery.
 
-A manifest records one image's journey through the stages. Manifests are
-stored as one JSON file per task, written atomically; every state change is
-also appended to a shared transition log for auditing. The allowed state
-graph is
+A manifest records one image's journey through the stages. All task state
+lives in one append-only NDJSON log, ``<workspace>/tasks.ndjson``: a task's
+first record holds its whole manifest, and each later record holds one
+transition (``task_id``, ``from``, ``to``, ``at``) plus only the fields that
+transition changed. The state of every task is the fold of its records. A
+kill in the middle of an append leaves a torn last line; readers skip it and
+the next writer cuts it off. The allowed state graph is
 
     PENDING -> STAGED -> PROCESSING -> PROCESSED -> INTEGRATED
 
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -61,9 +63,6 @@ class FailureInfo:
     attempt: int = 1
 
 
-_ID_RE = re.compile(r"[^A-Za-z0-9._-]+")
-
-
 def task_id_for(image: ImageRef) -> str:
     """Deterministic, filesystem-safe task id for an image."""
     return f"{image.register.register_id}-p{image.sequence_index:04d}"
@@ -81,7 +80,6 @@ class TaskManifest:
     failure: Optional[FailureInfo] = None
 
     def to_json_dict(self) -> dict:
-        register = self.image.register
         return {
             "task_id": self.task_id,
             "state": self.state.value,
@@ -89,29 +87,8 @@ class TaskManifest:
             "result_path": self.result_path,
             "timestamps": self.timestamps,
             "attempts": self.attempts,
-            "failure": None
-            if self.failure is None
-            else {
-                "stage": self.failure.stage,
-                "reason": self.failure.reason,
-                "attempt": self.failure.attempt,
-            },
-            "image": {
-                "identifier": self.image.iiif_identifier,
-                "sequence_index": self.image.sequence_index,
-                "verified": self.image.verified,
-                "width": self.image.width,
-                "height": self.image.height,
-                "register": {
-                    "census_year": register.census_year,
-                    "archival_id": register.archival_id,
-                    "commune": {
-                        "code": register.commune.code,
-                        "canonical_name": register.commune.canonical_name,
-                        "department": register.commune.department,
-                    },
-                },
-            },
+            "failure": None if self.failure is None else _failure_json(self.failure),
+            "image": _image_json(self.image),
         }
 
     @classmethod
@@ -149,16 +126,28 @@ class TaskManifest:
         )
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _failure_json(failure: FailureInfo) -> dict:
+    return {"stage": failure.stage, "reason": failure.reason, "attempt": failure.attempt}
+
+
+def _image_json(image: ImageRef) -> dict:
+    register = image.register
+    return {
+        "identifier": image.iiif_identifier,
+        "sequence_index": image.sequence_index,
+        "verified": image.verified,
+        "width": image.width,
+        "height": image.height,
+        "register": {
+            "census_year": register.census_year,
+            "archival_id": register.archival_id,
+            "commune": {
+                "code": register.commune.code,
+                "canonical_name": register.commune.canonical_name,
+                "department": register.commune.department,
+            },
+        },
+    }
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -173,65 +162,92 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-class ManifestStore:
-    """One JSON file per task under ``root/manifests``; writes are atomic."""
+def read_ndjson(path: Path) -> Iterator[dict]:
+    """Yield the whole records of an append-only NDJSON file, if it exists.
+
+    A kill in the middle of an append leaves a last line without its
+    newline; it is skipped, as the LevelDB and SQLite write-ahead logs drop
+    a torn tail. Reading never writes: the writer cuts the tail (see
+    ``cut_torn_tail``), so a reader may run next to a writer.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                return
+            if line.strip():
+                yield json.loads(line)
+
+
+def cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:
+    """Cut any bytes after the last newline of an append-only NDJSON file.
+
+    A writer calls this before its first append, so the next record starts
+    on a clean line instead of continuing a torn one.
+    """
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        size = end = fh.seek(0, os.SEEK_END)
+        while end > 0:
+            start = max(0, end - chunk)
+            fh.seek(start)
+            newline = fh.read(end - start).rfind(b"\n")
+            if newline >= 0:
+                end = start + newline + 1
+                break
+            end = start
+        if end < size:
+            fh.truncate(end)
+
+
+class TransitionLog:
+    """The append-only task log: every task's state is the fold of its records.
+
+    One process at a time may write to a workspace: its first append cuts a
+    torn tail, which would cut a record another writer is still appending.
+    Readers (``replay``, ``load_all``) never write.
+    """
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.directory = self.root / "manifests"
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = Path(root) / "tasks.ndjson"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._tail_cut = False
 
-    def path(self, task_id: str) -> Path:
-        safe = _ID_RE.sub("_", task_id)
-        return self.directory / f"{safe}.json"
+    def append(self, record: dict) -> None:
+        """Append one record; it is on disk (not yet fsynced) on return."""
+        if not self._tail_cut:
+            cut_torn_tail(self.path)
+            self._tail_cut = True
+        line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line)
 
-    def exists(self, task_id: str) -> bool:
-        return self.path(task_id).exists()
-
-    def save(self, manifest: TaskManifest) -> None:
-        _atomic_write(
-            self.path(manifest.task_id),
-            json.dumps(manifest.to_json_dict(), sort_keys=True, ensure_ascii=False),
-        )
-
-    def load(self, task_id: str) -> TaskManifest:
-        return TaskManifest.from_json_dict(
-            json.loads(self.path(task_id).read_text(encoding="utf-8"))
-        )
+    def replay(self) -> Iterator[dict]:
+        """Every record in append order; each has ``task_id``, ``from``
+        (None for the creation record), ``to`` and ``at``."""
+        return read_ndjson(self.path)
 
     def load_all(self) -> list[TaskManifest]:
-        manifests = []
-        for path in sorted(self.directory.glob("*.json")):
-            manifests.append(TaskManifest.from_json_dict(json.loads(path.read_text("utf-8"))))
+        """The current manifest of every task in the log, by task id."""
+        tasks: dict[str, dict] = {}
+        for record in self.replay():
+            data = tasks.setdefault(record["task_id"], {})
+            data.update(record)
+            data["state"] = record["to"]
+            data["timestamps"][record["to"]] = record["at"]
+        manifests = [TaskManifest.from_json_dict(data) for data in tasks.values()]
         manifests.sort(key=lambda m: m.task_id)
         return manifests
 
 
-class TransitionLog:
-    """Append-only NDJSON log of task state transitions."""
-
-    def __init__(self, root: str | Path):
-        directory = Path(root) / "log"
-        directory.mkdir(parents=True, exist_ok=True)
-        self.path = directory / "transitions.ndjson"
-
-    def append(self, task_id: str, src: Optional[TaskState], dst: TaskState, at: float) -> None:
-        entry = {
-            "task_id": task_id,
-            "from": src.value if src else None,
-            "to": dst.value,
-            "at": at,
-        }
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    def replay(self) -> Iterator[dict]:
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    yield json.loads(line)
+#: The log is the only manifest store; this name keeps the read API.
+ManifestStore = TransitionLog
 
 
 @dataclass
@@ -242,14 +258,13 @@ class PipelineContext:
     raising from it simulates a crash at that point.
     """
 
-    store: ManifestStore
     log: TransitionLog
     clock: Callable[[], float] = time.time
     on_transition: Optional[Callable[[TaskManifest], None]] = None
 
     @classmethod
     def at(cls, root: str | Path, **kwargs) -> "PipelineContext":
-        return cls(store=ManifestStore(root), log=TransitionLog(root), **kwargs)
+        return cls(log=TransitionLog(root), **kwargs)
 
 
 def advance(
@@ -257,22 +272,36 @@ def advance(
     new_state: TaskState,
     ctx: PipelineContext,
     *,
+    image: Optional[ImageRef] = None,
+    staged_path: Optional[str] = None,
+    result_path: Optional[str] = None,
+    attempts: Optional[dict[str, int]] = None,
     failure: Optional[FailureInfo] = None,
 ) -> TaskManifest:
-    """Persist a state transition, enforcing the allowed graph and keeping
-    timestamps monotone."""
+    """Persist a state transition together with the fields it changes,
+    enforcing the allowed graph and keeping timestamps monotone."""
     if new_state not in ALLOWED_TRANSITIONS[manifest.state]:
         raise IllegalTransition(manifest.task_id, manifest.state, new_state)
     at = ctx.clock()
     if manifest.timestamps:
         at = max(at, max(manifest.timestamps.values()))
-    src = manifest.state
-    manifest.state = new_state
-    manifest.timestamps[new_state.value] = at
+    record = {"task_id": manifest.task_id, "from": manifest.state.value,
+              "to": new_state.value, "at": at}
+    if image is not None:
+        manifest.image = image
+        record["image"] = _image_json(image)
+    if staged_path is not None:
+        manifest.staged_path = record["staged_path"] = staged_path
+    if result_path is not None:
+        manifest.result_path = record["result_path"] = result_path
+    if attempts is not None:
+        manifest.attempts = record["attempts"] = attempts
     if failure is not None:
         manifest.failure = failure
-    ctx.store.save(manifest)
-    ctx.log.append(manifest.task_id, src, new_state, at)
+        record["failure"] = _failure_json(failure)
+    manifest.state = new_state
+    manifest.timestamps[new_state.value] = at
+    ctx.log.append(record)
     if ctx.on_transition is not None:
         ctx.on_transition(manifest)
     return manifest
@@ -280,8 +309,6 @@ def advance(
 
 def register_new(manifest: TaskManifest, ctx: PipelineContext) -> TaskManifest:
     """Persist a freshly planned manifest (creation edge, not a transition)."""
-    at = ctx.clock()
-    manifest.timestamps.setdefault(TaskState.PENDING.value, at)
-    ctx.store.save(manifest)
-    ctx.log.append(manifest.task_id, None, manifest.state, at)
+    at = manifest.timestamps.setdefault(TaskState.PENDING.value, ctx.clock())
+    ctx.log.append({**manifest.to_json_dict(), "from": None, "to": manifest.state.value, "at": at})
     return manifest

@@ -1,10 +1,12 @@
 """Batch orchestration: drive the three stages to termination and export.
 
-``run_batch`` plans tasks from a registry, then loops pre-stage, process and
-integrate over bounded windows until every task is terminal (INTEGRATED or
-FAILED). Because all stage steps are idempotent and coordination state lives
-on disk, interrupting the loop at any point and calling ``run_batch`` again
-yields the same terminal result set.
+``run_batch`` plans tasks from a registry, then makes one pass over bounded
+windows of the tasks not yet terminal, running pre-stage, process and
+integrate on each window; after its window's pass every task is INTEGRATED
+or FAILED. Because all stage steps are idempotent and all task state lives
+in the workspace's append-only task log, interrupting the pass at any point,
+even in the middle of an append, and calling ``run_batch`` again yields the
+same terminal result set.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from ..domain import PageClass, RegisterDocument, RegisterPage
 from ..household import HouseholdSet, export_households, merge_register
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
-from .manifests import PipelineContext, TaskManifest, TaskState
+from .manifests import (
+    TERMINAL_STATES,
+    PipelineContext,
+    TaskManifest,
+    TaskState,
+    cut_torn_tail,
+    read_ndjson,
+)
 from .schedulers import SchedulerAdapter
 from .stages import (
     payload_transcript,
@@ -33,17 +42,18 @@ from .workers import WorkerSet
 
 
 class ResultStore:
-    """Append-only NDJSON store keyed by task id; duplicate adds are no-ops."""
+    """Append-only NDJSON store keyed by task id; duplicate adds are no-ops.
+
+    A torn last line is skipped on read and cut before the first add, as
+    in the task log.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._keys: set[str] = set()
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    self._keys.add(json.loads(line)["task_id"])
+        self._keys: set[str] = {record["task_id"] for record in read_ndjson(self.path)}
+        self._tail_cut = False
 
     def __contains__(self, task_id: str) -> bool:
         return task_id in self._keys
@@ -56,19 +66,16 @@ class ResultStore:
         with self._lock:
             if task_id in self._keys:
                 return False
+            if not self._tail_cut:
+                cut_torn_tail(self.path)
+                self._tail_cut = True
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n")
             self._keys.add(task_id)
             return True
 
     def records(self) -> list[dict]:
-        if not self.path.exists():
-            return []
-        return [
-            json.loads(line)
-            for line in self.path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        return list(read_ndjson(self.path))
 
 
 @dataclass
@@ -159,9 +166,9 @@ def _mean_latencies(manifests: list[TaskManifest]) -> dict[str, float]:
 def run_batch(config: RunConfig) -> BatchReport:
     """Drive every planned task to a terminal state, then export households.
 
-    Stages run over bounded in-flight windows; the loop ends when no task is
-    active. Conservation holds at termination: INTEGRATED + FAILED equals the
-    planned task count.
+    Each stage filters its window by state, so one pass over windows of
+    the non-terminal tasks ends with every task terminal. Conservation holds
+    at termination: INTEGRATED + FAILED equals the planned task count.
     """
     ctx = PipelineContext.at(
         config.workspace, clock=config.clock, on_transition=config.on_transition
@@ -176,31 +183,26 @@ def run_batch(config: RunConfig) -> BatchReport:
     )
     store = ResultStore(config.store_path)
 
-    active = {TaskState.PENDING, TaskState.STAGED, TaskState.PROCESSING, TaskState.PROCESSED}
-    while any(m.state in active for m in manifests):
-        pending = [m for m in manifests if m.state is TaskState.PENDING][: config.window]
-        if pending:
-            run_stage_prestage(
-                pending,
-                ctx,
-                endpoint=config.endpoint,
-                transport=config.transport,
-                staging_dir=config.staging_dir,
-                concurrency=config.prestage_concurrency,
-            )
-        staged = [m for m in manifests if m.state in (TaskState.STAGED, TaskState.PROCESSING)]
-        if staged:
-            run_stage_process(
-                staged,
-                ctx,
-                workers=config.workers,
-                scheduler=config.scheduler,
-                results_dir=config.results_dir,
-                retry_limit=config.retry_limit,
-            )
-        processed = [m for m in manifests if m.state is TaskState.PROCESSED]
-        if processed:
-            run_stage_integrate(processed, ctx, results_store=store)
+    todo = [m for m in manifests if m.state not in TERMINAL_STATES]
+    for start in range(0, len(todo), config.window):
+        window = todo[start : start + config.window]
+        run_stage_prestage(
+            window,
+            ctx,
+            endpoint=config.endpoint,
+            transport=config.transport,
+            staging_dir=config.staging_dir,
+            concurrency=config.prestage_concurrency,
+        )
+        run_stage_process(
+            window,
+            ctx,
+            workers=config.workers,
+            scheduler=config.scheduler,
+            results_dir=config.results_dir,
+            retry_limit=config.retry_limit,
+        )
+        run_stage_integrate(window, ctx, results_store=store)
 
     report = BatchReport(
         planned=len(manifests),

@@ -1,64 +1,39 @@
 """Scheduler abstraction for the processing stage.
 
-A scheduler accepts a batch of work items with a task function, and is
-polled until the batch completes. Two implementations:
+A scheduler runs a batch of work items through a task function and returns
+their results in item order. Two implementations:
 
 * ``LocalExecutor`` runs items on an in-process thread pool.
 * ``SimulatedBatchScheduler`` models a batch system with a fixed number of
-  compute nodes that are isolated from the internet: each poll executes one
-  "scheduling tick" of up to ``nodes`` items, and the stage injects a null
-  transport so any network call from task code raises IsolationViolation.
+  compute nodes that are isolated from the internet: items run in submission
+  order on the calling thread, and the stage injects a null transport so any
+  network call from task code raises IsolationViolation.
 
 Real cluster submission would be a third adapter behind the same seam.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from enum import Enum
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-class HandleStatus(Enum):
-    RUNNING = "RUNNING"
-    DONE = "DONE"
-
-
 class SchedulerAdapter(ABC):
-    """Submit/poll interface over some execution substrate."""
+    """Runs a batch of items on some execution substrate."""
 
     #: True when task code must not touch the network.
     isolated_compute: bool = False
 
     @abstractmethod
-    def submit(self, stage: str, items: Sequence[T], fn: Callable[[T], R]) -> object: ...
-
-    @abstractmethod
-    def poll(self, handle: object) -> HandleStatus: ...
-
-    @abstractmethod
-    def results(self, handle: object) -> list: ...
-
-    def run(self, stage: str, items: Sequence[T], fn: Callable[[T], R]) -> list:
-        """Submit a batch and poll it to completion."""
-        handle = self.submit(stage, items, fn)
-        while self.poll(handle) is not HandleStatus.DONE:
-            pass
-        return self.results(handle)
+    def run(self, stage: str, items: Sequence[T], fn: Callable[[T], R]) -> list[R]:
+        """Apply ``fn`` to every item; results come back in item order."""
 
     def shutdown(self) -> None:
         pass
-
-
-@dataclass
-class _LocalHandle:
-    futures: list[Future]
 
 
 class LocalExecutor(SchedulerAdapter):
@@ -72,41 +47,20 @@ class LocalExecutor(SchedulerAdapter):
         self.workers = workers
         self._pool = ThreadPoolExecutor(max_workers=workers)
 
-    def submit(self, stage, items, fn):
-        return _LocalHandle([self._pool.submit(fn, item) for item in items])
-
-    def poll(self, handle):
-        return (
-            HandleStatus.DONE
-            if all(f.done() for f in handle.futures)
-            else HandleStatus.RUNNING
-        )
-
-    def results(self, handle):
-        return [f.result() for f in handle.futures]
-
     def run(self, stage, items, fn):
-        # Block on the futures instead of spinning on poll().
-        handle = self.submit(stage, items, fn)
-        wait(handle.futures)
-        return self.results(handle)
+        futures = [self._pool.submit(fn, item) for item in items]
+        return [f.result() for f in futures]
 
     def shutdown(self):
         self._pool.shutdown(wait=True)
 
 
-@dataclass
-class _SimulatedHandle:
-    pending: list
-    fn: Callable
-    results: list = field(default_factory=list)
-
-
 class SimulatedBatchScheduler(SchedulerAdapter):
     """Queue-based stand-in for a batch scheduler with isolated nodes.
 
-    Deterministic: each ``poll`` runs up to ``nodes`` queued items in
-    submission order on the calling thread.
+    Deterministic: items run one after another in submission order on the
+    calling thread. Ticks of ``nodes`` items would run in that same order,
+    so ``nodes`` changes neither the order nor the results.
     """
 
     isolated_compute = True
@@ -115,17 +69,6 @@ class SimulatedBatchScheduler(SchedulerAdapter):
         if nodes < 1:
             raise ValueError("nodes must be >= 1")
         self.nodes = nodes
-        self._tick = itertools.count()
 
-    def submit(self, stage, items, fn):
-        return _SimulatedHandle(pending=list(items), fn=fn)
-
-    def poll(self, handle):
-        next(self._tick)
-        batch, handle.pending = handle.pending[: self.nodes], handle.pending[self.nodes :]
-        for item in batch:
-            handle.results.append(handle.fn(item))
-        return HandleStatus.DONE if not handle.pending else HandleStatus.RUNNING
-
-    def results(self, handle):
-        return handle.results
+    def run(self, stage, items, fn):
+        return [fn(item) for item in items]

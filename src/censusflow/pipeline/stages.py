@@ -89,11 +89,12 @@ def plan_batch(
     if not selected:
         raise EmptySelection("no images match the given filter")
 
+    known = {m.task_id: m for m in ctx.log.load_all()}
     manifests = []
     for image in selected:
         task_id = task_id_for(image)
-        if ctx.store.exists(task_id):
-            manifests.append(ctx.store.load(task_id))
+        if task_id in known:
+            manifests.append(known[task_id])
         else:
             manifests.append(register_new(TaskManifest(task_id=task_id, image=image), ctx))
     return manifests
@@ -142,19 +143,17 @@ def run_stage_prestage(
     for manifest, staged, reason in outcomes:
         if staged is None:
             attempt = manifest.attempts.get("prestage", 0) + 1
-            manifest.attempts["prestage"] = attempt
             advance(
                 manifest,
                 TaskState.FAILED,
                 ctx,
+                attempts={**manifest.attempts, "prestage": attempt},
                 failure=FailureInfo("prestage", reason, attempt),
             )
             logger.warning("prestage failed for %s: %s", manifest.task_id, reason)
         else:
             image, path = staged
-            manifest.image = image
-            manifest.staged_path = path
-            advance(manifest, TaskState.STAGED, ctx)
+            advance(manifest, TaskState.STAGED, ctx, image=image, staged_path=path)
     return list(tasks)
 
 
@@ -271,7 +270,6 @@ def run_stage_process(
     if not todo:
         return list(tasks)
 
-    workers.transport = NullTransport() if scheduler.isolated_compute else workers.transport
     for manifest in todo:
         if manifest.state is TaskState.STAGED:
             advance(manifest, TaskState.PROCESSING, ctx)
@@ -308,19 +306,29 @@ def run_stage_process(
         atomic_write_bytes(path, json.dumps(payload, sort_keys=True, ensure_ascii=False).encode())
         return manifest, str(path), "", attempts
 
-    for manifest, result_path, reason, attempts in scheduler.run("process", todo, work):
-        manifest.attempts["process"] = manifest.attempts.get("process", 0) + max(attempts, 1)
+    transport = workers.transport
+    if scheduler.isolated_compute:
+        workers.transport = NullTransport()
+    try:
+        outcomes = scheduler.run("process", todo, work)
+    finally:
+        workers.transport = transport
+    for manifest, result_path, reason, attempts in outcomes:
+        total = manifest.attempts.get("process", 0) + max(attempts, 1)
+        attempts_now = {**manifest.attempts, "process": total}
         if result_path is None:
             advance(
                 manifest,
                 TaskState.FAILED,
                 ctx,
-                failure=FailureInfo("process", reason, manifest.attempts["process"]),
+                attempts=attempts_now,
+                failure=FailureInfo("process", reason, total),
             )
             logger.warning("process failed for %s: %s", manifest.task_id, reason)
         else:
-            manifest.result_path = result_path
-            advance(manifest, TaskState.PROCESSED, ctx)
+            advance(
+                manifest, TaskState.PROCESSED, ctx, attempts=attempts_now, result_path=result_path
+            )
     return list(tasks)
 
 

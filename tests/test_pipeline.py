@@ -1,5 +1,7 @@
 import json
+import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -325,6 +327,27 @@ class TestIsolation:
         )
         assert all(m.state is TaskState.PROCESSED for m in manifests)
 
+    def test_isolated_run_restores_caller_transport(self, tmp_path, corpus, ctx):
+        manifests = staged_manifests(tmp_path, corpus, ctx)
+        seen = []
+
+        class SpyClassifier:
+            version = "spy/1"
+
+            def classify(self, image_bytes):
+                seen.append(workers.transport)
+                return PageClass.OTHER
+
+        caller_transport = transport_for(corpus)
+        workers = WorkerSet(SpyClassifier(), MockRecognizer(), transport=caller_transport)
+        run_stage_process(
+            manifests, ctx, workers=workers, scheduler=SimulatedBatchScheduler(nodes=2),
+            results_dir=tmp_path / "ws" / "results",
+        )
+        assert len(seen) == len(manifests)
+        assert all(isinstance(t, NullTransport) for t in seen)
+        assert workers.transport is caller_transport
+
     def test_null_transport_raises(self):
         with pytest.raises(IsolationViolation):
             NullTransport().get("https://anywhere", 1)
@@ -470,6 +493,89 @@ class TestRunBatch:
             assert states == ref_states, f"crash after {crash_after} transitions"
             got = Path(report.households_csv).read_text(encoding="utf-8")
             assert got == ref_households
+
+    def test_resume_after_kill_at_any_log_offset(self, tmp_path, corpus):
+        """A kill can land between two appends or in the middle of one. At
+        every record boundary of a finished run's task log, and inside every
+        record, rebuild what the kill leaves (the log cut there, the result
+        store holding the records whose INTEGRATED transition survives plus
+        half of the next one, or all of it, as a kill between the store's
+        append and the INTEGRATED one leaves it) and require resume to
+        finish as the uninterrupted run did."""
+        workspace = tmp_path / "ws"
+        reference = run_config(tmp_path, corpus, workspace=workspace, clock=lambda: 0.0)
+        ref_report = run_batch(reference)
+        ref_households = Path(ref_report.households_csv).read_bytes()
+        ref_states = {m.task_id: m.state for m in ManifestStore(workspace).load_all()}
+        integrated = {t for t, state in ref_states.items() if state is TaskState.INTEGRATED}
+        assert not (workspace / "manifests").exists()
+
+        finished = tmp_path / "finished"
+        shutil.copytree(workspace, finished)
+        log_path = TransitionLog(workspace).path.relative_to(workspace)
+        store_path = reference.store_path.relative_to(workspace)
+        log_lines = (finished / log_path).read_bytes().splitlines(keepends=True)
+        store_lines = (finished / store_path).read_bytes().splitlines(keepends=True)
+        assert len(store_lines) == len(integrated)
+
+        cuts = [0]
+        for line in log_lines:
+            cuts += [cuts[-1] + len(line) // 2, cuts[-1] + len(line)]
+        log_bytes = b"".join(log_lines)
+        kills = []
+        for cut in cuts:
+            survived = [json.loads(line) for line in log_bytes[:cut].splitlines(keepends=True)
+                        if line.endswith(b"\n")]
+            stored = sum(1 for record in survived if record["to"] == "INTEGRATED")
+            store = b"".join(store_lines[:stored])
+            kills.append((cut, store))
+            if stored < len(store_lines):
+                kills.append((cut, store + store_lines[stored][: len(store_lines[stored]) // 2]))
+                kills.append((cut, store + store_lines[stored]))
+        for cut, store in kills:
+            shutil.rmtree(workspace)
+            shutil.copytree(finished, workspace)
+            (workspace / log_path).write_bytes(log_bytes[:cut])
+            (workspace / store_path).write_bytes(store)
+            (workspace / "households.csv").unlink()
+
+            resumed = run_config(
+                tmp_path, corpus, workspace=workspace, clock=lambda: 0.0,
+                scheduler=SimulatedBatchScheduler(),
+            )
+            report = run_batch(resumed)
+            states = {m.task_id: m.state for m in ManifestStore(workspace).load_all()}
+            assert states == ref_states, f"kill at log byte {cut}, store {len(store)} bytes"
+            assert Path(report.households_csv).read_bytes() == ref_households
+            counts = Counter(r["task_id"] for r in ResultStore(resumed.store_path).records())
+            assert set(counts) == integrated and set(counts.values()) == {1}
+
+    def test_torn_tail_skipped_on_read_and_cut_on_first_append(self, tmp_path, corpus):
+        workspace = tmp_path / "ws"
+        config = run_config(tmp_path, corpus, workspace=workspace)
+        run_batch(config)
+        log_path = TransitionLog(workspace).path
+        expected = ManifestStore(workspace).load_all()
+        torn_log = log_path.read_bytes() + b'{"task_id": "torn'
+        torn_store = config.store_path.read_bytes() + b'{"task_id": "torn'
+        log_path.write_bytes(torn_log)
+        config.store_path.write_bytes(torn_store)
+
+        store = ResultStore(config.store_path)
+        assert len(store.records()) == len(store)
+        assert ManifestStore(workspace).load_all() == expected
+        assert len(list(TransitionLog(workspace).replay())) == torn_log.count(b"\n")
+        assert log_path.read_bytes() == torn_log
+        assert config.store_path.read_bytes() == torn_store
+
+        store.add("new", {"task_id": "new"})
+        TransitionLog(workspace).append({"task_id": "new"})
+        assert config.store_path.read_bytes() == torn_store[: torn_store.rindex(b"\n") + 1] + (
+            b'{"task_id": "new"}\n'
+        )
+        assert log_path.read_bytes() == torn_log[: torn_log.rindex(b"\n") + 1] + (
+            b'{"task_id": "new"}\n'
+        )
 
     def test_transition_log_replay_stays_in_graph(self, tmp_path, corpus):
         config = run_config(tmp_path, corpus)
