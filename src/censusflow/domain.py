@@ -39,6 +39,10 @@ class EntityTag(Enum):
     LOB = "<p>"
     OBSERVATION = "<x>"
 
+    # Members are singletons compared by identity; Enum.__hash__ hashes the
+    # name string in Python on every dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def token(self) -> str:
         return self.value

@@ -11,6 +11,7 @@ matches are additionally collected into a worklist for manual resolution.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 import unicodedata
@@ -214,9 +215,11 @@ def save_gazetteer(entries: Sequence[GazetteerEntry], path: str | Path) -> None:
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def normalize_name(name: str) -> str:
     """Normalize a place name: lowercase, fold diacritics, map punctuation
-    and hyphens to spaces, collapse whitespace. Idempotent."""
+    and hyphens to spaces, collapse whitespace. Idempotent. Cached, because
+    ``match_commune`` normalizes every gazetteer name for each query."""
     lowered = name.lower()
     folded = "".join(
         c for c in unicodedata.normalize("NFKD", lowered) if not unicodedata.combining(c)
@@ -278,11 +281,22 @@ def match_commune(
     if not gazetteer:
         raise EmptyGazetteer("cannot match against an empty gazetteer")
     hint = normalize_name(department_hint) if department_hint else None
+    query = normalize_name(name)
     scored = []
     for entry in gazetteer:
-        score = max(similarity(name, variant) for variant in entry.all_names())
-        if score >= threshold:
-            scored.append(MatchCandidate(entry, score))
+        best = None
+        for variant in entry.all_names():
+            norm = normalize_name(variant)
+            longest = max(len(query), len(norm))
+            # The edit distance is at least the length gap, so this bounds
+            # the score from above; a variant below threshold cannot count.
+            if longest and 1.0 - abs(len(query) - len(norm)) / longest < threshold:
+                continue
+            score = similarity(query, norm)
+            if best is None or score > best:
+                best = score
+        if best is not None and best >= threshold:
+            scored.append(MatchCandidate(entry, best))
     scored.sort(
         key=lambda c: (
             -c.score,

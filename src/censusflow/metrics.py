@@ -5,6 +5,11 @@ per-entity precision/recall/F1 via an order-preserving alignment, page
 classification confusion matrices, and a corpus-level driver that aggregates
 per-page figures over fixture directories.
 
+Both quadratic kernels are bit-parallel over Python ints used as bit
+vectors: Myers' edit distance for CER/WER (and ingest's name matching) and
+Hyyro's LCS for the entity alignment, each O(n * m / w) word operations for
+word width w.
+
 Conventions stated in every report:
 
 * CER/WER are computed on tag-stripped text (values joined by single spaces,
@@ -21,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .domain import FIELD_ORDER, EntityTag, PageClass, PageTranscript, read_fixture
 from .household import group_page, match_count
@@ -41,30 +44,39 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Minimum number of single-element insertions, deletions and
     substitutions turning sequence ``a`` into sequence ``b``.
 
-    Row-vectorized dynamic program; the inner insertion recurrence is closed
-    with a prefix-minimum over candidate costs.
+    Bit-vector algorithm of Myers (JACM 46(3), 1999), global form after
+    Hyyro (2001): the shorter sequence is the pattern, its column of score
+    deltas two Python ints, and each element of the longer one costs about
+    15 big-int operations, O(len(a) * len(b) / w) for word width w. Symbol
+    masks live in a dict, so elements compare as dict keys (words for WER).
     """
-    if len(a) == 0:
-        return len(b)
-    if len(b) == 0:
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    if m == 0:
         return len(a)
-    symbols: dict[Hashable, int] = {}
-    a_ids = np.fromiter((symbols.setdefault(x, len(symbols)) for x in a), dtype=np.int64)
-    b_ids = np.fromiter((symbols.setdefault(x, len(symbols)) for x in b), dtype=np.int64)
-
-    m = len(b_ids)
-    offsets = np.arange(m + 1, dtype=np.int64)
-    prev = offsets.copy()
-    full = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, len(a_ids) + 1):
-        cost = (b_ids != a_ids[i - 1]).astype(np.int64)
-        # Candidates without insertions: delete a[i-1], or substitute/match.
-        np.minimum(prev[1:] + 1, prev[:-1] + cost, out=full[1:])
-        full[0] = i
-        # cur[j] = min_{k<=j} full[k] + (j - k): insertion closure.
-        prev = np.minimum.accumulate(full - offsets) + offsets
-        full = np.empty(m + 1, dtype=np.int64)
-    return int(prev[m])
+    peq: dict[Hashable, int] = {}
+    for k, x in enumerate(b):
+        peq[x] = peq.get(x, 0) | (1 << k)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    get = peq.get
+    for x in a:
+        eq = get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +226,29 @@ def page_entities(page: PageTranscript) -> list[tuple[EntityTag, str]]:
 def _lcs_matches(
     truth: Sequence[tuple[EntityTag, str]], pred: Sequence[tuple[EntityTag, str]]
 ) -> list[tuple[EntityTag, str]]:
-    """Matched items of one longest common subsequence over exact pairs."""
+    """Matched items of one longest common subsequence over exact pairs.
+
+    L[i][j], the LCS length of ``truth[i:]`` and ``pred[j:]``, is one bit
+    vector per truth row: bit m-1-j of ``rows[i]`` is set where
+    L[i][j] > L[i][j+1], so L[i][j] is the popcount of its low m-j bits.
+    Rows come from the bit-parallel LCS update of Hyyro (2004),
+    ``V' = (V + U) | (V - U)`` with ``U = V & Match[c]``, over the reversed
+    prediction. At a mismatch the traceback moves down the truth when
+    L[i+1][j] >= L[i][j+1], else along the prediction.
+    """
     n, m = len(truth), len(pred)
     if n == 0 or m == 0:
         return []
-    lengths = [[0] * (m + 1) for _ in range(n + 1)]
+    match: dict[tuple[EntityTag, str], int] = {}
+    for j, item in enumerate(pred):
+        match[item] = match.get(item, 0) | (1 << (m - 1 - j))
+    mask = (1 << m) - 1
+    rows = [0] * (n + 1)
+    v = mask
     for i in range(n - 1, -1, -1):
-        row, below = lengths[i], lengths[i + 1]
-        t = truth[i]
-        for j in range(m - 1, -1, -1):
-            if t == pred[j]:
-                row[j] = below[j + 1] + 1
-            else:
-                row[j] = max(below[j], row[j + 1])
+        u = v & match.get(truth[i], 0)
+        v = ((v + u) | (v - u)) & mask
+        rows[i] = v ^ mask
     matches = []
     i = j = 0
     while i < n and j < m:
@@ -234,7 +256,7 @@ def _lcs_matches(
             matches.append(truth[i])
             i += 1
             j += 1
-        elif lengths[i + 1][j] >= lengths[i][j + 1]:
+        elif (rows[i + 1] & (mask >> j)).bit_count() >= (rows[i] & (mask >> j + 1)).bit_count():
             i += 1
         else:
             j += 1

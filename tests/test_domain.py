@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from censusflow.domain import (
@@ -55,6 +58,15 @@ class TestEntityTags:
 
     def test_field_order_starts_with_surnames(self):
         assert FIELD_ORDER[:3] == (EntityTag.SURNAME_HEAD, EntityTag.SURNAME, EntityTag.FIRSTNAME)
+
+    def test_tags_keep_identity_and_hash_through_pickle_and_deepcopy(self):
+        table = {tag: tag.name for tag in EntityTag}
+        for tag in EntityTag:
+            for copied in (pickle.loads(pickle.dumps(tag)), copy.deepcopy(tag)):
+                assert copied is tag
+                assert hash(copied) == hash(tag)
+                assert table[copied] == tag.name
+        assert copy.deepcopy(table) == table
 
 
 class TestTagAlphabet:

@@ -10,6 +10,8 @@ from censusflow.ingest import (
     EmptyFile,
     EmptyGazetteer,
     GazetteerEntry,
+    MatchCandidate,
+    MatchResult,
     MatchStatus,
     MissingColumn,
     build_registry,
@@ -199,6 +201,70 @@ class TestMatchCommune:
         assert [c.entry.code for c in first.candidates] == [
             c.entry.code for c in second.candidates
         ]
+
+
+def brute_force_match(name, gazetteer, department_hint=None, *, threshold, auto_threshold=0.95):
+    """Reference ranker: score every name of every entry with similarity()."""
+    hint = normalize_name(department_hint) if department_hint else None
+    scored = []
+    for entry in gazetteer:
+        score = max(similarity(name, variant) for variant in entry.all_names())
+        if score >= threshold:
+            scored.append(MatchCandidate(entry, score))
+    scored.sort(
+        key=lambda c: (
+            -c.score,
+            0 if hint and normalize_name(c.entry.department) == hint else 1,
+            len(normalize_name(c.entry.canonical_name)),
+            c.entry.code,
+        )
+    )
+    if not scored:
+        return MatchResult(name, MatchStatus.UNMATCHED, ())
+    confident = [c for c in scored if c.score >= auto_threshold]
+    status = MatchStatus.AUTO if len(confident) == 1 else MatchStatus.AMBIGUOUS
+    return MatchResult(name, status, tuple(scored))
+
+
+class TestMatchCommunePruning:
+    """match_commune skips names whose length gap alone bounds the score
+    below threshold; its results must equal scoring every name."""
+
+    def check(self, name, gazetteer, hint=None, threshold=0.85):
+        expected = brute_force_match(name, gazetteer, hint, threshold=threshold)
+        assert match_commune(name, gazetteer, hint, threshold=threshold) == expected
+        return expected
+
+    def test_bound_equal_to_threshold_is_still_scored(self):
+        # Normalized lengths 5 and 4: the bound 1 - 1/5 equals 0.8 exactly.
+        result = self.check("Lyons", [GazetteerEntry("69123", "Lyon", "Rhône")], threshold=0.8)
+        assert [(c.entry.code, c.score) for c in result.candidates] == [("69123", 0.8)]
+
+    def test_department_hint(self):
+        result = self.check("Moulin", GAZETTEER, "Côte-d'Or")
+        assert [c.entry.code for c in result.candidates] == ["21425", "03190"]
+
+    def test_only_the_historical_variant_passes(self):
+        entry = GazetteerEntry("03254", "Saint-Pourçain-sur-Sioule", "Allier", ("Pourçain",))
+        result = self.check("Pourcin", [entry, *GAZETTEER])
+        assert [(c.entry.code, c.score) for c in result.candidates] == [("03254", 1 - 1 / 8)]
+
+    names = st.text(alphabet="abé -", max_size=8).filter(lambda s: s.strip())
+    rows = st.tuples(names, st.sampled_from(["Allier", "Cher"]), st.lists(names, max_size=2))
+
+    @given(
+        st.lists(rows, min_size=1, max_size=6),
+        names,
+        st.sampled_from([None, "allier", "Cher"]),
+        st.sampled_from([0.0, 0.5, 0.75, 0.8, 0.85, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_gazetteers_match_brute_force(self, rows, name, hint, threshold):
+        gazetteer = [
+            GazetteerEntry(f"{k:05d}", canonical, department, tuple(variants))
+            for k, (canonical, department, variants) in enumerate(rows)
+        ]
+        self.check(name, gazetteer, hint, threshold)
 
 
 class TestCensusYears:

@@ -1,6 +1,9 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from censusflow.metrics import (
     format_classification_report,
     format_corpus_report,
     format_entity_report,
+    _lcs_matches,
     levenshtein,
     page_entities,
     strip_tags,
@@ -37,6 +41,48 @@ def oracle_edit_distance(a, b):
         oracle_edit_distance(a, b[1:]) + 1,
         oracle_edit_distance(a[1:], b[1:]) + (a[0] != b[0]),
     )
+
+
+def oracle_levenshtein_dp(a, b):
+    """Plain-Python Wagner-Fischer row DP, kept as the reference for long
+    sequences, where the exhaustive recursion is out of reach."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+def oracle_lcs_matches(truth, pred):
+    """Suffix-table LCS DP with the traceback ``_lcs_matches`` must
+    reproduce item for item: at a mismatch, move down the truth when
+    L[i+1][j] >= L[i][j+1], else along the prediction."""
+    n, m = len(truth), len(pred)
+    if n == 0 or m == 0:
+        return []
+    lengths = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row, below = lengths[i], lengths[i + 1]
+        t = truth[i]
+        for j in range(m - 1, -1, -1):
+            if t == pred[j]:
+                row[j] = below[j + 1] + 1
+            else:
+                row[j] = max(below[j], row[j + 1])
+    matches = []
+    i = j = 0
+    while i < n and j < m:
+        if truth[i] == pred[j]:
+            matches.append(truth[i])
+            i += 1
+            j += 1
+        elif lengths[i + 1][j] >= lengths[i][j + 1]:
+            i += 1
+        else:
+            j += 1
+    return matches
 
 
 def single_field_page(tag: EntityTag, *values: str) -> PageTranscript:
@@ -78,6 +124,72 @@ class TestLevenshtein:
 
     def test_works_on_word_sequences(self):
         assert levenshtein(["a", "bb"], ["a", "cc", "bb"]) == 1
+
+    def test_long_sequences_match_row_dp(self):
+        # Bit vectors wider than one machine word: lengths up to 300,
+        # word-boundary lengths on either side, alphabets of 1 to 4 symbols.
+        rng = random.Random(7)
+        boundary = (63, 64, 65, 128)
+        lengths = [(x, y) for x in boundary for y in boundary]
+        lengths += [(x, rng.randint(0, 300)) for x in boundary]
+        lengths += [(rng.randint(0, 300), x) for x in boundary]
+        lengths += [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(40)]
+        for k, (la, lb) in enumerate(lengths):
+            alphabet = "abcd"[: 1 + k % 4]
+            a = "".join(rng.choice(alphabet) for _ in range(la))
+            b = "".join(rng.choice(alphabet) for _ in range(lb))
+            expected = oracle_levenshtein_dp(a, b)
+            assert levenshtein(a, b) == expected, (la, lb, alphabet)
+            assert levenshtein(b, a) == expected, (lb, la, alphabet)
+
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 128, 300])
+    def test_one_empty_side(self, length):
+        seq = "ab" * (length // 2) + "a" * (length % 2)
+        assert levenshtein(seq, "") == length
+        assert levenshtein("", seq) == length
+        assert levenshtein(seq.split("b"), []) == len(seq.split("b"))
+
+    def test_long_word_lists_match_row_dp(self):
+        rng = random.Random(11)
+        vocabulary = ["le", "la", "chef", "épouse", "fils", "75", "néant"]
+        for la, lb in [(65, 64), (128, 130), (300, 17), (0, 90)]:
+            a = [rng.choice(vocabulary) for _ in range(la)]
+            b = [rng.choice(vocabulary) for _ in range(lb)]
+            assert levenshtein(a, b) == oracle_levenshtein_dp(a, b)
+
+    def test_mixed_elements_compare_as_dict_keys(self):
+        # 1, 1.0 and True are one dict key; "1" and None are others.
+        rng = random.Random(3)
+        pool = [1, 1.0, True, "1", None, 2, 2.0]
+        for la, lb in [(5, 7), (64, 65), (130, 70)]:
+            a = [rng.choice(pool) for _ in range(la)]
+            b = [rng.choice(pool) for _ in range(lb)]
+            assert levenshtein(a, b) == oracle_levenshtein_dp(a, b)
+        assert levenshtein([1, 2.0], [True, 2]) == 0
+        assert levenshtein([1] * 70, [1.0] * 69 + [True]) == 0
+
+
+class TestLcsMatches:
+    items = st.tuples(
+        st.sampled_from([EntityTag.SURNAME, EntityTag.AGE, EntityTag.LINK]),
+        st.sampled_from(["a", "b", "c"]),
+    )
+
+    @given(st.lists(items, max_size=40), st.lists(items, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_same_matched_items_as_table_dp(self, truth, pred):
+        assert _lcs_matches(truth, pred) == oracle_lcs_matches(truth, pred)
+
+    def test_long_pages_same_matched_items(self):
+        # Rows wider than one machine word, as on a full register page.
+        rng = random.Random(5)
+        tags = [EntityTag.SURNAME, EntityTag.FIRSTNAME, EntityTag.AGE]
+        for n, m in [(63, 64), (65, 128), (200, 190), (1, 150), (150, 1)]:
+            truth = [(rng.choice(tags), rng.choice("xyz")) for _ in range(n)]
+            pred = [(rng.choice(tags), rng.choice("xyz")) for _ in range(m)]
+            matched = _lcs_matches(truth, pred)
+            assert matched == oracle_lcs_matches(truth, pred)
+            assert len(matched) > 0
 
 
 class TestErrorRates:
@@ -315,3 +427,14 @@ class TestTagScore:
         score = TagScore()
         assert not score.precision_defined
         assert score.precision == 0.0
+
+
+def test_package_imports_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import censusflow.cli, censusflow.metrics, censusflow.ingest\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
