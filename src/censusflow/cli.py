@@ -134,14 +134,13 @@ def parse_stage_spec(spec: str) -> simulate_mod.StageModel:
     distribution = parts[3] if len(parts) > 3 else "deterministic"
     aliases = {"det": "deterministic", "exp": "exponential", "lognorm": "lognormal"}
     distribution = aliases.get(distribution, distribution)
-    cv = float(parts[4]) if len(parts) > 4 else 0.0
     try:
         return simulate_mod.StageModel(
             name=name,
             service_time=float(time_s),
             workers=None if workers == "?" else int(workers),
             distribution=distribution,
-            cv=cv,
+            cv=float(parts[4]) if len(parts) > 4 else 0.0,
         )
     except (ValueError, simulate_mod.InvalidModel) as exc:
         raise click.BadParameter(str(exc))

@@ -1,23 +1,37 @@
-"""Discrete-event throughput simulation of the staged processing pipeline.
+"""Throughput simulation of the staged processing pipeline.
 
-Images flow through a tandem of multi-server stages (download, compute,
+Images flow through a tandem of multi-server FIFO stages (download, compute,
 upload in the production layout). The simulator answers capacity questions:
 makespan of a batch, per-stage utilization, where the bottleneck sits, and
 the smallest worker count at one stage that meets a deadline.
 
+With unbounded queues each stage runs on its own as a generator: it reads
+the sorted arrival times from the stage before and yields sorted completion
+times, keeping only the completion times of the jobs in service and a count
+of waiting jobs (the Lindley recursion for c servers, chained into a tandem
+as in Baccelli, Cohen, Olsder and Quadrat, *Synchronization and Linearity*,
+1992). Memory is O(workers) whatever the batch size. A server that frees at
+the instant of an arrival serves a waiting job first.
+
+A bounded queue (``queue_capacity`` on a stage after the first) blocks the
+upstream server until space frees, which needs feedback from downstream, so
+such models run on a discrete-event loop over a global event heap instead.
+
 Service times are deterministic by default (only means are usually known);
-exponential and lognormal options support sensitivity runs. Queues are
-unbounded by default; a bounded queue blocks the upstream server until
-space frees.
+exponential and lognormal options support sensitivity runs. All stochastic
+stages draw from one seeded stream, in the order the chained generators pull
+them (the event loop draws in event order).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from heapq import heappop, heappush, heapreplace
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -53,14 +67,14 @@ class StageModel:
     queue_capacity: Optional[int] = None
 
     def __post_init__(self):
-        if self.service_time <= 0:
-            raise InvalidModel(f"stage {self.name}: service time must be > 0")
+        if not 0 < self.service_time < math.inf:
+            raise InvalidModel(f"stage {self.name}: service time must be finite and > 0")
         if self.workers is not None and self.workers < 1:
             raise InvalidModel(f"stage {self.name}: workers must be >= 1")
         if self.distribution not in _DISTRIBUTIONS:
             raise InvalidModel(f"stage {self.name}: unknown distribution {self.distribution!r}")
-        if self.cv < 0:
-            raise InvalidModel(f"stage {self.name}: cv must be >= 0")
+        if not 0 <= self.cv < math.inf:
+            raise InvalidModel(f"stage {self.name}: cv must be finite and >= 0")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise InvalidModel(f"stage {self.name}: queue capacity must be >= 1")
 
@@ -131,6 +145,73 @@ def bottleneck_stage(stages: Sequence[StageModel]) -> StageModel:
     return max(stages, key=lambda s: s.service_time / s.workers)
 
 
+_DRAIN = math.inf
+
+
+def _fifo_stage(
+    arrivals: Iterable[float],
+    workers: int,
+    draw: Callable[[], float],
+    stats: dict,
+) -> Iterator[float]:
+    """One FIFO stage with ``workers`` servers and an unbounded queue.
+
+    Reads arrival times in non-decreasing order and yields completion times
+    in non-decreasing order. Before an arrival at ``a`` is counted, every
+    server free at or before ``a`` serves a waiting job or goes idle; the
+    arrival then starts on an idle server or waits. ``max_queue`` is the
+    largest count of waiting jobs, the new one included, seen by an arrival.
+    Once drained, fills ``stats`` with the keys of :func:`_run_tandem`'s
+    per-stage stats.
+    """
+    free: list[float] = []  # completion times of the jobs in service
+    waiting = 0
+    busy = 0.0
+    max_queue = 0
+    arrivals = iter(arrivals)
+    first_start = next(arrivals)
+    for a in chain((first_start,), arrivals, (_DRAIN,)):
+        while free and free[0] <= a:
+            f = free[0]
+            if waiting:
+                waiting -= 1
+                d = draw()
+                busy += d
+                heapreplace(free, f + d)
+            else:
+                heappop(free)
+            yield f
+        if a is _DRAIN:
+            break
+        if waiting >= max_queue:
+            max_queue = waiting + 1
+        if len(free) < workers:
+            d = draw()
+            busy += d
+            heappush(free, a + d)
+        else:
+            waiting += 1
+    stats.update(busy=busy, max_queue=max_queue, first_start=first_start, last_completion=f)
+
+
+def _run_pipeline(
+    n: int,
+    stages: Sequence[StageModel],
+    samplers: Sequence[Callable[[], float]],
+    start_time: float,
+) -> tuple[float, list[dict]]:
+    """Run an unbounded tandem as a chain of :func:`_fifo_stage` generators;
+    same contract as :func:`_run_tandem`. Stage queue capacities are
+    ignored."""
+    stats: list[dict] = [{} for _ in stages]
+    times: Iterable[float] = repeat(start_time, n)
+    for stage, draw, out in zip(stages, samplers, stats):
+        times = _fifo_stage(times, stage.workers, draw, out)
+    deque(times, maxlen=0)
+    stats[0]["max_queue"] = n  # every job is queued at stage 0 at the start
+    return stats[-1]["last_completion"], stats
+
+
 def _run_tandem(
     n: int,
     stages: Sequence[StageModel],
@@ -138,7 +219,10 @@ def _run_tandem(
     start_time: float,
 ) -> tuple[float, list[dict]]:
     """Event-driven run of one tandem; all jobs queued at stage 0 at
-    ``start_time``. Returns (last completion time, per-stage stats)."""
+    ``start_time``. Returns (last completion time, per-stage stats).
+
+    Used for models with a bounded queue after the first stage, whose
+    blocking :func:`_run_pipeline` cannot express."""
     k = len(stages)
     waiting = [0] * k
     waiting[0] = n
@@ -168,7 +252,7 @@ def _run_tandem(
                     busy[i] += duration
                     if now < first_start[i]:
                         first_start[i] = now
-                    heapq.heappush(heap, (now + duration, seq, i))
+                    heappush(heap, (now + duration, seq, i))
                     seq += 1
                     moved = True
             for i in range(k - 1):
@@ -182,7 +266,7 @@ def _run_tandem(
 
     pump()
     while heap:
-        now, _, i = heapq.heappop(heap)
+        now, _, i = heappop(heap)
         last_completion[i] = now
         if i == k - 1:
             completed += 1
@@ -223,6 +307,17 @@ def simulate(
     it; ``sequential`` drains each stage completely before the next starts.
     Deterministic given (inputs, seed).
 
+    Each stage runs as a generator over the previous stage's completion
+    times, in O(workers) memory. A server that frees at the instant of an
+    arrival serves a waiting job first, so on such a tie the arrival's
+    ``max_queue`` count leaves out the job the server takes. Stochastic
+    stages draw from one ``random.Random(seed)`` in the order the chained
+    generators pull them: a model with two or more stochastic stages is
+    deterministic per seed, but its numbers differ from those of earlier
+    versions, which drew in event order. A pipelined model with a
+    ``queue_capacity`` on a stage after the first runs on the event loop
+    instead, which can block upstream servers.
+
     Raises:
         InvalidModel: on an empty model, unresolved worker counts, or
             ``n_images`` < 1.
@@ -241,12 +336,14 @@ def simulate(
     samplers = [s.sampler(rng) for s in stages]
 
     if mode == "pipelined":
-        makespan, stats = _run_tandem(n_images, stages, samplers, 0.0)
+        bounded = any(s.queue_capacity is not None for s in stages[1:])
+        run = _run_tandem if bounded else _run_pipeline
+        makespan, stats = run(n_images, stages, samplers, 0.0)
     else:
         barrier = 0.0
         stats = []
         for stage, sampler in zip(stages, samplers):
-            end, stage_stats = _run_tandem(n_images, [stage], [sampler], barrier)
+            end, stage_stats = _run_pipeline(n_images, [stage], [sampler], barrier)
             stats.extend(stage_stats)
             barrier = end
         makespan = barrier

@@ -88,6 +88,15 @@ class TestSimulateCommand:
         assert result.exit_code == 0
         assert "dry run" in result.output
 
+    @pytest.mark.parametrize(
+        "spec", ["a:1.0:1:lognormal:abc", "a:1.0:1:lognormal:nan", "a:nan:2", "a:inf:2"]
+    )
+    def test_bad_stage_spec_is_usage_error(self, runner, spec):
+        result = runner.invoke(main, ["simulate", "--images", "10", "--stage", spec])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value" in result.output
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, runner):

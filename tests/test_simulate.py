@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from censusflow.simulate import (
     simulate,
     single_image_latency,
 )
+from censusflow.simulate import _run_pipeline, _run_tandem
 
 
 def stages_for(times_workers):
@@ -163,6 +165,10 @@ class TestSimulate:
             {"name": "x", "service_time": 1.0, "workers": 0},
             {"name": "x", "service_time": 1.0, "workers": 1, "distribution": "weird"},
             {"name": "x", "service_time": 1.0, "workers": 1, "cv": -1.0},
+            {"name": "x", "service_time": math.nan, "workers": 1},
+            {"name": "x", "service_time": math.inf, "workers": 1},
+            {"name": "x", "service_time": 1.0, "workers": 1, "cv": math.nan},
+            {"name": "x", "service_time": 1.0, "workers": 1, "cv": math.inf},
         ],
     )
     def test_invalid_stage_models(self, kwargs):
@@ -176,6 +182,99 @@ class TestSimulate:
             simulate(1, [])
         with pytest.raises(InvalidModel):
             simulate(1, [StageModel("x", 1.0, None)])
+
+
+def random_model(rng, integer_times):
+    """1-4 stages over all three distributions; integer means make the
+    deterministic stages' event times collide."""
+    stages = []
+    for i in range(rng.randint(1, 4)):
+        distribution = rng.choice(("deterministic", "exponential", "lognormal"))
+        mean = float(rng.randint(1, 5)) if integer_times else rng.uniform(0.1, 10.0)
+        cv = rng.uniform(0.05, 1.5) if distribution == "lognormal" else 0.0
+        stages.append(StageModel(f"s{i}", mean, rng.randint(1, 4), distribution, cv))
+    return stages
+
+
+def per_stage_samplers(stages, seed):
+    return [s.sampler(random.Random(seed * 10 + i)) for i, s in enumerate(stages)]
+
+
+def assert_same_times(pipeline, tandem):
+    (makespan, stats), (oracle_makespan, oracle_stats) = pipeline, tandem
+    assert makespan == oracle_makespan
+    for got, want in zip(stats, oracle_stats, strict=True):
+        for key in ("busy", "first_start", "last_completion"):
+            assert got[key] == want[key], key
+
+
+class TestPipelineAgainstEventLoop:
+    """The per-stage generators against the event loop, fed the same draws."""
+
+    @pytest.mark.parametrize("integer_times", [False, True])
+    def test_random_models(self, integer_times):
+        rng = random.Random(11 + integer_times)
+        for seed in range(150):
+            stages = random_model(rng, integer_times)
+            n = rng.randint(1, 80)
+            start = rng.choice((0.0, 3.5))
+            pipeline = _run_pipeline(n, stages, per_stage_samplers(stages, seed), start)
+            tandem = _run_tandem(n, stages, per_stage_samplers(stages, seed), start)
+            assert_same_times(pipeline, tandem)
+            queues = [s["max_queue"] for s in pipeline[1]]
+            oracle_queues = [s["max_queue"] for s in tandem[1]]
+            if integer_times:
+                assert all(q <= o for q, o in zip(queues, oracle_queues)), (stages, n)
+            else:
+                assert queues == oracle_queues, (stages, n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_lognormal_stage_matches_shared_stream(self, seed):
+        stages = [
+            StageModel("pre", 1.6, 3),
+            StageModel("proc", 12.5, 2, distribution="lognormal", cv=0.3),
+            StageModel("post", 7.2, 3),
+        ]
+        rng = random.Random(seed)
+        makespan, stats = _run_tandem(500, stages, [s.sampler(rng) for s in stages], 0.0)
+        result = simulate(500, stages, seed=seed)
+        assert result.makespan == makespan
+        for stage, want in zip(result.stages, stats, strict=True):
+            assert stage.busy_time == want["busy"]
+            assert stage.first_start == want["first_start"]
+            assert stage.last_completion == want["last_completion"]
+            assert stage.max_queue == want["max_queue"]
+
+    def test_tie_serves_waiting_job_before_counting_arrival(self):
+        # Two 2 s servers finish jobs 1-2 at t=2 and jobs 3-4 at t=4; one 1 s
+        # server runs job 1 over [2, 3] and job 2 over [3, 4]. At t=4 that
+        # server frees as jobs 3 and 4 arrive. The pipeline frees it first:
+        # job 3 starts at once and only job 4 waits, so max_queue is 1. The
+        # event loop queues both arrivals before the completion and reports 2.
+        stages = stages_for([(2.0, 2), (1.0, 1)])
+        result = simulate(4, stages)
+        assert result.makespan == 6.0
+        assert result.stages[1].max_queue == 1
+        _, oracle = _run_tandem(4, stages, [s.sampler(random.Random(0)) for s in stages], 0.0)
+        assert oracle[1]["max_queue"] == 2
+
+    def test_peak_memory_does_not_grow_with_batch_size(self):
+        stages = [
+            StageModel("pre", 1.6, 14),
+            StageModel("proc", 12.5, 9, distribution="lognormal", cv=0.3),
+            StageModel("post", 7.2, 14),
+        ]
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                simulate(n, stages, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(1_000)
+        assert peak(100_000) < small + 8 * 1024
 
 
 class TestMinWorkers:
