@@ -94,10 +94,15 @@ class TagAlphabet:
                 raise ValueError(f"surface form contains forbidden characters: {surface!r}")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "_by_surface", {v: k for k, v in tokens.items()})
-        ordered = sorted(surfaces, key=len, reverse=True)
-        object.__setattr__(self, "_pattern", re.compile("|".join(re.escape(s) for s in ordered)))
+        ordered = "|".join(re.escape(s) for s in sorted(surfaces, key=len, reverse=True))
+        object.__setattr__(self, "_pattern", re.compile(ordered))
+        object.__setattr__(self, "_split_pattern", re.compile(f"({ordered})"))
+        # Label tokens for the decoder: a newline, a tag (longest surface
+        # first), an out-of-alphabet <...> chunk, or a lone "<". A chunk must
+        # be compact (no spaces, nesting or missing ">") so that a stray
+        # bracket can never swallow a legitimate tag further along the line.
         object.__setattr__(
-            self, "_split_pattern", re.compile("(" + "|".join(re.escape(s) for s in ordered) + ")")
+            self, "_label_pattern", re.compile(f"(\n|{ordered}|<[^<>\\s]{{0,16}}>|<)")
         )
 
     def token_for(self, tag: EntityTag) -> str:

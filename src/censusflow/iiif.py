@@ -182,11 +182,12 @@ def check_integrity(
     Total function: every outcome is encoded in the result status (only an
     IsolationViolation from the transport propagates, by design).
     """
-    rng = rng or random.Random()
     url = info_url(endpoint, image.iiif_identifier)
     last_detail = ""
     for attempt in range(endpoint.retry.max_attempts):
         if attempt:
+            if rng is None:  # seeding from os.urandom is paid only on a retry
+                rng = random.Random()
             sleep(rng.uniform(0.0, endpoint.retry.backoff_ms(attempt - 1)) / 1000.0)
         try:
             response = transport.get(url, endpoint.timeout_ms)
@@ -238,11 +239,12 @@ def fetch_image(
         FetchError: on a definitive non-200 answer.
         TransportFailure: when retries are exhausted.
     """
-    rng = rng or random.Random()
     url = full_image_url(endpoint, identifier)
     last: Optional[TransportFailure] = None
     for attempt in range(endpoint.retry.max_attempts):
         if attempt:
+            if rng is None:  # seeding from os.urandom is paid only on a retry
+                rng = random.Random()
             sleep(rng.uniform(0.0, endpoint.retry.backoff_ms(attempt - 1)) / 1000.0)
         try:
             response = transport.get(url, endpoint.timeout_ms)

@@ -61,16 +61,24 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def add(self, task_id: str, payload: dict) -> bool:
-        """Append a record unless the key is already present."""
+    def add(self, task_id: str, payload: dict, text: Optional[str] = None) -> bool:
+        """Append a record unless the key is already present.
+
+        ``text`` is the JSON text ``payload`` was parsed from; it is stored
+        as it is instead of encoding the payload again. A text with a raw
+        newline would split the record over lines, so the payload is
+        encoded then.
+        """
         with self._lock:
             if task_id in self._keys:
                 return False
+            if text is None or "\n" in text:
+                text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
             if not self._tail_cut:
                 cut_torn_tail(self.path)
                 self._tail_cut = True
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n")
+                fh.write(text + "\n")
             self._keys.add(task_id)
             return True
 

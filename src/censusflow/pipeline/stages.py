@@ -43,7 +43,10 @@ from .workers import WorkerSet
 
 logger = logging.getLogger(__name__)
 
-_NAME_TO_TAG = {tag.name.lower(): tag for tag in EntityTag}
+# Payload tag names in canonical field order, computed once: reading the
+# ``Enum.name`` property per field costs a descriptor call each time.
+_TAG_NAMES = tuple((tag, tag.name.lower()) for tag in EntityTag)
+_NAME_TO_TAG = {name: tag for tag, name in _TAG_NAMES}
 
 
 class EmptySelection(ValueError):
@@ -185,8 +188,8 @@ def build_payload(
                 {
                     "is_head": record.is_head,
                     "fields": [
-                        {"tag": tag.name.lower(), "text": record.fields[tag]}
-                        for tag in EntityTag
+                        {"tag": name, "text": record.fields[tag]}
+                        for tag, name in _TAG_NAMES
                         if tag in record.fields
                     ],
                 }
@@ -347,6 +350,9 @@ def run_stage_integrate(
 
     The store is keyed by task id, so integrating twice is a no-op and a
     crash between append and manifest update cannot duplicate a record.
+    The store receives the result file's text as read, so a payload is
+    encoded once, by the process stage. A result file that is not a JSON
+    object fails its task as ``bad_result``.
     """
     for manifest in [m for m in tasks if m.state is TaskState.PROCESSED]:
         path = Path(manifest.result_path) if manifest.result_path else None
@@ -358,7 +364,20 @@ def run_stage_integrate(
                 failure=FailureInfo("integrate", "missing_result", 1),
             )
             continue
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+            payload = json.loads(text)
+            if not isinstance(payload, dict):
+                raise ValueError(f"not a JSON object but a {type(payload).__name__}")
+        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+            advance(
+                manifest,
+                TaskState.FAILED,
+                ctx,
+                failure=FailureInfo("integrate", f"bad_result: {exc}", 1),
+            )
+            logger.warning("integrate rejected %s: bad result file: %s", manifest.task_id, exc)
+            continue
         problems = validate_payload(payload)
         if problems:
             advance(
@@ -369,6 +388,6 @@ def run_stage_integrate(
             )
             logger.warning("integrate rejected %s: %s", manifest.task_id, problems[:3])
             continue
-        results_store.add(manifest.task_id, payload)
+        results_store.add(manifest.task_id, payload, text)
         advance(manifest, TaskState.INTEGRATED, ctx)
     return list(tasks)

@@ -56,7 +56,11 @@ class StageModel:
     """One service stage: mean seconds per image and its worker count.
 
     ``workers=None`` marks the unknown solved by
-    :func:`min_workers_for_deadline`.
+    :func:`min_workers_for_deadline`. ``queue_capacity`` bounds the queue in
+    front of the stage; it applies only to a stage after the first in
+    ``pipelined`` mode, and :func:`simulate` rejects it anywhere else (the
+    first stage's queue holds the whole batch at the start, and a stage in
+    ``sequential`` mode runs alone).
     """
 
     name: str
@@ -319,8 +323,9 @@ def simulate(
     instead, which can block upstream servers.
 
     Raises:
-        InvalidModel: on an empty model, unresolved worker counts, or
-            ``n_images`` < 1.
+        InvalidModel: on an empty model, unresolved worker counts,
+            ``n_images`` < 1, or a ``queue_capacity`` that has no effect:
+            on the first stage, or on any stage in ``sequential`` mode.
     """
     if n_images < 1:
         raise InvalidModel("n_images must be >= 1")
@@ -331,6 +336,10 @@ def simulate(
     for stage in stages:
         if stage.workers is None:
             raise InvalidModel(f"stage {stage.name}: workers unresolved")
+    for stage in stages if mode == "sequential" else stages[:1]:
+        if stage.queue_capacity is not None:
+            where = "in sequential mode" if mode == "sequential" else "on the first stage"
+            raise InvalidModel(f"stage {stage.name}: queue_capacity has no effect {where}")
 
     rng = random.Random(seed)
     samplers = [s.sampler(rng) for s in stages]

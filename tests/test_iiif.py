@@ -25,6 +25,7 @@ from censusflow.iiif import (
 from censusflow.ingest import GazetteerEntry, ImageRef, RegisterMetadata
 
 ENDPOINT = IiifEndpoint("https://a.example/iiif/", retry=RetryPolicy(3, 100))
+_Random = random.Random  # kept for tests that forbid building a new one
 
 
 def image_ref(identifier="reg1/p01") -> ImageRef:
@@ -179,6 +180,45 @@ class TestFetchImage:
         transport = ScriptedTransport(*[TransportFailure("x")] * 3)
         with pytest.raises(TransportFailure):
             fetch_image(ENDPOINT, "p01", transport, sleep=lambda s: None)
+
+
+class TestRetryRng:
+    """The jitter RNG (seeded from os.urandom by default) is built only
+    before the first backoff sleep."""
+
+    @pytest.fixture
+    def no_new_rng(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random.Random() built")
+
+        monkeypatch.setattr("censusflow.iiif.random.Random", refuse)
+
+    def test_no_rng_without_a_retry(self, no_new_rng):
+        result = check_integrity(ENDPOINT, image_ref(), ScriptedTransport(ok_info()))
+        assert result.status is IntegrityStatus.OK
+        transport = ScriptedTransport(TransportResponse(200, b"bytes"))
+        assert fetch_image(ENDPOINT, "p01", transport) == b"bytes"
+
+    def test_retries_draw_from_the_callers_rng(self, no_new_rng):
+        policy = ENDPOINT.retry
+        reference = _Random(5)
+        expected = [
+            reference.uniform(0.0, policy.backoff_ms(k)) / 1000.0 for k in range(2)
+        ]
+        for call in ("integrity", "fetch"):
+            transport = ScriptedTransport(
+                TransportFailure("x"), TransportFailure("x"), ok_info()
+            )
+            sleeps = []
+            rng = _Random(5)
+            if call == "integrity":
+                result = check_integrity(
+                    ENDPOINT, image_ref(), transport, sleep=sleeps.append, rng=rng
+                )
+                assert result.status is IntegrityStatus.OK
+            else:
+                fetch_image(ENDPOINT, "p01", transport, sleep=sleeps.append, rng=rng)
+            assert sleeps == expected
 
 
 class TestNullTransport:

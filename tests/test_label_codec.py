@@ -1,10 +1,22 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from censusflow.domain import EntityTag, PageTranscript, PersonRecord, validate_record
+from censusflow.domain import (
+    DEFAULT_ALPHABET,
+    EntityTag,
+    PageTranscript,
+    PersonRecord,
+    TagAlphabet,
+    load_alphabet,
+    validate_record,
+)
 from censusflow.label_codec import (
     DEFAULT_TOKEN_BUDGET,
+    DecodeWarning,
     InvalidProfile,
     LabelString,
     MalformedLabel,
@@ -19,6 +31,149 @@ from censusflow.label_codec import (
 )
 
 from conftest import GOLDEN_LABEL
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-character scanner and event-driven state machine that the
+# one-pass decoder replaced. The decoder must give the same records, warnings
+# and strict errors on every input.
+# ---------------------------------------------------------------------------
+
+_TAG = "tag"
+_TEXT = "text"
+_UNKNOWN = "unknown"
+_NEWLINE = "newline"
+_LEADING_TAGS = (EntityTag.SURNAME_HEAD, EntityTag.SURNAME)
+_UNKNOWN_TOKEN_RE = re.compile(r"<[^<>\s]{0,16}>")
+
+
+def oracle_scan(text, alphabet):
+    """Tokenize a label into (kind, 1-based position, payload) events."""
+    i = 0
+    n = len(text)
+    buf_start = 0
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            if buf_start < i:
+                yield _TEXT, buf_start + 1, text[buf_start:i]
+            yield _NEWLINE, i + 1, None
+            i += 1
+            buf_start = i
+        elif c == "<":
+            tag = alphabet.match_at(text, i)
+            if tag is not None:
+                if buf_start < i:
+                    yield _TEXT, buf_start + 1, text[buf_start:i]
+                yield _TAG, i + 1, tag
+                i += len(alphabet.token_for(tag))
+            else:
+                m = _UNKNOWN_TOKEN_RE.match(text, i)
+                token = m.group(0) if m else "<"
+                if buf_start < i:
+                    yield _TEXT, buf_start + 1, text[buf_start:i]
+                yield _UNKNOWN, i + 1, token
+                i += len(token)
+            buf_start = i
+        else:
+            i += 1
+    if buf_start < n:
+        yield _TEXT, buf_start + 1, text[buf_start:n]
+
+
+class OracleParser:
+    def __init__(self, strict):
+        self.strict = strict
+        self.records = []
+        self.warnings = []
+        self.fields = {}
+        self.record_start = None
+        self.cur_tag = None
+        self.cur_pos = 0
+        self.buf = []
+        self.dropping = False
+
+    def warn(self, position, kind):
+        self.warnings.append(DecodeWarning(position, kind))
+
+    def close_field(self):
+        if self.cur_tag is None:
+            return
+        value = "".join(self.buf)
+        if value.startswith(" "):
+            value = value[1:]
+        if value.endswith(" "):
+            value = value[:-1]
+        if value == "":
+            if self.strict:
+                raise MalformedLabel(self.cur_pos, f"empty value for {self.cur_tag.name}")
+            self.warn(self.cur_pos, WarningKind.EMPTY_FIELD)
+        else:
+            self.fields[self.cur_tag] = value
+        self.cur_tag = None
+        self.buf = []
+
+    def close_record(self):
+        self.close_field()
+        if self.fields:
+            if not self.strict and not any(t in self.fields for t in _LEADING_TAGS):
+                self.warn(self.record_start or 1, WarningKind.RECORD_WITHOUT_SURNAME)
+            self.records.append(PersonRecord(self.fields))
+        self.fields = {}
+        self.record_start = None
+
+    def feed(self, kind, pos, payload):
+        if kind == _NEWLINE:
+            self.dropping = False
+            self.close_record()
+        elif kind == _TAG:
+            tag = payload
+            self.dropping = False
+            if tag in _LEADING_TAGS:
+                if self.fields or self.cur_tag is not None:
+                    self.close_record()
+            elif tag in self.fields or tag is self.cur_tag:
+                if self.strict:
+                    raise MalformedLabel(pos, f"duplicate field {tag.name}")
+                self.warn(pos, WarningKind.DUPLICATE_FIELD_IN_RECORD)
+                self.close_record()
+            else:
+                self.close_field()
+            if self.record_start is None:
+                self.record_start = pos
+            self.cur_tag = tag
+            self.cur_pos = pos
+            self.buf = []
+        elif kind == _TEXT:
+            if self.dropping:
+                return
+            if self.cur_tag is None:
+                if self.strict:
+                    raise MalformedLabel(pos, "text before the first tag")
+                self.warn(pos, WarningKind.UNKNOWN_TOKEN)
+            else:
+                self.buf.append(payload)
+        elif kind == _UNKNOWN:
+            if self.strict:
+                raise MalformedLabel(pos, f"unknown token {payload!r}")
+            if self.dropping:
+                return
+            self.close_field()
+            self.warn(pos, WarningKind.UNKNOWN_TOKEN)
+            self.dropping = True
+
+    def finish(self):
+        self.close_record()
+        self.warnings.sort(key=lambda w: (w.position, w.kind.value))
+
+
+def oracle_decode(text, alphabet, strict):
+    """(records, warnings) of the old decoder; raises MalformedLabel when strict."""
+    parser = OracleParser(strict)
+    for event in oracle_scan(text, alphabet):
+        parser.feed(*event)
+    parser.finish()
+    return tuple(parser.records), tuple(parser.warnings)
 
 
 class TestEncode:
@@ -257,3 +412,175 @@ class TestSyntheticGenerator:
     def test_invalid_profiles_rejected(self, kwargs):
         with pytest.raises(InvalidProfile):
             SyntheticProfile(**kwargs)
+
+
+# A custom alphabet whose surfaces need regex escaping ("<s.h>" must not
+# match "<sxh>") and include one longer than an unknown <...> chunk may be.
+_CUSTOM_ALPHABET = TagAlphabet(
+    {
+        **{tag: f"<{i:02d}>" for i, tag in enumerate(EntityTag)},
+        EntityTag.SURNAME_HEAD: "<s.h>",
+        EntityTag.SURNAME: "<s>",
+        EntityTag.OBSERVATION: "<observation-remarks>",
+    }
+)
+
+_NOISE_ATOMS = ("<", ">", "\n", " ", "  ", "a", "b", "é", "s", "h", "x", ".", "-", "0", "1",
+                "abcdefghijklmnop", "q")
+
+
+def _labels(alphabet):
+    atoms = tuple(alphabet.tokens.values()) + _NOISE_ATOMS
+    return st.lists(st.sampled_from(atoms), max_size=60).map("".join)
+
+
+_ALPHABET_AND_LABEL = st.sampled_from([DEFAULT_ALPHABET, _CUSTOM_ALPHABET]).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet), _labels(alphabet))
+)
+
+
+def _strict_outcome(decode):
+    try:
+        return decode()
+    except MalformedLabel as err:
+        return ("MalformedLabel", err.position, err.reason)
+
+
+def assert_same_as_oracle(text, alphabet):
+    records, warnings = oracle_decode(text, alphabet, strict=False)
+    report = decode_lenient(text, alphabet=alphabet)
+    assert report.transcript.records == records
+    assert report.warnings == warnings
+
+    assert _strict_outcome(
+        lambda: decode_strict(text, alphabet=alphabet).records
+    ) == _strict_outcome(lambda: oracle_decode(text, alphabet, strict=True)[0])
+
+
+class TestDecoderAgainstOracle:
+    @given(_ALPHABET_AND_LABEL)
+    @settings(max_examples=800, deadline=None)
+    def test_random_labels(self, case):
+        alphabet, text = case
+        assert_same_as_oracle(text, alphabet)
+
+    @pytest.mark.parametrize(
+        "alphabet", [DEFAULT_ALPHABET, _CUSTOM_ALPHABET], ids=["default", "custom"]
+    )
+    def test_seeded_random_labels(self, alphabet):
+        # Longer strings than hypothesis tends to draw, so that rarer runs
+        # (an empty field closed by an unknown token, then a surname) occur.
+        rng = random.Random(7)
+        atoms = tuple(alphabet.tokens.values()) + _NOISE_ATOMS
+        for _ in range(2000):
+            text = "".join(rng.choice(atoms) for _ in range(rng.randint(0, 60)))
+            assert_same_as_oracle(text, alphabet)
+
+    @pytest.mark.filterwarnings("ignore::censusflow.domain.RowCountWarning")
+    @pytest.mark.parametrize(
+        "alphabet", [DEFAULT_ALPHABET, _CUSTOM_ALPHABET], ids=["default", "custom"]
+    )
+    def test_noisy_synthetic_pages(self, alphabet):
+        noise = ("<", ">", "\n", " ", "x", "<z>")
+        for seed in range(60):
+            text = encode(generate_synthetic_page(seed), alphabet=alphabet).text
+            rng = random.Random(seed)
+            chars = [rng.choice(noise) if rng.random() < 0.02 else c for c in text]
+            for label in (text, "".join(chars)):
+                assert_same_as_oracle(label, alphabet)
+
+
+class TestDecoderEdgeCases:
+    def test_unknown_token_mid_field_then_text_then_tag(self):
+        text = "<s>A <f>Pi<zz>erre x <a>5"
+        report = decode_lenient(text)
+        (record,) = report.transcript.records
+        assert record.fields == {
+            EntityTag.SURNAME: "A", EntityTag.FIRSTNAME: "Pi", EntityTag.AGE: "5"
+        }
+        assert report.warnings == ((11, WarningKind.UNKNOWN_TOKEN),)
+        with pytest.raises(MalformedLabel) as err:
+            decode_strict(text)
+        assert (err.value.position, err.value.reason) == (11, "unknown token '<zz>'")
+
+    def test_lone_bracket_at_end(self):
+        report = decode_lenient("<s>A <")
+        assert [r.fields for r in report.transcript.records] == [{EntityTag.SURNAME: "A"}]
+        assert report.warnings == ((6, WarningKind.UNKNOWN_TOKEN),)
+        with pytest.raises(MalformedLabel) as err:
+            decode_strict("<s>A <")
+        assert (err.value.position, err.value.reason) == (6, "unknown token '<'")
+
+    @pytest.mark.parametrize(
+        "inner, token", [("a" * 16, "<" + "a" * 16 + ">"), ("a" * 17, "<")]
+    )
+    def test_unknown_chunk_length_limit(self, inner, token):
+        # 16 characters between the brackets make one unknown token; 17 make
+        # a lone "<" whose trailing text is dropped up to the next tag.
+        text = f"<s>A<{inner}>B <a>5"
+        report = decode_lenient(text)
+        (record,) = report.transcript.records
+        assert record.fields == {EntityTag.SURNAME: "A", EntityTag.AGE: "5"}
+        assert report.warnings == ((5, WarningKind.UNKNOWN_TOKEN),)
+        with pytest.raises(MalformedLabel) as err:
+            decode_strict(text)
+        assert (err.value.position, err.value.reason) == (5, f"unknown token {token!r}")
+
+    @pytest.mark.parametrize("text", ["<s>A <a>", "<s>A <a> ", "<s>A <a>  "])
+    def test_empty_last_field(self, text):
+        report = decode_lenient(text)
+        assert [r.fields for r in report.transcript.records] == [{EntityTag.SURNAME: "A"}]
+        assert report.warnings == ((6, WarningKind.EMPTY_FIELD),)
+        with pytest.raises(MalformedLabel) as err:
+            decode_strict(text)
+        assert (err.value.position, err.value.reason) == (6, "empty value for AGE")
+
+    def test_blank_lines(self):
+        text = "\n\n<s-h>A <a>5\n\n\n<s>B\n\n"
+        report = decode_lenient(text)
+        assert [r.fields for r in report.transcript.records] == [
+            {EntityTag.SURNAME_HEAD: "A", EntityTag.AGE: "5"},
+            {EntityTag.SURNAME: "B"},
+        ]
+        assert report.warnings == ()
+        assert decode_strict(text) == report.transcript
+        assert decode_lenient("\n\n").transcript.records == ()
+
+    def test_record_start_survives_a_field_closed_by_an_unknown_token(self):
+        # "<f>" opens the record at 1; its empty field is closed by "<z>"
+        # without closing the record, so the surname-less record still
+        # starts at 1 and "<s>" does not open a new one.
+        report = decode_lenient("<f> <z>x <s> <a>5")
+        assert [r.fields for r in report.transcript.records] == [{EntityTag.AGE: "5"}]
+        assert report.warnings == (
+            (1, WarningKind.EMPTY_FIELD),
+            (1, WarningKind.RECORD_WITHOUT_SURNAME),
+            (5, WarningKind.UNKNOWN_TOKEN),
+            (10, WarningKind.EMPTY_FIELD),
+        )
+
+    def test_positions_count_characters_not_bytes(self):
+        # "<s>Clément " is 11 characters (12 UTF-8 bytes); "<y>" starts at 12.
+        report = decode_lenient("<s>Clément <y>x <a>5 <f>Ça <a>6")
+        assert report.warnings == (
+            (12, WarningKind.UNKNOWN_TOKEN),
+            (28, WarningKind.DUPLICATE_FIELD_IN_RECORD),
+            (28, WarningKind.RECORD_WITHOUT_SURNAME),
+        )
+
+    def test_alphabet_loaded_from_file(self, tmp_path, golden):
+        path = tmp_path / "alphabet.txt"
+        lines = ["# tag=<token>"] + [
+            f"{tag.name.lower()}=<{tag.name.lower()}>" for tag in EntityTag
+        ]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        alphabet = load_alphabet(path)
+        label = encode(golden, alphabet=alphabet).text
+        assert label.startswith("<surname_head>Gendre <firstname>Pierre")
+        assert decode_strict(label, page_id="golden", alphabet=alphabet) == golden
+        # The default surface forms are unknown tokens under this alphabet.
+        report = decode_lenient("<surname>A <a>5 <age>6", alphabet=alphabet)
+        (record,) = report.transcript.records
+        assert record.fields == {EntityTag.SURNAME: "A", EntityTag.AGE: "6"}
+        assert report.warnings == ((12, WarningKind.UNKNOWN_TOKEN),)
+        assert_same_as_oracle("<surname>A <a>5 <age>6\n<s-h>B", alphabet)

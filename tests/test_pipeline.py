@@ -394,6 +394,35 @@ class TestIntegrate:
         assert victim.state is TaskState.FAILED
         assert victim.failure.reason.startswith("schema")
 
+    def test_store_keeps_result_text(self, tmp_path, corpus, ctx):
+        # The store gets each result file's text as it is, not a re-encoding
+        # of the parsed payload: these texts are not key-sorted and escape
+        # non-ASCII characters.
+        manifests = self.make_processed(tmp_path, corpus, ctx)
+        texts = []
+        for m in manifests:
+            payload = json.loads(Path(m.result_path).read_text(encoding="utf-8"))
+            texts.append(json.dumps(dict(reversed(payload.items())), ensure_ascii=True))
+            Path(m.result_path).write_text(texts[-1], encoding="utf-8")
+        store = ResultStore(tmp_path / "ws" / "results_store.ndjson")
+        run_stage_integrate(manifests, ctx, results_store=store)
+        assert store.path.read_text(encoding="utf-8") == "".join(t + "\n" for t in texts)
+
+    def test_result_text_with_newline_is_reencoded(self, tmp_path, corpus, ctx):
+        manifests = self.make_processed(tmp_path, corpus, ctx)
+        payloads = []
+        for m in manifests:
+            payloads.append(json.loads(Path(m.result_path).read_text(encoding="utf-8")))
+            Path(m.result_path).write_text(json.dumps(payloads[-1], indent=2) + "\n")
+        store = ResultStore(tmp_path / "ws" / "results_store.ndjson")
+        run_stage_integrate(manifests, ctx, results_store=store)
+        assert all(m.state is TaskState.INTEGRATED for m in manifests)
+        lines = store.path.read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            json.dumps(p, sort_keys=True, ensure_ascii=False) for p in payloads
+        ]
+        assert store.records() == payloads
+
     def test_validate_payload_rules(self):
         base = {
             "task_id": "t", "register_id": "r", "page_id": "p",
@@ -456,6 +485,41 @@ class TestRunBatch:
         assert report.counts["FAILED"] == 1
         assert not report.succeeded
         assert report.registers_skipped == 1
+
+    @pytest.mark.parametrize(
+        "garbage, detail",
+        [('{"task_id": "cut', "Unterminated string"), ("", "Expecting value"),
+         (b"\xff\xfe", "can't decode"), ("[1, 2]", "not a JSON object but a list")],
+        ids=["truncated", "empty", "not-utf8", "array"],
+    )
+    def test_bad_result_file_fails_only_its_task(self, tmp_path, corpus, garbage, detail):
+        victim = None
+
+        def corrupt(manifest):
+            nonlocal victim
+            if manifest.state is TaskState.PROCESSED and victim is None:
+                victim = manifest.task_id
+                path = Path(manifest.result_path)
+                if isinstance(garbage, bytes):
+                    path.write_bytes(garbage)
+                else:
+                    path.write_text(garbage, encoding="utf-8")
+
+        config = run_config(tmp_path, corpus, on_transition=corrupt)
+        report = run_batch(config)
+        assert report.counts["FAILED"] == 1
+        assert report.counts["INTEGRATED"] == corpus.image_count - 1
+        ((task_id, stage, reason),) = report.failed_tasks
+        assert (task_id, stage) == (victim, "integrate")
+        assert reason.startswith("bad_result: ") and detail in reason
+        assert victim not in ResultStore(config.store_path)
+
+        log_before = (config.workspace / "tasks.ndjson").read_bytes()
+        store_before = config.store_path.read_bytes()
+        again = run_batch(run_config(tmp_path, corpus))
+        assert again.counts == report.counts
+        assert (config.workspace / "tasks.ndjson").read_bytes() == log_before
+        assert config.store_path.read_bytes() == store_before
 
     def test_crash_and_resume_matches_uninterrupted(self, tmp_path, corpus):
         # Reference run, never interrupted.

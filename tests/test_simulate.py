@@ -154,6 +154,20 @@ class TestSimulate:
         assert bounded.makespan == pytest.approx(unbounded.makespan)  # same bottleneck
         assert bounded.stages[1].max_queue <= 1
 
+    @pytest.mark.parametrize(
+        "mode, stages",
+        [
+            ("pipelined", [StageModel("a", 1.0, 1, queue_capacity=1), StageModel("b", 1.0, 1)]),
+            ("sequential", [StageModel("a", 1.0, 1), StageModel("b", 1.0, 1, queue_capacity=1)]),
+            ("sequential", [StageModel("a", 1.0, 1, queue_capacity=1)]),
+        ],
+        ids=["first-stage", "sequential", "sequential-first"],
+    )
+    def test_queue_capacity_without_effect_rejected(self, mode, stages):
+        # Both used to be ignored silently: max_queue read 10 for 10 images.
+        with pytest.raises(InvalidModel, match="queue_capacity has no effect"):
+            simulate(10, stages, mode=mode)
+
     def test_conservation_asserted_internally(self):
         result = simulate(250, stages_for([(0.5, 3), (1.0, 2)]))
         assert result.n_images == 250
