@@ -562,12 +562,13 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
         )
     if pages_dir:
         from .domain import write_fixture
+        from .pipeline.manifests import read_ndjson
         from .pipeline.stages import payload_transcript
 
         out = Path(pages_dir)
         out.mkdir(parents=True, exist_ok=True)
         count = 0
-        for record in store.records():
+        for record in read_ndjson(store.path):
             transcript = payload_transcript(record)
             if transcript is None:
                 continue

@@ -262,7 +262,7 @@ class PageTranscript:
                 f"page {self.page_id!r} has {len(self.records)} records; "
                 f"lists typically stay under {ROW_COUNT_SOFT_LIMIT}",
                 RowCountWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def __len__(self) -> int:

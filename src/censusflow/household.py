@@ -10,6 +10,7 @@ Non-list pages (and the end of the register) finalize whatever is open.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -197,15 +198,27 @@ def export_households(
 ) -> int:
     """Write merged households for several registers to one CSV file.
 
+    ``entries`` is consumed one register at a time, so it may be a
+    generator. The rows go to a temporary file next to ``path`` that
+    replaces it only once every row is written: an error raised while
+    reading ``entries`` or writing leaves any earlier file as it was.
+
     Returns the number of person rows written. Output is deterministic for
     identical input.
     """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     count = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXPORT_COLUMNS)
-        for register, hset in entries:
-            for row in household_rows(register, hset):
-                writer.writerow(row)
-                count += 1
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(EXPORT_COLUMNS)
+            for register, hset in entries:
+                for row in household_rows(register, hset):
+                    writer.writerow(row)
+                    count += 1
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count

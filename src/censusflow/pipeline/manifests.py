@@ -162,8 +162,9 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def read_ndjson(path: Path) -> Iterator[dict]:
-    """Yield the whole records of an append-only NDJSON file, if it exists.
+def read_lines(path: Path) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(offset, line)`` for each whole, non-blank line of an
+    append-only NDJSON file, if it exists.
 
     A kill in the middle of an append leaves a last line without its
     newline; it is skipped, as the LevelDB and SQLite write-ahead logs drop
@@ -175,11 +176,20 @@ def read_ndjson(path: Path) -> Iterator[dict]:
     except FileNotFoundError:
         return
     with fh:
+        offset = 0
         for line in fh:
             if not line.endswith(b"\n"):
                 return
             if line.strip():
-                yield json.loads(line)
+                yield offset, line
+            offset += len(line)
+
+
+def read_ndjson(path: Path) -> Iterator[dict]:
+    """Yield the whole records of an append-only NDJSON file (see
+    ``read_lines``)."""
+    for _, line in read_lines(path):
+        yield json.loads(line)
 
 
 def cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:

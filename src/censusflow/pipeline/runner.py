@@ -7,11 +7,19 @@ or FAILED. Because all stage steps are idempotent and all task state lives
 in the workspace's append-only task log, interrupting the pass at any point,
 even in the middle of an append, and calling ``run_batch`` again yields the
 same terminal result set.
+
+Export then works one register at a time: it indexes the result store's
+line offsets by register from record heads alone, reads back, merges and
+writes each complete register in turn, and replaces ``households.csv``
+atomically once every row is written. Memory holds the largest register's
+payloads plus a small per-record index, whatever the batch size.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -19,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from ..domain import PageClass, RegisterDocument, RegisterPage
-from ..household import HouseholdSet, export_households, merge_register
+from ..household import export_households, merge_register
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
 from .manifests import (
@@ -28,6 +36,7 @@ from .manifests import (
     TaskManifest,
     TaskState,
     cut_torn_tail,
+    read_lines,
     read_ndjson,
 )
 from .schedulers import SchedulerAdapter
@@ -41,18 +50,54 @@ from .stages import (
 from .workers import WorkerSet
 
 
+# The head of a record as the process stage writes it (``json.dumps`` with
+# ``sort_keys`` and the default separators): these five keys come first, in
+# this order. A string without escapes or control characters, and a plain
+# non-negative integer, decode as ``json.loads`` decodes them.
+_HEAD = re.compile(
+    rb'\{"page_class": "[^"\\\x00-\x1f]*", "page_id": "[^"\\\x00-\x1f]*", '
+    rb'"register_id": "([^"\\\x00-\x1f]*)", "sequence_index": (0|[1-9][0-9]*), '
+    rb'"task_id": "([^"\\\x00-\x1f]*)"[,}]'
+)
+
+
+def _head(line: bytes) -> tuple:
+    """``(register_id, sequence_index, task_id)`` of a store line, as
+    ``json.loads`` gives them, decoding only the head of the record.
+
+    A line whose head does not match the process stage's layout exactly
+    (another key order, escapes, whitespace) or whose rest may repeat a
+    head key is parsed whole instead.
+    """
+    match = _HEAD.match(line)
+    # json.loads takes the last of repeated keys. Every head key contains
+    # "_i", and a key written with escapes contains a backslash, so a rest
+    # with neither cannot repeat a head key.
+    if match is not None and line.find(b"_i", match.end()) < 0 and (
+        line.find(b"\\", match.end()) < 0
+    ):
+        register_id, sequence_index, task_id = match.groups()
+        return (
+            register_id.decode("utf-8", "surrogatepass"),
+            int(sequence_index),
+            task_id.decode("utf-8", "surrogatepass"),
+        )
+    record = json.loads(line)
+    return record.get("register_id"), record.get("sequence_index"), record.get("task_id")
+
+
 class ResultStore:
     """Append-only NDJSON store keyed by task id; duplicate adds are no-ops.
 
     A torn last line is skipped on read and cut before the first add, as
-    in the task log.
+    in the task log. Opening a store reads only the head of each record.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._keys: set[str] = {record["task_id"] for record in read_ndjson(self.path)}
+        self._keys: set[str] = {_head(line)[2] for _, line in read_lines(self.path)}
         self._tail_cut = False
 
     def __contains__(self, task_id: str) -> bool:
@@ -254,53 +299,55 @@ def registry_from_manifests(manifests: Iterable[TaskManifest]) -> Registry:
     return Registry(tuple(registers))
 
 
-def documents_from_store(registry: Registry, store: ResultStore) -> tuple[list[RegisterDocument], int]:
-    """Rebuild register documents from integrated payloads.
-
-    Only registers whose every image has an integrated result are rebuilt;
-    the second return value counts registers skipped as incomplete.
-    """
-    by_register: dict[str, dict[int, dict]] = {}
-    for record in store.records():
-        by_register.setdefault(record["register_id"], {})[record["sequence_index"]] = record
-
-    documents = []
-    skipped = 0
-    for register in registry.registers:
-        register_id = register.metadata.register_id
-        payloads = by_register.get(register_id, {})
-        expected = {img.sequence_index for img in register.images}
-        if set(payloads) != expected:
-            skipped += 1
-            continue
-        pages = []
-        for seq in sorted(payloads):
-            payload = payloads[seq]
-            pages.append(
-                RegisterPage(
-                    page_id=payload["page_id"],
-                    page_class=PageClass[payload["page_class"]],
-                    transcript=payload_transcript(payload),
-                )
-            )
-        documents.append(
-            RegisterDocument(
-                register_id=register_id, pages=tuple(pages), metadata=register.metadata
-            )
-        )
-    return documents, skipped
-
-
 def export_batch(
     registry: Registry, store: ResultStore, out_path: str | Path
 ) -> tuple[int, int, int]:
-    """Merge households per fully-integrated register and write one CSV.
+    """Merge households one register at a time and write one CSV.
+
+    One pass over the store indexes each record's line offset by register
+    and sequence index, reading only record heads; a later record for the
+    same page wins. Then, in registry order, each register whose every
+    image has a record is read back, merged and written before the next is
+    read, so memory holds one register's payloads plus that index. Other
+    registers are skipped as incomplete. The CSV goes to a temporary file
+    that replaces ``out_path`` only once it is whole, so an error or a kill
+    leaves any earlier CSV as it was.
 
     Returns (registers exported, registers skipped, person rows written).
     """
-    documents, skipped = documents_from_store(registry, store)
-    entries: list[tuple[RegisterDocument, HouseholdSet]] = [
-        (doc, merge_register(doc)) for doc in documents
+    index: dict[str, dict[int, int]] = {}
+    for offset, line in read_lines(store.path):
+        register_id, sequence_index, _ = _head(line)
+        index.setdefault(register_id, {})[sequence_index] = offset
+    complete = [
+        register
+        for register in registry.registers
+        if set(index.get(register.metadata.register_id, ()))
+        == {image.sequence_index for image in register.images}
     ]
-    people = export_households(entries, out_path)
-    return len(documents), skipped, people
+
+    def merged(fh):
+        for register in complete:
+            offsets = index.get(register.metadata.register_id, {})
+            pages = []
+            for sequence_index in sorted(offsets):
+                fh.seek(offsets[sequence_index])
+                payload = json.loads(fh.readline())
+                pages.append(
+                    RegisterPage(
+                        page_id=payload["page_id"],
+                        page_class=PageClass[payload["page_class"]],
+                        transcript=payload_transcript(payload),
+                    )
+                )
+            document = RegisterDocument(
+                register_id=register.metadata.register_id,
+                pages=tuple(pages),
+                metadata=register.metadata,
+            )
+            yield document, merge_register(document)
+
+    # An empty index may mean no store file; no register then needs a read.
+    with open(store.path, "rb") if index else io.BytesIO() as fh:
+        people = export_households(merged(fh), out_path)
+    return len(complete), len(registry.registers) - len(complete), people

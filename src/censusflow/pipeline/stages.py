@@ -200,13 +200,25 @@ def build_payload(
 
 
 def validate_payload(payload: dict) -> list[str]:
-    """Schema violations of a result payload; empty list means valid."""
+    """Schema violations of a result payload; empty list means valid.
+
+    Total over any JSON object: every value of the wrong type or shape is
+    reported as a violation, never raised.
+    """
     problems = []
     for key in ("task_id", "register_id", "page_id", "sequence_index", "page_class"):
         if key not in payload:
             problems.append(f"missing key {key}")
+    for key in ("task_id", "register_id", "page_id"):
+        if key in payload and not isinstance(payload[key], str):
+            problems.append(f"{key} is not a string")
+    sequence_index = payload.get("sequence_index", 0)
+    if type(sequence_index) is not int or sequence_index < 0:
+        problems.append(f"sequence_index {sequence_index!r} is not an integer >= 0")
     page_class = payload.get("page_class")
-    if page_class is not None and page_class not in PageClass.__members__:
+    if page_class is not None and (
+        not isinstance(page_class, str) or page_class not in PageClass.__members__
+    ):
         problems.append(f"unknown page_class {page_class!r}")
     transcript = payload.get("transcript")
     is_list = page_class == PageClass.LIST.name
@@ -214,23 +226,32 @@ def validate_payload(payload: dict) -> list[str]:
         problems.append("LIST page without transcript")
     if not is_list and transcript is not None:
         problems.append(f"transcript present on {page_class} page")
-    if transcript is not None:
-        records = transcript.get("records")
-        if not isinstance(records, list):
-            problems.append("transcript.records is not a list")
-        else:
-            for i, record in enumerate(records):
-                fields = {}
-                for item in record.get("fields", ()):
-                    tag = _NAME_TO_TAG.get(item.get("tag", ""))
-                    if tag is None:
-                        problems.append(f"record {i}: unknown tag {item.get('tag')!r}")
-                        continue
-                    fields[tag] = item.get("text", "")
-                violations = validate_record(PersonRecord(fields))
-                problems.extend(f"record {i}: {v}" for v in violations)
-                if bool(record.get("is_head")) != (EntityTag.SURNAME_HEAD in fields):
-                    problems.append(f"record {i}: is_head flag inconsistent with fields")
+    if transcript is None:
+        return problems
+    records = transcript.get("records") if isinstance(transcript, dict) else None
+    if not isinstance(records, list):
+        problems.append("transcript.records is not a list")
+        return problems
+    for i, record in enumerate(records):
+        items = record.get("fields", []) if isinstance(record, dict) else None
+        if not isinstance(items, list):
+            problems.append(f"record {i}: not an object with a fields list")
+            continue
+        fields = {}
+        for item in items:
+            if not isinstance(item, dict):
+                item = {"tag": None}
+            tag, text = item.get("tag"), item.get("text", "")
+            if not isinstance(tag, str) or tag not in _NAME_TO_TAG:
+                problems.append(f"record {i}: unknown tag {tag!r}")
+            elif not isinstance(text, str):
+                problems.append(f"record {i}: {tag} text is not a string")
+            else:
+                fields[_NAME_TO_TAG[tag]] = text
+        violations = validate_record(PersonRecord(fields))
+        problems.extend(f"record {i}: {v}" for v in violations)
+        if bool(record.get("is_head")) != (EntityTag.SURNAME_HEAD in fields):
+            problems.append(f"record {i}: is_head flag inconsistent with fields")
     return problems
 
 

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from censusflow.cli import main, parse_duration, parse_stage_spec
+from censusflow.domain import dumps_pages
+from censusflow.pipeline.stages import payload_transcript
 
 
 @pytest.fixture
@@ -313,6 +315,31 @@ class TestIngestCommand:
         first = (tmp_path / "a" / "registry.ndjson").read_bytes()
         second = (tmp_path / "b" / "registry.ndjson").read_bytes()
         assert first == second
+
+
+class TestExportCommand:
+    def test_pages_are_the_stored_transcripts(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path, registers=3)
+        workspace = tmp_path / "ws"
+        result = runner.invoke(
+            main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        )
+        assert result.exit_code == 0, result.output
+        pages = tmp_path / "pages"
+        result = runner.invoke(
+            main, ["export", "--workspace", str(workspace), "--pages", str(pages)]
+        )
+        assert result.exit_code == 0, result.output
+
+        want = {}
+        for line in (workspace / "results_store.ndjson").read_text(encoding="utf-8").splitlines():
+            transcript = payload_transcript(json.loads(line))
+            if transcript is not None:
+                name = transcript.page_id.replace("/", "__") + ".txt"
+                want[name] = dumps_pages([transcript])
+        assert want and f"wrote {len(want)} transcript pages" in result.output
+        got = {p.name: p.read_text(encoding="utf-8") for p in pages.iterdir()}
+        assert got == want
 
 
 class TestEvaluateCommand:

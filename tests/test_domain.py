@@ -146,6 +146,13 @@ class TestPageTranscript:
         with pytest.warns(RowCountWarning):
             PageTranscript(records, page_id="big")
 
+    def test_row_count_warning_names_the_caller(self):
+        records = tuple(PersonRecord.from_names(surname_head=f"A{i}") for i in range(41))
+        with pytest.warns(RowCountWarning) as caught:
+            PageTranscript(records, page_id="big")
+        (warning,) = caught.list
+        assert warning.filename == __file__
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             PageTranscript((), page_id="x", page_index_in_register=-1)

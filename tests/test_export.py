@@ -1,0 +1,412 @@
+"""Household export from the result store, one register at a time.
+
+``documents_from_store`` below is the export as it was before it streamed:
+it parses every record, keeps the last one per ``(register_id,
+sequence_index)`` and rebuilds every complete register at once. With
+``export_households`` it is the oracle the streaming ``export_batch`` must
+match byte for byte.
+"""
+
+import json
+import random
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from censusflow.domain import EntityTag, PageClass, RegisterDocument, RegisterPage
+from censusflow.fixtures import FixtureTransport, generate_corpus
+from censusflow.household import EXPORT_COLUMNS, MissingTranscript, export_households, merge_register
+from censusflow.iiif import IiifEndpoint
+from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetadata, Registry
+from censusflow.label_codec import SyntheticProfile
+from censusflow.pipeline import LocalExecutor, ResultStore, RunConfig, export_batch, mock_worker_set, run_batch
+from censusflow.pipeline.runner import _head
+from censusflow.pipeline.stages import payload_transcript
+
+TAG_NAMES = [tag.name.lower() for tag in EntityTag]
+OTHER_CLASSES = [c.name for c in PageClass if c is not PageClass.LIST]
+
+
+def documents_from_store(registry: Registry, store: ResultStore) -> tuple[list[RegisterDocument], int]:
+    """Rebuild register documents from integrated payloads.
+
+    Only registers whose every image has an integrated result are rebuilt;
+    the second return value counts registers skipped as incomplete.
+    """
+    by_register: dict[str, dict[int, dict]] = {}
+    for record in store.records():
+        by_register.setdefault(record["register_id"], {})[record["sequence_index"]] = record
+
+    documents = []
+    skipped = 0
+    for register in registry.registers:
+        register_id = register.metadata.register_id
+        payloads = by_register.get(register_id, {})
+        expected = {img.sequence_index for img in register.images}
+        if set(payloads) != expected:
+            skipped += 1
+            continue
+        pages = []
+        for seq in sorted(payloads):
+            payload = payloads[seq]
+            pages.append(
+                RegisterPage(
+                    page_id=payload["page_id"],
+                    page_class=PageClass[payload["page_class"]],
+                    transcript=payload_transcript(payload),
+                )
+            )
+        documents.append(
+            RegisterDocument(
+                register_id=register_id, pages=tuple(pages), metadata=register.metadata
+            )
+        )
+    return documents, skipped
+
+
+def oracle_export(registry: Registry, store: ResultStore, out_path: Path) -> tuple[int, int, int]:
+    documents, skipped = documents_from_store(registry, store)
+    people = export_households([(doc, merge_register(doc)) for doc in documents], out_path)
+    return len(documents), skipped, people
+
+
+# ---------------------------------------------------------------------------
+# Synthetic registries and stores, written directly
+# ---------------------------------------------------------------------------
+
+
+def make_registry(pages_per_register: list[int], commune: str = "03190") -> Registry:
+    entry = GazetteerEntry(code=commune, canonical_name="Moulins", department="03")
+    registers = []
+    for k, pages in enumerate(pages_per_register):
+        meta = RegisterMetadata(census_year=1881, commune=entry, archival_id=f"6M {k:05d}")
+        images = tuple(
+            ImageRef(register=meta, iiif_identifier=f"{meta.register_id}/{seq:03d}",
+                     sequence_index=seq)
+            for seq in range(pages)
+        )
+        registers.append(Register(metadata=meta, images=images))
+    return Registry(tuple(registers))
+
+
+def random_records(rng: random.Random, rows: int) -> list[dict]:
+    words = ["Gendre", "Martin", "Müller", 'Say "x"', "a\\b", "é\tß", "chef", "75"]
+    records = []
+    for _ in range(rows):
+        head = rng.random() < 0.35
+        fields = [{"tag": "surname_head" if head else "surname", "text": rng.choice(words)}]
+        for name in rng.sample(TAG_NAMES[2:], rng.randint(0, 4)):
+            fields.append({"tag": name, "text": rng.choice(words)})
+        records.append({"is_head": head, "fields": fields})
+    return records
+
+
+def payload_for(image: ImageRef, page_class: str, records) -> dict:
+    """A result payload laid out as the process stage builds it."""
+    return {
+        "task_id": f"{image.register.register_id}-p{image.sequence_index:04d}",
+        "register_id": image.register.register_id,
+        "page_id": image.iiif_identifier,
+        "sequence_index": image.sequence_index,
+        "page_class": page_class,
+        "transcript": None if records is None else {"records": records},
+        "warnings": [],
+        "worker": {"classifier": "mock", "recognizer": "mock"},
+    }
+
+
+def stage_line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False)
+
+
+def random_page(rng: random.Random, image: ImageRef, max_rows: int = 8) -> dict:
+    if rng.random() < 0.6:
+        return payload_for(image, "LIST", random_records(rng, rng.randint(0, max_rows)))
+    return payload_for(image, rng.choice(OTHER_CLASSES), None)
+
+
+def random_store_lines(rng: random.Random, registry: Registry) -> list[str]:
+    """Every register complete or incomplete, some pages stored twice with
+    other content, some records of registers not in the registry, in
+    shuffled order and some in a layout the head read does not take."""
+    lines = []
+    for register in registry.registers:
+        complete = rng.random() < 0.7
+        for image in register.images:
+            if not complete and rng.random() < 0.5:
+                continue
+            for _ in range(1 + (rng.random() < 0.1)):
+                lines.append(random_page(rng, image))
+    stranger = make_registry([2], commune="99999").registers[0]
+    lines.extend(random_page(rng, image) for image in stranger.images)
+    rng.shuffle(lines)
+    out = []
+    for payload in lines:
+        roll = rng.random()
+        if roll < 0.1:  # keys in reverse order, non-ASCII escaped
+            out.append(json.dumps(dict(reversed(payload.items())), ensure_ascii=True))
+        elif roll < 0.15:  # whitespace around the colons
+            out.append(json.dumps(payload, sort_keys=True, separators=(", ", " : ")))
+        else:
+            out.append(stage_line(payload))
+    return out
+
+
+def write_store(path: Path, lines: list[str]) -> ResultStore:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return ResultStore(path)
+
+
+class TestStreamingExportAgainstOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_stores(self, tmp_path, seed):
+        rng = random.Random(seed)
+        registry = make_registry([rng.randint(0, 6) for _ in range(rng.randint(1, 9))])
+        store = write_store(tmp_path / "store.ndjson", random_store_lines(rng, registry))
+        want = oracle_export(registry, store, tmp_path / "oracle.csv")
+        got = export_batch(registry, store, tmp_path / "households.csv")
+        assert got == want
+        assert (tmp_path / "households.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_register_order_is_registry_order(self, tmp_path):
+        rng = random.Random(7)
+        registry = make_registry([3, 2, 4])
+        lines = [stage_line(random_page(rng, image)) for image in registry.iter_images()]
+        backwards = Registry(tuple(reversed(registry.registers)))
+        store = write_store(tmp_path / "store.ndjson", lines)
+        oracle_export(backwards, store, tmp_path / "oracle.csv")
+        export_batch(backwards, store, tmp_path / "households.csv")
+        assert (tmp_path / "households.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Reading only record heads
+# ---------------------------------------------------------------------------
+
+_text = st.text(max_size=12) | st.sampled_from(["", '"', "\\", "\\u0041", "é", "task_id", "\x01"])
+_index = (
+    st.integers(min_value=0, max_value=10**20)
+    | st.integers(min_value=-5, max_value=-1)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+    | st.booleans()
+    | st.none()
+)
+# Strings the head read takes as they are: no quote, backslash or control
+# character, so JSON writes them without escapes.
+_plain = st.text(st.characters(blacklist_characters='"\\', blacklist_categories=("Cc", "Cs")),
+                 max_size=12)
+_VARIANTS = ["stage", "stage", "permuted", "duplicate", "spaced", "ascii", "escaped-key"]
+
+
+@st.composite
+def record_lines(draw) -> bytes:
+    """A JSON object text with the head keys: laid out as the process stage
+    writes it, or with one variation on that layout."""
+    text = draw(st.sampled_from([_plain, _text]))
+    record = {
+        "page_class": draw(st.sampled_from(["LIST", "TOTALS"]) | text),
+        "page_id": draw(text),
+        "register_id": draw(text),
+        "sequence_index": draw(st.integers(min_value=0) | _index),
+        "task_id": draw(text),
+        "transcript": draw(st.none() | st.just({"records": []})),
+        "worker": draw(st.dictionaries(text, text, max_size=2)),
+    }
+    variant = draw(st.sampled_from(_VARIANTS))
+    items = list(record.items())
+    if variant == "permuted":
+        items = draw(st.permutations(items))
+    if variant == "duplicate":
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            key = draw(st.sampled_from(["register_id", "sequence_index", "task_id"]))
+            if draw(st.booleans()):  # the same key, written with an escape
+                key = key.replace("_", "\\u005f")
+            items.insert(draw(st.integers(min_value=0, max_value=len(items))), (key, draw(_index)))
+    colon = draw(st.sampled_from([" : ", ":", ":  "])) if variant == "spaced" else ": "
+    ensure_ascii = variant == "ascii"
+
+    def key_text(key):
+        if "\\" in key:
+            return f'"{key}"'
+        text = json.dumps(key)
+        return text.replace("_", "\\u005f") if variant == "escaped-key" and key == "task_id" else text
+
+    body = ", ".join(key_text(k) + colon + json.dumps(v, ensure_ascii=ensure_ascii)
+                     for k, v in items)
+    return ("{" + body + "}").encode("utf-8")
+
+
+class TestHeadRead:
+    @given(record_lines())
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_json_loads(self, line):
+        record = json.loads(line)
+        want = (record.get("register_id"), record.get("sequence_index"), record.get("task_id"))
+        got = _head(line + b"\n")
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+    @pytest.mark.parametrize("line, want", [
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
+         b'"task_id": "t", "x": 1, "register_id": "s"}', ("s", 3, "t")),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
+         b'"task_id": "t", "t\\u0061sk_id": "u"}', ("r", 3, "u")),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
+         b'"task_id": "t", "task\\u005fid": "u"}', ("r", 3, "u")),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r\\"", "sequence_index": 3, '
+         b'"task_id": "t"}', ('r"', 3, "t")),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3.0, '
+         b'"task_id": "t"}', ("r", 3.0, "t")),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": -1, '
+         b'"task_id": "t"}', ("r", -1, "t")),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": "3", '
+         b'"task_id": "t"}', ("r", "3", "t")),
+        ('{"page_class": "LIST", "page_id": "p", "register_id": "ré", "sequence_index": 3, '
+         '"task_id": "tß"}'.encode(), ("ré", 3, "tß")),
+        (b'{"task_id": "t"}', (None, None, "t")),
+    ], ids=["duplicate", "escaped-duplicate", "escaped-underscore-duplicate", "escape", "float", "negative", "string",
+            "non-ascii", "missing"])
+    def test_edge_cases(self, line, want):
+        got = _head(line + b"\n")
+        assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+    def test_stage_layout_is_read_without_parsing(self, monkeypatch):
+        # The fast path is what makes store open cheap: a line laid out as
+        # the process stage writes it must not reach json.loads.
+        import censusflow.pipeline.runner as runner
+
+        image = make_registry([2]).registers[0].images[1]
+        records = [{"is_head": True, "fields": [{"tag": "surname_head", "text": "Gendre"},
+                                                {"tag": "occupation", "text": "métayer"}]}]
+        payload = payload_for(image, "LIST", records)
+        line = stage_line(payload).encode("utf-8") + b"\n"
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(runner.json, "loads", no_parse)
+        assert _head(line) == (image.register.register_id, 1, payload["task_id"])
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+
+class TestExportMemory:
+    def test_peak_does_not_grow_with_store_size(self, tmp_path):
+        """Payload memory is one register's, plus a small index per record:
+        at 10x the pages, the tracemalloc peak of export_batch may grow by
+        at most 256 bytes per added page."""
+        rng = random.Random(3)
+
+        def peak(registers: int) -> int:
+            registry = make_registry([10] * registers)
+            path = tmp_path / f"store-{registers}.ndjson"
+            with open(path, "w", encoding="utf-8") as fh:
+                for image in registry.iter_images():
+                    fh.write(stage_line(random_page(rng, image, max_rows=4)) + "\n")
+            store = ResultStore(path)
+            tracemalloc.start()
+            try:
+                exported, skipped, _ = export_batch(registry, store, tmp_path / "households.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(100)
+        large = peak(1_000)
+        assert large < small + 256 * 9_000, (small, large)
+
+
+# ---------------------------------------------------------------------------
+# Edge cases on a real workspace
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def finished(tmp_path):
+    """A workspace run to the end over three registers, with its registry."""
+    corpus = generate_corpus(
+        tmp_path / "corpus", registers=3, seed=11, list_pages_min=2, list_pages_max=3,
+        profile=SyntheticProfile(min_rows=4, max_rows=8, household_size_mean=3.0),
+    )
+    config = RunConfig(
+        workspace=tmp_path / "ws",
+        registry=corpus.registry,
+        endpoint=IiifEndpoint("https://fixture.local/iiif"),
+        transport=FixtureTransport(corpus.root),
+        workers=mock_worker_set(seed=0),
+        scheduler=LocalExecutor(2),
+        prestage_concurrency=2,
+    )
+    report = run_batch(config)
+    assert report.counts["INTEGRATED"] == corpus.image_count
+    return config
+
+
+class TestExportEdgeCases:
+    def test_no_store_exports_header_only(self, tmp_path, finished):
+        store = ResultStore(tmp_path / "empty" / "results_store.ndjson")
+        out = tmp_path / "households.csv"
+        registers = len(finished.registry.registers)
+        assert export_batch(finished.registry, store, out) == (0, registers, 0)
+        assert not store.path.exists()
+        assert out.read_bytes() == (",".join(EXPORT_COLUMNS) + "\r\n").encode()
+
+    def test_later_duplicate_wins(self, tmp_path, finished):
+        lines = finished.store_path.read_text(encoding="utf-8").splitlines()
+        payloads = [json.loads(line) for line in lines]
+        k = next(i for i, p in enumerate(payloads) if p["transcript"] and
+                 len(p["transcript"]["records"]) > 1)
+        later = dict(payloads[k], transcript={"records": payloads[k]["transcript"]["records"][1:]})
+        duplicated = write_store(tmp_path / "dup.ndjson", lines + [stage_line(later)])
+        replaced = write_store(
+            tmp_path / "replaced.ndjson", lines[:k] + lines[k + 1:] + [stage_line(later)]
+        )
+        export_batch(finished.registry, duplicated, tmp_path / "dup.csv")
+        export_batch(finished.registry, replaced, tmp_path / "replaced.csv")
+        oracle_export(finished.registry, duplicated, tmp_path / "oracle.csv")
+        dup = (tmp_path / "dup.csv").read_bytes()
+        assert dup == (tmp_path / "replaced.csv").read_bytes()
+        assert dup == (tmp_path / "oracle.csv").read_bytes()
+        assert dup != finished.households_path.read_bytes()
+
+    def test_torn_last_line_is_skipped(self, tmp_path, finished):
+        data = finished.store_path.read_bytes()
+        first = data[: data.index(b"\n") + 1]
+        # The torn copy of a record would complete nothing and change nothing.
+        finished.store_path.write_bytes(data + first[: len(first) // 2])
+        out = tmp_path / "households.csv"
+        assert export_batch(finished.registry, ResultStore(finished.store_path), out)[1] == 0
+        assert out.read_bytes() == finished.households_path.read_bytes()
+
+    def test_torn_last_line_leaves_its_register_incomplete(self, tmp_path, finished):
+        lines = finished.store_path.read_bytes().splitlines(keepends=True)
+        finished.store_path.write_bytes(b"".join(lines[:-1]) + lines[-1][:-1])
+        out = tmp_path / "households.csv"
+        exported, skipped, _ = export_batch(
+            finished.registry, ResultStore(finished.store_path), out
+        )
+        assert (exported, skipped) == (len(finished.registry.registers) - 1, 1)
+
+    def test_merge_error_leaves_old_csv(self, tmp_path, finished):
+        """A LIST payload without a transcript in the last register fails
+        the merge after earlier registers' rows are written: the old CSV
+        stays as it was and no temporary file is left behind."""
+        before = finished.households_path.read_bytes()
+        last = finished.registry.registers[-1]
+        broken = payload_for(last.images[0], "LIST", None)
+        with open(finished.store_path, "a", encoding="utf-8") as fh:
+            fh.write(stage_line(broken) + "\n")
+        listing = sorted(p.name for p in finished.workspace.iterdir())
+        with pytest.raises(MissingTranscript):
+            export_batch(
+                finished.registry, ResultStore(finished.store_path), finished.households_path
+            )
+        assert finished.households_path.read_bytes() == before
+        assert sorted(p.name for p in finished.workspace.iterdir()) == listing

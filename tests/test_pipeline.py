@@ -5,6 +5,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censusflow.domain import PageClass
 from censusflow.fixtures import FixtureTransport, generate_corpus
@@ -445,6 +447,55 @@ class TestIntegrate:
         assert any("is_head" in p for p in validate_payload(bad_head))
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["records", "fields", "tag", "text", "is_head"]) | st.text(max_size=6),
+        children, max_size=4,
+    ),
+    max_leaves=12,
+)
+_VALID_BASE = {
+    "task_id": "t", "register_id": "r", "page_id": "p", "sequence_index": 0, "page_class": "LIST",
+}
+
+
+class TestValidatePayloadTotal:
+    """Any JSON value anywhere in a payload is reported, never raised."""
+
+    @pytest.mark.parametrize("place", [
+        lambda v: {**_VALID_BASE, "transcript": v},
+        lambda v: {**_VALID_BASE, "transcript": {"records": [v]}},
+        lambda v: {**_VALID_BASE, "transcript": {"records": [{"is_head": False, "fields": v}]}},
+        lambda v: {**_VALID_BASE, "transcript": {"records": [{"fields": [v]}]}},
+        lambda v: {**_VALID_BASE, "transcript": {"records": [
+            {"fields": [{"tag": "surname", "text": v}]}]}},
+        lambda v: {**_VALID_BASE, "page_class": v, "transcript": None},
+        lambda v: {**_VALID_BASE, "sequence_index": v, "transcript": None, "page_class": "OTHER"},
+    ], ids=["transcript", "record", "fields", "field", "text", "page_class", "sequence_index"])
+    @given(value=_JSON)
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_value(self, place, value):
+        problems = validate_payload(place(value))
+        assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+
+    @given(payload=st.dictionaries(st.sampled_from(list(_VALID_BASE) + ["transcript"]), _JSON))
+    @settings(max_examples=300, deadline=None)
+    def test_any_top_level_values(self, payload):
+        problems = validate_payload(payload)
+        assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+
+    @pytest.mark.parametrize("key, value", [
+        ("task_id", 1), ("register_id", None), ("page_id", ["p"]),
+        ("sequence_index", "0"), ("sequence_index", 1.0), ("sequence_index", True),
+        ("sequence_index", -1),
+    ])
+    def test_wrong_types_reported(self, key, value):
+        payload = {**_VALID_BASE, key: value, "page_class": "OTHER", "transcript": None}
+        (problem,) = validate_payload(payload)
+        assert problem.startswith(key)
+
+
 class TestRunBatch:
     def test_zero_noise_end_to_end(self, tmp_path, corpus):
         config = run_config(tmp_path, corpus)
@@ -512,6 +563,43 @@ class TestRunBatch:
         ((task_id, stage, reason),) = report.failed_tasks
         assert (task_id, stage) == (victim, "integrate")
         assert reason.startswith("bad_result: ") and detail in reason
+        assert victim not in ResultStore(config.store_path)
+
+        log_before = (config.workspace / "tasks.ndjson").read_bytes()
+        store_before = config.store_path.read_bytes()
+        again = run_batch(run_config(tmp_path, corpus))
+        assert again.counts == report.counts
+        assert (config.workspace / "tasks.ndjson").read_bytes() == log_before
+        assert config.store_path.read_bytes() == store_before
+
+    @pytest.mark.parametrize(
+        "transcript, detail",
+        [([1], "transcript.records is not a list"),
+         ({"records": [1]}, "record 0: not an object"),
+         ({"records": [{"fields": 5}]}, "record 0: not an object"),
+         ({"records": [{"fields": [1]}]}, "record 0: unknown tag None"),
+         ({"records": [{"fields": [{"tag": ["surname"], "text": "A"}]}]}, "unknown tag ['surname']"),
+         ({"records": [{"fields": [{"tag": "surname", "text": 7}]}]}, "surname text is not a string")],
+        ids=["transcript-list", "record-int", "fields-int", "field-int", "tag-list", "text-int"],
+    )
+    def test_malformed_transcript_fails_only_its_task(self, tmp_path, corpus, transcript, detail):
+        victim = None
+
+        def corrupt(manifest):
+            nonlocal victim
+            if manifest.state is TaskState.PROCESSED and victim is None:
+                victim = manifest.task_id
+                path = Path(manifest.result_path)
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                payload.update(page_class="LIST", transcript=transcript)
+                path.write_text(json.dumps(payload), encoding="utf-8")
+
+        config = run_config(tmp_path, corpus, on_transition=corrupt)
+        report = run_batch(config)
+        assert report.counts["INTEGRATED"] == corpus.image_count - 1
+        ((task_id, stage, reason),) = report.failed_tasks
+        assert (task_id, stage) == (victim, "integrate")
+        assert reason.startswith("schema: ") and detail in reason
         assert victim not in ResultStore(config.store_path)
 
         log_before = (config.workspace / "tasks.ndjson").read_bytes()
