@@ -193,18 +193,16 @@ def household_rows(register: RegisterDocument, hset: HouseholdSet) -> list[list[
     return rows
 
 
-def export_households(
-    entries: Iterable[tuple[RegisterDocument, HouseholdSet]], path: str | Path
-) -> int:
-    """Write merged households for several registers to one CSV file.
+def write_export(registers: Iterable[list[list[str]]], path: str | Path) -> int:
+    """Write the export header and then each register's rows to one CSV.
 
-    ``entries`` is consumed one register at a time, so it may be a
-    generator. The rows go to a temporary file next to ``path`` that
-    replaces it only once every row is written: an error raised while
-    reading ``entries`` or writing leaves any earlier file as it was.
+    ``registers`` yields one list of rows per register and is consumed one
+    register at a time, so it may be a generator. The rows go to a
+    temporary file next to ``path`` that replaces it only once every row is
+    written: an error raised while reading ``registers`` or writing leaves
+    any earlier file as it was.
 
-    Returns the number of person rows written. Output is deterministic for
-    identical input.
+    Returns the number of rows written.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
@@ -213,12 +211,25 @@ def export_households(
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(EXPORT_COLUMNS)
-            for register, hset in entries:
-                for row in household_rows(register, hset):
-                    writer.writerow(row)
-                    count += 1
+            for rows in registers:
+                writer.writerows(rows)
+                count += len(rows)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return count
+
+
+def export_households(
+    entries: Iterable[tuple[RegisterDocument, HouseholdSet]], path: str | Path
+) -> int:
+    """Write merged households for several registers to one CSV file.
+
+    ``entries`` is consumed one register at a time, so it may be a
+    generator; the file is replaced atomically (see ``write_export``).
+
+    Returns the number of person rows written. Output is deterministic for
+    identical input.
+    """
+    return write_export((household_rows(register, hset) for register, hset in entries), path)

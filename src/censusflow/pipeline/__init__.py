@@ -17,6 +17,7 @@ recovery a matter of re-running the batch.
 
 from .manifests import (
     ALLOWED_TRANSITIONS,
+    CorruptLine,
     FailureInfo,
     IllegalTransition,
     ManifestStore,
@@ -53,6 +54,7 @@ from .workers import (
 __all__ = [
     "ALLOWED_TRANSITIONS",
     "BatchReport",
+    "CorruptLine",
     "EmptySelection",
     "ExternalProcessWorker",
     "FailureInfo",

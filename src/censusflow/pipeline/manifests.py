@@ -185,11 +185,46 @@ def read_lines(path: Path) -> Iterator[tuple[int, bytes]]:
             offset += len(line)
 
 
+class CorruptLine(ValueError):
+    """A whole line of an NDJSON file that is not a JSON object."""
+
+    def __init__(
+        self, path: str | Path, offset: int, reason: str, register_id: Optional[str] = None
+    ):
+        where = "" if register_id is None else f" (register {register_id!r})"
+        super().__init__(f"{path}: line at byte {offset}{where} is not a JSON object: {reason}")
+        self.path = path
+        self.offset = offset
+        self.register_id = register_id
+
+
+def parse_line(
+    line: bytes, path: str | Path, offset: int, register_id: Optional[str] = None
+) -> dict:
+    """The JSON object on one line read at byte ``offset`` of ``path``.
+
+    Raises:
+        CorruptLine: if the line is not valid UTF-8 JSON or not an object;
+            ``register_id`` names the register the caller expected there.
+    """
+    try:
+        record = json.loads(line)
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise CorruptLine(path, offset, str(exc), register_id) from None
+    if not isinstance(record, dict):
+        raise CorruptLine(path, offset, f"a JSON {type(record).__name__}", register_id)
+    return record
+
+
 def read_ndjson(path: Path) -> Iterator[dict]:
     """Yield the whole records of an append-only NDJSON file (see
-    ``read_lines``)."""
-    for _, line in read_lines(path):
-        yield json.loads(line)
+    ``read_lines``).
+
+    Raises:
+        CorruptLine: at the first whole line that is not a JSON object.
+    """
+    for offset, line in read_lines(path):
+        yield parse_line(line, path, offset)
 
 
 def cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:

@@ -8,9 +8,11 @@ in the workspace's append-only task log, interrupting the pass at any point,
 even in the middle of an append, and calling ``run_batch`` again yields the
 same terminal result set.
 
-Export then works one register at a time: it indexes the result store's
-line offsets by register from record heads alone, reads back, merges and
-writes each complete register in turn, and replaces ``households.csv``
+Export then works one register at a time. The result store indexes its
+line offsets by register from record heads alone when it opens, and keeps
+the index up to date as it appends. Export reads each complete register's
+lines back through that index and folds the payloads straight into CSV
+rows, without building domain objects, then replaces ``households.csv``
 atomically once every row is written. Memory holds the largest register's
 payloads plus a small per-record index, whatever the batch size.
 """
@@ -26,8 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from ..domain import PageClass, RegisterDocument, RegisterPage
-from ..household import export_households, merge_register
+from ..domain import FIELD_ORDER, PageClass
+from ..household import EXPORT_COLUMNS, MissingTranscript, write_export
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
 from .manifests import (
@@ -36,12 +38,12 @@ from .manifests import (
     TaskManifest,
     TaskState,
     cut_torn_tail,
+    parse_line,
     read_lines,
     read_ndjson,
 )
 from .schedulers import SchedulerAdapter
 from .stages import (
-    payload_transcript,
     plan_batch,
     run_stage_integrate,
     run_stage_prestage,
@@ -61,13 +63,14 @@ _HEAD = re.compile(
 )
 
 
-def _head(line: bytes) -> tuple:
+def _head(line: bytes, path: str | Path = "", offset: int = 0) -> tuple:
     """``(register_id, sequence_index, task_id)`` of a store line, as
     ``json.loads`` gives them, decoding only the head of the record.
 
     A line whose head does not match the process stage's layout exactly
     (another key order, escapes, whitespace) or whose rest may repeat a
-    head key is parsed whole instead.
+    head key is parsed whole instead; ``path`` and ``offset`` then name
+    the line if it is not a JSON object (``CorruptLine``).
     """
     match = _HEAD.match(line)
     # json.loads takes the last of repeated keys. Every head key contains
@@ -82,7 +85,7 @@ def _head(line: bytes) -> tuple:
             int(sequence_index),
             task_id.decode("utf-8", "surrogatepass"),
         )
-    record = json.loads(line)
+    record = parse_line(line, path, offset)
     return record.get("register_id"), record.get("sequence_index"), record.get("task_id")
 
 
@@ -91,13 +94,23 @@ class ResultStore:
 
     A torn last line is skipped on read and cut before the first add, as
     in the task log. Opening a store reads only the head of each record.
+
+    ``pages`` maps ``register_id -> {sequence_index: byte offset}`` of the
+    line that holds each page's record, a later line winning over an
+    earlier one for the same page. It covers every record on disk when the
+    store opened plus this instance's own adds, which is what export reads.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._keys: set[str] = {_head(line)[2] for _, line in read_lines(self.path)}
+        self._keys: set[str] = set()
+        self.pages: dict[str, dict[int, int]] = {}
+        for offset, line in read_lines(self.path):
+            register_id, sequence_index, task_id = _head(line, self.path, offset)
+            self._keys.add(task_id)
+            self.pages.setdefault(register_id, {})[sequence_index] = offset
         self._tail_cut = False
 
     def __contains__(self, task_id: str) -> bool:
@@ -122,9 +135,12 @@ class ResultStore:
             if not self._tail_cut:
                 cut_torn_tail(self.path)
                 self._tail_cut = True
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            with open(self.path, "ab") as fh:
+                offset = fh.tell()
+                fh.write((text + "\n").encode("utf-8"))
             self._keys.add(task_id)
+            pages = self.pages.setdefault(payload.get("register_id"), {})
+            pages[payload.get("sequence_index")] = offset
             return True
 
     def records(self) -> list[dict]:
@@ -299,26 +315,85 @@ def registry_from_manifests(manifests: Iterable[TaskManifest]) -> Registry:
     return Registry(tuple(registers))
 
 
+# Row positions of the export columns: a record's fields land at the column
+# of their tag; SURNAME_HEAD starts out absent to tell a head with an empty
+# surname from no head.
+_COLUMN = {tag.name.lower(): EXPORT_COLUMNS.index(tag.name.lower()) for tag in FIELD_ORDER}
+_HEAD_COLUMN = _COLUMN["surname_head"]
+_ABSENT = object()
+
+
+def register_rows(register_id: str, payloads: Iterable[dict]) -> list[list]:
+    """The export rows of one register, folded straight from its stored
+    payloads in reading order.
+
+    Applies ``merge_register``'s rule with O(1) state: a household starts at
+    a record with a ``surname_head`` field, or at any record when none is
+    open; a non-LIST page closes the open household, and a LIST page
+    without records leaves it open. A record's row index is its index
+    within its page, and a tag repeated within a record keeps its last
+    text. The rows equal ``household_rows`` of the merged register.
+
+    Raises:
+        MissingTranscript: if a LIST page carries no transcript.
+        ValueError: if a non-LIST page carries one.
+    """
+    blank = [""] * len(EXPORT_COLUMNS)
+    blank[0] = register_id
+    blank[_HEAD_COLUMN] = _ABSENT
+    rows = []
+    household = -1
+    is_open = False
+    for payload in payloads:
+        page_id = payload["page_id"]
+        transcript = payload.get("transcript")
+        if PageClass[payload["page_class"]] is not PageClass.LIST:
+            if transcript is not None:
+                raise ValueError(f"non-LIST page {page_id!r} cannot carry a transcript")
+            is_open = False
+            continue
+        if transcript is None:
+            raise MissingTranscript(page_id)
+        for row_index, record in enumerate(transcript["records"]):
+            row = blank.copy()
+            for item in record["fields"]:
+                row[_COLUMN[item["tag"]]] = item["text"]
+            is_head = row[_HEAD_COLUMN] is not _ABSENT
+            if not is_head:
+                row[_HEAD_COLUMN] = ""
+            if is_head or not is_open:
+                household += 1
+                is_open = True
+            # page_id, row_index, household_index, is_head
+            row[1:5] = page_id, str(row_index), str(household), "1" if is_head else "0"
+            rows.append(row)
+    return rows
+
+
 def export_batch(
     registry: Registry, store: ResultStore, out_path: str | Path
 ) -> tuple[int, int, int]:
     """Merge households one register at a time and write one CSV.
 
-    One pass over the store indexes each record's line offset by register
-    and sequence index, reading only record heads; a later record for the
-    same page wins. Then, in registry order, each register whose every
-    image has a record is read back, merged and written before the next is
-    read, so memory holds one register's payloads plus that index. Other
-    registers are skipped as incomplete. The CSV goes to a temporary file
-    that replaces ``out_path`` only once it is whole, so an error or a kill
-    leaves any earlier CSV as it was.
+    Reads the records ``store`` knows about: every record on disk when it
+    opened plus its own adds, through its ``pages`` index, so the store's
+    head pass is the only one per run; a later record for the same page
+    wins. In registry order, each register whose every image has a record
+    is read back and folded into rows (``register_rows``) that are written
+    before the next register is read, so memory holds one register's
+    payloads plus that index. Other registers are skipped as incomplete.
+    No domain objects are built, so a page of many records does not warn
+    again here: the decoder warned when it built the page. The CSV goes to
+    a temporary file that replaces ``out_path`` only once it is whole, so
+    an error or a kill leaves any earlier CSV as it was.
 
     Returns (registers exported, registers skipped, person rows written).
+
+    Raises:
+        CorruptLine: if a record of a complete register is not a JSON
+            object; the message names the register, file and byte offset.
     """
-    index: dict[str, dict[int, int]] = {}
-    for offset, line in read_lines(store.path):
-        register_id, sequence_index, _ = _head(line)
-        index.setdefault(register_id, {})[sequence_index] = offset
+    index = store.pages
     complete = [
         register
         for register in registry.registers
@@ -326,28 +401,18 @@ def export_batch(
         == {image.sequence_index for image in register.images}
     ]
 
-    def merged(fh):
+    def rows(fh):
         for register in complete:
-            offsets = index.get(register.metadata.register_id, {})
-            pages = []
+            register_id = register.metadata.register_id
+            offsets = index.get(register_id, {})
+            payloads = []
             for sequence_index in sorted(offsets):
-                fh.seek(offsets[sequence_index])
-                payload = json.loads(fh.readline())
-                pages.append(
-                    RegisterPage(
-                        page_id=payload["page_id"],
-                        page_class=PageClass[payload["page_class"]],
-                        transcript=payload_transcript(payload),
-                    )
-                )
-            document = RegisterDocument(
-                register_id=register.metadata.register_id,
-                pages=tuple(pages),
-                metadata=register.metadata,
-            )
-            yield document, merge_register(document)
+                offset = offsets[sequence_index]
+                fh.seek(offset)
+                payloads.append(parse_line(fh.readline(), store.path, offset, register_id))
+            yield register_rows(register_id, payloads)
 
     # An empty index may mean no store file; no register then needs a read.
     with open(store.path, "rb") if index else io.BytesIO() as fh:
-        people = export_households(merged(fh), out_path)
+        people = write_export(rows(fh), out_path)
     return len(complete), len(registry.registers) - len(complete), people

@@ -9,20 +9,23 @@ match byte for byte.
 
 import json
 import random
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from censusflow.domain import EntityTag, PageClass, RegisterDocument, RegisterPage
+from censusflow.domain import EntityTag, PageClass, RegisterDocument, RegisterPage, RowCountWarning
 from censusflow.fixtures import FixtureTransport, generate_corpus
 from censusflow.household import EXPORT_COLUMNS, MissingTranscript, export_households, merge_register
 from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetadata, Registry
 from censusflow.label_codec import SyntheticProfile
 from censusflow.pipeline import LocalExecutor, ResultStore, RunConfig, export_batch, mock_worker_set, run_batch
+from censusflow.pipeline.manifests import CorruptLine, read_ndjson
 from censusflow.pipeline.runner import _head
 from censusflow.pipeline.stages import payload_transcript
 
@@ -410,3 +413,196 @@ class TestExportEdgeCases:
             )
         assert finished.households_path.read_bytes() == before
         assert sorted(p.name for p in finished.workspace.iterdir()) == listing
+
+
+# ---------------------------------------------------------------------------
+# The fold against the object path
+# ---------------------------------------------------------------------------
+
+# Texts CSV must quote (separator, quote, line breaks, edge spaces) and
+# texts it writes as they are.
+_cell = st.sampled_from(["Gendre", "", 'Say "x"', "a,b", "two\nlines", "cr\r", " pad ", "é\tß"]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=6
+)
+# Fields in any order, a tag possibly repeated, possibly none at all;
+# surname_head weighted up so that households of several records are common.
+_fields = st.lists(
+    st.tuples(st.sampled_from(["surname_head"] * 3 + TAG_NAMES), _cell), max_size=5
+)
+_page = st.one_of(
+    st.lists(_fields, max_size=5).map(lambda records: ("LIST", records)),
+    st.sampled_from(OTHER_CLASSES).map(lambda page_class: (page_class, None)),
+)
+
+
+def page_payload(image: ImageRef, page_class: str, records) -> dict:
+    if records is not None:
+        records = [
+            {"is_head": any(tag == "surname_head" for tag, _ in fields),
+             "fields": [{"tag": tag, "text": text} for tag, text in fields]}
+            for fields in records
+        ]
+    return payload_for(image, page_class, records)
+
+
+def export_both(registers: list[list[tuple]], lines_order=None) -> tuple:
+    """(counts, CSV bytes) of export_batch and of the oracle over a store
+    holding ``registers``' pages, in order or in ``lines_order``."""
+    registry = make_registry([len(pages) for pages in registers])
+    lines = [
+        stage_line(page_payload(image, *page))
+        for register, pages in zip(registry.registers, registers)
+        for image, page in zip(register.images, pages)
+    ]
+    if lines_order and lines:
+        lines = [lines[i % len(lines)] for i in lines_order] + lines
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        store = write_store(tmp / "store.ndjson", lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RowCountWarning)
+            want = oracle_export(registry, store, tmp / "oracle.csv")
+        got = export_batch(registry, store, tmp / "households.csv")
+        return (got, (tmp / "households.csv").read_bytes()), (want, (tmp / "oracle.csv").read_bytes())
+
+
+HEAD = ("surname_head", "Gendre")
+EVERY_CASE = [
+    [
+        ("LIST", [[("firstname", "head-less"), ("age", "3")], [HEAD]]),  # head-less first page
+        ("LIST", [[("firstname", "fragment")]]),
+        ("LIST", []),  # an empty LIST page between two fragments
+        ("LIST", [[("firstname", "fragment"), ("occupation", "a,b")], [], [HEAD, ("link", "x")]]),
+        ("TOTALS", None),  # a non-LIST gap
+        ("LIST", [[("age", "40"), ("firstname", "Pierre"), ("surname_head", 'Say "x"')],  # out of order
+                  [("surname", "Martin"), ("surname", "Müller"), ("age", "two\nlines")]]),  # repeated tag
+    ],
+    [("LIST", [[("surname_head", "")], [("firstname", "cr\r")]])],  # a head with an empty surname
+]
+
+
+class TestFoldAgainstObjectPath:
+    @given(st.lists(st.lists(_page, max_size=7), min_size=1, max_size=3),
+           st.none() | st.lists(st.integers(min_value=0, max_value=40), max_size=4))
+    @example(EVERY_CASE, None)
+    @settings(max_examples=300, deadline=None)
+    def test_registers(self, registers, duplicates):
+        """``duplicates`` stores some pages a first time before all pages
+        are stored: the later record wins on both paths."""
+        got, want = export_both(registers, duplicates)
+        assert got == want
+
+    def test_every_case_has_rows(self):
+        got, _ = export_both(EVERY_CASE)
+        (exported, skipped, people), data = got
+        assert (exported, skipped, people) == (2, 0, 10)
+        assert b'"a,b"' in data and b'"Say ""x"""' in data and b'"two\nlines"' in data
+
+    def test_no_domain_objects_are_built(self, tmp_path, monkeypatch, finished):
+        # The fold is what makes export cheap: it must not build records,
+        # transcripts or household sets on the way to the rows.
+        import censusflow.domain
+        import censusflow.household
+        import censusflow.pipeline.runner
+        import censusflow.pipeline.stages
+
+        store = ResultStore(finished.store_path)
+        oracle_export(finished.registry, store, tmp_path / "oracle.csv")
+
+        def built(*args, **kwargs):
+            raise AssertionError("domain object path used")
+
+        for module in (censusflow.domain, censusflow.household, censusflow.pipeline.stages,
+                       censusflow.pipeline.runner):
+            for name in ("PersonRecord", "merge_register", "payload_transcript"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, built)
+        export_batch(finished.registry, store, tmp_path / "households.csv")
+        assert (tmp_path / "households.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_long_page_does_not_warn_again(self, tmp_path):
+        registry = make_registry([1])
+        records = [[HEAD]] + [[("firstname", str(i))] for i in range(44)]
+        store = write_store(tmp_path / "store.ndjson",
+                            [stage_line(page_payload(registry.registers[0].images[0], "LIST", records))])
+        with pytest.warns(RowCountWarning):  # the object path warns on rebuilding the page
+            oracle_export(registry, store, tmp_path / "oracle.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert export_batch(registry, store, tmp_path / "households.csv") == (1, 0, 45)
+        assert not [w for w in caught if issubclass(w.category, RowCountWarning)]
+        assert (tmp_path / "households.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The store's own index
+# ---------------------------------------------------------------------------
+
+
+class TestStoreIndex:
+    def test_run_store_exports_as_a_fresh_one(self, tmp_path, finished):
+        # run_batch exported through the store it integrated into.
+        out = tmp_path / "households.csv"
+        export_batch(finished.registry, ResultStore(finished.store_path), out)
+        assert out.read_bytes() == finished.households_path.read_bytes()
+
+    def test_adds_keep_the_index(self, tmp_path):
+        """Adds after a torn tail, and a later record for a page already
+        stored under another task id, index as a fresh open does."""
+        rng = random.Random(5)
+        registry = make_registry([3, 2])
+        images = list(registry.iter_images())
+        path = tmp_path / "store.ndjson"
+        first = stage_line(random_page(rng, images[0]))
+        path.write_text(first + "\n" + first[:20], encoding="utf-8")
+        store = ResultStore(path)
+        for image in images[1:] + [images[0]]:
+            payload = random_page(rng, image)
+            if image is images[0]:
+                payload["task_id"] += "-again"
+            assert store.add(payload["task_id"], payload, stage_line(payload))
+        fresh = ResultStore(path)
+        assert store.pages == fresh.pages and len(store) == len(fresh) == len(images) + 1
+        export_batch(registry, store, tmp_path / "own.csv")
+        oracle_export(registry, fresh, tmp_path / "oracle.csv")
+        assert (tmp_path / "own.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Corrupt store lines
+# ---------------------------------------------------------------------------
+
+
+class TestCorruptLines:
+    def test_corrupt_record_with_readable_head_names_its_register(self, finished):
+        data = finished.store_path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        k = max(range(len(lines)), key=lambda i: len(lines[i]))  # a LIST record
+        offset = sum(map(len, lines[:k]))
+        middle = offset + len(lines[k]) // 2
+        finished.store_path.write_bytes(data[:middle] + b"\x01" * 8 + data[middle + 8:])
+        before = finished.households_path.read_bytes()
+        listing = sorted(p.name for p in finished.workspace.iterdir())
+
+        store = ResultStore(finished.store_path)
+        assert len(store) == len(lines)
+        register_id = json.loads(lines[k])["register_id"]
+        with pytest.raises(CorruptLine) as info:
+            export_batch(finished.registry, store, finished.households_path)
+        assert (info.value.path, info.value.offset) == (finished.store_path, offset)
+        assert info.value.register_id == register_id and repr(register_id) in str(info.value)
+        assert finished.households_path.read_bytes() == before
+        assert sorted(p.name for p in finished.workspace.iterdir()) == listing
+
+    @pytest.mark.parametrize("bad", [b"[1, 2]", b"{not json", b'"text"', b"\xff{}"],
+                             ids=["array", "invalid", "string", "not-utf8"])
+    def test_line_that_is_not_an_object(self, tmp_path, bad):
+        image = make_registry([1]).registers[0].images[0]
+        first = stage_line(payload_for(image, "TOTALS", None)).encode("utf-8") + b"\n"
+        path = tmp_path / "store.ndjson"
+        path.write_bytes(first + bad + b"\n")
+        for read in (ResultStore, lambda path: list(read_ndjson(path))):
+            with pytest.raises(CorruptLine) as info:
+                read(path)
+            assert (info.value.path, info.value.offset) == (path, len(first))
+            assert f"byte {len(first)}" in str(info.value)
