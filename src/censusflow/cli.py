@@ -11,7 +11,7 @@ import json
 import logging
 import shlex
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -32,11 +32,9 @@ from .pipeline import (
     export_batch,
     plan_batch,
     run_batch,
-    run_stage_integrate,
-    run_stage_prestage,
-    run_stage_process,
 )
-from .pipeline.runner import registry_from_manifests
+from .pipeline.runner import STAGES, registry_from_manifests, state_counts
+from .pipeline.stages import select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
 
 
@@ -45,7 +43,6 @@ class ConfigInvalid(click.UsageError):
 
 
 _CONFIG_KEYS = {
-    "workspace": None,
     "seed": None,
     "verbosity": None,
     "ingest": {"threshold", "auto_threshold"},
@@ -56,7 +53,6 @@ _CONFIG_KEYS = {
 
 @dataclass
 class GlobalConfig:
-    workspace: Optional[str] = None
     seed: int = 0
     verbosity: int = 0
     ingest: dict = field(default_factory=dict)
@@ -118,6 +114,12 @@ def main(ctx: click.Context, config_path: Optional[str], seed: Optional[int], ve
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
+
+
+def _echo_counts(counts: dict[str, int]) -> None:
+    for state, count in counts.items():
+        if count:
+            click.echo(f"{state:>11}: {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +234,19 @@ def _fixture_setup(fixture_root: str, endpoint_url: Optional[str], api_version: 
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--resolutions", type=click.Path(exists=True), default=None,
               help="Worklist CSV with resolved_code filled in.")
-@click.option("--threshold", type=float, default=ingest.DEFAULT_THRESHOLD, show_default=True)
-@click.option("--auto-threshold", type=float, default=ingest.DEFAULT_AUTO_THRESHOLD,
-              show_default=True)
+@click.option("--threshold", type=float, default=None,
+              help=f"Fuzzy match threshold [default: config, else {ingest.DEFAULT_THRESHOLD}]")
+@click.option("--auto-threshold", type=float, default=None,
+              help=f"Auto-accept threshold [default: config, else {ingest.DEFAULT_AUTO_THRESHOLD}]")
 @click.option("--dry-run", is_flag=True)
-def ingest_cmd(csv_path, mapping_path, gazetteer_path, out_dir, resolutions,
-               threshold, auto_threshold, dry_run):
+@click.pass_obj
+def ingest_cmd(config: GlobalConfig, csv_path, mapping_path, gazetteer_path, out_dir,
+               resolutions, threshold, auto_threshold, dry_run):
     """Normalize archive CSV metadata into a register registry."""
+    if threshold is None:
+        threshold = config.ingest.get("threshold", ingest.DEFAULT_THRESHOLD)
+    if auto_threshold is None:
+        auto_threshold = config.ingest.get("auto_threshold", ingest.DEFAULT_AUTO_THRESHOLD)
     try:
         mapping = ingest.load_mapping(mapping_path)
         gazetteer = ingest.load_gazetteer(gazetteer_path)
@@ -373,32 +381,16 @@ def gen_fixtures_cmd(config: GlobalConfig, out_dir, registers, list_pages_min, l
 def plan_cmd(registry_path, workspace, year, commune_code, register_id, limit, dry_run):
     """Create PENDING task manifests for selected registry images."""
     registry = ingest.load_registry(registry_path)
-    if dry_run:
-        count = 0
-        for register in registry.registers:
-            meta = register.metadata
-            if year is not None and meta.census_year != year:
-                continue
-            if commune_code is not None and meta.commune.code != commune_code:
-                continue
-            if register_id is not None and meta.register_id != register_id:
-                continue
-            count += len(register.images)
-        if limit is not None:
-            count = min(count, limit)
-        if count == 0:
-            _fail("no images match the given filter")
-        click.echo(f"dry run: would plan {count} tasks under {workspace}")
-        return
-    ctx = PipelineContext.at(workspace)
+    selection = dict(year=year, commune_code=commune_code, register_id=register_id, limit=limit)
     try:
-        manifests = plan_batch(
-            registry, ctx, year=year, commune_code=commune_code,
-            register_id=register_id, limit=limit,
-        )
+        if dry_run:
+            count = len(select_images(registry, **selection))
+            click.echo(f"dry run: would plan {count} tasks under {workspace}")
+            return
+        manifests = plan_batch(registry, PipelineContext.at(workspace), **selection)
     except EmptySelection as exc:
         _fail(str(exc))
-    pending = sum(1 for m in manifests if m.state is TaskState.PENDING)
+    pending = state_counts(manifests)[TaskState.PENDING.value]
     click.echo(f"planned {len(manifests)} tasks ({pending} pending) under {workspace}")
 
 
@@ -410,12 +402,13 @@ def plan_cmd(registry_path, workspace, year, commune_code, register_id, limit, d
 @click.option("--endpoint", "endpoint_url", default=None)
 @click.option("--api-version", type=click.Choice(["2", "3"]), default="2", show_default=True)
 @click.option("--stages", default="pre,proc,post", show_default=True,
-              help="Comma-separated subset of pre,proc,post; the full set loops to completion.")
+              help="Comma-separated subset of pre,proc,post to run on each window; "
+                   "households.csv is exported only when post runs.")
 @click.option("--workers", "worker_spec", default="mock:seed=0", show_default=True)
 @click.option("--scheduler", "scheduler_spec", default="local:n=4", show_default=True)
 @click.option("--window", type=int, default=None, help="Max in-flight tasks per round.")
 @click.option("--retry-limit", type=int, default=None)
-@click.option("--jobs", type=int, default=None, help="Cap on total parallelism.")
+@click.option("--jobs", type=int, default=None, help="Cap on pre-stage download concurrency.")
 @click.option("--limit", type=int, default=None)
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj
@@ -438,81 +431,47 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
     prestage_concurrency = pipeline_cfg.get("prestage_concurrency", 14)
     if jobs is not None:
         prestage_concurrency = min(prestage_concurrency, jobs)
-
-    wanted = [s.strip() for s in stages.split(",") if s.strip()]
-    unknown = set(wanted) - {"pre", "proc", "post"}
-    if unknown:
-        raise click.UsageError(f"unknown stages: {sorted(unknown)}")
+    try:
+        run_config = RunConfig(
+            workspace=Path(workspace),
+            registry=registry,
+            endpoint=endpoint,
+            transport=transport,
+            workers=workers,
+            scheduler=scheduler,
+            prestage_concurrency=prestage_concurrency,
+            retry_limit=retry_limit if retry_limit is not None else pipeline_cfg.get("retry_limit", 3),
+            window=window if window is not None else pipeline_cfg.get("window", 64),
+            limit=limit,
+            stages={s.strip() for s in stages.split(",") if s.strip()},
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
     click.echo(
-        f"run: images={registry.image_count()} stages={','.join(wanted)} "
+        f"run: images={registry.image_count()} "
+        f"stages={','.join(s for s in STAGES if s in run_config.stages)} "
         f"workers={worker_spec} scheduler={scheduler_spec} seed={config.seed}"
     )
     if dry_run:
         click.echo("dry run: nothing executed")
         return
-
-    run_config = RunConfig(
-        workspace=Path(workspace),
-        registry=registry,
-        endpoint=endpoint,
-        transport=transport,
-        workers=workers,
-        scheduler=scheduler,
-        prestage_concurrency=prestage_concurrency,
-        retry_limit=retry_limit if retry_limit is not None else pipeline_cfg.get("retry_limit", 3),
-        window=window if window is not None else pipeline_cfg.get("window", 64),
-        limit=limit,
-    )
-
-    if set(wanted) == {"pre", "proc", "post"}:
-        try:
-            report = run_batch(run_config)
-        except EmptySelection as exc:
-            _fail(str(exc))
-        for state, count in sorted(report.counts.items()):
-            if count:
-                click.echo(f"{state:>11}: {count}")
-        for stage, latency in report.stage_latencies.items():
-            click.echo(f"mean {stage} latency: {latency:.3f} s")
-        if report.households_csv:
-            click.echo(
-                f"households: {report.households_exported} people over "
-                f"{report.registers_exported} registers -> {report.households_csv} "
-                f"({report.registers_skipped} registers incomplete)"
-            )
-        if not report.succeeded:
-            for task_id, stage, reason in report.failed_tasks:
-                click.echo(f"FAILED {task_id} at {stage}: {reason}", err=True)
-            sys.exit(1)
-        return
-
-    ctx = PipelineContext.at(workspace)
     try:
-        manifests = plan_batch(registry, ctx, limit=limit)
+        report = run_batch(run_config)
     except EmptySelection as exc:
         _fail(str(exc))
-    if "pre" in wanted:
-        run_stage_prestage(
-            manifests, ctx, endpoint=endpoint, transport=transport,
-            staging_dir=run_config.staging_dir, concurrency=prestage_concurrency,
+    _echo_counts(report.counts)
+    for stage, latency in report.stage_latencies.items():
+        click.echo(f"mean {stage} latency: {latency:.3f} s")
+    if report.households_csv:
+        click.echo(
+            f"households: {report.households_exported} people over "
+            f"{report.registers_exported} registers -> {report.households_csv} "
+            f"({report.registers_skipped} registers incomplete)"
         )
-    if "proc" in wanted:
-        run_stage_process(
-            manifests, ctx, workers=workers, scheduler=scheduler,
-            results_dir=run_config.results_dir, retry_limit=run_config.retry_limit,
-        )
-    if "post" in wanted:
-        store = ResultStore(run_config.store_path)
-        run_stage_integrate(manifests, ctx, results_store=store)
-    failed = [m for m in manifests if m.state is TaskState.FAILED]
-    counts: dict[str, int] = {}
-    for m in manifests:
-        counts[m.state.value] = counts.get(m.state.value, 0) + 1
-    click.echo("  ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    if failed:
-        for m in failed:
-            click.echo(f"FAILED {m.task_id}: {m.failure.reason if m.failure else '?'}", err=True)
+    if not report.succeeded:
+        for task_id, stage, reason in report.failed_tasks:
+            click.echo(f"FAILED {task_id} at {stage}: {reason}", err=True)
         sys.exit(1)
 
 
@@ -520,15 +479,9 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
 @click.option("--workspace", "--batch", "workspace", required=True, type=click.Path(exists=True))
 def status_cmd(workspace):
     """Per-state task counts for a batch workspace."""
-    store = ManifestStore(workspace)
-    manifests = store.load_all()
-    counts: dict[str, int] = {}
-    for m in manifests:
-        counts[m.state.value] = counts.get(m.state.value, 0) + 1
+    manifests = ManifestStore(workspace).load_all()
     click.echo(f"tasks: {len(manifests)}")
-    for state in TaskState:
-        if counts.get(state.value):
-            click.echo(f"{state.value:>11}: {counts[state.value]}")
+    _echo_counts(state_counts(manifests))
     for m in manifests:
         if m.state is TaskState.FAILED and m.failure:
             click.echo(f"FAILED {m.task_id} at {m.failure.stage}: {m.failure.reason}")
@@ -644,12 +597,7 @@ def simulate_cmd(config: GlobalConfig, n_images, stage_specs, deadline, mode, ca
             count = simulate_mod.min_workers_for_deadline(
                 n_images, stages, deadline_s, seed=config.seed, mode=mode, cap=cap
             )
-            index = stages.index(unknown[0])
-            stages[index] = simulate_mod.StageModel(
-                name=unknown[0].name, service_time=unknown[0].service_time, workers=count,
-                distribution=unknown[0].distribution, cv=unknown[0].cv,
-                queue_capacity=unknown[0].queue_capacity,
-            )
+            stages[stages.index(unknown[0])] = replace(unknown[0], workers=count)
             click.echo(f"minimum workers for {unknown[0].name}: {count}")
         result = simulate_mod.simulate(n_images, stages, seed=config.seed, mode=mode)
     except simulate_mod.Infeasible as exc:

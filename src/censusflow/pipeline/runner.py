@@ -3,10 +3,12 @@
 ``run_batch`` plans tasks from a registry, then makes one pass over bounded
 windows of the tasks not yet terminal, running pre-stage, process and
 integrate on each window; after its window's pass every task is INTEGRATED
-or FAILED. Because all stage steps are idempotent and all task state lives
-in the workspace's append-only task log, interrupting the pass at any point,
-even in the middle of an append, and calling ``run_batch`` again yields the
-same terminal result set.
+or FAILED. A run may name fewer stages, so the connected and isolated
+stages can run as separate jobs, each windowed the same way; only a run
+with the integrate stage exports. Because all stage steps are idempotent
+and all task state lives in the workspace's append-only task log,
+interrupting the pass at any point, even in the middle of an append, and
+calling ``run_batch`` again yields the same terminal result set.
 
 Export then works one register at a time. The result store indexes its
 line offsets by register from record heads alone when it opens, and keeps
@@ -147,9 +149,18 @@ class ResultStore:
         return list(read_ndjson(self.path))
 
 
+# Pre-stage (download), process (classify, recognize) and post (integrate,
+# export), in pipeline order.
+STAGES = ("pre", "proc", "post")
+
+
 @dataclass
 class RunConfig:
-    """Everything run_batch needs; directories default under ``workspace``."""
+    """Everything run_batch needs; directories default under ``workspace``.
+
+    ``stages`` names the stages to run, a non-empty subset of ``STAGES``, so
+    the connected and isolated stages can run as separate jobs.
+    """
 
     workspace: Path
     registry: Registry
@@ -164,7 +175,7 @@ class RunConfig:
     commune_code: Optional[str] = None
     register_id: Optional[str] = None
     limit: Optional[int] = None
-    export_households_csv: bool = True
+    stages: frozenset[str] = frozenset(STAGES)
     clock: Callable[[], float] = time.time
     on_transition: Optional[Callable[[TaskManifest], None]] = None
 
@@ -174,6 +185,11 @@ class RunConfig:
             raise ValueError("window must be >= 1")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
+        self.stages = frozenset(self.stages)
+        if not self.stages:
+            raise ValueError(f"stages must name at least one of {', '.join(STAGES)}")
+        if not self.stages <= set(STAGES):
+            raise ValueError(f"unknown stages: {sorted(self.stages - set(STAGES))}")
 
     @property
     def staging_dir(self) -> Path:
@@ -208,7 +224,7 @@ class BatchReport:
         return not self.failed_tasks
 
 
-def _state_counts(manifests: Iterable[TaskManifest]) -> dict[str, int]:
+def state_counts(manifests: Iterable[TaskManifest]) -> dict[str, int]:
     counts = {state.value: 0 for state in TaskState}
     for m in manifests:
         counts[m.state.value] += 1
@@ -233,11 +249,17 @@ def _mean_latencies(manifests: list[TaskManifest]) -> dict[str, float]:
 
 
 def run_batch(config: RunConfig) -> BatchReport:
-    """Drive every planned task to a terminal state, then export households.
+    """Run ``config.stages`` over every planned task; export households
+    when the post stage runs.
 
-    Each stage filters its window by state, so one pass over windows of
-    the non-terminal tasks ends with every task terminal. Conservation holds
-    at termination: INTEGRATED + FAILED equals the planned task count.
+    Each stage filters its window by state, so with all three stages one
+    pass over windows of the non-terminal tasks ends with every task
+    terminal, and conservation holds: INTEGRATED + FAILED equals the planned
+    task count. A run of fewer stages leaves each task at the state its
+    last stage gives it, for a later run to pick up.
+
+    ``run_batch`` is the workspace's only writer, so before exporting it
+    deletes the temporary files that a kill during an earlier export left.
     """
     ctx = PipelineContext.at(
         config.workspace, clock=config.clock, on_transition=config.on_transition
@@ -250,32 +272,36 @@ def run_batch(config: RunConfig) -> BatchReport:
         register_id=config.register_id,
         limit=config.limit,
     )
-    store = ResultStore(config.store_path)
+    post = "post" in config.stages
+    store = ResultStore(config.store_path) if post else None
 
     todo = [m for m in manifests if m.state not in TERMINAL_STATES]
     for start in range(0, len(todo), config.window):
         window = todo[start : start + config.window]
-        run_stage_prestage(
-            window,
-            ctx,
-            endpoint=config.endpoint,
-            transport=config.transport,
-            staging_dir=config.staging_dir,
-            concurrency=config.prestage_concurrency,
-        )
-        run_stage_process(
-            window,
-            ctx,
-            workers=config.workers,
-            scheduler=config.scheduler,
-            results_dir=config.results_dir,
-            retry_limit=config.retry_limit,
-        )
-        run_stage_integrate(window, ctx, results_store=store)
+        if "pre" in config.stages:
+            run_stage_prestage(
+                window,
+                ctx,
+                endpoint=config.endpoint,
+                transport=config.transport,
+                staging_dir=config.staging_dir,
+                concurrency=config.prestage_concurrency,
+            )
+        if "proc" in config.stages:
+            run_stage_process(
+                window,
+                ctx,
+                workers=config.workers,
+                scheduler=config.scheduler,
+                results_dir=config.results_dir,
+                retry_limit=config.retry_limit,
+            )
+        if post:
+            run_stage_integrate(window, ctx, results_store=store)
 
     report = BatchReport(
         planned=len(manifests),
-        counts=_state_counts(manifests),
+        counts=state_counts(manifests),
         stage_latencies=_mean_latencies(manifests),
         failed_tasks=[
             (m.task_id, m.failure.stage if m.failure else "?", m.failure.reason if m.failure else "?")
@@ -283,7 +309,9 @@ def run_batch(config: RunConfig) -> BatchReport:
             if m.state is TaskState.FAILED
         ],
     )
-    if config.export_households_csv:
+    if post:
+        for stale in config.workspace.glob(f".{config.households_path.name}.*.tmp"):
+            stale.unlink(missing_ok=True)
         exported, skipped, people = export_batch(
             config.registry, store, config.households_path
         )

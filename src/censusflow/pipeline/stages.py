@@ -58,20 +58,16 @@ class EmptySelection(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def plan_batch(
+def select_images(
     registry: Registry,
-    ctx: PipelineContext,
     *,
     year: Optional[int] = None,
     commune_code: Optional[str] = None,
     register_id: Optional[str] = None,
     limit: Optional[int] = None,
-) -> list[TaskManifest]:
-    """Create PENDING manifests for selected images.
-
-    Ordering is deterministic by (register, sequence). Replanning is
-    idempotent: existing manifests are returned untouched whatever their
-    state.
+) -> list[ImageRef]:
+    """The images a filter selects, ordered by (register, sequence), at most
+    ``limit`` of them.
 
     Raises:
         EmptySelection: if the filter matches no image.
@@ -91,7 +87,20 @@ def plan_batch(
         selected = selected[:limit]
     if not selected:
         raise EmptySelection("no images match the given filter")
+    return selected
 
+
+def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[TaskManifest]:
+    """Create PENDING manifests for the images ``select_images(registry,
+    **selection)`` picks, in its order.
+
+    Replanning is idempotent: existing manifests are returned untouched
+    whatever their state.
+
+    Raises:
+        EmptySelection: if the filter matches no image.
+    """
+    selected = select_images(registry, **selection)
     known = {m.task_id: m for m in ctx.log.load_all()}
     manifests = []
     for image in selected:

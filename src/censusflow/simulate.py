@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush, heapreplace
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -412,14 +412,7 @@ def min_workers_for_deadline(
 
     def resolved(c: int) -> list[StageModel]:
         models = list(stages)
-        models[index] = StageModel(
-            name=target.name,
-            service_time=target.service_time,
-            workers=c,
-            distribution=target.distribution,
-            cv=target.cv,
-            queue_capacity=target.queue_capacity,
-        )
+        models[index] = replace(target, workers=c)
         return models
 
     def fits(c: int) -> bool:

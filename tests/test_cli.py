@@ -6,6 +6,8 @@ from click.testing import CliRunner
 
 from censusflow.cli import main, parse_duration, parse_stage_spec
 from censusflow.domain import dumps_pages
+from censusflow.ingest import load_registry
+from censusflow.pipeline import ManifestStore, TaskState
 from censusflow.pipeline.stages import payload_transcript
 
 
@@ -112,6 +114,13 @@ class TestUsageErrors:
         assert result.exit_code == 2
         assert "unknown config key" in result.output
 
+    def test_workspace_is_not_a_config_key(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"workspace": "ws"}')
+        result = runner.invoke(main, ["--config", str(config), "status", "--workspace", "."])
+        assert result.exit_code == 2
+        assert "unknown config key" in result.output
+
     def test_config_sections_validated(self, runner, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"pipeline": {"warp_speed": 9}}')
@@ -190,6 +199,44 @@ class TestPipelineCommands:
         status = runner.invoke(main, ["status", "--workspace", str(workspace)])
         assert "INTEGRATED" in status.output
 
+    def test_pre_stage_only_stages_every_task(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        result = runner.invoke(
+            main,
+            ["run", "--workspace", str(workspace), "--fixture", str(corpus),
+             "--stages", "pre", "--window", "3"],
+        )
+        assert result.exit_code == 0, result.output
+        states = [m.state for m in ManifestStore(workspace).load_all()]
+        assert states and set(states) == {TaskState.STAGED}
+        assert not (workspace / "households.csv").exists()
+        assert "households:" not in result.output
+
+    def test_split_run_exports_truth(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        for stages in ("pre,proc", "post"):
+            result = runner.invoke(
+                main,
+                ["run", "--workspace", str(workspace), "--fixture", str(corpus),
+                 "--stages", stages, "--window", "3"],
+            )
+            assert result.exit_code == 0, result.output
+        truth = (corpus / "truth" / "households.csv").read_bytes()
+        assert (workspace / "households.csv").read_bytes() == truth
+
+    @pytest.mark.parametrize("stages", ["pre,bogus", ","])
+    def test_bad_stages_are_usage_errors(self, runner, tmp_path, stages):
+        corpus = make_corpus(runner, tmp_path)
+        result = runner.invoke(
+            main,
+            ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus),
+             "--stages", stages],
+        )
+        assert result.exit_code == 2
+        assert not (tmp_path / "ws").exists()
+
     def test_failed_task_exits_one_and_is_named(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         # Remove one image from the fixture store: prestage will 404.
@@ -224,6 +271,26 @@ class TestPipelineCommands:
         assert result.exit_code == 0, result.output
         status = runner.invoke(main, ["status", "--workspace", str(workspace)])
         assert "PENDING" in status.output
+
+    @pytest.mark.parametrize("filters", ["year", "register", "limit", "register+limit"])
+    def test_plan_dry_run_counts_what_plan_plans(self, runner, tmp_path, filters):
+        corpus = make_corpus(runner, tmp_path, registers=3)
+        register = load_registry(corpus / "registry.ndjson").registers[1].metadata
+        args = {
+            "year": ["--year", str(register.census_year)],
+            "register": ["--register-id", register.register_id],
+            "limit": ["--limit", "5"],
+            "register+limit": ["--register-id", register.register_id, "--limit", "2"],
+        }[filters]
+        plan = ["plan", "--registry", str(corpus / "registry.ndjson"),
+                "--workspace", str(tmp_path / "ws")] + args
+        dry = runner.invoke(main, plan + ["--dry-run"])
+        assert dry.exit_code == 0, dry.output
+        real = runner.invoke(main, plan)
+        assert real.exit_code == 0, real.output
+        would = int(dry.output.split("would plan ")[1].split()[0])
+        planned = int(real.output.split("planned ")[1].split()[0])
+        assert would == planned == len(ManifestStore(tmp_path / "ws").load_all())
 
     def test_plan_empty_selection(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
@@ -305,6 +372,45 @@ class TestIngestCommand:
         )
         assert result.exit_code == 0, result.output
         assert not out.exists()
+
+    def ingest_misspelt(self, runner, tmp_path, out, config=None, flags=()):
+        csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
+        # "Moulin" scores 6/7 against "Moulins": ambiguous under the default
+        # auto threshold of 0.95, matched automatically under 0.8.
+        csv_path.write_text("annee,commune,cote,chemin\n1881,Moulin,6M1,img_1.jpg\n")
+        args = []
+        if config is not None:
+            path = tmp_path / f"{out}.json"
+            path.write_text(json.dumps(config))
+            args = ["--config", str(path)]
+        result = runner.invoke(
+            main,
+            args + ["ingest", "--csv", str(csv_path), "--mapping", str(mapping),
+                    "--gazetteer", str(gazetteer), "--out", str(tmp_path / out), *flags],
+        )
+        assert result.exit_code == 0, result.output
+        return (tmp_path / out / "registry.ndjson").read_text(encoding="utf-8")
+
+    def test_config_threshold_acts_like_the_flag(self, runner, tmp_path):
+        default = self.ingest_misspelt(runner, tmp_path, "default")
+        flag = self.ingest_misspelt(runner, tmp_path, "flag", flags=["--auto-threshold", "0.8"])
+        config = self.ingest_misspelt(
+            runner, tmp_path, "config", config={"ingest": {"auto_threshold": 0.8}}
+        )
+        assert default == ""
+        assert flag == config != ""
+
+    def test_flag_overrides_config_threshold(self, runner, tmp_path):
+        both = self.ingest_misspelt(
+            runner, tmp_path, "both", config={"ingest": {"auto_threshold": 0.8}},
+            flags=["--auto-threshold", "0.95"],
+        )
+        assert both == ""
+        raised = self.ingest_misspelt(
+            runner, tmp_path, "raised", config={"ingest": {"threshold": 0.9}},
+            flags=["--auto-threshold", "0.8"],
+        )
+        assert raised == ""
 
     def test_ingest_rerun_byte_identical(self, runner, tmp_path):
         csv_path, mapping, gazetteer = self.write_inputs(tmp_path)

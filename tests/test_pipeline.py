@@ -752,6 +752,66 @@ class TestRunBatch:
             stamps = [manifest.timestamps[s] for s in order if s in manifest.timestamps]
             assert stamps == sorted(stamps)
 
+    def test_stale_export_temporaries_removed(self, tmp_path, corpus):
+        config = run_config(tmp_path, corpus)
+        config.workspace.mkdir()
+        stale = config.workspace / ".households.csv.0123456789ab.tmp"
+        stale.write_text("half an export")
+        unrelated = config.workspace / ".households.csv.keep"
+        unrelated.write_text("not ours")
+        run_batch(config)
+        assert not stale.exists()
+        assert unrelated.read_text() == "not ours"
+        assert sorted(p.name for p in config.workspace.glob(".*")) == [unrelated.name]
+
+
+class CountingExecutor(LocalExecutor):
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.batches = []
+
+    def run(self, stage, items, fn):
+        self.batches.append(len(items))
+        return super().run(stage, items, fn)
+
+
+class TestStages:
+    @pytest.mark.parametrize("stages", [set(), {"bogus"}, {"pre", "bogus"}, "pre"])
+    def test_invalid_stages_rejected(self, tmp_path, corpus, stages):
+        with pytest.raises(ValueError):
+            run_config(tmp_path, corpus, stages=stages)
+
+    def test_pre_only_stages_every_task_and_exports_nothing(self, tmp_path, corpus):
+        config = run_config(tmp_path, corpus, stages={"pre"}, window=3)
+        report = run_batch(config)
+        assert report.counts["STAGED"] == corpus.image_count
+        assert report.households_csv is None
+        assert not config.households_path.exists()
+        assert not config.store_path.exists()
+        states = {m.state for m in ManifestStore(config.workspace).load_all()}
+        assert states == {TaskState.STAGED}
+
+    def test_stage_without_its_input_state_is_a_noop(self, tmp_path, corpus):
+        config = run_config(tmp_path, corpus, stages={"proc", "post"})
+        report = run_batch(config)
+        assert report.counts["PENDING"] == corpus.image_count
+        assert not any(config.results_dir.iterdir())
+        assert (report.registers_exported, report.households_exported) == (0, 0)
+
+    def test_separate_runs_are_windowed_and_match_truth(self, tmp_path, corpus):
+        scheduler = CountingExecutor(4)
+        for stages in ({"pre"}, {"proc"}, {"post"}):
+            report = run_batch(
+                run_config(tmp_path, corpus, stages=stages, window=3, scheduler=scheduler)
+            )
+            assert report.succeeded
+        # One process call per window of three tasks.
+        n = corpus.image_count
+        assert scheduler.batches == [min(3, n - start) for start in range(0, n, 3)]
+        assert report.counts["INTEGRATED"] == corpus.image_count
+        truth = (corpus.root / "truth" / "households.csv").read_text(encoding="utf-8")
+        assert Path(report.households_csv).read_text(encoding="utf-8") == truth
+
 
 class TestExternalProcessWorker:
     def test_classify_via_subprocess(self, corpus):
