@@ -73,15 +73,13 @@ def group_page(page: PageTranscript) -> list[Household]:
     return households
 
 
-def merge_register(
-    register: RegisterDocument, *, continue_across_gaps: bool = False
-) -> HouseholdSet:
+def merge_register(register: RegisterDocument) -> HouseholdSet:
     """Reconstruct the households of a whole register.
 
     Walks pages in reading order; the trailing open household of a list page
     absorbs the leading head-less fragment of the next list page. Non-list
-    pages break continuation unless ``continue_across_gaps`` is set. All
-    returned households are finalized (``complete=True``).
+    pages break continuation. All returned households are finalized
+    (``complete=True``).
 
     Raises:
         MissingTranscript: if a LIST page carries no transcript.
@@ -97,8 +95,7 @@ def merge_register(
 
     for page in register.pages:
         if page.page_class is not PageClass.LIST:
-            if not continue_across_gaps:
-                close_open()
+            close_open()
             continue
         if page.transcript is None:
             raise MissingTranscript(page.page_id)

@@ -22,7 +22,7 @@ Also hosts the seeded synthetic page generator used to build test corpora.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Mapping, NamedTuple, Optional, Union
@@ -355,9 +355,6 @@ class SyntheticProfile:
             if not 0.0 <= p <= 1.0:
                 raise InvalidProfile(f"presence probability for {tag.name} not in [0, 1]: {p}")
 
-    def with_rows(self, min_rows: int, max_rows: int) -> "SyntheticProfile":
-        return replace(self, min_rows=min_rows, max_rows=max_rows)
-
 
 DEFAULT_PROFILE = SyntheticProfile()
 
@@ -388,19 +385,6 @@ def sample_record(rng: random.Random, profile: SyntheticProfile, head: bool) -> 
     if not fields:
         fields[EntityTag.FIRSTNAME] = rng.choice(_FIRSTNAMES)
     return PersonRecord(fields)
-
-
-def write_label_file(label: Union[LabelString, str], path) -> None:
-    """Write one page label to a UTF-8 text file."""
-    from pathlib import Path
-
-    Path(path).write_text(_label_text(label), encoding="utf-8")
-
-
-def read_label_file(path) -> str:
-    from pathlib import Path
-
-    return Path(path).read_text(encoding="utf-8")
 
 
 def generate_synthetic_page(

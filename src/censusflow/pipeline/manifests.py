@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -151,14 +150,25 @@ def _image_json(image: ImageRef) -> dict:
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Replace ``path`` with ``data`` through the temporary ``.{name}.tmp``.
+
+    The temporary's name is fixed, so a writer killed before the replace
+    leaves one file, which the next write of ``path`` takes over: with one
+    writer per workspace and one thread per task, an existing temporary is
+    a killed writer's.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        fh = open(tmp, "xb")
+    except FileExistsError:
+        tmp.unlink()
+        fh = open(tmp, "xb")
+    try:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

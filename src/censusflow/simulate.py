@@ -5,22 +5,18 @@ upload in the production layout). The simulator answers capacity questions:
 makespan of a batch, per-stage utilization, where the bottleneck sits, and
 the smallest worker count at one stage that meets a deadline.
 
-With unbounded queues each stage runs on its own as a generator: it reads
-the sorted arrival times from the stage before and yields sorted completion
-times, keeping only the completion times of the jobs in service and a count
-of waiting jobs (the Lindley recursion for c servers, chained into a tandem
-as in Baccelli, Cohen, Olsder and Quadrat, *Synchronization and Linearity*,
-1992). Memory is O(workers) whatever the batch size. A server that frees at
-the instant of an arrival serves a waiting job first.
-
-A bounded queue (``queue_capacity`` on a stage after the first) blocks the
-upstream server until space frees, which needs feedback from downstream, so
-such models run on a discrete-event loop over a global event heap instead.
+Each stage has an unbounded queue and runs on its own as a generator: it
+reads the sorted arrival times from the stage before and yields sorted
+completion times, keeping only the completion times of the jobs in service
+and a count of waiting jobs (the Lindley recursion for c servers, chained
+into a tandem as in Baccelli, Cohen, Olsder and Quadrat, *Synchronization
+and Linearity*, 1992). Memory is O(workers) whatever the batch size. A
+server that frees at the instant of an arrival serves a waiting job first.
 
 Service times are deterministic by default (only means are usually known);
 exponential and lognormal options support sensitivity runs. All stochastic
 stages draw from one seeded stream, in the order the chained generators pull
-them (the event loop draws in event order).
+them.
 """
 
 from __future__ import annotations
@@ -56,11 +52,7 @@ class StageModel:
     """One service stage: mean seconds per image and its worker count.
 
     ``workers=None`` marks the unknown solved by
-    :func:`min_workers_for_deadline`. ``queue_capacity`` bounds the queue in
-    front of the stage; it applies only to a stage after the first in
-    ``pipelined`` mode, and :func:`simulate` rejects it anywhere else (the
-    first stage's queue holds the whole batch at the start, and a stage in
-    ``sequential`` mode runs alone).
+    :func:`min_workers_for_deadline`.
     """
 
     name: str
@@ -68,7 +60,6 @@ class StageModel:
     workers: Optional[int]
     distribution: str = "deterministic"
     cv: float = 0.0
-    queue_capacity: Optional[int] = None
 
     def __post_init__(self):
         if not 0 < self.service_time < math.inf:
@@ -79,8 +70,6 @@ class StageModel:
             raise InvalidModel(f"stage {self.name}: unknown distribution {self.distribution!r}")
         if not 0 <= self.cv < math.inf:
             raise InvalidModel(f"stage {self.name}: cv must be finite and >= 0")
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise InvalidModel(f"stage {self.name}: queue capacity must be >= 1")
 
     def sampler(self, rng: random.Random) -> Callable[[], float]:
         if self.distribution == "deterministic":
@@ -165,8 +154,8 @@ def _fifo_stage(
     server free at or before ``a`` serves a waiting job or goes idle; the
     arrival then starts on an idle server or waits. ``max_queue`` is the
     largest count of waiting jobs, the new one included, seen by an arrival.
-    Once drained, fills ``stats`` with the keys of :func:`_run_tandem`'s
-    per-stage stats.
+    Once drained, fills ``stats`` with ``busy``, ``max_queue``,
+    ``first_start`` and ``last_completion``.
     """
     free: list[float] = []  # completion times of the jobs in service
     waiting = 0
@@ -204,9 +193,9 @@ def _run_pipeline(
     samplers: Sequence[Callable[[], float]],
     start_time: float,
 ) -> tuple[float, list[dict]]:
-    """Run an unbounded tandem as a chain of :func:`_fifo_stage` generators;
-    same contract as :func:`_run_tandem`. Stage queue capacities are
-    ignored."""
+    """Run a tandem as a chain of :func:`_fifo_stage` generators, all jobs
+    queued at stage 0 at ``start_time``. Returns (last completion time,
+    per-stage stats)."""
     stats: list[dict] = [{} for _ in stages]
     times: Iterable[float] = repeat(start_time, n)
     for stage, draw, out in zip(stages, samplers, stats):
@@ -214,88 +203,6 @@ def _run_pipeline(
     deque(times, maxlen=0)
     stats[0]["max_queue"] = n  # every job is queued at stage 0 at the start
     return stats[-1]["last_completion"], stats
-
-
-def _run_tandem(
-    n: int,
-    stages: Sequence[StageModel],
-    samplers: Sequence[Callable[[], float]],
-    start_time: float,
-) -> tuple[float, list[dict]]:
-    """Event-driven run of one tandem; all jobs queued at stage 0 at
-    ``start_time``. Returns (last completion time, per-stage stats).
-
-    Used for models with a bounded queue after the first stage, whose
-    blocking :func:`_run_pipeline` cannot express."""
-    k = len(stages)
-    waiting = [0] * k
-    waiting[0] = n
-    free = [s.workers for s in stages]
-    blocked = [0] * k
-    busy = [0.0] * k
-    max_q = [0] * k
-    max_q[0] = n
-    first_start = [math.inf] * k
-    last_completion = [start_time] * k
-
-    heap: list[tuple[float, int, int]] = []
-    seq = 0
-    now = start_time
-    completed = 0
-
-    def pump() -> None:
-        nonlocal seq
-        moved = True
-        while moved:
-            moved = False
-            for i in range(k):
-                while free[i] > 0 and waiting[i] > 0:
-                    waiting[i] -= 1
-                    free[i] -= 1
-                    duration = samplers[i]()
-                    busy[i] += duration
-                    if now < first_start[i]:
-                        first_start[i] = now
-                    heappush(heap, (now + duration, seq, i))
-                    seq += 1
-                    moved = True
-            for i in range(k - 1):
-                cap = stages[i + 1].queue_capacity
-                while blocked[i] > 0 and (cap is None or waiting[i + 1] < cap):
-                    blocked[i] -= 1
-                    free[i] += 1
-                    waiting[i + 1] += 1
-                    max_q[i + 1] = max(max_q[i + 1], waiting[i + 1])
-                    moved = True
-
-    pump()
-    while heap:
-        now, _, i = heappop(heap)
-        last_completion[i] = now
-        if i == k - 1:
-            completed += 1
-            free[i] += 1
-        else:
-            cap = stages[i + 1].queue_capacity
-            if cap is None or waiting[i + 1] < cap:
-                waiting[i + 1] += 1
-                max_q[i + 1] = max(max_q[i + 1], waiting[i + 1])
-                free[i] += 1
-            else:
-                blocked[i] += 1
-        pump()
-
-    assert completed == n, f"conservation violated: {completed} of {n} images left"
-    stats = [
-        {
-            "busy": busy[i],
-            "max_queue": max_q[i],
-            "first_start": first_start[i] if first_start[i] != math.inf else start_time,
-            "last_completion": last_completion[i],
-        }
-        for i in range(k)
-    ]
-    return now, stats
 
 
 def simulate(
@@ -318,14 +225,11 @@ def simulate(
     stages draw from one ``random.Random(seed)`` in the order the chained
     generators pull them: a model with two or more stochastic stages is
     deterministic per seed, but its numbers differ from those of earlier
-    versions, which drew in event order. A pipelined model with a
-    ``queue_capacity`` on a stage after the first runs on the event loop
-    instead, which can block upstream servers.
+    versions, which drew in event order.
 
     Raises:
-        InvalidModel: on an empty model, unresolved worker counts,
-            ``n_images`` < 1, or a ``queue_capacity`` that has no effect:
-            on the first stage, or on any stage in ``sequential`` mode.
+        InvalidModel: on an empty model, unresolved worker counts or
+            ``n_images`` < 1.
     """
     if n_images < 1:
         raise InvalidModel("n_images must be >= 1")
@@ -336,18 +240,12 @@ def simulate(
     for stage in stages:
         if stage.workers is None:
             raise InvalidModel(f"stage {stage.name}: workers unresolved")
-    for stage in stages if mode == "sequential" else stages[:1]:
-        if stage.queue_capacity is not None:
-            where = "in sequential mode" if mode == "sequential" else "on the first stage"
-            raise InvalidModel(f"stage {stage.name}: queue_capacity has no effect {where}")
 
     rng = random.Random(seed)
     samplers = [s.sampler(rng) for s in stages]
 
     if mode == "pipelined":
-        bounded = any(s.queue_capacity is not None for s in stages[1:])
-        run = _run_tandem if bounded else _run_pipeline
-        makespan, stats = run(n_images, stages, samplers, 0.0)
+        makespan, stats = _run_pipeline(n_images, stages, samplers, 0.0)
     else:
         barrier = 0.0
         stats = []

@@ -120,17 +120,6 @@ class TestMergeRegister:
         # The head-less fragment on p2 must NOT join A's household.
         assert [len(h) for h in merged.households] == [2, 1, 1]
 
-    def test_continue_across_gaps_flag(self):
-        doc = register(
-            [
-                list_page([head("A"), member("a1")], "p1"),
-                RegisterPage("r", PageClass.RECAP),
-                list_page([member("a2"), head("B")], "p2"),
-            ]
-        )
-        merged = merge_register(doc, continue_across_gaps=True)
-        assert [len(h) for h in merged.households] == [3, 1]
-
     def test_household_spanning_three_pages(self):
         doc = register(
             [

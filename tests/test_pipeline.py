@@ -1,5 +1,7 @@
 import json
 import shutil
+import signal
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -37,7 +39,12 @@ from censusflow.pipeline import (
     task_id_for,
     validate_payload,
 )
-from censusflow.pipeline.manifests import FailureInfo, TaskManifest, advance
+from censusflow.pipeline.manifests import (
+    FailureInfo,
+    TaskManifest,
+    advance,
+    atomic_write_bytes,
+)
 from censusflow.pipeline.runner import registry_from_manifests
 
 ENDPOINT = IiifEndpoint("https://fixture.local/iiif")
@@ -763,6 +770,28 @@ class TestRunBatch:
         assert not stale.exists()
         assert unrelated.read_text() == "not ours"
         assert sorted(p.name for p in config.workspace.glob(".*")) == [unrelated.name]
+
+
+class TestAtomicWrite:
+    def test_write_after_kill_before_replace_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "image.jpg"
+        target.write_bytes(b"old")
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import os, signal, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from pathlib import Path\n"
+            "from censusflow.pipeline.manifests import atomic_write_bytes\n"
+            "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            f"atomic_write_bytes(Path({str(target)!r}), b'killed')\n"
+        )
+        killed = subprocess.run([sys.executable, "-c", code], timeout=60)
+        assert killed.returncode == -signal.SIGKILL
+        assert len(list(tmp_path.glob(".*.tmp"))) == 1
+
+        atomic_write_bytes(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert list(tmp_path.glob(".*.tmp")) == []
 
 
 class CountingExecutor(LocalExecutor):

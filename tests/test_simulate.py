@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from censusflow.simulate import (
     simulate,
     single_image_latency,
 )
-from censusflow.simulate import _run_pipeline, _run_tandem
+from censusflow.simulate import _run_pipeline
 
 
 def stages_for(times_workers):
@@ -141,32 +142,44 @@ class TestSimulate:
             )
         )
 
-    def test_bounded_queue_blocks_upstream(self):
-        # Stage 2 queue of 1 forces stage 1 servers to hold finished jobs.
-        stages = [
-            StageModel("fast", 1.0, 2),
-            StageModel("slow", 10.0, 1, queue_capacity=1),
-        ]
-        bounded = simulate(10, stages)
-        unbounded = simulate(
-            10, [StageModel("fast", 1.0, 2), StageModel("slow", 10.0, 1)]
-        )
-        assert bounded.makespan == pytest.approx(unbounded.makespan)  # same bottleneck
-        assert bounded.stages[1].max_queue <= 1
-
     @pytest.mark.parametrize(
-        "mode, stages",
+        "distribution, want",
         [
-            ("pipelined", [StageModel("a", 1.0, 1, queue_capacity=1), StageModel("b", 1.0, 1)]),
-            ("sequential", [StageModel("a", 1.0, 1), StageModel("b", 1.0, 1, queue_capacity=1)]),
-            ("sequential", [StageModel("a", 1.0, 1, queue_capacity=1)]),
+            (
+                "deterministic",
+                [
+                    (31999.999999988424, 0.0, 2286.3999999999387, 20000),
+                    (250000.0, 1.6, 27789.1, 18353),
+                    (143999.9999999835, 14.1, 27796.3, 1),
+                ],
+            ),
+            (
+                "lognormal",
+                [
+                    (31999.999999988424, 0.0, 2286.3999999999387, 20000),
+                    (249654.6535920649, 1.6, 27744.614958142894, 18338),
+                    (143999.9999999835, 10.952682900325653, 27751.814958142895, 1),
+                ],
+            ),
         ],
-        ids=["first-stage", "sequential", "sequential-first"],
     )
-    def test_queue_capacity_without_effect_rejected(self, mode, stages):
-        # Both used to be ignored silently: max_queue read 10 for 10 images.
-        with pytest.raises(InvalidModel, match="queue_capacity has no effect"):
-            simulate(10, stages, mode=mode)
+    def test_paper_model_answers_pinned(self, distribution, want):
+        # The paper model at 20,000 images, as (busy_time, first_start,
+        # last_completion, max_queue) per stage: a change to the engine's
+        # code must leave every one of these values as it is.
+        cv = 0.3 if distribution == "lognormal" else 0.0
+        stages = [
+            StageModel("pre", 1.6, 14),
+            StageModel("proc", 12.5, 9, distribution=distribution, cv=cv),
+            StageModel("post", 7.2, 14),
+        ]
+        result = simulate(20_000, stages, seed=1)
+        assert result.makespan == want[-1][2]
+        got = [
+            (s.busy_time, s.first_start, s.last_completion, s.max_queue)
+            for s in result.stages
+        ]
+        assert got == want
 
     def test_conservation_asserted_internally(self):
         result = simulate(250, stages_for([(0.5, 3), (1.0, 2)]))
@@ -208,6 +221,65 @@ def random_model(rng, integer_times):
         cv = rng.uniform(0.05, 1.5) if distribution == "lognormal" else 0.0
         stages.append(StageModel(f"s{i}", mean, rng.randint(1, 4), distribution, cv))
     return stages
+
+
+def _run_tandem(n, stages, samplers, start_time):
+    """Event-driven run of one tandem over a global event heap, all jobs
+    queued at stage 0 at ``start_time``: the oracle of the generator chain.
+    Returns (last completion time, per-stage stats) as ``_run_pipeline``
+    does. Simultaneous events pop in push order, so an arrival may be
+    counted in ``max_queue`` before a completion at the same instant."""
+    k = len(stages)
+    waiting = [0] * k
+    waiting[0] = n
+    free = [s.workers for s in stages]
+    busy = [0.0] * k
+    max_q = [0] * k
+    max_q[0] = n
+    first_start = [math.inf] * k
+    last_completion = [start_time] * k
+
+    heap = []
+    seq = 0
+    now = start_time
+    completed = 0
+
+    def pump():
+        nonlocal seq
+        for i in range(k):
+            while free[i] > 0 and waiting[i] > 0:
+                waiting[i] -= 1
+                free[i] -= 1
+                duration = samplers[i]()
+                busy[i] += duration
+                if now < first_start[i]:
+                    first_start[i] = now
+                heappush(heap, (now + duration, seq, i))
+                seq += 1
+
+    pump()
+    while heap:
+        now, _, i = heappop(heap)
+        last_completion[i] = now
+        free[i] += 1
+        if i == k - 1:
+            completed += 1
+        else:
+            waiting[i + 1] += 1
+            max_q[i + 1] = max(max_q[i + 1], waiting[i + 1])
+        pump()
+
+    assert completed == n, f"conservation violated: {completed} of {n} images left"
+    stats = [
+        {
+            "busy": busy[i],
+            "max_queue": max_q[i],
+            "first_start": first_start[i] if first_start[i] != math.inf else start_time,
+            "last_completion": last_completion[i],
+        }
+        for i in range(k)
+    ]
+    return now, stats
 
 
 def per_stage_samplers(stages, seed):
