@@ -10,6 +10,7 @@ Non-list pages (and the end of the register) finalize whatever is open.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -190,14 +191,22 @@ def household_rows(register: RegisterDocument, hset: HouseholdSet) -> list[list[
     return rows
 
 
-def write_export(registers: Iterable[list[list[str]]], path: str | Path) -> int:
+def csv_text(rows: Iterable[list[str]]) -> str:
+    """``rows`` as the export writes them: CSV with ``\\r\\n`` line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def write_export(registers: Iterable[tuple[str, int]], path: str | Path) -> int:
     """Write the export header and then each register's rows to one CSV.
 
-    ``registers`` yields one list of rows per register and is consumed one
-    register at a time, so it may be a generator. The rows go to a
-    temporary file next to ``path`` that replaces it only once every row is
-    written: an error raised while reading ``registers`` or writing leaves
-    any earlier file as it was.
+    ``registers`` yields ``(text, rows)`` per register: the rows' CSV text
+    (``csv_text``) and their count. It is consumed one register at a time,
+    so it may be a generator. The text goes to a temporary file next to
+    ``path`` that replaces it only once every register is written: an error
+    raised while reading ``registers`` or writing leaves any earlier file as
+    it was.
 
     Returns the number of rows written.
     """
@@ -206,11 +215,10 @@ def write_export(registers: Iterable[list[list[str]]], path: str | Path) -> int:
     count = 0
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EXPORT_COLUMNS)
-            for rows in registers:
-                writer.writerows(rows)
-                count += len(rows)
+            fh.write(csv_text([EXPORT_COLUMNS]))
+            for text, rows in registers:
+                fh.write(text)
+                count += rows
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -229,4 +237,5 @@ def export_households(
     Returns the number of person rows written. Output is deterministic for
     identical input.
     """
-    return write_export((household_rows(register, hset) for register, hset in entries), path)
+    registers = (household_rows(register, hset) for register, hset in entries)
+    return write_export(((csv_text(rows), len(rows)) for rows in registers), path)

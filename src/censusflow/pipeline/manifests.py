@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -261,27 +262,71 @@ def cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:
             fh.truncate(end)
 
 
+class AppendFile:
+    """The writer's end of an append-only NDJSON file.
+
+    The first append cuts a torn tail (``cut_torn_tail``). Each append is
+    written and flushed before it returns, so a reader, or a kill just
+    after, sees the whole line. Inside ``with`` the handle is opened once
+    and kept until the block exits; outside, each append opens and closes
+    it.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._lock = threading.Lock()
+        self._fh = None
+        self._held = False
+        self._tail_cut = False
+
+    def __enter__(self) -> "AppendFile":
+        self._held = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._held = False
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+    def append(self, data: bytes) -> int:
+        """Append ``data``, whole lines; returns the offset it starts at."""
+        with self._lock:
+            if self._fh is None:
+                if not self._tail_cut:
+                    cut_torn_tail(self.path)
+                    self._tail_cut = True
+                self._fh = open(self.path, "ab")
+            try:
+                offset = self._fh.tell()
+                self._fh.write(data)
+                self._fh.flush()
+            finally:
+                if not self._held:
+                    self._fh.close()
+                    self._fh = None
+            return offset
+
+
 class TransitionLog:
     """The append-only task log: every task's state is the fold of its records.
 
     One process at a time may write to a workspace: its first append cuts a
     torn tail, which would cut a record another writer is still appending.
-    Readers (``replay``, ``load_all``) never write.
+    Readers (``replay``, ``load_all``) never write. ``file`` is the writer's
+    handle; ``run_batch`` holds it open for the whole run.
     """
 
     def __init__(self, root: str | Path):
         self.path = Path(root) / "tasks.ndjson"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._tail_cut = False
+        self.file = AppendFile(self.path)
 
     def append(self, record: dict) -> None:
         """Append one record; it is on disk (not yet fsynced) on return."""
-        if not self._tail_cut:
-            cut_torn_tail(self.path)
-            self._tail_cut = True
         line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
+        self.file.append(line.encode("utf-8"))
 
     def replay(self) -> Iterator[dict]:
         """Every record in append order; each has ``task_id``, ``from``

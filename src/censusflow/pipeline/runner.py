@@ -10,36 +10,45 @@ and all task state lives in the workspace's append-only task log,
 interrupting the pass at any point, even in the middle of an append, and
 calling ``run_batch`` again yields the same terminal result set.
 
-Export then works one register at a time. The result store indexes its
-line offsets by register from record heads alone when it opens, and keeps
-the index up to date as it appends. Export reads each complete register's
-lines back through that index and folds the payloads straight into CSV
-rows, without building domain objects, then replaces ``households.csv``
-atomically once every row is written. Memory holds the largest register's
-payloads plus a small per-record index, whatever the batch size.
+Export works one register at a time. The result store indexes its line
+offsets by register from record heads alone when it opens, and keeps the
+index up to date as it appends. Each register's payloads fold straight into
+CSV rows, without building domain objects. The fold runs once per register,
+when the window that completes the register has been integrated: its CSV
+text goes to an append-only memo, ``households.parts.ndjson``, keyed by a
+digest of the register's store lines. Export then copies each complete
+register's memoised text if the digest of its current lines matches, folds
+it otherwise, and replaces ``households.csv`` atomically once every row is
+written. So a resume folds only the registers it completes, and memory
+holds the largest register's payloads plus small per-record and
+per-register indexes, whatever the batch size.
+
+``run_batch`` opens one append handle on each of the task log, the result
+store and the memo, and closes them when it returns or raises.
 """
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import re
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from ..domain import FIELD_ORDER, PageClass
-from ..household import EXPORT_COLUMNS, MissingTranscript, write_export
+from ..household import EXPORT_COLUMNS, MissingTranscript, csv_text, write_export
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
 from .manifests import (
     TERMINAL_STATES,
+    AppendFile,
     PipelineContext,
     TaskManifest,
     TaskState,
-    cut_torn_tail,
     parse_line,
     read_lines,
     read_ndjson,
@@ -101,6 +110,8 @@ class ResultStore:
     line that holds each page's record, a later line winning over an
     earlier one for the same page. It covers every record on disk when the
     store opened plus this instance's own adds, which is what export reads.
+    ``file`` is the writer's handle; ``run_batch`` holds it open for the
+    whole run.
     """
 
     def __init__(self, path: str | Path):
@@ -113,7 +124,7 @@ class ResultStore:
             register_id, sequence_index, task_id = _head(line, self.path, offset)
             self._keys.add(task_id)
             self.pages.setdefault(register_id, {})[sequence_index] = offset
-        self._tail_cut = False
+        self.file = AppendFile(self.path)
 
     def __contains__(self, task_id: str) -> bool:
         return task_id in self._keys
@@ -134,12 +145,7 @@ class ResultStore:
                 return False
             if text is None or "\n" in text:
                 text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-            if not self._tail_cut:
-                cut_torn_tail(self.path)
-                self._tail_cut = True
-            with open(self.path, "ab") as fh:
-                offset = fh.tell()
-                fh.write((text + "\n").encode("utf-8"))
+            offset = self.file.append((text + "\n").encode("utf-8"))
             self._keys.add(task_id)
             pages = self.pages.setdefault(payload.get("register_id"), {})
             pages[payload.get("sequence_index")] = offset
@@ -147,6 +153,17 @@ class ResultStore:
 
     def records(self) -> list[dict]:
         return list(read_ndjson(self.path))
+
+    def read(self, offsets: dict[int, int]) -> list[tuple[int, bytes]]:
+        """``(offset, line)`` of the lines at ``offsets``' values, in key
+        order: one register's records in sequence order."""
+        lines = []
+        with open(self.path, "rb") as fh:
+            for key in sorted(offsets):
+                offset = offsets[key]
+                fh.seek(offset)
+                lines.append((offset, fh.readline()))
+        return lines
 
 
 # Pre-stage (download), process (classify, recognize) and post (integrate,
@@ -258,67 +275,78 @@ def run_batch(config: RunConfig) -> BatchReport:
     task count. A run of fewer stages leaves each task at the state its
     last stage gives it, for a later run to pick up.
 
-    ``run_batch`` is the workspace's only writer, so before exporting it
-    deletes the temporary files that a kill during an earlier export left.
+    After each window's integrate, the rows of every register that window
+    completed are folded and memoised (``ExportMemo.keep``); the export
+    then copies them. ``run_batch`` is the workspace's only writer, so
+    before exporting it deletes the temporary files that a kill during an
+    earlier export left, and it is the only writer of the memo.
     """
     ctx = PipelineContext.at(
         config.workspace, clock=config.clock, on_transition=config.on_transition
     )
-    manifests = plan_batch(
-        config.registry,
-        ctx,
-        year=config.year,
-        commune_code=config.commune_code,
-        register_id=config.register_id,
-        limit=config.limit,
-    )
     post = "post" in config.stages
-    store = ResultStore(config.store_path) if post else None
-
-    todo = [m for m in manifests if m.state not in TERMINAL_STATES]
-    for start in range(0, len(todo), config.window):
-        window = todo[start : start + config.window]
-        if "pre" in config.stages:
-            run_stage_prestage(
-                window,
-                ctx,
-                endpoint=config.endpoint,
-                transport=config.transport,
-                staging_dir=config.staging_dir,
-                concurrency=config.prestage_concurrency,
-            )
-        if "proc" in config.stages:
-            run_stage_process(
-                window,
-                ctx,
-                workers=config.workers,
-                scheduler=config.scheduler,
-                results_dir=config.results_dir,
-                retry_limit=config.retry_limit,
-            )
-        if post:
-            run_stage_integrate(window, ctx, results_store=store)
-
-    report = BatchReport(
-        planned=len(manifests),
-        counts=state_counts(manifests),
-        stage_latencies=_mean_latencies(manifests),
-        failed_tasks=[
-            (m.task_id, m.failure.stage if m.failure else "?", m.failure.reason if m.failure else "?")
-            for m in manifests
-            if m.state is TaskState.FAILED
-        ],
-    )
-    if post:
-        for stale in config.workspace.glob(f".{config.households_path.name}.*.tmp"):
-            stale.unlink(missing_ok=True)
-        exported, skipped, people = export_batch(
-            config.registry, store, config.households_path
+    with ExitStack() as handles:
+        handles.enter_context(ctx.log.file)
+        manifests = plan_batch(
+            config.registry,
+            ctx,
+            year=config.year,
+            commune_code=config.commune_code,
+            register_id=config.register_id,
+            limit=config.limit,
         )
-        report.households_csv = str(config.households_path)
-        report.households_exported = people
-        report.registers_exported = exported
-        report.registers_skipped = skipped
+        if post:
+            store = ResultStore(config.store_path)
+            memo = ExportMemo(store, writable=True)
+            handles.enter_context(store.file)
+            handles.enter_context(memo.file)
+            registers = {register.metadata.register_id: register
+                         for register in config.registry.registers}
+
+        todo = [m for m in manifests if m.state not in TERMINAL_STATES]
+        for start in range(0, len(todo), config.window):
+            window = todo[start : start + config.window]
+            if "pre" in config.stages:
+                run_stage_prestage(
+                    window,
+                    ctx,
+                    endpoint=config.endpoint,
+                    transport=config.transport,
+                    staging_dir=config.staging_dir,
+                    concurrency=config.prestage_concurrency,
+                )
+            if "proc" in config.stages:
+                run_stage_process(
+                    window,
+                    ctx,
+                    workers=config.workers,
+                    scheduler=config.scheduler,
+                    results_dir=config.results_dir,
+                    retry_limit=config.retry_limit,
+                )
+            if post:
+                run_stage_integrate(window, ctx, results_store=store)
+                for register_id in dict.fromkeys(m.image.register.register_id for m in window):
+                    memo.keep(registers[register_id])
+
+        report = BatchReport(
+            planned=len(manifests),
+            counts=state_counts(manifests),
+            stage_latencies=_mean_latencies(manifests),
+            failed_tasks=[
+                (m.task_id, m.failure.stage if m.failure else "?", m.failure.reason if m.failure else "?")
+                for m in manifests
+                if m.state is TaskState.FAILED
+            ],
+        )
+        if post:
+            for stale in config.workspace.glob(f".{config.households_path.name}.*.tmp"):
+                stale.unlink(missing_ok=True)
+            exported, skipped, people = _export(config.registry, memo, config.households_path)
+            report.households_csv = str(config.households_path)
+            report.households_exported = people
+            report.registers_exported = exported
+            report.registers_skipped = skipped
     return report
 
 
@@ -398,22 +426,164 @@ def register_rows(register_id: str, payloads: Iterable[dict]) -> list[list]:
     return rows
 
 
+def _complete(register, index: dict[str, dict[int, int]]) -> bool:
+    """Whether every image of ``register`` has a record in ``index``."""
+    return set(index.get(register.metadata.register_id, ())) == {
+        image.sequence_index for image in register.images
+    }
+
+
+# The export memo's file, next to the result store.
+MEMO_NAME = "households.parts.ndjson"
+
+# The head of a memo record as ``ExportMemo`` writes it (ASCII only): the
+# register id, then the digest; the CSV text comes last.
+_PART_HEAD = re.compile(rb'\{"register_id": "([ !#-\[\]-~]*)", "digest": "([0-9a-f]{32})", ')
+
+
+def _part_key(line: bytes) -> Optional[tuple[str, str]]:
+    """``(register_id, digest)`` of a memo line, or None if it has none."""
+    match = _PART_HEAD.match(line)
+    if match is not None:
+        return match.group(1).decode("ascii"), match.group(2).decode("ascii")
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(record, dict):
+        key = record.get("register_id"), record.get("digest")
+        if all(isinstance(part, str) for part in key):
+            return key
+    return None
+
+
+def _digest(lines: list[tuple[int, bytes]]) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    for _, line in lines:
+        digest.update(line)
+    return digest.hexdigest()
+
+
+class ExportMemo:
+    """The CSV rows of finished registers, kept next to the result store in
+    ``households.parts.ndjson``.
+
+    Each record holds ``register_id``, ``digest``, ``rows`` (the row count)
+    and ``csv`` (the register's CSV text), in that order. ``digest`` is the
+    blake2b-128 of the register's store lines in sequence order, that is of
+    the whole input of its fold, so a memoised text is used only while the
+    lines it was folded from are the ones ``store.pages`` points at. This is
+    the verifying trace of Mokhov, Mitchell and Peyton Jones, *Build systems
+    à la carte* (ICFP 2018). The memo is a cache: a torn tail is skipped and
+    cut as in the other logs, a line that does not parse or whose keys do
+    not match is not used, and deleting the file only makes the next export
+    fold every register again.
+
+    Only a ``writable`` memo appends, and only ``run_batch`` opens one;
+    ``file`` is its handle, held open for the run.
+    """
+
+    def __init__(self, store: ResultStore, writable: bool = False):
+        self.store = store
+        self.path = store.path.with_name(MEMO_NAME)
+        self.writable = writable
+        self.file = AppendFile(self.path)
+        self._offsets: dict[tuple[str, str], int] = {}
+        for offset, line in read_lines(self.path):
+            key = _part_key(line)
+            if key is not None:
+                self._offsets[key] = offset
+        # register_id -> (last store offset, digest) of the parts this
+        # instance folded or found. The store only appends, so an add for a
+        # register lands after all its earlier lines: while its last offset
+        # is the same, its lines are too and need no hashing again.
+        self._known: dict[str, tuple[int, str]] = {}
+
+    def keep(self, register) -> None:
+        """Memoise ``register``'s rows if it is complete (see ``part``).
+
+        A fold that fails here is left to export, which folds the register
+        again and raises the error after every window has run.
+        """
+        if _complete(register, self.store.pages):
+            try:
+                self.part(register.metadata.register_id)
+            except Exception:  # export raises it
+                pass
+
+    def part(self, register_id: str) -> tuple[str, int]:
+        """``(CSV text, row count)`` of a complete register: memoised if the
+        memo has them for its current lines, else folded (``register_rows``)
+        and, in a writable memo, appended.
+
+        Raises:
+            CorruptLine: if a record of the register is not a JSON object.
+            MissingTranscript: if a LIST page carries no transcript.
+        """
+        pages = self.store.pages.get(register_id, {})
+        last = max(pages.values(), default=-1)
+        known = self._known.get(register_id)
+        if known is not None and known[0] == last:
+            lines, digest = None, known[1]
+        else:
+            lines = self.store.read(pages)
+            digest = _digest(lines)
+        part = self._read(register_id, digest)
+        if part is None:
+            if lines is None:
+                lines = self.store.read(pages)
+            payloads = [
+                parse_line(line, self.store.path, offset, register_id) for offset, line in lines
+            ]
+            rows = register_rows(register_id, payloads)
+            part = csv_text(rows), len(rows)
+            if self.writable:
+                record = {"register_id": register_id, "digest": digest, "rows": part[1],
+                          "csv": part[0]}
+                line = json.dumps(record) + "\n"
+                self._offsets[register_id, digest] = self.file.append(line.encode("ascii"))
+        self._known[register_id] = last, digest
+        return part
+
+    def _read(self, register_id: str, digest: str) -> Optional[tuple[str, int]]:
+        offset = self._offsets.get((register_id, digest))
+        if offset is None:
+            return None
+        with open(self.path, "rb") as fh:
+            fh.seek(offset)
+            line = fh.readline()
+        try:
+            record = json.loads(line)
+            text, rows = record["csv"], record["rows"]
+            if (record["register_id"], record["digest"]) == (register_id, digest) and (
+                isinstance(text, str) and type(rows) is int
+            ):
+                return text, rows
+        except (ValueError, KeyError, TypeError):  # not a JSON object with these keys
+            pass
+        return None
+
+
 def export_batch(
     registry: Registry, store: ResultStore, out_path: str | Path
 ) -> tuple[int, int, int]:
-    """Merge households one register at a time and write one CSV.
+    """Write the households of every complete register to one CSV, one
+    register at a time.
 
     Reads the records ``store`` knows about: every record on disk when it
     opened plus its own adds, through its ``pages`` index, so the store's
     head pass is the only one per run; a later record for the same page
     wins. In registry order, each register whose every image has a record
-    is read back and folded into rows (``register_rows``) that are written
-    before the next register is read, so memory holds one register's
-    payloads plus that index. Other registers are skipped as incomplete.
-    No domain objects are built, so a page of many records does not warn
-    again here: the decoder warned when it built the page. The CSV goes to
-    a temporary file that replaces ``out_path`` only once it is whole, so
-    an error or a kill leaves any earlier CSV as it was.
+    is read back and hashed. If the export memo (``ExportMemo``) holds rows
+    for exactly those lines, they are copied; otherwise the payloads are
+    folded into rows (``register_rows``). Each register is written before
+    the next is read, so memory holds one register's payloads plus the
+    indexes. Other registers are skipped as incomplete. No domain objects
+    are built, so a page of many records does not warn again here: the
+    decoder warned when it built the page. The CSV goes to a temporary file
+    that replaces ``out_path`` only once it is whole, so an error or a kill
+    leaves any earlier CSV as it was. The memo is only read here; only
+    ``run_batch`` writes it.
 
     Returns (registers exported, registers skipped, person rows written).
 
@@ -421,26 +591,12 @@ def export_batch(
         CorruptLine: if a record of a complete register is not a JSON
             object; the message names the register, file and byte offset.
     """
-    index = store.pages
-    complete = [
-        register
-        for register in registry.registers
-        if set(index.get(register.metadata.register_id, ()))
-        == {image.sequence_index for image in register.images}
-    ]
+    return _export(registry, ExportMemo(store), out_path)
 
-    def rows(fh):
-        for register in complete:
-            register_id = register.metadata.register_id
-            offsets = index.get(register_id, {})
-            payloads = []
-            for sequence_index in sorted(offsets):
-                offset = offsets[sequence_index]
-                fh.seek(offset)
-                payloads.append(parse_line(fh.readline(), store.path, offset, register_id))
-            yield register_rows(register_id, payloads)
 
-    # An empty index may mean no store file; no register then needs a read.
-    with open(store.path, "rb") if index else io.BytesIO() as fh:
-        people = write_export(rows(fh), out_path)
+def _export(registry: Registry, memo: ExportMemo, out_path: str | Path) -> tuple[int, int, int]:
+    complete = [register for register in registry.registers if _complete(register, memo.store.pages)]
+    people = write_export(
+        (memo.part(register.metadata.register_id) for register in complete), out_path
+    )
     return len(complete), len(registry.registers) - len(complete), people

@@ -4,7 +4,7 @@
 it parses every record, keeps the last one per ``(register_id,
 sequence_index)`` and rebuilds every complete register at once. With
 ``export_households`` it is the oracle the streaming ``export_batch`` must
-match byte for byte.
+match byte for byte, with or without an export memo left by a run.
 """
 
 import json
@@ -25,9 +25,10 @@ from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetadata, Registry
 from censusflow.label_codec import SyntheticProfile
 from censusflow.pipeline import LocalExecutor, ResultStore, RunConfig, export_batch, mock_worker_set, run_batch
-from censusflow.pipeline.manifests import CorruptLine, read_ndjson
-from censusflow.pipeline.runner import _head
+from censusflow.pipeline.manifests import CorruptLine, read_ndjson, task_id_for
+from censusflow.pipeline.runner import MEMO_NAME, ExportMemo, _complete, _head, register_rows
 from censusflow.pipeline.stages import payload_transcript
+import censusflow.pipeline.runner as runner_module
 
 TAG_NAMES = [tag.name.lower() for tag in EntityTag]
 OTHER_CLASSES = [c.name for c in PageClass if c is not PageClass.LIST]
@@ -606,3 +607,142 @@ class TestCorruptLines:
                 read(path)
             assert (info.value.path, info.value.offset) == (path, len(first))
             assert f"byte {len(first)}" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# The export memo
+# ---------------------------------------------------------------------------
+
+
+def leave_memo(registry: Registry, path: Path) -> None:
+    """Memoise every complete register of the store at ``path``, as the
+    windows of a run do."""
+    memo = ExportMemo(ResultStore(path), writable=True)
+    for register in registry.registers:
+        memo.keep(register)
+
+
+def no_fold(*args, **kwargs):
+    raise AssertionError("register folded")
+
+
+class TestMemoAgainstOracle:
+    @pytest.mark.parametrize("case", ["as-left", "superseded", "torn-tail", "stale-digest",
+                                      "corrupt-lines", "deleted"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_stores(self, tmp_path, monkeypatch, seed, case):
+        rng = random.Random(seed)
+        registry = make_registry([rng.randint(0, 6) for _ in range(rng.randint(3, 9))])
+        path = tmp_path / "store.ndjson"
+        write_store(path, random_store_lines(rng, registry))
+        leave_memo(registry, path)
+        memo = path.with_name(MEMO_NAME)
+        lines = memo.read_bytes().splitlines(keepends=True)
+        assert lines
+        if case == "superseded":  # later records for some pages of the store
+            with open(path, "a", encoding="utf-8") as fh:
+                for image in rng.sample(list(registry.iter_images()), 2):
+                    fh.write(stage_line(random_page(rng, image)) + "\n")
+        elif case == "torn-tail":
+            memo.write_bytes(b"".join(lines) + lines[-1][: len(lines[-1]) // 2])
+        elif case == "stale-digest":  # wrong rows under a digest of other lines
+            stale = [dict(json.loads(line), digest="0" * 32, csv="wrong\r\n") for line in lines]
+            memo.write_text("".join(json.dumps(r) + "\n" for r in stale), encoding="ascii")
+        elif case == "corrupt-lines":
+            memo.write_bytes(b"{not json\n[1]\n" + b"".join(lines) + b'{"csv": 1}\n')
+        elif case == "deleted":
+            memo.unlink()
+        if case in ("as-left", "torn-tail", "corrupt-lines"):
+            monkeypatch.setattr(runner_module, "register_rows", no_fold)
+        before = memo.read_bytes() if memo.exists() else None
+
+        got = export_batch(registry, ResultStore(path), tmp_path / "households.csv")
+        want = oracle_export(registry, ResultStore(path), tmp_path / "oracle.csv")
+        assert got == want
+        assert (tmp_path / "households.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert (memo.read_bytes() if memo.exists() else None) == before
+
+    def test_run_memoises_a_register_exported_without_one(self, tmp_path, monkeypatch, finished):
+        """A complete register with no usable memo is folded once by the
+        run that finds it so, and copied from then on."""
+        memo = finished.workspace / MEMO_NAME
+        memo.unlink()
+        run_batch(finished)
+        assert len(memo.read_bytes().splitlines()) == len(finished.registry.registers)
+        monkeypatch.setattr(runner_module, "register_rows", no_fold)
+        before = finished.households_path.read_bytes()
+        run_batch(finished)
+        assert finished.households_path.read_bytes() == before
+
+
+class Killed(Exception):
+    pass
+
+
+class TestMemoAcrossKill:
+    def test_resume_folds_only_registers_completed_after_the_kill(self, tmp_path, monkeypatch):
+        corpus = generate_corpus(
+            tmp_path / "corpus", registers=5, seed=4, list_pages_min=1, list_pages_max=2,
+            profile=SyntheticProfile(min_rows=3, max_rows=6, household_size_mean=3.0),
+        )
+
+        def config(workspace, **overrides):
+            return RunConfig(
+                workspace=workspace, registry=corpus.registry,
+                endpoint=IiifEndpoint("https://fixture.local/iiif"),
+                transport=FixtureTransport(corpus.root), workers=mock_worker_set(seed=0),
+                scheduler=LocalExecutor(2), prestage_concurrency=2, window=3, **overrides,
+            )
+
+        reference = run_batch(config(tmp_path / "reference"))
+        # The kill lands at the first transition of the third window, after
+        # the first two windows were integrated and memoised.
+        later = {task_id_for(image) for image in list(corpus.registry.iter_images())[6:]}
+
+        def kill(manifest):
+            if manifest.task_id in later:
+                raise Killed()
+
+        workspace = tmp_path / "ws"
+        with pytest.raises(Killed):
+            run_batch(config(workspace, on_transition=kill))
+        pages = ResultStore(workspace / "results_store.ndjson").pages
+        done = {r.metadata.register_id for r in corpus.registry.registers if _complete(r, pages)}
+        left = [r.metadata.register_id for r in corpus.registry.registers
+                if r.metadata.register_id not in done]
+        assert done and left
+
+        folded = []
+
+        def counted(register_id, payloads):
+            folded.append(register_id)
+            return register_rows(register_id, payloads)
+
+        monkeypatch.setattr(runner_module, "register_rows", counted)
+        report = run_batch(config(workspace))
+        assert sorted(folded) == sorted(left)
+        assert Path(report.households_csv).read_bytes() == Path(reference.households_csv).read_bytes()
+
+
+class TestExportCommandReadsOnly:
+    def test_memo_left_as_it_was(self, tmp_path, finished):
+        from click.testing import CliRunner
+
+        from censusflow.cli import main
+
+        memo = finished.workspace / MEMO_NAME
+        # A later record for one page: its register misses the memo.
+        lines = finished.store_path.read_text(encoding="utf-8").splitlines()
+        with open(finished.store_path, "a", encoding="utf-8") as fh:
+            fh.write(lines[0] + "\n")
+        args = ["export", "--workspace", str(finished.workspace), "--households"]
+        before = memo.read_bytes()
+        result = CliRunner().invoke(main, args + [str(tmp_path / "with.csv")])
+        assert result.exit_code == 0, result.output
+        assert memo.read_bytes() == before
+        memo.unlink()
+        result = CliRunner().invoke(main, args + [str(tmp_path / "without.csv")])
+        assert result.exit_code == 0, result.output
+        assert not memo.exists()
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+        assert (tmp_path / "with.csv").read_bytes() == finished.households_path.read_bytes()

@@ -182,8 +182,14 @@ class TestSimulate:
         assert got == want
 
     def test_conservation_asserted_internally(self):
-        result = simulate(250, stages_for([(0.5, 3), (1.0, 2)]))
+        # Deterministic stages with exactly representable times: every job
+        # is served once per stage, so each stage's busy time is n times its
+        # service time, exactly.
+        stages = stages_for([(0.5, 3), (1.0, 2)])
+        result = simulate(250, stages)
         assert result.n_images == 250
+        assert [s.busy_time for s in result.stages] == [250 * s.service_time for s in stages]
+        assert result.makespan == job_level_oracle(250, stages)
 
     @pytest.mark.parametrize(
         "kwargs",
