@@ -209,10 +209,18 @@ def parse_scheduler_spec(spec: str):
     """``local:n=4`` or ``simulated:nodes=2``."""
     kind, options = _parse_kv(spec)
     if kind == "local":
-        return LocalExecutor(workers=int(options.get("n", options.get("workers", 4))))
-    if kind == "simulated":
-        return SimulatedBatchScheduler(nodes=int(options.get("nodes", options.get("n", 1))))
-    raise click.BadParameter(f"unknown scheduler kind {kind!r}")
+        make, keys, default = LocalExecutor, ("n", "workers"), 4
+    elif kind == "simulated":
+        make, keys, default = SimulatedBatchScheduler, ("nodes", "n"), 1
+    else:
+        raise click.BadParameter(f"unknown scheduler kind {kind!r}")
+    counts = [options.pop(key) for key in keys if key in options]
+    if options:
+        raise click.BadParameter(f"unknown {kind} scheduler options: {sorted(options)}")
+    try:
+        return make(int(counts[0]) if counts else default)
+    except ValueError as exc:
+        raise click.BadParameter(f"{spec!r}: {exc}")
 
 
 def _fixture_setup(fixture_root: str, endpoint_url: Optional[str], api_version: int):
@@ -370,18 +378,28 @@ def gen_fixtures_cmd(config: GlobalConfig, out_dir, registers, list_pages_min, l
 # ---------------------------------------------------------------------------
 
 
+def _selection_options(command):
+    """``plan``'s and ``run``'s image selection, added last first (--help order)."""
+    for option in (click.option("--limit", type=int, default=None),
+                   click.option("--register-id", default=None),
+                   click.option("--commune", "commune_code", default=None),
+                   click.option("--year", type=int, default=None)):
+        command = option(command)
+    return command
+
+
 @main.command("plan")
 @click.option("--registry", "registry_path", required=True, type=click.Path(exists=True))
 @click.option("--workspace", required=True, type=click.Path())
-@click.option("--year", type=int, default=None)
-@click.option("--commune", "commune_code", default=None)
-@click.option("--register-id", default=None)
-@click.option("--limit", type=int, default=None)
+@_selection_options
 @click.option("--dry-run", is_flag=True)
-def plan_cmd(registry_path, workspace, year, commune_code, register_id, limit, dry_run):
-    """Create PENDING task manifests for selected registry images."""
+def plan_cmd(registry_path, workspace, dry_run, **selection):
+    """Create PENDING task manifests for selected registry images.
+
+    A later run plans its own selection: give it the same --year, --commune,
+    --register-id and --limit, or it plans every image.
+    """
     registry = ingest.load_registry(registry_path)
-    selection = dict(year=year, commune_code=commune_code, register_id=register_id, limit=limit)
     try:
         if dry_run:
             count = len(select_images(registry, **selection))
@@ -409,12 +427,12 @@ def plan_cmd(registry_path, workspace, year, commune_code, register_id, limit, d
 @click.option("--window", type=int, default=None, help="Max in-flight tasks per round.")
 @click.option("--retry-limit", type=int, default=None)
 @click.option("--jobs", type=int, default=None, help="Cap on pre-stage download concurrency.")
-@click.option("--limit", type=int, default=None)
+@_selection_options
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj
 def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoint_url,
             api_version, stages, worker_spec, scheduler_spec, window, retry_limit,
-            jobs, limit, dry_run):
+            jobs, dry_run, **selection):
     """Drive tasks through the pre-stage, process and integrate stages."""
     if fixture_root:
         registry, endpoint, transport = _fixture_setup(fixture_root, endpoint_url, int(api_version))
@@ -442,8 +460,8 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
             prestage_concurrency=prestage_concurrency,
             retry_limit=retry_limit if retry_limit is not None else pipeline_cfg.get("retry_limit", 3),
             window=window if window is not None else pipeline_cfg.get("window", 64),
-            limit=limit,
             stages={s.strip() for s in stages.split(",") if s.strip()},
+            **selection,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -461,8 +479,6 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
     except EmptySelection as exc:
         _fail(str(exc))
     _echo_counts(report.counts)
-    for stage, latency in report.stage_latencies.items():
-        click.echo(f"mean {stage} latency: {latency:.3f} s")
     if report.households_csv:
         click.echo(
             f"households: {report.households_exported} people over "

@@ -263,19 +263,23 @@ def cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:
 
 
 class AppendFile:
-    """The writer's end of an append-only NDJSON file.
+    """A process's handles on an append-only NDJSON file: appends at its
+    end and reads of whole lines at byte offsets.
 
     The first append cuts a torn tail (``cut_torn_tail``). Each append is
     written and flushed before it returns, so a reader, or a kill just
-    after, sees the whole line. Inside ``with`` the handle is opened once
-    and kept until the block exits; outside, each append opens and closes
-    it.
+    after, sees the whole line. Reads use ``os.pread``, which shares no
+    position or buffer with the appends, so a read sees every flushed
+    append and never the stale bytes of a torn tail cut since. Inside
+    ``with`` each handle is opened once, at its first use, and kept until
+    the block exits; outside, each call opens and closes one.
     """
 
     def __init__(self, path: Path):
         self.path = path
         self._lock = threading.Lock()
         self._fh = None
+        self._reader = None
         self._held = False
         self._tail_cut = False
 
@@ -286,9 +290,13 @@ class AppendFile:
     def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._held = False
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            self._release()
+
+    def _release(self) -> None:
+        for handle in (self._fh, self._reader):
+            if handle is not None:
+                handle.close()
+        self._fh = self._reader = None
 
     def append(self, data: bytes) -> int:
         """Append ``data``, whole lines; returns the offset it starts at."""
@@ -304,9 +312,26 @@ class AppendFile:
                 self._fh.flush()
             finally:
                 if not self._held:
-                    self._fh.close()
-                    self._fh = None
+                    self._release()
             return offset
+
+    def read(self, offset: int) -> bytes:
+        """The line that starts at byte ``offset``, with its newline, or the
+        rest of the file if no newline follows; read 16 KiB at a time."""
+        with self._lock:
+            if self._reader is None:
+                self._reader = open(self.path, "rb", buffering=0)
+            try:
+                data = b""
+                while b"\n" not in data:
+                    more = os.pread(self._reader.fileno(), 1 << 14, offset + len(data))
+                    if not more:
+                        return data
+                    data += more
+                return data[: data.index(b"\n") + 1]
+            finally:
+                if not self._held:
+                    self._release()
 
 
 class TransitionLog:

@@ -23,8 +23,8 @@ written. So a resume folds only the registers it completes, and memory
 holds the largest register's payloads plus small per-record and
 per-register indexes, whatever the batch size.
 
-``run_batch`` opens one append handle on each of the task log, the result
-store and the memo, and closes them when it returns or raises.
+``run_batch`` holds the handles of the task log, the result store and the
+memo (``AppendFile``) open, and closes them when it returns or raises.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class ResultStore:
     line that holds each page's record, a later line winning over an
     earlier one for the same page. It covers every record on disk when the
     store opened plus this instance's own adds, which is what export reads.
-    ``file`` is the writer's handle; ``run_batch`` holds it open for the
-    whole run.
+    ``file`` holds its handles; ``run_batch`` holds them open for the whole
+    run.
     """
 
     def __init__(self, path: str | Path):
@@ -157,13 +157,7 @@ class ResultStore:
     def read(self, offsets: dict[int, int]) -> list[tuple[int, bytes]]:
         """``(offset, line)`` of the lines at ``offsets``' values, in key
         order: one register's records in sequence order."""
-        lines = []
-        with open(self.path, "rb") as fh:
-            for key in sorted(offsets):
-                offset = offsets[key]
-                fh.seek(offset)
-                lines.append((offset, fh.readline()))
-        return lines
+        return [(offsets[key], self.file.read(offsets[key])) for key in sorted(offsets)]
 
 
 # Pre-stage (download), process (classify, recognize) and post (integrate,
@@ -229,7 +223,6 @@ class RunConfig:
 class BatchReport:
     planned: int
     counts: dict[str, int]
-    stage_latencies: dict[str, float]
     failed_tasks: list[tuple[str, str, str]] = field(default_factory=list)
     households_csv: Optional[str] = None
     households_exported: int = 0
@@ -246,23 +239,6 @@ def state_counts(manifests: Iterable[TaskManifest]) -> dict[str, int]:
     for m in manifests:
         counts[m.state.value] += 1
     return counts
-
-
-def _mean_latencies(manifests: list[TaskManifest]) -> dict[str, float]:
-    spans = {
-        "prestage": (TaskState.PENDING, TaskState.STAGED),
-        "process": (TaskState.PROCESSING, TaskState.PROCESSED),
-        "integrate": (TaskState.PROCESSED, TaskState.INTEGRATED),
-    }
-    out = {}
-    for stage, (src, dst) in spans.items():
-        deltas = [
-            m.timestamps[dst.value] - m.timestamps[src.value]
-            for m in manifests
-            if dst.value in m.timestamps and src.value in m.timestamps
-        ]
-        out[stage] = sum(deltas) / len(deltas) if deltas else 0.0
-    return out
 
 
 def run_batch(config: RunConfig) -> BatchReport:
@@ -332,12 +308,8 @@ def run_batch(config: RunConfig) -> BatchReport:
         report = BatchReport(
             planned=len(manifests),
             counts=state_counts(manifests),
-            stage_latencies=_mean_latencies(manifests),
-            failed_tasks=[
-                (m.task_id, m.failure.stage if m.failure else "?", m.failure.reason if m.failure else "?")
-                for m in manifests
-                if m.state is TaskState.FAILED
-            ],
+            failed_tasks=[(m.task_id, m.failure.stage, m.failure.reason)
+                          for m in manifests if m.state is TaskState.FAILED],
         )
         if post:
             for stale in config.workspace.glob(f".{config.households_path.name}.*.tmp"):
@@ -480,7 +452,7 @@ class ExportMemo:
     fold every register again.
 
     Only a ``writable`` memo appends, and only ``run_batch`` opens one;
-    ``file`` is its handle, held open for the run.
+    ``file`` holds its handles, open for the whole run.
     """
 
     def __init__(self, store: ResultStore, writable: bool = False):
@@ -549,9 +521,7 @@ class ExportMemo:
         offset = self._offsets.get((register_id, digest))
         if offset is None:
             return None
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            line = fh.readline()
+        line = self.file.read(offset)
         try:
             record = json.loads(line)
             text, rows = record["csv"], record["rows"]
@@ -582,8 +552,8 @@ def export_batch(
     are built, so a page of many records does not warn again here: the
     decoder warned when it built the page. The CSV goes to a temporary file
     that replaces ``out_path`` only once it is whole, so an error or a kill
-    leaves any earlier CSV as it was. The memo is only read here; only
-    ``run_batch`` writes it.
+    leaves any earlier CSV as it was. The store and the memo are read
+    through one handle each, and only read: only ``run_batch`` writes them.
 
     Returns (registers exported, registers skipped, person rows written).
 
@@ -591,7 +561,9 @@ def export_batch(
         CorruptLine: if a record of a complete register is not a JSON
             object; the message names the register, file and byte offset.
     """
-    return _export(registry, ExportMemo(store), out_path)
+    memo = ExportMemo(store)
+    with store.file, memo.file:
+        return _export(registry, memo, out_path)
 
 
 def _export(registry: Registry, memo: ExportMemo, out_path: str | Path) -> tuple[int, int, int]:

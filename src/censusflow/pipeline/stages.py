@@ -53,6 +53,15 @@ class EmptySelection(ValueError):
     pass
 
 
+def _fail(manifest: TaskManifest, ctx: PipelineContext, stage: str, reason: str,
+          attempt: int = 1, attempts: Optional[dict[str, int]] = None) -> None:
+    """Advance a task to FAILED at ``stage``, recording ``attempts`` if
+    given, and log one warning naming the stage and the task."""
+    advance(manifest, TaskState.FAILED, ctx, attempts=attempts,
+            failure=FailureInfo(stage, reason, attempt))
+    logger.warning("%s failed for %s: %s", stage, manifest.task_id, reason)
+
+
 # ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
@@ -142,27 +151,18 @@ def run_stage_prestage(
             payload = fetch_image(endpoint, manifest.image.iiif_identifier, transport)
         except (FetchError, TransportFailure) as exc:
             return manifest, None, f"fetch failed: {exc}"
-        task_dir = staging / manifest.task_id
-        task_dir.mkdir(parents=True, exist_ok=True)
-        path = task_dir / "image.jpg"
+        path = staging / f"{manifest.task_id}.jpg"
         atomic_write_bytes(path, payload)
         return manifest, (result.image, str(path)), ""
 
     if not todo:
         return list(tasks)
+    staging.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
         outcomes = list(pool.map(work, todo))
     for manifest, staged, reason in outcomes:
         if staged is None:
-            attempt = manifest.attempts.get("prestage", 0) + 1
-            advance(
-                manifest,
-                TaskState.FAILED,
-                ctx,
-                attempts={**manifest.attempts, "prestage": attempt},
-                failure=FailureInfo("prestage", reason, attempt),
-            )
-            logger.warning("prestage failed for %s: %s", manifest.task_id, reason)
+            _fail(manifest, ctx, "prestage", reason, attempts={"prestage": 1})
         else:
             image, path = staged
             advance(manifest, TaskState.STAGED, ctx, image=image, staged_path=path)
@@ -310,7 +310,7 @@ def run_stage_process(
     def work(manifest: TaskManifest):
         staged = Path(manifest.staged_path) if manifest.staged_path else None
         if staged is None or not staged.exists():
-            return manifest, None, "missing_input", 0
+            return manifest, None, "missing_input", 1
         image_bytes = staged.read_bytes()
         attempts = 0
         while True:
@@ -347,27 +347,41 @@ def run_stage_process(
     finally:
         workers.transport = transport
     for manifest, result_path, reason, attempts in outcomes:
-        total = manifest.attempts.get("process", 0) + max(attempts, 1)
-        attempts_now = {**manifest.attempts, "process": total}
         if result_path is None:
-            advance(
-                manifest,
-                TaskState.FAILED,
-                ctx,
-                attempts=attempts_now,
-                failure=FailureInfo("process", reason, total),
-            )
-            logger.warning("process failed for %s: %s", manifest.task_id, reason)
+            _fail(manifest, ctx, "process", reason, attempts, attempts={"process": attempts})
         else:
-            advance(
-                manifest, TaskState.PROCESSED, ctx, attempts=attempts_now, result_path=result_path
-            )
+            advance(manifest, TaskState.PROCESSED, ctx, attempts={"process": attempts},
+                    result_path=result_path)
     return list(tasks)
 
 
 # ---------------------------------------------------------------------------
 # Integrate stage: validate and store exactly once
 # ---------------------------------------------------------------------------
+
+
+def _read_result(result_path: Optional[str]) -> tuple[str, dict]:
+    """The text of a result file and the payload it holds.
+
+    Raises:
+        ValueError: ``missing_result``, ``bad_result: <error>`` or
+            ``schema: <first three problems>``.
+    """
+    try:
+        if not result_path:
+            raise FileNotFoundError
+        text = Path(result_path).read_text(encoding="utf-8")
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"not a JSON object but a {type(payload).__name__}")
+    except FileNotFoundError:
+        raise ValueError("missing_result") from None
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"bad_result: {exc}") from None
+    problems = validate_payload(payload)
+    if problems:
+        raise ValueError("schema: " + "; ".join(problems[:3]))
+    return text, payload
 
 
 def run_stage_integrate(
@@ -385,38 +399,10 @@ def run_stage_integrate(
     object fails its task as ``bad_result``.
     """
     for manifest in [m for m in tasks if m.state is TaskState.PROCESSED]:
-        path = Path(manifest.result_path) if manifest.result_path else None
-        if path is None or not path.exists():
-            advance(
-                manifest,
-                TaskState.FAILED,
-                ctx,
-                failure=FailureInfo("integrate", "missing_result", 1),
-            )
-            continue
         try:
-            text = path.read_text(encoding="utf-8")
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError(f"not a JSON object but a {type(payload).__name__}")
-        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
-            advance(
-                manifest,
-                TaskState.FAILED,
-                ctx,
-                failure=FailureInfo("integrate", f"bad_result: {exc}", 1),
-            )
-            logger.warning("integrate rejected %s: bad result file: %s", manifest.task_id, exc)
-            continue
-        problems = validate_payload(payload)
-        if problems:
-            advance(
-                manifest,
-                TaskState.FAILED,
-                ctx,
-                failure=FailureInfo("integrate", "schema: " + "; ".join(problems[:3]), 1),
-            )
-            logger.warning("integrate rejected %s: %s", manifest.task_id, problems[:3])
+            text, payload = _read_result(manifest.result_path)
+        except ValueError as exc:
+            _fail(manifest, ctx, "integrate", str(exc))
             continue
         results_store.add(manifest.task_id, payload, text)
         advance(manifest, TaskState.INTEGRATED, ctx)

@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from censusflow.cli import main, parse_duration, parse_stage_spec
+from censusflow.cli import main, parse_duration, parse_scheduler_spec, parse_stage_spec
 from censusflow.domain import dumps_pages
 from censusflow.ingest import load_registry
 from censusflow.pipeline import ManifestStore, TaskState
@@ -46,6 +47,21 @@ class TestParsers:
     )
     def test_durations(self, text, expected):
         assert parse_duration(text) == expected
+
+    @pytest.mark.parametrize("spec, attribute, count", [
+        ("local", "workers", 4), ("local:n=2", "workers", 2), ("local:workers=3", "workers", 3),
+        ("simulated", "nodes", 1), ("simulated:nodes=2", "nodes", 2), ("simulated:n=3", "nodes", 3),
+    ])
+    def test_scheduler_spec(self, spec, attribute, count):
+        scheduler = parse_scheduler_spec(spec)
+        assert getattr(scheduler, attribute) == count
+        scheduler.shutdown()
+
+    @pytest.mark.parametrize("spec", ["local:threads=8", "local:n=2,nodes=2", "simulated:workers=2",
+                                      "local:n=0", "simulated:nodes=x", "slurm:n=2"])
+    def test_bad_scheduler_spec(self, spec):
+        with pytest.raises(click.BadParameter):
+            parse_scheduler_spec(spec)
 
 
 class TestSimulateCommand:
@@ -291,6 +307,39 @@ class TestPipelineCommands:
         would = int(dry.output.split("would plan ")[1].split()[0])
         planned = int(real.output.split("planned ")[1].split()[0])
         assert would == planned == len(ManifestStore(tmp_path / "ws").load_all())
+
+    def test_unknown_scheduler_option_is_a_usage_error(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        result = runner.invoke(
+            main,
+            ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus),
+             "--scheduler", "local:threads=8"],
+        )
+        assert result.exit_code == 2
+        assert "threads" in result.output
+        assert not (tmp_path / "ws").exists()
+
+    def test_run_with_the_selection_of_plan(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path, registers=3)
+        register = load_registry(corpus / "registry.ndjson").registers[0]
+        workspace = tmp_path / "ws"
+        select = ["--register-id", register.metadata.register_id]
+        plan = runner.invoke(
+            main,
+            ["plan", "--registry", str(corpus / "registry.ndjson"),
+             "--workspace", str(workspace)] + select,
+        )
+        assert plan.exit_code == 0, plan.output
+        run = runner.invoke(
+            main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)] + select
+        )
+        assert run.exit_code == 0, run.output
+        status = runner.invoke(main, ["status", "--workspace", str(workspace)])
+        assert status.exit_code == 0, status.output
+        assert f"tasks: {len(register.images)}\n" in status.output
+        assert f"INTEGRATED: {len(register.images)}\n" in status.output
+        manifests = ManifestStore(workspace).load_all()
+        assert {m.image.register for m in manifests} == {register.metadata}
 
     def test_plan_empty_selection(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)

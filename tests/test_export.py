@@ -7,11 +7,13 @@ sequence_index)`` and rebuilds every complete register at once. With
 match byte for byte, with or without an export memo left by a run.
 """
 
+import builtins
 import json
 import random
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -722,6 +724,30 @@ class TestMemoAcrossKill:
         report = run_batch(config(workspace))
         assert sorted(folded) == sorted(left)
         assert Path(report.households_csv).read_bytes() == Path(reference.households_csv).read_bytes()
+
+
+class TestExportHandles:
+    def test_each_file_is_opened_once_for_the_reads(self, tmp_path, monkeypatch):
+        """However many registers, an export opens the store and the memo
+        once each for the head pass and once each for its reads."""
+        rng = random.Random(5)
+        registry = make_registry([3] * 12)
+        path = tmp_path / "store.ndjson"
+        write_store(path, [stage_line(random_page(rng, image))
+                           for image in registry.iter_images()])
+        leave_memo(registry, path)
+        opened = Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[Path(file).name] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        exported, _, _ = export_batch(registry, ResultStore(path), tmp_path / "households.csv")
+        monkeypatch.undo()
+        assert exported == 12
+        assert (opened[path.name], opened[MEMO_NAME]) == (2, 2)
 
 
 class TestExportCommandReadsOnly:

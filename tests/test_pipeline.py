@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 import signal
 import subprocess
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 from censusflow.domain import PageClass
 from censusflow.fixtures import FixtureTransport, generate_corpus
-from censusflow.iiif import IiifEndpoint, IsolationViolation, NullTransport
+from censusflow.iiif import (
+    IiifEndpoint,
+    IsolationViolation,
+    NullTransport,
+    RetryPolicy,
+    TransportResponse,
+    full_image_url,
+)
 from censusflow.label_codec import SyntheticProfile
 from censusflow.pipeline import (
     ALLOWED_TRANSITIONS,
@@ -40,6 +48,7 @@ from censusflow.pipeline import (
     validate_payload,
 )
 from censusflow.pipeline.manifests import (
+    AppendFile,
     FailureInfo,
     TaskManifest,
     advance,
@@ -874,3 +883,151 @@ class TestRegistryFromManifests:
         image = corpus.registry.registers[0].images[0]
         assert task_id_for(image) == task_id_for(image)
         assert task_id_for(image).endswith("-p0000")
+
+
+class ImageGetFails:
+    """A transport whose full-image requests for one identifier answer 503."""
+
+    def __init__(self, inner, identifier):
+        self.inner = inner
+        self.identifier = identifier
+
+    def get(self, url, timeout_ms):
+        if url == full_image_url(ENDPOINT, self.identifier):
+            return TransportResponse(503, b"busy")
+        return self.inner.get(url, timeout_ms)
+
+
+# Every way one task fails: (stage, reason prefix, failure.attempt, attempts).
+FAILURES = {
+    "missing": ("prestage", "missing", 1, {"prestage": 1}),
+    "transport_error": ("prestage", "transport_error: injected transient failure", 1,
+                        {"prestage": 1}),
+    "fetch": ("prestage", "fetch failed: HTTP 503", 1, {"prestage": 1}),
+    "missing_input": ("process", "missing_input", 1, {"process": 1}),
+    "worker_error": ("process", "worker_error: cuda out of memory", 3, {"process": 3}),
+    "isolation": ("process", "isolation: ", 1, {"process": 1}),
+    "missing_result": ("integrate", "missing_result", 1, {"process": 1}),
+    "bad_result": ("integrate", "bad_result: Expecting value", 1, {"process": 1}),
+    "schema": ("integrate", "schema: transcript.records is not a list", 1, {"process": 1}),
+}
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("kind", sorted(FAILURES))
+    def test_one_task_fails_with_one_warning(self, tmp_path, corpus, caplog, kind):
+        """The task ends FAILED with its stage, reason and attempts, every
+        other task integrates, and exactly one warning names the stage and
+        the task."""
+        image = corpus.registry.registers[0].images[1]
+        identifier, victim = image.iiif_identifier, task_id_for(image)
+        victim_bytes = (corpus.root / "images" / f"{identifier}.json").read_bytes()
+        transport = transport_for(
+            corpus,
+            missing=[identifier] if kind == "missing" else [],
+            flaky={identifier: 9} if kind == "transport_error" else None,
+        )
+        if kind == "fetch":
+            transport = ImageGetFails(transport, identifier)
+        workers = mock_worker_set(seed=0)
+        mock = workers.classifier
+
+        class Classifier:
+            version = mock.version
+
+            def classify(self, image_bytes):
+                if image_bytes == victim_bytes and kind == "worker_error":
+                    raise RuntimeError("cuda out of memory")
+                if image_bytes == victim_bytes and kind == "isolation":
+                    workers.transport.get("https://a.example/exfiltrate", 1000)
+                return mock.classify(image_bytes)
+
+        workers.classifier = Classifier()
+
+        def damage(manifest):
+            if manifest.task_id != victim:
+                return
+            if manifest.state is TaskState.STAGED and kind == "missing_input":
+                Path(manifest.staged_path).unlink()
+            if manifest.state is not TaskState.PROCESSED:
+                return
+            path = Path(manifest.result_path)
+            if kind == "missing_result":
+                path.unlink()
+            elif kind == "bad_result":
+                path.write_text("", encoding="utf-8")
+            elif kind == "schema":
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                payload.update(page_class="LIST", transcript=[1])
+                path.write_text(json.dumps(payload), encoding="utf-8")
+
+        config = run_config(
+            tmp_path, corpus, transport=transport, workers=workers,
+            endpoint=IiifEndpoint(ENDPOINT.base_url, retry=RetryPolicy(base_backoff_ms=0)),
+            scheduler=SimulatedBatchScheduler(), on_transition=damage,
+        )
+        with caplog.at_level(logging.WARNING):
+            report = run_batch(config)
+
+        stage, prefix, attempt, attempts = FAILURES[kind]
+        ((task_id, _, reason),) = report.failed_tasks
+        assert report.counts["INTEGRATED"] == corpus.image_count - 1
+        (failed,) = [m for m in ManifestStore(config.workspace).load_all()
+                     if m.state is TaskState.FAILED]
+        assert (failed.task_id, failed.failure, failed.attempts) == (
+            victim, FailureInfo(stage, reason, attempt), attempts
+        )
+        assert reason.startswith(prefix)
+        warned = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warned == [f"{stage} failed for {victim}: {reason}"]
+
+
+class TestStaging:
+    def test_run_stages_into_one_flat_directory(self, tmp_path, corpus):
+        config = run_config(tmp_path, corpus)
+        report = run_batch(config)
+        assert report.counts["INTEGRATED"] == corpus.image_count
+        staged = sorted(config.staging_dir.iterdir())
+        assert [p.name for p in staged] == sorted(
+            f"{task_id_for(image)}.jpg" for image in corpus.registry.iter_images()
+        )
+        assert not any(p.is_dir() for p in staged)
+
+    def test_task_directories_of_an_older_workspace_still_process(self, tmp_path, corpus):
+        """A workspace staged as ``staging/<task_id>/image.jpg`` runs on:
+        the process stage reads the path its task's log records name."""
+        flat = run_config(tmp_path, corpus, workspace=tmp_path / "flat", stages={"pre"})
+        run_batch(flat)
+        config = run_config(tmp_path, corpus)
+        ctx = PipelineContext.at(config.workspace)
+        staged = {m.task_id: m for m in ManifestStore(flat.workspace).load_all()}
+        for manifest in plan_batch(corpus.registry, ctx):
+            old = config.staging_dir / manifest.task_id / "image.jpg"
+            old.parent.mkdir(parents=True)
+            shutil.copyfile(staged[manifest.task_id].staged_path, old)
+            advance(manifest, TaskState.STAGED, ctx, image=staged[manifest.task_id].image,
+                    staged_path=str(old))
+        report = run_batch(config)
+        assert report.counts["INTEGRATED"] == corpus.image_count
+        truth = (corpus.root / "truth" / "households.csv").read_bytes()
+        assert config.households_path.read_bytes() == truth
+
+
+class TestAppendFileReads:
+    def test_held_reads_see_a_line_written_over_a_cut_tail(self, tmp_path):
+        """A buffered read handle would still hold the torn tail's bytes."""
+        path = tmp_path / "log.ndjson"
+        path.write_bytes(b'{"a": 1}\n{"torn": ')
+        with AppendFile(path) as file:
+            assert file.read(0) == b'{"a": 1}\n'
+            offset = file.append(b'{"b": 2}\n')
+            assert (file.read(offset), file.read(0)) == (b'{"b": 2}\n', b'{"a": 1}\n')
+
+    def test_long_lines_and_a_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        long = b"x" * 40_000 + b"\n"
+        path.write_bytes(long + b"short\n" + b"torn")
+        file = AppendFile(path)
+        assert [file.read(offset) for offset in (0, len(long), len(long) + 6)] == [
+            long, b"short\n", b"torn"
+        ]
