@@ -22,18 +22,18 @@ from .pipeline import (
     EmptySelection,
     ExternalProcessWorker,
     LocalExecutor,
-    ManifestStore,
     PipelineContext,
     ResultStore,
     RunConfig,
     SimulatedBatchScheduler,
     TaskState,
+    TransitionLog,
     WorkerSet,
     export_batch,
     plan_batch,
     run_batch,
 )
-from .pipeline.runner import STAGES, registry_from_manifests, state_counts
+from .pipeline.runner import STAGES, STORE_NAME, registry_from_manifests, state_counts
 from .pipeline.stages import select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
 
@@ -465,19 +465,20 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    try:
+        images = len(select_images(registry, **selection))
+    except EmptySelection as exc:
+        _fail(str(exc))
 
     click.echo(
-        f"run: images={registry.image_count()} "
+        f"run: images={images} "
         f"stages={','.join(s for s in STAGES if s in run_config.stages)} "
         f"workers={worker_spec} scheduler={scheduler_spec} seed={config.seed}"
     )
     if dry_run:
         click.echo("dry run: nothing executed")
         return
-    try:
-        report = run_batch(run_config)
-    except EmptySelection as exc:
-        _fail(str(exc))
+    report = run_batch(run_config)
     _echo_counts(report.counts)
     if report.households_csv:
         click.echo(
@@ -495,7 +496,7 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
 @click.option("--workspace", "--batch", "workspace", required=True, type=click.Path(exists=True))
 def status_cmd(workspace):
     """Per-state task counts for a batch workspace."""
-    manifests = ManifestStore(workspace).load_all()
+    manifests = TransitionLog(workspace).load_all()
     click.echo(f"tasks: {len(manifests)}")
     _echo_counts(state_counts(manifests))
     for m in manifests:
@@ -512,8 +513,8 @@ def status_cmd(workspace):
 def export_cmd(workspace, households_path, pages_dir, dry_run):
     """Export merged households (and optionally transcripts) from results."""
     workspace = Path(workspace)
-    store = ResultStore(workspace / "results_store.ndjson")
-    manifests = ManifestStore(workspace).load_all()
+    store = ResultStore(workspace / STORE_NAME)
+    manifests = TransitionLog(workspace).load_all()
     if not manifests:
         _fail(f"no manifests under {workspace}")
     registry = registry_from_manifests(manifests)

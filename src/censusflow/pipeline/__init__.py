@@ -3,7 +3,8 @@
 Each image travels through three stages, mirroring a cluster whose compute
 nodes have no internet access:
 
-* pre-stage (connected): download image bytes and dimensions into staging;
+* pre-stage (connected): check each image and download its bytes into
+  staging;
 * process (isolated): classify the page and, for list pages, run the
   recognizer and decode its output;
 * integrate (connected): validate result payloads and append them to the
@@ -11,7 +12,8 @@ nodes have no internet access:
 
 Coordination state lives entirely in one append-only task log per
 workspace, whose fold gives every task's manifest; a torn last line left by
-a kill is dropped on open. That makes every step idempotent and crash
+a kill is dropped on open. A task's files follow from its id, so the log
+holds no paths and a workspace may move between runs. That makes every step idempotent and crash
 recovery a matter of re-running the batch.
 """
 

@@ -1,10 +1,12 @@
 """Task manifests: the unit of pipeline state and crash recovery.
 
 A manifest records one image's journey through the stages. All task state
-lives in one append-only NDJSON log, ``<workspace>/tasks.ndjson``: a task's
-first record holds its whole manifest, and each later record holds one
-transition (``task_id``, ``from``, ``to``, ``at``) plus only the fields that
-transition changed. The state of every task is the fold of its records. A
+lives in one append-only NDJSON log, ``<workspace>/tasks.ndjson``. Every
+record is one transition (``task_id``, ``from``, ``to``, ``at``): a task's
+first record, from None to PENDING, adds its ``image``, and a later one adds
+only the ``attempts`` or ``failure`` it sets. The log keeps nothing the task
+id or the registry fixes: a task's files in the workspace follow from its id
+(``PipelineContext``). The state of every task is the fold of its records. A
 kill in the middle of an append leaves a torn last line; readers skip it and
 the next writer cuts it off. The allowed state graph is
 
@@ -19,7 +21,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Optional
@@ -73,61 +75,17 @@ class TaskManifest:
     task_id: str
     image: ImageRef
     state: TaskState = TaskState.PENDING
-    staged_path: Optional[str] = None
-    result_path: Optional[str] = None
     timestamps: dict[str, float] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
     failure: Optional[FailureInfo] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "state": self.state.value,
-            "staged_path": self.staged_path,
-            "result_path": self.result_path,
-            "timestamps": self.timestamps,
-            "attempts": self.attempts,
-            "failure": None if self.failure is None else _failure_json(self.failure),
-            "image": _image_json(self.image),
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TaskManifest":
-        reg = data["image"]["register"]
-        metadata = RegisterMetadata(
-            census_year=reg["census_year"],
-            commune=GazetteerEntry(
-                code=reg["commune"]["code"],
-                canonical_name=reg["commune"]["canonical_name"],
-                department=reg["commune"]["department"],
-            ),
-            archival_id=reg["archival_id"],
-        )
-        image = ImageRef(
-            register=metadata,
-            iiif_identifier=data["image"]["identifier"],
-            sequence_index=data["image"]["sequence_index"],
-            verified=data["image"].get("verified", False),
-            width=data["image"].get("width"),
-            height=data["image"].get("height"),
-        )
-        failure = data.get("failure")
-        return cls(
-            task_id=data["task_id"],
-            image=image,
-            state=TaskState(data["state"]),
-            staged_path=data.get("staged_path"),
-            result_path=data.get("result_path"),
-            timestamps=dict(data.get("timestamps", {})),
-            attempts=dict(data.get("attempts", {})),
-            failure=None
-            if failure is None
-            else FailureInfo(failure["stage"], failure["reason"], failure.get("attempt", 1)),
-        )
-
-
-def _failure_json(failure: FailureInfo) -> dict:
-    return {"stage": failure.stage, "reason": failure.reason, "attempt": failure.attempt}
+def _image_from_json(data: dict) -> ImageRef:
+    """The image of a creation record (see ``_image_json``)."""
+    register, commune = data["register"], data["register"]["commune"]
+    commune = GazetteerEntry(commune["code"], commune["canonical_name"], commune["department"])
+    metadata = RegisterMetadata(register["census_year"], commune, register["archival_id"])
+    return ImageRef(metadata, data["identifier"], data["sequence_index"])
 
 
 def _image_json(image: ImageRef) -> dict:
@@ -135,9 +93,6 @@ def _image_json(image: ImageRef) -> dict:
     return {
         "identifier": image.iiif_identifier,
         "sequence_index": image.sequence_index,
-        "verified": image.verified,
-        "width": image.width,
-        "height": image.height,
         "register": {
             "census_year": register.census_year,
             "archival_id": register.archival_id,
@@ -299,10 +254,12 @@ class AppendFile:
         self._fh = self._reader = None
 
     def append(self, data: bytes) -> int:
-        """Append ``data``, whole lines; returns the offset it starts at."""
+        """Append ``data``, whole lines; returns the offset it starts at.
+        The first append creates the file's directory."""
         with self._lock:
             if self._fh is None:
                 if not self._tail_cut:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
                     cut_torn_tail(self.path)
                     self._tail_cut = True
                 self._fh = open(self.path, "ab")
@@ -339,13 +296,13 @@ class TransitionLog:
 
     One process at a time may write to a workspace: its first append cuts a
     torn tail, which would cut a record another writer is still appending.
-    Readers (``replay``, ``load_all``) never write. ``file`` is the writer's
+    Readers (``replay``, ``load_all``) never write, and opening a log creates
+    nothing: the first append creates the workspace. ``file`` is the writer's
     handle; ``run_batch`` holds it open for the whole run.
     """
 
     def __init__(self, root: str | Path):
         self.path = Path(root) / "tasks.ndjson"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.file = AppendFile(self.path)
 
     def append(self, record: dict) -> None:
@@ -359,25 +316,44 @@ class TransitionLog:
         return read_ndjson(self.path)
 
     def load_all(self) -> list[TaskManifest]:
-        """The current manifest of every task in the log, by task id."""
-        tasks: dict[str, dict] = {}
+        """The current manifest of every task in the log, by task id.
+
+        The fold reads only ``image`` from a task's first record and
+        ``attempts`` and ``failure`` from later ones, and ignores any other
+        key, such as the paths that logs of earlier versions recorded.
+        """
+        tasks: dict[str, TaskManifest] = {}
         for record in self.replay():
-            data = tasks.setdefault(record["task_id"], {})
-            data.update(record)
-            data["state"] = record["to"]
-            data["timestamps"][record["to"]] = record["at"]
-        manifests = [TaskManifest.from_json_dict(data) for data in tasks.values()]
-        manifests.sort(key=lambda m: m.task_id)
-        return manifests
+            task_id = record["task_id"]
+            manifest = tasks.get(task_id)
+            if manifest is None:
+                manifest = tasks[task_id] = TaskManifest(task_id, _image_from_json(record["image"]))
+            manifest.state = TaskState(record["to"])
+            manifest.timestamps[record["to"]] = record["at"]
+            if record.get("attempts") is not None:
+                manifest.attempts = record["attempts"]
+            failure = record.get("failure")
+            if failure is not None:
+                manifest.failure = FailureInfo(
+                    failure["stage"], failure["reason"], failure.get("attempt", 1)
+                )
+        return sorted(tasks.values(), key=lambda m: m.task_id)
 
 
-#: The log is the only manifest store; this name keeps the read API.
+#: The log is the only manifest store. ``bench/`` still imports the log by
+#: this name, so it stays until the benchmark says ``TransitionLog``.
 ManifestStore = TransitionLog
 
 
 @dataclass
 class PipelineContext:
-    """Shared plumbing handed to every stage.
+    """Shared plumbing handed to every stage, and the workspace layout.
+
+    The workspace is the log's directory. The pre-stage writes a task's
+    image to ``staging/<task_id>.jpg`` in it and the process stage its
+    result to ``results/<task_id>.json``. Both paths follow from the task id
+    alone, so the log does not record them, and a workspace may be moved or
+    used from any working directory between stages.
 
     ``on_transition`` is a test hook invoked after each persisted transition;
     raising from it simulates a crash at that point.
@@ -391,15 +367,26 @@ class PipelineContext:
     def at(cls, root: str | Path, **kwargs) -> "PipelineContext":
         return cls(log=TransitionLog(root), **kwargs)
 
+    @property
+    def staging_dir(self) -> Path:
+        return self.log.path.parent / "staging"
+
+    @property
+    def results_dir(self) -> Path:
+        return self.log.path.parent / "results"
+
+    def staged_file(self, task_id: str) -> Path:
+        return self.staging_dir / f"{task_id}.jpg"
+
+    def result_file(self, task_id: str) -> Path:
+        return self.results_dir / f"{task_id}.json"
+
 
 def advance(
     manifest: TaskManifest,
     new_state: TaskState,
     ctx: PipelineContext,
     *,
-    image: Optional[ImageRef] = None,
-    staged_path: Optional[str] = None,
-    result_path: Optional[str] = None,
     attempts: Optional[dict[str, int]] = None,
     failure: Optional[FailureInfo] = None,
 ) -> TaskManifest:
@@ -412,18 +399,11 @@ def advance(
         at = max(at, max(manifest.timestamps.values()))
     record = {"task_id": manifest.task_id, "from": manifest.state.value,
               "to": new_state.value, "at": at}
-    if image is not None:
-        manifest.image = image
-        record["image"] = _image_json(image)
-    if staged_path is not None:
-        manifest.staged_path = record["staged_path"] = staged_path
-    if result_path is not None:
-        manifest.result_path = record["result_path"] = result_path
     if attempts is not None:
         manifest.attempts = record["attempts"] = attempts
     if failure is not None:
         manifest.failure = failure
-        record["failure"] = _failure_json(failure)
+        record["failure"] = asdict(failure)
     manifest.state = new_state
     manifest.timestamps[new_state.value] = at
     ctx.log.append(record)
@@ -433,7 +413,9 @@ def advance(
 
 
 def register_new(manifest: TaskManifest, ctx: PipelineContext) -> TaskManifest:
-    """Persist a freshly planned manifest (creation edge, not a transition)."""
+    """Persist a freshly planned manifest (creation edge, not a transition):
+    the record holds its image, for export to rebuild the registry from."""
     at = manifest.timestamps.setdefault(TaskState.PENDING.value, ctx.clock())
-    ctx.log.append({**manifest.to_json_dict(), "from": None, "to": manifest.state.value, "at": at})
+    ctx.log.append({"task_id": manifest.task_id, "from": None, "to": manifest.state.value,
+                    "at": at, "image": _image_json(manifest.image)})
     return manifest

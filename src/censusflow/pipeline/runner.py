@@ -116,7 +116,6 @@ class ResultStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._keys: set[str] = set()
         self.pages: dict[str, dict[int, int]] = {}
@@ -160,6 +159,9 @@ class ResultStore:
         return [(offsets[key], self.file.read(offsets[key])) for key in sorted(offsets)]
 
 
+# The result store's file in a workspace.
+STORE_NAME = "results_store.ndjson"
+
 # Pre-stage (download), process (classify, recognize) and post (integrate,
 # export), in pipeline order.
 STAGES = ("pre", "proc", "post")
@@ -167,7 +169,8 @@ STAGES = ("pre", "proc", "post")
 
 @dataclass
 class RunConfig:
-    """Everything run_batch needs; directories default under ``workspace``.
+    """Everything run_batch needs; its files live under ``workspace`` (see
+    ``PipelineContext`` for the staged images and the result files).
 
     ``stages`` names the stages to run, a non-empty subset of ``STAGES``, so
     the connected and isolated stages can run as separate jobs.
@@ -203,16 +206,8 @@ class RunConfig:
             raise ValueError(f"unknown stages: {sorted(self.stages - set(STAGES))}")
 
     @property
-    def staging_dir(self) -> Path:
-        return self.workspace / "staging"
-
-    @property
-    def results_dir(self) -> Path:
-        return self.workspace / "results"
-
-    @property
     def store_path(self) -> Path:
-        return self.workspace / "results_store.ndjson"
+        return self.workspace / STORE_NAME
 
     @property
     def households_path(self) -> Path:
@@ -288,7 +283,6 @@ def run_batch(config: RunConfig) -> BatchReport:
                     ctx,
                     endpoint=config.endpoint,
                     transport=config.transport,
-                    staging_dir=config.staging_dir,
                     concurrency=config.prestage_concurrency,
                 )
             if "proc" in config.stages:
@@ -297,7 +291,6 @@ def run_batch(config: RunConfig) -> BatchReport:
                     ctx,
                     workers=config.workers,
                     scheduler=config.scheduler,
-                    results_dir=config.results_dir,
                     retry_limit=config.retry_limit,
                 )
             if post:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import Optional, Sequence
 
 from ..domain import EntityTag, PageClass, PageTranscript, PersonRecord, validate_record
@@ -132,46 +131,50 @@ def run_stage_prestage(
     *,
     endpoint: IiifEndpoint,
     transport: Transport,
-    staging_dir: str | Path,
     concurrency: int = 14,
 ) -> list[TaskManifest]:
-    """Fetch image bytes and dimensions for PENDING tasks into staging.
+    """Check each PENDING task's image (``check_integrity``) and fetch its
+    bytes to ``ctx.staged_file(task_id)``.
 
     Tasks move to STAGED on success or FAILED(prestage) otherwise; tasks in
     any other state are untouched.
     """
-    staging = Path(staging_dir)
     todo = [m for m in tasks if m.state is TaskState.PENDING]
 
     def work(manifest: TaskManifest):
         result = check_integrity(endpoint, manifest.image, transport)
         if result.status is not IntegrityStatus.OK:
-            return manifest, None, f"{result.status.value.lower()}: {result.detail}".rstrip(": ")
+            return manifest, f"{result.status.value.lower()}: {result.detail}".rstrip(": ")
         try:
             payload = fetch_image(endpoint, manifest.image.iiif_identifier, transport)
         except (FetchError, TransportFailure) as exc:
-            return manifest, None, f"fetch failed: {exc}"
-        path = staging / f"{manifest.task_id}.jpg"
-        atomic_write_bytes(path, payload)
-        return manifest, (result.image, str(path)), ""
+            return manifest, f"fetch failed: {exc}"
+        atomic_write_bytes(ctx.staged_file(manifest.task_id), payload)
+        return manifest, ""
 
     if not todo:
         return list(tasks)
-    staging.mkdir(parents=True, exist_ok=True)
+    ctx.staging_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
         outcomes = list(pool.map(work, todo))
-    for manifest, staged, reason in outcomes:
-        if staged is None:
+    for manifest, reason in outcomes:
+        if reason:
             _fail(manifest, ctx, "prestage", reason, attempts={"prestage": 1})
         else:
-            image, path = staged
-            advance(manifest, TaskState.STAGED, ctx, image=image, staged_path=path)
+            advance(manifest, TaskState.STAGED, ctx)
     return list(tasks)
 
 
 # ---------------------------------------------------------------------------
 # Process stage: classify + recognize on (possibly isolated) compute
 # ---------------------------------------------------------------------------
+
+
+def _task_keys(manifest: TaskManifest) -> dict:
+    """The payload keys that name a task and its image."""
+    image = manifest.image
+    return {"task_id": manifest.task_id, "register_id": image.register.register_id,
+            "page_id": image.iiif_identifier, "sequence_index": image.sequence_index}
 
 
 def build_payload(
@@ -182,10 +185,7 @@ def build_payload(
     versions: dict[str, str],
 ) -> dict:
     payload = {
-        "task_id": manifest.task_id,
-        "register_id": manifest.image.register.register_id,
-        "page_id": manifest.image.iiif_identifier,
-        "sequence_index": manifest.image.sequence_index,
+        **_task_keys(manifest),
         "page_class": page_class.name,
         "transcript": None,
         "warnings": [{"position": w.position, "kind": w.kind.value} for w in warnings],
@@ -286,10 +286,10 @@ def run_stage_process(
     *,
     workers: WorkerSet,
     scheduler: SchedulerAdapter,
-    results_dir: str | Path,
     retry_limit: int = 3,
 ) -> list[TaskManifest]:
-    """Classify STAGED pages and recognize list pages, writing result JSON.
+    """Classify STAGED pages and recognize list pages, writing each result
+    to ``ctx.result_file(task_id)``.
 
     Non-list pages skip the recognizer and yield a payload without a
     transcript. Worker crashes retry up to ``retry_limit`` times before the
@@ -297,21 +297,20 @@ def run_stage_process(
     scheduler the workers get a null transport, so any network call from
     worker code raises IsolationViolation and fails the task.
     """
-    results = Path(results_dir)
-    results.mkdir(parents=True, exist_ok=True)
     todo = [m for m in tasks if m.state in (TaskState.STAGED, TaskState.PROCESSING)]
     if not todo:
         return list(tasks)
+    ctx.results_dir.mkdir(parents=True, exist_ok=True)
 
     for manifest in todo:
         if manifest.state is TaskState.STAGED:
             advance(manifest, TaskState.PROCESSING, ctx)
 
     def work(manifest: TaskManifest):
-        staged = Path(manifest.staged_path) if manifest.staged_path else None
-        if staged is None or not staged.exists():
-            return manifest, None, "missing_input", 1
-        image_bytes = staged.read_bytes()
+        try:
+            image_bytes = ctx.staged_file(manifest.task_id).read_bytes()
+        except FileNotFoundError:
+            return manifest, "missing_input", 1
         attempts = 0
         while True:
             attempts += 1
@@ -331,13 +330,13 @@ def run_stage_process(
                     payload = build_payload(manifest, page_class, None, (), workers.versions)
                 break
             except IsolationViolation as exc:
-                return manifest, None, f"isolation: {exc}", attempts
+                return manifest, f"isolation: {exc}", attempts
             except Exception as exc:  # worker crash: retryable
                 if attempts >= retry_limit:
-                    return manifest, None, f"worker_error: {exc}", attempts
-        path = results / f"{manifest.task_id}.json"
-        atomic_write_bytes(path, json.dumps(payload, sort_keys=True, ensure_ascii=False).encode())
-        return manifest, str(path), "", attempts
+                    return manifest, f"worker_error: {exc}", attempts
+        text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+        atomic_write_bytes(ctx.result_file(manifest.task_id), text.encode())
+        return manifest, "", attempts
 
     transport = workers.transport
     if scheduler.isolated_compute:
@@ -346,12 +345,11 @@ def run_stage_process(
         outcomes = scheduler.run("process", todo, work)
     finally:
         workers.transport = transport
-    for manifest, result_path, reason, attempts in outcomes:
-        if result_path is None:
+    for manifest, reason, attempts in outcomes:
+        if reason:
             _fail(manifest, ctx, "process", reason, attempts, attempts={"process": attempts})
         else:
-            advance(manifest, TaskState.PROCESSED, ctx, attempts={"process": attempts},
-                    result_path=result_path)
+            advance(manifest, TaskState.PROCESSED, ctx, attempts={"process": attempts})
     return list(tasks)
 
 
@@ -360,17 +358,16 @@ def run_stage_process(
 # ---------------------------------------------------------------------------
 
 
-def _read_result(result_path: Optional[str]) -> tuple[str, dict]:
-    """The text of a result file and the payload it holds.
+def _read_result(manifest: TaskManifest, ctx: PipelineContext) -> tuple[str, dict]:
+    """The text of a task's result file and the payload it holds.
 
     Raises:
         ValueError: ``missing_result``, ``bad_result: <error>`` or
-            ``schema: <first three problems>``.
+            ``schema: <first three problems>``, a payload that names
+            another task, register, page or sequence index among them.
     """
     try:
-        if not result_path:
-            raise FileNotFoundError
-        text = Path(result_path).read_text(encoding="utf-8")
+        text = ctx.result_file(manifest.task_id).read_text(encoding="utf-8")
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError(f"not a JSON object but a {type(payload).__name__}")
@@ -379,6 +376,9 @@ def _read_result(result_path: Optional[str]) -> tuple[str, dict]:
     except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"bad_result: {exc}") from None
     problems = validate_payload(payload)
+    for key, value in _task_keys(manifest).items():
+        if key in payload and payload[key] != value:
+            problems.append(f"{key} {payload[key]!r} is not the task's {value!r}")
     if problems:
         raise ValueError("schema: " + "; ".join(problems[:3]))
     return text, payload
@@ -396,11 +396,14 @@ def run_stage_integrate(
     crash between append and manifest update cannot duplicate a record.
     The store receives the result file's text as read, so a payload is
     encoded once, by the process stage. A result file that is not a JSON
-    object fails its task as ``bad_result``.
+    object fails its task as ``bad_result``, and one whose payload names
+    another task (its ``task_id``, ``register_id``, ``page_id`` or
+    ``sequence_index``) as ``schema``: the file is found by task id alone,
+    so its content must agree with that id.
     """
     for manifest in [m for m in tasks if m.state is TaskState.PROCESSED]:
         try:
-            text, payload = _read_result(manifest.result_path)
+            text, payload = _read_result(manifest, ctx)
         except ValueError as exc:
             _fail(manifest, ctx, "integrate", str(exc))
             continue

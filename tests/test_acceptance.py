@@ -46,12 +46,12 @@ from censusflow.metrics import (
 )
 from censusflow.pipeline import (
     LocalExecutor,
-    ManifestStore,
     MockRecognizer,
     NoiseSpec,
     RunConfig,
     SimulatedBatchScheduler,
     TaskState,
+    TransitionLog,
     WorkerSet,
     mock_worker_set,
     run_batch,
@@ -261,7 +261,7 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
             pass
 
         reference_states = {
-            m.task_id: m.state for m in ManifestStore(tmp_path / "ws").load_all()
+            m.task_id: m.state for m in TransitionLog(tmp_path / "ws").load_all()
         }
         seen = 0
 
@@ -276,7 +276,7 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
             run_batch(config_for(interrupted_ws, on_transition=bomb))
         resumed_report = run_batch(config_for(interrupted_ws))
         resumed_states = {
-            m.task_id: m.state for m in ManifestStore(interrupted_ws).load_all()
+            m.task_id: m.state for m in TransitionLog(interrupted_ws).load_all()
         }
         assert resumed_states == reference_states
         resumed_households = Path(resumed_report.households_csv).read_text(encoding="utf-8")
@@ -293,8 +293,7 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         run_stage_prestage(
             manifests, ctx,
             endpoint=IiifEndpoint("https://fixture.local/iiif"),
-            transport=FixtureTransport(corpus.root),
-            staging_dir=iso_ws / "staging", concurrency=2,
+            transport=FixtureTransport(corpus.root), concurrency=2,
         )
 
         class RogueClassifier:
@@ -313,7 +312,6 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         run_stage_process(
             manifests, ctx, workers=workers,
             scheduler=SimulatedBatchScheduler(nodes=2),
-            results_dir=iso_ws / "results",
         )
         assert all(m.state is TaskState.FAILED for m in manifests)
         assert all("isolation" in m.failure.reason for m in manifests)

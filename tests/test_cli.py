@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from censusflow.cli import main, parse_duration, parse_scheduler_spec, parse_stage_spec
 from censusflow.domain import dumps_pages
 from censusflow.ingest import load_registry
-from censusflow.pipeline import ManifestStore, TaskState
+from censusflow.pipeline import TaskState, TransitionLog
 from censusflow.pipeline.stages import payload_transcript
 
 
@@ -224,7 +224,7 @@ class TestPipelineCommands:
              "--stages", "pre", "--window", "3"],
         )
         assert result.exit_code == 0, result.output
-        states = [m.state for m in ManifestStore(workspace).load_all()]
+        states = [m.state for m in TransitionLog(workspace).load_all()]
         assert states and set(states) == {TaskState.STAGED}
         assert not (workspace / "households.csv").exists()
         assert "households:" not in result.output
@@ -306,7 +306,7 @@ class TestPipelineCommands:
         assert real.exit_code == 0, real.output
         would = int(dry.output.split("would plan ")[1].split()[0])
         planned = int(real.output.split("planned ")[1].split()[0])
-        assert would == planned == len(ManifestStore(tmp_path / "ws").load_all())
+        assert would == planned == len(TransitionLog(tmp_path / "ws").load_all())
 
     def test_unknown_scheduler_option_is_a_usage_error(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
@@ -338,7 +338,7 @@ class TestPipelineCommands:
         assert status.exit_code == 0, status.output
         assert f"tasks: {len(register.images)}\n" in status.output
         assert f"INTEGRATED: {len(register.images)}\n" in status.output
-        manifests = ManifestStore(workspace).load_all()
+        manifests = TransitionLog(workspace).load_all()
         assert {m.image.register for m in manifests} == {register.metadata}
 
     def test_plan_empty_selection(self, runner, tmp_path):
@@ -349,6 +349,44 @@ class TestPipelineCommands:
              "--workspace", str(tmp_path / "ws"), "--year", "1916"],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["real", "dry-run"])
+    def test_empty_selection_exits_one_and_creates_nothing(self, runner, tmp_path, command,
+                                                           dry_run):
+        corpus = make_corpus(runner, tmp_path)
+        source = (["--registry", str(corpus / "registry.ndjson")] if command == "plan"
+                  else ["--fixture", str(corpus)])
+        before = snapshot(tmp_path)
+        result = runner.invoke(
+            main,
+            [command, "--workspace", str(tmp_path / "ws"), "--register-id", "bogus"]
+            + source + dry_run,
+        )
+        assert result.exit_code == 1
+        assert "error: no images match the given filter" in result.output
+        assert snapshot(tmp_path) == before
+
+    def test_split_stages_from_different_directories(self, runner, tmp_path, monkeypatch):
+        """``pre`` from one directory, ``proc,post`` from another through a
+        different relative path to the same workspace."""
+        corpus = make_corpus(runner, tmp_path)
+        (tmp_path / "demo").mkdir()
+        for cwd, workspace, stages in ((tmp_path, "demo/ws2", "pre"),
+                                       (tmp_path / "demo", "ws2", "proc,post")):
+            monkeypatch.chdir(cwd)
+            result = runner.invoke(
+                main,
+                ["run", "--workspace", workspace, "--fixture", str(corpus), "--stages", stages],
+            )
+            assert result.exit_code == 0, result.output
+        status = runner.invoke(main, ["status", "--workspace", "ws2"])
+        assert status.exit_code == 0, status.output
+        assert "FAILED" not in status.output
+        states = {m.state for m in TransitionLog(tmp_path / "demo" / "ws2").load_all()}
+        assert states == {TaskState.INTEGRATED}
+        truth = (corpus / "truth" / "households.csv").read_bytes()
+        assert (tmp_path / "demo" / "ws2" / "households.csv").read_bytes() == truth
 
 
 class TestCheckImages:

@@ -28,7 +28,6 @@ from censusflow.pipeline import (
     ExternalProcessWorker,
     IllegalTransition,
     LocalExecutor,
-    ManifestStore,
     MockClassifier,
     MockRecognizer,
     PipelineContext,
@@ -50,7 +49,6 @@ from censusflow.pipeline import (
 from censusflow.pipeline.manifests import (
     AppendFile,
     FailureInfo,
-    TaskManifest,
     advance,
     atomic_write_bytes,
 )
@@ -109,14 +107,14 @@ class TestStateMachine:
             assert TaskState.FAILED in ALLOWED_TRANSITIONS[state]
 
     def test_manifest_json_roundtrip(self, corpus, ctx):
-        manifests = plan_batch(corpus.registry, ctx)
-        manifest = manifests[0]
-        manifest.attempts["process"] = 2
-        manifest.failure = FailureInfo("process", "worker_error: x", 2)
-        clone = TaskManifest.from_json_dict(manifest.to_json_dict())
-        assert clone.task_id == manifest.task_id
-        assert clone.image == manifest.image
-        assert clone.failure == manifest.failure
+        """A manifest persisted through the log folds back equal."""
+        manifest = plan_batch(corpus.registry, ctx)[0]
+        advance(manifest, TaskState.STAGED, ctx)
+        advance(manifest, TaskState.PROCESSING, ctx)
+        advance(manifest, TaskState.FAILED, ctx, attempts={"process": 2},
+                failure=FailureInfo("process", "worker_error: x", 2))
+        (clone,) = [m for m in ctx.log.load_all() if m.task_id == manifest.task_id]
+        assert clone == manifest
 
 
 class TestPlanBatch:
@@ -155,12 +153,12 @@ class TestPrestage:
         manifests = plan_batch(corpus.registry, ctx)
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
-            staging_dir=tmp_path / "ws" / "staging", concurrency=4,
+            concurrency=4,
         )
         assert all(m.state is TaskState.STAGED for m in manifests)
         for m in manifests:
-            assert Path(m.staged_path).exists()
-            assert m.image.verified and m.image.width > 0
+            assert ctx.staged_file(m.task_id) == tmp_path / "ws" / "staging" / f"{m.task_id}.jpg"
+            assert ctx.staged_file(m.task_id).exists()
 
     def test_missing_image_fails_task(self, tmp_path, corpus, ctx):
         manifests = plan_batch(corpus.registry, ctx)
@@ -168,7 +166,7 @@ class TestPrestage:
         transport = transport_for(corpus, missing=[victim])
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            staging_dir=tmp_path / "ws" / "staging", concurrency=4,
+            concurrency=4,
         )
         states = {m.task_id: m.state for m in manifests}
         failed = [m for m in manifests if m.state is TaskState.FAILED]
@@ -184,7 +182,7 @@ class TestPrestage:
         transport = transport_for(corpus, flaky={victim: 2})
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            staging_dir=tmp_path / "ws" / "staging", concurrency=1,
+            concurrency=1,
         )
         assert manifests[0].state is TaskState.STAGED
 
@@ -193,12 +191,10 @@ class TestPrestage:
         transport = transport_for(corpus)
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            staging_dir=tmp_path / "ws" / "staging",
         )
         calls_before = transport.calls
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            staging_dir=tmp_path / "ws" / "staging",
         )
         assert transport.calls == calls_before
 
@@ -207,7 +203,7 @@ def staged_manifests(tmp_path, corpus, ctx):
     manifests = plan_batch(corpus.registry, ctx)
     run_stage_prestage(
         manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
-        staging_dir=tmp_path / "ws" / "staging", concurrency=4,
+        concurrency=4,
     )
     return manifests
 
@@ -217,21 +213,19 @@ class TestProcess:
         manifests = staged_manifests(tmp_path, corpus, ctx)
         run_stage_process(
             manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(4),
-            results_dir=tmp_path / "ws" / "results",
         )
         assert all(m.state is TaskState.PROCESSED for m in manifests)
         recap = next(
             m for m in manifests
-            if json.loads(Path(m.result_path).read_text())["page_class"] == "RECAP"
+            if json.loads(ctx.result_file(m.task_id).read_text())["page_class"] == "RECAP"
         )
-        payload = json.loads(Path(recap.result_path).read_text())
+        payload = json.loads(ctx.result_file(recap.task_id).read_text())
         assert payload["transcript"] is None
 
     def test_zero_noise_matches_fixture_truth(self, tmp_path, corpus, ctx):
         manifests = staged_manifests(tmp_path, corpus, ctx)
         run_stage_process(
             manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(4),
-            results_dir=tmp_path / "ws" / "results",
         )
         synth = corpus.registers[0]
         for page in synth.document.pages:
@@ -240,7 +234,7 @@ class TestProcess:
             manifest = next(
                 m for m in manifests if m.image.iiif_identifier == page.page_id
             )
-            payload = json.loads(Path(manifest.result_path).read_text())
+            payload = json.loads(ctx.result_file(manifest.task_id).read_text())
             got = [
                 {item["tag"]: item["text"] for item in record["fields"]}
                 for record in payload["transcript"]["records"]
@@ -253,10 +247,9 @@ class TestProcess:
 
     def test_missing_staged_file_fails(self, tmp_path, corpus, ctx):
         manifests = staged_manifests(tmp_path, corpus, ctx)
-        Path(manifests[0].staged_path).unlink()
+        ctx.staged_file(manifests[0].task_id).unlink()
         run_stage_process(
             manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(2),
-            results_dir=tmp_path / "ws" / "results",
         )
         assert manifests[0].state is TaskState.FAILED
         assert manifests[0].failure.reason == "missing_input"
@@ -275,7 +268,7 @@ class TestProcess:
         workers = WorkerSet(CrashingClassifier(), MockRecognizer())
         run_stage_process(
             manifests, ctx, workers=workers, scheduler=LocalExecutor(1),
-            results_dir=tmp_path / "ws" / "results", retry_limit=3,
+            retry_limit=3,
         )
         assert all(m.state is TaskState.FAILED for m in manifests)
         first = manifests[0]
@@ -288,7 +281,6 @@ class TestProcess:
         run_stage_process(
             manifests, ctx, workers=mock_worker_set(),
             scheduler=SimulatedBatchScheduler(nodes=2),
-            results_dir=tmp_path / "ws" / "results",
         )
         assert all(m.state is TaskState.PROCESSED for m in manifests)
 
@@ -313,7 +305,6 @@ class TestIsolation:
         workers.classifier = RogueClassifier(workers)
         run_stage_process(
             manifests, ctx, workers=workers, scheduler=SimulatedBatchScheduler(nodes=2),
-            results_dir=tmp_path / "ws" / "results",
         )
         assert all(m.state is TaskState.FAILED for m in manifests)
         assert all("isolation" in m.failure.reason for m in manifests)
@@ -341,7 +332,6 @@ class TestIsolation:
         workers.classifier = PhoneHomeClassifier(workers, workers.transport)
         run_stage_process(
             manifests, ctx, workers=workers, scheduler=LocalExecutor(1),
-            results_dir=tmp_path / "ws" / "results",
         )
         assert all(m.state is TaskState.PROCESSED for m in manifests)
 
@@ -360,7 +350,6 @@ class TestIsolation:
         workers = WorkerSet(SpyClassifier(), MockRecognizer(), transport=caller_transport)
         run_stage_process(
             manifests, ctx, workers=workers, scheduler=SimulatedBatchScheduler(nodes=2),
-            results_dir=tmp_path / "ws" / "results",
         )
         assert len(seen) == len(manifests)
         assert all(isinstance(t, NullTransport) for t in seen)
@@ -376,7 +365,6 @@ class TestIntegrate:
         manifests = staged_manifests(tmp_path, corpus, ctx)
         run_stage_process(
             manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(4),
-            results_dir=tmp_path / "ws" / "results",
         )
         return manifests
 
@@ -402,11 +390,11 @@ class TestIntegrate:
         manifests = self.make_processed(tmp_path, corpus, ctx)
         victim = next(
             m for m in manifests
-            if json.loads(Path(m.result_path).read_text())["page_class"] == "TOTALS"
+            if json.loads(ctx.result_file(m.task_id).read_text())["page_class"] == "TOTALS"
         )
-        payload = json.loads(Path(victim.result_path).read_text())
+        payload = json.loads(ctx.result_file(victim.task_id).read_text())
         payload["transcript"] = {"records": []}  # transcript on a TOTALS page
-        Path(victim.result_path).write_text(json.dumps(payload))
+        ctx.result_file(victim.task_id).write_text(json.dumps(payload))
         store = ResultStore(tmp_path / "ws" / "results_store.ndjson")
         run_stage_integrate(manifests, ctx, results_store=store)
         assert victim.state is TaskState.FAILED
@@ -419,9 +407,9 @@ class TestIntegrate:
         manifests = self.make_processed(tmp_path, corpus, ctx)
         texts = []
         for m in manifests:
-            payload = json.loads(Path(m.result_path).read_text(encoding="utf-8"))
+            payload = json.loads(ctx.result_file(m.task_id).read_text(encoding="utf-8"))
             texts.append(json.dumps(dict(reversed(payload.items())), ensure_ascii=True))
-            Path(m.result_path).write_text(texts[-1], encoding="utf-8")
+            ctx.result_file(m.task_id).write_text(texts[-1], encoding="utf-8")
         store = ResultStore(tmp_path / "ws" / "results_store.ndjson")
         run_stage_integrate(manifests, ctx, results_store=store)
         assert store.path.read_text(encoding="utf-8") == "".join(t + "\n" for t in texts)
@@ -430,8 +418,8 @@ class TestIntegrate:
         manifests = self.make_processed(tmp_path, corpus, ctx)
         payloads = []
         for m in manifests:
-            payloads.append(json.loads(Path(m.result_path).read_text(encoding="utf-8")))
-            Path(m.result_path).write_text(json.dumps(payloads[-1], indent=2) + "\n")
+            payloads.append(json.loads(ctx.result_file(m.task_id).read_text(encoding="utf-8")))
+            ctx.result_file(m.task_id).write_text(json.dumps(payloads[-1], indent=2) + "\n")
         store = ResultStore(tmp_path / "ws" / "results_store.ndjson")
         run_stage_integrate(manifests, ctx, results_store=store)
         assert all(m.state is TaskState.INTEGRATED for m in manifests)
@@ -559,14 +547,14 @@ class TestRunBatch:
          (b"\xff\xfe", "can't decode"), ("[1, 2]", "not a JSON object but a list")],
         ids=["truncated", "empty", "not-utf8", "array"],
     )
-    def test_bad_result_file_fails_only_its_task(self, tmp_path, corpus, garbage, detail):
+    def test_bad_result_file_fails_only_its_task(self, tmp_path, corpus, ctx, garbage, detail):
         victim = None
 
         def corrupt(manifest):
             nonlocal victim
             if manifest.state is TaskState.PROCESSED and victim is None:
                 victim = manifest.task_id
-                path = Path(manifest.result_path)
+                path = ctx.result_file(manifest.task_id)
                 if isinstance(garbage, bytes):
                     path.write_bytes(garbage)
                 else:
@@ -598,14 +586,15 @@ class TestRunBatch:
          ({"records": [{"fields": [{"tag": "surname", "text": 7}]}]}, "surname text is not a string")],
         ids=["transcript-list", "record-int", "fields-int", "field-int", "tag-list", "text-int"],
     )
-    def test_malformed_transcript_fails_only_its_task(self, tmp_path, corpus, transcript, detail):
+    def test_malformed_transcript_fails_only_its_task(self, tmp_path, corpus, ctx, transcript,
+                                                      detail):
         victim = None
 
         def corrupt(manifest):
             nonlocal victim
             if manifest.state is TaskState.PROCESSED and victim is None:
                 victim = manifest.task_id
-                path = Path(manifest.result_path)
+                path = ctx.result_file(manifest.task_id)
                 payload = json.loads(path.read_text(encoding="utf-8"))
                 payload.update(page_class="LIST", transcript=transcript)
                 path.write_text(json.dumps(payload), encoding="utf-8")
@@ -633,7 +622,7 @@ class TestRunBatch:
         ref_report = run_batch(reference)
         ref_households = Path(ref_report.households_csv).read_text(encoding="utf-8")
         ref_states = {
-            m.task_id: m.state for m in ManifestStore(reference.workspace).load_all()
+            m.task_id: m.state for m in TransitionLog(reference.workspace).load_all()
         }
 
         class Crash(BaseException):
@@ -657,7 +646,7 @@ class TestRunBatch:
                 run_batch(config)
             resumed = run_config(tmp_path, corpus, workspace=workspace, clock=lambda: 0.0)
             report = run_batch(resumed)
-            states = {m.task_id: m.state for m in ManifestStore(workspace).load_all()}
+            states = {m.task_id: m.state for m in TransitionLog(workspace).load_all()}
             assert states == ref_states, f"crash after {crash_after} transitions"
             got = Path(report.households_csv).read_text(encoding="utf-8")
             assert got == ref_households
@@ -674,7 +663,7 @@ class TestRunBatch:
         reference = run_config(tmp_path, corpus, workspace=workspace, clock=lambda: 0.0)
         ref_report = run_batch(reference)
         ref_households = Path(ref_report.households_csv).read_bytes()
-        ref_states = {m.task_id: m.state for m in ManifestStore(workspace).load_all()}
+        ref_states = {m.task_id: m.state for m in TransitionLog(workspace).load_all()}
         integrated = {t for t, state in ref_states.items() if state is TaskState.INTEGRATED}
         assert not (workspace / "manifests").exists()
 
@@ -712,7 +701,7 @@ class TestRunBatch:
                 scheduler=SimulatedBatchScheduler(),
             )
             report = run_batch(resumed)
-            states = {m.task_id: m.state for m in ManifestStore(workspace).load_all()}
+            states = {m.task_id: m.state for m in TransitionLog(workspace).load_all()}
             assert states == ref_states, f"kill at log byte {cut}, store {len(store)} bytes"
             assert Path(report.households_csv).read_bytes() == ref_households
             counts = Counter(r["task_id"] for r in ResultStore(resumed.store_path).records())
@@ -723,7 +712,7 @@ class TestRunBatch:
         config = run_config(tmp_path, corpus, workspace=workspace)
         run_batch(config)
         log_path = TransitionLog(workspace).path
-        expected = ManifestStore(workspace).load_all()
+        expected = TransitionLog(workspace).load_all()
         torn_log = log_path.read_bytes() + b'{"task_id": "torn'
         torn_store = config.store_path.read_bytes() + b'{"task_id": "torn'
         log_path.write_bytes(torn_log)
@@ -731,7 +720,7 @@ class TestRunBatch:
 
         store = ResultStore(config.store_path)
         assert len(store.records()) == len(store)
-        assert ManifestStore(workspace).load_all() == expected
+        assert TransitionLog(workspace).load_all() == expected
         assert len(list(TransitionLog(workspace).replay())) == torn_log.count(b"\n")
         assert log_path.read_bytes() == torn_log
         assert config.store_path.read_bytes() == torn_store
@@ -764,7 +753,7 @@ class TestRunBatch:
         config = run_config(tmp_path, corpus)
         run_batch(config)
         order = ["PENDING", "STAGED", "PROCESSING", "PROCESSED", "INTEGRATED"]
-        for manifest in ManifestStore(config.workspace).load_all():
+        for manifest in TransitionLog(config.workspace).load_all():
             stamps = [manifest.timestamps[s] for s in order if s in manifest.timestamps]
             assert stamps == sorted(stamps)
 
@@ -826,14 +815,14 @@ class TestStages:
         assert report.households_csv is None
         assert not config.households_path.exists()
         assert not config.store_path.exists()
-        states = {m.state for m in ManifestStore(config.workspace).load_all()}
+        states = {m.state for m in TransitionLog(config.workspace).load_all()}
         assert states == {TaskState.STAGED}
 
     def test_stage_without_its_input_state_is_a_noop(self, tmp_path, corpus):
         config = run_config(tmp_path, corpus, stages={"proc", "post"})
         report = run_batch(config)
         assert report.counts["PENDING"] == corpus.image_count
-        assert not any(config.results_dir.iterdir())
+        assert not (config.workspace / "results").exists()
         assert (report.registers_exported, report.households_exported) == (0, 0)
 
     def test_separate_runs_are_windowed_and_match_truth(self, tmp_path, corpus):
@@ -915,7 +904,7 @@ FAILURES = {
 
 class TestFailurePaths:
     @pytest.mark.parametrize("kind", sorted(FAILURES))
-    def test_one_task_fails_with_one_warning(self, tmp_path, corpus, caplog, kind):
+    def test_one_task_fails_with_one_warning(self, tmp_path, corpus, ctx, caplog, kind):
         """The task ends FAILED with its stage, reason and attempts, every
         other task integrates, and exactly one warning names the stage and
         the task."""
@@ -948,10 +937,10 @@ class TestFailurePaths:
             if manifest.task_id != victim:
                 return
             if manifest.state is TaskState.STAGED and kind == "missing_input":
-                Path(manifest.staged_path).unlink()
+                ctx.staged_file(manifest.task_id).unlink()
             if manifest.state is not TaskState.PROCESSED:
                 return
-            path = Path(manifest.result_path)
+            path = ctx.result_file(manifest.task_id)
             if kind == "missing_result":
                 path.unlink()
             elif kind == "bad_result":
@@ -972,7 +961,7 @@ class TestFailurePaths:
         stage, prefix, attempt, attempts = FAILURES[kind]
         ((task_id, _, reason),) = report.failed_tasks
         assert report.counts["INTEGRATED"] == corpus.image_count - 1
-        (failed,) = [m for m in ManifestStore(config.workspace).load_all()
+        (failed,) = [m for m in TransitionLog(config.workspace).load_all()
                      if m.state is TaskState.FAILED]
         assert (failed.task_id, failed.failure, failed.attempts) == (
             victim, FailureInfo(stage, reason, attempt), attempts
@@ -987,30 +976,90 @@ class TestStaging:
         config = run_config(tmp_path, corpus)
         report = run_batch(config)
         assert report.counts["INTEGRATED"] == corpus.image_count
-        staged = sorted(config.staging_dir.iterdir())
+        staged = sorted((config.workspace / "staging").iterdir())
         assert [p.name for p in staged] == sorted(
             f"{task_id_for(image)}.jpg" for image in corpus.registry.iter_images()
         )
         assert not any(p.is_dir() for p in staged)
 
-    def test_task_directories_of_an_older_workspace_still_process(self, tmp_path, corpus):
-        """A workspace staged as ``staging/<task_id>/image.jpg`` runs on:
-        the process stage reads the path its task's log records name."""
-        flat = run_config(tmp_path, corpus, workspace=tmp_path / "flat", stages={"pre"})
-        run_batch(flat)
-        config = run_config(tmp_path, corpus)
-        ctx = PipelineContext.at(config.workspace)
-        staged = {m.task_id: m for m in ManifestStore(flat.workspace).load_all()}
-        for manifest in plan_batch(corpus.registry, ctx):
-            old = config.staging_dir / manifest.task_id / "image.jpg"
-            old.parent.mkdir(parents=True)
-            shutil.copyfile(staged[manifest.task_id].staged_path, old)
-            advance(manifest, TaskState.STAGED, ctx, image=staged[manifest.task_id].image,
-                    staged_path=str(old))
+
+def to_parent_format(workspace: Path) -> None:
+    """Rewrite a task log in the format of the version before paths were
+    derived: the creation record holds the whole manifest, and the STAGED
+    and PROCESSED records the staged and result paths, here stale ones, and
+    STAGED a second copy of the image with its dimensions."""
+    log = workspace / "tasks.ndjson"
+    stale = "/gone/elsewhere/ws"
+    records = []
+    for line in log.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        task_id = record["task_id"]
+        if record["from"] is None:
+            image = {**record["image"], "verified": False, "width": None, "height": None}
+            record.update(state="PENDING", timestamps={"PENDING": record["at"]}, attempts={},
+                          failure=None, staged_path=None, result_path=None, image=image)
+        elif record["to"] == "STAGED":
+            (first,) = [r for r in records if r["task_id"] == task_id and r["from"] is None]
+            image = {**first["image"], "verified": True, "width": 2000, "height": 3000}
+            record.update(staged_path=f"{stale}/staging/{task_id}/image.jpg", image=image)
+        elif record["to"] == "PROCESSED":
+            record.update(result_path=f"{stale}/results/{task_id}.json")
+        records.append(record)
+    log.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+                   encoding="utf-8")
+
+
+class TestWorkspaceLayout:
+    """Staged and result files are found from the task id, never from a
+    path in the log, so a workspace works from any directory and after a
+    move."""
+
+    def test_records_hold_no_paths_and_one_image(self, tmp_path, corpus):
+        run_batch(run_config(tmp_path, corpus))
+        records = list(TransitionLog(tmp_path / "ws").replay())
+        for record in records:
+            allowed = {"task_id", "from", "to", "at"}
+            allowed |= {"image"} if record["from"] is None else {"attempts", "failure"}
+            assert set(record) <= allowed, record
+        assert sum("image" in r for r in records) == corpus.image_count
+
+    def test_workspace_moved_between_stages(self, tmp_path, corpus):
+        run_batch(run_config(tmp_path, corpus, workspace=tmp_path / "ws", stages={"pre"}))
+        (tmp_path / "ws").rename(tmp_path / "moved")
+        config = run_config(tmp_path, corpus, workspace=tmp_path / "moved",
+                            stages={"proc", "post"})
         report = run_batch(config)
         assert report.counts["INTEGRATED"] == corpus.image_count
         truth = (corpus.root / "truth" / "households.csv").read_bytes()
         assert config.households_path.read_bytes() == truth
+
+    def test_log_of_the_previous_format_resumes_to_the_same_bytes(self, tmp_path, corpus):
+        reference = run_config(tmp_path, corpus, workspace=tmp_path / "reference")
+        run_batch(reference)
+        workspace = tmp_path / "ws"
+        for stages in ({"pre"}, {"proc"}, {"post"}):
+            if workspace.exists():
+                to_parent_format(workspace)
+            report = run_batch(run_config(tmp_path, corpus, stages=stages))
+            assert report.succeeded
+        assert report.counts["INTEGRATED"] == corpus.image_count
+        for name in ("households.csv", "results_store.ndjson"):
+            assert (workspace / name).read_bytes() == (reference.workspace / name).read_bytes()
+        assert (workspace / "households.csv").read_bytes() == (
+            corpus.root / "truth" / "households.csv"
+        ).read_bytes()
+
+    def test_result_naming_another_task_fails_as_schema(self, tmp_path, corpus, ctx):
+        register = corpus.registry.registers[0]
+        source, victim = (task_id_for(image) for image in register.images[2:4])
+        run_batch(run_config(tmp_path, corpus, stages={"pre", "proc"}))
+        shutil.copyfile(ctx.result_file(source), ctx.result_file(victim))
+        report = run_batch(run_config(tmp_path, corpus, stages={"post"}))
+        ((task_id, stage, reason),) = report.failed_tasks
+        assert (task_id, stage) == (victim, "integrate")
+        assert reason.startswith(f"schema: task_id {source!r} is not the task's {victim!r}")
+        assert report.registers_skipped == 1
+        assert victim not in ResultStore(tmp_path / "ws" / "results_store.ndjson")
 
 
 class TestAppendFileReads:
