@@ -25,7 +25,6 @@ from .pipeline import (
     PipelineContext,
     ResultStore,
     RunConfig,
-    SimulatedBatchScheduler,
     TaskState,
     TransitionLog,
     WorkerSet,
@@ -205,20 +204,17 @@ def parse_worker_spec(spec: str, default_seed: int) -> WorkerSet:
     raise click.BadParameter(f"unknown worker kind {kind!r}")
 
 
-def parse_scheduler_spec(spec: str):
-    """``local:n=4`` or ``simulated:nodes=2``."""
+def parse_scheduler_spec(spec: str) -> LocalExecutor:
+    """``local`` or ``local:n=4``: how many pages the process stage works on
+    at once."""
     kind, options = _parse_kv(spec)
-    if kind == "local":
-        make, keys, default = LocalExecutor, ("n", "workers"), 4
-    elif kind == "simulated":
-        make, keys, default = SimulatedBatchScheduler, ("nodes", "n"), 1
-    else:
+    if kind != "local":
         raise click.BadParameter(f"unknown scheduler kind {kind!r}")
-    counts = [options.pop(key) for key in keys if key in options]
+    counts = [options.pop(key) for key in ("n", "workers") if key in options]
     if options:
         raise click.BadParameter(f"unknown {kind} scheduler options: {sorted(options)}")
     try:
-        return make(int(counts[0]) if counts else default)
+        return LocalExecutor(int(counts[0]) if counts else 4)
     except ValueError as exc:
         raise click.BadParameter(f"{spec!r}: {exc}")
 
@@ -298,7 +294,7 @@ def ingest_cmd(config: GlobalConfig, csv_path, mapping_path, gazetteer_path, out
 @click.option("--registry", "registry_path", required=True, type=click.Path(exists=True))
 @click.option("--endpoint", "endpoint_url", default=None, help="IIIF base URL.")
 @click.option("--api-version", type=click.Choice(["2", "3"]), default="2", show_default=True)
-@click.option("--concurrency", type=int, default=8, show_default=True)
+@click.option("--concurrency", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--fixture", "fixture_root", type=click.Path(exists=True), default=None,
               help="Serve requests from a synthetic corpus instead of the network.")
@@ -426,7 +422,8 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
 @click.option("--scheduler", "scheduler_spec", default="local:n=4", show_default=True)
 @click.option("--window", type=int, default=None, help="Max in-flight tasks per round.")
 @click.option("--retry-limit", type=int, default=None)
-@click.option("--jobs", type=int, default=None, help="Cap on pre-stage download concurrency.")
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
+              help="Cap on pre-stage download concurrency.")
 @_selection_options
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj

@@ -114,11 +114,6 @@ class TagAlphabet:
         except KeyError:
             raise UnknownToken(token) from None
 
-    def match_at(self, text: str, pos: int) -> Optional[EntityTag]:
-        """Return the tag whose surface form starts at ``pos``, if any."""
-        m = self._pattern.match(text, pos)
-        return self._by_surface[m.group(0)] if m else None
-
     def split(self, text: str) -> list[str]:
         """Split ``text`` into alternating [text, token, text, ...] pieces.
 
@@ -146,15 +141,6 @@ def load_alphabet(path: str | Path) -> TagAlphabet:
             raise ValueError(f"{path}:{lineno}: unknown tag name {name.strip()!r}")
         tokens[tag] = surface.strip()
     return TagAlphabet(tokens)
-
-
-def tag_from_token(token: str, alphabet: TagAlphabet = DEFAULT_ALPHABET) -> EntityTag:
-    """Map a token surface form like ``<s-h>`` to its entity tag.
-
-    Raises:
-        UnknownToken: if the token is not in the alphabet.
-    """
-    return alphabet.tag_for(token)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ folds the pieces into records, so the Python work is a few steps per tag
 rather than per character (about 1,760 characters and 210 tags on a
 typical list page).
 
-Also hosts the seeded synthetic page generator used to build test corpora.
+Also hosts the seeded synthetic record sampler used to build test corpora.
 """
 
 from __future__ import annotations
@@ -385,30 +385,3 @@ def sample_record(rng: random.Random, profile: SyntheticProfile, head: bool) -> 
     if not fields:
         fields[EntityTag.FIRSTNAME] = rng.choice(_FIRSTNAMES)
     return PersonRecord(fields)
-
-
-def generate_synthetic_page(
-    seed: int,
-    profile: SyntheticProfile = DEFAULT_PROFILE,
-    *,
-    page_id: Optional[str] = None,
-    page_index: int = 0,
-) -> PageTranscript:
-    """Generate a deterministic synthetic list page.
-
-    The first record is always a head; each following record starts a new
-    household with probability 1/household_size_mean. Output is identical
-    for identical (seed, profile).
-    """
-    rng = random.Random(seed)
-    n_rows = rng.randint(profile.min_rows, profile.max_rows)
-    head_p = 1.0 / profile.household_size_mean
-    records = []
-    for row in range(n_rows):
-        head = row == 0 or rng.random() < head_p
-        records.append(sample_record(rng, profile, head))
-    return PageTranscript(
-        tuple(records),
-        page_id=page_id if page_id is not None else f"synthetic-{seed}",
-        page_index_in_register=page_index,
-    )

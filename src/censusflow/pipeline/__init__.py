@@ -6,7 +6,8 @@ nodes have no internet access:
 * pre-stage (connected): check each image and download its bytes into
   staging;
 * process (isolated): classify the page and, for list pages, run the
-  recognizer and decode its output;
+  recognizer and decode its output, on a thread pool whose workers hold no
+  network transport;
 * integrate (connected): validate result payloads and append them to the
   results store exactly once.
 
@@ -29,13 +30,9 @@ from .manifests import (
     TransitionLog,
     task_id_for,
 )
-from .schedulers import (
-    LocalExecutor,
-    SchedulerAdapter,
-    SimulatedBatchScheduler,
-)
 from .stages import (
     EmptySelection,
+    LocalExecutor,
     plan_batch,
     run_stage_integrate,
     run_stage_prestage,
@@ -69,8 +66,6 @@ __all__ = [
     "PipelineContext",
     "ResultStore",
     "RunConfig",
-    "SchedulerAdapter",
-    "SimulatedBatchScheduler",
     "TaskManifest",
     "TaskState",
     "TransitionLog",

@@ -174,7 +174,8 @@ def parse_line(
             ``register_id`` names the register the caller expected there.
     """
     try:
-        record = json.loads(line)
+        # Decoding first spares json.loads its encoding detection on bytes.
+        record = json.loads(line.decode("utf-8"))
     except ValueError as exc:  # also UnicodeDecodeError
         raise CorruptLine(path, offset, str(exc), register_id) from None
     if not isinstance(record, dict):

@@ -53,8 +53,8 @@ from .manifests import (
     read_lines,
     read_ndjson,
 )
-from .schedulers import SchedulerAdapter
 from .stages import (
+    LocalExecutor,
     plan_batch,
     run_stage_integrate,
     run_stage_prestage,
@@ -181,7 +181,7 @@ class RunConfig:
     endpoint: IiifEndpoint
     transport: Transport
     workers: WorkerSet
-    scheduler: SchedulerAdapter
+    scheduler: LocalExecutor
     prestage_concurrency: int = 14
     retry_limit: int = 3
     window: int = 64
@@ -197,6 +197,8 @@ class RunConfig:
         self.workspace = Path(self.workspace)
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.prestage_concurrency < 1:
+            raise ValueError("prestage_concurrency must be >= 1")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
         self.stages = frozenset(self.stages)

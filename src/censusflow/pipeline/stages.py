@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..domain import EntityTag, PageClass, PageTranscript, PersonRecord, validate_record
 from ..iiif import (
@@ -19,7 +19,6 @@ from ..iiif import (
     IiifEndpoint,
     IntegrityStatus,
     IsolationViolation,
-    NullTransport,
     Transport,
     TransportFailure,
     check_integrity,
@@ -37,7 +36,6 @@ from .manifests import (
     register_new,
     task_id_for,
 )
-from .schedulers import SchedulerAdapter
 from .workers import WorkerSet
 
 logger = logging.getLogger(__name__)
@@ -50,6 +48,28 @@ _NAME_TO_TAG = {name: tag for tag, name in _TAG_NAMES}
 
 class EmptySelection(ValueError):
     pass
+
+
+class LocalExecutor:
+    """In-process pool of ``workers`` threads for the process stage."""
+
+    #: Always true. ``bench/``'s traced scheduler still copies this
+    #: attribute, so it stays until the benchmark stops reading it.
+    isolated_compute = True
+
+    def __init__(self, workers: int = 4):
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = workers
+        self._pool = ThreadPoolExecutor(max_workers=workers)
+
+    def run(self, stage: str, items: Sequence, fn: Callable) -> list:
+        """Apply ``fn`` to every item; results come back in item order."""
+        futures = [self._pool.submit(fn, item) for item in items]
+        return [f.result() for f in futures]
+
+    def shutdown(self) -> None:
+        self._pool.shutdown(wait=True)
 
 
 def _fail(manifest: TaskManifest, ctx: PipelineContext, stage: str, reason: str,
@@ -132,9 +152,9 @@ def run_stage_prestage(
     endpoint: IiifEndpoint,
     transport: Transport,
     concurrency: int = 14,
-) -> list[TaskManifest]:
+) -> None:
     """Check each PENDING task's image (``check_integrity``) and fetch its
-    bytes to ``ctx.staged_file(task_id)``.
+    bytes to ``ctx.staged_file(task_id)``, on ``concurrency`` threads.
 
     Tasks move to STAGED on success or FAILED(prestage) otherwise; tasks in
     any other state are untouched.
@@ -153,20 +173,19 @@ def run_stage_prestage(
         return manifest, ""
 
     if not todo:
-        return list(tasks)
+        return
     ctx.staging_dir.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
         outcomes = list(pool.map(work, todo))
     for manifest, reason in outcomes:
         if reason:
             _fail(manifest, ctx, "prestage", reason, attempts={"prestage": 1})
         else:
             advance(manifest, TaskState.STAGED, ctx)
-    return list(tasks)
 
 
 # ---------------------------------------------------------------------------
-# Process stage: classify + recognize on (possibly isolated) compute
+# Process stage: classify + recognize on isolated compute
 # ---------------------------------------------------------------------------
 
 
@@ -285,21 +304,21 @@ def run_stage_process(
     ctx: PipelineContext,
     *,
     workers: WorkerSet,
-    scheduler: SchedulerAdapter,
+    scheduler: LocalExecutor,
     retry_limit: int = 3,
-) -> list[TaskManifest]:
-    """Classify STAGED pages and recognize list pages, writing each result
-    to ``ctx.result_file(task_id)``.
+) -> None:
+    """Classify STAGED pages and recognize list pages on ``scheduler``,
+    writing each result to ``ctx.result_file(task_id)``.
 
     Non-list pages skip the recognizer and yield a payload without a
     transcript. Worker crashes retry up to ``retry_limit`` times before the
-    task fails; a missing staged file fails immediately. Under an isolated
-    scheduler the workers get a null transport, so any network call from
-    worker code raises IsolationViolation and fails the task.
+    task fails; a missing staged file, or a network call from worker code
+    (IsolationViolation), fails it at once. Outcomes are applied in task
+    order on the calling thread.
     """
     todo = [m for m in tasks if m.state in (TaskState.STAGED, TaskState.PROCESSING)]
     if not todo:
-        return list(tasks)
+        return
     ctx.results_dir.mkdir(parents=True, exist_ok=True)
 
     for manifest in todo:
@@ -338,19 +357,11 @@ def run_stage_process(
         atomic_write_bytes(ctx.result_file(manifest.task_id), text.encode())
         return manifest, "", attempts
 
-    transport = workers.transport
-    if scheduler.isolated_compute:
-        workers.transport = NullTransport()
-    try:
-        outcomes = scheduler.run("process", todo, work)
-    finally:
-        workers.transport = transport
-    for manifest, reason, attempts in outcomes:
+    for manifest, reason, attempts in scheduler.run("process", todo, work):
         if reason:
             _fail(manifest, ctx, "process", reason, attempts, attempts={"process": attempts})
         else:
             advance(manifest, TaskState.PROCESSED, ctx, attempts={"process": attempts})
-    return list(tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +400,7 @@ def run_stage_integrate(
     ctx: PipelineContext,
     *,
     results_store,
-) -> list[TaskManifest]:
+) -> None:
     """Validate PROCESSED payloads and append them to the results store.
 
     The store is keyed by task id, so integrating twice is a no-op and a
@@ -409,4 +420,3 @@ def run_stage_integrate(
             continue
         results_store.add(manifest.task_id, payload, text)
         advance(manifest, TaskState.INTEGRATED, ctx)
-    return list(tasks)

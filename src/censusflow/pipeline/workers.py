@@ -18,9 +18,10 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Optional
 
 from ..domain import DEFAULT_ALPHABET, EntityTag, PageClass, PersonRecord
+from ..iiif import NullTransport
 from ..label_codec import decode_strict, encode
 
 _SUBSTITUTION_POOL = string.ascii_lowercase + string.digits
@@ -28,12 +29,6 @@ _SUBSTITUTION_POOL = string.ascii_lowercase + string.digits
 
 class WorkerError(RuntimeError):
     pass
-
-
-class WorkerInterface(Protocol):
-    def classify(self, image_bytes: bytes) -> PageClass: ...
-
-    def recognize(self, image_bytes: bytes) -> str: ...
 
 
 def parse_fixture_image(image_bytes: bytes) -> dict:
@@ -191,14 +186,17 @@ class ExternalProcessWorker:
 class WorkerSet:
     """Classifier plus recognizer, presented as one worker interface.
 
-    ``transport`` is injected by the processing stage; under an isolated
-    scheduler it is a null transport that raises on use, so worker code that
-    tries to reach the network fails loudly.
+    Workers run on compute nodes without internet access, so ``transport``
+    is always a null transport that raises on use: worker code that tries to
+    reach the network fails loudly.
     """
 
     classifier: object
     recognizer: object
-    transport: object = None
+
+    @property
+    def transport(self) -> NullTransport:
+        return NullTransport()
 
     def classify(self, image_bytes: bytes) -> PageClass:
         return self.classifier.classify(image_bytes)

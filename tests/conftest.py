@@ -1,6 +1,10 @@
+import random
+from typing import Optional
+
 import pytest
 
 from censusflow.domain import PageTranscript, PersonRecord
+from censusflow.label_codec import DEFAULT_PROFILE, SyntheticProfile, sample_record
 
 # Four-row golden page: two households of two members each, heads first.
 GOLDEN_LABEL = (
@@ -33,6 +37,33 @@ def golden_page() -> PageTranscript:
         ),
         page_id="golden",
         page_index_in_register=0,
+    )
+
+
+def generate_synthetic_page(
+    seed: int,
+    profile: SyntheticProfile = DEFAULT_PROFILE,
+    *,
+    page_id: Optional[str] = None,
+    page_index: int = 0,
+) -> PageTranscript:
+    """A deterministic synthetic list page.
+
+    The first record is always a head; each following record starts a new
+    household with probability 1/household_size_mean. Output is identical
+    for identical (seed, profile).
+    """
+    rng = random.Random(seed)
+    n_rows = rng.randint(profile.min_rows, profile.max_rows)
+    head_p = 1.0 / profile.household_size_mean
+    records = []
+    for row in range(n_rows):
+        head = row == 0 or rng.random() < head_p
+        records.append(sample_record(rng, profile, head))
+    return PageTranscript(
+        tuple(records),
+        page_id=page_id if page_id is not None else f"synthetic-{seed}",
+        page_index_in_register=page_index,
     )
 
 

@@ -36,7 +36,6 @@ from censusflow.label_codec import (
     decode_lenient,
     decode_strict,
     encode,
-    generate_synthetic_page,
 )
 from censusflow.metrics import (
     ConfusionMatrix,
@@ -49,7 +48,6 @@ from censusflow.pipeline import (
     MockRecognizer,
     NoiseSpec,
     RunConfig,
-    SimulatedBatchScheduler,
     TaskState,
     TransitionLog,
     WorkerSet,
@@ -67,7 +65,7 @@ from censusflow.simulate import (
     simulate,
 )
 
-from conftest import GOLDEN_LABEL, golden_page
+from conftest import GOLDEN_LABEL, generate_synthetic_page, golden_page
 
 
 @contextmanager
@@ -282,8 +280,8 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         resumed_households = Path(resumed_report.households_csv).read_text(encoding="utf-8")
         assert resumed_households == truth
 
-        # Isolation: the process stage under the batch scheduler gets a null
-        # transport; any network call from worker code fails the task.
+        # Isolation: the process stage's workers hold a null transport under
+        # any executor; a network call from worker code fails the task.
         with pytest.raises(IsolationViolation):
             NullTransport().get("https://a.example/info.json", 1000)
 
@@ -311,10 +309,11 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         rogue.workers = workers
         run_stage_process(
             manifests, ctx, workers=workers,
-            scheduler=SimulatedBatchScheduler(nodes=2),
+            scheduler=LocalExecutor(2),
         )
         assert all(m.state is TaskState.FAILED for m in manifests)
         assert all("isolation" in m.failure.reason for m in manifests)
+        assert all(m.attempts == {"process": 1} for m in manifests)
 
 
 def test_criterion_8_throughput_reproduction():

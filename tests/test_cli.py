@@ -50,7 +50,6 @@ class TestParsers:
 
     @pytest.mark.parametrize("spec, attribute, count", [
         ("local", "workers", 4), ("local:n=2", "workers", 2), ("local:workers=3", "workers", 3),
-        ("simulated", "nodes", 1), ("simulated:nodes=2", "nodes", 2), ("simulated:n=3", "nodes", 3),
     ])
     def test_scheduler_spec(self, spec, attribute, count):
         scheduler = parse_scheduler_spec(spec)
@@ -58,7 +57,8 @@ class TestParsers:
         scheduler.shutdown()
 
     @pytest.mark.parametrize("spec", ["local:threads=8", "local:n=2,nodes=2", "simulated:workers=2",
-                                      "local:n=0", "simulated:nodes=x", "slurm:n=2"])
+                                      "local:n=0", "simulated:nodes=x", "slurm:n=2",
+                                      "simulated", "simulated:nodes=2", "simulated:n=3"])
     def test_bad_scheduler_spec(self, spec):
         with pytest.raises(click.BadParameter):
             parse_scheduler_spec(spec)
@@ -209,7 +209,7 @@ class TestPipelineCommands:
             result = runner.invoke(
                 main,
                 ["run", "--workspace", str(workspace), "--fixture", str(corpus),
-                 "--stages", stage, "--scheduler", "simulated:nodes=2"],
+                 "--stages", stage, "--scheduler", "local:n=2"],
             )
             assert result.exit_code == 0, result.output
         status = runner.invoke(main, ["status", "--workspace", str(workspace)])
@@ -251,6 +251,24 @@ class TestPipelineCommands:
              "--stages", stages],
         )
         assert result.exit_code == 2
+        assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--jobs", "0"], None), (["--jobs", "-3"], None),
+        ([], {"pipeline": {"prestage_concurrency": 0}}),
+    ])
+    def test_zero_download_concurrency_is_a_usage_error(self, runner, tmp_path, flags, config):
+        corpus = make_corpus(runner, tmp_path)
+        args = []
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args = ["--config", str(path)]
+        result = runner.invoke(
+            main,
+            args + ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus)] + flags,
+        )
+        assert result.exit_code == 2, result.output
         assert not (tmp_path / "ws").exists()
 
     def test_failed_task_exits_one_and_is_named(self, runner, tmp_path):
@@ -413,6 +431,17 @@ class TestCheckImages:
         )
         assert result.exit_code == 1
         assert "problems: 1" in result.output
+
+    def test_zero_concurrency_is_a_usage_error(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        out = tmp_path / "integrity.csv"
+        result = runner.invoke(
+            main,
+            ["check-images", "--registry", str(corpus / "registry.ndjson"),
+             "--fixture", str(corpus), "--out", str(out), "--concurrency", "0"],
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
 
 
 class TestIngestCommand:

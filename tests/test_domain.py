@@ -18,9 +18,13 @@ from censusflow.domain import (
     dumps_pages,
     load_alphabet,
     loads_pages,
-    tag_from_token,
     validate_record,
 )
+
+
+def tag_from_token(token, alphabet=DEFAULT_ALPHABET):
+    """Map a token surface form like ``<s-h>`` to its entity tag."""
+    return alphabet.tag_for(token)
 
 
 class TestEntityTags:

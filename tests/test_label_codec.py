@@ -27,10 +27,9 @@ from censusflow.label_codec import (
     decode_lenient,
     decode_strict,
     encode,
-    generate_synthetic_page,
 )
 
-from conftest import GOLDEN_LABEL
+from conftest import GOLDEN_LABEL, generate_synthetic_page
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +46,15 @@ _LEADING_TAGS = (EntityTag.SURNAME_HEAD, EntityTag.SURNAME)
 _UNKNOWN_TOKEN_RE = re.compile(r"<[^<>\s]{0,16}>")
 
 
+def match_at(alphabet, text, pos):
+    """The tag whose surface form starts at ``pos``, if any. Surfaces are
+    ``<...>`` with no ``>`` inside, so at most one can start there."""
+    for tag, surface in alphabet.tokens.items():
+        if text.startswith(surface, pos):
+            return tag
+    return None
+
+
 def oracle_scan(text, alphabet):
     """Tokenize a label into (kind, 1-based position, payload) events."""
     i = 0
@@ -61,7 +69,7 @@ def oracle_scan(text, alphabet):
             i += 1
             buf_start = i
         elif c == "<":
-            tag = alphabet.match_at(text, i)
+            tag = match_at(alphabet, text, i)
             if tag is not None:
                 if buf_start < i:
                     yield _TEXT, buf_start + 1, text[buf_start:i]

@@ -272,7 +272,9 @@ class TestEntityScores:
     @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=3000))
     @settings(max_examples=50, deadline=None)
     def test_micro_f1_one_iff_identical_property(self, seed_a, seed_b):
-        from censusflow.label_codec import SyntheticProfile, generate_synthetic_page
+        from censusflow.label_codec import SyntheticProfile
+
+        from conftest import generate_synthetic_page
 
         profile = SyntheticProfile(min_rows=2, max_rows=5)
         a = generate_synthetic_page(seed_a, profile)

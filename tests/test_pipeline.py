@@ -4,7 +4,9 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 from collections import Counter
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -33,7 +35,6 @@ from censusflow.pipeline import (
     PipelineContext,
     ResultStore,
     RunConfig,
-    SimulatedBatchScheduler,
     TaskState,
     TransitionLog,
     WorkerSet,
@@ -276,17 +277,39 @@ class TestProcess:
         assert "worker_error" in first.failure.reason
         assert first.attempts["process"] == 3
 
-    def test_simulated_scheduler_processes_everything(self, tmp_path, corpus, ctx):
+    def test_calls_run_side_by_side(self, tmp_path, corpus, ctx):
+        """The first two classify calls meet at a barrier, which only two
+        calls in flight at once can pass; a lone call times out and, with
+        no retry, fails its task."""
         manifests = staged_manifests(tmp_path, corpus, ctx)
-        run_stage_process(
-            manifests, ctx, workers=mock_worker_set(),
-            scheduler=SimulatedBatchScheduler(nodes=2),
-        )
+        barrier = threading.Barrier(2, timeout=10)
+        calls = count()
+        mock = MockClassifier()
+
+        class MeetingClassifier:
+            version = mock.version
+
+            def classify(self, image_bytes):
+                if next(calls) < 2:
+                    barrier.wait()
+                return mock.classify(image_bytes)
+
+        executor = LocalExecutor(2)
+        try:
+            run_stage_process(
+                manifests, ctx, workers=WorkerSet(MeetingClassifier(), MockRecognizer()),
+                scheduler=executor, retry_limit=1,
+            )
+        finally:
+            executor.shutdown()
         assert all(m.state is TaskState.PROCESSED for m in manifests)
+        assert all(m.attempts == {"process": 1} for m in manifests)
 
 
 class TestIsolation:
     def test_rogue_worker_fails_under_simulated_scheduler(self, tmp_path, corpus, ctx):
+        """A worker that reaches for the network fails ``isolation`` on its
+        first attempt, under a thread pool like any executor."""
         manifests = staged_manifests(tmp_path, corpus, ctx)
 
         class RogueClassifier:
@@ -304,38 +327,15 @@ class TestIsolation:
         workers = WorkerSet(None, MockRecognizer())
         workers.classifier = RogueClassifier(workers)
         run_stage_process(
-            manifests, ctx, workers=workers, scheduler=SimulatedBatchScheduler(nodes=2),
+            manifests, ctx, workers=workers, scheduler=LocalExecutor(2),
         )
         assert all(m.state is TaskState.FAILED for m in manifests)
-        assert all("isolation" in m.failure.reason for m in manifests)
-
-    def test_rogue_worker_allowed_on_connected_executor(self, tmp_path, corpus, ctx):
-        manifests = staged_manifests(tmp_path, corpus, ctx)
-
-        class PhoneHomeClassifier:
-            version = "rogue/2"
-
-            def __init__(self, workers, transport):
-                self.workers = workers
-                self.transport = transport
-
-            def classify(self, image_bytes):
-                # Connected stage may use its transport freely.
-                self.workers.transport.get(
-                    "https://fixture.local/iiif/" + manifests[0].image.iiif_identifier.replace("/", "%2F") + "/info.json",
-                    1000,
-                )
-                return MockClassifier().classify(image_bytes)
-
-        workers = WorkerSet(None, MockRecognizer())
-        workers.transport = transport_for(corpus)
-        workers.classifier = PhoneHomeClassifier(workers, workers.transport)
-        run_stage_process(
-            manifests, ctx, workers=workers, scheduler=LocalExecutor(1),
-        )
-        assert all(m.state is TaskState.PROCESSED for m in manifests)
+        assert all(m.failure.reason.startswith("isolation: ") for m in manifests)
+        assert all(m.attempts == {"process": 1} for m in manifests)
 
     def test_isolated_run_restores_caller_transport(self, tmp_path, corpus, ctx):
+        """Every call sees a null transport, the caller's WorkerSet is left
+        as it was, and no transport can be given to it."""
         manifests = staged_manifests(tmp_path, corpus, ctx)
         seen = []
 
@@ -346,14 +346,18 @@ class TestIsolation:
                 seen.append(workers.transport)
                 return PageClass.OTHER
 
-        caller_transport = transport_for(corpus)
-        workers = WorkerSet(SpyClassifier(), MockRecognizer(), transport=caller_transport)
+        workers = WorkerSet(SpyClassifier(), MockRecognizer())
+        before = dict(vars(workers))
         run_stage_process(
-            manifests, ctx, workers=workers, scheduler=SimulatedBatchScheduler(nodes=2),
+            manifests, ctx, workers=workers, scheduler=LocalExecutor(2),
         )
         assert len(seen) == len(manifests)
         assert all(isinstance(t, NullTransport) for t in seen)
-        assert workers.transport is caller_transport
+        assert vars(workers) == before
+        with pytest.raises(AttributeError):
+            workers.transport = transport_for(corpus)
+        with pytest.raises(TypeError):
+            WorkerSet(SpyClassifier(), MockRecognizer(), transport=transport_for(corpus))
 
     def test_null_transport_raises(self):
         with pytest.raises(IsolationViolation):
@@ -689,6 +693,7 @@ class TestRunBatch:
             if stored < len(store_lines):
                 kills.append((cut, store + store_lines[stored][: len(store_lines[stored]) // 2]))
                 kills.append((cut, store + store_lines[stored]))
+        executor = LocalExecutor(2)
         for cut, store in kills:
             shutil.rmtree(workspace)
             shutil.copytree(finished, workspace)
@@ -698,7 +703,7 @@ class TestRunBatch:
 
             resumed = run_config(
                 tmp_path, corpus, workspace=workspace, clock=lambda: 0.0,
-                scheduler=SimulatedBatchScheduler(),
+                scheduler=executor,
             )
             report = run_batch(resumed)
             states = {m.task_id: m.state for m in TransitionLog(workspace).load_all()}
@@ -706,6 +711,7 @@ class TestRunBatch:
             assert Path(report.households_csv).read_bytes() == ref_households
             counts = Counter(r["task_id"] for r in ResultStore(resumed.store_path).records())
             assert set(counts) == integrated and set(counts.values()) == {1}
+        executor.shutdown()
 
     def test_torn_tail_skipped_on_read_and_cut_on_first_append(self, tmp_path, corpus):
         workspace = tmp_path / "ws"
@@ -953,7 +959,7 @@ class TestFailurePaths:
         config = run_config(
             tmp_path, corpus, transport=transport, workers=workers,
             endpoint=IiifEndpoint(ENDPOINT.base_url, retry=RetryPolicy(base_backoff_ms=0)),
-            scheduler=SimulatedBatchScheduler(), on_transition=damage,
+            scheduler=LocalExecutor(2), on_transition=damage,
         )
         with caplog.at_level(logging.WARNING):
             report = run_batch(config)
