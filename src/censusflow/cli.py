@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import shlex
 import sys
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,7 @@ from .pipeline import (
     plan_batch,
     run_batch,
 )
+from .pipeline.manifests import read_checkpoint
 from .pipeline.runner import STAGES, STORE_NAME, registry_from_manifests, state_counts
 from .pipeline.stages import select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
@@ -160,8 +162,8 @@ def parse_duration(text: str) -> float:
         value = float(text) * unit
     except ValueError:
         raise click.BadParameter(f"bad duration: {text!r}")
-    if value <= 0:
-        raise click.BadParameter("duration must be > 0")
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"duration must be finite and > 0, got {value}")
     return value
 
 
@@ -182,12 +184,15 @@ def parse_worker_spec(spec: str, default_seed: int) -> WorkerSet:
     ``external:classify=CMD,recognize=CMD``."""
     kind, options = _parse_kv(spec)
     if kind == "mock":
-        noise = NoiseSpec(
-            char_substitution=float(options.pop("noise", 0.0)),
-            entity_drop=float(options.pop("drop", 0.0)),
-            head_flip=float(options.pop("flip", 0.0)),
-        )
-        seed = int(options.pop("seed", default_seed))
+        try:
+            noise = NoiseSpec(
+                char_substitution=float(options.pop("noise", 0.0)),
+                entity_drop=float(options.pop("drop", 0.0)),
+                head_flip=float(options.pop("flip", 0.0)),
+            )
+            seed = int(options.pop("seed", default_seed))
+        except ValueError as exc:
+            raise click.BadParameter(f"{spec!r}: {exc}")
         if options:
             raise click.BadParameter(f"unknown mock worker options: {sorted(options)}")
         return WorkerSet(MockClassifier(), MockRecognizer(seed, noise))
@@ -206,13 +211,15 @@ def parse_worker_spec(spec: str, default_seed: int) -> WorkerSet:
 
 def parse_scheduler_spec(spec: str) -> LocalExecutor:
     """``local`` or ``local:n=4``: how many pages the process stage works on
-    at once."""
+    at once; ``workers=`` is an alias of ``n=``."""
     kind, options = _parse_kv(spec)
     if kind != "local":
         raise click.BadParameter(f"unknown scheduler kind {kind!r}")
     counts = [options.pop(key) for key in ("n", "workers") if key in options]
     if options:
         raise click.BadParameter(f"unknown {kind} scheduler options: {sorted(options)}")
+    if len(counts) > 1:
+        raise click.BadParameter(f"{spec!r}: give n or workers, not both")
     try:
         return LocalExecutor(int(counts[0]) if counts else 4)
     except ValueError as exc:
@@ -492,8 +499,14 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
 @main.command("status")
 @click.option("--workspace", "--batch", "workspace", required=True, type=click.Path(exists=True))
 def status_cmd(workspace):
-    """Per-state task counts for a batch workspace."""
-    manifests = TransitionLog(workspace).load_all()
+    """Per-state task counts for a batch workspace.
+
+    Reads the task log from its checkpoint on (``TransitionLog.fold``) and
+    writes nothing.
+    """
+    ctx = PipelineContext.at(workspace)
+    tasks = ctx.log.fold(read_checkpoint(ctx.checkpoint_file).get("log"))
+    manifests = [tasks[task_id] for task_id in sorted(tasks)]
     click.echo(f"tasks: {len(manifests)}")
     _echo_counts(state_counts(manifests))
     for m in manifests:
@@ -586,7 +599,7 @@ def evaluate_cmd(truth_dir, pred_dir, json_path, dry_run):
               help="name:service_s:workers, workers may be ? (repeatable).")
 @click.option("--deadline", default=None, help="e.g. 691200, 8d, 192h.")
 @click.option("--mode", type=click.Choice(["pipelined", "sequential"]), default=None)
-@click.option("--cap", type=int, default=4096, show_default=True,
+@click.option("--cap", type=click.IntRange(min=1), default=4096, show_default=True,
               help="Max workers considered when solving for ?.")
 @click.option("--json", "json_path", type=click.Path(), default=None)
 @click.option("--dry-run", is_flag=True)
@@ -595,6 +608,7 @@ def simulate_cmd(config: GlobalConfig, n_images, stage_specs, deadline, mode, ca
                  json_path, dry_run):
     """Simulate batch throughput; solve for an unknown worker count."""
     stages = [parse_stage_spec(s) for s in stage_specs]
+    deadline_s = parse_duration(deadline) if deadline else None
     mode = mode or config.simulate.get("mode", "pipelined")
     unknown = [s for s in stages if s.workers is None]
     if dry_run:
@@ -607,7 +621,6 @@ def simulate_cmd(config: GlobalConfig, n_images, stage_specs, deadline, mode, ca
         if unknown:
             if not deadline:
                 raise click.UsageError("a stage has workers '?': --deadline is required")
-            deadline_s = parse_duration(deadline)
             count = simulate_mod.min_workers_for_deadline(
                 n_images, stages, deadline_s, seed=config.seed, mode=mode, cap=cap
             )
@@ -620,7 +633,6 @@ def simulate_cmd(config: GlobalConfig, n_images, stage_specs, deadline, mode, ca
         raise click.UsageError(str(exc))
     click.echo(simulate_mod.format_report(result, stages))
     if deadline:
-        deadline_s = parse_duration(deadline)
         verdict = "meets" if result.makespan <= deadline_s else "MISSES"
         click.echo(f"deadline {deadline_s:,.0f} s: {verdict} ({result.makespan:,.1f} s)")
         if result.makespan > deadline_s:

@@ -336,7 +336,7 @@ class RegisterMetadata:
         if self.census_year not in VALID_CENSUS_YEARS:
             raise ValueError(f"{self.census_year} is not a census year")
 
-    @property
+    @functools.cached_property
     def register_id(self) -> str:
         return f"{self.census_year}-{self.commune.code}-{_slug(self.archival_id)}"
 

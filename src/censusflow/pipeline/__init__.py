@@ -13,7 +13,8 @@ nodes have no internet access:
 
 Coordination state lives entirely in one append-only task log per
 workspace, whose fold gives every task's manifest; a torn last line left by
-a kill is dropped on open. A task's files follow from its id, so the log
+a kill is dropped on open, and a derived checkpoint lets a run fold only
+the records appended since it. A task's files follow from its id, so the log
 holds no paths and a workspace may move between runs. That makes every step idempotent and crash
 recovery a matter of re-running the batch.
 """

@@ -8,7 +8,9 @@ only the ``attempts`` or ``failure`` it sets. The log keeps nothing the task
 id or the registry fixes: a task's files in the workspace follow from its id
 (``PipelineContext``). The state of every task is the fold of its records. A
 kill in the middle of an append leaves a torn last line; readers skip it and
-the next writer cuts it off. The allowed state graph is
+the next writer cuts it off. A workspace checkpoint (``read_checkpoint``)
+holds the fold up to a byte length of the log, so a reader folds only the
+records after it. The allowed state graph is
 
     PENDING -> STAGED -> PROCESSING -> PROCESSED -> INTEGRATED
 
@@ -17,6 +19,7 @@ with FAILED reachable from any active state.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -24,7 +27,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..ingest import GazetteerEntry, ImageRef, RegisterMetadata
 
@@ -72,8 +75,11 @@ def task_id_for(image: ImageRef) -> str:
 
 @dataclass
 class TaskManifest:
+    """One task's fold. ``image`` is None only in a manifest read from a
+    checkpoint (``TransitionLog.fold``), which holds no images."""
+
     task_id: str
-    image: ImageRef
+    image: Optional[ImageRef]
     state: TaskState = TaskState.PENDING
     timestamps: dict[str, float] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
@@ -128,9 +134,9 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def read_lines(path: Path) -> Iterator[tuple[int, bytes]]:
+def read_lines(path: Path, start: int = 0) -> Iterator[tuple[int, bytes]]:
     """Yield ``(offset, line)`` for each whole, non-blank line of an
-    append-only NDJSON file, if it exists.
+    append-only NDJSON file from byte ``start`` on, if it exists.
 
     A kill in the middle of an append leaves a last line without its
     newline; it is skipped, as the LevelDB and SQLite write-ahead logs drop
@@ -142,7 +148,7 @@ def read_lines(path: Path) -> Iterator[tuple[int, bytes]]:
     except FileNotFoundError:
         return
     with fh:
-        offset = 0
+        offset = fh.seek(start)
         for line in fh:
             if not line.endswith(b"\n"):
                 return
@@ -183,18 +189,31 @@ def parse_line(
     return record
 
 
-def read_ndjson(path: Path) -> Iterator[dict]:
-    """Yield the whole records of an append-only NDJSON file (see
-    ``read_lines``).
+def read_ndjson(path: Path, start: int = 0) -> Iterator[dict]:
+    """Yield the whole records of an append-only NDJSON file from byte
+    ``start`` on (see ``read_lines``).
 
     Raises:
         CorruptLine: at the first whole line that is not a JSON object.
     """
-    for offset, line in read_lines(path):
+    for offset, line in read_lines(path, start):
         yield parse_line(line, path, offset)
 
 
-def cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:
+def _whole_end(fh, chunk: int = 1 << 16) -> tuple[int, int]:
+    """``(end of the last whole line, size)`` of an open binary file."""
+    size = end = fh.seek(0, os.SEEK_END)
+    while end > 0:
+        start = max(0, end - chunk)
+        fh.seek(start)
+        newline = fh.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1, size
+        end = start
+    return 0, size
+
+
+def cut_torn_tail(path: Path) -> None:
     """Cut any bytes after the last newline of an append-only NDJSON file.
 
     A writer calls this before its first append, so the next record starts
@@ -205,17 +224,63 @@ def cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:
     except FileNotFoundError:
         return
     with fh:
-        size = end = fh.seek(0, os.SEEK_END)
-        while end > 0:
-            start = max(0, end - chunk)
-            fh.seek(start)
-            newline = fh.read(end - start).rfind(b"\n")
-            if newline >= 0:
-                end = start + newline + 1
-                break
-            end = start
+        end, size = _whole_end(fh)
         if end < size:
             fh.truncate(end)
+
+
+class FilePrefix:
+    """A running SHA-256 of the first ``length`` bytes of an append-only
+    file: the part of it that a checkpoint covers. The file is read 1 MiB
+    at a time, never whole."""
+
+    CHUNK = 1 << 20
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._reset()
+
+    def _reset(self) -> None:
+        self.length = 0
+        self._sha = hashlib.sha256()
+
+    def _hash(self, fh, end: int) -> bool:
+        fh.seek(self.length)
+        while self.length < end:
+            data = fh.read(min(self.CHUNK, end - self.length))
+            if not data:
+                return False
+            self._sha.update(data)
+            self.length += len(data)
+        return True
+
+    def verify(self, length, digest) -> bool:
+        """Whether the file's first ``length`` bytes have the SHA-256
+        ``digest``; if they have not, the prefix is empty again."""
+        if type(length) is int and length >= 0 and isinstance(digest, str):
+            try:
+                with open(self.path, "rb") as fh:
+                    if self._hash(fh, length) and self._sha.hexdigest() == digest:
+                        return True
+            except FileNotFoundError:
+                pass
+        self._reset()
+        return False
+
+    def extend(self) -> tuple[int, str]:
+        """Hash on to the end of the file's last whole line: ``(length,
+        hex digest)`` of the new prefix."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            self._reset()
+            return self.length, self._sha.hexdigest()
+        with fh:
+            end, _ = _whole_end(fh)
+            if end < self.length:  # cut below the prefix: hash it again
+                self._reset()
+            self._hash(fh, end)
+        return self.length, self._sha.hexdigest()
 
 
 class AppendFile:
@@ -297,14 +362,22 @@ class TransitionLog:
 
     One process at a time may write to a workspace: its first append cuts a
     torn tail, which would cut a record another writer is still appending.
-    Readers (``replay``, ``load_all``) never write, and opening a log creates
-    nothing: the first append creates the workspace. ``file`` is the writer's
-    handle; ``run_batch`` holds it open for the whole run.
+    Readers (``replay``, ``load_all``, ``fold``) never write, and opening a
+    log creates nothing: the first append creates the workspace. ``file`` is
+    the writer's handle; ``run_batch`` holds it open for the whole run.
+
+    ``fold`` loads ``tasks``, every task's manifest by task id, and
+    ``prefix``, the part of the log they fold. The stages keep ``tasks``
+    current as they append (``advance`` changes its manifests in place),
+    so ``section`` can write the fold to a checkpoint without reading the
+    log again.
     """
 
     def __init__(self, root: str | Path):
         self.path = Path(root) / "tasks.ndjson"
         self.file = AppendFile(self.path)
+        self.tasks: Optional[dict[str, TaskManifest]] = None
+        self.prefix = FilePrefix(self.path)
 
     def append(self, record: dict) -> None:
         """Append one record; it is on disk (not yet fsynced) on return."""
@@ -317,28 +390,93 @@ class TransitionLog:
         return read_ndjson(self.path)
 
     def load_all(self) -> list[TaskManifest]:
-        """The current manifest of every task in the log, by task id.
+        """The current manifest of every task in the log, by task id: the
+        full replay, which reads every record.
 
         The fold reads only ``image`` from a task's first record and
         ``attempts`` and ``failure`` from later ones, and ignores any other
         key, such as the paths that logs of earlier versions recorded.
         """
         tasks: dict[str, TaskManifest] = {}
-        for record in self.replay():
-            task_id = record["task_id"]
-            manifest = tasks.get(task_id)
-            if manifest is None:
-                manifest = tasks[task_id] = TaskManifest(task_id, _image_from_json(record["image"]))
-            manifest.state = TaskState(record["to"])
-            manifest.timestamps[record["to"]] = record["at"]
-            if record.get("attempts") is not None:
-                manifest.attempts = record["attempts"]
-            failure = record.get("failure")
-            if failure is not None:
-                manifest.failure = FailureInfo(
-                    failure["stage"], failure["reason"], failure.get("attempt", 1)
-                )
+        _fold(tasks, self.replay())
         return sorted(tasks.values(), key=lambda m: m.task_id)
+
+    def fold(self, section: Optional[dict] = None) -> dict[str, TaskManifest]:
+        """Load and return ``tasks``, from a checkpoint's log ``section``
+        and the records after it when the log still begins with the bytes
+        the section folds (``FilePrefix.verify``).
+
+        A manifest from the section has no image and only its latest
+        timestamp. A missing, malformed or stale section, or a record after
+        it for a task that is already terminal, means the full replay
+        (``load_all``) instead.
+        """
+        self.prefix = FilePrefix(self.path)
+        if section is not None and self.prefix.verify(section.get("length"), section.get("sha256")):
+            try:
+                tasks = _manifests_from(section["tasks"])
+            except (AttributeError, KeyError, TypeError, ValueError):
+                tasks = None
+            if tasks is not None and _fold(tasks, read_ndjson(self.path, self.prefix.length), True):
+                self.tasks = tasks
+                return tasks
+            self.prefix = FilePrefix(self.path)
+        self.tasks = {}
+        _fold(self.tasks, self.replay())
+        return self.tasks
+
+    def section(self) -> dict:
+        """The checkpoint section of the fold: the log's length and SHA-256
+        up to its last whole line, and every task's latest timestamp, in
+        groups of tasks with the same state, attempts and failure. Every
+        record must be flushed."""
+        length, digest = self.prefix.extend()
+        groups: dict[tuple, list] = {}
+        for task_id, m in self.tasks.items():
+            key = m.state, repr(m.attempts), m.failure
+            group = groups.get(key)
+            if group is None:
+                failure = None if m.failure is None else [
+                    m.failure.stage, m.failure.reason, m.failure.attempt]
+                group = groups[key] = [m.state.value, m.attempts, failure, {}]
+            group[3][task_id] = max(m.timestamps.values())
+        return {"length": length, "sha256": digest, "tasks": list(groups.values())}
+
+
+def _manifests_from(groups: list) -> dict[str, TaskManifest]:
+    """The manifests of a checkpoint's log section (``TransitionLog.section``)."""
+    manifests = {}
+    for state, attempts, failure, tasks in groups:
+        if not (isinstance(attempts, dict) and isinstance(tasks, dict)):
+            raise TypeError("not a task group")
+        name, state = state, TaskState(state)
+        failure = None if failure is None else FailureInfo(*failure)
+        for task_id, at in tasks.items():
+            manifests[task_id] = TaskManifest(task_id, None, state, {name: at},
+                                              dict(attempts), failure)
+    return manifests
+
+
+def _fold(tasks: dict[str, TaskManifest], records: Iterable[dict], tail: bool = False) -> bool:
+    """Fold ``records`` into ``tasks``. In a ``tail`` the fold stops and
+    returns False at a record for a task that is already terminal."""
+    for record in records:
+        task_id = record["task_id"]
+        manifest = tasks.get(task_id)
+        if manifest is None:
+            manifest = tasks[task_id] = TaskManifest(task_id, _image_from_json(record["image"]))
+        elif tail and manifest.state in TERMINAL_STATES:
+            return False
+        manifest.state = TaskState(record["to"])
+        manifest.timestamps[record["to"]] = record["at"]
+        if record.get("attempts") is not None:
+            manifest.attempts = record["attempts"]
+        failure = record.get("failure")
+        if failure is not None:
+            manifest.failure = FailureInfo(
+                failure["stage"], failure["reason"], failure.get("attempt", 1)
+            )
+    return True
 
 
 #: The log is the only manifest store. ``bench/`` still imports the log by
@@ -381,6 +519,45 @@ class PipelineContext:
 
     def result_file(self, task_id: str) -> Path:
         return self.results_dir / f"{task_id}.json"
+
+    @property
+    def checkpoint_file(self) -> Path:
+        return self.log.path.parent / CHECKPOINT_NAME
+
+
+# The workspace checkpoint (see ``read_checkpoint``) and its format version.
+CHECKPOINT_NAME = "checkpoint.json"
+CHECKPOINT_VERSION = 1
+
+
+def read_checkpoint(path: Path) -> dict[str, dict]:
+    """The sections of a workspace checkpoint, by name: ``log`` (the task
+    log's fold, ``TransitionLog.section``), ``store`` (the result store's
+    index) and ``memo`` (the export memo's verified digests).
+
+    Each section is derived from the head of its file up to a byte length,
+    and is used only while that head has the SHA-256 the section records;
+    the file's later bytes, its tail, are read as usual. The checkpoint is
+    a cache: a missing or unreadable file, or another format version, gives
+    no sections, and the readers then read their files whole.
+    """
+    try:
+        data = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return {}
+    if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
+        return {}
+    return {name: section for name, section in data.items() if isinstance(section, dict)}
+
+
+def write_checkpoint(path: Path, sections: dict[str, dict]) -> int:
+    """Replace the checkpoint at ``path`` with ``sections``
+    (``atomic_write_bytes``); returns its size in bytes. Every record the
+    sections cover must be flushed first."""
+    data = json.dumps({"version": CHECKPOINT_VERSION, **sections}, separators=(",", ":"))
+    data = data.encode("ascii")
+    atomic_write_bytes(path, data)
+    return len(data)
 
 
 def advance(

@@ -34,6 +34,7 @@ import json
 import re
 import threading
 import time
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,12 +47,15 @@ from ..ingest import Registry
 from .manifests import (
     TERMINAL_STATES,
     AppendFile,
+    FilePrefix,
     PipelineContext,
     TaskManifest,
     TaskState,
     parse_line,
+    read_checkpoint,
     read_lines,
     read_ndjson,
+    write_checkpoint,
 )
 from .stages import (
     LocalExecutor,
@@ -112,18 +116,41 @@ class ResultStore:
     store opened plus this instance's own adds, which is what export reads.
     ``file`` holds its handles; ``run_batch`` holds them open for the whole
     run.
+
+    Given a checkpoint's store section (see ``section``) whose bytes the
+    store still begins with, the index starts from it and only the records
+    after them are read; ``verified`` is then the section's length, else 0.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, section: Optional[dict] = None):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._keys: set[str] = set()
         self.pages: dict[str, dict[int, int]] = {}
-        for offset, line in read_lines(self.path):
+        self.prefix = FilePrefix(self.path)
+        if section is not None and self.prefix.verify(section.get("length"), section.get("sha256")):
+            try:
+                self.pages = {register_id: dict(offsets)
+                              for register_id, offsets in section["pages"].items()}
+                self._keys = set(section["keys"])
+            except (AttributeError, KeyError, TypeError, ValueError):
+                self.pages, self._keys = {}, set()
+                self.prefix = FilePrefix(self.path)
+        self.verified = self.prefix.length
+        for offset, line in read_lines(self.path, self.verified):
             register_id, sequence_index, task_id = _head(line, self.path, offset)
             self._keys.add(task_id)
             self.pages.setdefault(register_id, {})[sequence_index] = offset
         self.file = AppendFile(self.path)
+
+    def section(self) -> dict:
+        """The checkpoint section of the index: the store's length and
+        SHA-256 up to its last whole line, ``pages`` as ``register_id ->
+        [[sequence_index, offset], ...]`` and the task-id keys. Every add
+        must be flushed."""
+        length, digest = self.prefix.extend()
+        pages = {register_id: list(offsets.items()) for register_id, offsets in self.pages.items()}
+        return {"length": length, "sha256": digest, "pages": pages, "keys": list(self._keys)}
 
     def __contains__(self, task_id: str) -> bool:
         return task_id in self._keys
@@ -232,10 +259,8 @@ class BatchReport:
 
 
 def state_counts(manifests: Iterable[TaskManifest]) -> dict[str, int]:
-    counts = {state.value: 0 for state in TaskState}
-    for m in manifests:
-        counts[m.state.value] += 1
-    return counts
+    counts = Counter(m.state for m in manifests)
+    return {state.value: counts[state] for state in TaskState}
 
 
 def run_batch(config: RunConfig) -> BatchReport:
@@ -253,28 +278,39 @@ def run_batch(config: RunConfig) -> BatchReport:
     then copies them. ``run_batch`` is the workspace's only writer, so
     before exporting it deletes the temporary files that a kill during an
     earlier export left, and it is the only writer of the memo.
+
+    The log, the store and the memo are opened from the workspace
+    checkpoint plus what was appended after it (``read_checkpoint``).
+    ``run_batch`` writes a new checkpoint when it returns, and after a
+    window once the log has grown since the last checkpoint by at least
+    that checkpoint's size, so the checkpoints of a run total O(log) bytes
+    and a kill leaves at most one such interval of log to read again.
     """
     ctx = PipelineContext.at(
         config.workspace, clock=config.clock, on_transition=config.on_transition
     )
     post = "post" in config.stages
+    checkpoint = read_checkpoint(ctx.checkpoint_file)
     with ExitStack() as handles:
         handles.enter_context(ctx.log.file)
         manifests = plan_batch(
             config.registry,
             ctx,
+            checkpoint,
             year=config.year,
             commune_code=config.commune_code,
             register_id=config.register_id,
             limit=config.limit,
         )
+        store = memo = None
         if post:
-            store = ResultStore(config.store_path)
-            memo = ExportMemo(store, writable=True)
+            store = ResultStore(config.store_path, checkpoint.get("store"))
+            memo = ExportMemo(store, writable=True, section=checkpoint.get("memo"))
             handles.enter_context(store.file)
             handles.enter_context(memo.file)
             registers = {register.metadata.register_id: register
                          for register in config.registry.registers}
+        saver = _CheckpointWriter(ctx, checkpoint, store, memo)
 
         todo = [m for m in manifests if m.state not in TERMINAL_STATES]
         for start in range(0, len(todo), config.window):
@@ -299,6 +335,8 @@ def run_batch(config: RunConfig) -> BatchReport:
                 run_stage_integrate(window, ctx, results_store=store)
                 for register_id in dict.fromkeys(m.image.register.register_id for m in window):
                     memo.keep(registers[register_id])
+            if start + config.window < len(todo) and saver.due():
+                saver.write()
 
         report = BatchReport(
             planned=len(manifests),
@@ -314,9 +352,50 @@ def run_batch(config: RunConfig) -> BatchReport:
             report.households_exported = people
             report.registers_exported = exported
             report.registers_skipped = skipped
+        saver.write()
     return report
 
 
+class _CheckpointWriter:
+    """Writes a run's checkpoints: the log's section, and the store's and the
+    memo's if the run opened them, else those of the checkpoint it read."""
+
+    def __init__(self, ctx: PipelineContext, previous: dict,
+                 store: Optional[ResultStore], memo: Optional["ExportMemo"]):
+        self.ctx, self.previous, self.store, self.memo = ctx, previous, store, memo
+        try:
+            self.size = ctx.checkpoint_file.stat().st_size
+        except OSError:
+            self.size = 0
+        # What the last checkpoint covers, as ``_covers`` gives it; None
+        # for a file whose section the run could not use.
+        self.written = (ctx.log.prefix.length or None,
+                        (store.verified or None) if store is not None else None,
+                        previous.get("memo"))
+
+    def due(self) -> bool:
+        """Whether the log has grown since the last checkpoint by at least
+        the size of that checkpoint."""
+        return self.ctx.log.path.stat().st_size - self.ctx.log.prefix.length >= self.size
+
+    def _covers(self) -> tuple:
+        return (self.ctx.log.prefix.extend()[0],
+                self.store.prefix.extend()[0] if self.store is not None else None,
+                self.memo.section() if self.memo is not None else self.previous.get("memo"))
+
+    def write(self) -> None:
+        """Write a checkpoint unless the last one already holds this state."""
+        covers = self._covers()
+        if covers == self.written:
+            return
+        sections = {"log": self.ctx.log.section()}
+        if self.store is not None:
+            sections["store"], sections["memo"] = self.store.section(), covers[2]
+        else:
+            sections.update((name, self.previous[name]) for name in ("store", "memo")
+                            if name in self.previous)
+        self.size = write_checkpoint(self.ctx.checkpoint_file, sections)
+        self.written = covers
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
@@ -448,9 +527,15 @@ class ExportMemo:
 
     Only a ``writable`` memo appends, and only ``run_batch`` opens one;
     ``file`` holds its handles, open for the whole run.
+
+    ``section`` is a checkpoint's memo section (see ``section``): its
+    digests are taken as they are for registers whose store lines all lie
+    in the part of the store that the store's own section verified
+    (``ResultStore.verified``), and are hashed again otherwise.
     """
 
-    def __init__(self, store: ResultStore, writable: bool = False):
+    def __init__(self, store: ResultStore, writable: bool = False,
+                 section: Optional[dict] = None):
         self.store = store
         self.path = store.path.with_name(MEMO_NAME)
         self.writable = writable
@@ -465,6 +550,17 @@ class ExportMemo:
         # register lands after all its earlier lines: while its last offset
         # is the same, its lines are too and need no hashing again.
         self._known: dict[str, tuple[int, str]] = {}
+        try:
+            for register_id, (last, digest) in (section or {}).items():
+                if type(last) is int and last < store.verified and isinstance(digest, str):
+                    self._known[register_id] = last, digest
+        except (TypeError, ValueError):
+            self._known = {}
+
+    def section(self) -> dict:
+        """The checkpoint section of the memo: ``register_id -> [last store
+        offset, digest]`` of every part this instance folded or found."""
+        return {register_id: list(known) for register_id, known in self._known.items()}
 
     def keep(self, register) -> None:
         """Memoise ``register``'s rows if it is complete (see ``part``).

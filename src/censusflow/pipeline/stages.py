@@ -33,6 +33,7 @@ from .manifests import (
     TaskState,
     advance,
     atomic_write_bytes,
+    read_checkpoint,
     register_new,
     task_id_for,
 )
@@ -118,25 +119,35 @@ def select_images(
     return selected
 
 
-def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[TaskManifest]:
+def plan_batch(
+    registry: Registry, ctx: PipelineContext, checkpoint: Optional[dict] = None, **selection
+) -> list[TaskManifest]:
     """Create PENDING manifests for the images ``select_images(registry,
     **selection)`` picks, in its order.
 
-    Replanning is idempotent: existing manifests are returned untouched
-    whatever their state.
+    Replanning is idempotent: existing manifests are returned in whatever
+    state they are, each with the image its registry entry gives (the same
+    task id means the same register and sequence index). The log is
+    folded from the workspace's checkpoint and the records after it
+    (``TransitionLog.fold``); ``checkpoint`` is the checkpoint as
+    ``read_checkpoint`` gives it, read from the workspace if not given.
 
     Raises:
         EmptySelection: if the filter matches no image.
     """
     selected = select_images(registry, **selection)
-    known = {m.task_id: m for m in ctx.log.load_all()}
+    if checkpoint is None:
+        checkpoint = read_checkpoint(ctx.checkpoint_file)
+    known = ctx.log.fold(checkpoint.get("log"))
     manifests = []
     for image in selected:
         task_id = task_id_for(image)
-        if task_id in known:
-            manifests.append(known[task_id])
+        manifest = known.get(task_id)
+        if manifest is None:
+            manifest = known[task_id] = register_new(TaskManifest(task_id, image), ctx)
         else:
-            manifests.append(register_new(TaskManifest(task_id=task_id, image=image), ctx))
+            manifest.image = image
+        manifests.append(manifest)
     return manifests
 
 

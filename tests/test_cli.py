@@ -5,7 +5,13 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from censusflow.cli import main, parse_duration, parse_scheduler_spec, parse_stage_spec
+from censusflow.cli import (
+    main,
+    parse_duration,
+    parse_scheduler_spec,
+    parse_stage_spec,
+    parse_worker_spec,
+)
 from censusflow.domain import dumps_pages
 from censusflow.ingest import load_registry
 from censusflow.pipeline import TaskState, TransitionLog
@@ -48,6 +54,17 @@ class TestParsers:
     def test_durations(self, text, expected):
         assert parse_duration(text) == expected
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "infd", "1e308d", "0", "-3h", "x"])
+    def test_bad_durations(self, text):
+        with pytest.raises(click.BadParameter):
+            parse_duration(text)
+
+    @pytest.mark.parametrize("spec", ["mock:noise=abc", "mock:noise=2", "mock:drop=-0.1",
+                                      "mock:flip=nan", "mock:seed=x", "mock:seed=1.5"])
+    def test_bad_mock_worker_values(self, spec):
+        with pytest.raises(click.BadParameter):
+            parse_worker_spec(spec, default_seed=0)
+
     @pytest.mark.parametrize("spec, attribute, count", [
         ("local", "workers", 4), ("local:n=2", "workers", 2), ("local:workers=3", "workers", 3),
     ])
@@ -58,7 +75,8 @@ class TestParsers:
 
     @pytest.mark.parametrize("spec", ["local:threads=8", "local:n=2,nodes=2", "simulated:workers=2",
                                       "local:n=0", "simulated:nodes=x", "slurm:n=2",
-                                      "simulated", "simulated:nodes=2", "simulated:n=3"])
+                                      "simulated", "simulated:nodes=2", "simulated:n=3",
+                                      "local:n=2,workers=3", "local:workers=2,n=2"])
     def test_bad_scheduler_spec(self, spec):
         with pytest.raises(click.BadParameter):
             parse_scheduler_spec(spec)
@@ -107,6 +125,25 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 0
         assert "dry run" in result.output
+
+    @pytest.mark.parametrize("deadline", ["nan", "inf", "-inf", "nanh", "0"])
+    @pytest.mark.parametrize("stage", ["a:1.0:1", "a:1.0:?"], ids=["known", "solved"])
+    def test_non_finite_deadline_is_usage_error(self, runner, deadline, stage):
+        result = runner.invoke(
+            main, ["simulate", "--images", "10", "--stage", stage, "--deadline", deadline]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value" in result.output
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_usage_error(self, runner, cap):
+        result = runner.invoke(
+            main, ["simulate", "--images", "10", "--stage", "a:1.0:?", "--deadline", "1h",
+                   "--cap", cap]
+        )
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--cap'" in result.output
 
     @pytest.mark.parametrize(
         "spec", ["a:1.0:1:lognormal:abc", "a:1.0:1:lognormal:nan", "a:nan:2", "a:inf:2"]
@@ -201,6 +238,49 @@ class TestPipelineCommands:
         assert report["cer"] == 0.0
         assert report["micro"]["f1"] == 1.0
         assert report["household_accuracy"] == 1.0
+
+    @pytest.mark.parametrize("spec", ["mock:noise=abc", "mock:noise=2"])
+    def test_bad_mock_workers_are_usage_errors(self, runner, tmp_path, spec):
+        corpus = make_corpus(runner, tmp_path)
+        result = runner.invoke(
+            main, ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus),
+                   "--workers", spec]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value" in result.output
+        assert not (tmp_path / "ws").exists()
+
+    def test_status_reads_the_checkpoint_and_writes_nothing(self, runner, tmp_path):
+        """On a finished workspace, status prints the same with and without
+        checkpoint.json, and creates or changes no file."""
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        victim = json.loads((corpus / "registry.ndjson").read_text().splitlines()[0])
+        (corpus / "images" / f"{victim['images'][1]['identifier']}.json").unlink()
+        result = runner.invoke(
+            main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        )
+        assert result.exit_code == 1, result.output
+        checkpoint = workspace / "checkpoint.json"
+        assert checkpoint.exists()
+
+        def files():
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in workspace.rglob("*") if p.is_file()}
+
+        before = files()
+        status = runner.invoke(main, ["status", "--workspace", str(workspace)])
+        assert status.exit_code == 0, status.output
+        assert files() == before
+        assert "FAILED: 1\n" in status.output and "\nFAILED " in status.output
+
+        checkpoint.unlink()
+        before = files()
+        replayed = runner.invoke(main, ["status", "--workspace", str(workspace)])
+        assert replayed.exit_code == 0, replayed.output
+        assert files() == before
+        assert replayed.output == status.output
 
     def test_staged_run_in_three_calls(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
