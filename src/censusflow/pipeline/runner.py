@@ -361,7 +361,7 @@ class _CheckpointWriter:
     memo's if the run opened them, else those of the checkpoint it read."""
 
     def __init__(self, ctx: PipelineContext, previous: dict,
-                 store: Optional[ResultStore], memo: Optional["ExportMemo"]):
+                 store: Optional[ResultStore], memo: Optional[ExportMemo]):
         self.ctx, self.previous, self.store, self.memo = ctx, previous, store, memo
         try:
             self.size = ctx.checkpoint_file.stat().st_size
