@@ -27,14 +27,13 @@ from .pipeline import (
     ResultStore,
     RunConfig,
     TaskState,
-    TransitionLog,
     WorkerSet,
     export_batch,
     plan_batch,
     run_batch,
 )
 from .pipeline.manifests import read_checkpoint
-from .pipeline.runner import STAGES, STORE_NAME, registry_from_manifests, state_counts
+from .pipeline.runner import STAGES, STORE_NAME, state_counts
 from .pipeline.stages import select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
 
@@ -211,17 +210,15 @@ def parse_worker_spec(spec: str, default_seed: int) -> WorkerSet:
 
 def parse_scheduler_spec(spec: str) -> LocalExecutor:
     """``local`` or ``local:n=4``: how many pages the process stage works on
-    at once; ``workers=`` is an alias of ``n=``."""
+    at once."""
     kind, options = _parse_kv(spec)
     if kind != "local":
         raise click.BadParameter(f"unknown scheduler kind {kind!r}")
-    counts = [options.pop(key) for key in ("n", "workers") if key in options]
+    n = options.pop("n", "4")
     if options:
         raise click.BadParameter(f"unknown {kind} scheduler options: {sorted(options)}")
-    if len(counts) > 1:
-        raise click.BadParameter(f"{spec!r}: give n or workers, not both")
     try:
-        return LocalExecutor(int(counts[0]) if counts else 4)
+        return LocalExecutor(int(n))
     except ValueError as exc:
         raise click.BadParameter(f"{spec!r}: {exc}")
 
@@ -497,7 +494,7 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
 
 
 @main.command("status")
-@click.option("--workspace", "--batch", "workspace", required=True, type=click.Path(exists=True))
+@click.option("--workspace", required=True, type=click.Path(exists=True))
 def status_cmd(workspace):
     """Per-state task counts for a batch workspace.
 
@@ -521,13 +518,15 @@ def status_cmd(workspace):
               help="Also dump integrated transcripts as fixture pages.")
 @click.option("--dry-run", is_flag=True)
 def export_cmd(workspace, households_path, pages_dir, dry_run):
-    """Export merged households (and optionally transcripts) from results."""
+    """Export merged households (and optionally transcripts) from the
+    workspace registry and the results, without reading the task log."""
     workspace = Path(workspace)
+    registry_file = PipelineContext.at(workspace).registry_file
+    if not registry_file.exists():
+        _fail(f"no {registry_file.name} in {workspace}: run `censusflow plan --registry R "
+              f"--workspace {workspace}` with the registry and selection it was planned with")
+    registry = ingest.load_registry(registry_file)
     store = ResultStore(workspace / STORE_NAME)
-    manifests = TransitionLog(workspace).load_all()
-    if not manifests:
-        _fail(f"no manifests under {workspace}")
-    registry = registry_from_manifests(manifests)
     if dry_run:
         click.echo(
             f"dry run: {len(store)} integrated results over "

@@ -93,6 +93,17 @@ class RetryPolicy:
         attempt, so delays are non-decreasing."""
         return self.base_backoff_ms * (2**attempt)
 
+    def attempts(self, rng: Optional[random.Random], sleep: Callable[[float], None]):
+        """Yield each attempt number, sleeping a draw from ``[0, backoff_ms]``
+        (full jitter) before each retry; without a caller's ``rng``, one is
+        seeded from os.urandom at the first retry only."""
+        for attempt in range(self.max_attempts):
+            if attempt:
+                if rng is None:
+                    rng = random.Random()
+                sleep(rng.uniform(0.0, self.backoff_ms(attempt - 1)) / 1000.0)
+            yield attempt
+
 
 @dataclass(frozen=True)
 class IiifEndpoint:
@@ -184,11 +195,7 @@ def check_integrity(
     """
     url = info_url(endpoint, image.iiif_identifier)
     last_detail = ""
-    for attempt in range(endpoint.retry.max_attempts):
-        if attempt:
-            if rng is None:  # seeding from os.urandom is paid only on a retry
-                rng = random.Random()
-            sleep(rng.uniform(0.0, endpoint.retry.backoff_ms(attempt - 1)) / 1000.0)
+    for _ in endpoint.retry.attempts(rng, sleep):
         try:
             response = transport.get(url, endpoint.timeout_ms)
         except TransportFailure as exc:
@@ -241,11 +248,7 @@ def fetch_image(
     """
     url = full_image_url(endpoint, identifier)
     last: Optional[TransportFailure] = None
-    for attempt in range(endpoint.retry.max_attempts):
-        if attempt:
-            if rng is None:  # seeding from os.urandom is paid only on a retry
-                rng = random.Random()
-            sleep(rng.uniform(0.0, endpoint.retry.backoff_ms(attempt - 1)) / 1000.0)
+    for _ in endpoint.retry.attempts(rng, sleep):
         try:
             response = transport.get(url, endpoint.timeout_ms)
         except TransportFailure as exc:

@@ -521,25 +521,31 @@ def save_registry(registry: Registry, path: str | Path) -> None:
 
     Output is byte-identical for identical input.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for register in registry.registers:
-            meta = register.metadata
-            record = {
-                "census_year": meta.census_year,
-                "archival_id": meta.archival_id,
-                "commune": {
-                    "code": meta.commune.code,
-                    "canonical_name": meta.commune.canonical_name,
-                    "department": meta.commune.department,
-                    "valid_names": list(meta.commune.valid_names),
-                },
-                "source_rows": list(meta.source_rows),
-                "images": [
-                    {"identifier": img.iiif_identifier, "sequence_index": img.sequence_index}
-                    for img in register.images
-                ],
-            }
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    Path(path).write_text(registry_ndjson(registry), encoding="utf-8", newline="\n")
+
+
+def registry_ndjson(registry: Registry) -> str:
+    """The text ``save_registry`` writes."""
+    lines = []
+    for register in registry.registers:
+        meta = register.metadata
+        record = {
+            "census_year": meta.census_year,
+            "archival_id": meta.archival_id,
+            "commune": {
+                "code": meta.commune.code,
+                "canonical_name": meta.commune.canonical_name,
+                "department": meta.commune.department,
+                "valid_names": list(meta.commune.valid_names),
+            },
+            "source_rows": list(meta.source_rows),
+            "images": [
+                {"identifier": img.iiif_identifier, "sequence_index": img.sequence_index}
+                for img in register.images
+            ],
+        }
+        lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    return "".join(lines)
 
 
 def load_registry(path: str | Path) -> Registry:

@@ -2,15 +2,15 @@
 
 A manifest records one image's journey through the stages. All task state
 lives in one append-only NDJSON log, ``<workspace>/tasks.ndjson``. Every
-record is one transition (``task_id``, ``from``, ``to``, ``at``): a task's
-first record, from None to PENDING, adds its ``image``, and a later one adds
-only the ``attempts`` or ``failure`` it sets. The log keeps nothing the task
-id or the registry fixes: a task's files in the workspace follow from its id
-(``PipelineContext``). The state of every task is the fold of its records. A
-kill in the middle of an append leaves a torn last line; readers skip it and
-the next writer cuts it off. A workspace checkpoint (``read_checkpoint``)
-holds the fold up to a byte length of the log, so a reader folds only the
-records after it. The allowed state graph is
+record is one transition (``task_id``, ``from``, ``to``, ``at``), ``from``
+being None in a task's first; a later one adds only the ``attempts`` or
+``failure`` it sets. The log keeps nothing the task id or the registry
+fixes: a task's files follow from its id, its image from the workspace
+registry (``PipelineContext``). The state of every task is the fold of its
+records. A kill in the middle of an append leaves a torn last line; readers
+skip it and the next writer cuts it off. A workspace checkpoint
+(``read_checkpoint``) holds the fold up to a byte length of the log, so a
+reader folds only the records after it. The allowed state graph is
 
     PENDING -> STAGED -> PROCESSING -> PROCESSED -> INTEGRATED
 
@@ -29,7 +29,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
-from ..ingest import GazetteerEntry, ImageRef, RegisterMetadata
+from ..ingest import ImageRef
 
 
 class TaskState(Enum):
@@ -75,8 +75,8 @@ def task_id_for(image: ImageRef) -> str:
 
 @dataclass
 class TaskManifest:
-    """One task's fold. ``image`` is None only in a manifest read from a
-    checkpoint (``TransitionLog.fold``), which holds no images."""
+    """One task's fold. ``image`` is None in a manifest folded from the log,
+    which holds no images; ``plan_batch`` sets it from the registry."""
 
     task_id: str
     image: Optional[ImageRef]
@@ -84,31 +84,6 @@ class TaskManifest:
     timestamps: dict[str, float] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
     failure: Optional[FailureInfo] = None
-
-
-def _image_from_json(data: dict) -> ImageRef:
-    """The image of a creation record (see ``_image_json``)."""
-    register, commune = data["register"], data["register"]["commune"]
-    commune = GazetteerEntry(commune["code"], commune["canonical_name"], commune["department"])
-    metadata = RegisterMetadata(register["census_year"], commune, register["archival_id"])
-    return ImageRef(metadata, data["identifier"], data["sequence_index"])
-
-
-def _image_json(image: ImageRef) -> dict:
-    register = image.register
-    return {
-        "identifier": image.iiif_identifier,
-        "sequence_index": image.sequence_index,
-        "register": {
-            "census_year": register.census_year,
-            "archival_id": register.archival_id,
-            "commune": {
-                "code": register.commune.code,
-                "canonical_name": register.commune.canonical_name,
-                "department": register.commune.department,
-            },
-        },
-    }
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -393,9 +368,9 @@ class TransitionLog:
         """The current manifest of every task in the log, by task id: the
         full replay, which reads every record.
 
-        The fold reads only ``image`` from a task's first record and
-        ``attempts`` and ``failure`` from later ones, and ignores any other
-        key, such as the paths that logs of earlier versions recorded.
+        The fold reads only ``attempts`` and ``failure`` besides the
+        transition, and ignores any other key, such as the paths and images
+        that logs of earlier versions recorded.
         """
         tasks: dict[str, TaskManifest] = {}
         _fold(tasks, self.replay())
@@ -406,10 +381,10 @@ class TransitionLog:
         and the records after it when the log still begins with the bytes
         the section folds (``FilePrefix.verify``).
 
-        A manifest from the section has no image and only its latest
-        timestamp. A missing, malformed or stale section, or a record after
-        it for a task that is already terminal, means the full replay
-        (``load_all``) instead.
+        A manifest from the section has only its latest timestamp. A
+        missing, malformed or stale section, or a record after it for a
+        task that is already terminal, means the full replay (``load_all``)
+        instead.
         """
         self.prefix = FilePrefix(self.path)
         if section is not None and self.prefix.verify(section.get("length"), section.get("sha256")):
@@ -444,7 +419,9 @@ class TransitionLog:
 
 
 def _manifests_from(groups: list) -> dict[str, TaskManifest]:
-    """The manifests of a checkpoint's log section (``TransitionLog.section``)."""
+    """The manifests of a checkpoint's log section (``TransitionLog.section``).
+    A group's manifests share its ``attempts``, which a transition replaces
+    (``advance``, ``_fold``) and never changes in place."""
     manifests = {}
     for state, attempts, failure, tasks in groups:
         if not (isinstance(attempts, dict) and isinstance(tasks, dict)):
@@ -452,8 +429,8 @@ def _manifests_from(groups: list) -> dict[str, TaskManifest]:
         name, state = state, TaskState(state)
         failure = None if failure is None else FailureInfo(*failure)
         for task_id, at in tasks.items():
-            manifests[task_id] = TaskManifest(task_id, None, state, {name: at},
-                                              dict(attempts), failure)
+            manifests[task_id] = TaskManifest(task_id, None, state, {name: at}, attempts,
+                                              failure)
     return manifests
 
 
@@ -464,7 +441,7 @@ def _fold(tasks: dict[str, TaskManifest], records: Iterable[dict], tail: bool = 
         task_id = record["task_id"]
         manifest = tasks.get(task_id)
         if manifest is None:
-            manifest = tasks[task_id] = TaskManifest(task_id, _image_from_json(record["image"]))
+            manifest = tasks[task_id] = TaskManifest(task_id, None)
         elif tail and manifest.state in TERMINAL_STATES:
             return False
         manifest.state = TaskState(record["to"])
@@ -488,11 +465,12 @@ ManifestStore = TransitionLog
 class PipelineContext:
     """Shared plumbing handed to every stage, and the workspace layout.
 
-    The workspace is the log's directory. The pre-stage writes a task's
-    image to ``staging/<task_id>.jpg`` in it and the process stage its
-    result to ``results/<task_id>.json``. Both paths follow from the task id
-    alone, so the log does not record them, and a workspace may be moved or
-    used from any working directory between stages.
+    The workspace is the log's directory. ``plan_batch`` keeps the registers
+    of its tasks in ``registry.ndjson`` there. The pre-stage writes a task's
+    image to ``staging/<task_id>.jpg`` and the process stage its result to
+    ``results/<task_id>.json``. Both paths follow from the task id alone, so
+    the log does not record them, and a workspace may be moved or used from
+    any working directory between stages.
 
     ``on_transition`` is a test hook invoked after each persisted transition;
     raising from it simulates a crash at that point.
@@ -519,6 +497,10 @@ class PipelineContext:
 
     def result_file(self, task_id: str) -> Path:
         return self.results_dir / f"{task_id}.json"
+
+    @property
+    def registry_file(self) -> Path:
+        return self.log.path.parent / "registry.ndjson"
 
     @property
     def checkpoint_file(self) -> Path:
@@ -589,11 +571,3 @@ def advance(
         ctx.on_transition(manifest)
     return manifest
 
-
-def register_new(manifest: TaskManifest, ctx: PipelineContext) -> TaskManifest:
-    """Persist a freshly planned manifest (creation edge, not a transition):
-    the record holds its image, for export to rebuild the registry from."""
-    at = manifest.timestamps.setdefault(TaskState.PENDING.value, ctx.clock())
-    ctx.log.append({"task_id": manifest.task_id, "from": None, "to": manifest.state.value,
-                    "at": at, "image": _image_json(manifest.image)})
-    return manifest

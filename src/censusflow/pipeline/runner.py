@@ -401,22 +401,6 @@ class _CheckpointWriter:
 # ---------------------------------------------------------------------------
 
 
-def registry_from_manifests(manifests: Iterable[TaskManifest]) -> Registry:
-    """Rebuild the planned registry subset from task manifests, so export
-    works from a workspace alone."""
-    from ..ingest import Register
-
-    by_register: dict[str, list[TaskManifest]] = {}
-    for manifest in manifests:
-        by_register.setdefault(manifest.image.register.register_id, []).append(manifest)
-    registers = []
-    for register_id in sorted(by_register):
-        group = sorted(by_register[register_id], key=lambda m: m.image.sequence_index)
-        images = tuple(m.image for m in group)
-        registers.append(Register(metadata=images[0].register, images=images))
-    return Registry(tuple(registers))
-
-
 # Row positions of the export columns: a record's fields land at the column
 # of their tag; SURNAME_HEAD starts out absent to tell a head with an empty
 # surname from no head.

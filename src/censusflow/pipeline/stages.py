@@ -24,7 +24,7 @@ from ..iiif import (
     check_integrity,
     fetch_image,
 )
-from ..ingest import ImageRef, Registry
+from ..ingest import ImageRef, Registry, load_registry, registry_ndjson
 from ..label_codec import decode_lenient
 from .manifests import (
     FailureInfo,
@@ -34,7 +34,6 @@ from .manifests import (
     advance,
     atomic_write_bytes,
     read_checkpoint,
-    register_new,
     task_id_for,
 )
 from .workers import WorkerSet
@@ -126,11 +125,15 @@ def plan_batch(
     **selection)`` picks, in its order.
 
     Replanning is idempotent: existing manifests are returned in whatever
-    state they are, each with the image its registry entry gives (the same
-    task id means the same register and sequence index). The log is
+    state they are. Every manifest takes its image from ``registry`` (the
+    same task id means the same register and sequence index). The log is
     folded from the workspace's checkpoint and the records after it
     (``TransitionLog.fold``); ``checkpoint`` is the checkpoint as
     ``read_checkpoint`` gives it, read from the workspace if not given.
+    Before the first new task is logged, the whole registers of the
+    selected images go to the workspace registry, replacing the entries
+    with their ids; with no new task it is written only if missing, and
+    never read.
 
     Raises:
         EmptySelection: if the filter matches no image.
@@ -139,15 +142,29 @@ def plan_batch(
     if checkpoint is None:
         checkpoint = read_checkpoint(ctx.checkpoint_file)
     known = ctx.log.fold(checkpoint.get("log"))
-    manifests = []
+    manifests, new = [], []
     for image in selected:
         task_id = task_id_for(image)
         manifest = known.get(task_id)
         if manifest is None:
-            manifest = known[task_id] = register_new(TaskManifest(task_id, image), ctx)
+            manifest = known[task_id] = TaskManifest(task_id, image)
+            new.append(manifest)
         else:
             manifest.image = image
         manifests.append(manifest)
+    path = ctx.registry_file
+    if new or not path.exists():
+        ids = {image.register.register_id for image in selected}
+        kept = load_registry(path).registers if path.exists() else ()
+        by_id = {r.metadata.register_id: r for r in kept}
+        by_id.update((r.metadata.register_id, r) for r in registry.registers
+                     if r.metadata.register_id in ids)
+        text = registry_ndjson(Registry(tuple(by_id[key] for key in sorted(by_id))))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(path, text.encode("utf-8"))
+    for manifest in new:  # the creation record
+        at = manifest.timestamps[TaskState.PENDING.value] = ctx.clock()
+        ctx.log.append({"task_id": manifest.task_id, "from": None, "to": "PENDING", "at": at})
     return manifests
 
 

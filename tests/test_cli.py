@@ -66,7 +66,7 @@ class TestParsers:
             parse_worker_spec(spec, default_seed=0)
 
     @pytest.mark.parametrize("spec, attribute, count", [
-        ("local", "workers", 4), ("local:n=2", "workers", 2), ("local:workers=3", "workers", 3),
+        ("local", "workers", 4), ("local:n=2", "workers", 2),
     ])
     def test_scheduler_spec(self, spec, attribute, count):
         scheduler = parse_scheduler_spec(spec)
@@ -76,7 +76,8 @@ class TestParsers:
     @pytest.mark.parametrize("spec", ["local:threads=8", "local:n=2,nodes=2", "simulated:workers=2",
                                       "local:n=0", "simulated:nodes=x", "slurm:n=2",
                                       "simulated", "simulated:nodes=2", "simulated:n=3",
-                                      "local:n=2,workers=3", "local:workers=2,n=2"])
+                                      "local:n=2,workers=3", "local:workers=2,n=2",
+                                      "local:workers=3"])
     def test_bad_scheduler_spec(self, spec):
         with pytest.raises(click.BadParameter):
             parse_scheduler_spec(spec)
@@ -436,8 +437,7 @@ class TestPipelineCommands:
         assert status.exit_code == 0, status.output
         assert f"tasks: {len(register.images)}\n" in status.output
         assert f"INTEGRATED: {len(register.images)}\n" in status.output
-        manifests = TransitionLog(workspace).load_all()
-        assert {m.image.register for m in manifests} == {register.metadata}
+        assert load_registry(workspace / "registry.ndjson").registers == (register,)
 
     def test_plan_empty_selection(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
@@ -642,6 +642,55 @@ class TestExportCommand:
         assert want and f"wrote {len(want)} transcript pages" in result.output
         got = {p.name: p.read_text(encoding="utf-8") for p in pages.iterdir()}
         assert got == want
+
+
+    def test_export_of_a_partly_planned_register_is_the_runs(self, runner, tmp_path):
+        """A register of which only some pages are planned is incomplete for
+        export as for run: both write the header alone."""
+        corpus, workspace, out = tmp_path / "corpus", tmp_path / "ws", tmp_path / "h.csv"
+        result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
+                                      "--registers", "2", "--limit-images", "12"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus), "--limit", "3"])
+        assert result.exit_code == 0, result.output
+        assert "0 people over 0 registers" in result.output
+        result = runner.invoke(main, ["export", "--workspace", str(workspace),
+                                      "--households", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (workspace / "households.csv").read_bytes()
+        assert len(out.read_bytes().splitlines()) == 1
+
+    def test_export_reads_no_task_log(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        workspace, out = tmp_path / "ws", tmp_path / "h.csv"
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus)])
+        assert result.exit_code == 0, result.output
+        (workspace / "tasks.ndjson").rename(tmp_path / "tasks.ndjson")
+        result = runner.invoke(main, ["export", "--workspace", str(workspace),
+                                      "--households", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (workspace / "households.csv").read_bytes()
+        assert out.read_bytes() == (corpus / "truth" / "households.csv").read_bytes()
+
+    def test_workspace_without_registry_names_the_plan_that_writes_it(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        workspace, out = tmp_path / "ws", tmp_path / "h.csv"
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus)])
+        assert result.exit_code == 0, result.output
+        (workspace / "registry.ndjson").unlink()
+        export = ["export", "--workspace", str(workspace), "--households", str(out)]
+        result = runner.invoke(main, export)
+        assert result.exit_code == 1
+        assert f"censusflow plan --registry R --workspace {workspace}" in result.output
+        assert not out.exists()
+        plan = ["plan", "--registry", str(corpus / "registry.ndjson"),
+                "--workspace", str(workspace)]
+        assert runner.invoke(main, plan).exit_code == 0
+        assert runner.invoke(main, export).exit_code == 0
+        assert out.read_bytes() == (workspace / "households.csv").read_bytes()
 
 
 class TestEvaluateCommand:

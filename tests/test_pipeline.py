@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from itertools import count
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from censusflow.domain import PageClass
 from censusflow.fixtures import FixtureTransport, generate_corpus
+from censusflow.ingest import Registry, load_registry
 from censusflow.iiif import (
     IiifEndpoint,
     IsolationViolation,
@@ -53,7 +55,6 @@ from censusflow.pipeline.manifests import (
     advance,
     atomic_write_bytes,
 )
-from censusflow.pipeline.runner import registry_from_manifests
 
 ENDPOINT = IiifEndpoint("https://fixture.local/iiif")
 
@@ -108,14 +109,15 @@ class TestStateMachine:
             assert TaskState.FAILED in ALLOWED_TRANSITIONS[state]
 
     def test_manifest_json_roundtrip(self, corpus, ctx):
-        """A manifest persisted through the log folds back equal."""
+        """A manifest persisted through the log folds back equal, but for its
+        image, which the log does not hold."""
         manifest = plan_batch(corpus.registry, ctx)[0]
         advance(manifest, TaskState.STAGED, ctx)
         advance(manifest, TaskState.PROCESSING, ctx)
         advance(manifest, TaskState.FAILED, ctx, attempts={"process": 2},
                 failure=FailureInfo("process", "worker_error: x", 2))
         (clone,) = [m for m in ctx.log.load_all() if m.task_id == manifest.task_id]
-        assert clone == manifest
+        assert clone == replace(manifest, image=None)
 
 
 class TestPlanBatch:
@@ -865,14 +867,50 @@ class TestExternalProcessWorker:
             worker.classify(b"x")
 
 
-class TestRegistryFromManifests:
-    def test_roundtrip(self, corpus, ctx):
-        manifests = plan_batch(corpus.registry, ctx)
-        rebuilt = registry_from_manifests(manifests)
-        assert rebuilt.image_count() == corpus.image_count
-        original_ids = sorted(r.metadata.register_id for r in corpus.registry.registers)
-        rebuilt_ids = sorted(r.metadata.register_id for r in rebuilt.registers)
-        assert rebuilt_ids == original_ids
+class TestWorkspaceRegistry:
+    """plan_batch keeps the whole registers of its tasks in the workspace's
+    registry.ndjson, sorted by register id, and the log holds no image."""
+
+    def test_plan_saves_whole_registers(self, corpus, ctx):
+        first, second = sorted(corpus.registry.registers, key=lambda r: r.metadata.register_id)
+        cut = Registry((replace(first, images=first.images[:2]),))
+        plan_batch(cut, ctx)
+        assert load_registry(ctx.registry_file).registers == cut.registers
+        # A new task's register replaces the entry with its id.
+        plan_batch(corpus.registry, ctx, limit=3)
+        assert load_registry(ctx.registry_file).registers == (first,)
+        plan_batch(corpus.registry, ctx, register_id=second.metadata.register_id, limit=1)
+        assert load_registry(ctx.registry_file).registers == (first, second)
+        assert all(set(record) == {"task_id", "from", "to", "at"} for record in ctx.log.replay())
+
+    def test_saved_before_the_first_creation_record(self, tmp_path, corpus):
+        saved = []
+
+        def clock():
+            saved.append(ctx.registry_file.exists())
+            return 0.0
+
+        ctx = PipelineContext.at(tmp_path / "ws", clock=clock)
+        plan_batch(corpus.registry, ctx)
+        assert saved == [True] * corpus.image_count
+
+    def test_a_run_with_nothing_new_neither_reads_nor_writes_it(self, tmp_path, corpus):
+        config = run_config(tmp_path, corpus)
+        run_batch(config)
+        registry_file = config.workspace / "registry.ndjson"
+        registry_file.write_bytes(b"not a registry\n")
+        report = run_batch(config)
+        assert report.counts["INTEGRATED"] == corpus.image_count
+        assert registry_file.read_bytes() == b"not a registry\n"
+
+    def test_a_missing_registry_is_saved_with_nothing_new(self, tmp_path, corpus):
+        config = run_config(tmp_path, corpus)
+        run_batch(config)
+        registry_file = config.workspace / "registry.ndjson"
+        saved = registry_file.read_bytes()
+        registry_file.unlink()
+        run_batch(config)
+        assert registry_file.read_bytes() == saved
 
     def test_task_ids_deterministic(self, corpus):
         image = corpus.registry.registers[0].images[0]
@@ -990,23 +1028,37 @@ class TestStaging:
 
 
 def to_parent_format(workspace: Path) -> None:
-    """Rewrite a task log in the format of the version before paths were
-    derived: the creation record holds the whole manifest, and the STAGED
-    and PROCESSED records the staged and result paths, here stale ones, and
-    STAGED a second copy of the image with its dimensions."""
+    """Rewrite a workspace in the format of the version before paths were
+    derived: no workspace registry, the creation record holds the whole
+    manifest with its image, and the STAGED and PROCESSED records the staged
+    and result paths, here stale ones, and STAGED a second copy of the image
+    with its dimensions."""
     log = workspace / "tasks.ndjson"
     stale = "/gone/elsewhere/ws"
+    registry_file = workspace / "registry.ndjson"
+    images = {task_id_for(image): image for image in load_registry(registry_file).iter_images()}
+    registry_file.unlink()
+
+    def image_json(task_id: str) -> dict:
+        image = images[task_id]
+        register, commune = image.register, image.register.commune
+        return {"identifier": image.iiif_identifier, "sequence_index": image.sequence_index,
+                "register": {"census_year": register.census_year,
+                             "archival_id": register.archival_id,
+                             "commune": {"code": commune.code,
+                                         "canonical_name": commune.canonical_name,
+                                         "department": commune.department}}}
+
     records = []
     for line in log.read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
         task_id = record["task_id"]
         if record["from"] is None:
-            image = {**record["image"], "verified": False, "width": None, "height": None}
+            image = {**image_json(task_id), "verified": False, "width": None, "height": None}
             record.update(state="PENDING", timestamps={"PENDING": record["at"]}, attempts={},
                           failure=None, staged_path=None, result_path=None, image=image)
         elif record["to"] == "STAGED":
-            (first,) = [r for r in records if r["task_id"] == task_id and r["from"] is None]
-            image = {**first["image"], "verified": True, "width": 2000, "height": 3000}
+            image = {**image_json(task_id), "verified": True, "width": 2000, "height": 3000}
             record.update(staged_path=f"{stale}/staging/{task_id}/image.jpg", image=image)
         elif record["to"] == "PROCESSED":
             record.update(result_path=f"{stale}/results/{task_id}.json")
@@ -1020,14 +1072,14 @@ class TestWorkspaceLayout:
     path in the log, so a workspace works from any directory and after a
     move."""
 
-    def test_records_hold_no_paths_and_one_image(self, tmp_path, corpus):
+    def test_records_hold_no_paths_and_no_image(self, tmp_path, corpus):
         run_batch(run_config(tmp_path, corpus))
         records = list(TransitionLog(tmp_path / "ws").replay())
         for record in records:
             allowed = {"task_id", "from", "to", "at"}
-            allowed |= {"image"} if record["from"] is None else {"attempts", "failure"}
+            allowed |= set() if record["from"] is None else {"attempts", "failure"}
             assert set(record) <= allowed, record
-        assert sum("image" in r for r in records) == corpus.image_count
+        assert sum(r["from"] is None for r in records) == corpus.image_count
 
     def test_workspace_moved_between_stages(self, tmp_path, corpus):
         run_batch(run_config(tmp_path, corpus, workspace=tmp_path / "ws", stages={"pre"}))
