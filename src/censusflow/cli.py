@@ -519,7 +519,7 @@ def status_cmd(workspace):
 @click.option("--dry-run", is_flag=True)
 def export_cmd(workspace, households_path, pages_dir, dry_run):
     """Export merged households (and optionally transcripts) from the
-    workspace registry and the results, without reading the task log."""
+    workspace registry and the result store, without reading the task log."""
     workspace = Path(workspace)
     registry_file = PipelineContext.at(workspace).registry_file
     if not registry_file.exists():
@@ -529,7 +529,7 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
     store = ResultStore(workspace / STORE_NAME)
     if dry_run:
         click.echo(
-            f"dry run: {len(store)} integrated results over "
+            f"dry run: {len(store)} stored results over "
             f"{len(registry.registers)} registers"
         )
         return

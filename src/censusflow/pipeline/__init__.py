@@ -7,9 +7,9 @@ nodes have no internet access:
   staging;
 * process (isolated): classify the page and, for list pages, run the
   recognizer and decode its output, on a thread pool whose workers hold no
-  network transport;
-* integrate (connected): validate result payloads and append them to the
-  results store exactly once.
+  network transport; each checked result goes to the results store once;
+* integrate (connected): mark stored results integrated and delete their
+  staged images.
 
 Coordination state lives entirely in one append-only task log per
 workspace, whose fold gives every task's manifest; a torn last line left by
@@ -48,7 +48,6 @@ from .workers import (
     NoiseSpec,
     WorkerError,
     WorkerSet,
-    mock_worker_set,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "WorkerError",
     "WorkerSet",
     "export_batch",
-    "mock_worker_set",
     "plan_batch",
     "run_batch",
     "run_stage_integrate",

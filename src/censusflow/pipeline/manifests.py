@@ -92,7 +92,9 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     The temporary's name is fixed, so a writer killed before the replace
     leaves one file, which the next write of ``path`` takes over: with one
     writer per workspace and one thread per task, an existing temporary is
-    a killed writer's.
+    a killed writer's. The fixed name is safe only with one writer per
+    workspace. Two writers share the temporary, and one's replace can move
+    the other's file away. Nothing enforces one writer yet.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -467,10 +469,12 @@ class PipelineContext:
 
     The workspace is the log's directory. ``plan_batch`` keeps the registers
     of its tasks in ``registry.ndjson`` there. The pre-stage writes a task's
-    image to ``staging/<task_id>.jpg`` and the process stage its result to
-    ``results/<task_id>.json``. Both paths follow from the task id alone, so
-    the log does not record them, and a workspace may be moved or used from
-    any working directory between stages.
+    image to ``staging/<task_id>.jpg``, and integrate deletes it. The path
+    follows from the task id alone, so the log does not record it, and a
+    workspace may be moved or used from any working directory between
+    stages. The process stage appends each result to the result store
+    (``runner.ResultStore``), its only copy; no stage writes a file per
+    result.
 
     ``on_transition`` is a test hook invoked after each persisted transition;
     raising from it simulates a crash at that point.
@@ -488,15 +492,8 @@ class PipelineContext:
     def staging_dir(self) -> Path:
         return self.log.path.parent / "staging"
 
-    @property
-    def results_dir(self) -> Path:
-        return self.log.path.parent / "results"
-
     def staged_file(self, task_id: str) -> Path:
         return self.staging_dir / f"{task_id}.jpg"
-
-    def result_file(self, task_id: str) -> Path:
-        return self.results_dir / f"{task_id}.json"
 
     @property
     def registry_file(self) -> Path:

@@ -5,8 +5,10 @@ windows of the tasks not yet terminal, running pre-stage, process and
 integrate on each window; after its window's pass every task is INTEGRATED
 or FAILED. A run may name fewer stages, so the connected and isolated
 stages can run as separate jobs, each windowed the same way; only a run
-with the integrate stage exports. Because all stage steps are idempotent
-and all task state lives in the workspace's append-only task log,
+with the integrate stage exports. The process stage appends each result to
+the result store, its only copy, before it logs the task PROCESSED. Because
+all stage steps are idempotent, all task state lives in the workspace's
+append-only task log and every result in its append-only store,
 interrupting the pass at any point, even in the middle of an append, and
 calling ``run_batch`` again yields the same terminal result set.
 
@@ -161,15 +163,15 @@ class ResultStore:
     def add(self, task_id: str, payload: dict, text: Optional[str] = None) -> bool:
         """Append a record unless the key is already present.
 
-        ``text`` is the JSON text ``payload`` was parsed from; it is stored
-        as it is instead of encoding the payload again. A text with a raw
-        newline would split the record over lines, so the payload is
-        encoded then.
+        ``text``, if given, is the record's JSON text on one line, stored as
+        it is; ``payload`` then needs only the ``register_id`` and
+        ``sequence_index`` that the index keeps. Otherwise ``payload`` is
+        the record, encoded here.
         """
         with self._lock:
             if task_id in self._keys:
                 return False
-            if text is None or "\n" in text:
+            if text is None:
                 text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
             offset = self.file.append((text + "\n").encode("utf-8"))
             self._keys.add(task_id)
@@ -197,7 +199,7 @@ STAGES = ("pre", "proc", "post")
 @dataclass
 class RunConfig:
     """Everything run_batch needs; its files live under ``workspace`` (see
-    ``PipelineContext`` for the staged images and the result files).
+    ``PipelineContext`` for the staged images).
 
     ``stages`` names the stages to run, a non-empty subset of ``STAGES``, so
     the connected and isolated stages can run as separate jobs.
@@ -277,10 +279,13 @@ def run_batch(config: RunConfig) -> BatchReport:
     completed are folded and memoised (``ExportMemo.keep``); the export
     then copies them. ``run_batch`` is the workspace's only writer, so
     before exporting it deletes the temporary files that a kill during an
-    earlier export left, and it is the only writer of the memo.
+    earlier export left, and it is the only writer of the memo. The
+    report's ``registers_skipped`` counts the incomplete registers among
+    those with planned tasks, as ``censusflow export`` does.
 
-    The log, the store and the memo are opened from the workspace
-    checkpoint plus what was appended after it (``read_checkpoint``).
+    The log, the store (when the process or post stage runs) and the memo
+    (when the post stage runs) are opened from the workspace checkpoint
+    plus what was appended after it (``read_checkpoint``).
     ``run_batch`` writes a new checkpoint when it returns, and after a
     window once the log has grown since the last checkpoint by at least
     that checkpoint's size, so the checkpoints of a run total O(log) bytes
@@ -289,7 +294,7 @@ def run_batch(config: RunConfig) -> BatchReport:
     ctx = PipelineContext.at(
         config.workspace, clock=config.clock, on_transition=config.on_transition
     )
-    post = "post" in config.stages
+    proc, post = "proc" in config.stages, "post" in config.stages
     checkpoint = read_checkpoint(ctx.checkpoint_file)
     with ExitStack() as handles:
         handles.enter_context(ctx.log.file)
@@ -303,10 +308,11 @@ def run_batch(config: RunConfig) -> BatchReport:
             limit=config.limit,
         )
         store = memo = None
-        if post:
+        if proc or post:
             store = ResultStore(config.store_path, checkpoint.get("store"))
-            memo = ExportMemo(store, writable=True, section=checkpoint.get("memo"))
             handles.enter_context(store.file)
+        if post:
+            memo = ExportMemo(store, writable=True, section=checkpoint.get("memo"))
             handles.enter_context(memo.file)
             registers = {register.metadata.register_id: register
                          for register in config.registry.registers}
@@ -322,13 +328,15 @@ def run_batch(config: RunConfig) -> BatchReport:
                     endpoint=config.endpoint,
                     transport=config.transport,
                     concurrency=config.prestage_concurrency,
+                    results_store=store,
                 )
-            if "proc" in config.stages:
+            if proc:
                 run_stage_process(
                     window,
                     ctx,
                     workers=config.workers,
                     scheduler=config.scheduler,
+                    results_store=store,
                     retry_limit=config.retry_limit,
                 )
             if post:
@@ -347,7 +355,9 @@ def run_batch(config: RunConfig) -> BatchReport:
         if post:
             for stale in config.workspace.glob(f".{config.households_path.name}.*.tmp"):
                 stale.unlink(missing_ok=True)
-            exported, skipped, people = _export(config.registry, memo, config.households_path)
+            planned = {m.image.register.register_id for m in manifests}
+            exported, skipped, people = _export(config.registry, memo, config.households_path,
+                                                planned)
             report.households_csv = str(config.households_path)
             report.households_exported = people
             report.registers_exported = exported
@@ -358,7 +368,9 @@ def run_batch(config: RunConfig) -> BatchReport:
 
 class _CheckpointWriter:
     """Writes a run's checkpoints: the log's section, and the store's and the
-    memo's if the run opened them, else those of the checkpoint it read."""
+    memo's if the run opened them, else those of the checkpoint it read.
+    The memo's section stays valid while the store only grows: it trusts a
+    digest only while the register's last store offset is the same."""
 
     def __init__(self, ctx: PipelineContext, previous: dict,
                  store: Optional[ResultStore], memo: Optional[ExportMemo]):
@@ -390,12 +402,15 @@ class _CheckpointWriter:
             return
         sections = {"log": self.ctx.log.section()}
         if self.store is not None:
-            sections["store"], sections["memo"] = self.store.section(), covers[2]
-        else:
-            sections.update((name, self.previous[name]) for name in ("store", "memo")
-                            if name in self.previous)
+            sections["store"] = self.store.section()
+        elif "store" in self.previous:
+            sections["store"] = self.previous["store"]
+        if covers[2] is not None:
+            sections["memo"] = covers[2]
         self.size = write_checkpoint(self.ctx.checkpoint_file, sections)
         self.written = covers
+
+
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
@@ -641,9 +656,17 @@ def export_batch(
         return _export(registry, memo, out_path)
 
 
-def _export(registry: Registry, memo: ExportMemo, out_path: str | Path) -> tuple[int, int, int]:
-    complete = [register for register in registry.registers if _complete(register, memo.store.pages)]
+def _export(registry: Registry, memo: ExportMemo, out_path: str | Path,
+            planned: Optional[set[str]] = None) -> tuple[int, int, int]:
+    """``export_batch``'s work and result; only the registers in ``planned``,
+    if it is given, count as skipped."""
+    complete, skipped = [], 0
+    for register in registry.registers:
+        if _complete(register, memo.store.pages):
+            complete.append(register)
+        elif planned is None or register.metadata.register_id in planned:
+            skipped += 1
     people = write_export(
         (memo.part(register.metadata.register_id) for register in complete), out_path
     )
-    return len(complete), len(registry.registers) - len(complete), people
+    return len(complete), skipped, people

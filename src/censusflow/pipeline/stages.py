@@ -1,8 +1,10 @@
 """The three pipeline stages plus batch planning.
 
 Every stage is idempotent: it only touches tasks in its input states, all
-file writes are atomic, and re-running a stage over a mixed batch leaves
-already-advanced tasks alone. That property is what makes kill-and-resume
+file writes are atomic or appends, and re-running a stage over a mixed batch
+leaves already-advanced tasks alone. The result store, not the log, says
+whether a task's result exists, so a stage trusts a transition only as far
+as the store backs it. That property is what makes kill-and-resume
 equivalent to an uninterrupted run.
 """
 
@@ -173,6 +175,10 @@ def plan_batch(
 # ---------------------------------------------------------------------------
 
 
+# The states of a task whose staged image the process stage may still read.
+_STAGED_STATES = (TaskState.STAGED, TaskState.PROCESSING, TaskState.PROCESSED)
+
+
 def run_stage_prestage(
     tasks: Sequence[TaskManifest],
     ctx: PipelineContext,
@@ -180,14 +186,23 @@ def run_stage_prestage(
     endpoint: IiifEndpoint,
     transport: Transport,
     concurrency: int = 14,
+    results_store=None,
 ) -> None:
     """Check each PENDING task's image (``check_integrity``) and fetch its
     bytes to ``ctx.staged_file(task_id)``, on ``concurrency`` threads.
 
-    Tasks move to STAGED on success or FAILED(prestage) otherwise; tasks in
-    any other state are untouched.
+    Tasks move to STAGED on success or FAILED(prestage) otherwise. A task
+    past staging whose result ``results_store`` does not hold (any such
+    task when no store is given) and whose staged image is gone is fetched
+    again, with no transition unless it fails: integrate deletes each image
+    once its result is stored, so a lost store tail or log tail can leave a
+    task that must be processed again without its image. Tasks in any other
+    state are untouched.
     """
-    todo = [m for m in tasks if m.state is TaskState.PENDING]
+    todo = [m for m in tasks if m.state is TaskState.PENDING or (
+        m.state in _STAGED_STATES
+        and (results_store is None or m.task_id not in results_store)
+        and not ctx.staged_file(m.task_id).exists())]
 
     def work(manifest: TaskManifest):
         result = check_integrity(endpoint, manifest.image, transport)
@@ -208,7 +223,7 @@ def run_stage_prestage(
     for manifest, reason in outcomes:
         if reason:
             _fail(manifest, ctx, "prestage", reason, attempts={"prestage": 1})
-        else:
+        elif manifest.state is TaskState.PENDING:
             advance(manifest, TaskState.STAGED, ctx)
 
 
@@ -333,21 +348,31 @@ def run_stage_process(
     *,
     workers: WorkerSet,
     scheduler: LocalExecutor,
+    results_store,
     retry_limit: int = 3,
 ) -> None:
-    """Classify STAGED pages and recognize list pages on ``scheduler``,
-    writing each result to ``ctx.result_file(task_id)``.
+    """Classify STAGED pages and recognize list pages on ``scheduler``, and
+    append each page's result to ``results_store``.
 
-    Non-list pages skip the recognizer and yield a payload without a
+    Each worker builds its page's payload, checks it (``validate_payload``)
+    and returns only its JSON text. The calling thread appends the window's
+    texts to the store in task order, and only then logs each task
+    PROCESSED or FAILED, so a kill while it logs leaves the whole window
+    stored. Non-list pages skip the recognizer and yield a payload without a
     transcript. Worker crashes retry up to ``retry_limit`` times before the
-    task fails; a missing staged file, or a network call from worker code
-    (IsolationViolation), fails it at once. Outcomes are applied in task
-    order on the calling thread.
+    task fails; a missing staged file, a network call from worker code
+    (IsolationViolation) or a payload that breaks the schema (``schema:``)
+    fails it at once.
+
+    The store is the witness of a result. A PROCESSING task already stored
+    becomes PROCESSED with no worker call; a PROCESSED task missing from the
+    store (a lost store tail) is processed again, with no transition logged
+    back.
     """
-    todo = [m for m in tasks if m.state in (TaskState.STAGED, TaskState.PROCESSING)]
+    todo = [m for m in tasks if m.state in (TaskState.STAGED, TaskState.PROCESSING) or (
+        m.state is TaskState.PROCESSED and m.task_id not in results_store)]
     if not todo:
         return
-    ctx.results_dir.mkdir(parents=True, exist_ok=True)
 
     for manifest in todo:
         if manifest.state is TaskState.STAGED:
@@ -357,7 +382,7 @@ def run_stage_process(
         try:
             image_bytes = ctx.staged_file(manifest.task_id).read_bytes()
         except FileNotFoundError:
-            return manifest, "missing_input", 1
+            return manifest, "missing_input", 1, None
         attempts = 0
         while True:
             attempts += 1
@@ -377,50 +402,33 @@ def run_stage_process(
                     payload = build_payload(manifest, page_class, None, (), workers.versions)
                 break
             except IsolationViolation as exc:
-                return manifest, f"isolation: {exc}", attempts
+                return manifest, f"isolation: {exc}", attempts, None
             except Exception as exc:  # worker crash: retryable
                 if attempts >= retry_limit:
-                    return manifest, f"worker_error: {exc}", attempts
-        text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-        atomic_write_bytes(ctx.result_file(manifest.task_id), text.encode())
-        return manifest, "", attempts
+                    return manifest, f"worker_error: {exc}", attempts, None
+        problems = validate_payload(payload)
+        if problems:
+            return manifest, "schema: " + "; ".join(problems[:3]), attempts, None
+        return manifest, "", attempts, json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
-    for manifest, reason, attempts in scheduler.run("process", todo, work):
+    run = [m for m in todo if m.task_id not in results_store]
+    outcomes = {}
+    for manifest, reason, attempts, text in scheduler.run("process", run, work):
+        if text is not None:
+            results_store.add(manifest.task_id, _task_keys(manifest), text)
+        outcomes[manifest.task_id] = reason, attempts
+    for manifest in todo:
+        reason, attempts = outcomes.get(manifest.task_id, ("", None))
+        counts = None if attempts is None else {"process": attempts}
         if reason:
-            _fail(manifest, ctx, "process", reason, attempts, attempts={"process": attempts})
-        else:
-            advance(manifest, TaskState.PROCESSED, ctx, attempts={"process": attempts})
+            _fail(manifest, ctx, "process", reason, attempts, attempts=counts)
+        elif manifest.state is TaskState.PROCESSING:
+            advance(manifest, TaskState.PROCESSED, ctx, attempts=counts)
 
 
 # ---------------------------------------------------------------------------
-# Integrate stage: validate and store exactly once
+# Integrate stage: mark stored results integrated
 # ---------------------------------------------------------------------------
-
-
-def _read_result(manifest: TaskManifest, ctx: PipelineContext) -> tuple[str, dict]:
-    """The text of a task's result file and the payload it holds.
-
-    Raises:
-        ValueError: ``missing_result``, ``bad_result: <error>`` or
-            ``schema: <first three problems>``, a payload that names
-            another task, register, page or sequence index among them.
-    """
-    try:
-        text = ctx.result_file(manifest.task_id).read_text(encoding="utf-8")
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError(f"not a JSON object but a {type(payload).__name__}")
-    except FileNotFoundError:
-        raise ValueError("missing_result") from None
-    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
-        raise ValueError(f"bad_result: {exc}") from None
-    problems = validate_payload(payload)
-    for key, value in _task_keys(manifest).items():
-        if key in payload and payload[key] != value:
-            problems.append(f"{key} {payload[key]!r} is not the task's {value!r}")
-    if problems:
-        raise ValueError("schema: " + "; ".join(problems[:3]))
-    return text, payload
 
 
 def run_stage_integrate(
@@ -429,22 +437,14 @@ def run_stage_integrate(
     *,
     results_store,
 ) -> None:
-    """Validate PROCESSED payloads and append them to the results store.
+    """Move each PROCESSED task whose result ``results_store`` holds to
+    INTEGRATED, deleting its staged image first: nothing reads it again.
 
-    The store is keyed by task id, so integrating twice is a no-op and a
-    crash between append and manifest update cannot duplicate a record.
-    The store receives the result file's text as read, so a payload is
-    encoded once, by the process stage. A result file that is not a JSON
-    object fails its task as ``bad_result``, and one whose payload names
-    another task (its ``task_id``, ``register_id``, ``page_id`` or
-    ``sequence_index``) as ``schema``: the file is found by task id alone,
-    so its content must agree with that id.
+    The process stage stored the result; a PROCESSED task missing from the
+    store is left for it to process again. A kill between the delete and
+    the transition leaves a stored task without an image, which needs none.
     """
-    for manifest in [m for m in tasks if m.state is TaskState.PROCESSED]:
-        try:
-            text, payload = _read_result(manifest, ctx)
-        except ValueError as exc:
-            _fail(manifest, ctx, "integrate", str(exc))
-            continue
-        results_store.add(manifest.task_id, payload, text)
-        advance(manifest, TaskState.INTEGRATED, ctx)
+    for manifest in tasks:
+        if manifest.state is TaskState.PROCESSED and manifest.task_id in results_store:
+            ctx.staged_file(manifest.task_id).unlink(missing_ok=True)
+            advance(manifest, TaskState.INTEGRATED, ctx)

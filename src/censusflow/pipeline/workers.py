@@ -211,6 +211,3 @@ class WorkerSet:
             "recognizer": getattr(self.recognizer, "version", "unknown"),
         }
 
-
-def mock_worker_set(seed: int = 0, noise: NoiseSpec = NoiseSpec()) -> WorkerSet:
-    return WorkerSet(classifier=MockClassifier(), recognizer=MockRecognizer(seed, noise))

@@ -5,6 +5,7 @@ import pytest
 
 from censusflow.domain import PageTranscript, PersonRecord
 from censusflow.label_codec import DEFAULT_PROFILE, SyntheticProfile, sample_record
+from censusflow.pipeline import MockClassifier, MockRecognizer, NoiseSpec, WorkerSet
 
 # Four-row golden page: two households of two members each, heads first.
 GOLDEN_LABEL = (
@@ -65,6 +66,11 @@ def generate_synthetic_page(
         page_id=page_id if page_id is not None else f"synthetic-{seed}",
         page_index_in_register=page_index,
     )
+
+
+def mock_worker_set(seed: int = 0, noise: NoiseSpec = NoiseSpec()) -> WorkerSet:
+    """The mock classifier and a mock recognizer with ``seed`` and ``noise``."""
+    return WorkerSet(classifier=MockClassifier(), recognizer=MockRecognizer(seed, noise))
 
 
 @pytest.fixture

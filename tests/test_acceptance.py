@@ -47,11 +47,11 @@ from censusflow.pipeline import (
     LocalExecutor,
     MockRecognizer,
     NoiseSpec,
+    ResultStore,
     RunConfig,
     TaskState,
     TransitionLog,
     WorkerSet,
-    mock_worker_set,
     run_batch,
     run_stage_process,
 )
@@ -65,7 +65,7 @@ from censusflow.simulate import (
     simulate,
 )
 
-from conftest import GOLDEN_LABEL, generate_synthetic_page, golden_page
+from conftest import GOLDEN_LABEL, generate_synthetic_page, golden_page, mock_worker_set
 
 
 @contextmanager
@@ -307,12 +307,14 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         rogue = RogueClassifier()
         workers = WorkerSet(rogue, MockRecognizer())
         rogue.workers = workers
+        store = ResultStore(iso_ws / "results_store.ndjson")
         run_stage_process(
             manifests, ctx, workers=workers,
-            scheduler=LocalExecutor(2),
+            scheduler=LocalExecutor(2), results_store=store,
         )
         assert all(m.state is TaskState.FAILED for m in manifests)
         assert all("isolation" in m.failure.reason for m in manifests)
+        assert len(store) == 0
         assert all(m.attempts == {"process": 1} for m in manifests)
 
 

@@ -26,7 +26,6 @@ from censusflow.pipeline import (
     RunConfig,
     TaskState,
     TransitionLog,
-    mock_worker_set,
     plan_batch,
     run_batch,
 )
@@ -38,6 +37,8 @@ from censusflow.pipeline.manifests import (
     write_checkpoint,
 )
 import censusflow.pipeline.runner as runner_module
+
+from conftest import mock_worker_set
 
 CHECKPOINT = "checkpoint.json"
 LOG = "tasks.ndjson"

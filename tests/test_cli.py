@@ -296,6 +296,28 @@ class TestPipelineCommands:
         status = runner.invoke(main, ["status", "--workspace", str(workspace)])
         assert "INTEGRATED" in status.output
 
+    def test_recipe_stores_each_result_once_and_keeps_no_image(self, runner, tmp_path):
+        """The compute-node recipe on the 12-image fixture: after ``proc``
+        every page is stored, and after ``post`` the workspace holds no
+        ``results/`` and an empty ``staging/``."""
+        corpus, workspace = tmp_path / "corpus", tmp_path / "ws"
+        result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
+                                      "--registers", "2", "--limit-images", "12"])
+        assert result.exit_code == 0, result.output
+        for stage in ("pre", "proc", "post"):
+            result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                          "--fixture", str(corpus), "--stages", stage])
+            assert result.exit_code == 0, result.output
+            if stage == "proc":
+                dry = runner.invoke(main, ["export", "--workspace", str(workspace),
+                                           "--households", str(tmp_path / "h.csv"),
+                                           "--dry-run"])
+                assert dry.exit_code == 0, dry.output
+                assert "dry run: 12 stored results over 2 registers" in dry.output
+        assert "INTEGRATED: 12" in result.output
+        assert not (workspace / "results").exists()
+        assert list((workspace / "staging").iterdir()) == []
+
     def test_pre_stage_only_stages_every_task(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
@@ -646,7 +668,8 @@ class TestExportCommand:
 
     def test_export_of_a_partly_planned_register_is_the_runs(self, runner, tmp_path):
         """A register of which only some pages are planned is incomplete for
-        export as for run: both write the header alone."""
+        export as for run: both write the header alone, and both count only
+        the register with planned tasks as incomplete."""
         corpus, workspace, out = tmp_path / "corpus", tmp_path / "ws", tmp_path / "h.csv"
         result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
                                       "--registers", "2", "--limit-images", "12"])
@@ -655,9 +678,11 @@ class TestExportCommand:
                                       "--fixture", str(corpus), "--limit", "3"])
         assert result.exit_code == 0, result.output
         assert "0 people over 0 registers" in result.output
+        assert "(1 registers incomplete)" in result.output
         result = runner.invoke(main, ["export", "--workspace", str(workspace),
                                       "--households", str(out)])
         assert result.exit_code == 0, result.output
+        assert "(1 registers incomplete)" in result.output
         assert out.read_bytes() == (workspace / "households.csv").read_bytes()
         assert len(out.read_bytes().splitlines()) == 1
 

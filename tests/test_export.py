@@ -26,11 +26,13 @@ from censusflow.household import EXPORT_COLUMNS, MissingTranscript, export_house
 from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetadata, Registry
 from censusflow.label_codec import SyntheticProfile
-from censusflow.pipeline import LocalExecutor, ResultStore, RunConfig, export_batch, mock_worker_set, run_batch
+from censusflow.pipeline import LocalExecutor, ResultStore, RunConfig, export_batch, run_batch
 from censusflow.pipeline.manifests import CorruptLine, read_ndjson, task_id_for
 from censusflow.pipeline.runner import MEMO_NAME, ExportMemo, _complete, _head, register_rows
 from censusflow.pipeline.stages import payload_transcript
 import censusflow.pipeline.runner as runner_module
+
+from conftest import mock_worker_set
 
 TAG_NAMES = [tag.name.lower() for tag in EntityTag]
 OTHER_CLASSES = [c.name for c in PageClass if c is not PageClass.LIST]
