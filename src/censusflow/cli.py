@@ -32,7 +32,7 @@ from .pipeline import (
     plan_batch,
     run_batch,
 )
-from .pipeline.manifests import read_checkpoint
+from .pipeline.manifests import WorkspaceBusy, read_checkpoint, writer_lock
 from .pipeline.runner import STAGES, STORE_NAME, state_counts
 from .pipeline.stages import select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
@@ -49,6 +49,9 @@ _CONFIG_KEYS = {
     "pipeline": {"prestage_concurrency", "retry_limit", "window"},
     "simulate": {"mode"},
 }
+
+# The types of a section's values, and how an error names them.
+_CONFIG_KINDS = {"ingest": ((int, float), "a number"), "pipeline": (int, "an integer")}
 
 
 @dataclass
@@ -77,9 +80,13 @@ def load_config(path: Optional[str]) -> GlobalConfig:
         if allowed is not None:
             if not isinstance(value, dict):
                 raise ConfigInvalid(f"config section {key!r} must be an object")
-            for sub in value:
+            for sub, item in value.items():
                 if sub not in allowed:
                     raise ConfigInvalid(f"unknown config key {key}.{sub}")
+                kinds = _CONFIG_KINDS.get(key)
+                if kinds is not None and (type(item) is bool or not isinstance(item, kinds[0])):
+                    raise ConfigInvalid(f"config key {key}.{sub} must be {kinds[1]}, "
+                                        f"got {item!r}")
             setattr(config, key, dict(value))
         else:
             setattr(config, key, value)
@@ -337,23 +344,32 @@ def check_images_cmd(registry_path, endpoint_url, api_version, concurrency, out_
 
 @main.command("gen-fixtures")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--registers", type=int, default=3, show_default=True)
-@click.option("--list-pages-min", type=int, default=2, show_default=True)
-@click.option("--list-pages-max", type=int, default=4, show_default=True)
+@click.option("--registers", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--list-pages-min", type=click.IntRange(min=0), default=2, show_default=True)
+@click.option("--list-pages-max", type=click.IntRange(min=0), default=4, show_default=True)
 @click.option("--rows-min", type=int, default=25, show_default=True)
 @click.option("--rows-max", type=int, default=36, show_default=True)
 @click.option("--household-mean", type=float, default=4.0, show_default=True)
-@click.option("--limit-images", type=int, default=None, help="Stop after roughly N images.")
+# Each register has three pages besides its lists, so a budget of four
+# images is the least that yields a register.
+@click.option("--limit-images", type=click.IntRange(min=4), default=None,
+              help="Stop after roughly N images.")
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj
 def gen_fixtures_cmd(config: GlobalConfig, out_dir, registers, list_pages_min, list_pages_max,
                      rows_min, rows_max, household_mean, limit_images, dry_run):
     """Generate a synthetic archive corpus (registry, images, ground truth)."""
-    from .label_codec import SyntheticProfile
+    from .label_codec import InvalidProfile, SyntheticProfile
 
-    profile = SyntheticProfile(
-        min_rows=rows_min, max_rows=rows_max, household_size_mean=household_mean
-    )
+    if list_pages_min > list_pages_max:
+        raise click.UsageError(
+            f"--list-pages-min {list_pages_min} exceeds --list-pages-max {list_pages_max}")
+    try:
+        profile = SyntheticProfile(
+            min_rows=rows_min, max_rows=rows_max, household_size_mean=household_mean
+        )
+    except InvalidProfile as exc:
+        raise click.UsageError(str(exc))
     click.echo(
         f"generating corpus: registers={registers} list_pages=[{list_pages_min},{list_pages_max}] "
         f"rows=[{rows_min},{rows_max}] seed={config.seed}"
@@ -380,7 +396,7 @@ def gen_fixtures_cmd(config: GlobalConfig, out_dir, registers, list_pages_min, l
 
 def _selection_options(command):
     """``plan``'s and ``run``'s image selection, added last first (--help order)."""
-    for option in (click.option("--limit", type=int, default=None),
+    for option in (click.option("--limit", type=click.IntRange(min=1), default=None),
                    click.option("--register-id", default=None),
                    click.option("--commune", "commune_code", default=None),
                    click.option("--year", type=int, default=None)):
@@ -397,16 +413,19 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
     """Create PENDING task manifests for selected registry images.
 
     A later run plans its own selection: give it the same --year, --commune,
-    --register-id and --limit, or it plans every image.
+    --register-id and --limit, or it plans every image. Plan holds the
+    workspace's writer lock, so it exits 1 while another plan or run writes.
     """
     registry = ingest.load_registry(registry_path)
     try:
+        # An empty selection exits before the lock creates the workspace.
+        count = len(select_images(registry, **selection))
         if dry_run:
-            count = len(select_images(registry, **selection))
             click.echo(f"dry run: would plan {count} tasks under {workspace}")
             return
-        manifests = plan_batch(registry, PipelineContext.at(workspace), **selection)
-    except EmptySelection as exc:
+        with writer_lock(Path(workspace)):
+            manifests = plan_batch(registry, PipelineContext.at(workspace), **selection)
+    except (EmptySelection, WorkspaceBusy) as exc:
         _fail(str(exc))
     pending = state_counts(manifests)[TaskState.PENDING.value]
     click.echo(f"planned {len(manifests)} tasks ({pending} pending) under {workspace}")
@@ -434,7 +453,11 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
 def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoint_url,
             api_version, stages, worker_spec, scheduler_spec, window, retry_limit,
             jobs, dry_run, **selection):
-    """Drive tasks through the pre-stage, process and integrate stages."""
+    """Drive tasks through the pre-stage, process and integrate stages.
+
+    Exits 1 at once while another plan or run holds the workspace's writer
+    lock.
+    """
     if fixture_root:
         registry, endpoint, transport = _fixture_setup(fixture_root, endpoint_url, int(api_version))
     elif registry_path and endpoint_url:
@@ -479,7 +502,10 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
     if dry_run:
         click.echo("dry run: nothing executed")
         return
-    report = run_batch(run_config)
+    try:
+        report = run_batch(run_config)
+    except WorkspaceBusy as exc:
+        _fail(str(exc))
     _echo_counts(report.counts)
     if report.households_csv:
         click.echo(
@@ -519,14 +545,20 @@ def status_cmd(workspace):
 @click.option("--dry-run", is_flag=True)
 def export_cmd(workspace, households_path, pages_dir, dry_run):
     """Export merged households (and optionally transcripts) from the
-    workspace registry and the result store, without reading the task log."""
+    workspace registry and the result store, without reading the task log.
+
+    Opens the store from the checkpoint's store section, as ``status`` folds
+    the log, and writes nothing in the workspace.
+    """
     workspace = Path(workspace)
-    registry_file = PipelineContext.at(workspace).registry_file
+    ctx = PipelineContext.at(workspace)
+    registry_file = ctx.registry_file
     if not registry_file.exists():
         _fail(f"no {registry_file.name} in {workspace}: run `censusflow plan --registry R "
               f"--workspace {workspace}` with the registry and selection it was planned with")
     registry = ingest.load_registry(registry_file)
-    store = ResultStore(workspace / STORE_NAME)
+    checkpoint = read_checkpoint(ctx.checkpoint_file)
+    store = ResultStore(workspace / STORE_NAME, checkpoint.get("store"))
     if dry_run:
         click.echo(
             f"dry run: {len(store)} stored results over "

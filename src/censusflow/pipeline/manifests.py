@@ -19,11 +19,13 @@ with FAILED reachable from any active state.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -93,8 +95,8 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     leaves one file, which the next write of ``path`` takes over: with one
     writer per workspace and one thread per task, an existing temporary is
     a killed writer's. The fixed name is safe only with one writer per
-    workspace. Two writers share the temporary, and one's replace can move
-    the other's file away. Nothing enforces one writer yet.
+    workspace, which ``writer_lock`` enforces: two writers would share the
+    temporary, and one's replace could move the other's file away.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -109,6 +111,43 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# A workspace's writer lock (see ``writer_lock``).
+WRITER_LOCK_NAME = ".writer.lock"
+
+
+class WorkspaceBusy(RuntimeError):
+    """Another process holds a workspace's writer lock."""
+
+
+@contextmanager
+def writer_lock(workspace: Path) -> Iterator[None]:
+    """Hold the exclusive lock of the one writer of ``workspace`` for the
+    block, creating the workspace if it is missing.
+
+    The lock is an ``fcntl.flock`` on ``<workspace>/.writer.lock``, taken
+    without waiting; the holder writes its pid and host into the file. The
+    kernel drops the lock when its holder exits or is killed, so a file left
+    behind never blocks a later writer. Readers take no lock.
+
+    Raises:
+        WorkspaceBusy: if another writer holds the lock; the message names
+            it as the file does.
+    """
+    workspace.mkdir(parents=True, exist_ok=True)
+    fd = os.open(workspace / WRITER_LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.pread(fd, 512, 0).decode("utf-8", "replace").strip() or "unknown"
+            raise WorkspaceBusy(f"workspace {workspace} has another writer: {holder}") from None
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, f"pid {os.getpid()} on {os.uname().nodename}\n".encode(), 0)
+        yield
+    finally:
+        os.close(fd)
 
 
 def read_lines(path: Path, start: int = 0) -> Iterator[tuple[int, bytes]]:
@@ -511,8 +550,9 @@ CHECKPOINT_VERSION = 1
 
 def read_checkpoint(path: Path) -> dict[str, dict]:
     """The sections of a workspace checkpoint, by name: ``log`` (the task
-    log's fold, ``TransitionLog.section``), ``store`` (the result store's
-    index) and ``memo`` (the export memo's verified digests).
+    log's fold, ``TransitionLog.section``) and ``store`` (the result
+    store's index and the digests of its registers' lines,
+    ``runner.ResultStore.section``).
 
     Each section is derived from the head of its file up to a byte length,
     and is used only while that head has the SHA-256 the section records;

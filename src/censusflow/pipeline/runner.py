@@ -17,8 +17,8 @@ offsets by register from record heads alone when it opens, and keeps the
 index up to date as it appends. Each register's payloads fold straight into
 CSV rows, without building domain objects. The fold runs once per register,
 when the window that completes the register has been integrated: its CSV
-text goes to an append-only memo, ``households.parts.ndjson``, keyed by a
-digest of the register's store lines. Export then copies each complete
+text goes to an append-only memo, ``households.parts.ndjson``, keyed by the
+store's digest of the register's lines. Export then copies each complete
 register's memoised text if the digest of its current lines matches, folds
 it otherwise, and replaces ``households.csv`` atomically once every row is
 written. So a resume folds only the registers it completes, and memory
@@ -58,6 +58,7 @@ from .manifests import (
     read_lines,
     read_ndjson,
     write_checkpoint,
+    writer_lock,
 )
 from .stages import (
     LocalExecutor,
@@ -119,9 +120,15 @@ class ResultStore:
     ``file`` holds its handles; ``run_batch`` holds them open for the whole
     run.
 
+    ``digests`` maps ``register_id -> (last offset, digest)``: the offset of
+    the register's last line and the digest of its lines (``digest``) when
+    the digest was taken.
+
     Given a checkpoint's store section (see ``section``) whose bytes the
     store still begins with, the index starts from it and only the records
     after them are read; ``verified`` is then the section's length, else 0.
+    The section's digests are taken as they are for registers whose last
+    line lies below ``verified``; a malformed digest map only drops them.
     """
 
     def __init__(self, path: str | Path, section: Optional[dict] = None):
@@ -129,6 +136,7 @@ class ResultStore:
         self._lock = threading.Lock()
         self._keys: set[str] = set()
         self.pages: dict[str, dict[int, int]] = {}
+        self.digests: dict[str, tuple[int, str]] = {}
         self.prefix = FilePrefix(self.path)
         if section is not None and self.prefix.verify(section.get("length"), section.get("sha256")):
             try:
@@ -139,6 +147,12 @@ class ResultStore:
                 self.pages, self._keys = {}, set()
                 self.prefix = FilePrefix(self.path)
         self.verified = self.prefix.length
+        try:
+            for register_id, (last, digest) in (section or {}).get("digests", {}).items():
+                if type(last) is int and last < self.verified and isinstance(digest, str):
+                    self.digests[register_id] = last, digest
+        except (AttributeError, TypeError, ValueError):
+            self.digests = {}
         for offset, line in read_lines(self.path, self.verified):
             register_id, sequence_index, task_id = _head(line, self.path, offset)
             self._keys.add(task_id)
@@ -148,11 +162,13 @@ class ResultStore:
     def section(self) -> dict:
         """The checkpoint section of the index: the store's length and
         SHA-256 up to its last whole line, ``pages`` as ``register_id ->
-        [[sequence_index, offset], ...]`` and the task-id keys. Every add
-        must be flushed."""
+        [[sequence_index, offset], ...]``, the task-id keys and ``digests``
+        as ``register_id -> [last offset, digest]``. Every add must be
+        flushed."""
         length, digest = self.prefix.extend()
         pages = {register_id: list(offsets.items()) for register_id, offsets in self.pages.items()}
-        return {"length": length, "sha256": digest, "pages": pages, "keys": list(self._keys)}
+        return {"length": length, "sha256": digest, "pages": pages, "keys": list(self._keys),
+                "digests": {register_id: list(known) for register_id, known in self.digests.items()}}
 
     def __contains__(self, task_id: str) -> bool:
         return task_id in self._keys
@@ -186,6 +202,26 @@ class ResultStore:
         """``(offset, line)`` of the lines at ``offsets``' values, in key
         order: one register's records in sequence order."""
         return [(offsets[key], self.file.read(offsets[key])) for key in sorted(offsets)]
+
+    def digest(self, register_id: str) -> tuple[str, Optional[list[tuple[int, bytes]]]]:
+        """The blake2b-128 of ``register_id``'s lines in sequence order, and
+        those lines (``read``) if they were read for it, else None.
+
+        The store only appends, so an add for a register lands after all its
+        earlier lines: while its last offset is the one in ``digests``, its
+        lines are too, and the digest there is returned without a read.
+        """
+        offsets = self.pages.get(register_id, {})
+        last = max(offsets.values(), default=-1)
+        known = self.digests.get(register_id)
+        if known is not None and known[0] == last:
+            return known[1], None
+        lines = self.read(offsets)
+        digest = hashlib.blake2b(digest_size=16)
+        for _, line in lines:
+            digest.update(line)
+        self.digests[register_id] = last, digest.hexdigest()
+        return digest.hexdigest(), lines
 
 
 # The result store's file in a workspace.
@@ -277,15 +313,16 @@ def run_batch(config: RunConfig) -> BatchReport:
 
     After each window's integrate, the rows of every register that window
     completed are folded and memoised (``ExportMemo.keep``); the export
-    then copies them. ``run_batch`` is the workspace's only writer, so
-    before exporting it deletes the temporary files that a kill during an
-    earlier export left, and it is the only writer of the memo. The
+    then copies them. ``run_batch`` holds the workspace's writer lock for
+    the whole call (``writer_lock``): it is the only writer, so before
+    exporting it deletes the temporary files that a kill during an earlier
+    export left, and it is the only writer of the memo. The
     report's ``registers_skipped`` counts the incomplete registers among
     those with planned tasks, as ``censusflow export`` does.
 
-    The log, the store (when the process or post stage runs) and the memo
-    (when the post stage runs) are opened from the workspace checkpoint
-    plus what was appended after it (``read_checkpoint``).
+    The log and the store are opened from the workspace checkpoint plus
+    what was appended after it (``read_checkpoint``), whatever the stages;
+    the memo, which the checkpoint does not cover, only with the post stage.
     ``run_batch`` writes a new checkpoint when it returns, and after a
     window once the log has grown since the last checkpoint by at least
     that checkpoint's size, so the checkpoints of a run total O(log) bytes
@@ -294,9 +331,10 @@ def run_batch(config: RunConfig) -> BatchReport:
     ctx = PipelineContext.at(
         config.workspace, clock=config.clock, on_transition=config.on_transition
     )
-    proc, post = "proc" in config.stages, "post" in config.stages
-    checkpoint = read_checkpoint(ctx.checkpoint_file)
+    post = "post" in config.stages
     with ExitStack() as handles:
+        handles.enter_context(writer_lock(config.workspace))
+        checkpoint = read_checkpoint(ctx.checkpoint_file)
         handles.enter_context(ctx.log.file)
         manifests = plan_batch(
             config.registry,
@@ -307,16 +345,14 @@ def run_batch(config: RunConfig) -> BatchReport:
             register_id=config.register_id,
             limit=config.limit,
         )
-        store = memo = None
-        if proc or post:
-            store = ResultStore(config.store_path, checkpoint.get("store"))
-            handles.enter_context(store.file)
+        store = ResultStore(config.store_path, checkpoint.get("store"))
+        handles.enter_context(store.file)
         if post:
-            memo = ExportMemo(store, writable=True, section=checkpoint.get("memo"))
+            memo = ExportMemo(store, writable=True)
             handles.enter_context(memo.file)
             registers = {register.metadata.register_id: register
                          for register in config.registry.registers}
-        saver = _CheckpointWriter(ctx, checkpoint, store, memo)
+        saver = _CheckpointWriter(ctx, store)
 
         todo = [m for m in manifests if m.state not in TERMINAL_STATES]
         for start in range(0, len(todo), config.window):
@@ -330,7 +366,7 @@ def run_batch(config: RunConfig) -> BatchReport:
                     concurrency=config.prestage_concurrency,
                     results_store=store,
                 )
-            if proc:
+            if "proc" in config.stages:
                 run_stage_process(
                     window,
                     ctx,
@@ -367,23 +403,18 @@ def run_batch(config: RunConfig) -> BatchReport:
 
 
 class _CheckpointWriter:
-    """Writes a run's checkpoints: the log's section, and the store's and the
-    memo's if the run opened them, else those of the checkpoint it read.
-    The memo's section stays valid while the store only grows: it trusts a
-    digest only while the register's last store offset is the same."""
+    """Writes a run's checkpoints: the log's section and the store's."""
 
-    def __init__(self, ctx: PipelineContext, previous: dict,
-                 store: Optional[ResultStore], memo: Optional[ExportMemo]):
-        self.ctx, self.previous, self.store, self.memo = ctx, previous, store, memo
+    def __init__(self, ctx: PipelineContext, store: ResultStore):
+        self.ctx, self.store = ctx, store
         try:
             self.size = ctx.checkpoint_file.stat().st_size
         except OSError:
             self.size = 0
         # What the last checkpoint covers, as ``_covers`` gives it; None
         # for a file whose section the run could not use.
-        self.written = (ctx.log.prefix.length or None,
-                        (store.verified or None) if store is not None else None,
-                        previous.get("memo"))
+        self.written = (ctx.log.prefix.length or None, store.verified or None,
+                        dict(store.digests))
 
     def due(self) -> bool:
         """Whether the log has grown since the last checkpoint by at least
@@ -391,22 +422,15 @@ class _CheckpointWriter:
         return self.ctx.log.path.stat().st_size - self.ctx.log.prefix.length >= self.size
 
     def _covers(self) -> tuple:
-        return (self.ctx.log.prefix.extend()[0],
-                self.store.prefix.extend()[0] if self.store is not None else None,
-                self.memo.section() if self.memo is not None else self.previous.get("memo"))
+        return (self.ctx.log.prefix.extend()[0], self.store.prefix.extend()[0],
+                dict(self.store.digests))
 
     def write(self) -> None:
         """Write a checkpoint unless the last one already holds this state."""
         covers = self._covers()
         if covers == self.written:
             return
-        sections = {"log": self.ctx.log.section()}
-        if self.store is not None:
-            sections["store"] = self.store.section()
-        elif "store" in self.previous:
-            sections["store"] = self.previous["store"]
-        if covers[2] is not None:
-            sections["memo"] = covers[2]
+        sections = {"log": self.ctx.log.section(), "store": self.store.section()}
         self.size = write_checkpoint(self.ctx.checkpoint_file, sections)
         self.written = covers
 
@@ -502,39 +526,26 @@ def _part_key(line: bytes) -> Optional[tuple[str, str]]:
     return None
 
 
-def _digest(lines: list[tuple[int, bytes]]) -> str:
-    digest = hashlib.blake2b(digest_size=16)
-    for _, line in lines:
-        digest.update(line)
-    return digest.hexdigest()
-
-
 class ExportMemo:
     """The CSV rows of finished registers, kept next to the result store in
     ``households.parts.ndjson``.
 
     Each record holds ``register_id``, ``digest``, ``rows`` (the row count)
     and ``csv`` (the register's CSV text), in that order. ``digest`` is the
-    blake2b-128 of the register's store lines in sequence order, that is of
-    the whole input of its fold, so a memoised text is used only while the
-    lines it was folded from are the ones ``store.pages`` points at. This is
-    the verifying trace of Mokhov, Mitchell and Peyton Jones, *Build systems
-    à la carte* (ICFP 2018). The memo is a cache: a torn tail is skipped and
-    cut as in the other logs, a line that does not parse or whose keys do
-    not match is not used, and deleting the file only makes the next export
-    fold every register again.
+    store's digest of the register's lines (``ResultStore.digest``), that is
+    of the whole input of its fold, so a memoised text is used only while
+    the lines it was folded from are the ones ``store.pages`` points at.
+    This is the verifying trace of Mokhov, Mitchell and Peyton Jones, *Build
+    systems à la carte* (ICFP 2018). The memo is a cache: a torn tail is
+    skipped and cut as in the other logs, a line that does not parse or
+    whose keys do not match is not used, and deleting the file only makes
+    the next export fold every register again.
 
     Only a ``writable`` memo appends, and only ``run_batch`` opens one;
     ``file`` holds its handles, open for the whole run.
-
-    ``section`` is a checkpoint's memo section (see ``section``): its
-    digests are taken as they are for registers whose store lines all lie
-    in the part of the store that the store's own section verified
-    (``ResultStore.verified``), and are hashed again otherwise.
     """
 
-    def __init__(self, store: ResultStore, writable: bool = False,
-                 section: Optional[dict] = None):
+    def __init__(self, store: ResultStore, writable: bool = False):
         self.store = store
         self.path = store.path.with_name(MEMO_NAME)
         self.writable = writable
@@ -544,22 +555,6 @@ class ExportMemo:
             key = _part_key(line)
             if key is not None:
                 self._offsets[key] = offset
-        # register_id -> (last store offset, digest) of the parts this
-        # instance folded or found. The store only appends, so an add for a
-        # register lands after all its earlier lines: while its last offset
-        # is the same, its lines are too and need no hashing again.
-        self._known: dict[str, tuple[int, str]] = {}
-        try:
-            for register_id, (last, digest) in (section or {}).items():
-                if type(last) is int and last < store.verified and isinstance(digest, str):
-                    self._known[register_id] = last, digest
-        except (TypeError, ValueError):
-            self._known = {}
-
-    def section(self) -> dict:
-        """The checkpoint section of the memo: ``register_id -> [last store
-        offset, digest]`` of every part this instance folded or found."""
-        return {register_id: list(known) for register_id, known in self._known.items()}
 
     def keep(self, register) -> None:
         """Memoise ``register``'s rows if it is complete (see ``part``).
@@ -582,18 +577,11 @@ class ExportMemo:
             CorruptLine: if a record of the register is not a JSON object.
             MissingTranscript: if a LIST page carries no transcript.
         """
-        pages = self.store.pages.get(register_id, {})
-        last = max(pages.values(), default=-1)
-        known = self._known.get(register_id)
-        if known is not None and known[0] == last:
-            lines, digest = None, known[1]
-        else:
-            lines = self.store.read(pages)
-            digest = _digest(lines)
+        digest, lines = self.store.digest(register_id)
         part = self._read(register_id, digest)
         if part is None:
             if lines is None:
-                lines = self.store.read(pages)
+                lines = self.store.read(self.store.pages.get(register_id, {}))
             payloads = [
                 parse_line(line, self.store.path, offset, register_id) for offset, line in lines
             ]
@@ -604,7 +592,6 @@ class ExportMemo:
                           "csv": part[0]}
                 line = json.dumps(record) + "\n"
                 self._offsets[register_id, digest] = self.file.append(line.encode("ascii"))
-        self._known[register_id] = last, digest
         return part
 
     def _read(self, register_id: str, digest: str) -> Optional[tuple[str, int]]:
@@ -634,9 +621,10 @@ def export_batch(
     opened plus its own adds, through its ``pages`` index, so the store's
     head pass is the only one per run; a later record for the same page
     wins. In registry order, each register whose every image has a record
-    is read back and hashed. If the export memo (``ExportMemo``) holds rows
-    for exactly those lines, they are copied; otherwise the payloads are
-    folded into rows (``register_rows``). Each register is written before
+    is taken: if the export memo (``ExportMemo``) holds rows for the
+    store's digest of its lines (``ResultStore.digest``), they are copied
+    without reading the lines when ``store`` holds that digest already;
+    otherwise the payloads are folded into rows (``register_rows``). Each register is written before
     the next is read, so memory holds one register's payloads plus the
     indexes. Other registers are skipped as incomplete. No domain objects
     are built, so a page of many records does not warn again here: the

@@ -135,7 +135,9 @@ def plan_batch(
     Before the first new task is logged, the whole registers of the
     selected images go to the workspace registry, replacing the entries
     with their ids; with no new task it is written only if missing, and
-    never read.
+    never read. The entries follow ``registry``'s order, and those it does
+    not name follow them in the order the file kept them, so ``export``
+    writes registers in the order a run of ``registry`` does.
 
     Raises:
         EmptySelection: if the filter matches no image.
@@ -161,7 +163,10 @@ def plan_batch(
         by_id = {r.metadata.register_id: r for r in kept}
         by_id.update((r.metadata.register_id, r) for r in registry.registers
                      if r.metadata.register_id in ids)
-        text = registry_ndjson(Registry(tuple(by_id[key] for key in sorted(by_id))))
+        order = dict.fromkeys(r.metadata.register_id for r in registry.registers
+                              if r.metadata.register_id in by_id)
+        order.update(dict.fromkeys(by_id))  # then the kept entries it does not name
+        text = registry_ndjson(Registry(tuple(by_id[key] for key in order)))
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(path, text.encode("utf-8"))
     for manifest in new:  # the creation record
@@ -186,22 +191,20 @@ def run_stage_prestage(
     endpoint: IiifEndpoint,
     transport: Transport,
     concurrency: int = 14,
-    results_store=None,
+    results_store,
 ) -> None:
     """Check each PENDING task's image (``check_integrity``) and fetch its
     bytes to ``ctx.staged_file(task_id)``, on ``concurrency`` threads.
 
     Tasks move to STAGED on success or FAILED(prestage) otherwise. A task
-    past staging whose result ``results_store`` does not hold (any such
-    task when no store is given) and whose staged image is gone is fetched
-    again, with no transition unless it fails: integrate deletes each image
-    once its result is stored, so a lost store tail or log tail can leave a
-    task that must be processed again without its image. Tasks in any other
-    state are untouched.
+    past staging whose result ``results_store`` does not hold and whose
+    staged image is gone is fetched again, with no transition unless it
+    fails: integrate deletes each image once its result is stored, so a lost
+    store tail or log tail can leave a task that must be processed again
+    without its image. Tasks in any other state are untouched.
     """
     todo = [m for m in tasks if m.state is TaskState.PENDING or (
-        m.state in _STAGED_STATES
-        and (results_store is None or m.task_id not in results_store)
+        m.state in _STAGED_STATES and m.task_id not in results_store
         and not ctx.staged_file(m.task_id).exists())]
 
     def work(manifest: TaskManifest):

@@ -342,17 +342,10 @@ def min_workers_for_deadline(
         if c > cap:
             raise Infeasible(deadline, cap)
         lo, hi = highest_fail + 1, c
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return hi
-
-    if not fits(cap):
-        raise Infeasible(deadline, cap)
-    lo, hi = 1, cap
+    else:
+        if not fits(cap):
+            raise Infeasible(deadline, cap)
+        lo, hi = 1, cap
     while lo < hi:
         mid = (lo + hi) // 2
         if fits(mid):

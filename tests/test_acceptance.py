@@ -288,10 +288,11 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         iso_ws = tmp_path / "ws_isolated"
         ctx = PipelineContext.at(iso_ws, clock=lambda: 0.0)
         manifests = plan_batch(corpus.registry, ctx, limit=4)
+        store = ResultStore(iso_ws / "results_store.ndjson")
         run_stage_prestage(
             manifests, ctx,
             endpoint=IiifEndpoint("https://fixture.local/iiif"),
-            transport=FixtureTransport(corpus.root), concurrency=2,
+            transport=FixtureTransport(corpus.root), concurrency=2, results_store=store,
         )
 
         class RogueClassifier:
@@ -307,7 +308,6 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         rogue = RogueClassifier()
         workers = WorkerSet(rogue, MockRecognizer())
         rogue.workers = workers
-        store = ResultStore(iso_ws / "results_store.ndjson")
         run_stage_process(
             manifests, ctx, workers=workers,
             scheduler=LocalExecutor(2), results_store=store,

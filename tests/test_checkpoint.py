@@ -1,7 +1,7 @@
 """The workspace checkpoint against the full replay it stands in for.
 
-A run opens the task log, the result store and the export memo from
-``checkpoint.json`` plus what was appended after it. Every case here runs the
+A run opens the task log and the result store, with the digests of its
+registers' lines, from ``checkpoint.json`` plus what was appended after it. Every case here runs the
 same resume twice, once with a checkpoint and once without, and requires the
 same plan, report, task states and bytes on disk.
 """
@@ -228,7 +228,7 @@ class TestCheckpointAgainstReplay:
         run_batch(config(workspace, corpus, executor, start=0.0, stages={"pre"}))
         sections = read_checkpoint(workspace / CHECKPOINT)
         assert {group[0] for group in sections["log"]["tasks"]} == {"STAGED"}
-        assert "store" not in sections
+        assert sections["store"]["length"] == 0
         verified = resume_both(tmp_path, corpus, executor, workspace,
                                (workspace / CHECKPOINT).read_bytes())
         assert verified == {"log": sections["log"]["length"], "store": 0}
@@ -302,8 +302,9 @@ class TestCheckpointAgainstReplay:
                 sections["log"]["tasks"] = [["INTEGRATED", {}, None, ["not", "a", "dict"]]]
             elif garbage == "pages":
                 sections["store"]["pages"] = {"r": [[1]]}
-            else:
-                sections["memo"] = {register: "x" for register in sections["memo"]}
+            else:  # the digests that key the memo
+                digests = sections["store"]["digests"]
+                sections["store"]["digests"] = {register: "x" for register in digests}
             data = json.dumps(sections).encode()
         verified = resume_both(tmp_path, corpus, executor, workspace, data)
         expected = {"bytes": (0, 0), "truncated": (0, 0), "version": (0, 0),
@@ -312,15 +313,30 @@ class TestCheckpointAgainstReplay:
 
 
 class TestCheckpointWrites:
-    def test_run_without_post_carries_store_and_memo(self, tmp_path, corpus, executor, finished):
+    def test_run_without_post_writes_the_store_section(self, tmp_path, corpus, executor,
+                                                       finished):
+        """A pre-only run opens the store as every run does: on a finished
+        workspace it leaves the checkpoint as it was, and without one it
+        writes the store's section, whole, with no digests (it exports
+        nothing)."""
         workspace, written, _ = finished
         before = json.loads(written[-1][1])
+        assert sorted(before) == ["log", "store", "version"]
         source = tmp_path / "ws"
         shutil.copytree(workspace, source)
         report = run_batch(config(source, corpus, executor, stages={"pre"}))
         assert report.counts["INTEGRATED"] == corpus.image_count
-        after = json.loads((source / CHECKPOINT).read_bytes())
-        assert after == before
+        assert json.loads((source / CHECKPOINT).read_bytes()) == before
+        (source / CHECKPOINT).unlink()
+        run_batch(config(source, corpus, executor, stages={"pre"}))
+        store = json.loads((source / CHECKPOINT).read_bytes())["store"]
+        assert store["length"] == (source / STORE).stat().st_size
+        for section in (store, before["store"]):
+            section["pages"] = {register: dict(map(tuple, offsets))
+                                for register, offsets in section["pages"].items()}
+            section["keys"] = set(section["keys"])
+        assert (store["pages"], store["keys"]) == (before["store"]["pages"], before["store"]["keys"])
+        assert store["digests"] == {}
 
     def test_run_with_nothing_to_do_rewrites_nothing(self, tmp_path, corpus, executor, finished):
         workspace = tmp_path / "ws"

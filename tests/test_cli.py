@@ -1,3 +1,4 @@
+import fcntl
 import json
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from censusflow.cli import (
     parse_worker_spec,
 )
 from censusflow.domain import dumps_pages
-from censusflow.ingest import load_registry
+from censusflow.ingest import Registry, load_registry, registry_ndjson
 from censusflow.pipeline import TaskState, TransitionLog
 from censusflow.pipeline.stages import payload_transcript
 
@@ -182,7 +183,45 @@ class TestUsageErrors:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("section", [
+        {"pipeline": {"window": "64"}},
+        {"pipeline": {"retry_limit": True}},
+        {"pipeline": {"prestage_concurrency": 2.5}},
+        {"ingest": {"threshold": "0.8"}},
+        {"ingest": {"auto_threshold": False}},
+    ], ids=["window-string", "retry-bool", "concurrency-float", "threshold-string",
+            "auto-threshold-bool"])
+    def test_config_values_of_the_wrong_type(self, runner, tmp_path, section):
+        """A pipeline value that is not an integer, or an ingest value that
+        is not a number, is a configuration error before any command runs."""
+        corpus = make_corpus(runner, tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(section))
+        workspace = tmp_path / "ws"
+        result = runner.invoke(main, ["--config", str(config), "run", "--workspace",
+                                      str(workspace), "--fixture", str(corpus)])
+        assert result.exit_code == 2, result.output
+        assert "must be" in result.output
+        assert not workspace.exists()
+
+
 class TestGenFixtures:
+    @pytest.mark.parametrize("flags", [
+        ["--list-pages-min", "5", "--list-pages-max", "2"],
+        ["--rows-min", "9", "--rows-max", "3"],
+        ["--household-mean", "0"],
+        ["--registers", "0"],
+        ["--limit-images", "-1"],
+        ["--limit-images", "3"],
+    ], ids=["list-pages", "rows", "household-mean", "registers", "limit-negative",
+            "limit-no-register"])
+    def test_bad_values_are_usage_errors(self, runner, tmp_path, flags):
+        out = tmp_path / "corpus"
+        result = runner.invoke(main, ["gen-fixtures", "--out", str(out)] + flags)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_dry_run_writes_nothing(self, runner, tmp_path):
         before = snapshot(tmp_path)
         result = runner.invoke(
@@ -282,6 +321,36 @@ class TestPipelineCommands:
         assert replayed.exit_code == 0, replayed.output
         assert files() == before
         assert replayed.output == status.output
+
+    def test_a_second_writer_exits_one_and_changes_nothing(self, runner, tmp_path):
+        """While another process holds the writer lock, ``run`` and ``plan``
+        exit 1 naming it and leave the workspace as it was; ``status`` and
+        ``export`` take no lock."""
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        result = runner.invoke(main, run + ["--stages", "pre,proc"])
+        assert result.exit_code == 0, result.output
+        files = {path: path.read_bytes() for path in workspace.iterdir()
+                 if path.is_file() and path.name != ".writer.lock"}
+        assert {"tasks.ndjson", "results_store.ndjson"} <= {path.name for path in files}
+        with open(workspace / ".writer.lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            held.write("pid 4242 on node7\n")
+            held.flush()
+            plan = ["plan", "--registry", str(corpus / "registry.ndjson"),
+                    "--workspace", str(workspace)]
+            for argv in (run, plan):
+                result = runner.invoke(main, argv)
+                assert result.exit_code == 1, (argv, result.output)
+                assert "pid 4242 on node7" in result.output
+            assert runner.invoke(main, ["status", "--workspace", str(workspace)]).exit_code == 0
+            result = runner.invoke(main, ["export", "--workspace", str(workspace),
+                                          "--households", str(tmp_path / "h.csv")])
+            assert result.exit_code == 0, result.output
+        assert {path: path.read_bytes() for path in files} == files
+        result = runner.invoke(main, run)
+        assert result.exit_code == 0, result.output
 
     def test_staged_run_in_three_calls(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
@@ -460,6 +529,15 @@ class TestPipelineCommands:
         assert f"tasks: {len(register.images)}\n" in status.output
         assert f"INTEGRATED: {len(register.images)}\n" in status.output
         assert load_registry(workspace / "registry.ndjson").registers == (register,)
+
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_plan_limit_below_one_is_a_usage_error(self, runner, tmp_path, limit):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        result = runner.invoke(main, ["plan", "--registry", str(corpus / "registry.ndjson"),
+                                      "--workspace", str(workspace), "--limit", limit])
+        assert result.exit_code == 2, result.output
+        assert not workspace.exists()
 
     def test_plan_empty_selection(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
@@ -685,6 +763,26 @@ class TestExportCommand:
         assert "(1 registers incomplete)" in result.output
         assert out.read_bytes() == (workspace / "households.csv").read_bytes()
         assert len(out.read_bytes().splitlines()) == 1
+
+    def test_export_writes_the_runs_bytes_for_a_registry_out_of_id_order(self, runner,
+                                                                        tmp_path):
+        """Registers in descending id order: the workspace registry keeps the
+        order of the registry planned, so export writes what run wrote."""
+        corpus = make_corpus(runner, tmp_path, registers=3)
+        registry = load_registry(corpus / "registry.ndjson")
+        descending = sorted(registry.registers, key=lambda r: r.metadata.register_id,
+                            reverse=True)
+        (corpus / "registry.ndjson").write_text(registry_ndjson(Registry(tuple(descending))),
+                                                encoding="utf-8")
+        workspace, out = tmp_path / "ws", tmp_path / "h.csv"
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["export", "--workspace", str(workspace),
+                                      "--households", str(out)])
+        assert result.exit_code == 0, result.output
+        assert load_registry(workspace / "registry.ndjson").registers == tuple(descending)
+        assert out.read_bytes() == (workspace / "households.csv").read_bytes()
 
     def test_export_reads_no_task_log(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)

@@ -27,8 +27,10 @@ from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetadata, Registry
 from censusflow.label_codec import SyntheticProfile
 from censusflow.pipeline import LocalExecutor, ResultStore, RunConfig, export_batch, run_batch
-from censusflow.pipeline.manifests import CorruptLine, read_ndjson, task_id_for
-from censusflow.pipeline.runner import MEMO_NAME, ExportMemo, _complete, _head, register_rows
+from censusflow.pipeline.manifests import AppendFile, CorruptLine, read_ndjson, task_id_for
+from censusflow.pipeline.runner import (
+    MEMO_NAME, STORE_NAME, ExportMemo, _complete, _head, register_rows,
+)
 from censusflow.pipeline.stages import payload_transcript
 import censusflow.pipeline.runner as runner_module
 
@@ -774,3 +776,85 @@ class TestExportCommandReadsOnly:
         assert not memo.exists()
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
         assert (tmp_path / "with.csv").read_bytes() == finished.households_path.read_bytes()
+
+
+def export_command(monkeypatch, workspace: Path, out: Path) -> int:
+    """Run ``censusflow export --households out`` on ``workspace``; returns
+    how many store lines it read by offset."""
+    from click.testing import CliRunner
+
+    from censusflow.cli import main
+
+    reads = Counter()
+    real_read = AppendFile.read
+
+    def counting_read(self, offset):
+        reads[self.path.name] += 1
+        return real_read(self, offset)
+
+    monkeypatch.setattr(AppendFile, "read", counting_read)
+    result = CliRunner().invoke(main, ["export", "--workspace", str(workspace),
+                                       "--households", str(out)])
+    monkeypatch.undo()
+    assert result.exit_code == 0, result.output
+    return reads[STORE_NAME]
+
+
+def flip_a_letter(path: Path) -> None:
+    """Change the case of a transcript's first letter: the store stays
+    valid, and only its digest can tell."""
+    data = bytearray(path.read_bytes())
+    at = data.index(b'"text": "') + len(b'"text": "')
+    data[at] ^= 0x20
+    path.write_bytes(bytes(data))
+
+
+class TestExportFromTheCheckpoint:
+    """``censusflow export`` opens the store from the checkpoint's store
+    section, whose digests vouch for each register's lines."""
+
+    def test_reads_no_line_of_a_register_the_section_vouches_for(self, tmp_path, monkeypatch,
+                                                                 finished):
+        assert export_command(monkeypatch, finished.workspace, tmp_path / "a.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == finished.households_path.read_bytes()
+        # A later record for one page: only its register's lines are read.
+        first = finished.store_path.read_text(encoding="utf-8").splitlines()[0]
+        with open(finished.store_path, "a", encoding="utf-8") as fh:
+            fh.write(first + "\n")
+        register = finished.registry.registers[0]
+        assert json.loads(first)["register_id"] == register.metadata.register_id
+        reads = export_command(monkeypatch, finished.workspace, tmp_path / "b.csv")
+        assert reads == len(register.images)
+        assert (tmp_path / "b.csv").read_bytes() == finished.households_path.read_bytes()
+
+    def test_csv_is_the_one_without_a_checkpoint_and_after_a_flipped_byte(
+            self, tmp_path, monkeypatch, finished):
+        checkpoint = finished.workspace / "checkpoint.json"
+        saved = checkpoint.read_bytes()
+        assert export_command(monkeypatch, finished.workspace, tmp_path / "with.csv") == 0
+        checkpoint.unlink()
+        assert export_command(monkeypatch, finished.workspace, tmp_path / "without.csv") > 0
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+        assert (tmp_path / "with.csv").read_bytes() == finished.households_path.read_bytes()
+        # A flipped byte inside the part of the store the section covers:
+        # the section goes unused, and each register is read and hashed.
+        flip_a_letter(finished.store_path)
+        assert export_command(monkeypatch, finished.workspace, tmp_path / "flipped.csv") > 0
+        checkpoint.write_bytes(saved)
+        reads = export_command(monkeypatch, finished.workspace, tmp_path / "checkpointed.csv")
+        assert reads == finished.registry.image_count()
+        flipped = (tmp_path / "flipped.csv").read_bytes()
+        assert (tmp_path / "checkpointed.csv").read_bytes() == flipped
+        assert flipped != finished.households_path.read_bytes()
+
+    def test_leaves_the_checkpoint_and_the_memo_as_they_were(self, tmp_path, monkeypatch,
+                                                             finished):
+        files = [finished.workspace / name for name in ("checkpoint.json", MEMO_NAME)]
+        before = [path.read_bytes() for path in files]
+        assert export_command(monkeypatch, finished.workspace, tmp_path / "a.csv") == 0
+        assert [path.read_bytes() for path in files] == before
+        # A register whose lines changed after the checkpoint gets a new
+        # digest and a new fold; export keeps neither.
+        flip_a_letter(finished.store_path)
+        assert export_command(monkeypatch, finished.workspace, tmp_path / "b.csv") > 0
+        assert [path.read_bytes() for path in files] == before

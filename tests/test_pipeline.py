@@ -159,7 +159,7 @@ class TestPrestage:
         manifests = plan_batch(corpus.registry, ctx)
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
-            concurrency=4,
+            concurrency=4, results_store=store_of(ctx),
         )
         assert all(m.state is TaskState.STAGED for m in manifests)
         for m in manifests:
@@ -172,7 +172,7 @@ class TestPrestage:
         transport = transport_for(corpus, missing=[victim])
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            concurrency=4,
+            concurrency=4, results_store=store_of(ctx),
         )
         states = {m.task_id: m.state for m in manifests}
         failed = [m for m in manifests if m.state is TaskState.FAILED]
@@ -188,7 +188,7 @@ class TestPrestage:
         transport = transport_for(corpus, flaky={victim: 2})
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            concurrency=1,
+            concurrency=1, results_store=store_of(ctx),
         )
         assert manifests[0].state is TaskState.STAGED
 
@@ -197,10 +197,12 @@ class TestPrestage:
         transport = transport_for(corpus)
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
+            results_store=store_of(ctx),
         )
         calls_before = transport.calls
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
+            results_store=store_of(ctx),
         )
         assert transport.calls == calls_before
 
@@ -230,7 +232,7 @@ def staged_manifests(tmp_path, corpus, ctx):
     manifests = plan_batch(corpus.registry, ctx)
     run_stage_prestage(
         manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
-        concurrency=4,
+        concurrency=4, results_store=store_of(ctx),
     )
     return manifests
 
@@ -907,7 +909,8 @@ class TestRunBatch:
         run_batch(config)
         assert not stale.exists()
         assert unrelated.read_text() == "not ours"
-        assert sorted(p.name for p in config.workspace.glob(".*")) == [unrelated.name]
+        assert sorted(p.name for p in config.workspace.glob(".*")) == [
+            unrelated.name, ".writer.lock"]
 
 
 class TestAtomicWrite:
@@ -1015,14 +1018,19 @@ class TestWorkspaceRegistry:
     registry.ndjson, sorted by register id, and the log holds no image."""
 
     def test_plan_saves_whole_registers(self, corpus, ctx):
+        """In the order of the registry planned, then the kept entries it
+        does not name, in their file order."""
         first, second = sorted(corpus.registry.registers, key=lambda r: r.metadata.register_id)
         cut = Registry((replace(first, images=first.images[:2]),))
         plan_batch(cut, ctx)
         assert load_registry(ctx.registry_file).registers == cut.registers
         # A new task's register replaces the entry with its id.
-        plan_batch(corpus.registry, ctx, limit=3)
+        plan_batch(corpus.registry, ctx, register_id=first.metadata.register_id, limit=3)
         assert load_registry(ctx.registry_file).registers == (first,)
-        plan_batch(corpus.registry, ctx, register_id=second.metadata.register_id, limit=1)
+        plan_batch(Registry((second,)), ctx, limit=1)
+        assert load_registry(ctx.registry_file).registers == (second, first)
+        plan_batch(Registry((first, second)), ctx, register_id=first.metadata.register_id,
+                   limit=4)
         assert load_registry(ctx.registry_file).registers == (first, second)
         assert all(set(record) == {"task_id", "from", "to", "at"} for record in ctx.log.replay())
 

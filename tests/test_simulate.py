@@ -20,6 +20,7 @@ from censusflow.simulate import (
     single_image_latency,
 )
 from censusflow.simulate import _run_pipeline
+import censusflow.simulate as simulate_module
 
 
 def stages_for(times_workers):
@@ -418,6 +419,36 @@ class TestMinWorkers:
         if count > 1:
             smaller = stages_for([(0.4, 2), (2.0, count - 1), (0.3, 2)])
             assert simulate(500, smaller).makespan > deadline
+
+    @pytest.mark.parametrize("distribution, n_images, deadline, probes, answer", [
+        ("deterministic", 200, 140.0, [18, 19, 21, 20], 21),
+        ("deterministic", 2_000, 3_072.0, [9], 9),
+        ("lognormal", 200, 160.0,
+         [4096, 2048, 1024, 512, 256, 128, 64, 32, 16, 24, 20, 18, 17], 18),
+        ("lognormal", 2_000, 3_072.0,
+         [4096, 2048, 1024, 512, 256, 128, 64, 32, 16, 8, 12, 10, 9], 9),
+    ])
+    def test_paper_model_probes_pinned(self, monkeypatch, distribution, n_images, deadline,
+                                       probes, answer):
+        """The worker counts the search simulates, in order, for the paper
+        model: the gallop and the bisection after it, or the bisection over
+        [1, cap]. A change to the search must make these same calls."""
+        probed = []
+        real = simulate_module.simulate
+
+        def recording(n, stages, **kwargs):
+            probed.append(stages[1].workers)
+            return real(n, stages, **kwargs)
+
+        monkeypatch.setattr(simulate_module, "simulate", recording)
+        cv = 0.3 if distribution == "lognormal" else 0.0
+        stages = [
+            StageModel("pre", 1.6, 14),
+            StageModel("proc", 12.5, None, distribution=distribution, cv=cv),
+            StageModel("post", 7.2, 14),
+        ]
+        assert min_workers_for_deadline(n_images, stages, deadline, seed=1) == answer
+        assert probed == probes
 
     def test_stochastic_search(self):
         stages = [StageModel("only", 1.0, None, distribution="exponential")]
