@@ -87,6 +87,11 @@ def load_config(path: Optional[str]) -> GlobalConfig:
                 if kinds is not None and (type(item) is bool or not isinstance(item, kinds[0])):
                     raise ConfigInvalid(f"config key {key}.{sub} must be {kinds[1]}, "
                                         f"got {item!r}")
+                if key == "ingest":
+                    try:
+                        ingest.check_threshold(f"config key {key}.{sub}", item)
+                    except ValueError as exc:
+                        raise ConfigInvalid(str(exc))
             setattr(config, key, dict(value))
         else:
             setattr(config, key, value)
@@ -230,6 +235,16 @@ def parse_scheduler_spec(spec: str) -> LocalExecutor:
         raise click.BadParameter(f"{spec!r}: {exc}")
 
 
+def _threshold_option(ctx: click.Context, param: click.Parameter, value: Optional[float]):
+    """Reject a threshold flag outside [0, 1], NaN included."""
+    if value is None:
+        return None
+    try:
+        return ingest.check_threshold(param.name, value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+
+
 def _fixture_setup(fixture_root: str, endpoint_url: Optional[str], api_version: int):
     registry = ingest.load_registry(Path(fixture_root) / "registry.ndjson")
     endpoint = iiif.IiifEndpoint(endpoint_url or "https://fixture.local/iiif", api_version)
@@ -249,9 +264,9 @@ def _fixture_setup(fixture_root: str, endpoint_url: Optional[str], api_version: 
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--resolutions", type=click.Path(exists=True), default=None,
               help="Worklist CSV with resolved_code filled in.")
-@click.option("--threshold", type=float, default=None,
+@click.option("--threshold", type=float, default=None, callback=_threshold_option,
               help=f"Fuzzy match threshold [default: config, else {ingest.DEFAULT_THRESHOLD}]")
-@click.option("--auto-threshold", type=float, default=None,
+@click.option("--auto-threshold", type=float, default=None, callback=_threshold_option,
               help=f"Auto-accept threshold [default: config, else {ingest.DEFAULT_AUTO_THRESHOLD}]")
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj

@@ -219,7 +219,8 @@ _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 def normalize_name(name: str) -> str:
     """Normalize a place name: lowercase, fold diacritics, map punctuation
     and hyphens to spaces, collapse whitespace. Idempotent. Cached, because
-    ``match_commune`` normalizes every gazetteer name for each query."""
+    each registry build indexes the same gazetteer names again and
+    ``similarity`` normalizes names that are already normalized."""
     lowered = name.lower()
     folded = "".join(
         c for c in unicodedata.normalize("NFKD", lowered) if not unicodedata.combining(c)
@@ -234,6 +235,17 @@ def similarity(a: str, b: str) -> float:
     if longest == 0:
         return 1.0
     return 1.0 - levenshtein(na, nb) / longest
+
+
+def check_threshold(name: str, value: float) -> float:
+    """Return ``value`` if it is a similarity threshold in [0, 1].
+
+    Raises:
+        ValueError: naming ``name`` and the value, for NaN too.
+    """
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    return value
 
 
 class MatchStatus(Enum):
@@ -259,6 +271,75 @@ class MatchResult:
         return self.candidates[0] if self.candidates else None
 
 
+def _charset(text: str) -> int:
+    """Bitmask of the distinct characters of ``text``."""
+    return sum(1 << ord(c) for c in set(text))
+
+
+class _GazetteerIndex:
+    """A gazetteer and thresholds prepared for many queries. Each name is
+    normalized once and kept with its length and character-set bitmask; each
+    entry keeps its normalized department and canonical-name length for the
+    ranking.
+
+    Raises:
+        ValueError: if a threshold is not in [0, 1].
+    """
+
+    def __init__(self, gazetteer: Sequence[GazetteerEntry], threshold: float,
+                 auto_threshold: float):
+        self.threshold = check_threshold("threshold", threshold)
+        self.auto_threshold = check_threshold("auto_threshold", auto_threshold)
+        self.entries = [
+            (
+                entry,
+                normalize_name(entry.department),
+                len(normalize_name(entry.canonical_name)),
+                tuple((norm, len(norm), _charset(norm))
+                      for norm in map(normalize_name, entry.all_names())),
+            )
+            for entry in gazetteer
+        ]
+
+    def match(self, name: str, department_hint: Optional[str] = None) -> MatchResult:
+        """``match_commune`` over this index."""
+        if not self.entries:
+            raise EmptyGazetteer("cannot match against an empty gazetteer")
+        threshold = self.threshold
+        hint = normalize_name(department_hint) if department_hint else None
+        query = normalize_name(name)
+        size, chars = len(query), _charset(query)
+        scored = []
+        for entry, department, canonical_length, names in self.entries:
+            best = None
+            for norm, length, norm_chars in names:
+                longest = size if size > length else length
+                # The edit distance is at least the length gap, and at least
+                # the number of character types either side lacks (one edit
+                # removes at most one of them from each side). Each bounds the
+                # score from above, so a name either rules out cannot count.
+                if longest and (
+                    1.0 - abs(size - length) / longest < threshold
+                    or 1.0 - (chars & ~norm_chars).bit_count() / longest < threshold
+                    or 1.0 - (norm_chars & ~chars).bit_count() / longest < threshold
+                ):
+                    continue
+                score = similarity(query, norm)
+                if best is None or score > best:
+                    best = score
+            if best is not None and best >= threshold:
+                rank = (-best, 0 if hint and department == hint else 1, canonical_length,
+                        entry.code)
+                scored.append((rank, MatchCandidate(entry, best)))
+        if not scored:
+            return MatchResult(name, MatchStatus.UNMATCHED, ())
+        scored.sort(key=lambda ranked: ranked[0])
+        candidates = tuple(candidate for _, candidate in scored)
+        confident = [c for c in candidates if c.score >= self.auto_threshold]
+        status = MatchStatus.AUTO if len(confident) == 1 else MatchStatus.AMBIGUOUS
+        return MatchResult(name, status, candidates)
+
+
 def match_commune(
     name: str,
     gazetteer: Sequence[GazetteerEntry],
@@ -274,42 +355,15 @@ def match_commune(
     then code. The match is auto-accepted only when exactly one candidate
     reaches ``auto_threshold``; otherwise it is AMBIGUOUS (for the manual
     resolution worklist) or UNMATCHED when nothing clears the threshold.
+    Only names that cheap lower bounds on the edit distance leave in reach
+    of ``threshold`` are scored; the bounds are exact, so the result is
+    that of scoring every name.
 
     Raises:
+        ValueError: if a threshold is not in [0, 1].
         EmptyGazetteer: if the gazetteer has no entries.
     """
-    if not gazetteer:
-        raise EmptyGazetteer("cannot match against an empty gazetteer")
-    hint = normalize_name(department_hint) if department_hint else None
-    query = normalize_name(name)
-    scored = []
-    for entry in gazetteer:
-        best = None
-        for variant in entry.all_names():
-            norm = normalize_name(variant)
-            longest = max(len(query), len(norm))
-            # The edit distance is at least the length gap, so this bounds
-            # the score from above; a variant below threshold cannot count.
-            if longest and 1.0 - abs(len(query) - len(norm)) / longest < threshold:
-                continue
-            score = similarity(query, norm)
-            if best is None or score > best:
-                best = score
-        if best is not None and best >= threshold:
-            scored.append(MatchCandidate(entry, best))
-    scored.sort(
-        key=lambda c: (
-            -c.score,
-            0 if hint and normalize_name(c.entry.department) == hint else 1,
-            len(normalize_name(c.entry.canonical_name)),
-            c.entry.code,
-        )
-    )
-    if not scored:
-        return MatchResult(name, MatchStatus.UNMATCHED, ())
-    confident = [c for c in scored if c.score >= auto_threshold]
-    status = MatchStatus.AUTO if len(confident) == 1 else MatchStatus.AMBIGUOUS
-    return MatchResult(name, status, tuple(scored))
+    return _GazetteerIndex(gazetteer, threshold, auto_threshold).match(name, department_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +476,14 @@ def build_registry(
     code, the manual worklist output) or, failing that, fuzzy matching.
     Invalid census years, unresolved communes and duplicate image paths are
     routed to the exceptions list; every input row lands in exactly one of
-    registry or exceptions. Output ordering is deterministic.
+    registry or exceptions. Output ordering is deterministic. The gazetteer
+    is indexed once per call.
+
+    Raises:
+        ValueError: if a threshold is not in [0, 1].
+        EmptyGazetteer: if a name must be matched and the gazetteer is empty.
     """
+    index = _GazetteerIndex(gazetteer, threshold, auto_threshold)
     resolutions = dict(resolutions or {})
     by_code = {entry.code: entry for entry in gazetteer}
     match_cache: dict[str, MatchResult] = {}
@@ -462,9 +522,7 @@ def build_registry(
                 continue
         else:
             if row.commune not in match_cache:
-                match_cache[row.commune] = match_commune(
-                    row.commune, gazetteer, threshold=threshold, auto_threshold=auto_threshold
-                )
+                match_cache[row.commune] = index.match(row.commune)
             result = match_cache[row.commune]
             if result.status is MatchStatus.AUTO:
                 entry = result.best.entry

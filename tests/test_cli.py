@@ -189,11 +189,17 @@ class TestUsageErrors:
         {"pipeline": {"prestage_concurrency": 2.5}},
         {"ingest": {"threshold": "0.8"}},
         {"ingest": {"auto_threshold": False}},
+        {"ingest": {"threshold": 1.5}},
+        {"ingest": {"auto_threshold": -0.1}},
+        {"ingest": {"threshold": float("nan")}},
+        {"ingest": {"auto_threshold": float("inf")}},
     ], ids=["window-string", "retry-bool", "concurrency-float", "threshold-string",
-            "auto-threshold-bool"])
+            "auto-threshold-bool", "threshold-above-one", "auto-threshold-negative",
+            "threshold-nan", "auto-threshold-infinite"])
     def test_config_values_of_the_wrong_type(self, runner, tmp_path, section):
         """A pipeline value that is not an integer, or an ingest value that
-        is not a number, is a configuration error before any command runs."""
+        is not a number in [0, 1], is a configuration error before any
+        command runs."""
         corpus = make_corpus(runner, tmp_path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(section))
@@ -202,6 +208,8 @@ class TestUsageErrors:
                                       str(workspace), "--fixture", str(corpus)])
         assert result.exit_code == 2, result.output
         assert "must be" in result.output
+        [(_, value)] = next(iter(section.values())).items()
+        assert f"got {value!r}" in result.output
         assert not workspace.exists()
 
 
@@ -707,6 +715,24 @@ class TestIngestCommand:
             flags=["--auto-threshold", "0.8"],
         )
         assert raised == ""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--threshold", "1.5"),
+        ("--threshold", "nan"),
+        ("--auto-threshold", "-0.1"),
+        ("--auto-threshold", "inf"),
+    ])
+    def test_threshold_flag_outside_unit_interval(self, runner, tmp_path, flag, value):
+        csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["ingest", "--csv", str(csv_path), "--mapping", str(mapping),
+             "--gazetteer", str(gazetteer), "--out", str(out), flag, value],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"got {float(value)!r}" in result.output
+        assert not out.exists()
 
     def test_ingest_rerun_byte_identical(self, runner, tmp_path):
         csv_path, mapping, gazetteer = self.write_inputs(tmp_path)

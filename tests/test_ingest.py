@@ -1,8 +1,13 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import censusflow.ingest as ingest_module
+from censusflow.fixtures import DEMO_GAZETTEER
 from censusflow.ingest import (
+    DEFAULT_THRESHOLD,
     VALID_CENSUS_YEARS,
     AmbiguousRecord,
     ColumnMapping,
@@ -227,8 +232,8 @@ def brute_force_match(name, gazetteer, department_hint=None, *, threshold, auto_
 
 
 class TestMatchCommunePruning:
-    """match_commune skips names whose length gap alone bounds the score
-    below threshold; its results must equal scoring every name."""
+    """match_commune skips names whose length gap or character sets bound
+    the score below threshold; its results must equal scoring every name."""
 
     def check(self, name, gazetteer, hint=None, threshold=0.85):
         expected = brute_force_match(name, gazetteer, hint, threshold=threshold)
@@ -240,6 +245,44 @@ class TestMatchCommunePruning:
         result = self.check("Lyons", [GazetteerEntry("69123", "Lyon", "Rhône")], threshold=0.8)
         assert [(c.entry.code, c.score) for c in result.candidates] == [("69123", 0.8)]
 
+    def test_charset_bound_equal_to_threshold_is_still_scored(self):
+        # Each side lacks one character type of the other: the bound 1 - 1/5
+        # equals 0.8 exactly, as does the score.
+        result = self.check("abcde", [GazetteerEntry("00001", "abcdx", "Ain")], threshold=0.8)
+        assert [(c.entry.code, c.score) for c in result.candidates] == [("00001", 0.8)]
+
+    def test_filter_scores_few_of_the_names_in_length_reach(self, monkeypatch):
+        """A misspelt name is scored against only the names whose character
+        sets are close to its own, not every name the length gap lets
+        through."""
+        original = ingest_module.levenshtein
+        calls = []
+        monkeypatch.setattr(ingest_module, "levenshtein",
+                            lambda a, b: calls.append((a, b)) or original(a, b))
+        result = match_commune("Mouline", DEMO_GAZETTEER)
+        scored = len(calls)
+        assert result == brute_force_match("Mouline", DEMO_GAZETTEER, threshold=DEFAULT_THRESHOLD)
+        assert [c.entry.code for c in result.candidates] == ["03190"]
+        query = normalize_name("Mouline")
+        in_reach = [
+            norm
+            for entry in DEMO_GAZETTEER
+            for norm in map(normalize_name, entry.all_names())
+            if 1.0 - abs(len(query) - len(norm)) / max(len(query), len(norm))
+            >= DEFAULT_THRESHOLD
+        ]
+        assert len(in_reach) >= 6
+        assert 3 * scored <= len(in_reach)
+
+    @pytest.mark.parametrize("keyword", ["threshold", "auto_threshold"])
+    @pytest.mark.parametrize("value", [1.5, -0.1, math.nan, math.inf])
+    def test_threshold_outside_unit_interval(self, tmp_path, keyword, value):
+        with pytest.raises(ValueError, match=f"{keyword} must be"):
+            match_commune("Moulins", GAZETTEER, **{keyword: value})
+        rows = import_rows(tmp_path, ["1916,Vichy,6M1,img_1.jpg,"])
+        with pytest.raises(ValueError, match=f"{keyword} must be"):
+            build_registry(rows, GAZETTEER, **{keyword: value})
+
     def test_department_hint(self):
         result = self.check("Moulin", GAZETTEER, "Côte-d'Or")
         assert [c.entry.code for c in result.candidates] == ["21425", "03190"]
@@ -249,17 +292,21 @@ class TestMatchCommunePruning:
         result = self.check("Pourcin", [entry, *GAZETTEER])
         assert [(c.entry.code, c.score) for c in result.candidates] == [("03254", 1 - 1 / 8)]
 
-    names = st.text(alphabet="abé -", max_size=8).filter(lambda s: s.strip())
-    rows = st.tuples(names, st.sampled_from(["Allier", "Cher"]), st.lists(names, max_size=2))
+    names = st.text(alphabet="abelAÉéè-' 19", max_size=10)
+    rows = st.tuples(
+        names.filter(bool), st.sampled_from(["Ain", "Côte-d'Or"]), st.lists(names, max_size=2),
+    )
 
     @given(
-        st.lists(rows, min_size=1, max_size=6),
+        st.lists(rows, min_size=1, max_size=8),
         names,
-        st.sampled_from([None, "allier", "Cher"]),
-        st.sampled_from([0.0, 0.5, 0.75, 0.8, 0.85, 1.0]),
+        st.sampled_from([None, "ain", "Cote d'or"]),
+        st.sampled_from([0.0, 0.5, 0.75, 0.8, 0.85, 0.95, 1.0]) | st.floats(0.0, 1.0),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_random_gazetteers_match_brute_force(self, rows, name, hint, threshold):
+        """Accents, hyphens, apostrophes, digits and case, 0-2 variants per
+        entry: the bounds never drop a name that scores at threshold."""
         gazetteer = [
             GazetteerEntry(f"{k:05d}", canonical, department, tuple(variants))
             for k, (canonical, department, variants) in enumerate(rows)
@@ -302,6 +349,14 @@ def import_rows(tmp_path, rows):
 
 
 class TestBuildRegistry:
+    def test_empty_gazetteer_when_nothing_is_matched(self, tmp_path):
+        rows = import_rows(tmp_path, ["1916,Vichy,6M1,img_1.jpg,", "1881,Vichy,6M1,img_2.jpg,"])
+        result = build_registry(rows, [], resolutions={"Vichy": "03310"})
+        assert [e.reason for e in result.exceptions] == ["InvalidCensusYear",
+                                                         "UnknownResolutionCode"]
+        with pytest.raises(EmptyGazetteer):
+            build_registry(rows, [])
+
     def test_natural_sequence_ordering(self, tmp_path):
         rows = import_rows(
             tmp_path,
