@@ -4,12 +4,16 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from censusflow import metrics
 from censusflow.domain import EntityTag, PageClass, PageTranscript, PersonRecord, write_fixture
+from censusflow.fixtures import DEMO_GAZETTEER
+from censusflow.ingest import similarity
 from censusflow.metrics import (
     ConfusionMatrix,
     ErrorRates,
@@ -167,6 +171,154 @@ class TestLevenshtein:
             assert levenshtein(a, b) == oracle_levenshtein_dp(a, b)
         assert levenshtein([1, 2.0], [True, 2]) == 0
         assert levenshtein([1] * 70, [1.0] * 69 + [True]) == 0
+
+
+PAGE_WORDS = ["Martin", "Bernard", "Dubois", "chef", "épouse", "fils", "fille",
+              "cultivateur", "journalier", "néant", "1851", "37", "Vichy", "id."]
+
+
+def page_text(rng: random.Random, length: int) -> str:
+    """Census-page-like text of ``length`` characters: words, spaces and
+    one record per line."""
+    parts: list[str] = []
+    size = 0
+    while size < length:
+        word = rng.choice(PAGE_WORDS)
+        parts.append(word + ("\n" if rng.random() < 0.15 else " "))
+        size += len(parts[-1])
+    return "".join(parts)[:length]
+
+
+def noisy(rng: random.Random, seq, rate: float, alphabet):
+    """A copy of ``seq`` with each element substituted, deleted or followed
+    by an insertion with probability ``rate`` in all."""
+    out = []
+    for x in seq:
+        r = rng.random()
+        if r < rate / 3:
+            continue
+        out.append(rng.choice(alphabet) if r < 2 * rate / 3 else x)
+        if 2 * rate / 3 <= r < rate:
+            out.append(rng.choice(alphabet))
+    return "".join(out) if isinstance(seq, str) else out
+
+
+def plain_loop(a, b):
+    """``levenshtein`` with the banded pass always failing, so the plain
+    loop over every pattern row gives the result."""
+    with mock.patch.object(metrics, "_banded", lambda a, b, k: k + 1):
+        return levenshtein(a, b)
+
+
+@st.composite
+def band_cases(draw):
+    """A pattern, a text edited from it or drawn freely, and a cutoff from
+    ``len(a) - len(b)`` (its least value) up."""
+    b = draw(st.text(alphabet="abc", min_size=1, max_size=40))
+    if draw(st.booleans()):
+        a = list(b)
+        for _ in range(draw(st.integers(0, 12))):
+            i = draw(st.integers(0, len(a)))
+            op = draw(st.sampled_from(("insert", "delete", "substitute")))
+            if op == "insert":
+                a.insert(i, draw(st.sampled_from("abc")))
+            elif i < len(a):
+                if op == "delete":
+                    del a[i]
+                else:
+                    a[i] = draw(st.sampled_from("abc"))
+        a = "".join(a)
+    else:
+        a = draw(st.text(alphabet="abc", max_size=45))
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        b, a = a[:1], a[1:] + a[:1]
+    k = len(a) - len(b) + draw(st.integers(0, 16))
+    return a, b, k
+
+
+@pytest.fixture
+def banded_calls(monkeypatch):
+    """The argument tuples of every ``_banded`` call made by the test."""
+    calls = []
+    banded = metrics._banded
+    monkeypatch.setattr(metrics, "_banded", lambda *args: calls.append(args) or banded(*args))
+    return calls
+
+
+class TestBandedPass:
+    @given(band_cases(), st.sampled_from((1, 2, 3, 5, 64)))
+    @settings(max_examples=400, deadline=None)
+    def test_exact_within_the_cutoff_and_above_it_otherwise(self, case, block):
+        # A small block slides the window many times on short inputs.
+        a, b, k = case
+        expected = oracle_levenshtein_dp(a, b)
+        with mock.patch.object(metrics, "_BLOCK", block):
+            got = metrics._banded(a, b, k)
+        if expected <= k:
+            assert got == expected, (a, b, k, block)
+        else:
+            assert got > k, (a, b, k, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_lengths_across_block_boundaries(self, block):
+        rng = random.Random(block)
+        with mock.patch.object(metrics, "_BLOCK", block):
+            for m in range(1, 4 * block + 3):
+                for extra in range(0, 2 * block + 2):
+                    b = "".join(rng.choice("ab") for _ in range(m))
+                    a = noisy(rng, b, 0.3, "ab") + "".join(rng.choice("ab") for _ in range(extra))
+                    if len(a) < len(b):
+                        a, b = b, a
+                    expected = oracle_levenshtein_dp(a, b)
+                    for k in (len(a) - len(b), len(a) - len(b) + 1, expected, expected + 3):
+                        if k < len(a) - len(b):
+                            continue
+                        got = metrics._banded(a, b, k)
+                        assert got == expected if expected <= k else got > k, (a, b, k)
+
+    def test_long_page_text_matches_the_plain_loop(self, banded_calls):
+        rng = random.Random(19)
+        alphabet = "abcdefghijklmnopqrstuvwxyzé0123456789 \n"
+        for length, rate in [(300, 0.04), (1200, 0.04), (2800, 0.04), (2800, 0.08),
+                             (1200, 0.3), (2800, 0.0)]:
+            truth = page_text(rng, length)
+            pred = noisy(rng, truth, rate, alphabet)
+            expected = plain_loop(truth, pred)
+            assert levenshtein(truth, pred) == expected, (length, rate)
+            assert levenshtein(pred, truth) == expected, (length, rate)
+        assert len(banded_calls) == 2 * 6
+        truth = page_text(rng, 600)
+        pred = noisy(rng, truth, 0.05, alphabet)
+        assert levenshtein(truth, pred) == oracle_levenshtein_dp(truth, pred)
+
+    def test_long_word_lists_match_the_plain_loop(self, banded_calls):
+        rng = random.Random(23)
+        for length, rate in [(300, 0.05), (600, 0.1), (900, 0.02)]:
+            truth = [rng.choice(PAGE_WORDS) for _ in range(length)]
+            pred = noisy(rng, truth, rate, PAGE_WORDS + ["Vichi", "fils."])
+            expected = oracle_levenshtein_dp(truth, pred)
+            assert plain_loop(truth, pred) == expected
+            assert levenshtein(truth, pred) == expected, (length, rate)
+        assert len(banded_calls) == 3
+
+    def test_names_and_page_word_lists_take_the_plain_loop(self, banded_calls):
+        names = [entry.canonical_name for entry in DEMO_GAZETTEER]
+        names += [name for entry in DEMO_GAZETTEER for name in entry.valid_names]
+        for name in names:
+            for other in names:
+                similarity(name, other)
+            similarity(name, name[::-1] + "-sur-Allier")
+        rng = random.Random(29)
+        for length in (150, 200, 230, 257):
+            truth = [rng.choice(PAGE_WORDS) for _ in range(length)]
+            levenshtein(truth, noisy(rng, truth, 0.1, PAGE_WORDS))
+            levenshtein(truth, truth[: length // 2])
+        assert banded_calls == []
+        truth = page_text(rng, 1200)
+        levenshtein(truth, noisy(rng, truth, 0.04, "xyz"))
+        assert len(banded_calls) == 1
 
 
 class TestLcsMatches:
@@ -409,6 +561,23 @@ class TestEvaluateCorpus:
         report = evaluate_corpus(tmp_path / "truth", tmp_path / "pred")
         assert report.households_matched == 0
         assert report.households_total == 2
+
+    def test_pages_are_numbered_when_either_file_holds_several(self, tmp_path, golden):
+        other = PageTranscript(golden.records[:2], page_id="golden")
+        self._write(tmp_path / "truth", "f.txt", [golden])
+        self._write(tmp_path / "pred", "f.txt", [golden, other])
+        self._write(tmp_path / "truth", "g.txt", [golden, other])
+        self._write(tmp_path / "pred", "g.txt", [golden])
+        self._write(tmp_path / "truth", "h.txt", [golden])
+        self._write(tmp_path / "pred", "h.txt", [other])
+        report = evaluate_corpus(tmp_path / "truth", tmp_path / "pred")
+        assert [(p.name, p.missing_prediction) for p in report.pages] == [
+            ("f.txt#0", False), ("f.txt#1", False),
+            ("g.txt#0", False), ("g.txt#1", True),
+            ("h.txt", False),
+        ]
+        inserted = report.pages[1].error_rates
+        assert (inserted.char_total, inserted.char_edits) == (0, len(strip_tags(other)))
 
     def test_corpus_report_renders(self, tmp_path, golden):
         self._write(tmp_path / "truth", "a.txt", [golden])
