@@ -565,6 +565,8 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
     Opens the store from the checkpoint's store section, as ``status`` folds
     the log, and writes nothing in the workspace.
     """
+    if not households_path and not pages_dir:
+        raise click.UsageError("nothing to export: pass --households and/or --pages")
     workspace = Path(workspace)
     ctx = PipelineContext.at(workspace)
     registry_file = ctx.registry_file
@@ -602,8 +604,6 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
             write_fixture([transcript], out / name)
             count += 1
         click.echo(f"wrote {count} transcript pages to {pages_dir}")
-    if not households_path and not pages_dir:
-        raise click.UsageError("nothing to export: pass --households and/or --pages")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Core vocabulary shared by every other module.
 
-Defines the twelve entity tags used to categorize table cells, the five
+Defines the twelve entity tags used to categorize table cells and their one
+fixed vocabulary (each tag's token in page labels and its field name in
+fixtures, payloads and exports, as precomputed maps and patterns), the five
 page classes, and the immutable value objects describing people, households,
 pages and registers. Also provides the plain-text fixture serialization used
 to store page transcripts on disk.
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
@@ -22,8 +24,8 @@ if TYPE_CHECKING:
 class EntityTag(Enum):
     """Category of one piece of information about an individual.
 
-    The enum value is the default single-token surface form used in label
-    strings. Declaration order is the canonical field order for encoding.
+    The enum value is the tag's token in label strings (``TOKEN_FOR_TAG``).
+    Declaration order is the canonical field order for encoding.
     """
 
     SURNAME_HEAD = "<s-h>"
@@ -51,7 +53,27 @@ class EntityTag(Enum):
 #: Canonical order in which a record's fields are emitted.
 FIELD_ORDER: tuple[EntityTag, ...] = tuple(EntityTag)
 
-_NAME_TO_TAG = {tag.name.lower(): tag for tag in EntityTag}
+# The one tag vocabulary, as precomputed maps: looking a tag up in a dict is
+# about four times as fast as reading its ``value`` or ``name`` property.
+#: Each tag's token in page labels, in canonical order, and back.
+TOKEN_FOR_TAG: dict[EntityTag, str] = {tag: tag.value for tag in EntityTag}
+TAG_FOR_TOKEN: dict[str, EntityTag] = {token: tag for tag, token in TOKEN_FOR_TAG.items()}
+#: Each tag's field name in fixtures, result payloads and export columns,
+#: in canonical order, and back.
+NAME_FOR_TAG: dict[EntityTag, str] = {tag: tag.name.lower() for tag in EntityTag}
+TAG_FOR_NAME: dict[str, EntityTag] = {name: tag for tag, name in NAME_FOR_TAG.items()}
+
+_TOKENS = "|".join(re.escape(token) for token in sorted(TAG_FOR_TOKEN, key=len, reverse=True))
+#: Any tag token (alternatives longest first).
+TAG_PATTERN = re.compile(_TOKENS)
+#: ``split`` cuts text into alternating [text, token, text, ...] pieces: odd
+#: indices are tag tokens, even indices the (possibly empty) text between.
+TAG_SPLIT_PATTERN = re.compile(f"({_TOKENS})")
+#: Label tokens for the decoder: a newline, a tag, an unknown <...> chunk,
+#: or a lone "<". A chunk must be compact (no spaces, nesting or missing
+#: ">") so that a stray bracket can never swallow a legitimate tag further
+#: along the line.
+LABEL_PATTERN = re.compile(f"(\n|{_TOKENS}|<[^<>\\s]{{0,16}}>|<)")
 
 
 class PageClass(Enum):
@@ -60,87 +82,6 @@ class PageClass(Enum):
     RECAP = "recap"
     TOTALS = "totals"
     OTHER = "other"
-
-
-class UnknownToken(ValueError):
-    """Raised when a token is not part of the tag alphabet."""
-
-    def __init__(self, token: str):
-        super().__init__(f"unknown tag token: {token!r}")
-        self.token = token
-
-
-@dataclass(frozen=True)
-class TagAlphabet:
-    """Bijective mapping between entity tags and their token surface forms.
-
-    The default alphabet uses the built-in surface forms, but alternate
-    mappings can be loaded from a file (see :func:`load_alphabet`).
-    """
-
-    tokens: Mapping[EntityTag, str]
-
-    def __post_init__(self):
-        tokens = dict(self.tokens)
-        if set(tokens) != set(EntityTag):
-            raise ValueError("alphabet must map every entity tag exactly once")
-        surfaces = list(tokens.values())
-        if len(set(surfaces)) != len(surfaces):
-            raise ValueError("alphabet surface forms must be unique")
-        for surface in surfaces:
-            if not (surface.startswith("<") and surface.endswith(">") and len(surface) >= 3):
-                raise ValueError(f"surface form must look like <...>: {surface!r}")
-            if any(c in surface[1:-1] for c in "<>\n\t "):
-                raise ValueError(f"surface form contains forbidden characters: {surface!r}")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "_by_surface", {v: k for k, v in tokens.items()})
-        ordered = "|".join(re.escape(s) for s in sorted(surfaces, key=len, reverse=True))
-        object.__setattr__(self, "_pattern", re.compile(ordered))
-        object.__setattr__(self, "_split_pattern", re.compile(f"({ordered})"))
-        # Label tokens for the decoder: a newline, a tag (longest surface
-        # first), an out-of-alphabet <...> chunk, or a lone "<". A chunk must
-        # be compact (no spaces, nesting or missing ">") so that a stray
-        # bracket can never swallow a legitimate tag further along the line.
-        object.__setattr__(
-            self, "_label_pattern", re.compile(f"(\n|{ordered}|<[^<>\\s]{{0,16}}>|<)")
-        )
-
-    def token_for(self, tag: EntityTag) -> str:
-        return self.tokens[tag]
-
-    def tag_for(self, token: str) -> EntityTag:
-        try:
-            return self._by_surface[token]
-        except KeyError:
-            raise UnknownToken(token) from None
-
-    def split(self, text: str) -> list[str]:
-        """Split ``text`` into alternating [text, token, text, ...] pieces.
-
-        Odd indices are exact token surface forms; even indices are the
-        (possibly empty) text between them.
-        """
-        return self._split_pattern.split(text)
-
-
-DEFAULT_ALPHABET = TagAlphabet({tag: tag.value for tag in EntityTag})
-
-
-def load_alphabet(path: str | Path) -> TagAlphabet:
-    """Load an alternate tag alphabet from a ``name=<token>`` file."""
-    tokens: dict[EntityTag, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, sep, surface = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected name=<token>")
-        tag = _NAME_TO_TAG.get(name.strip().lower())
-        if tag is None:
-            raise ValueError(f"{path}:{lineno}: unknown tag name {name.strip()!r}")
-        tokens[tag] = surface.strip()
-    return TagAlphabet(tokens)
 
 
 @dataclass(frozen=True)
@@ -161,7 +102,7 @@ class PersonRecord:
         """Build a record from lowercase tag names, e.g. ``surname_head="Gendre"``."""
         fields = {}
         for name, value in values.items():
-            tag = _NAME_TO_TAG.get(name.lower())
+            tag = TAG_FOR_NAME.get(name.lower())
             if tag is None:
                 raise ValueError(f"unknown tag name: {name!r}")
             fields[tag] = value
@@ -314,7 +255,7 @@ def dumps_pages(pages: Iterable[PageTranscript]) -> str:
                     continue
                 if "\t" in value or "\n" in value:
                     raise ValueError(f"value not serializable: {value!r}")
-                parts.append(f"{tag.name.lower()}={value}")
+                parts.append(f"{NAME_FOR_TAG[tag]}={value}")
             if parts:
                 lines.append("\t".join(parts))
         blocks.append("\n".join(lines))
@@ -342,7 +283,7 @@ def loads_pages(text: str) -> list[PageTranscript]:
                 name, sep, value = item.partition("=")
                 if not sep:
                     raise ValueError(f"malformed fixture line: {line!r}")
-                tag = _NAME_TO_TAG.get(name)
+                tag = TAG_FOR_NAME.get(name)
                 if tag is None:
                     raise ValueError(f"unknown tag name in fixture: {name!r}")
                 fields[tag] = value

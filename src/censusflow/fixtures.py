@@ -140,7 +140,7 @@ def synthetic_register(
             remaining -= 1
         transcript = PageTranscript(tuple(records), page_id=identifier, page_index_in_register=seq)
         pages.append(RegisterPage(identifier, page_class, transcript))
-        labels[identifier] = encode(transcript).text
+        labels[identifier] = encode(transcript)
     close_household()  # register end truncates the open household
 
     document = RegisterDocument(register_id=register_id, pages=tuple(pages), metadata=metadata)

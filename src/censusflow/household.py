@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .domain import (
     FIELD_ORDER,
+    NAME_FOR_TAG,
     Household,
     PageClass,
     PageTranscript,
@@ -152,9 +153,8 @@ def household_accuracy(predicted: HouseholdSet, truth: HouseholdSet) -> float:
 # Export
 # ---------------------------------------------------------------------------
 
-EXPORT_COLUMNS = ["register_id", "page_id", "row_index", "household_index", "is_head"] + [
-    tag.name.lower() for tag in FIELD_ORDER
-]
+EXPORT_COLUMNS = ["register_id", "page_id", "row_index", "household_index", "is_head",
+                  *NAME_FOR_TAG.values()]
 
 
 def household_rows(register: RegisterDocument, hset: HouseholdSet) -> list[list[str]]:

@@ -13,7 +13,7 @@ import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import quote
@@ -149,7 +149,6 @@ class IntegrityResult:
     status: IntegrityStatus
     width: Optional[int] = None
     height: Optional[int] = None
-    checked_at: float = 0.0
     detail: str = ""
 
 
@@ -179,16 +178,15 @@ def check_integrity(
     fetch_pixels: bool = False,
     rng: Optional[random.Random] = None,
     sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.time,
 ) -> IntegrityResult:
     """Verify that an image is present and uncorrupted on the server.
 
     Fetches ``info.json``: HTTP 404 means MISSING, an unparseable body or
     non-positive dimensions mean CORRUPT, and network failures (after the
     endpoint's retries with exponential backoff and full jitter) mean
-    TRANSPORT_ERROR. On success the returned ImageRef carries the verified
-    dimensions. With ``fetch_pixels`` the full image is downloaded and its
-    header sniffed as well.
+    TRANSPORT_ERROR. On success the result carries the image's dimensions.
+    With ``fetch_pixels`` the full image is downloaded and its header
+    sniffed as well.
 
     Total function: every outcome is encoded in the result status (only an
     IsolationViolation from the transport propagates, by design).
@@ -202,15 +200,13 @@ def check_integrity(
             last_detail = str(exc)
             continue
         if response.status_code == 404:
-            return IntegrityResult(image, IntegrityStatus.MISSING, checked_at=clock())
+            return IntegrityResult(image, IntegrityStatus.MISSING)
         if response.status_code != 200:
             last_detail = f"HTTP {response.status_code}"
             continue
         dims = _parse_dimensions(response.body)
         if dims is None:
-            return IntegrityResult(
-                image, IntegrityStatus.CORRUPT, checked_at=clock(), detail="bad info.json"
-            )
+            return IntegrityResult(image, IntegrityStatus.CORRUPT, detail="bad info.json")
         width, height = dims
         if fetch_pixels:
             try:
@@ -220,16 +216,9 @@ def check_integrity(
                 last_detail = str(exc)
                 continue
             if pixels.status_code != 200 or not pixels.body.startswith(_IMAGE_MAGICS):
-                return IntegrityResult(
-                    image, IntegrityStatus.CORRUPT, checked_at=clock(), detail="bad image payload"
-                )
-        verified = replace(image, verified=True, width=width, height=height)
-        return IntegrityResult(
-            verified, IntegrityStatus.OK, width=width, height=height, checked_at=clock()
-        )
-    return IntegrityResult(
-        image, IntegrityStatus.TRANSPORT_ERROR, checked_at=clock(), detail=last_detail
-    )
+                return IntegrityResult(image, IntegrityStatus.CORRUPT, detail="bad image payload")
+        return IntegrityResult(image, IntegrityStatus.OK, width=width, height=height)
+    return IntegrityResult(image, IntegrityStatus.TRANSPORT_ERROR, detail=last_detail)
 
 
 def fetch_image(

@@ -402,9 +402,6 @@ class ImageRef:
     register: RegisterMetadata
     iiif_identifier: str
     sequence_index: int
-    verified: bool = False
-    width: Optional[int] = None
-    height: Optional[int] = None
 
     def __post_init__(self):
         if self.sequence_index < 0:

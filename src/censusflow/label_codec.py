@@ -10,11 +10,12 @@ The encoder is strict (valid records in, canonical field order out). Two
 decoders are provided: ``decode_strict`` is the exact inverse of the encoder
 and rejects malformed input, while ``decode_lenient`` accepts arbitrary noisy
 recognizer output, repairs what it can and reports warnings instead of
-failing. Both run one pass: a single ``re.split`` (compiled once per
-alphabet) cuts the label into text and token pieces in C, and one loop
-folds the pieces into records, so the Python work is a few steps per tag
-rather than per character (about 1,760 characters and 210 tags on a
-typical list page).
+failing. Both run one pass: a single ``re.split`` on
+``domain.LABEL_PATTERN`` cuts the label into text and token pieces in C, and
+one loop folds the pieces into records, so the Python work is a few steps
+per tag rather than per character (about 1,760 characters and 210 tags on a
+typical list page). Tags and tokens map through ``domain``'s one fixed
+vocabulary (``TOKEN_FOR_TAG``, ``TAG_FOR_TOKEN``).
 
 Also hosts the seeded synthetic record sampler used to build test corpora.
 """
@@ -25,15 +26,16 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional
 
 from .domain import (
-    DEFAULT_ALPHABET,
-    FIELD_ORDER,
+    LABEL_PATTERN,
+    TAG_FOR_TOKEN,
+    TAG_PATTERN,
+    TOKEN_FOR_TAG,
     EntityTag,
     PageTranscript,
     PersonRecord,
-    TagAlphabet,
     validate_record,
 )
 
@@ -68,17 +70,6 @@ class InvalidProfile(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LabelString:
-    """A full-page label and the token budget it was encoded under."""
-
-    text: str
-    token_budget: int = DEFAULT_TOKEN_BUDGET
-
-    def __str__(self) -> str:
-        return self.text
-
-
 class WarningKind(Enum):
     UNKNOWN_TOKEN = "UnknownToken"
     EMPTY_FIELD = "EmptyField"
@@ -99,22 +90,17 @@ class DecodeReport:
     warnings: tuple[DecodeWarning, ...]
 
 
-def count_tokens(text: str, alphabet: TagAlphabet = DEFAULT_ALPHABET) -> int:
-    """Count label tokens: each tag surface form is 1, every other char is 1."""
+def count_tokens(text: str) -> int:
+    """Count label tokens: each tag token is 1, every other char is 1."""
     tags = 0
     tag_chars = 0
-    for m in alphabet._pattern.finditer(text):
+    for m in TAG_PATTERN.finditer(text):
         tags += 1
         tag_chars += len(m.group(0))
     return tags + (len(text) - tag_chars)
 
 
-def encode(
-    page: PageTranscript,
-    *,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
-    alphabet: TagAlphabet = DEFAULT_ALPHABET,
-) -> LabelString:
+def encode(page: PageTranscript, *, token_budget: int = DEFAULT_TOKEN_BUDGET) -> str:
     """Encode a page transcript into its canonical label string.
 
     Fields are emitted in the fixed canonical order regardless of the
@@ -130,18 +116,15 @@ def encode(
         violations = validate_record(record)
         if violations:
             raise ValueError(f"record {i} is invalid: {', '.join(violations)}")
-        parts = [
-            f"{alphabet.token_for(tag)}{record.fields[tag]}"
-            for tag in FIELD_ORDER
-            if tag in record.fields
-        ]
+        fields = record.fields
+        parts = [f"{token}{fields[tag]}" for tag, token in TOKEN_FOR_TAG.items() if tag in fields]
         if parts:
             lines.append(" ".join(parts))
     text = "\n".join(lines)
-    count = count_tokens(text, alphabet)
+    count = count_tokens(text)
     if count > token_budget:
         raise TokenBudgetExceeded(count, token_budget)
-    return LabelString(text, token_budget)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +132,20 @@ def encode(
 # ---------------------------------------------------------------------------
 
 
-def _decode(
-    text: str, alphabet: TagAlphabet, strict: bool
-) -> tuple[list[PersonRecord], list[DecodeWarning]]:
+def _decode(text: str, strict: bool) -> tuple[list[PersonRecord], list[DecodeWarning]]:
     """Fold a label into records and, when lenient, sorted warnings.
 
     One ``re.split`` cuts the label into alternating text and token pieces;
     a token is a newline, a tag, an unknown ``<...>`` chunk or a lone ``<``
-    (``TagAlphabet._label_pattern``). Every token ends the field before it,
+    (``domain.LABEL_PATTERN``). Every token ends the field before it,
     so a field's value is exactly the text piece after its tag. That field
     stays open until the next token has been checked, so strict errors fire
     in label order. Positions are 1-based, from a running sum of piece
     lengths. A newline before the label and one after it make the start and
     the end of the label ordinary record boundaries.
     """
-    pieces = alphabet._label_pattern.split(text)
-    by_surface = alphabet._by_surface
+    pieces = LABEL_PATTERN.split(text)
+    tag_for = TAG_FOR_TOKEN.get  # bound once: the loop looks up every token
     records: list[PersonRecord] = []
     warnings: list[DecodeWarning] = []
     fields: dict[EntityTag, str] = {}
@@ -176,7 +157,7 @@ def _decode(
     pos = 0
     tokens = chain(("\n",), pieces, ("\n", ""))
     for token, piece in zip(tokens, tokens):
-        tag = by_surface.get(token)
+        tag = tag_for(token)
         if tag is not None:
             if tag in _LEADING_TAGS:
                 # A surname token always opens a new record.
@@ -241,17 +222,7 @@ def _decode(
     return records, warnings
 
 
-def _label_text(label: Union[LabelString, str]) -> str:
-    return label.text if isinstance(label, LabelString) else label
-
-
-def decode_strict(
-    label: Union[LabelString, str],
-    *,
-    page_id: str = "",
-    page_index: int = 0,
-    alphabet: TagAlphabet = DEFAULT_ALPHABET,
-) -> PageTranscript:
+def decode_strict(label: str, *, page_id: str = "", page_index: int = 0) -> PageTranscript:
     """Decode a label produced by :func:`encode` (or an equivalent string).
 
     Exact inverse of the encoder: ``decode_strict(encode(p)) == p`` when the
@@ -261,17 +232,11 @@ def decode_strict(
         MalformedLabel: on unknown tokens, duplicate fields within a record,
             empty field values, or text before a record's first tag.
     """
-    records, _ = _decode(_label_text(label), alphabet, strict=True)
+    records, _ = _decode(label, strict=True)
     return PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index)
 
 
-def decode_lenient(
-    label: Union[LabelString, str],
-    *,
-    page_id: str = "",
-    page_index: int = 0,
-    alphabet: TagAlphabet = DEFAULT_ALPHABET,
-) -> DecodeReport:
+def decode_lenient(label: str, *, page_id: str = "", page_index: int = 0) -> DecodeReport:
     """Best-effort decode of arbitrary (noisy) recognizer output.
 
     Never fails. Record boundaries open at each surname token or at a
@@ -279,7 +244,7 @@ def decode_lenient(
     with a warning; empty fields are dropped. Every record in the returned
     transcript passes ``validate_record``.
     """
-    records, warnings = _decode(_label_text(label), alphabet, strict=False)
+    records, warnings = _decode(label, strict=False)
     transcript = PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index)
     return DecodeReport(transcript, tuple(warnings))
 

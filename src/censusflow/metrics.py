@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .domain import FIELD_ORDER, EntityTag, PageClass, PageTranscript, read_fixture
+from .domain import FIELD_ORDER, NAME_FOR_TAG, EntityTag, PageClass, PageTranscript, read_fixture
 from .household import group_page, match_count
 
 
@@ -535,7 +535,7 @@ def format_entity_report(scores: EntityScores) -> str:
     for tag in FIELD_ORDER:
         s = scores.per_tag.get(tag, TagScore())
         lines.append(
-            f"{tag.name.lower():<14} {_fmt(s.precision, s.precision_defined):>8} "
+            f"{NAME_FOR_TAG[tag]:<14} {_fmt(s.precision, s.precision_defined):>8} "
             f"{_fmt(s.recall, s.recall_defined):>8} {_fmt(s.f1):>8} {s.support:>8}"
         )
     micro = scores.micro
@@ -616,7 +616,7 @@ def corpus_report_json(report: CorpusReport) -> dict:
         "households_matched": report.households_matched,
         "households_total": report.households_total,
         "entities": {
-            tag.name.lower(): {
+            NAME_FOR_TAG[tag]: {
                 "tp": s.tp,
                 "fp": s.fp,
                 "fn": s.fn,

@@ -75,6 +75,19 @@ def task_id_for(image: ImageRef) -> str:
     return f"{image.register.register_id}-p{image.sequence_index:04d}"
 
 
+def parse_task_id(task_id: str) -> tuple[str, int]:
+    """``(register_id, sequence_index)`` of a ``task_id_for`` id.
+
+    Raises:
+        ValueError: if ``task_id`` does not have ``task_id_for``'s form.
+    """
+    register_id, _, sequence = task_id.rpartition("-p")
+    sequence_index = int(sequence)
+    if task_id != f"{register_id}-p{sequence_index:04d}":
+        raise ValueError(f"not a task id: {task_id!r}")
+    return register_id, sequence_index
+
+
 @dataclass
 class TaskManifest:
     """One task's fold. ``image`` is None in a manifest folded from the log,

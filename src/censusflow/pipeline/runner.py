@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from ..domain import FIELD_ORDER, PageClass
+from ..domain import TAG_FOR_NAME, PageClass
 from ..household import EXPORT_COLUMNS, MissingTranscript, csv_text, write_export
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
@@ -54,6 +54,7 @@ from .manifests import (
     TaskManifest,
     TaskState,
     parse_line,
+    parse_task_id,
     read_checkpoint,
     read_lines,
     read_ndjson,
@@ -117,6 +118,8 @@ class ResultStore:
     line that holds each page's record, a later line winning over an
     earlier one for the same page. It covers every record on disk when the
     store opened plus this instance's own adds, which is what export reads.
+    A task id names one page (``parse_task_id``), so ``pages`` also answers
+    ``in`` and ``len``.
     ``file`` holds its handles; ``run_batch`` holds them open for the whole
     run.
 
@@ -134,7 +137,6 @@ class ResultStore:
     def __init__(self, path: str | Path, section: Optional[dict] = None):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._keys: set[str] = set()
         self.pages: dict[str, dict[int, int]] = {}
         self.digests: dict[str, tuple[int, str]] = {}
         self.prefix = FilePrefix(self.path)
@@ -142,9 +144,8 @@ class ResultStore:
             try:
                 self.pages = {register_id: dict(offsets)
                               for register_id, offsets in section["pages"].items()}
-                self._keys = set(section["keys"])
             except (AttributeError, KeyError, TypeError, ValueError):
-                self.pages, self._keys = {}, set()
+                self.pages = {}
                 self.prefix = FilePrefix(self.path)
         self.verified = self.prefix.length
         try:
@@ -154,27 +155,31 @@ class ResultStore:
         except (AttributeError, TypeError, ValueError):
             self.digests = {}
         for offset, line in read_lines(self.path, self.verified):
-            register_id, sequence_index, task_id = _head(line, self.path, offset)
-            self._keys.add(task_id)
+            register_id, sequence_index, _ = _head(line, self.path, offset)
             self.pages.setdefault(register_id, {})[sequence_index] = offset
         self.file = AppendFile(self.path)
 
     def section(self) -> dict:
         """The checkpoint section of the index: the store's length and
         SHA-256 up to its last whole line, ``pages`` as ``register_id ->
-        [[sequence_index, offset], ...]``, the task-id keys and ``digests``
-        as ``register_id -> [last offset, digest]``. Every add must be
-        flushed."""
+        [[sequence_index, offset], ...]`` and ``digests`` as ``register_id
+        -> [last offset, digest]``. Every add must be flushed. A section
+        that also holds the task ids as ``keys``, as earlier versions wrote
+        it, opens the same: ``keys`` is not read."""
         length, digest = self.prefix.extend()
         pages = {register_id: list(offsets.items()) for register_id, offsets in self.pages.items()}
-        return {"length": length, "sha256": digest, "pages": pages, "keys": list(self._keys),
+        return {"length": length, "sha256": digest, "pages": pages,
                 "digests": {register_id: list(known) for register_id, known in self.digests.items()}}
 
     def __contains__(self, task_id: str) -> bool:
-        return task_id in self._keys
+        try:
+            register_id, sequence_index = parse_task_id(task_id)
+        except ValueError:
+            return False
+        return sequence_index in self.pages.get(register_id, ())
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return sum(map(len, self.pages.values()))
 
     def add(self, task_id: str, payload: dict, text: Optional[str] = None) -> bool:
         """Append a record unless the key is already present.
@@ -185,12 +190,11 @@ class ResultStore:
         the record, encoded here.
         """
         with self._lock:
-            if task_id in self._keys:
+            if task_id in self:
                 return False
             if text is None:
                 text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
             offset = self.file.append((text + "\n").encode("utf-8"))
-            self._keys.add(task_id)
             pages = self.pages.setdefault(payload.get("register_id"), {})
             pages[payload.get("sequence_index")] = offset
             return True
@@ -443,7 +447,7 @@ class _CheckpointWriter:
 # Row positions of the export columns: a record's fields land at the column
 # of their tag; SURNAME_HEAD starts out absent to tell a head with an empty
 # surname from no head.
-_COLUMN = {tag.name.lower(): EXPORT_COLUMNS.index(tag.name.lower()) for tag in FIELD_ORDER}
+_COLUMN = {name: EXPORT_COLUMNS.index(name) for name in TAG_FOR_NAME}
 _HEAD_COLUMN = _COLUMN["surname_head"]
 _ABSENT = object()
 

@@ -15,7 +15,15 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
-from ..domain import EntityTag, PageClass, PageTranscript, PersonRecord, validate_record
+from ..domain import (
+    NAME_FOR_TAG,
+    TAG_FOR_NAME,
+    EntityTag,
+    PageClass,
+    PageTranscript,
+    PersonRecord,
+    validate_record,
+)
 from ..iiif import (
     FetchError,
     IiifEndpoint,
@@ -41,11 +49,6 @@ from .manifests import (
 from .workers import WorkerSet
 
 logger = logging.getLogger(__name__)
-
-# Payload tag names in canonical field order, computed once: reading the
-# ``Enum.name`` property per field costs a descriptor call each time.
-_TAG_NAMES = tuple((tag, tag.name.lower()) for tag in EntityTag)
-_NAME_TO_TAG = {name: tag for tag, name in _TAG_NAMES}
 
 
 class EmptySelection(ValueError):
@@ -263,7 +266,7 @@ def build_payload(
                     "is_head": record.is_head,
                     "fields": [
                         {"tag": name, "text": record.fields[tag]}
-                        for tag, name in _TAG_NAMES
+                        for tag, name in NAME_FOR_TAG.items()
                         if tag in record.fields
                     ],
                 }
@@ -316,12 +319,12 @@ def validate_payload(payload: dict) -> list[str]:
             if not isinstance(item, dict):
                 item = {"tag": None}
             tag, text = item.get("tag"), item.get("text", "")
-            if not isinstance(tag, str) or tag not in _NAME_TO_TAG:
+            if not isinstance(tag, str) or tag not in TAG_FOR_NAME:
                 problems.append(f"record {i}: unknown tag {tag!r}")
             elif not isinstance(text, str):
                 problems.append(f"record {i}: {tag} text is not a string")
             else:
-                fields[_NAME_TO_TAG[tag]] = text
+                fields[TAG_FOR_NAME[tag]] = text
         violations = validate_record(PersonRecord(fields))
         problems.extend(f"record {i}: {v}" for v in violations)
         if bool(record.get("is_head")) != (EntityTag.SURNAME_HEAD in fields):
@@ -336,7 +339,7 @@ def payload_transcript(payload: dict) -> Optional[PageTranscript]:
         return None
     records = []
     for record in transcript["records"]:
-        fields = {_NAME_TO_TAG[item["tag"]]: item["text"] for item in record["fields"]}
+        fields = {TAG_FOR_NAME[item["tag"]]: item["text"] for item in record["fields"]}
         records.append(PersonRecord(fields))
     return PageTranscript(
         tuple(records),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from ..domain import DEFAULT_ALPHABET, EntityTag, PageClass, PersonRecord
+from ..domain import TAG_SPLIT_PATTERN, EntityTag, PageClass, PersonRecord
 from ..iiif import NullTransport
 from ..label_codec import decode_strict, encode
 
@@ -124,9 +124,9 @@ class MockRecognizer:
                 if fields:
                     records.append(PersonRecord(fields))
             page = replace(page, records=tuple(records))
-            label = encode(page, token_budget=10**9).text
+            label = encode(page, token_budget=10**9)
         if noise.char_substitution:
-            pieces = DEFAULT_ALPHABET.split(label)
+            pieces = TAG_SPLIT_PATTERN.split(label)
             for i in range(0, len(pieces), 2):  # even pieces are plain text
                 chars = list(pieces[i])
                 for j, c in enumerate(chars):

@@ -86,7 +86,7 @@ def criterion(number: int, title: str, budget_s: float | None = None):
 def test_criterion_1_golden_label(capsys):
     with criterion(1, "golden label encodes and decodes exactly", budget_s=1.0):
         page = golden_page()
-        assert encode(page).text == GOLDEN_LABEL
+        assert encode(page) == GOLDEN_LABEL
 
         decoded = decode_strict(GOLDEN_LABEL, page_id="golden")
         households = group_page(decoded)
@@ -154,7 +154,7 @@ def test_criterion_4_noise_calibration():
         total = ErrorRates.ZERO
         for seed in range(50):
             page = generate_synthetic_page(seed + 500)
-            label = encode(page).text
+            label = encode(page)
             fixture = json.dumps(
                 {"identifier": f"page-{seed}", "page_class": "LIST", "label": label}
             ).encode()

@@ -746,6 +746,32 @@ class TestIngestCommand:
 
 
 class TestExportCommand:
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["write", "dry-run"])
+    def test_no_output_is_a_usage_error_before_any_read(self, runner, tmp_path, dry_run):
+        """Neither --households nor --pages: exit 2 on a directory that is
+        no workspace, before looking for its registry."""
+        result = runner.invoke(main, ["export", "--workspace", str(tmp_path), *dry_run])
+        assert result.exit_code == 2, result.output
+        assert "nothing to export" in result.output
+        assert snapshot(tmp_path) == set()
+
+    def test_dry_run_without_output_opens_no_store(self, runner, tmp_path, monkeypatch):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        result = runner.invoke(
+            main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        )
+        assert result.exit_code == 0, result.output
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("store opened")
+
+        monkeypatch.setattr("censusflow.cli.ResultStore", no_open)
+        monkeypatch.setattr("censusflow.cli.ingest.load_registry", no_open)
+        result = runner.invoke(main, ["export", "--workspace", str(workspace), "--dry-run"])
+        assert result.exit_code == 2, result.output
+        assert "nothing to export" in result.output
+
     def test_pages_are_the_stored_transcripts(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path, registers=3)
         workspace = tmp_path / "ws"

@@ -4,8 +4,9 @@ import pickle
 import pytest
 
 from censusflow.domain import (
-    DEFAULT_ALPHABET,
     FIELD_ORDER,
+    TAG_FOR_TOKEN,
+    TOKEN_FOR_TAG,
     EntityTag,
     Household,
     PageClass,
@@ -13,18 +14,15 @@ from censusflow.domain import (
     PersonRecord,
     RegisterPage,
     RowCountWarning,
-    TagAlphabet,
-    UnknownToken,
     dumps_pages,
-    load_alphabet,
     loads_pages,
     validate_record,
 )
 
 
-def tag_from_token(token, alphabet=DEFAULT_ALPHABET):
-    """Map a token surface form like ``<s-h>`` to its entity tag."""
-    return alphabet.tag_for(token)
+def tag_from_token(token):
+    """Map a token like ``<s-h>`` to its entity tag."""
+    return TAG_FOR_TOKEN[token]
 
 
 class TestEntityTags:
@@ -53,7 +51,7 @@ class TestEntityTags:
         assert tag_from_token(token) is tag
 
     def test_unknown_token_raises(self):
-        with pytest.raises(UnknownToken):
+        with pytest.raises(KeyError):
             tag_from_token("<z>")
 
     def test_token_tag_bijection(self):
@@ -76,27 +74,7 @@ class TestEntityTags:
 class TestTagAlphabet:
     def test_default_alphabet_roundtrip(self):
         for tag in EntityTag:
-            assert DEFAULT_ALPHABET.tag_for(DEFAULT_ALPHABET.token_for(tag)) is tag
-
-    def test_incomplete_alphabet_rejected(self):
-        tokens = {tag: tag.value for tag in EntityTag}
-        tokens.pop(EntityTag.AGE)
-        with pytest.raises(ValueError):
-            TagAlphabet(tokens)
-
-    def test_duplicate_surface_rejected(self):
-        tokens = {tag: tag.value for tag in EntityTag}
-        tokens[EntityTag.AGE] = "<s>"
-        with pytest.raises(ValueError):
-            TagAlphabet(tokens)
-
-    def test_load_alternate_alphabet(self, tmp_path):
-        lines = [f"{tag.name.lower()}=<{i:02d}>" for i, tag in enumerate(EntityTag)]
-        path = tmp_path / "alphabet.txt"
-        path.write_text("\n".join(lines), encoding="utf-8")
-        alphabet = load_alphabet(path)
-        assert alphabet.token_for(EntityTag.SURNAME_HEAD) == "<00>"
-        assert alphabet.tag_for("<11>") is EntityTag.OBSERVATION
+            assert TAG_FOR_TOKEN[TOKEN_FOR_TAG[tag]] is tag
 
 
 class TestPersonRecord:

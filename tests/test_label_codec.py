@@ -6,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from censusflow.domain import (
-    DEFAULT_ALPHABET,
+    TOKEN_FOR_TAG,
     EntityTag,
     PageTranscript,
     PersonRecord,
-    TagAlphabet,
-    load_alphabet,
     validate_record,
 )
 from censusflow.label_codec import (
     DEFAULT_TOKEN_BUDGET,
     DecodeWarning,
     InvalidProfile,
-    LabelString,
     MalformedLabel,
     SyntheticProfile,
     TokenBudgetExceeded,
@@ -46,16 +43,16 @@ _LEADING_TAGS = (EntityTag.SURNAME_HEAD, EntityTag.SURNAME)
 _UNKNOWN_TOKEN_RE = re.compile(r"<[^<>\s]{0,16}>")
 
 
-def match_at(alphabet, text, pos):
-    """The tag whose surface form starts at ``pos``, if any. Surfaces are
-    ``<...>`` with no ``>`` inside, so at most one can start there."""
-    for tag, surface in alphabet.tokens.items():
-        if text.startswith(surface, pos):
+def match_at(text, pos):
+    """The tag whose token starts at ``pos``, if any. Tokens are ``<...>``
+    with no ``>`` inside, so at most one can start there."""
+    for tag, token in TOKEN_FOR_TAG.items():
+        if text.startswith(token, pos):
             return tag
     return None
 
 
-def oracle_scan(text, alphabet):
+def oracle_scan(text):
     """Tokenize a label into (kind, 1-based position, payload) events."""
     i = 0
     n = len(text)
@@ -69,12 +66,12 @@ def oracle_scan(text, alphabet):
             i += 1
             buf_start = i
         elif c == "<":
-            tag = match_at(alphabet, text, i)
+            tag = match_at(text, i)
             if tag is not None:
                 if buf_start < i:
                     yield _TEXT, buf_start + 1, text[buf_start:i]
                 yield _TAG, i + 1, tag
-                i += len(alphabet.token_for(tag))
+                i += len(TOKEN_FOR_TAG[tag])
             else:
                 m = _UNKNOWN_TOKEN_RE.match(text, i)
                 token = m.group(0) if m else "<"
@@ -175,10 +172,10 @@ class OracleParser:
         self.warnings.sort(key=lambda w: (w.position, w.kind.value))
 
 
-def oracle_decode(text, alphabet, strict):
+def oracle_decode(text, strict):
     """(records, warnings) of the old decoder; raises MalformedLabel when strict."""
     parser = OracleParser(strict)
-    for event in oracle_scan(text, alphabet):
+    for event in oracle_scan(text):
         parser.feed(*event)
     parser.finish()
     return tuple(parser.records), tuple(parser.warnings)
@@ -186,16 +183,16 @@ def oracle_decode(text, alphabet, strict):
 
 class TestEncode:
     def test_golden_page(self, golden):
-        assert encode(golden).text == GOLDEN_LABEL
+        assert encode(golden) == GOLDEN_LABEL
 
     def test_empty_page(self):
-        assert encode(PageTranscript((), page_id="e")).text == ""
+        assert encode(PageTranscript((), page_id="e")) == ""
 
     def test_canonical_order_single_record(self):
         page = PageTranscript(
             (PersonRecord.from_names(surname_head="A", age="5"),), page_id="p"
         )
-        assert encode(page).text == "<s-h>A <a>5"
+        assert encode(page) == "<s-h>A <a>5"
 
     def test_insertion_order_does_not_matter(self):
         forward = PersonRecord(
@@ -204,8 +201,8 @@ class TestEncode:
         backward = PersonRecord(
             {EntityTag.LINK: "chef", EntityTag.AGE: "5", EntityTag.SURNAME_HEAD: "A"}
         )
-        one = encode(PageTranscript((forward,), page_id="x")).text
-        two = encode(PageTranscript((backward,), page_id="x")).text
+        one = encode(PageTranscript((forward,), page_id="x"))
+        two = encode(PageTranscript((backward,), page_id="x"))
         assert one == two == "<s-h>A <l>chef <a>5"
 
     def test_invalid_record_rejected(self):
@@ -218,13 +215,14 @@ class TestEncode:
             encode(golden, token_budget=10)
 
     def test_default_budget_holds_for_golden(self, golden):
-        label = encode(golden)
-        assert label.token_budget == DEFAULT_TOKEN_BUDGET
-        assert count_tokens(label.text) <= DEFAULT_TOKEN_BUDGET
+        assert count_tokens(encode(golden)) <= DEFAULT_TOKEN_BUDGET
 
     def test_token_count_tags_are_single_tokens(self):
         # 2 tags + 1 char + separator + 2 chars
         assert count_tokens("<s-h>A <a>75") == 2 + 1 + 1 + 2
+
+    def test_token_count_unknown_chunk_is_per_character(self):
+        assert count_tokens("<00>A") == 5
 
 
 class TestDecodeStrict:
@@ -235,9 +233,6 @@ class TestDecodeStrict:
 
     def test_empty_string(self):
         assert decode_strict("").records == ()
-
-    def test_accepts_plain_str_and_labelstring(self):
-        assert decode_strict(LabelString("<s>A")) == decode_strict("<s>A")
 
     def test_second_head_token_starts_new_record(self):
         page = decode_strict("<s-h>Gendre <s-h>Martin")
@@ -359,25 +354,6 @@ class TestRoundTripProperties:
         assert len(report.warnings) == surnameless
 
 
-class TestCustomAlphabet:
-    def make_alphabet(self):
-        from censusflow.domain import EntityTag, TagAlphabet
-
-        return TagAlphabet({tag: f"<{i:02d}>" for i, tag in enumerate(EntityTag)})
-
-    def test_roundtrip_under_alternate_tokens(self, golden):
-        alphabet = self.make_alphabet()
-        label = encode(golden, alphabet=alphabet)
-        assert "<s-h>" not in label.text and "<00>" in label.text
-        assert decode_strict(label, page_id="golden", alphabet=alphabet) == golden
-
-    def test_token_counting_follows_alphabet(self):
-        alphabet = self.make_alphabet()
-        # "<00>" is one token under the custom alphabet, four under default.
-        assert count_tokens("<00>A", alphabet) == 2
-        assert count_tokens("<00>A") == 5
-
-
 class TestSyntheticGenerator:
     def test_deterministic(self):
         assert generate_synthetic_page(1) == generate_synthetic_page(1)
@@ -422,29 +398,11 @@ class TestSyntheticGenerator:
             SyntheticProfile(**kwargs)
 
 
-# A custom alphabet whose surfaces need regex escaping ("<s.h>" must not
-# match "<sxh>") and include one longer than an unknown <...> chunk may be.
-_CUSTOM_ALPHABET = TagAlphabet(
-    {
-        **{tag: f"<{i:02d}>" for i, tag in enumerate(EntityTag)},
-        EntityTag.SURNAME_HEAD: "<s.h>",
-        EntityTag.SURNAME: "<s>",
-        EntityTag.OBSERVATION: "<observation-remarks>",
-    }
-)
-
 _NOISE_ATOMS = ("<", ">", "\n", " ", "  ", "a", "b", "é", "s", "h", "x", ".", "-", "0", "1",
                 "abcdefghijklmnop", "q")
+_ATOMS = tuple(TOKEN_FOR_TAG.values()) + _NOISE_ATOMS
 
-
-def _labels(alphabet):
-    atoms = tuple(alphabet.tokens.values()) + _NOISE_ATOMS
-    return st.lists(st.sampled_from(atoms), max_size=60).map("".join)
-
-
-_ALPHABET_AND_LABEL = st.sampled_from([DEFAULT_ALPHABET, _CUSTOM_ALPHABET]).flatmap(
-    lambda alphabet: st.tuples(st.just(alphabet), _labels(alphabet))
-)
+_LABELS = st.lists(st.sampled_from(_ATOMS), max_size=60).map("".join)
 
 
 def _strict_outcome(decode):
@@ -454,48 +412,40 @@ def _strict_outcome(decode):
         return ("MalformedLabel", err.position, err.reason)
 
 
-def assert_same_as_oracle(text, alphabet):
-    records, warnings = oracle_decode(text, alphabet, strict=False)
-    report = decode_lenient(text, alphabet=alphabet)
+def assert_same_as_oracle(text):
+    records, warnings = oracle_decode(text, strict=False)
+    report = decode_lenient(text)
     assert report.transcript.records == records
     assert report.warnings == warnings
 
-    assert _strict_outcome(
-        lambda: decode_strict(text, alphabet=alphabet).records
-    ) == _strict_outcome(lambda: oracle_decode(text, alphabet, strict=True)[0])
+    assert _strict_outcome(lambda: decode_strict(text).records) == _strict_outcome(
+        lambda: oracle_decode(text, strict=True)[0]
+    )
 
 
 class TestDecoderAgainstOracle:
-    @given(_ALPHABET_AND_LABEL)
+    @given(_LABELS)
     @settings(max_examples=800, deadline=None)
-    def test_random_labels(self, case):
-        alphabet, text = case
-        assert_same_as_oracle(text, alphabet)
+    def test_random_labels(self, text):
+        assert_same_as_oracle(text)
 
-    @pytest.mark.parametrize(
-        "alphabet", [DEFAULT_ALPHABET, _CUSTOM_ALPHABET], ids=["default", "custom"]
-    )
-    def test_seeded_random_labels(self, alphabet):
+    def test_seeded_random_labels(self):
         # Longer strings than hypothesis tends to draw, so that rarer runs
         # (an empty field closed by an unknown token, then a surname) occur.
         rng = random.Random(7)
-        atoms = tuple(alphabet.tokens.values()) + _NOISE_ATOMS
         for _ in range(2000):
-            text = "".join(rng.choice(atoms) for _ in range(rng.randint(0, 60)))
-            assert_same_as_oracle(text, alphabet)
+            text = "".join(rng.choice(_ATOMS) for _ in range(rng.randint(0, 60)))
+            assert_same_as_oracle(text)
 
     @pytest.mark.filterwarnings("ignore::censusflow.domain.RowCountWarning")
-    @pytest.mark.parametrize(
-        "alphabet", [DEFAULT_ALPHABET, _CUSTOM_ALPHABET], ids=["default", "custom"]
-    )
-    def test_noisy_synthetic_pages(self, alphabet):
+    def test_noisy_synthetic_pages(self):
         noise = ("<", ">", "\n", " ", "x", "<z>")
         for seed in range(60):
-            text = encode(generate_synthetic_page(seed), alphabet=alphabet).text
+            text = encode(generate_synthetic_page(seed))
             rng = random.Random(seed)
             chars = [rng.choice(noise) if rng.random() < 0.02 else c for c in text]
             for label in (text, "".join(chars)):
-                assert_same_as_oracle(label, alphabet)
+                assert_same_as_oracle(label)
 
 
 class TestDecoderEdgeCases:
@@ -575,20 +525,3 @@ class TestDecoderEdgeCases:
             (28, WarningKind.DUPLICATE_FIELD_IN_RECORD),
             (28, WarningKind.RECORD_WITHOUT_SURNAME),
         )
-
-    def test_alphabet_loaded_from_file(self, tmp_path, golden):
-        path = tmp_path / "alphabet.txt"
-        lines = ["# tag=<token>"] + [
-            f"{tag.name.lower()}=<{tag.name.lower()}>" for tag in EntityTag
-        ]
-        path.write_text("\n".join(lines), encoding="utf-8")
-        alphabet = load_alphabet(path)
-        label = encode(golden, alphabet=alphabet).text
-        assert label.startswith("<surname_head>Gendre <firstname>Pierre")
-        assert decode_strict(label, page_id="golden", alphabet=alphabet) == golden
-        # The default surface forms are unknown tokens under this alphabet.
-        report = decode_lenient("<surname>A <a>5 <age>6", alphabet=alphabet)
-        (record,) = report.transcript.records
-        assert record.fields == {EntityTag.SURNAME: "A", EntityTag.AGE: "6"}
-        assert report.warnings == ((12, WarningKind.UNKNOWN_TOKEN),)
-        assert_same_as_oracle("<surname>A <a>5 <age>6\n<s-h>B", alphabet)

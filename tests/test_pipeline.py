@@ -53,6 +53,7 @@ from censusflow.pipeline.manifests import (
     FailureInfo,
     advance,
     atomic_write_bytes,
+    parse_task_id,
     read_checkpoint,
 )
 import censusflow.pipeline.stages as stages_module
@@ -976,7 +977,7 @@ class TestStages:
             run_batch(config)
         sections = read_checkpoint(config.workspace / "checkpoint.json")
         assert sections["store"]["length"] == config.store_path.stat().st_size > 0
-        assert len(sections["store"]["keys"]) == corpus.image_count
+        assert sum(map(len, sections["store"]["pages"].values())) == corpus.image_count
         assert "memo" not in sections
 
     def test_separate_runs_are_windowed_and_match_truth(self, tmp_path, corpus):
@@ -1067,6 +1068,17 @@ class TestWorkspaceRegistry:
         image = corpus.registry.registers[0].images[0]
         assert task_id_for(image) == task_id_for(image)
         assert task_id_for(image).endswith("-p0000")
+
+    def test_task_ids_read_back_their_page(self, corpus):
+        for image in corpus.registry.iter_images():
+            page = (image.register.register_id, image.sequence_index)
+            assert parse_task_id(task_id_for(image)) == page
+        register_id = corpus.registry.registers[0].metadata.register_id
+        assert parse_task_id(f"{register_id}-p12345") == (register_id, 12345)
+        for bad in ("new", f"{register_id}-p1", f"{register_id}-p+001",
+                    f"{register_id}-p0001-again", f"{register_id}-p0001 "):
+            with pytest.raises(ValueError):
+                parse_task_id(bad)
 
 
 class ImageGetFails:
