@@ -19,12 +19,11 @@ from typing import Optional
 import click
 
 from . import __version__, fixtures, iiif, ingest, metrics, simulate as simulate_mod
+from .domain import write_fixture
 from .pipeline import (
     EmptySelection,
     ExternalProcessWorker,
     LocalExecutor,
-    PipelineContext,
-    ResultStore,
     RunConfig,
     TaskState,
     WorkerSet,
@@ -32,9 +31,9 @@ from .pipeline import (
     plan_batch,
     run_batch,
 )
-from .pipeline.manifests import WorkspaceBusy, read_checkpoint, writer_lock
-from .pipeline.runner import STAGES, STORE_NAME, state_counts
-from .pipeline.stages import select_images
+from .pipeline.manifests import WorkspaceBusy, parse_line
+from .pipeline.runner import STAGES, Workspace, state_counts
+from .pipeline.stages import payload_transcript, select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
 
 
@@ -428,8 +427,8 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
     """Create PENDING task manifests for selected registry images.
 
     A later run plans its own selection: give it the same --year, --commune,
-    --register-id and --limit, or it plans every image. Plan holds the
-    workspace's writer lock, so it exits 1 while another plan or run writes.
+    --register-id and --limit, or it plans every image. Plan is a writer, as
+    run is: it exits 1 while another plan or run writes, and leaves a checkpoint.
     """
     registry = ingest.load_registry(registry_path)
     try:
@@ -438,8 +437,8 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
         if dry_run:
             click.echo(f"dry run: would plan {count} tasks under {workspace}")
             return
-        with writer_lock(Path(workspace)):
-            manifests = plan_batch(registry, PipelineContext.at(workspace), **selection)
+        with Workspace.open(workspace, writer=True) as ws:
+            manifests = plan_batch(registry, ws, **selection)
     except (EmptySelection, WorkspaceBusy) as exc:
         _fail(str(exc))
     pending = state_counts(manifests)[TaskState.PENDING.value]
@@ -539,12 +538,11 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
 def status_cmd(workspace):
     """Per-state task counts for a batch workspace.
 
-    Reads the task log from its checkpoint on (``TransitionLog.fold``) and
+    Reads the task log from its checkpoint on (``Workspace.tasks``) and
     writes nothing.
     """
-    ctx = PipelineContext.at(workspace)
-    tasks = ctx.log.fold(read_checkpoint(ctx.checkpoint_file).get("log"))
-    manifests = [tasks[task_id] for task_id in sorted(tasks)]
+    with Workspace.open(workspace, writer=False) as ws:
+        manifests = [ws.tasks[task_id] for task_id in sorted(ws.tasks)]
     click.echo(f"tasks: {len(manifests)}")
     _echo_counts(state_counts(manifests))
     for m in manifests:
@@ -567,43 +565,33 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
     """
     if not households_path and not pages_dir:
         raise click.UsageError("nothing to export: pass --households and/or --pages")
-    workspace = Path(workspace)
-    ctx = PipelineContext.at(workspace)
-    registry_file = ctx.registry_file
-    if not registry_file.exists():
-        _fail(f"no {registry_file.name} in {workspace}: run `censusflow plan --registry R "
-              f"--workspace {workspace}` with the registry and selection it was planned with")
-    registry = ingest.load_registry(registry_file)
-    checkpoint = read_checkpoint(ctx.checkpoint_file)
-    store = ResultStore(workspace / STORE_NAME, checkpoint.get("store"))
-    if dry_run:
-        click.echo(
-            f"dry run: {len(store)} stored results over "
-            f"{len(registry.registers)} registers"
-        )
-        return
-    if households_path:
-        exported, skipped, people = export_batch(registry, store, households_path)
-        click.echo(
-            f"wrote {people} people / {exported} registers to {households_path} "
-            f"({skipped} registers incomplete)"
-        )
-    if pages_dir:
-        from .domain import write_fixture
-        from .pipeline.manifests import read_ndjson
-        from .pipeline.stages import payload_transcript
-
-        out = Path(pages_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        count = 0
-        for record in read_ndjson(store.path):
-            transcript = payload_transcript(record)
-            if transcript is None:
-                continue
-            name = record["page_id"].replace("/", "__") + ".txt"
-            write_fixture([transcript], out / name)
-            count += 1
-        click.echo(f"wrote {count} transcript pages to {pages_dir}")
+    with Workspace.open(workspace, writer=False) as ws:
+        if not ws.registry_file.exists():
+            _fail(f"no {ws.registry_file.name} in {workspace}: run `censusflow plan --registry R "
+                  f"--workspace {workspace}` with the registry and selection it was planned with")
+        registry = ingest.load_registry(ws.registry_file)
+        store = ws.store
+        if dry_run:
+            click.echo(f"dry run: {len(store)} stored results over "
+                       f"{len(registry.registers)} registers")
+            return
+        if households_path:
+            exported, skipped, people = export_batch(registry, store, households_path)
+            click.echo(f"wrote {people} people / {exported} registers to {households_path} "
+                       f"({skipped} registers incomplete)")
+        if pages_dir:
+            out = Path(pages_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            count = 0
+            for register_id, offsets in store.pages.items():
+                for offset, line in store.read(offsets):
+                    transcript = payload_transcript(parse_line(line, store.path, offset,
+                                                               register_id))
+                    if transcript is not None:
+                        name = transcript.page_id.replace("/", "__") + ".txt"
+                        write_fixture([transcript], out / name)
+                        count += 1
+            click.echo(f"wrote {count} transcript pages to {pages_dir}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class EntityTag(Enum):
     # name string in Python on every dict lookup.
     __hash__ = object.__hash__
 
-    @property
-    def token(self) -> str:
-        return self.value
-
 
 #: Canonical order in which a record's fields are emitted.
 FIELD_ORDER: tuple[EntityTag, ...] = tuple(EntityTag)

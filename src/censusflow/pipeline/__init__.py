@@ -17,6 +17,8 @@ a kill is dropped on open, and a derived checkpoint lets a run fold only
 the records appended since it. A task's files follow from its id, so the log
 holds no paths and a workspace may move between runs. That makes every step idempotent and crash
 recovery a matter of re-running the batch.
+One handle, ``runner.Workspace``, opens a workspace for plan, run, status
+and export; only a writer locks it and writes the checkpoint.
 """
 
 from .manifests import (

@@ -28,6 +28,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -322,7 +323,7 @@ class AppendFile:
     position or buffer with the appends, so a read sees every flushed
     append and never the stale bytes of a torn tail cut since. Inside
     ``with`` each handle is opened once, at its first use, and kept until
-    the block exits; outside, each call opens and closes one.
+    the outermost block exits; outside, each call opens and closes one.
     """
 
     def __init__(self, path: Path):
@@ -330,17 +331,19 @@ class AppendFile:
         self._lock = threading.Lock()
         self._fh = None
         self._reader = None
-        self._held = False
+        self._held = 0
         self._tail_cut = False
 
     def __enter__(self) -> "AppendFile":
-        self._held = True
+        with self._lock:
+            self._held += 1
         return self
 
     def __exit__(self, *exc_info) -> None:
         with self._lock:
-            self._held = False
-            self._release()
+            self._held -= 1
+            if not self._held:
+                self._release()
 
     def _release(self) -> None:
         for handle in (self._fh, self._reader):
@@ -393,7 +396,7 @@ class TransitionLog:
     torn tail, which would cut a record another writer is still appending.
     Readers (``replay``, ``load_all``, ``fold``) never write, and opening a
     log creates nothing: the first append creates the workspace. ``file`` is
-    the writer's handle; ``run_batch`` holds it open for the whole run.
+    the writer's handle; a writer's ``runner.Workspace`` holds it open.
 
     ``fold`` loads ``tasks``, every task's manifest by task id, and
     ``prefix``, the part of the log they fold. The stages keep ``tasks``
@@ -526,7 +529,7 @@ class PipelineContext:
     workspace may be moved or used from any working directory between
     stages. The process stage appends each result to the result store
     (``runner.ResultStore``), its only copy; no stage writes a file per
-    result.
+    result. ``runner.Workspace`` opens and closes the workspace.
 
     ``on_transition`` is a test hook invoked after each persisted transition;
     raising from it simulates a crash at that point.
@@ -555,8 +558,26 @@ class PipelineContext:
     def checkpoint_file(self) -> Path:
         return self.log.path.parent / CHECKPOINT_NAME
 
+    @cached_property
+    def checkpoint(self) -> dict[str, dict]:
+        """The checkpoint's sections (``read_checkpoint``), read once."""
+        return read_checkpoint(self.checkpoint_file)
 
-# The workspace checkpoint (see ``read_checkpoint``) and its format version.
+    @property
+    def tasks(self) -> dict[str, TaskManifest]:
+        """Every task's manifest by id, folded once from ``checkpoint`` on;
+        the stages keep it current."""
+        if self.log.tasks is None:
+            self.log.fold(self.checkpoint.get("log"))
+        return self.log.tasks
+
+
+# The other files of a workspace: the result store, the export memo (next to
+# its store), the household export, and the checkpoint (``read_checkpoint``)
+# with its format version.
+STORE_NAME = "results_store.ndjson"
+MEMO_NAME = "households.parts.ndjson"
+HOUSEHOLDS_NAME = "households.csv"
 CHECKPOINT_NAME = "checkpoint.json"
 CHECKPOINT_VERSION = 1
 

@@ -25,8 +25,9 @@ written. So a resume folds only the registers it completes, and memory
 holds the largest register's payloads plus small per-record and
 per-register indexes, whatever the batch size.
 
-``run_batch`` holds the handles of the task log, the result store and the
-memo (``AppendFile``) open, and closes them when it returns or raises.
+``Workspace`` opens the workspace for every command, ``run_batch`` included:
+the lock, the checkpoint, the log's fold, the store and the memo, each once;
+it closes their handles (``AppendFile``) and writes the next checkpoint.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import time
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -47,6 +49,9 @@ from ..household import EXPORT_COLUMNS, MissingTranscript, csv_text, write_expor
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
 from .manifests import (
+    HOUSEHOLDS_NAME,
+    MEMO_NAME,
+    STORE_NAME,
     TERMINAL_STATES,
     AppendFile,
     FilePrefix,
@@ -55,7 +60,6 @@ from .manifests import (
     TaskState,
     parse_line,
     parse_task_id,
-    read_checkpoint,
     read_lines,
     read_ndjson,
     write_checkpoint,
@@ -78,13 +82,13 @@ from .workers import WorkerSet
 _HEAD = re.compile(
     rb'\{"page_class": "[^"\\\x00-\x1f]*", "page_id": "[^"\\\x00-\x1f]*", '
     rb'"register_id": "([^"\\\x00-\x1f]*)", "sequence_index": (0|[1-9][0-9]*), '
-    rb'"task_id": "([^"\\\x00-\x1f]*)"[,}]'
+    rb'"task_id": "[^"\\\x00-\x1f]*"[,}]'
 )
 
 
 def _head(line: bytes, path: str | Path = "", offset: int = 0) -> tuple:
-    """``(register_id, sequence_index, task_id)`` of a store line, as
-    ``json.loads`` gives them, decoding only the head of the record.
+    """``(register_id, sequence_index)`` of a store line, as ``json.loads``
+    gives them, decoding only the head of the record.
 
     A line whose head does not match the process stage's layout exactly
     (another key order, escapes, whitespace) or whose rest may repeat a
@@ -98,14 +102,10 @@ def _head(line: bytes, path: str | Path = "", offset: int = 0) -> tuple:
     if match is not None and line.find(b"_i", match.end()) < 0 and (
         line.find(b"\\", match.end()) < 0
     ):
-        register_id, sequence_index, task_id = match.groups()
-        return (
-            register_id.decode("utf-8", "surrogatepass"),
-            int(sequence_index),
-            task_id.decode("utf-8", "surrogatepass"),
-        )
+        register_id, sequence_index = match.groups()
+        return register_id.decode("utf-8", "surrogatepass"), int(sequence_index)
     record = parse_line(line, path, offset)
-    return record.get("register_id"), record.get("sequence_index"), record.get("task_id")
+    return record.get("register_id"), record.get("sequence_index")
 
 
 class ResultStore:
@@ -120,8 +120,7 @@ class ResultStore:
     store opened plus this instance's own adds, which is what export reads.
     A task id names one page (``parse_task_id``), so ``pages`` also answers
     ``in`` and ``len``.
-    ``file`` holds its handles; ``run_batch`` holds them open for the whole
-    run.
+    ``file`` holds its handles; a ``Workspace`` holds them open.
 
     ``digests`` maps ``register_id -> (last offset, digest)``: the offset of
     the register's last line and the digest of its lines (``digest``) when
@@ -155,7 +154,7 @@ class ResultStore:
         except (AttributeError, TypeError, ValueError):
             self.digests = {}
         for offset, line in read_lines(self.path, self.verified):
-            register_id, sequence_index, _ = _head(line, self.path, offset)
+            register_id, sequence_index = _head(line, self.path, offset)
             self.pages.setdefault(register_id, {})[sequence_index] = offset
         self.file = AppendFile(self.path)
 
@@ -228,9 +227,6 @@ class ResultStore:
         return digest.hexdigest(), lines
 
 
-# The result store's file in a workspace.
-STORE_NAME = "results_store.ndjson"
-
 # Pre-stage (download), process (classify, recognize) and post (integrate,
 # export), in pipeline order.
 STAGES = ("pre", "proc", "post")
@@ -282,7 +278,7 @@ class RunConfig:
 
     @property
     def households_path(self) -> Path:
-        return self.workspace / "households.csv"
+        return self.workspace / HOUSEHOLDS_NAME
 
 
 @dataclass
@@ -317,74 +313,42 @@ def run_batch(config: RunConfig) -> BatchReport:
 
     After each window's integrate, the rows of every register that window
     completed are folded and memoised (``ExportMemo.keep``); the export
-    then copies them. ``run_batch`` holds the workspace's writer lock for
-    the whole call (``writer_lock``): it is the only writer, so before
-    exporting it deletes the temporary files that a kill during an earlier
-    export left, and it is the only writer of the memo. The
+    then copies them. The run is the workspace's writer (``Workspace``). The
     report's ``registers_skipped`` counts the incomplete registers among
     those with planned tasks, as ``censusflow export`` does.
 
-    The log and the store are opened from the workspace checkpoint plus
-    what was appended after it (``read_checkpoint``), whatever the stages;
-    the memo, which the checkpoint does not cover, only with the post stage.
-    ``run_batch`` writes a new checkpoint when it returns, and after a
-    window once the log has grown since the last checkpoint by at least
-    that checkpoint's size, so the checkpoints of a run total O(log) bytes
+    A checkpoint is written after a window once the log has grown since the
+    last checkpoint by at least that checkpoint's size (``Workspace.due``),
+    and when the run returns, so the checkpoints of a run total O(log) bytes
     and a kill leaves at most one such interval of log to read again.
     """
-    ctx = PipelineContext.at(
-        config.workspace, clock=config.clock, on_transition=config.on_transition
-    )
     post = "post" in config.stages
-    with ExitStack() as handles:
-        handles.enter_context(writer_lock(config.workspace))
-        checkpoint = read_checkpoint(ctx.checkpoint_file)
-        handles.enter_context(ctx.log.file)
-        manifests = plan_batch(
-            config.registry,
-            ctx,
-            checkpoint,
-            year=config.year,
-            commune_code=config.commune_code,
-            register_id=config.register_id,
-            limit=config.limit,
-        )
-        store = ResultStore(config.store_path, checkpoint.get("store"))
-        handles.enter_context(store.file)
-        if post:
-            memo = ExportMemo(store, writable=True)
-            handles.enter_context(memo.file)
-            registers = {register.metadata.register_id: register
-                         for register in config.registry.registers}
-        saver = _CheckpointWriter(ctx, store)
+    with Workspace.open(config.workspace, writer=True, clock=config.clock,
+                        on_transition=config.on_transition) as ws:
+        manifests = plan_batch(config.registry, ws, year=config.year,
+                               commune_code=config.commune_code,
+                               register_id=config.register_id, limit=config.limit)
+        registers = {register.metadata.register_id: register
+                     for register in config.registry.registers}
 
         todo = [m for m in manifests if m.state not in TERMINAL_STATES]
         for start in range(0, len(todo), config.window):
             window = todo[start : start + config.window]
             if "pre" in config.stages:
-                run_stage_prestage(
-                    window,
-                    ctx,
-                    endpoint=config.endpoint,
-                    transport=config.transport,
-                    concurrency=config.prestage_concurrency,
-                    results_store=store,
-                )
+                run_stage_prestage(window, ws, endpoint=config.endpoint,
+                                   transport=config.transport,
+                                   concurrency=config.prestage_concurrency,
+                                   results_store=ws.store)
             if "proc" in config.stages:
-                run_stage_process(
-                    window,
-                    ctx,
-                    workers=config.workers,
-                    scheduler=config.scheduler,
-                    results_store=store,
-                    retry_limit=config.retry_limit,
-                )
+                run_stage_process(window, ws, workers=config.workers,
+                                  scheduler=config.scheduler, results_store=ws.store,
+                                  retry_limit=config.retry_limit)
             if post:
-                run_stage_integrate(window, ctx, results_store=store)
+                run_stage_integrate(window, ws, results_store=ws.store)
                 for register_id in dict.fromkeys(m.image.register.register_id for m in window):
-                    memo.keep(registers[register_id])
-            if start + config.window < len(todo) and saver.due():
-                saver.write()
+                    ws.memo.keep(registers[register_id])
+            if start + config.window < len(todo) and ws.due():
+                ws.save()
 
         report = BatchReport(
             planned=len(manifests),
@@ -393,50 +357,86 @@ def run_batch(config: RunConfig) -> BatchReport:
                           for m in manifests if m.state is TaskState.FAILED],
         )
         if post:
-            for stale in config.workspace.glob(f".{config.households_path.name}.*.tmp"):
-                stale.unlink(missing_ok=True)
             planned = {m.image.register.register_id for m in manifests}
-            exported, skipped, people = _export(config.registry, memo, config.households_path,
-                                                planned)
             report.households_csv = str(config.households_path)
-            report.households_exported = people
-            report.registers_exported = exported
-            report.registers_skipped = skipped
-        saver.write()
+            exported = _export(config.registry, ws.memo, report.households_csv, planned)
+            report.registers_exported, report.registers_skipped, report.households_exported = exported
     return report
 
 
-class _CheckpointWriter:
-    """Writes a run's checkpoints: the log's section and the store's."""
+class Workspace(PipelineContext):
+    """A workspace opened for one command, entered with ``with``: which of
+    its files the command opens, in what order, and what it writes back.
 
-    def __init__(self, ctx: PipelineContext, store: ResultStore):
-        self.ctx, self.store = ctx, store
+    A reader (``status``, ``export``) takes no lock and writes nothing; it
+    folds the log (``tasks``) or opens the store (``store``) only if asked.
+    A writer (``plan``, ``run``) takes the writer lock, then folds the log,
+    opens the store and deletes the temporaries of a killed export; it opens
+    the writable memo (``memo``) when a run first integrates. On an exit
+    without an error it writes a checkpoint (``save``). Both read
+    ``checkpoint`` once, and the exit closes every handle, the lock's included.
+    """
+
+    @classmethod
+    def open(cls, path: str | Path, writer: bool, **context) -> "Workspace":
+        """``context``: ``PipelineContext``'s ``clock`` and ``on_transition``."""
+        ws = cls.at(path, **context)
+        ws.writer = writer
+        ws._handles = ExitStack()
+        return ws
+
+    def __enter__(self) -> "Workspace":
+        if not self.writer:
+            return self
         try:
-            self.size = ctx.checkpoint_file.stat().st_size
-        except OSError:
-            self.size = 0
-        # What the last checkpoint covers, as ``_covers`` gives it; None
-        # for a file whose section the run could not use.
-        self.written = (ctx.log.prefix.length or None, store.verified or None,
-                        dict(store.digests))
+            self._handles.enter_context(writer_lock(self.log.path.parent))
+            self._handles.enter_context(self.log.file)
+            self.log.fold(self.checkpoint.get("log"))
+            # What the last checkpoint covers, as ``save`` sees it (None: unused).
+            self._written = (self.log.prefix.length or None, self.store.verified or None,
+                             dict(self.store.digests))
+            for stale in self.log.path.parent.glob(f".{HOUSEHOLDS_NAME}.*.tmp"):
+                stale.unlink(missing_ok=True)
+        except BaseException:
+            self._handles.close()
+            raise
+        self._size = self.checkpoint_file.stat().st_size if self.checkpoint_file.exists() else 0
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        with self._handles:
+            if self.writer and exc_type is None:
+                self.save()
+
+    @cached_property
+    def store(self) -> ResultStore:
+        """The result store, opened from the checkpoint's store section."""
+        store = ResultStore(self.log.path.with_name(STORE_NAME), self.checkpoint.get("store"))
+        self._handles.enter_context(store.file)
+        return store
+
+    @cached_property
+    def memo(self) -> ExportMemo:
+        """The export memo, writable in a writer."""
+        memo = ExportMemo(self.store, writable=self.writer)
+        self._handles.enter_context(memo.file)
+        return memo
 
     def due(self) -> bool:
         """Whether the log has grown since the last checkpoint by at least
         the size of that checkpoint."""
-        return self.ctx.log.path.stat().st_size - self.ctx.log.prefix.length >= self.size
+        return self.log.path.stat().st_size - self.log.prefix.length >= self._size
 
-    def _covers(self) -> tuple:
-        return (self.ctx.log.prefix.extend()[0], self.store.prefix.extend()[0],
-                dict(self.store.digests))
-
-    def write(self) -> None:
-        """Write a checkpoint unless the last one already holds this state."""
-        covers = self._covers()
-        if covers == self.written:
+    def save(self) -> None:
+        """Write a checkpoint of the log's section and the store's, unless
+        the last one already holds this state."""
+        covers = (self.log.prefix.extend()[0], self.store.prefix.extend()[0],
+                  dict(self.store.digests))
+        if covers == self._written:
             return
-        sections = {"log": self.ctx.log.section(), "store": self.store.section()}
-        self.size = write_checkpoint(self.ctx.checkpoint_file, sections)
-        self.written = covers
+        sections = {"log": self.log.section(), "store": self.store.section()}
+        self._size = write_checkpoint(self.checkpoint_file, sections)
+        self._written = covers
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +506,6 @@ def _complete(register, index: dict[str, dict[int, int]]) -> bool:
     }
 
 
-# The export memo's file, next to the result store.
-MEMO_NAME = "households.parts.ndjson"
-
 # The head of a memo record as ``ExportMemo`` writes it (ASCII only): the
 # register id, then the digest; the CSV text comes last.
 _PART_HEAD = re.compile(rb'\{"register_id": "([ !#-\[\]-~]*)", "digest": "([0-9a-f]{32})", ')
@@ -545,8 +542,8 @@ class ExportMemo:
     whose keys do not match is not used, and deleting the file only makes
     the next export fold every register again.
 
-    Only a ``writable`` memo appends, and only ``run_batch`` opens one;
-    ``file`` holds its handles, open for the whole run.
+    Only a ``writable`` memo appends, and only a writer's ``Workspace``
+    opens one; ``file`` holds its handles, open for the whole command.
     """
 
     def __init__(self, store: ResultStore, writable: bool = False):
@@ -635,7 +632,7 @@ def export_batch(
     decoder warned when it built the page. The CSV goes to a temporary file
     that replaces ``out_path`` only once it is whole, so an error or a kill
     leaves any earlier CSV as it was. The store and the memo are read
-    through one handle each, and only read: only ``run_batch`` writes them.
+    through one handle each, and only read: a writer's ``Workspace`` writes them.
 
     Returns (registers exported, registers skipped, person rows written).
 

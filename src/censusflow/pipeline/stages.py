@@ -43,7 +43,6 @@ from .manifests import (
     TaskState,
     advance,
     atomic_write_bytes,
-    read_checkpoint,
     task_id_for,
 )
 from .workers import WorkerSet
@@ -123,18 +122,14 @@ def select_images(
     return selected
 
 
-def plan_batch(
-    registry: Registry, ctx: PipelineContext, checkpoint: Optional[dict] = None, **selection
-) -> list[TaskManifest]:
+def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[TaskManifest]:
     """Create PENDING manifests for the images ``select_images(registry,
     **selection)`` picks, in its order.
 
     Replanning is idempotent: existing manifests are returned in whatever
     state they are. Every manifest takes its image from ``registry`` (the
-    same task id means the same register and sequence index). The log is
-    folded from the workspace's checkpoint and the records after it
-    (``TransitionLog.fold``); ``checkpoint`` is the checkpoint as
-    ``read_checkpoint`` gives it, read from the workspace if not given.
+    same task id means the same register and sequence index). The known
+    tasks are ``ctx.tasks``, the log's fold from the workspace checkpoint.
     Before the first new task is logged, the whole registers of the
     selected images go to the workspace registry, replacing the entries
     with their ids; with no new task it is written only if missing, and
@@ -146,9 +141,7 @@ def plan_batch(
         EmptySelection: if the filter matches no image.
     """
     selected = select_images(registry, **selection)
-    if checkpoint is None:
-        checkpoint = read_checkpoint(ctx.checkpoint_file)
-    known = ctx.log.fold(checkpoint.get("log"))
+    known = ctx.tasks
     manifests, new = [], []
     for image in selected:
         task_id = task_id_for(image)

@@ -36,6 +36,7 @@ from censusflow.pipeline.manifests import (
     read_checkpoint,
     write_checkpoint,
 )
+from censusflow.pipeline.runner import Workspace
 import censusflow.pipeline.runner as runner_module
 
 from conftest import mock_worker_set
@@ -253,6 +254,20 @@ class TestCheckpointAgainstReplay:
         run_batch(config(workspace, corpus, executor, start=0.0, stages={"pre"}))
         sections = read_checkpoint(workspace / CHECKPOINT)
         assert {group[0] for group in sections["log"]["tasks"]} == {"STAGED"}
+        assert sections["store"]["length"] == 0
+        verified = resume_both(tmp_path, corpus, executor, workspace,
+                               (workspace / CHECKPOINT).read_bytes())
+        assert verified == {"log": sections["log"]["length"], "store": 0}
+
+    def test_resume_after_a_plan(self, tmp_path, corpus, executor):
+        """A checkpoint of PENDING tasks, written when a plan, a writer like
+        any run, closes the workspace."""
+        workspace = tmp_path / "planned"
+        with Workspace.open(workspace, writer=True, clock=itertools.count(0.0).__next__) as ws:
+            plan_batch(corpus.registry, ws)
+        sections = read_checkpoint(workspace / CHECKPOINT)
+        assert {group[0] for group in sections["log"]["tasks"]} == {"PENDING"}
+        assert sections["log"]["length"] == (workspace / LOG).stat().st_size
         assert sections["store"]["length"] == 0
         verified = resume_both(tmp_path, corpus, executor, workspace,
                                (workspace / CHECKPOINT).read_bytes())

@@ -766,7 +766,7 @@ class TestExportCommand:
         def no_open(*args, **kwargs):
             raise AssertionError("store opened")
 
-        monkeypatch.setattr("censusflow.cli.ResultStore", no_open)
+        monkeypatch.setattr("censusflow.cli.Workspace", no_open)
         monkeypatch.setattr("censusflow.cli.ingest.load_registry", no_open)
         result = runner.invoke(main, ["export", "--workspace", str(workspace), "--dry-run"])
         assert result.exit_code == 2, result.output
@@ -795,6 +795,33 @@ class TestExportCommand:
         got = {p.name: p.read_text(encoding="utf-8") for p in pages.iterdir()}
         assert got == want
 
+    def test_pages_read_one_record_per_page_the_later_winning(self, runner, tmp_path):
+        """A page stored twice, its second copy with other text: --pages
+        counts and writes it once, with the later text, as --households
+        reads the store, and changes no file in the workspace."""
+        corpus, workspace, pages = tmp_path / "corpus", tmp_path / "ws", tmp_path / "pages"
+        result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
+                                      "--registers", "2", "--limit-images", "12"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus)])
+        assert result.exit_code == 0, result.output
+        store = workspace / "results_store.ndjson"
+        payload = next(record for record in map(json.loads, store.read_text("utf-8").splitlines())
+                       if record["transcript"] and record["transcript"]["records"])
+        payload["transcript"]["records"][0]["fields"][0]["text"] = "Later"
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n")
+        before = {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()}
+
+        result = runner.invoke(main, ["export", "--workspace", str(workspace),
+                                      "--pages", str(pages)])
+        assert result.exit_code == 0, result.output
+        assert "wrote 6 transcript pages" in result.output
+        assert len(list(pages.iterdir())) == 6
+        name = payload["page_id"].replace("/", "__") + ".txt"
+        assert (pages / name).read_text("utf-8") == dumps_pages([payload_transcript(payload)])
+        assert {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()} == before
 
     def test_export_of_a_partly_planned_register_is_the_runs(self, runner, tmp_path):
         """A register of which only some pages are planned is incomplete for

@@ -33,7 +33,7 @@ class TestEntityTags:
         assert len(PageClass) == 5
 
     def test_surface_forms_unique_and_bracketed(self):
-        surfaces = [tag.token for tag in EntityTag]
+        surfaces = [TOKEN_FOR_TAG[tag] for tag in EntityTag]
         assert len(set(surfaces)) == 12
         for surface in surfaces:
             assert surface.startswith("<") and surface.endswith(">")
@@ -56,7 +56,7 @@ class TestEntityTags:
 
     def test_token_tag_bijection(self):
         for tag in EntityTag:
-            assert tag_from_token(tag.token) is tag
+            assert tag_from_token(TOKEN_FOR_TAG[tag]) is tag
 
     def test_field_order_starts_with_surnames(self):
         assert FIELD_ORDER[:3] == (EntityTag.SURNAME_HEAD, EntityTag.SURNAME, EntityTag.FIRSTNAME)

@@ -255,31 +255,33 @@ class TestHeadRead:
     @settings(max_examples=1000, deadline=None)
     def test_matches_json_loads(self, line):
         record = json.loads(line)
-        want = (record.get("register_id"), record.get("sequence_index"), record.get("task_id"))
+        want = (record.get("register_id"), record.get("sequence_index"))
         got = _head(line + b"\n")
         assert got == want
         assert [type(v) for v in got] == [type(v) for v in want]
 
     @pytest.mark.parametrize("line, want", [
         (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "x": 1, "register_id": "s"}', ("s", 3, "t")),
+         b'"task_id": "t", "x": 1, "register_id": "s"}', ("s", 3)),
         (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "t\\u0061sk_id": "u"}', ("r", 3, "u")),
+         b'"task_id": "t", "r\\u0065gister_id": "u"}', ("u", 3)),
         (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "task\\u005fid": "u"}', ("r", 3, "u")),
+         b'"task_id": "t", "sequence\\u005findex": 4}', ("r", 4)),
         (b'{"page_class": "LIST", "page_id": "p", "register_id": "r\\"", "sequence_index": 3, '
-         b'"task_id": "t"}', ('r"', 3, "t")),
+         b'"task_id": "t"}', ('r"', 3)),
         (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3.0, '
-         b'"task_id": "t"}', ("r", 3.0, "t")),
+         b'"task_id": "t"}', ("r", 3.0)),
         (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": -1, '
-         b'"task_id": "t"}', ("r", -1, "t")),
+         b'"task_id": "t"}', ("r", -1)),
         (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": "3", '
-         b'"task_id": "t"}', ("r", "3", "t")),
+         b'"task_id": "t"}', ("r", "3")),
         ('{"page_class": "LIST", "page_id": "p", "register_id": "ré", "sequence_index": 3, '
-         '"task_id": "tß"}'.encode(), ("ré", 3, "tß")),
-        (b'{"task_id": "t"}', (None, None, "t")),
+         '"task_id": "tß"}'.encode(), ("ré", 3)),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
+         b'"task_id": 7}', ("r", 3)),
+        (b'{"task_id": "t"}', (None, None)),
     ], ids=["duplicate", "escaped-duplicate", "escaped-underscore-duplicate", "escape", "float", "negative", "string",
-            "non-ascii", "missing"])
+            "non-ascii", "task-id-not-a-string", "missing"])
     def test_edge_cases(self, line, want):
         got = _head(line + b"\n")
         assert got == want and [type(v) for v in got] == [type(v) for v in want]
@@ -299,7 +301,7 @@ class TestHeadRead:
             raise AssertionError("json.loads called")
 
         monkeypatch.setattr(runner.json, "loads", no_parse)
-        assert _head(line) == (image.register.register_id, 1, payload["task_id"])
+        assert _head(line) == (image.register.register_id, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import builtins
 import json
 import logging
 import shutil
@@ -1310,3 +1311,22 @@ class TestAppendFileReads:
         assert [file.read(offset) for offset in (0, len(long), len(long) + 6)] == [
             long, b"short\n", b"torn"
         ]
+
+    def test_a_nested_hold_keeps_the_handle_until_the_outer_exits(self, tmp_path, monkeypatch):
+        """``export_batch`` holds a store that a ``Workspace`` already holds."""
+        path = tmp_path / "log.ndjson"
+        path.write_bytes(b'{"a": 1}\n')
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        with AppendFile(path) as file:
+            with file:
+                file.read(0)
+            file.read(0)
+            assert len(opened) == 1 and file._reader is not None
+        assert file._reader is None
