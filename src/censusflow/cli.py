@@ -31,8 +31,8 @@ from .pipeline import (
     plan_batch,
     run_batch,
 )
-from .pipeline.manifests import WorkspaceBusy, parse_line
-from .pipeline.runner import STAGES, Workspace, state_counts
+from .pipeline.manifests import WorkspaceBusy
+from .pipeline.runner import STAGES, OldStoreFormat, Workspace, state_counts
 from .pipeline.stages import payload_transcript, select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
 
@@ -518,7 +518,7 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
         return
     try:
         report = run_batch(run_config)
-    except WorkspaceBusy as exc:
+    except (WorkspaceBusy, OldStoreFormat) as exc:
         _fail(str(exc))
     _echo_counts(report.counts)
     if report.households_csv:
@@ -561,7 +561,9 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
     workspace registry and the result store, without reading the task log.
 
     Opens the store from the checkpoint's store section, as ``status`` folds
-    the log, and writes nothing in the workspace.
+    the log, and writes nothing in the workspace. Each page's label is
+    decoded leniently; a store written by an earlier version, which holds
+    decoded transcripts instead, exits 1.
     """
     if not households_path and not pages_dir:
         raise click.UsageError("nothing to export: pass --households and/or --pages")
@@ -575,23 +577,25 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
             click.echo(f"dry run: {len(store)} stored results over "
                        f"{len(registry.registers)} registers")
             return
-        if households_path:
-            exported, skipped, people = export_batch(registry, store, households_path)
-            click.echo(f"wrote {people} people / {exported} registers to {households_path} "
-                       f"({skipped} registers incomplete)")
-        if pages_dir:
-            out = Path(pages_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            count = 0
-            for register_id, offsets in store.pages.items():
-                for offset, line in store.read(offsets):
-                    transcript = payload_transcript(parse_line(line, store.path, offset,
-                                                               register_id))
-                    if transcript is not None:
-                        name = transcript.page_id.replace("/", "__") + ".txt"
-                        write_fixture([transcript], out / name)
-                        count += 1
-            click.echo(f"wrote {count} transcript pages to {pages_dir}")
+        try:
+            if households_path:
+                exported, skipped, people = export_batch(registry, store, households_path)
+                click.echo(f"wrote {people} people / {exported} registers to "
+                           f"{households_path} ({skipped} registers incomplete)")
+            if pages_dir:
+                out = Path(pages_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                count = 0
+                for register_id in store.pages:
+                    for payload in store.payloads(register_id):
+                        transcript = payload_transcript(payload)
+                        if transcript is not None:
+                            name = transcript.page_id.replace("/", "__") + ".txt"
+                            write_fixture([transcript], out / name)
+                            count += 1
+                click.echo(f"wrote {count} transcript pages to {pages_dir}")
+        except OldStoreFormat as exc:
+            _fail(str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ from .domain import (
 #: tag token or one text character counts as one token.
 DEFAULT_TOKEN_BUDGET = 2800
 
+#: Version of the lenient decoder's output. The result store keeps each
+#: page's label as the recognizer wrote it and export decodes it, so rows
+#: memoised from a label (``runner.ExportMemo``) hold only for the decoder
+#: that folded them: raise this whenever ``decode_fields`` can give other
+#: records for some label.
+DECODER_VERSION = 1
+
 _LEADING_TAGS = (EntityTag.SURNAME_HEAD, EntityTag.SURNAME)
 
 
@@ -132,8 +139,9 @@ def encode(page: PageTranscript, *, token_budget: int = DEFAULT_TOKEN_BUDGET) ->
 # ---------------------------------------------------------------------------
 
 
-def _decode(text: str, strict: bool) -> tuple[list[PersonRecord], list[DecodeWarning]]:
-    """Fold a label into records and, when lenient, sorted warnings.
+def _decode(text: str, strict: bool) -> tuple[list[dict[EntityTag, str]], list[DecodeWarning]]:
+    """Fold a label into records' field dicts and, when lenient, sorted
+    warnings.
 
     One ``re.split`` cuts the label into alternating text and token pieces;
     a token is a newline, a tag, an unknown ``<...>`` chunk or a lone ``<``
@@ -146,7 +154,7 @@ def _decode(text: str, strict: bool) -> tuple[list[PersonRecord], list[DecodeWar
     """
     pieces = LABEL_PATTERN.split(text)
     tag_for = TAG_FOR_TOKEN.get  # bound once: the loop looks up every token
-    records: list[PersonRecord] = []
+    records: list[dict[EntityTag, str]] = []
     warnings: list[DecodeWarning] = []
     fields: dict[EntityTag, str] = {}
     record_start = 0  # position of the open record's first tag; 0 when none
@@ -192,7 +200,7 @@ def _decode(text: str, strict: bool) -> tuple[list[PersonRecord], list[DecodeWar
                     warnings.append(
                         DecodeWarning(record_start, WarningKind.RECORD_WITHOUT_SURNAME)
                     )
-                records.append(PersonRecord(fields))
+                records.append(fields)
                 fields = {}
             record_start = 0
 
@@ -233,7 +241,8 @@ def decode_strict(label: str, *, page_id: str = "", page_index: int = 0) -> Page
             empty field values, or text before a record's first tag.
     """
     records, _ = _decode(label, strict=True)
-    return PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index)
+    return PageTranscript(tuple(map(PersonRecord, records)), page_id=page_id,
+                          page_index_in_register=page_index)
 
 
 def decode_lenient(label: str, *, page_id: str = "", page_index: int = 0) -> DecodeReport:
@@ -245,8 +254,17 @@ def decode_lenient(label: str, *, page_id: str = "", page_index: int = 0) -> Dec
     transcript passes ``validate_record``.
     """
     records, warnings = _decode(label, strict=False)
-    transcript = PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index)
+    transcript = PageTranscript(tuple(map(PersonRecord, records)), page_id=page_id,
+                                page_index_in_register=page_index)
     return DecodeReport(transcript, tuple(warnings))
+
+
+def decode_fields(label: str) -> list[dict[EntityTag, str]]:
+    """The records of ``decode_lenient(label)`` as plain field dicts, in
+    page order, without building a transcript (so no ``PersonRecord`` and
+    no ``RowCountWarning``). Every dict passes ``validate_record``'s checks:
+    at least one field, no empty value, never both surname tags."""
+    return _decode(label, strict=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ nodes have no internet access:
 * pre-stage (connected): check each image and download its bytes into
   staging;
 * process (isolated): classify the page and, for list pages, run the
-  recognizer and decode its output, on a thread pool whose workers hold no
-  network transport; each checked result goes to the results store once;
+  recognizer, on a thread pool whose workers hold no network transport;
+  each checked result, with the recognizer's label as it returned it, goes
+  to the results store once (export decodes the label);
 * integrate (connected): mark stored results integrated and delete their
   staged images.
 

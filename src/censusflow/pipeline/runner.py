@@ -14,16 +14,18 @@ calling ``run_batch`` again yields the same terminal result set.
 
 Export works one register at a time. The result store indexes its line
 offsets by register from record heads alone when it opens, and keeps the
-index up to date as it appends. Each register's payloads fold straight into
-CSV rows, without building domain objects. The fold runs once per register,
-when the window that completes the register has been integrated: its CSV
-text goes to an append-only memo, ``households.parts.ndjson``, keyed by the
-store's digest of the register's lines. Export then copies each complete
-register's memoised text if the digest of its current lines matches, folds
-it otherwise, and replaces ``households.csv`` atomically once every row is
-written. So a resume folds only the registers it completes, and memory
-holds the largest register's payloads plus small per-record and
-per-register indexes, whatever the batch size.
+index up to date as it appends. The store keeps each page's label as the
+recognizer returned it; export decodes each register's labels and folds
+them straight into CSV rows, without building domain objects. The fold runs
+once per register, when the window that completes the register has been
+integrated: its CSV text goes to an append-only memo,
+``households.parts.ndjson``, keyed by the store's digest of the register's
+lines and the decoder's version. Export then copies each complete
+register's memoised text if that key still holds, folds it otherwise, and
+replaces ``households.csv`` atomically once every row is written. So a
+resume folds only the registers it completes, and memory holds the largest
+register's payloads plus small per-record and per-register indexes,
+whatever the batch size.
 
 ``Workspace`` opens the workspace for every command, ``run_batch`` included:
 the lock, the checkpoint, the log's fold, the store and the memo, each once;
@@ -44,10 +46,11 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from ..domain import TAG_FOR_NAME, PageClass
+from ..domain import NAME_FOR_TAG, EntityTag, PageClass
 from ..household import EXPORT_COLUMNS, MissingTranscript, csv_text, write_export
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
+from ..label_codec import DECODER_VERSION, decode_fields
 from .manifests import (
     HOUSEHOLDS_NAME,
     MEMO_NAME,
@@ -84,6 +87,23 @@ _HEAD = re.compile(
     rb'"register_id": "([^"\\\x00-\x1f]*)", "sequence_index": (0|[1-9][0-9]*), '
     rb'"task_id": "[^"\\\x00-\x1f]*"[,}]'
 )
+# The key of the label that follows the head, up to its string's opening quote.
+_LABEL_KEY = b' "transcript": "'
+
+
+def _string_end(line: bytes, start: int) -> int:
+    """The index just past the closing quote of a JSON string whose text
+    starts at ``start``: the first quote after it that an even number of
+    backslashes precedes. -1 if there is none."""
+    quote = line.find(b'"', start)
+    while quote >= 0:
+        escapes = quote
+        while line[escapes - 1] == 0x5C:  # a backslash
+            escapes -= 1
+        if (quote - escapes) % 2 == 0:
+            return quote + 1
+        quote = line.find(b'"', quote + 1)
+    return -1
 
 
 def _head(line: bytes, path: str | Path = "", offset: int = 0) -> tuple:
@@ -98,14 +118,30 @@ def _head(line: bytes, path: str | Path = "", offset: int = 0) -> tuple:
     match = _HEAD.match(line)
     # json.loads takes the last of repeated keys. Every head key contains
     # "_i", and a key written with escapes contains a backslash, so a rest
-    # with neither cannot repeat a head key.
-    if match is not None and line.find(b"_i", match.end()) < 0 and (
-        line.find(b"\\", match.end()) < 0
-    ):
+    # with neither cannot repeat a head key. The label string right after
+    # the head holds no key, only text and its escapes, so the search
+    # starts after it.
+    rest = -1 if match is None else match.end()
+    if rest >= 0 and line.startswith(_LABEL_KEY, rest):
+        rest = _string_end(line, rest + len(_LABEL_KEY))
+    if rest >= 0 and line.find(b"_i", rest) < 0 and line.find(b"\\", rest) < 0:
         register_id, sequence_index = match.groups()
         return register_id.decode("utf-8", "surrogatepass"), int(sequence_index)
     record = parse_line(line, path, offset)
     return record.get("register_id"), record.get("sequence_index")
+
+
+class OldStoreFormat(ValueError):
+    """A result store line whose ``transcript`` is a JSON object: a page as
+    earlier versions stored it, decoded into records. This version stores
+    the recognizer's label and reads no other format."""
+
+    def __init__(self, path: str | Path, offset: int, register_id: str):
+        super().__init__(
+            f"{path}: line at byte {offset} (register {register_id!r}) holds a transcript "
+            f"object, the result store format of an earlier censusflow; this one reads only "
+            f"label strings. Run the registry again into a new workspace, or export this one "
+            f"with the version that wrote it")
 
 
 class ResultStore:
@@ -205,6 +241,25 @@ class ResultStore:
         """``(offset, line)`` of the lines at ``offsets``' values, in key
         order: one register's records in sequence order."""
         return [(offsets[key], self.file.read(offsets[key])) for key in sorted(offsets)]
+
+    def payloads(self, register_id: str,
+                 lines: Optional[list[tuple[int, bytes]]] = None) -> list[dict]:
+        """The records of ``register_id`` in sequence order, parsed from
+        its ``lines`` (``read``), which are read here if not given.
+
+        Raises:
+            CorruptLine: if a line is not a JSON object.
+            OldStoreFormat: if a record's transcript is a JSON object.
+        """
+        if lines is None:
+            lines = self.read(self.pages.get(register_id, {}))
+        payloads = []
+        for offset, line in lines:
+            payload = parse_line(line, self.path, offset, register_id)
+            if isinstance(payload.get("transcript"), dict):
+                raise OldStoreFormat(self.path, offset, register_id)
+            payloads.append(payload)
+        return payloads
 
     def digest(self, register_id: str) -> tuple[str, Optional[list[tuple[int, bytes]]]]:
         """The blake2b-128 of ``register_id``'s lines in sequence order, and
@@ -330,6 +385,7 @@ def run_batch(config: RunConfig) -> BatchReport:
                                register_id=config.register_id, limit=config.limit)
         registers = {register.metadata.register_id: register
                      for register in config.registry.registers}
+        store = ws.store  # every run opens the store, its checkpoint section included
 
         todo = [m for m in manifests if m.state not in TERMINAL_STATES]
         for start in range(0, len(todo), config.window):
@@ -338,13 +394,13 @@ def run_batch(config: RunConfig) -> BatchReport:
                 run_stage_prestage(window, ws, endpoint=config.endpoint,
                                    transport=config.transport,
                                    concurrency=config.prestage_concurrency,
-                                   results_store=ws.store)
+                                   results_store=store)
             if "proc" in config.stages:
                 run_stage_process(window, ws, workers=config.workers,
-                                  scheduler=config.scheduler, results_store=ws.store,
+                                  scheduler=config.scheduler, results_store=store,
                                   retry_limit=config.retry_limit)
             if post:
-                run_stage_integrate(window, ws, results_store=ws.store)
+                run_stage_integrate(window, ws, results_store=store)
                 for register_id in dict.fromkeys(m.image.register.register_id for m in window):
                     ws.memo.keep(registers[register_id])
             if start + config.window < len(todo) and ws.due():
@@ -370,11 +426,12 @@ class Workspace(PipelineContext):
 
     A reader (``status``, ``export``) takes no lock and writes nothing; it
     folds the log (``tasks``) or opens the store (``store``) only if asked.
-    A writer (``plan``, ``run``) takes the writer lock, then folds the log,
-    opens the store and deletes the temporaries of a killed export; it opens
-    the writable memo (``memo``) when a run first integrates. On an exit
-    without an error it writes a checkpoint (``save``). Both read
-    ``checkpoint`` once, and the exit closes every handle, the lock's included.
+    A writer (``plan``, ``run``) takes the writer lock, then folds the log
+    and deletes the temporaries of a killed export; it opens the store at
+    its first use (a run's first stage, never in ``plan``) and the writable
+    memo (``memo``) when a run first integrates. On an exit without an error
+    it writes a checkpoint (``save``). Both read ``checkpoint`` once, and the
+    exit closes every handle, the lock's included.
     """
 
     @classmethod
@@ -392,9 +449,9 @@ class Workspace(PipelineContext):
             self._handles.enter_context(writer_lock(self.log.path.parent))
             self._handles.enter_context(self.log.file)
             self.log.fold(self.checkpoint.get("log"))
-            # What the last checkpoint covers, as ``save`` sees it (None: unused).
-            self._written = (self.log.prefix.length or None, self.store.verified or None,
-                             dict(self.store.digests))
+            # What the last checkpoint covers of the log, and of the store
+            # once it is opened, as ``save`` sees them (None: unused).
+            self._written = [self.log.prefix.length or None, None]
             for stale in self.log.path.parent.glob(f".{HOUSEHOLDS_NAME}.*.tmp"):
                 stale.unlink(missing_ok=True)
         except BaseException:
@@ -410,9 +467,12 @@ class Workspace(PipelineContext):
 
     @cached_property
     def store(self) -> ResultStore:
-        """The result store, opened from the checkpoint's store section."""
+        """The result store, opened from the checkpoint's store section at
+        its first use."""
         store = ResultStore(self.log.path.with_name(STORE_NAME), self.checkpoint.get("store"))
         self._handles.enter_context(store.file)
+        if self.writer:
+            self._written[1] = store.verified or None, dict(store.digests)
         return store
 
     @cached_property
@@ -429,12 +489,18 @@ class Workspace(PipelineContext):
 
     def save(self) -> None:
         """Write a checkpoint of the log's section and the store's, unless
-        the last one already holds this state."""
-        covers = (self.log.prefix.extend()[0], self.store.prefix.extend()[0],
-                  dict(self.store.digests))
+        the last one already holds this state. A store never opened has not
+        changed: its section from the last checkpoint, if any, is carried
+        over as it was."""
+        store = self.__dict__.get("store")  # opened (``cached_property``) or None
+        covers = [self.log.prefix.extend()[0], self._written[1] if store is None else (
+            store.prefix.extend()[0], dict(store.digests))]
         if covers == self._written:
             return
-        sections = {"log": self.log.section(), "store": self.store.section()}
+        sections = {"log": self.log.section()}
+        section = self.checkpoint.get("store") if store is None else store.section()
+        if section is not None:
+            sections["store"] = section
         self._size = write_checkpoint(self.checkpoint_file, sections)
         self._written = covers
 
@@ -445,23 +511,22 @@ class Workspace(PipelineContext):
 
 
 # Row positions of the export columns: a record's fields land at the column
-# of their tag; SURNAME_HEAD starts out absent to tell a head with an empty
-# surname from no head.
-_COLUMN = {name: EXPORT_COLUMNS.index(name) for name in TAG_FOR_NAME}
-_HEAD_COLUMN = _COLUMN["surname_head"]
-_ABSENT = object()
+# of their tag.
+_COLUMN = {tag: EXPORT_COLUMNS.index(name) for tag, name in NAME_FOR_TAG.items()}
 
 
 def register_rows(register_id: str, payloads: Iterable[dict]) -> list[list]:
     """The export rows of one register, folded straight from its stored
     payloads in reading order.
 
-    Applies ``merge_register``'s rule with O(1) state: a household starts at
-    a record with a ``surname_head`` field, or at any record when none is
-    open; a non-LIST page closes the open household, and a LIST page
-    without records leaves it open. A record's row index is its index
-    within its page, and a tag repeated within a record keeps its last
-    text. The rows equal ``household_rows`` of the merged register.
+    Each LIST page's label is decoded into plain field dicts
+    (``decode_fields``, the lenient decoder). Applies ``merge_register``'s
+    rule with O(1) state: a household starts at a record with a
+    ``surname_head`` field, or at any record when none is open; a non-LIST
+    page closes the open household, and a LIST page without records leaves
+    it open. A record's row index is its index within its page. The rows
+    equal ``household_rows`` of the register merged from the pages
+    ``decode_lenient`` gives.
 
     Raises:
         MissingTranscript: if a LIST page carries no transcript.
@@ -469,27 +534,24 @@ def register_rows(register_id: str, payloads: Iterable[dict]) -> list[list]:
     """
     blank = [""] * len(EXPORT_COLUMNS)
     blank[0] = register_id
-    blank[_HEAD_COLUMN] = _ABSENT
     rows = []
     household = -1
     is_open = False
     for payload in payloads:
         page_id = payload["page_id"]
-        transcript = payload.get("transcript")
+        label = payload.get("transcript")
         if PageClass[payload["page_class"]] is not PageClass.LIST:
-            if transcript is not None:
+            if label is not None:
                 raise ValueError(f"non-LIST page {page_id!r} cannot carry a transcript")
             is_open = False
             continue
-        if transcript is None:
+        if label is None:
             raise MissingTranscript(page_id)
-        for row_index, record in enumerate(transcript["records"]):
+        for row_index, fields in enumerate(decode_fields(label)):
             row = blank.copy()
-            for item in record["fields"]:
-                row[_COLUMN[item["tag"]]] = item["text"]
-            is_head = row[_HEAD_COLUMN] is not _ABSENT
-            if not is_head:
-                row[_HEAD_COLUMN] = ""
+            for tag, text in fields.items():
+                row[_COLUMN[tag]] = text
+            is_head = EntityTag.SURNAME_HEAD in fields
             if is_head or not is_open:
                 household += 1
                 is_open = True
@@ -507,23 +569,26 @@ def _complete(register, index: dict[str, dict[int, int]]) -> bool:
 
 
 # The head of a memo record as ``ExportMemo`` writes it (ASCII only): the
-# register id, then the digest; the CSV text comes last.
-_PART_HEAD = re.compile(rb'\{"register_id": "([ !#-\[\]-~]*)", "digest": "([0-9a-f]{32})", ')
+# register id, the digest and the decoder version; the CSV text comes last.
+_PART_HEAD = re.compile(rb'\{"register_id": "([ !#-\[\]-~]*)", "digest": "([0-9a-f]{32})", '
+                        rb'"decoder": (0|[1-9][0-9]*), ')
 
 
-def _part_key(line: bytes) -> Optional[tuple[str, str]]:
-    """``(register_id, digest)`` of a memo line, or None if it has none."""
+def _part_key(line: bytes) -> Optional[tuple[str, str, int]]:
+    """``(register_id, digest, decoder)`` of a memo line, or None if it has
+    none."""
     match = _PART_HEAD.match(line)
     if match is not None:
-        return match.group(1).decode("ascii"), match.group(2).decode("ascii")
+        register_id, digest, decoder = match.groups()
+        return register_id.decode("ascii"), digest.decode("ascii"), int(decoder)
     try:
         record = json.loads(line)
     except ValueError:
         return None
     if isinstance(record, dict):
-        key = record.get("register_id"), record.get("digest")
-        if all(isinstance(part, str) for part in key):
-            return key
+        register_id, digest, decoder = (record.get(k) for k in ("register_id", "digest", "decoder"))
+        if isinstance(register_id, str) and isinstance(digest, str) and type(decoder) is int:
+            return register_id, digest, decoder
     return None
 
 
@@ -531,13 +596,16 @@ class ExportMemo:
     """The CSV rows of finished registers, kept next to the result store in
     ``households.parts.ndjson``.
 
-    Each record holds ``register_id``, ``digest``, ``rows`` (the row count)
-    and ``csv`` (the register's CSV text), in that order. ``digest`` is the
-    store's digest of the register's lines (``ResultStore.digest``), that is
-    of the whole input of its fold, so a memoised text is used only while
-    the lines it was folded from are the ones ``store.pages`` points at.
-    This is the verifying trace of Mokhov, Mitchell and Peyton Jones, *Build
-    systems à la carte* (ICFP 2018). The memo is a cache: a torn tail is
+    Each record holds ``register_id``, ``digest``, ``decoder``, ``rows``
+    (the row count) and ``csv`` (the register's CSV text), in that order.
+    ``digest`` is the store's digest of the register's lines
+    (``ResultStore.digest``) and ``decoder`` the label decoder's version
+    (``label_codec.DECODER_VERSION``): together the whole input of its fold,
+    the labels and the code that decodes them. So a memoised text is used
+    only while the lines it was folded from are the ones ``store.pages``
+    points at, and only by the decoder that folded it. This is the
+    verifying trace of Mokhov, Mitchell and Peyton Jones, *Build systems à
+    la carte* (ICFP 2018). The memo is a cache: a torn tail is
     skipped and cut as in the other logs, a line that does not parse or
     whose keys do not match is not used, and deleting the file only makes
     the next export fold every register again.
@@ -551,7 +619,7 @@ class ExportMemo:
         self.path = store.path.with_name(MEMO_NAME)
         self.writable = writable
         self.file = AppendFile(self.path)
-        self._offsets: dict[tuple[str, str], int] = {}
+        self._offsets: dict[tuple[str, str, int], int] = {}
         for offset, line in read_lines(self.path):
             key = _part_key(line)
             if key is not None:
@@ -571,39 +639,36 @@ class ExportMemo:
 
     def part(self, register_id: str) -> tuple[str, int]:
         """``(CSV text, row count)`` of a complete register: memoised if the
-        memo has them for its current lines, else folded (``register_rows``)
-        and, in a writable memo, appended.
+        memo has them for its current lines and this decoder, else folded
+        (``register_rows``) and, in a writable memo, appended.
 
         Raises:
             CorruptLine: if a record of the register is not a JSON object.
+            OldStoreFormat: if a record's transcript is a JSON object.
             MissingTranscript: if a LIST page carries no transcript.
         """
         digest, lines = self.store.digest(register_id)
-        part = self._read(register_id, digest)
+        key = register_id, digest, DECODER_VERSION
+        part = self._read(key)
         if part is None:
-            if lines is None:
-                lines = self.store.read(self.store.pages.get(register_id, {}))
-            payloads = [
-                parse_line(line, self.store.path, offset, register_id) for offset, line in lines
-            ]
-            rows = register_rows(register_id, payloads)
+            rows = register_rows(register_id, self.store.payloads(register_id, lines))
             part = csv_text(rows), len(rows)
             if self.writable:
-                record = {"register_id": register_id, "digest": digest, "rows": part[1],
-                          "csv": part[0]}
+                record = {"register_id": register_id, "digest": digest,
+                          "decoder": DECODER_VERSION, "rows": part[1], "csv": part[0]}
                 line = json.dumps(record) + "\n"
-                self._offsets[register_id, digest] = self.file.append(line.encode("ascii"))
+                self._offsets[key] = self.file.append(line.encode("ascii"))
         return part
 
-    def _read(self, register_id: str, digest: str) -> Optional[tuple[str, int]]:
-        offset = self._offsets.get((register_id, digest))
+    def _read(self, key: tuple[str, str, int]) -> Optional[tuple[str, int]]:
+        offset = self._offsets.get(key)
         if offset is None:
             return None
         line = self.file.read(offset)
         try:
             record = json.loads(line)
             text, rows = record["csv"], record["rows"]
-            if (record["register_id"], record["digest"]) == (register_id, digest) and (
+            if (record["register_id"], record["digest"], record["decoder"]) == key and (
                 isinstance(text, str) and type(rows) is int
             ):
                 return text, rows
@@ -625,11 +690,13 @@ def export_batch(
     is taken: if the export memo (``ExportMemo``) holds rows for the
     store's digest of its lines (``ResultStore.digest``), they are copied
     without reading the lines when ``store`` holds that digest already;
-    otherwise the payloads are folded into rows (``register_rows``). Each register is written before
+    otherwise the payloads are folded into rows (``register_rows``), each
+    label decoded into plain field dicts. Each register is written before
     the next is read, so memory holds one register's payloads plus the
     indexes. Other registers are skipped as incomplete. No domain objects
-    are built, so a page of many records does not warn again here: the
-    decoder warned when it built the page. The CSV goes to a temporary file
+    are built, so a page of more than ``ROW_COUNT_SOFT_LIMIT`` records does
+    not warn here; ``export --pages`` warns as it builds the page. The CSV
+    goes to a temporary file
     that replaces ``out_path`` only once it is whole, so an error or a kill
     leaves any earlier CSV as it was. The store and the memo are read
     through one handle each, and only read: a writer's ``Workspace`` writes them.
@@ -639,6 +706,8 @@ def export_batch(
     Raises:
         CorruptLine: if a record of a complete register is not a JSON
             object; the message names the register, file and byte offset.
+        OldStoreFormat: if a record of a complete register holds a
+            transcript object; the message names the same.
     """
     memo = ExportMemo(store)
     with store.file, memo.file:

@@ -15,15 +15,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
-from ..domain import (
-    NAME_FOR_TAG,
-    TAG_FOR_NAME,
-    EntityTag,
-    PageClass,
-    PageTranscript,
-    PersonRecord,
-    validate_record,
-)
+from ..domain import PageClass, PageTranscript
 from ..iiif import (
     FetchError,
     IiifEndpoint,
@@ -239,41 +231,23 @@ def _task_keys(manifest: TaskManifest) -> dict:
 
 
 def build_payload(
-    manifest: TaskManifest,
-    page_class: PageClass,
-    transcript: Optional[PageTranscript],
-    warnings: Sequence,
-    versions: dict[str, str],
+    manifest: TaskManifest, page_class: PageClass, label: Optional[str], versions: dict[str, str]
 ) -> dict:
-    payload = {
-        **_task_keys(manifest),
-        "page_class": page_class.name,
-        "transcript": None,
-        "warnings": [{"position": w.position, "kind": w.kind.value} for w in warnings],
-        "worker": versions,
-    }
-    if transcript is not None:
-        payload["transcript"] = {
-            "records": [
-                {
-                    "is_head": record.is_head,
-                    "fields": [
-                        {"tag": name, "text": record.fields[tag]}
-                        for tag, name in NAME_FOR_TAG.items()
-                        if tag in record.fields
-                    ],
-                }
-                for record in transcript.records
-            ]
-        }
-    return payload
+    """A page's result payload: its task keys, class, the recognizer's
+    label as it returned it (``transcript``, None on a non-LIST page) and
+    the worker versions."""
+    return {**_task_keys(manifest), "page_class": page_class.name, "transcript": label,
+            "worker": versions}
 
 
 def validate_payload(payload: dict) -> list[str]:
     """Schema violations of a result payload; empty list means valid.
 
-    Total over any JSON object: every value of the wrong type or shape is
-    reported as a violation, never raised.
+    Total over any JSON object: every value of the wrong type is reported
+    as a violation, never raised. ``transcript`` is a label string exactly
+    on LIST pages. The label itself is not checked: any string decodes
+    (``label_codec.decode_lenient``), into records that pass
+    ``validate_record``.
     """
     problems = []
     for key in ("task_id", "register_id", "page_id", "sequence_index", "page_class"):
@@ -294,51 +268,21 @@ def validate_payload(payload: dict) -> list[str]:
     is_list = page_class == PageClass.LIST.name
     if is_list and transcript is None:
         problems.append("LIST page without transcript")
+    elif is_list and not isinstance(transcript, str):
+        problems.append("transcript is not a string")
     if not is_list and transcript is not None:
         problems.append(f"transcript present on {page_class} page")
-    if transcript is None:
-        return problems
-    records = transcript.get("records") if isinstance(transcript, dict) else None
-    if not isinstance(records, list):
-        problems.append("transcript.records is not a list")
-        return problems
-    for i, record in enumerate(records):
-        items = record.get("fields", []) if isinstance(record, dict) else None
-        if not isinstance(items, list):
-            problems.append(f"record {i}: not an object with a fields list")
-            continue
-        fields = {}
-        for item in items:
-            if not isinstance(item, dict):
-                item = {"tag": None}
-            tag, text = item.get("tag"), item.get("text", "")
-            if not isinstance(tag, str) or tag not in TAG_FOR_NAME:
-                problems.append(f"record {i}: unknown tag {tag!r}")
-            elif not isinstance(text, str):
-                problems.append(f"record {i}: {tag} text is not a string")
-            else:
-                fields[TAG_FOR_NAME[tag]] = text
-        violations = validate_record(PersonRecord(fields))
-        problems.extend(f"record {i}: {v}" for v in violations)
-        if bool(record.get("is_head")) != (EntityTag.SURNAME_HEAD in fields):
-            problems.append(f"record {i}: is_head flag inconsistent with fields")
     return problems
 
 
 def payload_transcript(payload: dict) -> Optional[PageTranscript]:
-    """Rebuild the PageTranscript embedded in a result payload."""
-    transcript = payload.get("transcript")
-    if transcript is None:
+    """The PageTranscript of a result payload's label, decoded leniently;
+    None on a page without one."""
+    label = payload.get("transcript")
+    if label is None:
         return None
-    records = []
-    for record in transcript["records"]:
-        fields = {TAG_FOR_NAME[item["tag"]]: item["text"] for item in record["fields"]}
-        records.append(PersonRecord(fields))
-    return PageTranscript(
-        tuple(records),
-        page_id=payload["page_id"],
-        page_index_in_register=payload["sequence_index"],
-    )
+    return decode_lenient(label, page_id=payload["page_id"],
+                          page_index=payload["sequence_index"]).transcript
 
 
 def run_stage_process(
@@ -357,11 +301,12 @@ def run_stage_process(
     and returns only its JSON text. The calling thread appends the window's
     texts to the store in task order, and only then logs each task
     PROCESSED or FAILED, so a kill while it logs leaves the whole window
-    stored. Non-list pages skip the recognizer and yield a payload without a
-    transcript. Worker crashes retry up to ``retry_limit`` times before the
-    task fails; a missing staged file, a network call from worker code
-    (IsolationViolation) or a payload that breaks the schema (``schema:``)
-    fails it at once.
+    stored. A list page's payload holds the recognizer's label as it
+    returned it, undecoded (export decodes it); non-list pages skip the
+    recognizer and yield a payload without a transcript. Worker crashes
+    retry up to ``retry_limit`` times before the task fails; a missing
+    staged file, a network call from worker code (IsolationViolation) or a
+    payload that breaks the schema (``schema:``) fails it at once.
 
     The store is the witness of a result. A PROCESSING task already stored
     becomes PROCESSED with no worker call; a PROCESSED task missing from the
@@ -387,24 +332,14 @@ def run_stage_process(
             attempts += 1
             try:
                 page_class = workers.classify(image_bytes)
-                if page_class is PageClass.LIST:
-                    label = workers.recognize(image_bytes)
-                    report = decode_lenient(
-                        label,
-                        page_id=manifest.image.iiif_identifier,
-                        page_index=manifest.image.sequence_index,
-                    )
-                    payload = build_payload(
-                        manifest, page_class, report.transcript, report.warnings, workers.versions
-                    )
-                else:
-                    payload = build_payload(manifest, page_class, None, (), workers.versions)
+                label = workers.recognize(image_bytes) if page_class is PageClass.LIST else None
                 break
             except IsolationViolation as exc:
                 return manifest, f"isolation: {exc}", attempts, None
             except Exception as exc:  # worker crash: retryable
                 if attempts >= retry_limit:
                     return manifest, f"worker_error: {exc}", attempts, None
+        payload = build_payload(manifest, page_class, label, workers.versions)
         problems = validate_payload(payload)
         if problems:
             return manifest, "schema: " + "; ".join(problems[:3]), attempts, None

@@ -8,6 +8,7 @@ same plan, report, task states and bytes on disk.
 
 import itertools
 import json
+import re
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -261,14 +262,15 @@ class TestCheckpointAgainstReplay:
 
     def test_resume_after_a_plan(self, tmp_path, corpus, executor):
         """A checkpoint of PENDING tasks, written when a plan, a writer like
-        any run, closes the workspace."""
+        any run, closes the workspace. A plan never opens the store, so on a
+        new workspace the checkpoint has no store section."""
         workspace = tmp_path / "planned"
         with Workspace.open(workspace, writer=True, clock=itertools.count(0.0).__next__) as ws:
             plan_batch(corpus.registry, ws)
         sections = read_checkpoint(workspace / CHECKPOINT)
         assert {group[0] for group in sections["log"]["tasks"]} == {"PENDING"}
         assert sections["log"]["length"] == (workspace / LOG).stat().st_size
-        assert sections["store"]["length"] == 0
+        assert "store" not in sections
         verified = resume_both(tmp_path, corpus, executor, workspace,
                                (workspace / CHECKPOINT).read_bytes())
         assert verified == {"log": sections["log"]["length"], "store": 0}
@@ -284,16 +286,16 @@ class TestCheckpointAgainstReplay:
     @pytest.mark.parametrize("name", [LOG, STORE])
     def test_one_byte_flipped_in_a_prefix(self, tmp_path, corpus, executor, finished, name):
         """A changed byte that leaves the file valid, so only the digest can
-        tell: an attempt count in the log, a letter of a transcript in the
-        store (which the memo's digests would otherwise hide)."""
+        tell: an attempt count in the log, a letter of a label in the store
+        (which the memo's digests would otherwise hide)."""
         workspace, written, _ = finished
         data = bytearray((workspace / name).read_bytes())
         if name == LOG:
             at = data.index(b'"attempts": {"process": 1}') + len(b'"attempts": {"process": ')
             data[at] = ord("2")
         else:
-            at = data.index(b'"text": "') + len(b'"text": "')
-            data[at] ^= 0x20  # the letter's other case
+            at = re.search(rb"<f>[A-Za-z]", data).end() - 1
+            data[at] ^= 0x20  # the first first name's first letter, in its other case
         side = {LOG: "log", STORE: "store"}[name]
         verified = resume_both(tmp_path, corpus, executor, workspace, written[-1][1],
                                **{side: bytes(data)})
@@ -376,6 +378,42 @@ class TestCheckpointWrites:
                                 for register, offsets in section["pages"].items()}
         assert store["pages"] == before["store"]["pages"]
         assert store["digests"] == {}
+
+    def test_plan_opens_no_store_and_carries_its_section(self, tmp_path, monkeypatch, corpus,
+                                                         finished):
+        """``plan`` never writes the store, so it does not open it: on a
+        finished workspace it rewrites nothing, and with new tasks it
+        writes the checkpoint's log section anew and copies its store
+        section byte for byte."""
+        from click.testing import CliRunner
+
+        from censusflow.cli import main
+        from censusflow.ingest import registry_ndjson
+
+        workspace = tmp_path / "ws"
+        shutil.copytree(finished[0], workspace)
+        before = (workspace / CHECKPOINT).read_bytes()
+
+        def no_store(*args, **kwargs):
+            raise AssertionError("result store opened")
+
+        monkeypatch.setattr(runner_module, "ResultStore", no_store)
+        same, more = tmp_path / "same.ndjson", tmp_path / "more.ndjson"
+        same.write_text(registry_ndjson(corpus.registry), encoding="utf-8")
+        extra = make_registry([2]).registers
+        more.write_text(registry_ndjson(Registry(corpus.registry.registers + extra)),
+                        encoding="utf-8")
+        for registry, planned in ((same, corpus.image_count), (more, corpus.image_count + 2)):
+            result = CliRunner().invoke(main, ["plan", "--registry", str(registry),
+                                               "--workspace", str(workspace)])
+            assert result.exit_code == 0, result.output
+            assert f"planned {planned} tasks" in result.output
+            if registry is same:
+                assert (workspace / CHECKPOINT).read_bytes() == before
+        after = (workspace / CHECKPOINT).read_bytes()
+        assert json.loads(after)["log"] != json.loads(before)["log"]
+        assert after[after.index(b'"store":'):] == before[before.index(b'"store":'):]
+        assert json.loads(after)["log"]["length"] == (workspace / LOG).stat().st_size
 
     def test_run_with_nothing_to_do_rewrites_nothing(self, tmp_path, corpus, executor, finished):
         workspace = tmp_path / "ws"

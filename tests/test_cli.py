@@ -1,5 +1,6 @@
 import fcntl
 import json
+import re
 from pathlib import Path
 
 import click
@@ -13,9 +14,10 @@ from censusflow.cli import (
     parse_stage_spec,
     parse_worker_spec,
 )
-from censusflow.domain import dumps_pages
+from censusflow.domain import NAME_FOR_TAG, dumps_pages
 from censusflow.ingest import Registry, load_registry, registry_ndjson
 from censusflow.pipeline import TaskState, TransitionLog
+from censusflow.label_codec import decode_lenient
 from censusflow.pipeline.stages import payload_transcript
 
 
@@ -808,8 +810,10 @@ class TestExportCommand:
         assert result.exit_code == 0, result.output
         store = workspace / "results_store.ndjson"
         payload = next(record for record in map(json.loads, store.read_text("utf-8").splitlines())
-                       if record["transcript"] and record["transcript"]["records"])
-        payload["transcript"]["records"][0]["fields"][0]["text"] = "Later"
+                       if record["transcript"])
+        # The first field's text, from its tag to the next space or newline.
+        payload["transcript"] = re.sub(r"^(<[^>]*>)[^ \n]*", r"\1Later", payload["transcript"])
+        assert payload["transcript"].split(" ")[0].endswith(">Later")
         with open(store, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n")
         before = {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()}
@@ -893,6 +897,81 @@ class TestExportCommand:
         assert runner.invoke(main, plan).exit_code == 0
         assert runner.invoke(main, export).exit_code == 0
         assert out.read_bytes() == (workspace / "households.csv").read_bytes()
+
+
+def old_format(payload: dict) -> dict:
+    """``payload`` as versions before label stores wrote it: the label
+    decoded into records, and the decoder's warnings."""
+    report = decode_lenient(payload["transcript"])
+    records = [{"is_head": record.is_head,
+                "fields": [{"tag": NAME_FOR_TAG[tag], "text": text}
+                           for tag, text in record.fields.items()]}
+               for record in report.transcript.records]
+    warnings = [{"position": w.position, "kind": w.kind.value} for w in report.warnings]
+    return dict(payload, transcript={"records": records}, warnings=warnings)
+
+
+class TestOldStoreFormat:
+    """A store whose LIST records hold decoded transcripts, as earlier
+    versions wrote them, is refused with one error naming the file, the
+    byte offset of such a record and its register; nothing reads it."""
+
+    @pytest.fixture
+    def old(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus)])
+        assert result.exit_code == 0, result.output
+        store = workspace / "results_store.ndjson"
+        lines = [json.loads(line) for line in store.read_text("utf-8").splitlines()]
+        store.write_text("".join(
+            json.dumps(old_format(p) if p["transcript"] else p, sort_keys=True,
+                       ensure_ascii=False) + "\n" for p in lines), encoding="utf-8")
+        return corpus, workspace, store
+
+    @staticmethod
+    def assert_refused(result, store: Path):
+        assert result.exit_code == 1, result.output
+        match = re.search(r"line at byte (\d+) \(register '([^']+)'\) holds a transcript object",
+                          result.output)
+        assert match and str(store) in result.output, result.output
+        assert "Run the registry again into a new workspace" in result.output
+        assert "Traceback" not in result.output
+        offset, register_id = int(match.group(1)), match.group(2)
+        with open(store, "rb") as fh:
+            fh.seek(offset)
+            record = json.loads(fh.readline())
+        assert isinstance(record["transcript"], dict) and record["register_id"] == register_id
+
+    @pytest.mark.parametrize("command", ["run", "households", "pages"])
+    def test_refused(self, runner, tmp_path, old, command):
+        corpus, workspace, store = old
+        csv_before = (workspace / "households.csv").read_bytes()
+        if command == "run":
+            argv = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        else:
+            argv = ["export", "--workspace", str(workspace), f"--{command}",
+                    str(tmp_path / "out")]
+        self.assert_refused(runner.invoke(main, argv), store)
+        assert (workspace / "households.csv").read_bytes() == csv_before
+        assert not (tmp_path / "out").is_file()
+
+    def test_one_old_record_appended_to_a_new_store(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        assert runner.invoke(main, ["run", "--workspace", str(workspace),
+                                    "--fixture", str(corpus)]).exit_code == 0
+        store = workspace / "results_store.ndjson"
+        payload = next(p for p in map(json.loads, store.read_text("utf-8").splitlines())
+                       if p["transcript"])
+        offset = store.stat().st_size
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(old_format(payload), sort_keys=True, ensure_ascii=False) + "\n")
+        result = runner.invoke(main, ["export", "--workspace", str(workspace),
+                                      "--households", str(tmp_path / "h.csv")])
+        self.assert_refused(result, store)
+        assert f"line at byte {offset} (register {payload['register_id']!r})" in result.output
 
 
 class TestEvaluateCommand:

@@ -2,14 +2,22 @@
 
 ``documents_from_store`` below is the export as it was before it streamed:
 it parses every record, keeps the last one per ``(register_id,
-sequence_index)`` and rebuilds every complete register at once. With
+sequence_index)``, decodes each label into a page (``decode_lenient``) and
+rebuilds every complete register at once. With ``merge_register`` and
 ``export_households`` it is the oracle the streaming ``export_batch`` must
 match byte for byte, with or without an export memo left by a run.
+
+The stores below hold labels as a recognizer writes them: canonical ones
+(``encode``) and noisy ones, with unknown tokens, repeated and empty
+fields, and cells holding quotes, commas, carriage returns or accents.
 """
 
 import builtins
+import csv
+import io
 import json
 import random
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -20,16 +28,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from censusflow.domain import EntityTag, PageClass, RegisterDocument, RegisterPage, RowCountWarning
+from censusflow.domain import (
+    FIELD_ORDER,
+    TAG_FOR_NAME,
+    TOKEN_FOR_TAG,
+    EntityTag,
+    PageClass,
+    PageTranscript,
+    PersonRecord,
+    RegisterDocument,
+    RegisterPage,
+    RowCountWarning,
+)
 from censusflow.fixtures import FixtureTransport, generate_corpus
 from censusflow.household import EXPORT_COLUMNS, MissingTranscript, export_households, merge_register
 from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetadata, Registry
-from censusflow.label_codec import SyntheticProfile
+from censusflow.label_codec import DECODER_VERSION, SyntheticProfile, decode_fields, encode
 from censusflow.pipeline import LocalExecutor, ResultStore, RunConfig, export_batch, run_batch
 from censusflow.pipeline.manifests import AppendFile, CorruptLine, read_ndjson, task_id_for
 from censusflow.pipeline.runner import (
-    MEMO_NAME, STORE_NAME, ExportMemo, _complete, _head, register_rows,
+    MEMO_NAME, STORE_NAME, ExportMemo, Workspace, _complete, _head, register_rows,
 )
 from censusflow.pipeline.stages import payload_transcript
 import censusflow.pipeline.runner as runner_module
@@ -102,19 +121,32 @@ def make_registry(pages_per_register: list[int], commune: str = "03190") -> Regi
     return Registry(tuple(registers))
 
 
-def random_records(rng: random.Random, rows: int) -> list[dict]:
-    words = ["Gendre", "Martin", "Müller", 'Say "x"', "a\\b", "é\tß", "chef", "75"]
+WORDS = ["Gendre", "Martin", "Müller", 'Say "x"', "a\\b", "é\tß", "a,b", "cr\r", "chef", "75"]
+# What a noisy recognizer splices into a label: an unknown token and the
+# text it drops, a lone "<", a repeated field, an empty field, stray
+# spaces and record breaks.
+NOISE = ["<zz>junk ", "<", "<f>Jean ", "<o> ", "<a>", "  ", "\n", "\n\n", "<s-h>"]
+
+
+def random_label(rng: random.Random, rows: int) -> str:
+    """The label of ``rows`` random records as ``encode`` writes it, or,
+    one time in three, that label with noise spliced in (``NOISE``)."""
     records = []
     for _ in range(rows):
         head = rng.random() < 0.35
-        fields = [{"tag": "surname_head" if head else "surname", "text": rng.choice(words)}]
-        for name in rng.sample(TAG_NAMES[2:], rng.randint(0, 4)):
-            fields.append({"tag": name, "text": rng.choice(words)})
-        records.append({"is_head": head, "fields": fields})
-    return records
+        fields = {EntityTag.SURNAME_HEAD if head else EntityTag.SURNAME: rng.choice(WORDS)}
+        for tag in rng.sample(FIELD_ORDER[2:], rng.randint(0, 4)):
+            fields[tag] = rng.choice(WORDS)
+        records.append(PersonRecord(fields))
+    label = encode(PageTranscript(tuple(records)))
+    if rng.random() < 1 / 3:
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(label))
+            label = label[:at] + rng.choice(NOISE) + label[at:]
+    return label
 
 
-def payload_for(image: ImageRef, page_class: str, records) -> dict:
+def payload_for(image: ImageRef, page_class: str, label) -> dict:
     """A result payload laid out as the process stage builds it."""
     return {
         "task_id": f"{image.register.register_id}-p{image.sequence_index:04d}",
@@ -122,8 +154,7 @@ def payload_for(image: ImageRef, page_class: str, records) -> dict:
         "page_id": image.iiif_identifier,
         "sequence_index": image.sequence_index,
         "page_class": page_class,
-        "transcript": None if records is None else {"records": records},
-        "warnings": [],
+        "transcript": label,
         "worker": {"classifier": "mock", "recognizer": "mock"},
     }
 
@@ -134,7 +165,7 @@ def stage_line(payload: dict) -> str:
 
 def random_page(rng: random.Random, image: ImageRef, max_rows: int = 8) -> dict:
     if rng.random() < 0.6:
-        return payload_for(image, "LIST", random_records(rng, rng.randint(0, max_rows)))
+        return payload_for(image, "LIST", random_label(rng, rng.randint(0, max_rows)))
     return payload_for(image, rng.choice(OTHER_CLASSES), None)
 
 
@@ -210,6 +241,9 @@ _index = (
 _plain = st.text(st.characters(blacklist_characters='"\\', blacklist_categories=("Cc", "Cs")),
                  max_size=12)
 _VARIANTS = ["stage", "stage", "permuted", "duplicate", "spaced", "ascii", "escaped-key"]
+# Labels whose JSON holds escapes, and text that looks like a head key.
+_labels = st.sampled_from(["<s-h>Gendre <f>Pierre\n<s>Martin", 'a "register_id": "z"\\',
+                           '<f>x_i\n\t"', ""])
 
 
 @st.composite
@@ -223,7 +257,7 @@ def record_lines(draw) -> bytes:
         "register_id": draw(text),
         "sequence_index": draw(st.integers(min_value=0) | _index),
         "task_id": draw(text),
-        "transcript": draw(st.none() | st.just({"records": []})),
+        "transcript": draw(st.none() | text | _labels),
         "worker": draw(st.dictionaries(text, text, max_size=2)),
     }
     variant = draw(st.sampled_from(_VARIANTS))
@@ -280,8 +314,19 @@ class TestHeadRead:
         (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
          b'"task_id": 7}', ("r", 3)),
         (b'{"task_id": "t"}', (None, None)),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
+         b'"task_id": "t", "transcript": "<f>A\\n\\"register_id\\": \\"z\\"", "worker": {}}',
+         ("r", 3)),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
+         b'"task_id": "t", "transcript": "<f>A\\n", "register_id": "s"}', ("s", 3)),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
+         b'"task_id": "t", "transcript": "<f>A\\n", "r\\u0065gister_id": "u"}', ("u", 3)),
+        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
+         b'"task_id": "t", "transcript": "<f>A\\\\", "register_id": "s"}', ("s", 3)),
     ], ids=["duplicate", "escaped-duplicate", "escaped-underscore-duplicate", "escape", "float", "negative", "string",
-            "non-ascii", "task-id-not-a-string", "missing"])
+            "non-ascii", "task-id-not-a-string", "missing", "label-with-key-text",
+            "duplicate-after-label", "escaped-duplicate-after-label",
+            "duplicate-after-a-label-ending-in-a-backslash"])
     def test_edge_cases(self, line, want):
         got = _head(line + b"\n")
         assert got == want and [type(v) for v in got] == [type(v) for v in want]
@@ -292,10 +337,11 @@ class TestHeadRead:
         import censusflow.pipeline.runner as runner
 
         image = make_registry([2]).registers[0].images[1]
-        records = [{"is_head": True, "fields": [{"tag": "surname_head", "text": "Gendre"},
-                                                {"tag": "occupation", "text": "métayer"}]}]
-        payload = payload_for(image, "LIST", records)
+        # Its JSON escapes newlines, quotes and backslashes, and it holds "_i".
+        label = '<s-h>Gendre <o>métayer\n<s>Say "x" <f>a\\b\n<zz>x_i'
+        payload = payload_for(image, "LIST", label)
         line = stage_line(payload).encode("utf-8") + b"\n"
+        assert b"\\n" in line and b"\\\\" in line
 
         def no_parse(*args, **kwargs):
             raise AssertionError("json.loads called")
@@ -374,8 +420,8 @@ class TestExportEdgeCases:
         lines = finished.store_path.read_text(encoding="utf-8").splitlines()
         payloads = [json.loads(line) for line in lines]
         k = next(i for i, p in enumerate(payloads) if p["transcript"] and
-                 len(p["transcript"]["records"]) > 1)
-        later = dict(payloads[k], transcript={"records": payloads[k]["transcript"]["records"][1:]})
+                 "\n" in p["transcript"])
+        later = dict(payloads[k], transcript=payloads[k]["transcript"].partition("\n")[2])
         duplicated = write_store(tmp_path / "dup.ndjson", lines + [stage_line(later)])
         replaced = write_store(
             tmp_path / "replaced.ndjson", lines[:k] + lines[k + 1:] + [stage_line(later)]
@@ -428,10 +474,11 @@ class TestExportEdgeCases:
 # The fold against the object path
 # ---------------------------------------------------------------------------
 
-# Texts CSV must quote (separator, quote, line breaks, edge spaces) and
-# texts it writes as they are.
-_cell = st.sampled_from(["Gendre", "", 'Say "x"', "a,b", "two\nlines", "cr\r", " pad ", "é\tß"]) | st.text(
-    st.characters(blacklist_categories=("Cs",)), max_size=6
+# Texts CSV must quote (separator, quote, carriage return, edge spaces)
+# and texts it writes as they are. A newline ends a record in a label, so
+# no cell holds one.
+_cell = st.sampled_from(["Gendre", "", 'Say "x"', "a,b", "cr\r", " pad ", "é\tß"]) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=6
 )
 # Fields in any order, a tag possibly repeated, possibly none at all;
 # surname_head weighted up so that households of several records are common.
@@ -440,17 +487,25 @@ _fields = st.lists(
 )
 _page = st.one_of(
     st.lists(_fields, max_size=5).map(lambda records: ("LIST", records)),
+    st.lists(st.sampled_from(NOISE + WORDS), max_size=12).map(
+        lambda parts: ("LIST", "".join(parts))),
     st.sampled_from(OTHER_CLASSES).map(lambda page_class: (page_class, None)),
 )
 
 
+def label_of(records) -> str:
+    """The label a recognizer writes for ``records``, lists of ``(tag name,
+    text)``: each field its tag's token then its text, fields joined by a
+    space, records by a newline, as ``encode`` joins them, but in the order
+    given and with nothing checked."""
+    return "\n".join(" ".join(TOKEN_FOR_TAG[TAG_FOR_NAME[tag]] + text for tag, text in fields)
+                     for fields in records)
+
+
 def page_payload(image: ImageRef, page_class: str, records) -> dict:
-    if records is not None:
-        records = [
-            {"is_head": any(tag == "surname_head" for tag, _ in fields),
-             "fields": [{"tag": tag, "text": text} for tag, text in fields]}
-            for fields in records
-        ]
+    """``records`` is a label, a list of records for ``label_of`` or None."""
+    if isinstance(records, list):
+        records = label_of(records)
     return payload_for(image, page_class, records)
 
 
@@ -484,9 +539,10 @@ EVERY_CASE = [
         ("LIST", [[("firstname", "fragment"), ("occupation", "a,b")], [], [HEAD, ("link", "x")]]),
         ("TOTALS", None),  # a non-LIST gap
         ("LIST", [[("age", "40"), ("firstname", "Pierre"), ("surname_head", 'Say "x"')],  # out of order
-                  [("surname", "Martin"), ("surname", "Müller"), ("age", "two\nlines")]]),  # repeated tag
+                  [("surname", "Martin"), ("age", "2"), ("age", "cr\r")]]),  # repeated tag
     ],
-    [("LIST", [[("surname_head", "")], [("firstname", "cr\r")]])],  # a head with an empty surname
+    [("LIST", [[("surname_head", "")], [("firstname", "é")]])],  # a head with an empty surname
+    [("LIST", "<zz>junk <f>Jean <o> <a>7\n\n<s>Roux <<l>fils  ")],  # unknown tokens, empty field
 ]
 
 
@@ -504,14 +560,15 @@ class TestFoldAgainstObjectPath:
     def test_every_case_has_rows(self):
         got, _ = export_both(EVERY_CASE)
         (exported, skipped, people), data = got
-        assert (exported, skipped, people) == (2, 0, 10)
-        assert b'"a,b"' in data and b'"Say ""x"""' in data and b'"two\nlines"' in data
+        assert (exported, skipped, people) == (3, 0, 12)
+        assert b'"a,b"' in data and b'"Say ""x"""' in data and b'"cr\r"' in data
 
     def test_no_domain_objects_are_built(self, tmp_path, monkeypatch, finished):
         # The fold is what makes export cheap: it must not build records,
         # transcripts or household sets on the way to the rows.
         import censusflow.domain
         import censusflow.household
+        import censusflow.label_codec
         import censusflow.pipeline.runner
         import censusflow.pipeline.stages
 
@@ -521,21 +578,28 @@ class TestFoldAgainstObjectPath:
         def built(*args, **kwargs):
             raise AssertionError("domain object path used")
 
-        for module in (censusflow.domain, censusflow.household, censusflow.pipeline.stages,
-                       censusflow.pipeline.runner):
-            for name in ("PersonRecord", "merge_register", "payload_transcript"):
+        for module in (censusflow.domain, censusflow.household, censusflow.label_codec,
+                       censusflow.pipeline.stages, censusflow.pipeline.runner):
+            for name in ("PersonRecord", "PageTranscript", "merge_register", "payload_transcript",
+                         "decode_lenient", "decode_strict"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, built)
         export_batch(finished.registry, store, tmp_path / "households.csv")
         assert (tmp_path / "households.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    def test_long_page_does_not_warn_again(self, tmp_path):
+    def test_long_page_warns_only_where_its_transcript_is_built(self, tmp_path):
+        """A page of more than 40 records warns when a PageTranscript is
+        built from its label (``payload_transcript``, which ``export
+        --pages`` and the oracle call), and not in the fold, which builds
+        none."""
         registry = make_registry([1])
         records = [[HEAD]] + [[("firstname", str(i))] for i in range(44)]
-        store = write_store(tmp_path / "store.ndjson",
-                            [stage_line(page_payload(registry.registers[0].images[0], "LIST", records))])
-        with pytest.warns(RowCountWarning):  # the object path warns on rebuilding the page
+        payload = page_payload(registry.registers[0].images[0], "LIST", records)
+        store = write_store(tmp_path / "store.ndjson", [stage_line(payload)])
+        with pytest.warns(RowCountWarning):
             oracle_export(registry, store, tmp_path / "oracle.csv")
+        with pytest.warns(RowCountWarning, match="has 45 records"):
+            payload_transcript(payload)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert export_batch(registry, store, tmp_path / "households.csv") == (1, 0, 45)
@@ -683,6 +747,53 @@ class TestMemoAgainstOracle:
         assert finished.households_path.read_bytes() == before
 
 
+class TestDecoderVersion:
+    """The memo's rows hold for the labels they were folded from and for the
+    decoder that folded them (``DECODER_VERSION``)."""
+
+    def test_a_new_version_refolds_every_register(self, monkeypatch, finished):
+        def upper(label):  # a decoder that reads every text in upper case
+            return [{tag: text.upper() for tag, text in fields.items()}
+                    for fields in decode_fields(label)]
+
+        def no_hash(*args, **kwargs):
+            raise AssertionError("register digest taken again")
+
+        folded = []
+
+        def counted(register_id, payloads):
+            folded.append(register_id)
+            return register_rows(register_id, payloads)
+
+        monkeypatch.setattr(runner_module, "register_rows", counted)
+        monkeypatch.setattr(runner_module, "decode_fields", upper)
+        # The store's digests come from checkpoint.json, never from a hash.
+        monkeypatch.setattr(runner_module.hashlib, "blake2b", no_hash)
+        before = finished.households_path.read_bytes()
+
+        run_batch(finished)  # the same version: the memo's rows are copied
+        assert folded == [] and finished.households_path.read_bytes() == before
+
+        monkeypatch.setattr(runner_module, "DECODER_VERSION", DECODER_VERSION + 1)
+        run_batch(finished)
+        assert folded == [r.metadata.register_id for r in finished.registry.registers]
+        rows = list(csv.reader(io.StringIO(before.decode("utf-8"), newline="")))
+        want = [row[:5] + [text.upper() for text in row[5:]] for row in rows[1:]]
+        got = list(csv.reader(io.StringIO(finished.households_path.read_text("utf-8"),
+                                          newline="")))
+        assert got[1:] == want and want != rows[1:]
+
+        folded.clear()  # both versions' rows are memoised now
+        with Workspace.open(finished.workspace, writer=False) as ws:
+            export_batch(finished.registry, ws.store, finished.workspace / "again.csv")
+            monkeypatch.setattr(runner_module, "DECODER_VERSION", DECODER_VERSION)
+            export_batch(finished.registry, ws.store, finished.workspace / "first.csv")
+        assert folded == []
+        assert (finished.workspace / "again.csv").read_bytes() == (
+            finished.households_path.read_bytes())
+        assert (finished.workspace / "first.csv").read_bytes() == before
+
+
 class Killed(Exception):
     pass
 
@@ -803,10 +914,10 @@ def export_command(monkeypatch, workspace: Path, out: Path) -> int:
 
 
 def flip_a_letter(path: Path) -> None:
-    """Change the case of a transcript's first letter: the store stays
-    valid, and only its digest can tell."""
+    """Change the case of the first letter of the first first name in the
+    store's labels: the store stays valid, and only its digest can tell."""
     data = bytearray(path.read_bytes())
-    at = data.index(b'"text": "') + len(b'"text": "')
+    at = re.search(rb"<f>[A-Za-z]", data).end() - 1
     data[at] ^= 0x20
     path.write_bytes(bytes(data))
 

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import count
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from censusflow.domain import PageClass, PageTranscript, PersonRecord
+from censusflow.domain import PageClass, RowCountWarning
 from censusflow.fixtures import FixtureTransport, generate_corpus
 from censusflow.ingest import Registry, load_registry
 from censusflow.iiif import (
@@ -26,7 +27,7 @@ from censusflow.iiif import (
     TransportResponse,
     full_image_url,
 )
-from censusflow.label_codec import DecodeReport, SyntheticProfile, decode_lenient
+from censusflow.label_codec import SyntheticProfile, decode_lenient, encode
 from censusflow.pipeline import (
     ALLOWED_TRANSITIONS,
     EmptySelection,
@@ -297,16 +298,38 @@ class TestProcess:
             manifest = next(
                 m for m in manifests if m.image.iiif_identifier == page.page_id
             )
-            payload = payloads[manifest.task_id]
-            got = [
-                {item["tag"]: item["text"] for item in record["fields"]}
-                for record in payload["transcript"]["records"]
-            ]
-            expected = [
-                {tag.name.lower(): value for tag, value in record.fields.items()}
-                for record in page.transcript.records
-            ]
-            assert got == expected
+            label = payloads[manifest.task_id]["transcript"]
+            assert label == encode(page.transcript)
+            assert decode_lenient(label).transcript.records == page.transcript.records
+
+    def test_stores_the_label_as_the_recognizer_returned_it(self, tmp_path, corpus, ctx):
+        """A noisy label of 45 records is stored byte for byte, undecoded:
+        the process stage builds no transcript, so it does not warn
+        (``RowCountWarning``) and stores no decoder warnings."""
+        manifests = staged_manifests(tmp_path, corpus, ctx)
+        noisy = ("<zz>junk <s-h>Gendre <f>Jean <f>Paul <o> é,\"x\"\\\r \n\n<"
+                 + "".join(f"\n<f>{i}" for i in range(44)))
+        workers = mock_worker_set()
+
+        class Noisy:
+            version = "noisy/1"
+
+            def recognize(self, image_bytes):
+                return noisy
+
+        workers.recognizer = Noisy()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_stage_process(manifests, ctx, workers=workers, scheduler=LocalExecutor(2),
+                              results_store=store_of(ctx))
+        assert not caught
+        payloads = [p for p in stored(ctx).values() if p["page_class"] == "LIST"]
+        assert payloads and all(p["transcript"] == noisy for p in payloads)
+        assert {key for p in payloads for key in p} == {
+            "task_id", "register_id", "page_id", "sequence_index", "page_class", "transcript",
+            "worker"}
+        with pytest.warns(RowCountWarning):  # a transcript built from it warns
+            assert len(decode_lenient(noisy).transcript.records) == 46
 
     def test_missing_staged_file_fails(self, tmp_path, corpus, ctx):
         manifests = staged_manifests(tmp_path, corpus, ctx)
@@ -515,25 +538,20 @@ class TestIntegrate:
         assert any(not line.isascii() for line in lines)
 
     def test_validate_payload_rules(self):
+        """``transcript`` is a label string exactly on LIST pages; any
+        string is a label, since any string decodes."""
         base = {
             "task_id": "t", "register_id": "r", "page_id": "p",
             "sequence_index": 0, "page_class": "LIST", "transcript": None,
         }
         assert validate_payload({**base}) == ["LIST page without transcript"]
-        ok = {
-            **base,
-            "transcript": {"records": [
-                {"is_head": True, "fields": [{"tag": "surname_head", "text": "A"}]}
-            ]},
-        }
-        assert validate_payload(ok) == []
-        bad_head = {
-            **base,
-            "transcript": {"records": [
-                {"is_head": False, "fields": [{"tag": "surname_head", "text": "A"}]}
-            ]},
-        }
-        assert any("is_head" in p for p in validate_payload(bad_head))
+        for label in ("<s-h>A <a>3", "", "<zz>noise <s-h> <s>\n\n<"):
+            assert validate_payload({**base, "transcript": label}) == []
+        for transcript in ({"records": []}, ["<s-h>A"], 7, True):
+            assert validate_payload({**base, "transcript": transcript}) == [
+                "transcript is not a string"]
+        assert validate_payload({**base, "page_class": "TOTALS", "transcript": "<s-h>A"}) == [
+            "transcript present on TOTALS page"]
 
 
 _JSON = st.recursive(
@@ -628,13 +646,16 @@ class TestRunBatch:
 
     @pytest.mark.parametrize(
         "transcript, detail",
-        [([1], "transcript.records is not a list"),
-         ({"records": [1]}, "record 0: not an object"),
-         ({"records": [{"fields": 5}]}, "record 0: not an object"),
-         ({"records": [{"fields": [1]}]}, "record 0: unknown tag None"),
-         ({"records": [{"fields": [{"tag": ["surname"], "text": "A"}]}]}, "unknown tag ['surname']"),
-         ({"records": [{"fields": [{"tag": "surname", "text": 7}]}]}, "surname text is not a string")],
-        ids=["transcript-list", "record-int", "fields-int", "field-int", "tag-list", "text-int"],
+        [([1], "transcript is not a string"),
+         ({"records": [1]}, "transcript is not a string"),
+         ({"records": [{"fields": 5}]}, "transcript is not a string"),
+         ({"records": [{"fields": [1]}]}, "transcript is not a string"),
+         ({"records": [{"fields": [{"tag": ["surname"], "text": "A"}]}]},
+          "transcript is not a string"),
+         ({"records": [{"fields": [{"tag": "surname", "text": 7}]}]}, "transcript is not a string"),
+         (7, "transcript is not a string")],
+        ids=["transcript-list", "record-int", "fields-int", "field-int", "tag-list", "text-int",
+             "number"],
     )
     def test_malformed_transcript_fails_only_its_task(self, tmp_path, corpus, monkeypatch,
                                                       transcript, detail):
@@ -1104,22 +1125,8 @@ FAILURES = {
     "missing_input": ("process", "missing_input", 1, {"process": 1}),
     "worker_error": ("process", "worker_error: cuda out of memory", 3, {"process": 3}),
     "isolation": ("process", "isolation: ", 1, {"process": 1}),
-    "schema": ("process", "schema: record 0: DualSurname", 1, {"process": 1}),
+    "schema": ("process", "schema: transcript is not a string", 1, {"process": 1}),
 }
-
-# The label a recognizer stub answers for a page whose decoded record holds
-# both surname tags, which ``decode_lenient`` itself never yields.
-DUAL_SURNAME = "<dual-surname>"
-
-
-def decode_dual_surname(label, *, page_id="", page_index=0):
-    """``decode_lenient``, but ``DUAL_SURNAME`` decodes to a DualSurname
-    record."""
-    if label != DUAL_SURNAME:
-        return decode_lenient(label, page_id=page_id, page_index=page_index)
-    record = PersonRecord.from_names(surname_head="Gendre", surname="Paraud")
-    return DecodeReport(PageTranscript((record,), page_id=page_id,
-                                       page_index_in_register=page_index), ())
 
 
 class TestFailurePaths:
@@ -1156,12 +1163,12 @@ class TestFailurePaths:
             version = recognizer.version
 
             def recognize(self, image_bytes):
+                label = recognizer.recognize(image_bytes)
                 if image_bytes == victim_bytes and kind == "schema":
-                    return DUAL_SURNAME
-                return recognizer.recognize(image_bytes)
+                    return label.encode("utf-8")  # bytes, not a label string
+                return label
 
         workers.classifier, workers.recognizer = Classifier(), Recognizer()
-        monkeypatch.setattr(stages_module, "decode_lenient", decode_dual_surname)
 
         def damage(manifest):
             if manifest.task_id != victim:
