@@ -31,7 +31,7 @@ from .pipeline import (
     plan_batch,
     run_batch,
 )
-from .pipeline.manifests import WorkspaceBusy
+from .pipeline.manifests import CorruptLine, WorkspaceBusy
 from .pipeline.runner import STAGES, OldStoreFormat, Workspace, state_counts
 from .pipeline.stages import payload_transcript, select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
@@ -439,7 +439,7 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
             return
         with Workspace.open(workspace, writer=True) as ws:
             manifests = plan_batch(registry, ws, **selection)
-    except (EmptySelection, WorkspaceBusy) as exc:
+    except (EmptySelection, WorkspaceBusy, CorruptLine) as exc:
         _fail(str(exc))
     pending = state_counts(manifests)[TaskState.PENDING.value]
     click.echo(f"planned {len(manifests)} tasks ({pending} pending) under {workspace}")
@@ -518,7 +518,7 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
         return
     try:
         report = run_batch(run_config)
-    except (WorkspaceBusy, OldStoreFormat) as exc:
+    except (WorkspaceBusy, OldStoreFormat, CorruptLine) as exc:
         _fail(str(exc))
     _echo_counts(report.counts)
     if report.households_csv:
@@ -539,10 +539,13 @@ def status_cmd(workspace):
     """Per-state task counts for a batch workspace.
 
     Reads the task log from its checkpoint on (``Workspace.tasks``) and
-    writes nothing.
+    writes nothing; a log line that is not JSON exits 1.
     """
-    with Workspace.open(workspace, writer=False) as ws:
-        manifests = [ws.tasks[task_id] for task_id in sorted(ws.tasks)]
+    try:
+        with Workspace.open(workspace, writer=False) as ws:
+            manifests = [ws.tasks[task_id] for task_id in sorted(ws.tasks)]
+    except CorruptLine as exc:
+        _fail(str(exc))
     click.echo(f"tasks: {len(manifests)}")
     _echo_counts(state_counts(manifests))
     for m in manifests:
@@ -562,8 +565,8 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
 
     Opens the store from the checkpoint's store section, as ``status`` folds
     the log, and writes nothing in the workspace. Each page's label is
-    decoded leniently; a store written by an earlier version, which holds
-    decoded transcripts instead, exits 1.
+    decoded leniently; a store line that is not JSON, or a store written by
+    an earlier version, which holds decoded transcripts instead, exits 1.
     """
     if not households_path and not pages_dir:
         raise click.UsageError("nothing to export: pass --households and/or --pages")
@@ -572,12 +575,12 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
             _fail(f"no {ws.registry_file.name} in {workspace}: run `censusflow plan --registry R "
                   f"--workspace {workspace}` with the registry and selection it was planned with")
         registry = ingest.load_registry(ws.registry_file)
-        store = ws.store
-        if dry_run:
-            click.echo(f"dry run: {len(store)} stored results over "
-                       f"{len(registry.registers)} registers")
-            return
         try:
+            store = ws.store
+            if dry_run:
+                click.echo(f"dry run: {len(store)} stored results over "
+                           f"{len(registry.registers)} registers")
+                return
             if households_path:
                 exported, skipped, people = export_batch(registry, store, households_path)
                 click.echo(f"wrote {people} people / {exported} registers to "
@@ -594,7 +597,7 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
                             write_fixture([transcript], out / name)
                             count += 1
                 click.echo(f"wrote {count} transcript pages to {pages_dir}")
-        except OldStoreFormat as exc:
+        except (OldStoreFormat, CorruptLine) as exc:
             _fail(str(exc))
 
 

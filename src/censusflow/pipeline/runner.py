@@ -13,19 +13,19 @@ interrupting the pass at any point, even in the middle of an append, and
 calling ``run_batch`` again yields the same terminal result set.
 
 Export works one register at a time. The result store indexes its line
-offsets by register from record heads alone when it opens, and keeps the
-index up to date as it appends. The store keeps each page's label as the
-recognizer returned it; export decodes each register's labels and folds
-them straight into CSV rows, without building domain objects. The fold runs
-once per register, when the window that completes the register has been
-integrated: its CSV text goes to an append-only memo,
-``households.parts.ndjson``, keyed by the store's digest of the register's
-lines and the decoder's version. Export then copies each complete
-register's memoised text if that key still holds, folds it otherwise, and
-replaces ``households.csv`` atomically once every row is written. So a
-resume folds only the registers it completes, and memory holds the largest
-register's payloads plus small per-record and per-register indexes,
-whatever the batch size.
+offsets by register when it opens, parsing each record after the part its
+checkpoint section vouches for, and keeps the index up to date as it
+appends. The store keeps each page's label as the recognizer returned it;
+export decodes each register's labels and folds them straight into CSV
+rows, without building domain objects. The fold runs once per register,
+when the window that completes the register has been integrated: its CSV
+text goes to an append-only memo, ``households.parts.ndjson``, keyed by the
+store's digest of the register's lines and the decoder's version. Export
+then copies each complete register's memoised text if that key still
+holds, folds it otherwise, and replaces ``households.csv`` atomically once
+every row is written. So a resume folds only the registers it completes,
+and memory holds the largest register's payloads plus small per-record
+and per-register indexes, whatever the batch size.
 
 ``Workspace`` opens the workspace for every command, ``run_batch`` included:
 the lock, the checkpoint, the log's fold, the store and the memo, each once;
@@ -78,59 +78,6 @@ from .stages import (
 from .workers import WorkerSet
 
 
-# The head of a record as the process stage writes it (``json.dumps`` with
-# ``sort_keys`` and the default separators): these five keys come first, in
-# this order. A string without escapes or control characters, and a plain
-# non-negative integer, decode as ``json.loads`` decodes them.
-_HEAD = re.compile(
-    rb'\{"page_class": "[^"\\\x00-\x1f]*", "page_id": "[^"\\\x00-\x1f]*", '
-    rb'"register_id": "([^"\\\x00-\x1f]*)", "sequence_index": (0|[1-9][0-9]*), '
-    rb'"task_id": "[^"\\\x00-\x1f]*"[,}]'
-)
-# The key of the label that follows the head, up to its string's opening quote.
-_LABEL_KEY = b' "transcript": "'
-
-
-def _string_end(line: bytes, start: int) -> int:
-    """The index just past the closing quote of a JSON string whose text
-    starts at ``start``: the first quote after it that an even number of
-    backslashes precedes. -1 if there is none."""
-    quote = line.find(b'"', start)
-    while quote >= 0:
-        escapes = quote
-        while line[escapes - 1] == 0x5C:  # a backslash
-            escapes -= 1
-        if (quote - escapes) % 2 == 0:
-            return quote + 1
-        quote = line.find(b'"', quote + 1)
-    return -1
-
-
-def _head(line: bytes, path: str | Path = "", offset: int = 0) -> tuple:
-    """``(register_id, sequence_index)`` of a store line, as ``json.loads``
-    gives them, decoding only the head of the record.
-
-    A line whose head does not match the process stage's layout exactly
-    (another key order, escapes, whitespace) or whose rest may repeat a
-    head key is parsed whole instead; ``path`` and ``offset`` then name
-    the line if it is not a JSON object (``CorruptLine``).
-    """
-    match = _HEAD.match(line)
-    # json.loads takes the last of repeated keys. Every head key contains
-    # "_i", and a key written with escapes contains a backslash, so a rest
-    # with neither cannot repeat a head key. The label string right after
-    # the head holds no key, only text and its escapes, so the search
-    # starts after it.
-    rest = -1 if match is None else match.end()
-    if rest >= 0 and line.startswith(_LABEL_KEY, rest):
-        rest = _string_end(line, rest + len(_LABEL_KEY))
-    if rest >= 0 and line.find(b"_i", rest) < 0 and line.find(b"\\", rest) < 0:
-        register_id, sequence_index = match.groups()
-        return register_id.decode("utf-8", "surrogatepass"), int(sequence_index)
-    record = parse_line(line, path, offset)
-    return record.get("register_id"), record.get("sequence_index")
-
-
 class OldStoreFormat(ValueError):
     """A result store line whose ``transcript`` is a JSON object: a page as
     earlier versions stored it, decoded into records. This version stores
@@ -148,14 +95,15 @@ class ResultStore:
     """Append-only NDJSON store keyed by task id; duplicate adds are no-ops.
 
     A torn last line is skipped on read and cut before the first add, as
-    in the task log. Opening a store reads only the head of each record.
+    in the task log. Opening a store parses each record it reads; a whole
+    line that is not a JSON object stops the open (``CorruptLine``).
 
     ``pages`` maps ``register_id -> {sequence_index: byte offset}`` of the
     line that holds each page's record, a later line winning over an
     earlier one for the same page. It covers every record on disk when the
     store opened plus this instance's own adds, which is what export reads.
     A task id names one page (``parse_task_id``), so ``pages`` also answers
-    ``in`` and ``len``.
+    ``in`` and ``len``, and ``add`` indexes its line by its task id.
     ``file`` holds its handles; a ``Workspace`` holds them open.
 
     ``digests`` maps ``register_id -> (last offset, digest)``: the offset of
@@ -190,8 +138,9 @@ class ResultStore:
         except (AttributeError, TypeError, ValueError):
             self.digests = {}
         for offset, line in read_lines(self.path, self.verified):
-            register_id, sequence_index = _head(line, self.path, offset)
-            self.pages.setdefault(register_id, {})[sequence_index] = offset
+            record = parse_line(line, self.path, offset)
+            pages = self.pages.setdefault(record.get("register_id"), {})
+            pages[record.get("sequence_index")] = offset
         self.file = AppendFile(self.path)
 
     def section(self) -> dict:
@@ -216,22 +165,19 @@ class ResultStore:
     def __len__(self) -> int:
         return sum(map(len, self.pages.values()))
 
-    def add(self, task_id: str, payload: dict, text: Optional[str] = None) -> bool:
-        """Append a record unless the key is already present.
+    def add(self, task_id: str, line: bytes) -> bool:
+        """Append ``line``, a record's UTF-8 JSON text with its newline,
+        unless the store holds ``task_id``'s page already.
 
-        ``text``, if given, is the record's JSON text on one line, stored as
-        it is; ``payload`` then needs only the ``register_id`` and
-        ``sequence_index`` that the index keeps. Otherwise ``payload`` is
-        the record, encoded here.
+        Raises:
+            ValueError: if ``task_id`` is not a task id (``parse_task_id``).
         """
+        register_id, sequence_index = parse_task_id(task_id)
         with self._lock:
-            if task_id in self:
+            if sequence_index in self.pages.get(register_id, ()):
                 return False
-            if text is None:
-                text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-            offset = self.file.append((text + "\n").encode("utf-8"))
-            pages = self.pages.setdefault(payload.get("register_id"), {})
-            pages[payload.get("sequence_index")] = offset
+            offset = self.file.append(line)
+            self.pages.setdefault(register_id, {})[sequence_index] = offset
             return True
 
     def records(self) -> list[dict]:
@@ -575,21 +521,13 @@ _PART_HEAD = re.compile(rb'\{"register_id": "([ !#-\[\]-~]*)", "digest": "([0-9a
 
 
 def _part_key(line: bytes) -> Optional[tuple[str, str, int]]:
-    """``(register_id, digest, decoder)`` of a memo line, or None if it has
-    none."""
+    """``(register_id, digest, decoder)`` of a memo line in ``ExportMemo``'s
+    layout, or None for any other line."""
     match = _PART_HEAD.match(line)
-    if match is not None:
-        register_id, digest, decoder = match.groups()
-        return register_id.decode("ascii"), digest.decode("ascii"), int(decoder)
-    try:
-        record = json.loads(line)
-    except ValueError:
+    if match is None:
         return None
-    if isinstance(record, dict):
-        register_id, digest, decoder = (record.get(k) for k in ("register_id", "digest", "decoder"))
-        if isinstance(register_id, str) and isinstance(digest, str) and type(decoder) is int:
-            return register_id, digest, decoder
-    return None
+    register_id, digest, decoder = match.groups()
+    return register_id.decode("ascii"), digest.decode("ascii"), int(decoder)
 
 
 class ExportMemo:
@@ -606,9 +544,9 @@ class ExportMemo:
     points at, and only by the decoder that folded it. This is the
     verifying trace of Mokhov, Mitchell and Peyton Jones, *Build systems à
     la carte* (ICFP 2018). The memo is a cache: a torn tail is
-    skipped and cut as in the other logs, a line that does not parse or
-    whose keys do not match is not used, and deleting the file only makes
-    the next export fold every register again.
+    skipped and cut as in the other logs, a line in any other layout than
+    the one written here, or whose keys do not match, is not used, and
+    deleting the file only makes the next export fold every register again.
 
     Only a ``writable`` memo appends, and only a writer's ``Workspace``
     opens one; ``file`` holds its handles, open for the whole command.
@@ -684,10 +622,10 @@ def export_batch(
     register at a time.
 
     Reads the records ``store`` knows about: every record on disk when it
-    opened plus its own adds, through its ``pages`` index, so the store's
-    head pass is the only one per run; a later record for the same page
-    wins. In registry order, each register whose every image has a record
-    is taken: if the export memo (``ExportMemo``) holds rows for the
+    opened plus its own adds, through its ``pages`` index, so the scan at
+    the store's open is the only one per run; a later record for the same
+    page wins. In registry order, each register whose every image has a
+    record is taken: if the export memo (``ExportMemo``) holds rows for the
     store's digest of its lines (``ResultStore.digest``), they are copied
     without reading the lines when ``store`` holds that digest already;
     otherwise the payloads are folded into rows (``register_rows``), each

@@ -223,21 +223,16 @@ def run_stage_prestage(
 # ---------------------------------------------------------------------------
 
 
-def _task_keys(manifest: TaskManifest) -> dict:
-    """The payload keys that name a task and its image."""
-    image = manifest.image
-    return {"task_id": manifest.task_id, "register_id": image.register.register_id,
-            "page_id": image.iiif_identifier, "sequence_index": image.sequence_index}
-
-
 def build_payload(
     manifest: TaskManifest, page_class: PageClass, label: Optional[str], versions: dict[str, str]
 ) -> dict:
-    """A page's result payload: its task keys, class, the recognizer's
-    label as it returned it (``transcript``, None on a non-LIST page) and
-    the worker versions."""
-    return {**_task_keys(manifest), "page_class": page_class.name, "transcript": label,
-            "worker": versions}
+    """A page's result payload: the keys that name its task and image, its
+    class, the recognizer's label as it returned it (``transcript``, None
+    on a non-LIST page) and the worker versions."""
+    image = manifest.image
+    return {"task_id": manifest.task_id, "register_id": image.register.register_id,
+            "page_id": image.iiif_identifier, "sequence_index": image.sequence_index,
+            "page_class": page_class.name, "transcript": label, "worker": versions}
 
 
 def validate_payload(payload: dict) -> list[str]:
@@ -298,15 +293,16 @@ def run_stage_process(
     append each page's result to ``results_store``.
 
     Each worker builds its page's payload, checks it (``validate_payload``)
-    and returns only its JSON text. The calling thread appends the window's
-    texts to the store in task order, and only then logs each task
-    PROCESSED or FAILED, so a kill while it logs leaves the whole window
-    stored. A list page's payload holds the recognizer's label as it
+    and returns only its JSON line, encoded in UTF-8. The calling thread
+    appends the window's lines to the store in task order, and only then
+    logs each task PROCESSED or FAILED, so a kill while it logs leaves the
+    whole window stored. A list page's payload holds the recognizer's label as it
     returned it, undecoded (export decodes it); non-list pages skip the
     recognizer and yield a payload without a transcript. Worker crashes
     retry up to ``retry_limit`` times before the task fails; a missing
     staged file, a network call from worker code (IsolationViolation) or a
-    payload that breaks the schema (``schema:``) fails it at once.
+    payload that breaks the schema or does not encode (``schema:``) fails
+    it at once.
 
     The store is the witness of a result. A PROCESSING task already stored
     becomes PROCESSED with no worker call; a PROCESSED task missing from the
@@ -343,13 +339,17 @@ def run_stage_process(
         problems = validate_payload(payload)
         if problems:
             return manifest, "schema: " + "; ".join(problems[:3]), attempts, None
-        return manifest, "", attempts, json.dumps(payload, sort_keys=True, ensure_ascii=False)
+        text = json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
+        try:
+            return manifest, "", attempts, text.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which json.loads can return
+            return manifest, "schema: payload is not valid UTF-8", attempts, None
 
     run = [m for m in todo if m.task_id not in results_store]
     outcomes = {}
-    for manifest, reason, attempts, text in scheduler.run("process", run, work):
-        if text is not None:
-            results_store.add(manifest.task_id, _task_keys(manifest), text)
+    for manifest, reason, attempts, line in scheduler.run("process", run, work):
+        if line is not None:
+            results_store.add(manifest.task_id, line)
         outcomes[manifest.task_id] = reason, attempts
     for manifest in todo:
         reason, attempts = outcomes.get(manifest.task_id, ("", None))

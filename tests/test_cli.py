@@ -974,6 +974,45 @@ class TestOldStoreFormat:
         assert f"line at byte {offset} (register {payload['register_id']!r})" in result.output
 
 
+class TestCorruptLine:
+    """A whole line of the result store or the task log that is not JSON,
+    where no checkpoint vouches for it, makes every command that reads the
+    file exit 1 with one error naming the file and the line's byte offset."""
+
+    @pytest.mark.parametrize("name, command", [
+        ("results_store.ndjson", "run"),
+        ("results_store.ndjson", "export"),
+        ("tasks.ndjson", "run"),
+        ("tasks.ndjson", "status"),
+        ("tasks.ndjson", "plan"),
+    ], ids=["store-run", "store-export", "log-run", "log-status", "log-plan"])
+    def test_exits_one_naming_the_line(self, runner, tmp_path, name, command):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        assert runner.invoke(main, run).exit_code == 0
+        (workspace / "checkpoint.json").unlink()
+        path = workspace / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        offset = sum(map(len, lines[:3]))
+        path.write_bytes(b"".join(lines[:3]) + b"{not json\n" + b"".join(lines[4:]))
+        before = snapshot(workspace), (workspace / "households.csv").read_bytes()
+        argv = {
+            "run": run,
+            "export": ["export", "--workspace", str(workspace),
+                       "--households", str(tmp_path / "out.csv")],
+            "status": ["status", "--workspace", str(workspace)],
+            "plan": ["plan", "--registry", str(corpus / "registry.ndjson"),
+                     "--workspace", str(workspace)],
+        }[command]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert f"error: {path}: line at byte {offset} is not a JSON object" in result.output
+        assert "Traceback" not in result.output
+        assert (snapshot(workspace), (workspace / "households.csv").read_bytes()) == before
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestEvaluateCommand:
     def test_no_matching_pages_exits_one(self, runner, tmp_path):
         truth = tmp_path / "truth"

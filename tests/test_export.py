@@ -48,7 +48,7 @@ from censusflow.label_codec import DECODER_VERSION, SyntheticProfile, decode_fie
 from censusflow.pipeline import LocalExecutor, ResultStore, RunConfig, export_batch, run_batch
 from censusflow.pipeline.manifests import AppendFile, CorruptLine, read_ndjson, task_id_for
 from censusflow.pipeline.runner import (
-    MEMO_NAME, STORE_NAME, ExportMemo, Workspace, _complete, _head, register_rows,
+    MEMO_NAME, STORE_NAME, ExportMemo, Workspace, _complete, register_rows,
 )
 from censusflow.pipeline.stages import payload_transcript
 import censusflow.pipeline.runner as runner_module
@@ -224,7 +224,7 @@ class TestStreamingExportAgainstOracle:
 
 
 # ---------------------------------------------------------------------------
-# Reading only record heads
+# Opening a store
 # ---------------------------------------------------------------------------
 
 _text = st.text(max_size=12) | st.sampled_from(["", '"', "\\", "\\u0041", "é", "task_id", "\x01"])
@@ -236,20 +236,20 @@ _index = (
     | st.booleans()
     | st.none()
 )
-# Strings the head read takes as they are: no quote, backslash or control
-# character, so JSON writes them without escapes.
+# Strings without a quote, backslash or control character, which JSON
+# writes without escapes.
 _plain = st.text(st.characters(blacklist_characters='"\\', blacklist_categories=("Cc", "Cs")),
                  max_size=12)
 _VARIANTS = ["stage", "stage", "permuted", "duplicate", "spaced", "ascii", "escaped-key"]
-# Labels whose JSON holds escapes, and text that looks like a head key.
+# Labels whose JSON holds escapes, and text that looks like an indexed key.
 _labels = st.sampled_from(["<s-h>Gendre <f>Pierre\n<s>Martin", 'a "register_id": "z"\\',
                            '<f>x_i\n\t"', ""])
 
 
 @st.composite
 def record_lines(draw) -> bytes:
-    """A JSON object text with the head keys: laid out as the process stage
-    writes it, or with one variation on that layout."""
+    """A JSON object text with the keys of a result payload: laid out as the
+    process stage writes it, or with one variation on that layout."""
     text = draw(st.sampled_from([_plain, _text]))
     record = {
         "page_class": draw(st.sampled_from(["LIST", "TOTALS"]) | text),
@@ -284,70 +284,41 @@ def record_lines(draw) -> bytes:
     return ("{" + body + "}").encode("utf-8")
 
 
-class TestHeadRead:
-    @given(record_lines())
-    @settings(max_examples=1000, deadline=None)
-    def test_matches_json_loads(self, line):
+def fold_pages(lines: list[bytes]) -> dict:
+    """The page index of a store holding ``lines``: the later-wins fold of
+    ``json.loads`` over every line, keyed by the values it gives."""
+    pages, offset = {}, 0
+    for line in lines:
         record = json.loads(line)
-        want = (record.get("register_id"), record.get("sequence_index"))
-        got = _head(line + b"\n")
-        assert got == want
-        assert [type(v) for v in got] == [type(v) for v in want]
+        pages.setdefault(record.get("register_id"), {})[record.get("sequence_index")] = offset
+        offset += len(line)
+    return pages
 
-    @pytest.mark.parametrize("line, want", [
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "x": 1, "register_id": "s"}', ("s", 3)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "r\\u0065gister_id": "u"}', ("u", 3)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "sequence\\u005findex": 4}', ("r", 4)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r\\"", "sequence_index": 3, '
-         b'"task_id": "t"}', ('r"', 3)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3.0, '
-         b'"task_id": "t"}', ("r", 3.0)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": -1, '
-         b'"task_id": "t"}', ("r", -1)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": "3", '
-         b'"task_id": "t"}', ("r", "3")),
-        ('{"page_class": "LIST", "page_id": "p", "register_id": "ré", "sequence_index": 3, '
-         '"task_id": "tß"}'.encode(), ("ré", 3)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": 7}', ("r", 3)),
-        (b'{"task_id": "t"}', (None, None)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "transcript": "<f>A\\n\\"register_id\\": \\"z\\"", "worker": {}}',
-         ("r", 3)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "transcript": "<f>A\\n", "register_id": "s"}', ("s", 3)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "transcript": "<f>A\\n", "r\\u0065gister_id": "u"}', ("u", 3)),
-        (b'{"page_class": "LIST", "page_id": "p", "register_id": "r", "sequence_index": 3, '
-         b'"task_id": "t", "transcript": "<f>A\\\\", "register_id": "s"}', ("s", 3)),
-    ], ids=["duplicate", "escaped-duplicate", "escaped-underscore-duplicate", "escape", "float", "negative", "string",
-            "non-ascii", "task-id-not-a-string", "missing", "label-with-key-text",
-            "duplicate-after-label", "escaped-duplicate-after-label",
-            "duplicate-after-a-label-ending-in-a-backslash"])
-    def test_edge_cases(self, line, want):
-        got = _head(line + b"\n")
-        assert got == want and [type(v) for v in got] == [type(v) for v in want]
 
-    def test_stage_layout_is_read_without_parsing(self, monkeypatch):
-        # The fast path is what makes store open cheap: a line laid out as
-        # the process stage writes it must not reach json.loads.
-        import censusflow.pipeline.runner as runner
+def typed(pages: dict) -> list:
+    """``pages`` with the type of every key, since ``1 == 1.0 == True``."""
+    return [(type(r), r, [(type(s), s, offset) for s, offset in offsets.items()])
+            for r, offsets in pages.items()]
 
-        image = make_registry([2]).registers[0].images[1]
-        # Its JSON escapes newlines, quotes and backslashes, and it holds "_i".
-        label = '<s-h>Gendre <o>métayer\n<s>Say "x" <f>a\\b\n<zz>x_i'
-        payload = payload_for(image, "LIST", label)
-        line = stage_line(payload).encode("utf-8") + b"\n"
-        assert b"\\n" in line and b"\\\\" in line
 
-        def no_parse(*args, **kwargs):
-            raise AssertionError("json.loads called")
-
-        monkeypatch.setattr(runner.json, "loads", no_parse)
-        assert _head(line) == (image.register.register_id, 1)
+class TestStoreOpen:
+    @given(st.lists(record_lines(), max_size=8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_index_is_the_fold_of_json_loads(self, lines, data):
+        """With no checkpoint section, and with one over a whole-line
+        prefix of the store and the rest as its tail."""
+        lines = [line + b"\n" for line in lines]
+        want = typed(fold_pages(lines))
+        cut = data.draw(st.integers(min_value=0, max_value=len(lines)), label="cut")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / STORE_NAME
+            path.write_bytes(b"".join(lines[:cut]))
+            section = ResultStore(path).section()
+            path.write_bytes(b"".join(lines))
+            assert typed(ResultStore(path).pages) == want
+            opened = ResultStore(path, section)
+            assert opened.verified == sum(map(len, lines[:cut]))
+            assert typed(opened.pages) == want
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +591,8 @@ class TestStoreIndex:
         assert out.read_bytes() == finished.households_path.read_bytes()
 
     def test_adds_keep_the_index(self, tmp_path):
-        """Adds after a torn tail, and a later record for a page already
-        stored under another task id, index as a fresh open does."""
+        """Adds after a torn tail index as a fresh open does; an add for a
+        page already stored is a no-op."""
         rng = random.Random(5)
         registry = make_registry([3, 2])
         images = list(registry.iter_images())
@@ -631,9 +602,8 @@ class TestStoreIndex:
         store = ResultStore(path)
         for image in images[1:] + [images[0]]:
             payload = random_page(rng, image)
-            if image is images[0]:
-                payload["task_id"] += "-again"
-            assert store.add(payload["task_id"], payload, stage_line(payload))
+            line = (stage_line(payload) + "\n").encode("utf-8")
+            assert store.add(payload["task_id"], line) is (image is not images[0])
         fresh = ResultStore(path)
         assert store.pages == fresh.pages and len(store) == len(fresh) == len(images)
         export_batch(registry, store, tmp_path / "own.csv")
@@ -648,6 +618,9 @@ class TestStoreIndex:
 
 class TestCorruptLines:
     def test_corrupt_record_with_readable_head_names_its_register(self, finished):
+        """A record whose head the process stage's layout would still show,
+        corrupt after it, stops the store open: the error names its file
+        and byte offset, which hold the register's line."""
         data = finished.store_path.read_bytes()
         lines = data.splitlines(keepends=True)
         k = max(range(len(lines)), key=lambda i: len(lines[i]))  # a LIST record
@@ -657,13 +630,11 @@ class TestCorruptLines:
         before = finished.households_path.read_bytes()
         listing = sorted(p.name for p in finished.workspace.iterdir())
 
-        store = ResultStore(finished.store_path)
-        assert len(store) == len(lines)
-        register_id = json.loads(lines[k])["register_id"]
         with pytest.raises(CorruptLine) as info:
-            export_batch(finished.registry, store, finished.households_path)
+            ResultStore(finished.store_path)
         assert (info.value.path, info.value.offset) == (finished.store_path, offset)
-        assert info.value.register_id == register_id and repr(register_id) in str(info.value)
+        assert f"byte {offset}" in str(info.value)
+        assert lines[k].index(b'"task_id"') < middle - offset  # after the indexed keys
         assert finished.households_path.read_bytes() == before
         assert sorted(p.name for p in finished.workspace.iterdir()) == listing
 
@@ -698,9 +669,21 @@ def no_fold(*args, **kwargs):
     raise AssertionError("register folded")
 
 
+def count_folds(monkeypatch) -> list[str]:
+    """Have the fold list the id of each register it folds; returns the list."""
+    folded = []
+
+    def counted(register_id, payloads):
+        folded.append(register_id)
+        return register_rows(register_id, payloads)
+
+    monkeypatch.setattr(runner_module, "register_rows", counted)
+    return folded
+
+
 class TestMemoAgainstOracle:
     @pytest.mark.parametrize("case", ["as-left", "superseded", "torn-tail", "stale-digest",
-                                      "corrupt-lines", "deleted"])
+                                      "corrupt-lines", "reordered-keys", "deleted"])
     @pytest.mark.parametrize("seed", range(8))
     def test_random_stores(self, tmp_path, monkeypatch, seed, case):
         rng = random.Random(seed)
@@ -722,13 +705,20 @@ class TestMemoAgainstOracle:
             memo.write_text("".join(json.dumps(r) + "\n" for r in stale), encoding="ascii")
         elif case == "corrupt-lines":
             memo.write_bytes(b"{not json\n[1]\n" + b"".join(lines) + b'{"csv": 1}\n')
+        elif case == "reordered-keys":  # the same records in another layout: not used
+            memo.write_text("".join(json.dumps(dict(sorted(json.loads(line).items()))) + "\n"
+                                    for line in lines), encoding="ascii")
         elif case == "deleted":
             memo.unlink()
         if case in ("as-left", "torn-tail", "corrupt-lines"):
             monkeypatch.setattr(runner_module, "register_rows", no_fold)
+        folded = count_folds(monkeypatch) if case == "reordered-keys" else None
         before = memo.read_bytes() if memo.exists() else None
 
         got = export_batch(registry, ResultStore(path), tmp_path / "households.csv")
+        if case == "reordered-keys":
+            assert folded == [r.metadata.register_id for r in registry.registers
+                              if _complete(r, ResultStore(path).pages)]
         want = oracle_export(registry, ResultStore(path), tmp_path / "oracle.csv")
         assert got == want
         assert (tmp_path / "households.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -759,13 +749,7 @@ class TestDecoderVersion:
         def no_hash(*args, **kwargs):
             raise AssertionError("register digest taken again")
 
-        folded = []
-
-        def counted(register_id, payloads):
-            folded.append(register_id)
-            return register_rows(register_id, payloads)
-
-        monkeypatch.setattr(runner_module, "register_rows", counted)
+        folded = count_folds(monkeypatch)
         monkeypatch.setattr(runner_module, "decode_fields", upper)
         # The store's digests come from checkpoint.json, never from a hash.
         monkeypatch.setattr(runner_module.hashlib, "blake2b", no_hash)
@@ -831,13 +815,7 @@ class TestMemoAcrossKill:
                 if r.metadata.register_id not in done]
         assert done and left
 
-        folded = []
-
-        def counted(register_id, payloads):
-            folded.append(register_id)
-            return register_rows(register_id, payloads)
-
-        monkeypatch.setattr(runner_module, "register_rows", counted)
+        folded = count_folds(monkeypatch)
         report = run_batch(config(workspace))
         assert sorted(folded) == sorted(left)
         assert Path(report.households_csv).read_bytes() == Path(reference.households_csv).read_bytes()

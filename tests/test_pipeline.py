@@ -500,7 +500,7 @@ class TestIntegrate:
         # Fresh store over the same file simulates a resumed integrator.
         resumed = store_of(ctx)
         for manifest in manifests:
-            resumed.add(manifest.task_id, {"task_id": manifest.task_id})
+            assert not resumed.add(manifest.task_id, b'{"task_id": "again"}\n')
         assert resumed.records() == records_before
 
     def test_schema_violation_fails_task(self, tmp_path, corpus, ctx, monkeypatch):
@@ -685,6 +685,35 @@ class TestRunBatch:
         assert again.counts == report.counts
         assert (config.workspace / "tasks.ndjson").read_bytes() == log_before
         assert config.store_path.read_bytes() == store_before
+
+    def test_label_that_does_not_encode_fails_only_its_task(self, tmp_path, corpus):
+        """A label holding a lone surrogate, as ``json.loads`` may return
+        one, has no UTF-8 form: its task fails at process on the first
+        attempt, and the run stores and exports every other page."""
+        image = corpus.registry.registers[0].images[1]
+        victim_bytes = (corpus.root / "images" / f"{image.iiif_identifier}.json").read_bytes()
+        workers = mock_worker_set(seed=0)
+        recognizer = workers.recognizer
+
+        class Recognizer:
+            version = recognizer.version
+
+            def recognize(self, image_bytes):
+                label = recognizer.recognize(image_bytes)
+                return label + "<f>\ud800" if image_bytes == victim_bytes else label
+
+        workers.recognizer = Recognizer()
+        config = run_config(tmp_path, corpus, workers=workers)
+        report = run_batch(config)
+        assert report.failed_tasks == [
+            (task_id_for(image), "process", "schema: payload is not valid UTF-8")]
+        assert report.counts["INTEGRATED"] == corpus.image_count - 1
+        (failed,) = [m for m in TransitionLog(config.workspace).load_all()
+                     if m.state is TaskState.FAILED]
+        assert failed.attempts == {"process": 1}
+        assert task_id_for(image) not in ResultStore(config.store_path)
+        assert Path(report.households_csv).is_file()
+        assert report.registers_exported == len(corpus.registry.registers) - 1
 
     def test_kill_while_logging_processed_leaves_the_window_stored(self, tmp_path, corpus):
         """A kill at the second PROCESSED transition of a window: the
@@ -890,10 +919,10 @@ class TestRunBatch:
         assert log_path.read_bytes() == torn_log
         assert config.store_path.read_bytes() == torn_store
 
-        store.add("new", {"task_id": "new"})
+        assert store.add("new-p0000", b'{"task_id": "new-p0000"}\n')
         TransitionLog(workspace).append({"task_id": "new"})
         assert config.store_path.read_bytes() == torn_store[: torn_store.rindex(b"\n") + 1] + (
-            b'{"task_id": "new"}\n'
+            b'{"task_id": "new-p0000"}\n'
         )
         assert log_path.read_bytes() == torn_log[: torn_log.rindex(b"\n") + 1] + (
             b'{"task_id": "new"}\n'
