@@ -20,6 +20,7 @@ import click
 
 from . import __version__, fixtures, iiif, ingest, metrics, simulate as simulate_mod
 from .domain import write_fixture
+from .household import BadTranscript
 from .pipeline import (
     EmptySelection,
     ExternalProcessWorker,
@@ -518,7 +519,7 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
         return
     try:
         report = run_batch(run_config)
-    except (WorkspaceBusy, OldStoreFormat, CorruptLine) as exc:
+    except (WorkspaceBusy, OldStoreFormat, CorruptLine, BadTranscript) as exc:
         _fail(str(exc))
     _echo_counts(report.counts)
     if report.households_csv:
@@ -565,8 +566,9 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
 
     Opens the store from the checkpoint's store section, as ``status`` folds
     the log, and writes nothing in the workspace. Each page's label is
-    decoded leniently; a store line that is not JSON, or a store written by
-    an earlier version, which holds decoded transcripts instead, exits 1.
+    decoded leniently; a store line that is not JSON, a record whose
+    transcript does not fit its page class, or a store written by an
+    earlier version, which holds decoded transcripts instead, exits 1.
     """
     if not households_path and not pages_dir:
         raise click.UsageError("nothing to export: pass --households and/or --pages")
@@ -597,7 +599,7 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
                             write_fixture([transcript], out / name)
                             count += 1
                 click.echo(f"wrote {count} transcript pages to {pages_dir}")
-        except (OldStoreFormat, CorruptLine) as exc:
+        except (OldStoreFormat, CorruptLine, BadTranscript) as exc:
             _fail(str(exc))
 
 

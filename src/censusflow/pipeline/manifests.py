@@ -188,13 +188,14 @@ def read_lines(path: Path, start: int = 0) -> Iterator[tuple[int, bytes]]:
 
 
 class CorruptLine(ValueError):
-    """A whole line of an NDJSON file that is not a JSON object."""
+    """A whole line of an NDJSON file that is not a JSON object, or a
+    record that its reader cannot index; ``reason`` says which."""
 
     def __init__(
         self, path: str | Path, offset: int, reason: str, register_id: Optional[str] = None
     ):
         where = "" if register_id is None else f" (register {register_id!r})"
-        super().__init__(f"{path}: line at byte {offset}{where} is not a JSON object: {reason}")
+        super().__init__(f"{path}: line at byte {offset}{where} {reason}")
         self.path = path
         self.offset = offset
         self.register_id = register_id
@@ -213,9 +214,10 @@ def parse_line(
         # Decoding first spares json.loads its encoding detection on bytes.
         record = json.loads(line.decode("utf-8"))
     except ValueError as exc:  # also UnicodeDecodeError
-        raise CorruptLine(path, offset, str(exc), register_id) from None
+        raise CorruptLine(path, offset, f"is not a JSON object: {exc}", register_id) from None
     if not isinstance(record, dict):
-        raise CorruptLine(path, offset, f"a JSON {type(record).__name__}", register_id)
+        raise CorruptLine(path, offset, f"is not a JSON object: a JSON {type(record).__name__}",
+                          register_id)
     return record
 
 

@@ -47,7 +47,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from ..domain import NAME_FOR_TAG, EntityTag, PageClass
-from ..household import EXPORT_COLUMNS, MissingTranscript, csv_text, write_export
+from ..household import (
+    EXPORT_COLUMNS, BadTranscript, MissingTranscript, csv_text, write_export,
+)
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
 from ..label_codec import DECODER_VERSION, decode_fields
@@ -57,6 +59,7 @@ from .manifests import (
     STORE_NAME,
     TERMINAL_STATES,
     AppendFile,
+    CorruptLine,
     FilePrefix,
     PipelineContext,
     TaskManifest,
@@ -96,7 +99,9 @@ class ResultStore:
 
     A torn last line is skipped on read and cut before the first add, as
     in the task log. Opening a store parses each record it reads; a whole
-    line that is not a JSON object stops the open (``CorruptLine``).
+    line that is not a JSON object, or whose ``register_id`` or
+    ``sequence_index`` is an array or an object, stops the open
+    (``CorruptLine``).
 
     ``pages`` maps ``register_id -> {sequence_index: byte offset}`` of the
     line that holds each page's record, a later line winning over an
@@ -139,8 +144,12 @@ class ResultStore:
             self.digests = {}
         for offset, line in read_lines(self.path, self.verified):
             record = parse_line(line, self.path, offset)
-            pages = self.pages.setdefault(record.get("register_id"), {})
-            pages[record.get("sequence_index")] = offset
+            try:
+                pages = self.pages.setdefault(record.get("register_id"), {})
+                pages[record.get("sequence_index")] = offset
+            except TypeError:  # unhashable: a JSON array or object
+                raise CorruptLine(self.path, offset, "cannot be indexed: its register_id or "
+                                  "sequence_index is an array or an object") from None
         self.file = AppendFile(self.path)
 
     def section(self) -> dict:
@@ -476,7 +485,8 @@ def register_rows(register_id: str, payloads: Iterable[dict]) -> list[list]:
 
     Raises:
         MissingTranscript: if a LIST page carries no transcript.
-        ValueError: if a non-LIST page carries one.
+        BadTranscript: if a LIST page's transcript is not a string, or a
+            non-LIST page carries one.
     """
     blank = [""] * len(EXPORT_COLUMNS)
     blank[0] = register_id
@@ -488,11 +498,14 @@ def register_rows(register_id: str, payloads: Iterable[dict]) -> list[list]:
         label = payload.get("transcript")
         if PageClass[payload["page_class"]] is not PageClass.LIST:
             if label is not None:
-                raise ValueError(f"non-LIST page {page_id!r} cannot carry a transcript")
+                raise BadTranscript(page_id, f"a {payload['page_class']} page cannot carry "
+                                    f"a transcript", register_id)
             is_open = False
             continue
         if label is None:
-            raise MissingTranscript(page_id)
+            raise MissingTranscript(page_id, register_id)
+        if not isinstance(label, str):
+            raise BadTranscript(page_id, "LIST page transcript is not a string", register_id)
         for row_index, fields in enumerate(decode_fields(label)):
             row = blank.copy()
             for tag, text in fields.items():
@@ -583,7 +596,8 @@ class ExportMemo:
         Raises:
             CorruptLine: if a record of the register is not a JSON object.
             OldStoreFormat: if a record's transcript is a JSON object.
-            MissingTranscript: if a LIST page carries no transcript.
+            BadTranscript: if a record's transcript does not fit its page
+                class (``register_rows``); MissingTranscript is one.
         """
         digest, lines = self.store.digest(register_id)
         key = register_id, digest, DECODER_VERSION
@@ -646,6 +660,9 @@ def export_batch(
             object; the message names the register, file and byte offset.
         OldStoreFormat: if a record of a complete register holds a
             transcript object; the message names the same.
+        BadTranscript: if a record of a complete register has a
+            transcript that does not fit its page class; the message names
+            the register and page.
     """
     memo = ExportMemo(store)
     with store.file, memo.file:

@@ -10,8 +10,13 @@ reads the sorted arrival times from the stage before and yields sorted
 completion times, keeping only the completion times of the jobs in service
 and a count of waiting jobs (the Lindley recursion for c servers, chained
 into a tandem as in Baccelli, Cohen, Olsder and Quadrat, *Synchronization
-and Linearity*, 1992). Memory is O(workers) whatever the batch size. A
-server that frees at the instant of an arrival serves a waiting job first.
+and Linearity*, 1992). A stochastic stage keeps those completion times in a
+heap. A deterministic stage keeps them in a FIFO ring: jobs that all take
+the same time finish in the order they start, so the job that frees a
+server is the one that started ``workers`` jobs earlier
+(d_i = max(a_i, d_{i-c}) + s). Both give the same times and counts, and
+memory is O(workers) whatever the batch size. A server that frees at the
+instant of an arrival serves a waiting job first.
 
 Service times are deterministic by default (only means are usually known);
 exponential and lognormal options support sensitivity runs. All stochastic
@@ -187,19 +192,73 @@ def _fifo_stage(
     stats.update(busy=busy, max_queue=max_queue, first_start=first_start, last_completion=f)
 
 
+def _fixed_stage(
+    arrivals: Iterable[float],
+    workers: int,
+    service_time: float,
+    stats: dict,
+) -> Iterator[float]:
+    """:func:`_fifo_stage` for a stage whose every job takes ``service_time``.
+
+    Jobs finish in the order they start, so the jobs in service sit in a
+    FIFO ring of completion times, oldest first, and no draw is made. The
+    events, their order and the float operations are those of
+    :func:`_fifo_stage`, so the yielded times and ``stats`` are identical,
+    and completions are yielded as lazily, which keeps the draws of chained
+    stochastic stages in the same order.
+    """
+    free: deque[float] = deque()  # completion times of the jobs in service
+    pop, push = free.popleft, free.append
+    waiting = 0
+    busy = 0.0
+    max_queue = 0
+    arrivals = iter(arrivals)
+    first_start = next(arrivals)
+    for a in chain((first_start,), arrivals):
+        while free and free[0] <= a:
+            f = pop()
+            if waiting:
+                waiting -= 1
+                busy += service_time
+                push(f + service_time)
+            yield f
+        if waiting >= max_queue:
+            max_queue = waiting + 1
+        if len(free) < workers:
+            busy += service_time
+            push(a + service_time)
+        else:
+            waiting += 1
+    # Drain: every server frees in turn and serves the jobs still waiting.
+    while waiting:
+        f = pop()
+        waiting -= 1
+        busy += service_time
+        push(f + service_time)
+        yield f
+    yield from free
+    stats.update(busy=busy, max_queue=max_queue, first_start=first_start,
+                 last_completion=free[-1])
+
+
 def _run_pipeline(
     n: int,
     stages: Sequence[StageModel],
     samplers: Sequence[Callable[[], float]],
     start_time: float,
 ) -> tuple[float, list[dict]]:
-    """Run a tandem as a chain of :func:`_fifo_stage` generators, all jobs
-    queued at stage 0 at ``start_time``. Returns (last completion time,
-    per-stage stats)."""
+    """Run a tandem as a chain of stage generators, all jobs queued at
+    stage 0 at ``start_time``: :func:`_fixed_stage` (a FIFO ring) for a
+    deterministic stage, :func:`_fifo_stage` (a heap) for a stochastic one,
+    each in O(workers) memory. Returns (last completion time, per-stage
+    stats)."""
     stats: list[dict] = [{} for _ in stages]
     times: Iterable[float] = repeat(start_time, n)
     for stage, draw, out in zip(stages, samplers, stats):
-        times = _fifo_stage(times, stage.workers, draw, out)
+        if stage.distribution == "deterministic":
+            times = _fixed_stage(times, stage.workers, stage.service_time, out)
+        else:
+            times = _fifo_stage(times, stage.workers, draw, out)
     deque(times, maxlen=0)
     stats[0]["max_queue"] = n  # every job is queued at stage 0 at the start
     return stats[-1]["last_completion"], stats

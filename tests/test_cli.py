@@ -1012,6 +1012,66 @@ class TestCorruptLine:
         assert (snapshot(workspace), (workspace / "households.csv").read_bytes()) == before
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "export"])
+    def test_unhashable_index_key(self, runner, tmp_path, command):
+        """A store record whose register_id is an array, appended after the
+        checkpoint, exits 1 with one error naming the file and offset."""
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        assert runner.invoke(main, run).exit_code == 0
+        path = workspace / "results_store.ndjson"
+        payload = json.loads(path.read_bytes().splitlines()[0])
+        offset = path.stat().st_size
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(dict(payload, register_id=[payload["register_id"]])) + "\n")
+        argv = run if command == "run" else [
+            "export", "--workspace", str(workspace), "--households", str(tmp_path / "out.csv")]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert f"error: {path}: line at byte {offset} cannot be indexed" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestBadTranscript:
+    """A stored record whose transcript does not fit its page class makes
+    the household export of ``export`` and ``run`` exit 1 with one error
+    naming the register and page."""
+
+    @pytest.mark.parametrize("case", ["list-without", "list-not-string", "other-with"])
+    @pytest.mark.parametrize("command", ["run", "export"])
+    def test_exits_one_naming_the_page(self, runner, tmp_path, case, command):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        assert runner.invoke(main, run).exit_code == 0
+        path = workspace / "results_store.ndjson"
+        payloads = [json.loads(line) for line in path.read_bytes().splitlines()]
+        if case == "list-without":
+            payload = next(p for p in payloads if p["page_class"] == "LIST")
+            bad, reason = dict(payload, transcript=None), "LIST page has no transcript"
+        elif case == "list-not-string":
+            payload = next(p for p in payloads if p["page_class"] == "LIST")
+            bad, reason = dict(payload, transcript=7), "LIST page transcript is not a string"
+        else:
+            payload = next(p for p in payloads if p["page_class"] != "LIST")
+            bad = dict(payload, transcript="<s>Gendre ")
+            reason = f"a {payload['page_class']} page cannot carry a transcript"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        csv_before = (workspace / "households.csv").read_bytes()
+        argv = run if command == "run" else [
+            "export", "--workspace", str(workspace), "--households", str(tmp_path / "out.csv")]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        want = (f"error: register {payload['register_id']!r}, "
+                f"page {payload['page_id']!r}: {reason}")
+        assert [line for line in result.output.splitlines() if line.startswith("error:")] == [want]
+        assert "Traceback" not in result.output
+        assert (workspace / "households.csv").read_bytes() == csv_before
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestEvaluateCommand:
     def test_no_matching_pages_exits_one(self, runner, tmp_path):

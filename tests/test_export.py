@@ -651,6 +651,23 @@ class TestCorruptLines:
             assert (info.value.path, info.value.offset) == (path, len(first))
             assert f"byte {len(first)}" in str(info.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("register_id", ["1836-03013-6m1"]), ("register_id", {"id": "x"}),
+        ("sequence_index", [0]), ("sequence_index", {}),
+    ], ids=["register-array", "register-object", "sequence-array", "sequence-object"])
+    def test_unhashable_index_key(self, tmp_path, key, value):
+        """A JSON object whose register_id or sequence_index cannot key the
+        page index stops the open with CorruptLine, not TypeError."""
+        image = make_registry([1]).registers[0].images[0]
+        first = stage_line(payload_for(image, "TOTALS", None)).encode("utf-8") + b"\n"
+        bad = dict(payload_for(image, "TOTALS", None), **{key: value})
+        path = tmp_path / "store.ndjson"
+        path.write_bytes(first + stage_line(bad).encode("utf-8") + b"\n")
+        with pytest.raises(CorruptLine) as info:
+            ResultStore(path)
+        assert (info.value.path, info.value.offset) == (path, len(first))
+        assert f"{path}: line at byte {len(first)} cannot be indexed" in str(info.value)
+
 
 # ---------------------------------------------------------------------------
 # The export memo

@@ -19,7 +19,7 @@ from censusflow.simulate import (
     simulate,
     single_image_latency,
 )
-from censusflow.simulate import _run_pipeline
+from censusflow.simulate import _fifo_stage, _fixed_stage, _run_pipeline
 import censusflow.simulate as simulate_module
 
 
@@ -351,10 +351,12 @@ class TestPipelineAgainstEventLoop:
         _, oracle = _run_tandem(4, stages, [s.sampler(random.Random(0)) for s in stages], 0.0)
         assert oracle[1]["max_queue"] == 2
 
-    def test_peak_memory_does_not_grow_with_batch_size(self):
+    @pytest.mark.parametrize("distribution", ["deterministic", "lognormal"])
+    def test_peak_memory_does_not_grow_with_batch_size(self, distribution):
+        cv = 0.3 if distribution == "lognormal" else 0.0
         stages = [
             StageModel("pre", 1.6, 14),
-            StageModel("proc", 12.5, 9, distribution="lognormal", cv=0.3),
+            StageModel("proc", 12.5, 9, distribution=distribution, cv=cv),
             StageModel("post", 7.2, 14),
         ]
 
@@ -368,6 +370,45 @@ class TestPipelineAgainstEventLoop:
 
         small = peak(1_000)
         assert peak(100_000) < small + 8 * 1024
+
+
+class TestFixedStage:
+    """The FIFO ring of a deterministic stage against the heap it replaces."""
+
+    @pytest.mark.parametrize("workers", range(1, 15))
+    def test_same_completions_and_stats_as_heap(self, workers):
+        # Arrivals on a coarse grid repeat and land on completion times, so
+        # ties between a freeing server and an arrival are frequent.
+        rng = random.Random(workers)
+        for _ in range(40):
+            service_time = rng.choice((0.5, 1.0, 1.5, 2.0, 3.0, rng.uniform(0.1, 4.0)))
+            arrivals = sorted(rng.choice((0.5, 1.0)) * rng.randint(0, 40)
+                              for _ in range(rng.randint(1, 120)))
+            fixed_stats, heap_stats = {}, {}
+            fixed = list(_fixed_stage(iter(arrivals), workers, service_time, fixed_stats))
+            heap = list(_fifo_stage(iter(arrivals), workers, lambda: service_time, heap_stats))
+            assert fixed == heap
+            assert fixed_stats == heap_stats
+
+    def test_pulls_arrivals_as_the_heap_does(self):
+        # The count of arrivals pulled before each completion is yielded:
+        # a chained stochastic stage draws in this order.
+        def pulls(stage, arrivals):
+            taken = []
+
+            def source():
+                for a in arrivals:
+                    taken.append(a)
+                    yield a
+
+            return [len(taken) for _ in stage(source())]
+
+        rng = random.Random(3)
+        for workers in (1, 2, 5):
+            arrivals = sorted(rng.randint(0, 30) * 0.5 for _ in range(80))
+            fixed = pulls(lambda src: _fixed_stage(src, workers, 1.5, {}), arrivals)
+            heap = pulls(lambda src: _fifo_stage(src, workers, lambda: 1.5, {}), arrivals)
+            assert fixed == heap
 
 
 class TestMinWorkers:
