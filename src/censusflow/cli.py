@@ -20,7 +20,6 @@ import click
 
 from . import __version__, fixtures, iiif, ingest, metrics, simulate as simulate_mod
 from .domain import write_fixture
-from .household import BadTranscript
 from .pipeline import (
     EmptySelection,
     ExternalProcessWorker,
@@ -33,7 +32,7 @@ from .pipeline import (
     run_batch,
 )
 from .pipeline.manifests import CorruptLine, WorkspaceBusy
-from .pipeline.runner import STAGES, OldStoreFormat, Workspace, state_counts
+from .pipeline.runner import STAGES, Workspace, state_counts
 from .pipeline.stages import payload_transcript, select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
 
@@ -142,8 +141,9 @@ def _echo_counts(counts: dict[str, int]) -> None:
 def parse_stage_spec(spec: str) -> simulate_mod.StageModel:
     """``name:service_s:workers[:distribution[:cv]]``; workers may be ``?``."""
     parts = spec.split(":")
-    if len(parts) < 3:
-        raise click.BadParameter(f"stage spec needs name:time:workers, got {spec!r}")
+    if not 3 <= len(parts) <= 5:
+        raise click.BadParameter(
+            f"stage spec is name:time:workers[:distribution[:cv]], got {spec!r}")
     name, time_s, workers = parts[0], parts[1], parts[2]
     distribution = parts[3] if len(parts) > 3 else "deterministic"
     aliases = {"det": "deterministic", "exp": "exponential", "lognorm": "lognormal"}
@@ -519,7 +519,7 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
         return
     try:
         report = run_batch(run_config)
-    except (WorkspaceBusy, OldStoreFormat, CorruptLine, BadTranscript) as exc:
+    except (WorkspaceBusy, CorruptLine) as exc:
         _fail(str(exc))
     _echo_counts(report.counts)
     if report.households_csv:
@@ -566,9 +566,11 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
 
     Opens the store from the checkpoint's store section, as ``status`` folds
     the log, and writes nothing in the workspace. Each page's label is
-    decoded leniently; a store line that is not JSON, a record whose
-    transcript does not fit its page class, or a store written by an
-    earlier version, which holds decoded transcripts instead, exits 1.
+    decoded leniently. A store line that is not JSON, or whose record does
+    not fit the result schema, exits 1 with one error naming its byte
+    offset; so does a store written by an earlier version, which holds
+    decoded transcripts instead. Pages already written for earlier
+    registers stay.
     """
     if not households_path and not pages_dir:
         raise click.UsageError("nothing to export: pass --households and/or --pages")
@@ -599,7 +601,7 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
                             write_fixture([transcript], out / name)
                             count += 1
                 click.echo(f"wrote {count} transcript pages to {pages_dir}")
-        except (OldStoreFormat, CorruptLine, BadTranscript) as exc:
+        except CorruptLine as exc:
             _fail(str(exc))
 
 

@@ -14,7 +14,7 @@ import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .domain import (
     FIELD_ORDER,
@@ -27,22 +27,12 @@ from .domain import (
 )
 
 
-class BadTranscript(ValueError):
-    """A page whose transcript does not fit its page class; the message
-    names the page and, when given, its register."""
-
-    def __init__(self, page_id: str, reason: str, register_id: Optional[str] = None):
-        where = "" if register_id is None else f"register {register_id!r}, "
-        super().__init__(f"{where}page {page_id!r}: {reason}")
-        self.page_id = page_id
-        self.register_id = register_id
-
-
-class MissingTranscript(BadTranscript):
+class MissingTranscript(ValueError):
     """A LIST page without a transcript."""
 
-    def __init__(self, page_id: str, register_id: Optional[str] = None):
-        super().__init__(page_id, "LIST page has no transcript", register_id)
+    def __init__(self, page_id: str):
+        super().__init__(f"page {page_id!r}: LIST page has no transcript")
+        self.page_id = page_id
 
 
 class UniverseMismatch(ValueError):

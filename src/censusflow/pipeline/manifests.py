@@ -189,7 +189,8 @@ def read_lines(path: Path, start: int = 0) -> Iterator[tuple[int, bytes]]:
 
 class CorruptLine(ValueError):
     """A whole line of an NDJSON file that is not a JSON object, or a
-    record that its reader cannot index; ``reason`` says which."""
+    record that its reader cannot index or that does not fit its schema;
+    ``reason`` says which."""
 
     def __init__(
         self, path: str | Path, offset: int, reason: str, register_id: Optional[str] = None

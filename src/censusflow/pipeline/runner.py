@@ -16,8 +16,10 @@ Export works one register at a time. The result store indexes its line
 offsets by register when it opens, parsing each record after the part its
 checkpoint section vouches for, and keeps the index up to date as it
 appends. The store keeps each page's label as the recognizer returned it;
-export decodes each register's labels and folds them straight into CSV
-rows, without building domain objects. The fold runs once per register,
+export reads each register's records through ``ResultStore.payloads``,
+which checks each against the schema the process stage checked on write
+(``validate_payload``), decodes their labels and folds them straight into
+CSV rows, without building domain objects. The fold runs once per register,
 when the window that completes the register has been integrated: its CSV
 text goes to an append-only memo, ``households.parts.ndjson``, keyed by the
 store's digest of the register's lines and the decoder's version. Export
@@ -46,10 +48,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from ..domain import NAME_FOR_TAG, EntityTag, PageClass
-from ..household import (
-    EXPORT_COLUMNS, BadTranscript, MissingTranscript, csv_text, write_export,
-)
+from ..domain import NAME_FOR_TAG, EntityTag
+from ..household import EXPORT_COLUMNS, csv_text, write_export
 from ..iiif import IiifEndpoint, Transport
 from ..ingest import Registry
 from ..label_codec import DECODER_VERSION, decode_fields
@@ -77,21 +77,17 @@ from .stages import (
     run_stage_integrate,
     run_stage_prestage,
     run_stage_process,
+    validate_payload,
 )
 from .workers import WorkerSet
 
 
-class OldStoreFormat(ValueError):
-    """A result store line whose ``transcript`` is a JSON object: a page as
-    earlier versions stored it, decoded into records. This version stores
-    the recognizer's label and reads no other format."""
-
-    def __init__(self, path: str | Path, offset: int, register_id: str):
-        super().__init__(
-            f"{path}: line at byte {offset} (register {register_id!r}) holds a transcript "
-            f"object, the result store format of an earlier censusflow; this one reads only "
-            f"label strings. Run the registry again into a new workspace, or export this one "
-            f"with the version that wrote it")
+# Why a record whose transcript is a JSON object is refused: a page as
+# earlier versions stored it, decoded into records. This version stores the
+# recognizer's label and reads no other format.
+_OLD_FORMAT = ("holds a transcript object, the result store format of an earlier censusflow; "
+               "this one reads only label strings. Run the registry again into a new "
+               "workspace, or export this one with the version that wrote it")
 
 
 class ResultStore:
@@ -101,7 +97,8 @@ class ResultStore:
     in the task log. Opening a store parses each record it reads; a whole
     line that is not a JSON object, or whose ``register_id`` or
     ``sequence_index`` is an array or an object, stops the open
-    (``CorruptLine``).
+    (``CorruptLine``). The rest of the schema is checked when a register's
+    records are read (``payloads``).
 
     ``pages`` maps ``register_id -> {sequence_index: byte offset}`` of the
     line that holds each page's record, a later line winning over an
@@ -200,19 +197,25 @@ class ResultStore:
     def payloads(self, register_id: str,
                  lines: Optional[list[tuple[int, bytes]]] = None) -> list[dict]:
         """The records of ``register_id`` in sequence order, parsed from
-        its ``lines`` (``read``), which are read here if not given.
+        its ``lines`` (``read``), which are read here if not given, each
+        checked against the schema the process stage wrote it by
+        (``validate_payload``).
 
         Raises:
-            CorruptLine: if a line is not a JSON object.
-            OldStoreFormat: if a record's transcript is a JSON object.
+            CorruptLine: if a line is not a JSON object or its record does
+                not fit the schema; a transcript that is a JSON object is
+                named as a store of an earlier version.
         """
         if lines is None:
             lines = self.read(self.pages.get(register_id, {}))
         payloads = []
         for offset, line in lines:
             payload = parse_line(line, self.path, offset, register_id)
-            if isinstance(payload.get("transcript"), dict):
-                raise OldStoreFormat(self.path, offset, register_id)
+            problems = validate_payload(payload)
+            if problems:
+                reason = _OLD_FORMAT if isinstance(payload.get("transcript"), dict) else (
+                    "does not fit the result schema: " + "; ".join(problems))
+                raise CorruptLine(self.path, offset, reason, register_id)
             payloads.append(payload)
         return payloads
 
@@ -472,21 +475,16 @@ _COLUMN = {tag: EXPORT_COLUMNS.index(name) for tag, name in NAME_FOR_TAG.items()
 
 def register_rows(register_id: str, payloads: Iterable[dict]) -> list[list]:
     """The export rows of one register, folded straight from its stored
-    payloads in reading order.
+    payloads in reading order, which ``ResultStore.payloads`` has checked.
 
-    Each LIST page's label is decoded into plain field dicts
-    (``decode_fields``, the lenient decoder). Applies ``merge_register``'s
-    rule with O(1) state: a household starts at a record with a
-    ``surname_head`` field, or at any record when none is open; a non-LIST
-    page closes the open household, and a LIST page without records leaves
-    it open. A record's row index is its index within its page. The rows
+    Each page's label is decoded into plain field dicts (``decode_fields``,
+    the lenient decoder). Applies ``merge_register``'s rule with O(1)
+    state: a household starts at a record with a ``surname_head`` field, or
+    at any record when none is open; a page without a label (a non-LIST
+    page) closes the open household, and a label without records leaves it
+    open. A record's row index is its index within its page. The rows
     equal ``household_rows`` of the register merged from the pages
     ``decode_lenient`` gives.
-
-    Raises:
-        MissingTranscript: if a LIST page carries no transcript.
-        BadTranscript: if a LIST page's transcript is not a string, or a
-            non-LIST page carries one.
     """
     blank = [""] * len(EXPORT_COLUMNS)
     blank[0] = register_id
@@ -494,18 +492,11 @@ def register_rows(register_id: str, payloads: Iterable[dict]) -> list[list]:
     household = -1
     is_open = False
     for payload in payloads:
-        page_id = payload["page_id"]
         label = payload.get("transcript")
-        if PageClass[payload["page_class"]] is not PageClass.LIST:
-            if label is not None:
-                raise BadTranscript(page_id, f"a {payload['page_class']} page cannot carry "
-                                    f"a transcript", register_id)
+        if label is None:
             is_open = False
             continue
-        if label is None:
-            raise MissingTranscript(page_id, register_id)
-        if not isinstance(label, str):
-            raise BadTranscript(page_id, "LIST page transcript is not a string", register_id)
+        page_id = payload["page_id"]
         for row_index, fields in enumerate(decode_fields(label)):
             row = blank.copy()
             for tag, text in fields.items():
@@ -579,13 +570,13 @@ class ExportMemo:
     def keep(self, register) -> None:
         """Memoise ``register``'s rows if it is complete (see ``part``).
 
-        A fold that fails here is left to export, which folds the register
+        A record that fails here is left to export, which folds the register
         again and raises the error after every window has run.
         """
         if _complete(register, self.store.pages):
             try:
                 self.part(register.metadata.register_id)
-            except Exception:  # export raises it
+            except CorruptLine:  # export raises it
                 pass
 
     def part(self, register_id: str) -> tuple[str, int]:
@@ -594,10 +585,10 @@ class ExportMemo:
         (``register_rows``) and, in a writable memo, appended.
 
         Raises:
-            CorruptLine: if a record of the register is not a JSON object.
-            OldStoreFormat: if a record's transcript is a JSON object.
-            BadTranscript: if a record's transcript does not fit its page
-                class (``register_rows``); MissingTranscript is one.
+            CorruptLine: if a record of the register is not a JSON object
+                or does not fit the result schema (``ResultStore.payloads``).
+                A memoised text is copied without reading the records: each
+                was folded from records that passed the check.
         """
         digest, lines = self.store.digest(register_id)
         key = register_id, digest, DECODER_VERSION
@@ -656,13 +647,10 @@ def export_batch(
     Returns (registers exported, registers skipped, person rows written).
 
     Raises:
-        CorruptLine: if a record of a complete register is not a JSON
-            object; the message names the register, file and byte offset.
-        OldStoreFormat: if a record of a complete register holds a
-            transcript object; the message names the same.
-        BadTranscript: if a record of a complete register has a
-            transcript that does not fit its page class; the message names
-            the register and page.
+        CorruptLine: if a record of a complete register that is read is
+            not a JSON object or does not fit the result schema, a
+            transcript object included (``ResultStore.payloads``); the
+            message names the file, byte offset and register.
     """
     memo = ExportMemo(store)
     with store.file, memo.file:

@@ -236,7 +236,9 @@ def build_payload(
 
 
 def validate_payload(payload: dict) -> list[str]:
-    """Schema violations of a result payload; empty list means valid.
+    """Schema violations of a result payload; empty list means valid. The
+    process stage checks each payload before it stores it, and
+    ``ResultStore.payloads`` each record it reads back.
 
     Total over any JSON object: every value of the wrong type is reported
     as a violation, never raised. ``transcript`` is a label string exactly

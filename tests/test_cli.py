@@ -50,6 +50,11 @@ class TestParsers:
         stage = parse_stage_spec("a:2.0:3:lognorm:0.5")
         assert stage.distribution == "lognormal" and stage.cv == 0.5
 
+    @pytest.mark.parametrize("spec", ["a:1", "a:1:2:det:0:junk", "a:1:2:det:0:"])
+    def test_stage_spec_field_count(self, spec):
+        with pytest.raises(click.BadParameter, match="name:time:workers"):
+            parse_stage_spec(spec)
+
     @pytest.mark.parametrize(
         "text,expected",
         [("8d", 8 * 86400.0), ("90", 90.0), ("2h", 7200.0), ("45m", 2700.0)],
@@ -150,7 +155,8 @@ class TestSimulateCommand:
         assert "Invalid value for '--cap'" in result.output
 
     @pytest.mark.parametrize(
-        "spec", ["a:1.0:1:lognormal:abc", "a:1.0:1:lognormal:nan", "a:nan:2", "a:inf:2"]
+        "spec", ["a:1.0:1:lognormal:abc", "a:1.0:1:lognormal:nan", "a:nan:2", "a:inf:2",
+                 "a:1:2:det:0:junk"]
     )
     def test_bad_stage_spec_is_usage_error(self, runner, spec):
         result = runner.invoke(main, ["simulate", "--images", "10", "--stage", spec])
@@ -1035,12 +1041,14 @@ class TestCorruptLine:
 
 
 class TestBadTranscript:
-    """A stored record whose transcript does not fit its page class makes
-    the household export of ``export`` and ``run`` exit 1 with one error
-    naming the register and page."""
+    """A stored record that does not fit the result schema, its transcript
+    not fitting its page class or a key missing or unknown, makes ``run``
+    and both exports (``export`` is ``export --households``) exit 1 with one
+    error naming the store, the record's byte offset and its register."""
 
-    @pytest.mark.parametrize("case", ["list-without", "list-not-string", "other-with"])
-    @pytest.mark.parametrize("command", ["run", "export"])
+    @pytest.mark.parametrize("case", ["list-without", "list-not-string", "other-with",
+                                      "no-page-class", "no-page-id", "bogus-class"])
+    @pytest.mark.parametrize("command", ["run", "export", "pages"])
     def test_exits_one_naming_the_page(self, runner, tmp_path, case, command):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
@@ -1048,29 +1056,41 @@ class TestBadTranscript:
         assert runner.invoke(main, run).exit_code == 0
         path = workspace / "results_store.ndjson"
         payloads = [json.loads(line) for line in path.read_bytes().splitlines()]
+        listed = next(p for p in payloads if p["page_class"] == "LIST")
+        other = next(p for p in payloads if p["page_class"] != "LIST")
         if case == "list-without":
-            payload = next(p for p in payloads if p["page_class"] == "LIST")
-            bad, reason = dict(payload, transcript=None), "LIST page has no transcript"
+            payload, bad = listed, dict(listed, transcript=None)
+            reason = "LIST page without transcript"
         elif case == "list-not-string":
-            payload = next(p for p in payloads if p["page_class"] == "LIST")
-            bad, reason = dict(payload, transcript=7), "LIST page transcript is not a string"
+            payload, bad, reason = listed, dict(listed, transcript=7), "transcript is not a string"
+        elif case == "other-with":
+            payload, bad = other, dict(other, transcript="<s>Gendre ")
+            reason = f"transcript present on {other['page_class']} page"
+        elif case == "bogus-class":
+            payload, bad = other, dict(other, page_class="BOGUS")
+            reason = "unknown page_class 'BOGUS'"
         else:
-            payload = next(p for p in payloads if p["page_class"] != "LIST")
-            bad = dict(payload, transcript="<s>Gendre ")
-            reason = f"a {payload['page_class']} page cannot carry a transcript"
+            key = case.removeprefix("no-").replace("-", "_")
+            payload, bad, reason = other, dict(other), f"missing key {key}"
+            del bad[key]
+        offset = path.stat().st_size
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(bad) + "\n")
         csv_before = (workspace / "households.csv").read_bytes()
-        argv = run if command == "run" else [
-            "export", "--workspace", str(workspace), "--households", str(tmp_path / "out.csv")]
+        out = tmp_path / "out"
+        argv = {"run": run,
+                "export": ["export", "--workspace", str(workspace), "--households", str(out)],
+                "pages": ["export", "--workspace", str(workspace), "--pages", str(out)]}[command]
         result = runner.invoke(main, argv)
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
-        want = (f"error: register {payload['register_id']!r}, "
-                f"page {payload['page_id']!r}: {reason}")
+        want = (f"error: {path}: line at byte {offset} (register {payload['register_id']!r}) "
+                f"does not fit the result schema: {reason}")
         assert [line for line in result.output.splitlines() if line.startswith("error:")] == [want]
         assert "Traceback" not in result.output
         assert (workspace / "households.csv").read_bytes() == csv_before
-        assert not (tmp_path / "out.csv").exists()
+        assert not out.is_file()
+        if command != "pages":  # --pages made the directory before reading
+            assert not out.exists()
 
 
 class TestEvaluateCommand:

@@ -41,7 +41,7 @@ from censusflow.domain import (
     RowCountWarning,
 )
 from censusflow.fixtures import FixtureTransport, generate_corpus
-from censusflow.household import EXPORT_COLUMNS, MissingTranscript, export_households, merge_register
+from censusflow.household import EXPORT_COLUMNS, export_households, merge_register
 from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetadata, Registry
 from censusflow.label_codec import DECODER_VERSION, SyntheticProfile, decode_fields, encode
@@ -425,7 +425,7 @@ class TestExportEdgeCases:
 
     def test_merge_error_leaves_old_csv(self, tmp_path, finished):
         """A LIST payload without a transcript in the last register fails
-        the merge after earlier registers' rows are written: the old CSV
+        its read after earlier registers' rows are written: the old CSV
         stays as it was and no temporary file is left behind."""
         before = finished.households_path.read_bytes()
         last = finished.registry.registers[-1]
@@ -433,7 +433,7 @@ class TestExportEdgeCases:
         with open(finished.store_path, "a", encoding="utf-8") as fh:
             fh.write(stage_line(broken) + "\n")
         listing = sorted(p.name for p in finished.workspace.iterdir())
-        with pytest.raises(MissingTranscript):
+        with pytest.raises(CorruptLine, match="LIST page without transcript"):
             export_batch(
                 finished.registry, ResultStore(finished.store_path), finished.households_path
             )
