@@ -540,7 +540,7 @@ def status_cmd(workspace):
     """Per-state task counts for a batch workspace.
 
     Reads the task log from its checkpoint on (``Workspace.tasks``) and
-    writes nothing; a log line that is not JSON exits 1.
+    writes nothing; a log line that is not a transition record exits 1.
     """
     try:
         with Workspace.open(workspace, writer=False) as ws:

@@ -7,10 +7,11 @@ being None in a task's first; a later one adds only the ``attempts`` or
 ``failure`` it sets. The log keeps nothing the task id or the registry
 fixes: a task's files follow from its id, its image from the workspace
 registry (``PipelineContext``). The state of every task is the fold of its
-records. A kill in the middle of an append leaves a torn last line; readers
-skip it and the next writer cuts it off. A workspace checkpoint
-(``read_checkpoint``) holds the fold up to a byte length of the log, so a
-reader folds only the records after it. The allowed state graph is
+records, each stamped no earlier than the one before. A kill in the middle
+of an append leaves a torn last line; readers skip it and the next writer
+cuts it off. A workspace checkpoint (``read_checkpoint``) holds the fold up
+to a byte length of the log, so a reader folds only the records after it,
+if the state graph allows each. The allowed state graph is
 
     PENDING -> STAGED -> PROCESSING -> PROCESSED -> INTEGRATED
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -30,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from ..ingest import ImageRef
 
@@ -55,6 +57,9 @@ ALLOWED_TRANSITIONS: dict[TaskState, frozenset[TaskState]] = {
 
 TERMINAL_STATES = frozenset({TaskState.INTEGRATED, TaskState.FAILED})
 
+# Every state by its value, as the log and the checkpoint name it.
+_STATES: dict[str, TaskState] = {state.value: state for state in TaskState}
+
 
 class IllegalTransition(RuntimeError):
     def __init__(self, task_id: str, src: TaskState, dst: TaskState):
@@ -66,9 +71,10 @@ class IllegalTransition(RuntimeError):
 
 @dataclass(frozen=True)
 class FailureInfo:
+    """Where a task failed and why; it tried ``attempts[stage]`` times."""
+
     stage: str
     reason: str
-    attempt: int = 1
 
 
 def task_id_for(image: ImageRef) -> str:
@@ -89,7 +95,7 @@ def parse_task_id(task_id: str) -> tuple[str, int]:
     return register_id, sequence_index
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskManifest:
     """One task's fold. ``image`` is None in a manifest folded from the log,
     which holds no images; ``plan_batch`` sets it from the registry."""
@@ -97,7 +103,6 @@ class TaskManifest:
     task_id: str
     image: Optional[ImageRef]
     state: TaskState = TaskState.PENDING
-    timestamps: dict[str, float] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
     failure: Optional[FailureInfo] = None
 
@@ -264,10 +269,11 @@ def cut_torn_tail(path: Path) -> None:
 
 class FilePrefix:
     """A running SHA-256 of the first ``length`` bytes of an append-only
-    file: the part of it that a checkpoint covers. The file is read 1 MiB
-    at a time, never whole."""
+    file: the part of it that a checkpoint covers. The file is read 64 KiB
+    at a time, never whole: the two chunks alive during a read are the
+    hash's whole footprint."""
 
-    CHUNK = 1 << 20
+    CHUNK = 1 << 16
 
     def __init__(self, path: Path):
         self.path = path
@@ -405,13 +411,14 @@ class TransitionLog:
     ``prefix``, the part of the log they fold. The stages keep ``tasks``
     current as they append (``advance`` changes its manifests in place),
     so ``section`` can write the fold to a checkpoint without reading the
-    log again.
+    log again. ``latest`` is the greatest ``at`` folded or appended.
     """
 
     def __init__(self, root: str | Path):
         self.path = Path(root) / "tasks.ndjson"
         self.file = AppendFile(self.path)
         self.tasks: Optional[dict[str, TaskManifest]] = None
+        self.latest: float = 0.0
         self.prefix = FilePrefix(self.path)
 
     def append(self, record: dict) -> None:
@@ -426,94 +433,136 @@ class TransitionLog:
 
     def load_all(self) -> list[TaskManifest]:
         """The current manifest of every task in the log, by task id: the
-        full replay, which reads every record.
-
-        The fold reads only ``attempts`` and ``failure`` besides the
-        transition, and ignores any other key, such as the paths and images
-        that logs of earlier versions recorded.
-        """
-        tasks: dict[str, TaskManifest] = {}
-        _fold(tasks, self.replay())
-        return sorted(tasks.values(), key=lambda m: m.task_id)
+        full replay (``fold`` without a section)."""
+        return sorted(self.fold().values(), key=lambda m: m.task_id)
 
     def fold(self, section: Optional[dict] = None) -> dict[str, TaskManifest]:
-        """Load and return ``tasks``, from a checkpoint's log ``section``
-        and the records after it when the log still begins with the bytes
-        the section folds (``FilePrefix.verify``).
-
-        A manifest from the section has only its latest timestamp. A
-        missing, malformed or stale section, or a record after it for a
-        task that is already terminal, means the full replay (``load_all``)
-        instead.
-        """
+        """Load ``tasks`` and ``latest`` from a checkpoint's log ``section``
+        and the tail after it (``_fold``), if the log still begins with the
+        bytes the section folds (``FilePrefix.verify``); return ``tasks``. A
+        missing, malformed or stale section, or a tail record the state
+        graph forbids, means the full replay instead."""
         self.prefix = FilePrefix(self.path)
         if section is not None and self.prefix.verify(section.get("length"), section.get("sha256")):
-            try:
-                tasks = _manifests_from(section["tasks"])
-            except (AttributeError, KeyError, TypeError, ValueError):
-                tasks = None
-            if tasks is not None and _fold(tasks, read_ndjson(self.path, self.prefix.length), True):
-                self.tasks = tasks
+            try:  # a CorruptLine in the tail recurs in the replay
+                tasks, latest = _manifests_from(section)
+                latest = _fold(tasks, self.path, self.prefix.length, latest, tail=True)
+            except (KeyError, TypeError, ValueError):
+                latest = None
+            if latest is not None:
+                self.tasks, self.latest = tasks, latest
                 return tasks
             self.prefix = FilePrefix(self.path)
         self.tasks = {}
-        _fold(self.tasks, self.replay())
+        self.latest = _fold(self.tasks, self.path)
         return self.tasks
 
     def section(self) -> dict:
         """The checkpoint section of the fold: the log's length and SHA-256
-        up to its last whole line, and every task's latest timestamp, in
-        groups of tasks with the same state, attempts and failure. Every
-        record must be flushed."""
+        up to its last whole line, ``latest``, and every task's id in groups
+        of tasks with the same state, attempts and failure. Every record
+        must be flushed."""
         length, digest = self.prefix.extend()
         groups: dict[tuple, list] = {}
         for task_id, m in self.tasks.items():
             key = m.state, repr(m.attempts), m.failure
             group = groups.get(key)
             if group is None:
-                failure = None if m.failure is None else [
-                    m.failure.stage, m.failure.reason, m.failure.attempt]
-                group = groups[key] = [m.state.value, m.attempts, failure, {}]
-            group[3][task_id] = max(m.timestamps.values())
-        return {"length": length, "sha256": digest, "tasks": list(groups.values())}
+                failure = None if m.failure is None else [m.failure.stage, m.failure.reason]
+                group = groups[key] = [m.state.value, m.attempts, failure, []]
+            group[3].append(task_id)
+        return {"length": length, "sha256": digest, "latest": self.latest,
+                "tasks": list(groups.values())}
 
 
-def _manifests_from(groups: list) -> dict[str, TaskManifest]:
-    """The manifests of a checkpoint's log section (``TransitionLog.section``).
-    A group's manifests share its ``attempts``, which a transition replaces
-    (``advance``, ``_fold``) and never changes in place."""
+def _is_time(value) -> bool:
+    """Whether ``value`` is a finite JSON number (not a bool)."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+def _is_attempts(value) -> bool:
+    """Whether ``value`` is an object of attempt counts."""
+    return isinstance(value, dict) and all(type(n) is int for n in value.values())
+
+
+def _manifests_from(section: dict) -> tuple[dict[str, TaskManifest], float]:
+    """The manifests and ``latest`` of a checkpoint's log section
+    (``TransitionLog.section``). A group's manifests share its ``attempts``,
+    which a transition replaces (``advance``, ``_fold``) and never changes
+    in place."""
+    latest = section["latest"]
+    if not _is_time(latest):
+        raise TypeError("not a time")
     manifests = {}
-    for state, attempts, failure, tasks in groups:
-        if not (isinstance(attempts, dict) and isinstance(tasks, dict)):
+    for state, attempts, failure, task_ids in section["tasks"]:
+        if not (_is_attempts(attempts) and isinstance(task_ids, list)
+                and all(isinstance(task_id, str) for task_id in task_ids)):
             raise TypeError("not a task group")
-        name, state = state, TaskState(state)
-        failure = None if failure is None else FailureInfo(*failure)
-        for task_id, at in tasks.items():
-            manifests[task_id] = TaskManifest(task_id, None, state, {name: at}, attempts,
-                                              failure)
-    return manifests
+        state, failure = _STATES[state], None if failure is None else FailureInfo(*failure)
+        for task_id in task_ids:
+            manifests[task_id] = TaskManifest(task_id, None, state, attempts, failure)
+    return manifests, latest
 
 
-def _fold(tasks: dict[str, TaskManifest], records: Iterable[dict], tail: bool = False) -> bool:
-    """Fold ``records`` into ``tasks``. In a ``tail`` the fold stops and
-    returns False at a record for a task that is already terminal."""
-    for record in records:
-        task_id = record["task_id"]
+def _transition(record: dict, path: Path, offset: int) -> tuple:
+    """``(task_id, from, to, at, attempts, failure)`` of the log record read
+    at byte ``offset`` of ``path``, its states looked up in ``_STATES`` and
+    its failure a ``FailureInfo``; a missing key reads as null. Other keys
+    are ignored, such as the paths and images that logs of earlier versions
+    recorded, or their failures' ``attempt``.
+
+    Raises:
+        CorruptLine: naming the first key that does not fit.
+    """
+    task_id, src, dst, at = (record.get(key) for key in ("task_id", "from", "to", "at"))
+    attempts, failure = record.get("attempts"), record.get("failure")
+    if not isinstance(task_id, str):
+        problem = "task_id is not a string"
+    elif not (isinstance(dst, str) and dst in _STATES):
+        problem = f"to {dst!r} is not a state"
+    elif not (src is None or isinstance(src, str) and src in _STATES):
+        problem = f"from {src!r} is neither null nor a state"
+    elif not _is_time(at):
+        problem = f"at {at!r} is not a finite number"
+    elif not (attempts is None or _is_attempts(attempts)):
+        problem = "attempts is not an object of integers"
+    elif not (failure is None or isinstance(failure, dict) and isinstance(failure.get("stage"), str)
+              and isinstance(failure.get("reason"), str)):
+        problem = "failure has no string stage and reason"
+    else:
+        return (task_id, None if src is None else _STATES[src], _STATES[dst], at, attempts,
+                None if failure is None else FailureInfo(failure["stage"], failure["reason"]))
+    raise CorruptLine(path, offset, f"is not a task transition: {problem}")
+
+
+def _fold(tasks: dict[str, TaskManifest], path: Path, start: int = 0, latest: float = 0.0,
+          tail: bool = False) -> Optional[float]:
+    """Fold the log's records from byte ``start`` on into ``tasks``; returns
+    the greatest ``at`` of theirs and ``latest``. In a checkpoint's ``tail``
+    the state graph is the rule: a record whose ``from`` is not its task's
+    state (None for a new task) or whose ``to`` the graph does not allow
+    from there (PENDING from None) stops the fold, which returns None.
+
+    Raises:
+        CorruptLine: at the first line that is not a transition (``_transition``).
+    """
+    for offset, line in read_lines(path, start):
+        task_id, src, dst, at, attempts, failure = _transition(
+            parse_line(line, path, offset), path, offset)
         manifest = tasks.get(task_id)
+        if tail and not (src is None and dst is TaskState.PENDING if manifest is None
+                         else src is manifest.state and dst in ALLOWED_TRANSITIONS[src]):
+            return None
         if manifest is None:
             manifest = tasks[task_id] = TaskManifest(task_id, None)
-        elif tail and manifest.state in TERMINAL_STATES:
-            return False
-        manifest.state = TaskState(record["to"])
-        manifest.timestamps[record["to"]] = record["at"]
-        if record.get("attempts") is not None:
-            manifest.attempts = record["attempts"]
-        failure = record.get("failure")
+        manifest.state = dst
+        if attempts is not None:
+            manifest.attempts = attempts
         if failure is not None:
-            manifest.failure = FailureInfo(
-                failure["stage"], failure["reason"], failure.get("attempt", 1)
-            )
-    return True
+            manifest.failure = failure
+        if at > latest:
+            latest = at
+    return latest
 
 
 #: The log is the only manifest store. ``bench/`` still imports the log by
@@ -582,7 +631,7 @@ STORE_NAME = "results_store.ndjson"
 MEMO_NAME = "households.parts.ndjson"
 HOUSEHOLDS_NAME = "households.csv"
 CHECKPOINT_NAME = "checkpoint.json"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def read_checkpoint(path: Path) -> dict[str, dict]:
@@ -625,12 +674,11 @@ def advance(
     failure: Optional[FailureInfo] = None,
 ) -> TaskManifest:
     """Persist a state transition together with the fields it changes,
-    enforcing the allowed graph and keeping timestamps monotone."""
+    enforcing the allowed graph and stamping it no earlier than the log's
+    latest record."""
     if new_state not in ALLOWED_TRANSITIONS[manifest.state]:
         raise IllegalTransition(manifest.task_id, manifest.state, new_state)
-    at = ctx.clock()
-    if manifest.timestamps:
-        at = max(at, max(manifest.timestamps.values()))
+    at = ctx.log.latest = max(ctx.clock(), ctx.log.latest)
     record = {"task_id": manifest.task_id, "from": manifest.state.value,
               "to": new_state.value, "at": at}
     if attempts is not None:
@@ -639,7 +687,6 @@ def advance(
         manifest.failure = failure
         record["failure"] = asdict(failure)
     manifest.state = new_state
-    manifest.timestamps[new_state.value] = at
     ctx.log.append(record)
     if ctx.on_transition is not None:
         ctx.on_transition(manifest)

@@ -69,11 +69,11 @@ class LocalExecutor:
 
 
 def _fail(manifest: TaskManifest, ctx: PipelineContext, stage: str, reason: str,
-          attempt: int = 1, attempts: Optional[dict[str, int]] = None) -> None:
+          attempts: Optional[dict[str, int]] = None) -> None:
     """Advance a task to FAILED at ``stage``, recording ``attempts`` if
     given, and log one warning naming the stage and the task."""
     advance(manifest, TaskState.FAILED, ctx, attempts=attempts,
-            failure=FailureInfo(stage, reason, attempt))
+            failure=FailureInfo(stage, reason))
     logger.warning("%s failed for %s: %s", stage, manifest.task_id, reason)
 
 
@@ -157,8 +157,8 @@ def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[Ta
         text = registry_ndjson(Registry(tuple(by_id[key] for key in order)))
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(path, text.encode("utf-8"))
-    for manifest in new:  # the creation record
-        at = manifest.timestamps[TaskState.PENDING.value] = ctx.clock()
+    for manifest in new:  # the creation record, stamped as ``advance`` stamps
+        at = ctx.log.latest = max(ctx.clock(), ctx.log.latest)
         ctx.log.append({"task_id": manifest.task_id, "from": None, "to": "PENDING", "at": at})
     return manifests
 
@@ -357,7 +357,7 @@ def run_stage_process(
         reason, attempts = outcomes.get(manifest.task_id, ("", None))
         counts = None if attempts is None else {"process": attempts}
         if reason:
-            _fail(manifest, ctx, "process", reason, attempts, attempts=counts)
+            _fail(manifest, ctx, "process", reason, attempts=counts)
         elif manifest.state is TaskState.PROCESSING:
             advance(manifest, TaskState.PROCESSED, ctx, attempts=counts)
 

@@ -1,12 +1,14 @@
 """The benchmark's traced run, on a small corpus.
 
 ``bench/tracing.py`` wraps the scheduler, the workers and the transport that
-``RunConfig`` takes, and reads attributes of what it wraps. A change to those
-seams that the wrappers no longer fit fails here, in tier-1, rather than only
-when the benchmark runs.
+``RunConfig`` takes, and reads attributes of what it wraps; ``bench/workloads.py``
+reads the finished workspace back through the task log and the result store.
+A change to those seams that the benchmark no longer fits fails here, in
+tier-1, rather than only when the benchmark runs.
 """
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,10 @@ from censusflow.iiif import IiifEndpoint
 from censusflow.label_codec import SyntheticProfile
 from censusflow.pipeline import (
     LocalExecutor,
+    ManifestStore,
     MockClassifier,
     MockRecognizer,
+    ResultStore,
     RunConfig,
     TaskState,
     TransitionLog,
@@ -58,8 +62,16 @@ def test_traced_run_integrates_every_task(tmp_path, tracing):
         scheduler.shutdown()
 
     assert report.counts["INTEGRATED"] == corpus.image_count == report.planned
-    states = {m.state for m in TransitionLog(config.workspace).load_all()}
-    assert states == {TaskState.INTEGRATED}
+    # The reads of the resume workload's trace and of its check.
+    manifests = ManifestStore(config.workspace).load_all()
+    task_ids = [m.task_id for m in manifests]
+    assert task_ids == sorted(task_ids) and len(task_ids) == corpus.image_count
+    assert {m.state for m in manifests} == {TaskState.INTEGRATED}
+    records = list(TransitionLog(config.workspace).replay())
+    assert len(records) == 5 * corpus.image_count
+    assert {record["task_id"] for record in records} == set(task_ids)
+    stored = Counter(record["task_id"] for record in ResultStore(config.store_path).records())
+    assert stored == Counter(task_ids)
     names = {name for _, name, _, _, _ in tracer.spans}
     assert {"schedulers.run.process", "stages.process.task", "workers.classify"} <= names
     assert workers.classifier.calls == corpus.image_count

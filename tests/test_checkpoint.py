@@ -31,7 +31,7 @@ from censusflow.pipeline import (
     run_batch,
 )
 from censusflow.pipeline.manifests import (
-    TERMINAL_STATES,
+    CorruptLine,
     FailureInfo,
     advance,
     read_checkpoint,
@@ -101,20 +101,13 @@ def finished(tmp_path_factory, corpus, executor):
     return workspace, written, (workspace / "households.csv").read_bytes()
 
 
-def plan_summary(manifests) -> list[tuple]:
-    """What a plan must agree on: ids, states, images, attempts, failures,
-    and the latest timestamp of each task not yet terminal."""
-    return [(m.task_id, m.state, m.image, m.attempts, m.failure,
-             None if m.state in TERMINAL_STATES else max(m.timestamps.values()))
-            for m in manifests]
-
-
 def resume_both(tmp_path: Path, corpus, executor, source: Path, checkpoint: bytes | None,
                 log: bytes | None = None, store: bytes | None = None) -> dict:
     """Resume a copy of ``source`` (its log and store replaced if given)
     with ``checkpoint`` as checkpoint.json, and another copy without one;
-    require the same plan, report, states and files. Returns what the
-    checkpoint side folded from it: the log and store lengths it verified."""
+    require the same plan (every manifest, field for field), latest time,
+    report, states and files. Returns what the checkpoint side folded from
+    it: the log and store lengths it verified."""
     outcomes = []
     for side, data in (("checkpoint", checkpoint), ("replay", None)):
         workspace = tmp_path / side
@@ -132,11 +125,11 @@ def resume_both(tmp_path: Path, corpus, executor, source: Path, checkpoint: byte
         verified = {"store": ResultStore(workspace / STORE, sections.get("store")).verified}
 
         ctx = PipelineContext.at(workspace, clock=itertools.count(2e6).__next__)
-        plan = plan_summary(plan_batch(corpus.registry, ctx))
+        plan = plan_batch(corpus.registry, ctx)
         verified["log"] = ctx.log.prefix.length
         report = run_batch(config(workspace, corpus, executor))
         outcomes.append(dict(
-            plan=plan, verified=verified,
+            plan=plan, latest=ctx.log.latest, verified=verified,
             report=replace(report, households_csv=Path(report.households_csv).name),
             manifests=TransitionLog(workspace).load_all(),
             files={name: (workspace / name).read_bytes()
@@ -144,7 +137,7 @@ def resume_both(tmp_path: Path, corpus, executor, source: Path, checkpoint: byte
         ))
     with_checkpoint, replayed = outcomes
     assert replayed["verified"] == {"log": 0, "store": 0}
-    for key in ("plan", "report", "manifests", "files"):
+    for key in ("plan", "latest", "report", "manifests", "files"):
         assert with_checkpoint[key] == replayed[key], key
     return with_checkpoint["verified"]
 
@@ -174,6 +167,25 @@ def kills(workspace: Path) -> list[tuple[int, bytes, bytes]]:
 
 
 class TestCheckpointAgainstReplay:
+    def test_fold_from_every_checkpoint_equals_the_replay(self, finished):
+        """Each checkpoint the run wrote, plus the log after it, folds to
+        the full replay's manifests, field for field, and to its latest
+        time; each checkpoint's own latest is that of the records it
+        covers."""
+        workspace, written, _ = finished
+        log_bytes = (workspace / LOG).read_bytes()
+        replayed = TransitionLog(workspace).load_all()
+        latest = max(record["at"] for record in TransitionLog(workspace).replay())
+        for length, data in written:
+            section = json.loads(data)["log"]
+            assert section["latest"] == max(json.loads(line)["at"]
+                                            for line in log_bytes[:length].splitlines())
+            log = TransitionLog(workspace)
+            tasks = log.fold(section)
+            assert log.prefix.length == length
+            assert sorted(tasks.values(), key=lambda m: m.task_id) == replayed
+            assert log.latest == latest
+
     def test_kill_at_any_log_offset(self, tmp_path, corpus, executor, finished):
         """Each kill after the first checkpoint resumes from the last
         checkpoint written before it, as the killed run left it; the
@@ -249,7 +261,7 @@ class TestCheckpointAgainstReplay:
                             "store": sections["store"]["length"]}
 
     def test_resume_after_a_pre_stage_run(self, tmp_path, corpus, executor):
-        """A checkpoint of STAGED tasks, each with two timestamps, written by
+        """A checkpoint of STAGED tasks, each with two records, written by
         a run without the post stage."""
         workspace = tmp_path / "staged"
         run_batch(config(workspace, corpus, executor, start=0.0, stages={"pre"}))
@@ -341,7 +353,7 @@ class TestCheckpointAgainstReplay:
             if garbage == "version":
                 sections["version"] = 0
             elif garbage == "tasks":
-                sections["log"]["tasks"] = [["INTEGRATED", {}, None, ["not", "a", "dict"]]]
+                sections["log"]["tasks"] = [["INTEGRATED", {}, None, [1, 2, 3]]]
             elif garbage == "pages":
                 sections["store"]["pages"] = {"r": [[1]]}
             else:  # the digests that key the memo
@@ -352,6 +364,118 @@ class TestCheckpointAgainstReplay:
         expected = {"bytes": (0, 0), "truncated": (0, 0), "version": (0, 0),
                     "tasks": (0, 1), "pages": (1, 0), "memo": (1, 1)}[garbage]
         assert (bool(verified["log"]), bool(verified["store"])) == expected
+
+
+def small_log(workspace: Path) -> tuple[dict, list[str]]:
+    """A log of three tasks, one STAGED, one FAILED and one INTEGRATED, and
+    its checkpoint section; returns the section and the task ids."""
+    ctx = PipelineContext.at(workspace, clock=itertools.count(100.0).__next__)
+    staged, failed, done = plan_batch(make_registry([3]), ctx)
+    advance(staged, TaskState.STAGED, ctx)
+    advance(failed, TaskState.FAILED, ctx, attempts={"prestage": 1},
+            failure=FailureInfo("prestage", "missing: 404"))
+    for state in (TaskState.STAGED, TaskState.PROCESSING, TaskState.PROCESSED,
+                  TaskState.INTEGRATED):
+        advance(done, state, ctx)
+    return ctx.log.section(), [staged.task_id, failed.task_id, done.task_id]
+
+
+# Records appended after a checkpoint of ``small_log``, as (task, from, to),
+# task 3 being one the checkpoint does not hold, and whether the state graph
+# lets the tail fold apply them.
+TAIL_RECORDS = {
+    "next": (0, "STAGED", "PROCESSING", True),
+    "fail": (0, "STAGED", "FAILED", True),
+    "create": (3, None, "PENDING", True),
+    "stale from": (0, "PENDING", "STAGED", False),
+    "skip a state": (0, "STAGED", "PROCESSED", False),
+    "after INTEGRATED": (2, "INTEGRATED", "FAILED", False),
+    "after FAILED": (1, "FAILED", "STAGED", False),
+    "create twice": (0, None, "PENDING", False),
+    "create STAGED": (3, None, "STAGED", False),
+    "unknown task": (3, "PENDING", "STAGED", False),
+}
+
+
+class TestTailRule:
+    @pytest.mark.parametrize("kind", list(TAIL_RECORDS))
+    def test_graph_decides_tail_or_replay(self, tmp_path, kind):
+        """A record after the checkpoint applies in the tail only if its
+        ``from`` is the task's folded state and the graph allows its ``to``;
+        any other sends the fold to the full replay. Either way the fold
+        equals the replay, field for field, with the replay's latest."""
+        section, task_ids = small_log(tmp_path / "ws")
+        task, src, dst, applies = TAIL_RECORDS[kind]
+        task_id = task_ids[task] if task < 3 else "new-p0000"
+        record = {"task_id": task_id, "from": src, "to": dst, "at": 1e9}
+        if dst == "FAILED":
+            record.update(attempts={"process": 2}, failure={"stage": "process", "reason": "x"})
+        log = TransitionLog(tmp_path / "ws")
+        log.append(record)
+        tasks = log.fold(section)
+        assert log.prefix.length == (section["length"] if applies else 0)
+        assert log.latest == 1e9
+        replayed = TransitionLog(tmp_path / "ws").load_all()
+        assert sorted(tasks.values(), key=lambda m: m.task_id) == replayed
+
+    def test_older_record_keys_are_ignored(self, tmp_path):
+        """Keys the fold does not read, such as the images and paths of
+        earlier versions or a failure's ``attempt``, fold as if absent."""
+        section, (task_id, _, _) = small_log(tmp_path / "ws")
+        log = TransitionLog(tmp_path / "ws")
+        log.append({"task_id": task_id, "from": "STAGED", "to": "FAILED", "at": 1e9,
+                    "attempts": {"prestage": 2}, "staged_path": "/gone/x.jpg",
+                    "failure": {"stage": "prestage", "reason": "late", "attempt": 2}})
+        tasks = log.fold(section)
+        assert log.prefix.length == section["length"]
+        assert tasks[task_id].failure == FailureInfo("prestage", "late")
+        assert tasks[task_id].attempts == {"prestage": 2}
+
+
+_DELETE = object()
+
+# Log records that are JSON objects but not transitions: the key changed in
+# a well-formed record, its new value (or _DELETE), and the problem the
+# error names.
+BAD_RECORDS = {
+    "unknown to": ("to", "BOGUS", "to 'BOGUS' is not a state"),
+    "array to": ("to", ["PENDING"], "to ['PENDING'] is not a state"),
+    "no task_id": ("task_id", _DELETE, "task_id is not a string"),
+    "numeric task_id": ("task_id", 7, "task_id is not a string"),
+    "unknown from": ("from", "NOPE", "from 'NOPE' is neither null nor a state"),
+    "no at": ("at", _DELETE, "at None is not a finite number"),
+    "bool at": ("at", True, "at True is not a finite number"),
+    "string at": ("at", "soon", "at 'soon' is not a finite number"),
+    "NaN at": ("at", float("nan"), "at nan is not a finite number"),
+    "string attempts": ("attempts", {"process": "1"}, "attempts is not an object of integers"),
+    "array attempts": ("attempts", [1], "attempts is not an object of integers"),
+    "failure without reason": ("failure", {"stage": 1},
+                               "failure has no string stage and reason"),
+    "string failure": ("failure", "late", "failure has no string stage and reason"),
+}
+
+
+class TestRecordSchema:
+    @pytest.mark.parametrize("kind", list(BAD_RECORDS))
+    def test_record_that_is_not_a_transition(self, tmp_path, kind):
+        """The tail after a checkpoint, the full replay and ``load_all``
+        each stop at the record with one ``CorruptLine`` naming its
+        offset."""
+        section, (task_id, _, _) = small_log(tmp_path / "ws")
+        key, value, problem = BAD_RECORDS[kind]
+        record = {"task_id": task_id, "from": "STAGED", "to": "PROCESSING", "at": 1e9}
+        if value is _DELETE:
+            del record[key]
+        else:
+            record[key] = value
+        log = TransitionLog(tmp_path / "ws")
+        log.append(record)
+        message = (f"{log.path}: line at byte {section['length']} "
+                   f"is not a task transition: {problem}")
+        for read in (lambda: log.fold(section), log.fold, log.load_all):
+            with pytest.raises(CorruptLine) as caught:
+                read()
+            assert str(caught.value) == message
 
 
 class TestCheckpointWrites:

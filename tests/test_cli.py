@@ -1018,6 +1018,48 @@ class TestCorruptLine:
         assert (snapshot(workspace), (workspace / "households.csv").read_bytes()) == before
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["plan", "run", "status"])
+    def test_log_record_that_is_not_a_transition(self, runner, tmp_path, command):
+        """A JSON object appended to a finished workspace's task log that
+        is not a transition (an unknown state, no task id, a failure
+        without a reason) exits 1 with one error naming the log and the
+        record's offset, and writes nothing."""
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+        assert runner.invoke(main, run).exit_code == 0
+        argv = {
+            "plan": ["plan", "--registry", str(corpus / "registry.ndjson"),
+                     "--workspace", str(workspace)],
+            "run": run,
+            "status": ["status", "--workspace", str(workspace)],
+        }[command]
+        path = workspace / "tasks.ndjson"
+        finished = path.read_bytes()
+        last = json.loads(finished.splitlines()[-1])
+        bad_records = [
+            (dict(last, to="BOGUS"), "to 'BOGUS' is not a state"),
+            ({k: v for k, v in last.items() if k != "task_id"}, "task_id is not a string"),
+            (dict(last, to="FAILED", failure={"stage": 1}),
+             "failure has no string stage and reason"),
+        ]
+        for record, problem in bad_records:
+            path.write_bytes(finished + (json.dumps(record) + "\n").encode())
+            before = snapshot(workspace), [
+                (workspace / name).read_bytes()
+                for name in ("tasks.ndjson", "checkpoint.json", "households.csv")]
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
+                result.output
+            error = (f"error: {path}: line at byte {len(finished)} "
+                     f"is not a task transition: {problem}")
+            assert [line for line in result.output.splitlines()
+                    if line.startswith("error:")] == [error]
+            assert "Traceback" not in result.output
+            assert (snapshot(workspace), [
+                (workspace / name).read_bytes()
+                for name in ("tasks.ndjson", "checkpoint.json", "households.csv")]) == before
+
     @pytest.mark.parametrize("command", ["run", "export"])
     def test_unhashable_index_key(self, runner, tmp_path, command):
         """A store record whose register_id is an array, appended after the
