@@ -84,7 +84,7 @@ class ColumnMapping:
 def load_mapping(path: str | Path) -> ColumnMapping:
     """Read a ``column=ROLE`` mapping file (# comments and blanks allowed)."""
     roles: dict[str, ColumnRole] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -115,8 +115,13 @@ class RawRow:
 def import_csv(path: str | Path, mapping: ColumnMapping) -> tuple[list[RawRow], list[str]]:
     """Import metadata rows from a CSV file using the given column mapping.
 
-    Rows with an unparseable year are flagged (``UnparseableYear``), never
-    dropped. Returns the rows plus human-readable diagnostics.
+    Cells are read by column index, looked up once from the header: a
+    header name given twice means its last column, a short row's missing
+    cells read as empty and extra cells are ignored. Blank lines are
+    skipped and not numbered; ``row_number`` counts the header as 1 and
+    each record after it. A UTF-8 byte-order mark is allowed. Rows with an
+    unparseable year are flagged (``UnparseableYear``), never dropped.
+    Returns the rows plus human-readable diagnostics.
 
     Raises:
         EmptyFile: if the file has no header row.
@@ -124,35 +129,41 @@ def import_csv(path: str | Path, mapping: ColumnMapping) -> tuple[list[RawRow], 
     """
     diagnostics: list[str] = []
     rows: list[RawRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyFile(f"{path} has no header row")
-        for column in mapping.roles:
-            if mapping.roles[column] is not ColumnRole.IGNORE and column not in reader.fieldnames:
+        position = {name: i for i, name in enumerate(header)}
+        for column, role in mapping.roles.items():
+            if role is not ColumnRole.IGNORE and column not in position:
                 raise MissingColumn(f"column {column!r} not in CSV header")
-        year_col = mapping.column(ColumnRole.YEAR)
-        commune_col = mapping.column(ColumnRole.COMMUNE)
-        id_col = mapping.column(ColumnRole.ARCHIVAL_ID)
-        path_col = mapping.column(ColumnRole.IMAGE_PATH)
-        for number, record in enumerate(reader, start=2):  # header is line 1
-            year_text = (record.get(year_col) or "").strip()
-            flags = []
+        year_at, commune_at, path_at, id_at = (
+            position.get(mapping.column(role))
+            for role in (ColumnRole.YEAR, ColumnRole.COMMUNE, ColumnRole.IMAGE_PATH,
+                         ColumnRole.ARCHIVAL_ID)
+        )
+        width = len(header)
+        for number, cells in enumerate(filter(None, reader), start=2):  # header is line 1
+            if len(cells) < width:
+                cells += [""] * (width - len(cells))
+            year_text = cells[year_at].strip()
+            flags = ()
             try:
                 year: Optional[int] = int(year_text)
             except ValueError:
                 year = None
-                flags.append("UnparseableYear")
+                flags = ("UnparseableYear",)
                 diagnostics.append(f"row {number}: UnparseableYear {year_text!r}")
             rows.append(
                 RawRow(
                     row_number=number,
                     year=year,
                     year_text=year_text,
-                    commune=(record.get(commune_col) or "").strip(),
-                    archival_id=(record.get(id_col) or "").strip() if id_col else "",
-                    image_path=(record.get(path_col) or "").strip(),
-                    flags=tuple(flags),
+                    commune=cells[commune_at].strip(),
+                    archival_id=cells[id_at].strip() if id_at is not None else "",
+                    image_path=cells[path_at].strip(),
+                    flags=flags,
                 )
             )
     return rows, diagnostics
@@ -184,7 +195,7 @@ def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
     variants (pipe-separated)."""
     entries = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for record in csv.DictReader(fh):
             code = (record.get("code") or "").strip()
             if code in seen:
@@ -456,7 +467,8 @@ _NATURAL_SPLIT = re.compile(r"(\d+)")
 def natural_key(text: str) -> tuple:
     """Numeric-aware sort key: digit runs compare as integers."""
     parts = _NATURAL_SPLIT.split(text)
-    return tuple(int(p) if i % 2 else p for i, p in enumerate(parts))
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
 
 
 def build_registry(
@@ -661,7 +673,7 @@ def load_resolutions(path: str | Path) -> dict[str, str]:
     """Read a worklist CSV back; rows with a ``resolved_code`` become
     name-to-code resolutions."""
     resolutions = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for record in csv.DictReader(fh):
             code = (record.get("resolved_code") or "").strip()
             if code:

@@ -752,6 +752,36 @@ class TestIngestCommand:
         second = (tmp_path / "b" / "registry.ndjson").read_bytes()
         assert first == second
 
+    def test_byte_order_mark_in_every_input(self, runner, tmp_path):
+        """Excel's "CSV UTF-8" starts a file with a byte-order mark. The CSV,
+        mapping, gazetteer and a worklist saved back with one give the
+        outputs of the same files without one."""
+        inputs = {
+            "csv": "annee,commune,cote,chemin\n1881,Moulins,6M1,img_2.jpg\n"
+                   "1881,Moulin,6M2,img_1.jpg\n1881,Moulinz,6M3,img_1.jpg\n1916,Moulins,6M1,img_3.jpg\n",
+            "mapping": "annee=YEAR\ncommune=COMMUNE\ncote=ARCHIVAL_ID\nchemin=IMAGE_PATH\n",
+            "gazetteer": "code,canonical_name,department,variants\n03190,Moulins,Allier,\n",
+            "resolutions": "name,candidates,best_code,best_score,resolved_code\r\n"
+                           "Moulin,03190:0.8571,03190,0.8571,03190\r\n",
+        }
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            root = tmp_path / ("bom" if prefix else "plain")
+            root.mkdir()
+            args = ["ingest", "--out", str(root / "out")]
+            for name, text in inputs.items():
+                (root / name).write_bytes(prefix + text.encode("utf-8"))
+                args += [f"--{name}", str(root / name)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            outputs.append({name: (root / "out" / name).read_bytes()
+                            for name in ("registry.ndjson", "exceptions.csv", "ambiguous.csv")})
+        assert outputs[1] == outputs[0]
+        registers = [json.loads(line) for line in outputs[0]["registry.ndjson"].splitlines()]
+        assert [(r["archival_id"], r["commune"]["code"]) for r in registers] == [
+            ("6M1", "03190"), ("6M2", "03190")]
+        assert outputs[0]["ambiguous.csv"].splitlines()[1:] == [b"Moulinz,03190:0.8571,03190,0.8571,"]
+
 
 class TestExportCommand:
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["write", "dry-run"])

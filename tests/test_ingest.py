@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from censusflow.ingest import (
     MatchResult,
     MatchStatus,
     MissingColumn,
+    RawRow,
     build_registry,
     import_csv,
     load_gazetteer,
@@ -124,6 +127,136 @@ class TestImportCsv:
         path.write_text("")
         with pytest.raises(EmptyFile):
             import_csv(path, MAPPING)
+
+
+def dictreader_import_csv(path, mapping):
+    """Reference importer: ``import_csv`` as it was with ``csv.DictReader``,
+    one dict per row, and the byte-order mark allowed."""
+    diagnostics = []
+    rows = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptyFile(f"{path} has no header row")
+        for column in mapping.roles:
+            if mapping.roles[column] is not ColumnRole.IGNORE and column not in reader.fieldnames:
+                raise MissingColumn(f"column {column!r} not in CSV header")
+        year_col = mapping.column(ColumnRole.YEAR)
+        commune_col = mapping.column(ColumnRole.COMMUNE)
+        id_col = mapping.column(ColumnRole.ARCHIVAL_ID)
+        path_col = mapping.column(ColumnRole.IMAGE_PATH)
+        for number, record in enumerate(reader, start=2):  # header is line 1
+            year_text = (record.get(year_col) or "").strip()
+            flags = []
+            try:
+                year = int(year_text)
+            except ValueError:
+                year = None
+                flags.append("UnparseableYear")
+                diagnostics.append(f"row {number}: UnparseableYear {year_text!r}")
+            rows.append(
+                RawRow(
+                    row_number=number,
+                    year=year,
+                    year_text=year_text,
+                    commune=(record.get(commune_col) or "").strip(),
+                    archival_id=(record.get(id_col) or "").strip() if id_col else "",
+                    image_path=(record.get(path_col) or "").strip(),
+                    flags=tuple(flags),
+                )
+            )
+    return rows, diagnostics
+
+
+def outcome(importer, path, mapping):
+    """What an importer returns, or the type and message of what it raises."""
+    try:
+        return importer(path, mapping)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+BOM = b"\xef\xbb\xbf"
+
+NO_ID = ColumnMapping(
+    {"annee": ColumnRole.YEAR, "commune": ColumnRole.COMMUNE, "chemin": ColumnRole.IMAGE_PATH}
+)
+
+
+class TestImportCsvOracle:
+    """import_csv reads cells by column index; on any text it must give what
+    the DictReader importer gives, rows, diagnostics and errors alike."""
+
+    def check(self, tmp_path, text, mapping=MAPPING, bom=False):
+        path = tmp_path / "in.csv"
+        path.write_bytes((BOM if bom else b"") + text.encode("utf-8"))
+        expected = outcome(dictreader_import_csv, path, mapping)
+        assert outcome(import_csv, path, mapping) == expected
+        return expected
+
+    def test_blank_lines_are_skipped_and_not_numbered(self, tmp_path):
+        rows, _ = self.check(
+            tmp_path,
+            "annee,commune,cote,chemin,notes\n\n1881,Vichy,6M1,a.jpg,\r\n\r\n\n"
+            "18x1,Vichy,6M1,b.jpg,\n\n",
+        )
+        assert [(r.row_number, r.image_path) for r in rows] == [(2, "a.jpg"), (3, "b.jpg")]
+
+    def test_short_and_long_rows(self, tmp_path):
+        rows, _ = self.check(
+            tmp_path,
+            "annee,commune,cote,chemin,notes\n1881,Vichy\n1881,Vichy,6M1,a.jpg,n,extra,more\n"
+            "1881\n,\n",
+        )
+        assert [(r.commune, r.archival_id, r.image_path) for r in rows] == [
+            ("Vichy", "", ""), ("Vichy", "6M1", "a.jpg"), ("", "", ""), ("", "", ""),
+        ]
+
+    def test_duplicated_header_name_means_its_last_column(self, tmp_path):
+        rows, _ = self.check(
+            tmp_path, "commune,annee,cote,chemin,commune\nVichy,1881,6M1,a.jpg,Moulins\n"
+            "Vichy,1881,6M1,b.jpg\n",
+        )
+        assert [r.commune for r in rows] == ["Moulins", ""]
+
+    def test_quoted_cell_spanning_lines(self, tmp_path):
+        rows, _ = self.check(
+            tmp_path,
+            'annee,commune,cote,chemin,notes\n1881,"Neuilly-\nle-Réal",6M1,a.jpg,"x\r\n\ny"\n'
+            '1881,"Vi""chy",6M1,b.jpg,\n',
+        )
+        assert [(r.row_number, r.commune) for r in rows] == [(2, "Neuilly-\nle-Réal"),
+                                                              (3, 'Vi"chy')]
+
+    def test_header_only_and_empty_files(self, tmp_path):
+        assert self.check(tmp_path, "annee,commune,cote,chemin,notes\n") == ([], [])
+        assert self.check(tmp_path, "")[0] is EmptyFile
+        assert self.check(tmp_path, "", bom=True)[0] is EmptyFile
+        assert self.check(tmp_path, "\nannee,commune,cote,chemin\n")[0] is MissingColumn
+
+    def test_byte_order_mark(self, tmp_path):
+        rows, _ = self.check(tmp_path, "annee,commune,cote,chemin,notes\n1881,Vichy,6M1,a.jpg,\n",
+                             bom=True)
+        assert rows[0].year == 1881
+
+    def test_mapping_without_archival_id(self, tmp_path):
+        rows, _ = self.check(tmp_path, "annee,commune,cote,chemin\n1881,Vichy,6M1,a.jpg\n",
+                             mapping=NO_ID)
+        assert rows[0].archival_id == ""
+
+    @given(
+        st.lists(st.sampled_from(["annee", "commune", "cote", "chemin", "notes", "x", ""]),
+                 max_size=7),
+        st.text(alphabet='ab1881 ,"\r\n\té٣', max_size=80),
+        st.sampled_from([MAPPING, NO_ID]),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_generated_text(self, tmp_path_factory, header, body, mapping, bom):
+        """Headers with names missing, repeated or empty, and bodies with
+        quotes, separators, line ends and non-ASCII digits."""
+        self.check(tmp_path_factory.mktemp("csv"), ",".join(header) + "\n" + body,
+                   mapping=mapping, bom=bom)
 
 
 class TestNormalization:
@@ -341,6 +474,18 @@ class TestNaturalKey:
     def test_mixed_segments(self):
         assert natural_key("a12b3") == ("a", 12, "b", 3, "")
 
+    @given(st.text(alphabet=st.sampled_from("a_.-/0123456789٣۹１") | st.characters(),
+                   max_size=30))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_per_part_expression(self, text):
+        """Digit runs, Unicode digits such as '٣' included, become the same
+        ints the one-part-at-a-time expression makes."""
+        parts = re.split(r"(\d+)", text)
+        assert natural_key(text) == tuple(int(p) if i % 2 else p for i, p in enumerate(parts))
+
+    def test_unicode_digits(self):
+        assert natural_key("p٣.jpg") == ("p", 3, ".jpg")
+
 
 def import_rows(tmp_path, rows):
     path = write_csv(tmp_path / "in.csv", rows)
@@ -475,3 +620,32 @@ class TestPersistence:
         out = tmp_path / "exceptions.csv"
         write_exceptions_csv(result.exceptions, out)
         assert "InvalidCensusYear" in out.read_text(encoding="utf-8")
+
+
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" writes a byte-order mark; the gazetteer, mapping
+    and worklist read the same with and without one (``import_csv``: see
+    ``TestImportCsvOracle``)."""
+
+    def both(self, tmp_path, name, text, load):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(BOM + text.encode("utf-8"))
+        expected = load(plain)
+        assert load(marked) == expected
+        return expected
+
+    def test_gazetteer(self, tmp_path):
+        text = "code,canonical_name,department,variants\n03190,Moulins,Allier,Molins\n" \
+               "03310,Vichy,Allier,\n"
+        entries = self.both(tmp_path, "gazetteer.csv", text, load_gazetteer)
+        assert [e.code for e in entries] == ["03190", "03310"]
+
+    def test_mapping(self, tmp_path):
+        text = "annee=YEAR\ncommune=COMMUNE\nchemin=IMAGE_PATH\n"
+        mapping = self.both(tmp_path, "mapping.txt", text, load_mapping)
+        assert mapping.column(ColumnRole.YEAR) == "annee"
+
+    def test_resolutions(self, tmp_path):
+        text = "name,candidates,best_code,best_score,resolved_code\nMoulins,03190:1.0,03190,1.0,03190\n"
+        assert self.both(tmp_path, "ambiguous.csv", text, load_resolutions) == {"Moulins": "03190"}
