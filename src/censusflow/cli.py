@@ -286,9 +286,9 @@ def ingest_cmd(config: GlobalConfig, csv_path, mapping_path, gazetteer_path, out
         _fail(f"gazetteer {gazetteer_path} is empty")
     try:
         rows, diagnostics = ingest.import_csv(csv_path, mapping)
+        resolved = ingest.load_resolutions(resolutions) if resolutions else None
     except (ingest.MissingColumn, ingest.EmptyFile) as exc:
         raise click.UsageError(str(exc))
-    resolved = ingest.load_resolutions(resolutions) if resolutions else None
     result = ingest.build_registry(
         rows, gazetteer, resolutions=resolved,
         threshold=threshold, auto_threshold=auto_threshold,
@@ -342,9 +342,9 @@ def check_images_cmd(registry_path, endpoint_url, api_version, concurrency, out_
     if dry_run:
         click.echo("dry run: nothing written")
         return
-    results = iiif.check_batch(
-        endpoint, images, transport, concurrency=concurrency, fetch_pixels=fetch_pixels
-    )
+    with LocalExecutor(concurrency) as pool:
+        results = pool.run("check", images, lambda image: iiif.check_integrity(
+            endpoint, image, transport, fetch_pixels=fetch_pixels))
     iiif.write_results_csv(results, out_path)
     bad = [r for r in results if r.status is not iiif.IntegrityStatus.OK]
     click.echo(f"ok: {len(results) - len(bad)}  problems: {len(bad)}  ->  {out_path}")
@@ -483,44 +483,44 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
         raise click.UsageError("need --fixture, or --registry together with --endpoint")
 
     workers = parse_worker_spec(worker_spec, config.seed)
-    scheduler = parse_scheduler_spec(scheduler_spec)
     pipeline_cfg = config.pipeline
     prestage_concurrency = pipeline_cfg.get("prestage_concurrency", 14)
     if jobs is not None:
         prestage_concurrency = min(prestage_concurrency, jobs)
-    try:
-        run_config = RunConfig(
-            workspace=Path(workspace),
-            registry=registry,
-            endpoint=endpoint,
-            transport=transport,
-            workers=workers,
-            scheduler=scheduler,
-            prestage_concurrency=prestage_concurrency,
-            retry_limit=retry_limit if retry_limit is not None else pipeline_cfg.get("retry_limit", 3),
-            window=window if window is not None else pipeline_cfg.get("window", 64),
-            stages={s.strip() for s in stages.split(",") if s.strip()},
-            **selection,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        images = len(select_images(registry, **selection))
-    except EmptySelection as exc:
-        _fail(str(exc))
+    with parse_scheduler_spec(scheduler_spec) as scheduler:
+        try:
+            run_config = RunConfig(
+                workspace=Path(workspace),
+                registry=registry,
+                endpoint=endpoint,
+                transport=transport,
+                workers=workers,
+                scheduler=scheduler,
+                prestage_concurrency=prestage_concurrency,
+                retry_limit=retry_limit if retry_limit is not None else pipeline_cfg.get("retry_limit", 3),
+                window=window if window is not None else pipeline_cfg.get("window", 64),
+                stages={s.strip() for s in stages.split(",") if s.strip()},
+                **selection,
+            )
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+        try:
+            images = len(select_images(registry, **selection))
+        except EmptySelection as exc:
+            _fail(str(exc))
 
-    click.echo(
-        f"run: images={images} "
-        f"stages={','.join(s for s in STAGES if s in run_config.stages)} "
-        f"workers={worker_spec} scheduler={scheduler_spec} seed={config.seed}"
-    )
-    if dry_run:
-        click.echo("dry run: nothing executed")
-        return
-    try:
-        report = run_batch(run_config)
-    except (WorkspaceBusy, CorruptLine) as exc:
-        _fail(str(exc))
+        click.echo(
+            f"run: images={images} "
+            f"stages={','.join(s for s in STAGES if s in run_config.stages)} "
+            f"workers={worker_spec} scheduler={scheduler_spec} seed={config.seed}"
+        )
+        if dry_run:
+            click.echo("dry run: nothing executed")
+            return
+        try:
+            report = run_batch(run_config)
+        except (WorkspaceBusy, CorruptLine) as exc:
+            _fail(str(exc))
     _echo_counts(report.counts)
     if report.households_csv:
         click.echo(

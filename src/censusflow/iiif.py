@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Protocol, Sequence
@@ -247,26 +246,6 @@ def fetch_image(
             raise FetchError(response.status_code, url)
         return response.body
     raise last if last is not None else TransportFailure(f"no attempts made for {url}")
-
-
-def check_batch(
-    endpoint: IiifEndpoint,
-    images: Sequence[ImageRef],
-    transport: Transport,
-    *,
-    concurrency: int = 8,
-    fetch_pixels: bool = False,
-) -> list[IntegrityResult]:
-    """Check many images with bounded parallelism, preserving input order."""
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(
-            pool.map(
-                lambda img: check_integrity(endpoint, img, transport, fetch_pixels=fetch_pixels),
-                images,
-            )
-        )
 
 
 def write_results_csv(results: Sequence[IntegrityResult], path) -> None:

@@ -670,12 +670,20 @@ def write_ambiguous_csv(ambiguous: Sequence[AmbiguousRecord], path: str | Path) 
 
 
 def load_resolutions(path: str | Path) -> dict[str, str]:
-    """Read a worklist CSV back; rows with a ``resolved_code`` become
-    name-to-code resolutions."""
+    """Read a worklist CSV back; rows with a ``name`` and a
+    ``resolved_code`` become name-to-code resolutions.
+
+    Raises:
+        MissingColumn: if the file has no header, or one without either column.
+    """
     resolutions = {}
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for record in csv.DictReader(fh):
-            code = (record.get("resolved_code") or "").strip()
-            if code:
-                resolutions[record["name"]] = code
+        reader = csv.DictReader(fh)
+        for column in ("name", "resolved_code"):
+            if column not in (reader.fieldnames or ()):
+                raise MissingColumn(f"column {column!r} not in worklist header of {path}")
+        for record in reader:
+            name, code = record["name"], (record["resolved_code"] or "").strip()
+            if name and code:
+                resolutions[name] = code
     return resolutions

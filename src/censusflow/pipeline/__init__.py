@@ -4,7 +4,7 @@ Each image travels through three stages, mirroring a cluster whose compute
 nodes have no internet access:
 
 * pre-stage (connected): check each image and download its bytes into
-  staging;
+  staging, on one thread pool held for the whole run;
 * process (isolated): classify the page and, for list pages, run the
   recognizer, on a thread pool whose workers hold no network transport;
   each checked result, with the recognizer's label as it returned it, goes
@@ -20,6 +20,8 @@ holds no paths and a workspace may move between runs. That makes every step idem
 recovery a matter of re-running the batch.
 One handle, ``runner.Workspace``, opens a workspace for plan, run, status
 and export; only a writer locks it and writes the checkpoint.
+Every thread pool is a ``LocalExecutor``, which returns results in item
+order, so the calling thread logs each window's outcomes in task order.
 """
 
 from .manifests import (

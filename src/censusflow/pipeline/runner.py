@@ -42,7 +42,7 @@ import re
 import threading
 import time
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -326,7 +326,9 @@ def run_batch(config: RunConfig) -> BatchReport:
 
     After each window's integrate, the rows of every register that window
     completed are folded and memoised (``ExportMemo.keep``); the export
-    then copies them. The run is the workspace's writer (``Workspace``). The
+    then copies them. The run is the workspace's writer (``Workspace``). It
+    downloads on one pool, opened inside the workspace so that it closes,
+    its downloads finished, before the writer lock is released. The
     report's ``registers_skipped`` counts the incomplete registers among
     those with planned tasks, as ``censusflow export`` does.
 
@@ -335,9 +337,10 @@ def run_batch(config: RunConfig) -> BatchReport:
     and when the run returns, so the checkpoints of a run total O(log) bytes
     and a kill leaves at most one such interval of log to read again.
     """
-    post = "post" in config.stages
-    with Workspace.open(config.workspace, writer=True, clock=config.clock,
-                        on_transition=config.on_transition) as ws:
+    pre, post = "pre" in config.stages, "post" in config.stages
+    with (Workspace.open(config.workspace, writer=True, clock=config.clock,
+                         on_transition=config.on_transition) as ws,
+          (LocalExecutor(config.prestage_concurrency) if pre else nullcontext()) as downloads):
         manifests = plan_batch(config.registry, ws, year=config.year,
                                commune_code=config.commune_code,
                                register_id=config.register_id, limit=config.limit)
@@ -348,10 +351,9 @@ def run_batch(config: RunConfig) -> BatchReport:
         todo = [m for m in manifests if m.state not in TERMINAL_STATES]
         for start in range(0, len(todo), config.window):
             window = todo[start : start + config.window]
-            if "pre" in config.stages:
+            if pre:
                 run_stage_prestage(window, ws, endpoint=config.endpoint,
-                                   transport=config.transport,
-                                   concurrency=config.prestage_concurrency,
+                                   transport=config.transport, executor=downloads,
                                    results_store=store)
             if "proc" in config.stages:
                 run_stage_process(window, ws, workers=config.workers,

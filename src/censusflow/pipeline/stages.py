@@ -47,10 +47,11 @@ class EmptySelection(ValueError):
 
 
 class LocalExecutor:
-    """In-process pool of ``workers`` threads for the process stage."""
+    """In-process pool of ``workers`` threads, the package's only kind: its
+    owner opens one per command and closes it (``with``) on every exit."""
 
-    #: Always true. ``bench/``'s traced scheduler still copies this
-    #: attribute, so it stays until the benchmark stops reading it.
+    #: Always true, and nothing in ``censusflow`` reads it: ``bench/``'s
+    #: traced scheduler copies it, so it stays until the benchmark stops.
     isolated_compute = True
 
     def __init__(self, workers: int = 4):
@@ -66,6 +67,12 @@ class LocalExecutor:
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
+
+    def __enter__(self) -> "LocalExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
 
 
 def _fail(manifest: TaskManifest, ctx: PipelineContext, stage: str, reason: str,
@@ -178,11 +185,11 @@ def run_stage_prestage(
     *,
     endpoint: IiifEndpoint,
     transport: Transport,
-    concurrency: int = 14,
+    executor: LocalExecutor,
     results_store,
 ) -> None:
     """Check each PENDING task's image (``check_integrity``) and fetch its
-    bytes to ``ctx.staged_file(task_id)``, on ``concurrency`` threads.
+    bytes to ``ctx.staged_file(task_id)``, on ``executor``.
 
     Tasks move to STAGED on success or FAILED(prestage) otherwise. A task
     past staging whose result ``results_store`` does not hold and whose
@@ -209,9 +216,7 @@ def run_stage_prestage(
     if not todo:
         return
     ctx.staging_dir.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        outcomes = list(pool.map(work, todo))
-    for manifest, reason in outcomes:
+    for manifest, reason in executor.run("prestage", todo, work):
         if reason:
             _fail(manifest, ctx, "prestage", reason, attempts={"prestage": 1})
         elif manifest.state is TaskState.PENDING:

@@ -1,5 +1,5 @@
 import random
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import pytest
 
@@ -71,6 +71,30 @@ def generate_synthetic_page(
 def mock_worker_set(seed: int = 0, noise: NoiseSpec = NoiseSpec()) -> WorkerSet:
     """The mock classifier and a mock recognizer with ``seed`` and ``noise``."""
     return WorkerSet(classifier=MockClassifier(), recognizer=MockRecognizer(seed, noise))
+
+
+class SeededExecutor:
+    """``LocalExecutor``'s contract on the calling thread: ``run`` calls
+    ``fn`` on the items in a permutation drawn from ``seed`` and returns
+    the results in item order. ``calls`` records the items in call order."""
+
+    isolated_compute = True
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.calls: list = []
+
+    def run(self, stage: str, items: Sequence, fn: Callable) -> list:
+        order = list(range(len(items)))
+        self.rng.shuffle(order)
+        results = [None] * len(items)
+        for i in order:
+            self.calls.append(items[i])
+            results[i] = fn(items[i])
+        return results
+
+    def shutdown(self) -> None:
+        pass
 
 
 @pytest.fixture

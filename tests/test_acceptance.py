@@ -289,11 +289,12 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         ctx = PipelineContext.at(iso_ws, clock=lambda: 0.0)
         manifests = plan_batch(corpus.registry, ctx, limit=4)
         store = ResultStore(iso_ws / "results_store.ndjson")
-        run_stage_prestage(
-            manifests, ctx,
-            endpoint=IiifEndpoint("https://fixture.local/iiif"),
-            transport=FixtureTransport(corpus.root), concurrency=2, results_store=store,
-        )
+        with LocalExecutor(2) as downloads:
+            run_stage_prestage(
+                manifests, ctx,
+                endpoint=IiifEndpoint("https://fixture.local/iiif"),
+                transport=FixtureTransport(corpus.root), executor=downloads, results_store=store,
+            )
 
         class RogueClassifier:
             version = "rogue/1"

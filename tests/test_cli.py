@@ -1,3 +1,4 @@
+import csv
 import fcntl
 import json
 import re
@@ -628,6 +629,22 @@ class TestCheckImages:
         assert result.exit_code == 1
         assert "problems: 1" in result.output
 
+    def test_rows_follow_the_registry_order(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        out = tmp_path / "integrity.csv"
+        result = runner.invoke(
+            main,
+            ["check-images", "--registry", str(corpus / "registry.ndjson"),
+             "--fixture", str(corpus), "--out", str(out), "--concurrency", "3"],
+        )
+        assert result.exit_code == 0, result.output
+        images = [image["identifier"] for line in (corpus / "registry.ndjson").read_text(
+            encoding="utf-8").splitlines() for image in json.loads(line)["images"]]
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+        assert rows[0] == ["identifier", "status", "width", "height", "detail"]
+        assert [row[0] for row in rows[1:]] == images
+        assert {row[1] for row in rows[1:]} == {"OK"}
+
     def test_zero_concurrency_is_a_usage_error(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         out = tmp_path / "integrity.csv"
@@ -781,6 +798,20 @@ class TestIngestCommand:
         assert [(r["archival_id"], r["commune"]["code"]) for r in registers] == [
             ("6M1", "03190"), ("6M2", "03190")]
         assert outputs[0]["ambiguous.csv"].splitlines()[1:] == [b"Moulinz,03190:0.8571,03190,0.8571,"]
+
+    def test_worklist_without_a_name_column_is_a_usage_error(self, runner, tmp_path):
+        csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
+        worklist = tmp_path / "worklist.csv"
+        worklist.write_text("nom,resolved_code\nMoulins,03190\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["ingest", "--csv", str(csv_path), "--mapping", str(mapping),
+             "--gazetteer", str(gazetteer), "--resolutions", str(worklist), "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "'name' not in worklist header" in result.output
+        assert not out.exists()
 
 
 class TestExportCommand:

@@ -15,7 +15,6 @@ from censusflow.iiif import (
     RetryPolicy,
     TransportFailure,
     TransportResponse,
-    check_batch,
     check_integrity,
     fetch_image,
     full_image_url,
@@ -226,21 +225,6 @@ class TestNullTransport:
 
 
 class TestBatch:
-    def test_preserves_order(self):
-        images = [image_ref(f"p{i:02d}") for i in range(10)]
-
-        class EchoTransport:
-            def get(self, url, timeout_ms):
-                return ok_info()
-
-        results = check_batch(ENDPOINT, images, EchoTransport(), concurrency=3)
-        assert [r.image.iiif_identifier for r in results] == [i.iiif_identifier for i in images]
-        assert all(r.status is IntegrityStatus.OK for r in results)
-
-    def test_concurrency_must_be_positive(self):
-        with pytest.raises(ValueError):
-            check_batch(ENDPOINT, [], NullTransport(), concurrency=0)
-
     def test_results_csv(self, tmp_path):
         transport = ScriptedTransport(ok_info(), TransportResponse(404, b""))
         results = [

@@ -585,6 +585,28 @@ class TestBuildRegistry:
         assert result.registry.registers[0].metadata.register_id == "1881-03310-6m-1"
 
 
+class TestLoadResolutions:
+    @pytest.mark.parametrize("header", ["nom,resolved_code", "name,candidates,best_code"])
+    def test_header_without_its_columns(self, tmp_path, header):
+        worklist = tmp_path / "worklist.csv"
+        worklist.write_text(f"{header}\nMoulins,03190\n", encoding="utf-8")
+        with pytest.raises(MissingColumn):
+            load_resolutions(worklist)
+
+    def test_no_header(self, tmp_path):
+        worklist = tmp_path / "worklist.csv"
+        worklist.write_text("", encoding="utf-8")
+        with pytest.raises(MissingColumn):
+            load_resolutions(worklist)
+
+    def test_a_row_without_a_name_resolves_nothing(self, tmp_path):
+        """An empty ``name`` cell, and a short row that has none."""
+        worklist = tmp_path / "worklist.csv"
+        worklist.write_text("resolved_code,name\n03190,\n03310\n03190,Moulins\n",
+                            encoding="utf-8")
+        assert load_resolutions(worklist) == {"Moulins": "03190"}
+
+
 class TestPersistence:
     def test_registry_roundtrip_and_determinism(self, tmp_path):
         rows = import_rows(

@@ -60,7 +60,7 @@ from censusflow.pipeline.manifests import (
 )
 import censusflow.pipeline.stages as stages_module
 
-from conftest import mock_worker_set
+from conftest import SeededExecutor, mock_worker_set
 
 ENDPOINT = IiifEndpoint("https://fixture.local/iiif")
 
@@ -78,6 +78,13 @@ def corpus(tmp_path):
 @pytest.fixture
 def ctx(tmp_path):
     return PipelineContext.at(tmp_path / "ws")
+
+
+@pytest.fixture
+def pool():
+    """A four-thread executor, shut down when the test ends."""
+    with LocalExecutor(4) as executor:
+        yield executor
 
 
 def transport_for(corpus, **kwargs):
@@ -158,24 +165,24 @@ class TestPlanBatch:
 
 
 class TestPrestage:
-    def test_all_fetches_succeed(self, tmp_path, corpus, ctx):
+    def test_all_fetches_succeed(self, tmp_path, corpus, ctx, pool):
         manifests = plan_batch(corpus.registry, ctx)
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
-            concurrency=4, results_store=store_of(ctx),
+            executor=pool, results_store=store_of(ctx),
         )
         assert all(m.state is TaskState.STAGED for m in manifests)
         for m in manifests:
             assert ctx.staged_file(m.task_id) == tmp_path / "ws" / "staging" / f"{m.task_id}.jpg"
             assert ctx.staged_file(m.task_id).exists()
 
-    def test_missing_image_fails_task(self, tmp_path, corpus, ctx):
+    def test_missing_image_fails_task(self, tmp_path, corpus, ctx, pool):
         manifests = plan_batch(corpus.registry, ctx)
         victim = manifests[0].image.iiif_identifier
         transport = transport_for(corpus, missing=[victim])
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            concurrency=4, results_store=store_of(ctx),
+            executor=pool, results_store=store_of(ctx),
         )
         states = {m.task_id: m.state for m in manifests}
         failed = [m for m in manifests if m.state is TaskState.FAILED]
@@ -189,27 +196,28 @@ class TestPrestage:
         manifests = plan_batch(corpus.registry, ctx)
         victim = manifests[0].image.iiif_identifier
         transport = transport_for(corpus, flaky={victim: 2})
-        run_stage_prestage(
-            manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            concurrency=1, results_store=store_of(ctx),
-        )
+        with LocalExecutor(1) as serial:
+            run_stage_prestage(
+                manifests, ctx, endpoint=ENDPOINT, transport=transport,
+                executor=serial, results_store=store_of(ctx),
+            )
         assert manifests[0].state is TaskState.STAGED
 
-    def test_rerun_touches_only_pending(self, tmp_path, corpus, ctx):
+    def test_rerun_touches_only_pending(self, tmp_path, corpus, ctx, pool):
         manifests = plan_batch(corpus.registry, ctx)
         transport = transport_for(corpus)
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            results_store=store_of(ctx),
+            executor=pool, results_store=store_of(ctx),
         )
         calls_before = transport.calls
         run_stage_prestage(
             manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            results_store=store_of(ctx),
+            executor=pool, results_store=store_of(ctx),
         )
         assert transport.calls == calls_before
 
-    def test_fetches_again_only_images_a_result_still_needs(self, tmp_path, corpus, ctx):
+    def test_fetches_again_only_images_a_result_still_needs(self, tmp_path, corpus, ctx, pool):
         """Of three tasks whose staged image is gone, two PROCESSED with a
         stored result and one STAGED, only the STAGED one is fetched again,
         and no transition is logged."""
@@ -222,7 +230,7 @@ class TestPrestage:
         log_before = ctx.log.path.read_bytes()
         transport = transport_for(corpus)
         run_stage_prestage(manifests, ctx, endpoint=ENDPOINT, transport=transport,
-                           results_store=store)
+                           executor=pool, results_store=store)
         assert transport.calls == 2  # the image's info.json and its bytes
         assert [ctx.staged_file(m.task_id).exists() for m in manifests[:3]] == [
             False, False, True]
@@ -230,13 +238,32 @@ class TestPrestage:
             TaskState.PROCESSED, TaskState.PROCESSED, TaskState.STAGED]
         assert ctx.log.path.read_bytes() == log_before
 
+    def test_downloads_run_side_by_side(self, tmp_path, corpus):
+        """Under ``run_batch`` with two download threads, the first two
+        info.json requests meet at a barrier, which only two requests in
+        flight at once can pass; a serial pre-stage would time out there."""
+        barrier = threading.Barrier(2, timeout=10)
+        calls = count()
+        inner = transport_for(corpus)
+
+        class MeetingTransport:
+            def get(self, url, timeout_ms):
+                if url.endswith("/info.json") and next(calls) < 2:
+                    barrier.wait()
+                return inner.get(url, timeout_ms)
+
+        report = run_batch(run_config(tmp_path, corpus, transport=MeetingTransport(),
+                                      scheduler=SeededExecutor(0), prestage_concurrency=2))
+        assert report.counts["INTEGRATED"] == corpus.image_count
+
 
 def staged_manifests(tmp_path, corpus, ctx):
     manifests = plan_batch(corpus.registry, ctx)
-    run_stage_prestage(
-        manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
-        concurrency=4, results_store=store_of(ctx),
-    )
+    with LocalExecutor(4) as downloads:
+        run_stage_prestage(
+            manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
+            executor=downloads, results_store=store_of(ctx),
+        )
     return manifests
 
 
@@ -450,6 +477,71 @@ class TestIsolation:
     def test_null_transport_raises(self):
         with pytest.raises(IsolationViolation):
             NullTransport().get("https://anywhere", 1)
+
+
+class TestLocalExecutor:
+    def test_results_come_back_in_item_order(self):
+        """Each item waits until the next one has finished, so they finish
+        last to first; the results still come back first to last."""
+        done = [threading.Event() for _ in range(4)]
+        finished = []
+
+        def square(i):
+            if i + 1 < len(done):
+                assert done[i + 1].wait(timeout=10)
+            finished.append(i)
+            done[i].set()
+            return i * i
+
+        with LocalExecutor(4) as executor:
+            assert executor.run("test", range(4), square) == [0, 1, 4, 9]
+        assert finished == [3, 2, 1, 0]
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError):
+            LocalExecutor(0)
+
+    def test_closed_by_its_with_block(self):
+        with LocalExecutor(2) as executor:
+            assert executor.run("test", [1, 2], str) == ["1", "2"]
+        with pytest.raises(RuntimeError):
+            executor.run("test", [1], str)
+
+    @pytest.mark.parametrize("ending", ["returns", "killed", "transport_raises"])
+    def test_run_batch_leaves_no_thread_behind(self, tmp_path, corpus, ending):
+        """``run_batch`` joins its download threads as it returns, and as it
+        raises from a killing ``on_transition`` or from a transport that
+        raises inside the pre-stage's work. The process stage runs on the
+        calling thread, so every thread counted is the pre-stage's."""
+
+        class Crash(BaseException):
+            pass
+
+        def bomb(manifest):
+            if manifest.state is TaskState.STAGED and next(staged) == 2:
+                raise Crash()
+
+        victim = corpus.registry.registers[0].images[3].iiif_identifier
+        inner = transport_for(corpus)
+
+        class RaisingTransport:
+            def get(self, url, timeout_ms):
+                if url == full_image_url(ENDPOINT, victim):
+                    raise Crash()
+                return inner.get(url, timeout_ms)
+
+        staged = count()
+        overrides = {"returns": {}, "killed": {"on_transition": bomb},
+                     "transport_raises": {"transport": RaisingTransport()}}[ending]
+        config = run_config(tmp_path, corpus, scheduler=SeededExecutor(0),
+                            prestage_concurrency=3, **overrides)
+        before = threading.active_count()
+        if ending == "returns":
+            assert run_batch(config).counts["INTEGRATED"] == corpus.image_count
+        else:
+            with pytest.raises(Crash):
+                run_batch(config)
+        assert threading.active_count() == before
 
 
 class TestIntegrate:
