@@ -19,7 +19,7 @@ from typing import Optional
 import click
 
 from . import __version__, fixtures, iiif, ingest, metrics, simulate as simulate_mod
-from .domain import write_fixture
+from .domain import MalformedFixture, write_fixture
 from .pipeline import (
     EmptySelection,
     ExternalProcessWorker,
@@ -623,7 +623,7 @@ def evaluate_cmd(truth_dir, pred_dir, json_path, dry_run):
         return
     try:
         report = metrics.evaluate_corpus(truth_dir, pred_dir)
-    except metrics.NoMatchingPages as exc:
+    except (metrics.NoMatchingPages, MalformedFixture) as exc:
         _fail(str(exc))
     click.echo(metrics.format_corpus_report(report))
     if json_path:

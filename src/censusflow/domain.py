@@ -258,32 +258,45 @@ def dumps_pages(pages: Iterable[PageTranscript]) -> str:
     return f"\n{_PAGE_SEPARATOR}\n".join(blocks) + ("\n" if blocks else "")
 
 
+class MalformedFixture(ValueError):
+    """A fixture file that is not UTF-8, or a line of one that does not
+    parse; the message names the line."""
+
+
 def loads_pages(text: str) -> list[PageTranscript]:
     if text.strip() == "":
         return []
     pages = []
+    first = 1  # the number of the block's first line
     for index, block in enumerate(re.split(rf"^{_PAGE_SEPARATOR}$", text, flags=re.MULTILINE)):
         page_id = f"page-{index}"
         page_index = index
         records = []
-        for line in block.splitlines():
+        lines = block.splitlines()
+        for number, line in enumerate(lines, first):
             line = line.rstrip("\r")
             if not line.strip():
                 continue
-            if line.startswith(_HEADER_PREFIX + "\t"):
-                _, page_id, raw_index = line.split("\t", 2)
-                page_index = int(raw_index)
-                continue
-            fields = {}
-            for item in line.split("\t"):
-                name, sep, value = item.partition("=")
-                if not sep:
-                    raise ValueError(f"malformed fixture line: {line!r}")
-                tag = TAG_FOR_NAME.get(name)
-                if tag is None:
-                    raise ValueError(f"unknown tag name in fixture: {name!r}")
-                fields[tag] = value
+            try:
+                if line.startswith(_HEADER_PREFIX + "\t"):
+                    _, page_id, raw_index = line.split("\t", 2)
+                    page_index = int(raw_index)
+                    if page_index < 0:
+                        raise ValueError(f"negative page index {page_index}")
+                    continue
+                fields = {}
+                for item in line.split("\t"):
+                    name, sep, value = item.partition("=")
+                    if not sep:
+                        raise ValueError(f"malformed fixture line: {line!r}")
+                    tag = TAG_FOR_NAME.get(name)
+                    if tag is None:
+                        raise ValueError(f"unknown tag name in fixture: {name!r}")
+                    fields[tag] = value
+            except ValueError as exc:
+                raise MalformedFixture(f"line {number}: {exc}") from None
             records.append(PersonRecord(fields))
+        first += len(lines)
         pages.append(
             PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index)
         )
@@ -295,4 +308,16 @@ def write_fixture(pages: Iterable[PageTranscript], path: str | Path) -> None:
 
 
 def read_fixture(path: str | Path) -> list[PageTranscript]:
-    return loads_pages(Path(path).read_text(encoding="utf-8"))
+    """The pages of a fixture file.
+
+    Raises:
+        MalformedFixture: naming the file and the line, where the file is
+            not UTF-8 or a line does not parse.
+    """
+    try:
+        return loads_pages(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise MalformedFixture(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+    except MalformedFixture as exc:
+        raise MalformedFixture(f"{path}: {exc}") from None

@@ -8,19 +8,22 @@ per-page figures over fixture directories.
 Both quadratic kernels are bit-parallel over Python ints used as bit
 vectors: Myers' edit distance for CER/WER (and ingest's name matching) and
 Hyyro's LCS for the entity alignment, each O(n * m / w) word operations for
-word width w. On patterns of 258 or more elements the edit distance first
+word width w. On patterns of 386 or more elements the edit distance first
 tries Ukkonen's band of diagonals around the main one, O(n * k / w) for a
-cutoff k of about m / 16: a page whose distance is a few percent of its
+cutoff k of about m / 8: a page whose distance is a few percent of its
 length costs a fraction of the full pass. The band's result is exact
 whenever it is within the cutoff, because every value it computes is the
-cost of a real alignment; otherwise the full pass runs.
+cost of a real alignment; otherwise the full pass runs. ``evaluate_corpus``
+packs the bands of up to eight pages into one pair of bit vectors, each
+page a lane above a zero guard bit, so one Myers step per column serves
+all of them; each lane's result is the one it would have alone.
 
 Conventions stated in every report:
 
 * CER/WER are computed on tag-stripped text (values joined by single spaces,
   records by newlines), isolating transcription quality from tagging quality.
-  Both are exact edit distances; the band is a speed-up, not an
-  approximation.
+  Both are exact edit distances; the band and its lanes are a speed-up, not
+  an approximation.
 * Entity matching requires exact (tag, text) equality; no fuzzy credit.
 * Confusion matrices are indexed (predicted row, truth column): precision is
   diagonal over row sum, recall is diagonal over column sum.
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import or_
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -57,27 +62,100 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     one, of length n, costs about a dozen big-int operations. Symbol masks
     live in a dict, so elements compare as dict keys (words for WER).
 
-    A pattern of 258 or more elements, where the band covers at most half
-    the rows, first goes through ``_banded`` with the cutoff
-    ``k = max(n - m, m // 16, 64)``. That costs O(n * k / w) for word width
-    w instead of O(n * m / w), and its result is exact whenever it is at
-    most k. A larger result, and every shorter pattern (ingest's names, a
-    page's word list), take the plain loop over all m rows. There is one
-    banded try, not a doubling of k: per-operation overhead dominates
-    Python's big ints at these widths, so a banded pass costs 0.7-0.82 of
-    the plain loop at any k up to m / 4, and each failed retry would cost
-    about as much again.
+    A pattern of 386 or more elements, where the band's window covers at
+    most half the rows, first goes through the banded kernel ``_lanes`` as
+    its only lane, with the cutoff ``k = max(n - m, m // 8, 64)``. That
+    costs O(n * k / w) for word width w instead of O(n * m / w), and its
+    result is exact whenever it is at most k. A larger result, and every
+    shorter pattern (ingest's names, a page's word list), take the plain
+    loop over all m rows. There is one banded try, not a doubling of k:
+    per-operation overhead dominates Python's big ints at these widths, so
+    each failed retry would cost most of a plain loop again.
+    ``levenshtein_many`` gives the same results for many pairs at once.
     """
     if len(a) < len(b):
         a, b = b, a
+    k = _cutoff(len(a), len(b))
+    if k:
+        distance = _lanes([(a, b, k)])[0]
+        if distance <= k:
+            return distance
+    return _plain(a, b)
+
+
+def levenshtein_many(
+    pairs: Iterable[tuple[Sequence[Hashable], Sequence[Hashable]]],
+) -> list[int]:
+    """``levenshtein`` of each pair, in order.
+
+    Band-eligible pairs are sorted by the length of their longer sequence
+    and go ``_LANES`` at a time through ``_lanes``, so pairs of similar
+    length share one Myers step per column; a lane over its cutoff, and
+    every pair under the band threshold, take the plain loop. The results
+    are those of one pair at a time.
+    """
+    results: list[int] = []
+    banded = []
+    for a, b in pairs:
+        if len(a) < len(b):
+            a, b = b, a
+        k = _cutoff(len(a), len(b))
+        if k:
+            banded.append((len(results), a, b, k))
+            results.append(-1)
+        else:
+            results.append(_plain(a, b))
+    banded.sort(key=lambda problem: len(problem[1]))
+    for first in range(0, len(banded), _LANES):
+        group = banded[first:first + _LANES]
+        for (i, a, b, k), distance in zip(group, _lanes([p[1:] for p in group])):
+            results[i] = distance if distance <= k else _plain(a, b)
+    return results
+
+
+def _cutoff(n: int, m: int) -> int:
+    """The band's cutoff k for a text of n and a pattern of m <= n elements,
+    or 0 where the window would cover more than half the pattern's rows and
+    the plain loop runs instead.
+
+    The cutoff grows with the pattern because page distances do: m // 8
+    leaves every page of the evaluate benchmark (~1,200 characters, 2%
+    substitutions) within it, where m // 16 left 14 of seed 1's 299 pages
+    over it, each paying its lane and then the plain loop.
+    """
+    k = max(n - m, m // 8, 64)
+    return k if 2 * (k + _BLOCK + 1) <= m else 0
+
+
+# Problems per banded pass. Per-operation overhead, not width, sets the
+# price of a big-int operation here: one column of Myers' step took 700 ns
+# at 140 bits, 850 ns at 280 and 2,560 ns at 2,240 (eight lanes of 280
+# bits; Python 3.11, Xeon). Over the pages of the evaluate benchmark, 8
+# lanes took 645 us a page, 4 took 786, 6 656, 10 631 and 16 707: past
+# eight, the wider vectors and the columns run after shorter lanes end
+# eat the gain.
+_LANES = 8
+
+# Columns per block: each lane's window of k + _BLOCK + 1 rows moves down,
+# and its masks are rebuilt, once per block. A longer block moves less
+# often but widens every lane; 64 took 712-800 us a page, 96 674-683, 128
+# 645 and 192 640.
+_BLOCK = 128
+
+
+def _symbol_masks(b: Sequence[Hashable]) -> dict[Hashable, int]:
+    """Bit i of ``masks[x]`` is set where ``b[i] == x``."""
+    masks: dict[Hashable, int] = {}
+    for i, x in enumerate(b):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    return masks
+
+
+def _plain(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Myers' step over all ``len(b)`` rows; needs ``len(b) <= len(a)``."""
     n, m = len(a), len(b)
     if m == 0:
         return n
-    k = max(n - m, m // 16, 64)
-    if 2 * (k + _BLOCK + 1) <= m:
-        distance = _banded(a, b, k)
-        if distance <= k:
-            return distance
     mask = (1 << m) - 1
     pv, mv = mask, 0
     get = _symbol_masks(b).get
@@ -93,67 +171,104 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     return n + pv.bit_count() - mv.bit_count()
 
 
-# Columns per block of the banded pass: its window of k + _BLOCK + 1 rows
-# moves down once per block.
-_BLOCK = 64
+class _Lane:
+    """One problem of a ``_lanes`` pass: its window of ``rows`` pattern
+    rows, from row ``top + 1`` down, sits at bit ``offset`` of the shared
+    vectors (``bits`` set there), with a zero guard bit above it. Row
+    ``top`` has the value ``base + j`` in column j."""
+
+    __slots__ = ("a", "n", "m", "slack", "rows", "offset", "bits", "top", "base",
+                 "symbols", "masks")
+
+    def __init__(self, a: Sequence[Hashable], b: Sequence[Hashable], k: int, offset: int):
+        self.a, self.n, self.m = a, len(a), len(b)
+        self.slack = (k - (self.n - self.m)) // 2
+        self.rows = k + _BLOCK + 1
+        self.offset = offset
+        self.bits = ((1 << self.rows) - 1) << offset
+        self.top = self.base = 0
+        self.symbols = {x: v << offset for x, v in _symbol_masks(b).items()}
+        self.move(0)
+
+    def move(self, shift: int) -> None:
+        """Move the window ``shift`` rows down and rebuild its masks."""
+        self.top += shift
+        top, bits = self.top, self.bits
+        self.masks = {x: v >> top & bits for x, v in self.symbols.items()}
 
 
-def _symbol_masks(b: Sequence[Hashable]) -> dict[Hashable, int]:
-    """Bit i of ``masks[x]`` is set where ``b[i] == x``."""
-    masks: dict[Hashable, int] = {}
-    for i, x in enumerate(b):
-        masks[x] = masks.get(x, 0) | (1 << i)
-    return masks
-
-
-def _banded(a: Sequence[Hashable], b: Sequence[Hashable], k: int) -> int:
-    """The edit distance of ``a`` and ``b`` if it is at most ``k``, else a
-    value above ``k``; needs ``0 < len(b) <= len(a) <= len(b) + k``.
+def _lanes(problems: Sequence[tuple[Sequence[Hashable], Sequence[Hashable], int]]) -> list[int]:
+    """For each ``(a, b, k)``, the edit distance of ``a`` and ``b`` if it is
+    at most ``k``, else a value above ``k``; needs
+    ``0 < len(b) <= len(a) <= len(b) + k``.
 
     Ukkonen's cutoff (Information and Control 64, 1985) over Myers' step: an
     alignment of cost at most k never leaves the diagonals j - i with
-    ``|j - i| + |j - i - (n - m)| <= k``, at most k + 1 of them. The pass
-    computes a window of ``k + _BLOCK + 1`` pattern rows that holds those
-    diagonals for ``_BLOCK`` columns at a time, then moves down. Rows leave
-    at the top, after which the row above the window gains +1 per column (an
-    insertion), and enter at the bottom with delta +1 (a deletion), so every
-    value computed is the cost of a real alignment, never below the
-    distance. Every alignment inside the band lies in the window, so the
-    result is exact whenever the distance is at most k.
+    ``|j - i| + |j - i - (n - m)| <= k``, at most k + 1 of them. Each
+    problem is a lane computing a window of ``k + _BLOCK + 1`` pattern rows
+    that holds those diagonals for ``_BLOCK`` columns at a time, then moves
+    down. Rows leave at the top, after which the row above the window gains
+    +1 per column (an insertion), and enter at the bottom with delta +1 (a
+    deletion), so every value computed is the cost of a real alignment,
+    never below the distance. Every alignment inside the band lies in the
+    window, so the result is exact whenever the distance is at most k.
+
+    The lanes are packed into one pair of bit vectors, each above a zero
+    guard bit, so one Myers step per column advances all of them (Hyyro,
+    Fredriksson and Navarro, JEA 10, 2005). The guard stops the carry of
+    ``(eq & pv) + pv`` out of a lane's top row; ``| lows`` sets the
+    horizontal delta entering every lane's row 0, whatever the lane below
+    shifted into it; and ``& window`` clears the guards in ``pv``, while
+    ``mv`` stays inside the lanes because ``eq`` does. A lane's ``eq`` for a
+    block is its masks mapped over its own text, OR-ed with the others'; a
+    lane whose text ends inside a block is read at its own last column.
     """
-    n, m = len(a), len(b)
-    slack = (k - (n - m)) // 2
-    rows = k + _BLOCK + 1
-    window = (1 << rows) - 1
+    lanes = []
+    offset = 0
+    for a, b, k in problems:
+        lanes.append(_Lane(a, b, k, offset))
+        offset += lanes[-1].rows + 1
+    window = sum(lane.bits for lane in lanes)
+    lows = sum(1 << lane.offset for lane in lanes)
     pv, mv = window, 0
-    # ``top`` pattern rows lie above the window; ``border`` is the value of
-    # the last of them (row 0 while top is 0) in the current column.
-    top = border = 0
-    masks = _symbol_masks(b[:rows])
-    for start in range(0, n, _BLOCK):
-        # Column start + 1 needs the rows from start + 1 - (n - m) - slack.
-        shift = start - (n - m) - slack - top
-        if shift > 0:
-            dropped = (1 << shift) - 1
-            border += (pv & dropped).bit_count() - (mv & dropped).bit_count()
-            pv = pv >> shift | (window ^ window >> shift)
-            mv >>= shift
-            masks = {x: v >> shift for x, v in masks.items()}
-            for i, x in enumerate(b[top + rows:top + rows + shift], rows - shift):
-                masks[x] = masks.get(x, 0) | (1 << i)
-            top += shift
-        get = masks.get
-        for x in a[start:start + _BLOCK]:
-            eq = get(x, 0)
-            xv = eq | mv
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = (mv | ~(xh | pv)) << 1 | 1
-            mh = (pv & xh) << 1
-            pv = (mh | ~(xv | ph)) & window
-            mv = ph & xv
-        border += min(_BLOCK, n - start)
-    last = (1 << (m - top)) - 1
-    return border + (pv & last).bit_count() - (mv & last).bit_count()
+    results = [0] * len(lanes)
+    width = max(lane.n for lane in lanes)
+    for start in range(0, width, _BLOCK):
+        eqs = [0] * min(_BLOCK, width - start)
+        ends: dict[int, list[int]] = {}
+        for j, lane in enumerate(lanes):
+            if lane.n <= start:
+                continue
+            # Column start + 1 needs the rows from start + 1 - (n - m) - slack.
+            shift = start - (lane.n - lane.m) - lane.slack - lane.top
+            if shift > 0:
+                bits = lane.bits
+                dropped = ((1 << shift) - 1) << lane.offset
+                lane.base += (pv & dropped).bit_count() - (mv & dropped).bit_count()
+                kept = bits >> shift & bits
+                pv = pv & ~bits | pv >> shift & kept | bits ^ kept
+                mv = mv & ~bits | mv >> shift & kept
+                lane.move(shift)
+            chunk = lane.a[start:start + _BLOCK]
+            eqs[:len(chunk)] = map(or_, eqs, map(lane.masks.get, chunk, repeat(0)))
+            if lane.n <= start + _BLOCK:
+                ends.setdefault(lane.n - start, []).append(j)
+        done = 0
+        for stop in sorted({*ends, len(eqs)}):
+            for eq in eqs[done:stop]:
+                xv = eq | mv
+                xh = (((eq & pv) + pv) ^ pv) | eq
+                ph = (mv | ~(xh | pv)) << 1 | lows
+                mh = (pv & xh) << 1
+                pv = (mh | ~(xv | ph)) & window
+                mv = ph & xv
+            done = stop
+            for j in ends.get(stop, ()):
+                lane = lanes[j]
+                last = ((1 << (lane.m - lane.top)) - 1) << lane.offset
+                results[j] = (lane.base + lane.n + (pv & last).bit_count()
+                              - (mv & last).bit_count())
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +328,16 @@ def error_rates(truth: PageTranscript, pred: PageTranscript) -> ErrorRates:
     """CER/WER between two transcripts over their tag-stripped text."""
     t_text = strip_tags(truth)
     p_text = strip_tags(pred)
+    return _text_rates(t_text, p_text, levenshtein(t_text, p_text))
+
+
+def _text_rates(t_text: str, p_text: str, char_edits: int) -> ErrorRates:
+    """Error counts of two tag-stripped texts ``char_edits`` apart."""
     t_words = t_text.split()
-    p_words = p_text.split()
     return ErrorRates(
-        char_edits=levenshtein(t_text, p_text),
+        char_edits=char_edits,
         char_total=len(t_text),
-        word_edits=levenshtein(t_words, p_words),
+        word_edits=levenshtein(t_words, p_text.split()),
         word_total=len(t_words),
     )
 
@@ -451,33 +570,52 @@ def _empty_page(name: str, index: int) -> PageTranscript:
     return PageTranscript((), page_id=name, page_index_in_register=index)
 
 
-def evaluate_pages(
-    name: str, truth: PageTranscript, pred: PageTranscript, *, missing: bool = False
-) -> PageResult:
-    truth_households = group_page(truth)
-    matched = 0
-    if len(truth.records) == len(pred.records):
-        matched = match_count(group_page(pred), truth_households)
-    return PageResult(
-        name=name,
-        error_rates=error_rates(truth, pred),
-        entities=entity_scores(truth, pred),
-        households_matched=matched,
-        households_total=len(truth_households),
-        missing_prediction=missing,
-    )
+def _score_pages(
+    pages: Sequence[tuple[str, PageTranscript, PageTranscript, bool]],
+) -> list[PageResult]:
+    """The results of ``(name, truth, pred, missing)`` pages, their
+    character distances from one ``levenshtein_many`` call."""
+    texts = [(strip_tags(truth), strip_tags(pred)) for _, truth, pred, _ in pages]
+    results = []
+    for (name, truth, pred, missing), (t_text, p_text), char_edits in zip(
+        pages, texts, levenshtein_many(texts)
+    ):
+        truth_households = group_page(truth)
+        matched = 0
+        if len(truth.records) == len(pred.records):
+            matched = match_count(group_page(pred), truth_households)
+        results.append(PageResult(
+            name=name,
+            error_rates=_text_rates(t_text, p_text, char_edits),
+            entities=entity_scores(truth, pred),
+            households_matched=matched,
+            households_total=len(truth_households),
+            missing_prediction=missing,
+        ))
+    return results
+
+
+# Pages read before their character distances are computed together: enough
+# for levenshtein_many to pair pages of similar length in its lanes, few
+# enough that a large corpus never holds all its transcripts (~50 KB a page)
+# at once.
+_PAGES_PER_BATCH = 64
 
 
 def evaluate_corpus(truth_dir: str | Path, pred_dir: str | Path) -> CorpusReport:
-    """Evaluate all fixture pages in ``pred_dir`` against ``truth_dir``.
+    """Evaluate the pages of every fixture file in ``truth_dir`` against the
+    file of the same name in ``pred_dir``.
 
     Pages are paired by file name and, within a file, by position; a page
     is named after its file, with ``#i`` appended when either the truth or
     the prediction file holds more than one page. Truth pages without a
-    prediction are scored as fully deleted; predicted pages without a truth
-    page count as pure insertions. Pages whose record counts differ
-    contribute no household matches but keep their truth households in the
-    denominator.
+    prediction are scored as fully deleted; predicted pages beyond the last
+    page of their truth file count as pure insertions. A prediction file
+    with no truth file of the same name is never read. Pages whose record
+    counts differ contribute no household matches but keep their truth
+    households in the denominator. The character distances of each batch
+    of about ``_PAGES_PER_BATCH`` pages come from one ``levenshtein_many``
+    call.
     """
     truth_dir = Path(truth_dir)
     pred_dir = Path(pred_dir)
@@ -487,7 +625,8 @@ def evaluate_corpus(truth_dir: str | Path, pred_dir: str | Path) -> CorpusReport
     if not any((pred_dir / name).exists() for name in truth_files):
         raise NoMatchingPages(f"no prediction in {pred_dir} matches a truth file")
 
-    results = []
+    results: list[PageResult] = []
+    pages = []
     for name in truth_files:
         truth_pages = read_fixture(truth_dir / name)
         pred_path = pred_dir / name
@@ -498,7 +637,11 @@ def evaluate_corpus(truth_dir: str | Path, pred_dir: str | Path) -> CorpusReport
             missing = i >= len(pred_pages)
             pred = pred_pages[i] if not missing else _empty_page(name, i)
             page_name = name if count <= 1 else f"{name}#{i}"
-            results.append(evaluate_pages(page_name, truth, pred, missing=missing))
+            pages.append((page_name, truth, pred, missing))
+        if len(pages) >= _PAGES_PER_BATCH:
+            results += _score_pages(pages)
+            pages = []
+    results += _score_pages(pages)
 
     total_rates = ErrorRates.ZERO
     total_entities = EntityScores({tag: TagScore() for tag in FIELD_ORDER})

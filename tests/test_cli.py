@@ -1207,6 +1207,39 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 1
 
+    @pytest.fixture
+    def pages(self, tmp_path):
+        """A truth and a prediction directory, each with the file a.txt of
+        one two-record page."""
+        text = "#page\tp\t0\nsurname_head=Gendre\tfirstname=Pierre\nsurname=Paraud\n"
+        for side in ("truth", "pred"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "a.txt").write_text(text, encoding="utf-8")
+        return tmp_path / "truth", tmp_path / "pred"
+
+    def evaluate_error(self, runner, truth, pred):
+        result = runner.invoke(main, ["evaluate", "--truth", str(truth), "--pred", str(pred)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, result.output
+        return errors[0]
+
+    def test_a_malformed_line_names_the_file_and_the_line(self, runner, pages):
+        truth, pred = pages
+        (pred / "a.txt").write_text(
+            "#page\tp\t0\nsurname=Paraud\nsurname_head=Gendre\tfirstname\n", encoding="utf-8")
+        assert self.evaluate_error(runner, truth, pred) == (
+            f"error: {pred / 'a.txt'}: line 3: malformed fixture line: "
+            "'surname_head=Gendre\\tfirstname'")
+
+    def test_a_file_that_is_not_utf8_names_the_file_and_the_line(self, runner, pages):
+        truth, pred = pages
+        (pred / "a.txt").write_bytes(
+            "#page\tp\t0\nsurname_head=Gendre\nsurname=Parau\xe9\n".encode("latin-1"))
+        assert self.evaluate_error(runner, truth, pred).startswith(
+            f"error: {pred / 'a.txt'}: line 3: not UTF-8")
+
 
 class TestDryRunWritesNothing:
     """Every subcommand's --dry-run must leave the filesystem untouched."""

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from censusflow.domain import (
     TOKEN_FOR_TAG,
     EntityTag,
     Household,
+    MalformedFixture,
     PageClass,
     PageTranscript,
     PersonRecord,
@@ -16,6 +18,7 @@ from censusflow.domain import (
     RowCountWarning,
     dumps_pages,
     loads_pages,
+    read_fixture,
     validate_record,
 )
 
@@ -169,6 +172,29 @@ class TestFixtureSerialization:
         )
         with pytest.raises(ValueError):
             dumps_pages([page])
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("surname=Paraud\tage", "malformed fixture line: 'surname=Paraud\\tage'"),
+        ("shoe_size=42", "unknown tag name in fixture: 'shoe_size'"),
+        ("#page\tp2\t-1", "negative page index -1"),
+    ])
+    def test_a_bad_line_is_named_by_its_number(self, golden, bad, reason):
+        # Lines count from 1 across pages; the separator is a line.
+        text = dumps_pages([golden, golden])
+        lines = text.splitlines()
+        lines.insert(len(lines) - 1, bad)
+        with pytest.raises(MalformedFixture) as caught:
+            loads_pages("\n".join(lines) + "\n")
+        assert str(caught.value) == f"line {len(lines) - 1}: {reason}"
+
+    def test_read_fixture_names_the_file(self, tmp_path, golden):
+        path = tmp_path / "a.txt"
+        path.write_bytes(dumps_pages([golden]).encode() + b"surname=\xff\n")
+        with pytest.raises(MalformedFixture, match=rf"^{re.escape(str(path))}: line 6: not UTF-8"):
+            read_fixture(path)
+        path.write_text(dumps_pages([golden]) + "surname\n", encoding="utf-8")
+        with pytest.raises(MalformedFixture, match=rf"^{re.escape(str(path))}: line 6: malformed"):
+            read_fixture(path)
 
     def test_value_with_equals_sign_roundtrips(self):
         page = PageTranscript(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import subprocess
@@ -11,15 +12,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from censusflow import metrics
-from censusflow.domain import EntityTag, PageClass, PageTranscript, PersonRecord, write_fixture
+from censusflow.domain import (
+    EntityTag,
+    PageClass,
+    PageTranscript,
+    PersonRecord,
+    read_fixture,
+    write_fixture,
+)
 from censusflow.fixtures import DEMO_GAZETTEER
+from censusflow.household import group_page, match_count
 from censusflow.ingest import similarity
+from censusflow.label_codec import decode_lenient, encode
 from censusflow.metrics import (
     ConfusionMatrix,
+    CorpusReport,
+    EntityScores,
     ErrorRates,
     NoMatchingPages,
+    PageResult,
     TagScore,
     classification_report,
+    corpus_report_json,
     entity_scores,
     error_rates,
     evaluate_corpus,
@@ -31,6 +45,9 @@ from censusflow.metrics import (
     page_entities,
     strip_tags,
 )
+from censusflow.pipeline import MockRecognizer, NoiseSpec
+
+from conftest import generate_synthetic_page
 
 
 def oracle_edit_distance(a, b):
@@ -204,10 +221,18 @@ def noisy(rng: random.Random, seq, rate: float, alphabet):
 
 
 def plain_loop(a, b):
-    """``levenshtein`` with the banded pass always failing, so the plain
-    loop over every pattern row gives the result."""
-    with mock.patch.object(metrics, "_banded", lambda a, b, k: k + 1):
-        return levenshtein(a, b)
+    """``levenshtein`` by the plain loop over every pattern row, with no
+    banded try."""
+    if len(a) < len(b):
+        a, b = b, a
+    return metrics._plain(a, b)
+
+
+def small_cutoff(n, m):
+    """``_cutoff``'s rule with a floor of 2 in place of 64, so that pairs
+    of a few dozen symbols reach the band."""
+    k = max(n - m, m // 8, 2)
+    return k if 2 * (k + metrics._BLOCK + 1) <= m else 0
 
 
 @st.composite
@@ -238,34 +263,62 @@ def band_cases(draw):
     return a, b, k
 
 
+@st.composite
+def mixed_pairs(draw):
+    """A pair for ``levenshtein_many`` under ``small_cutoff`` and a block of
+    2: band-eligible with few edits, band-eligible but over the cutoff,
+    short, or with an empty side, in either order."""
+    kind = draw(st.sampled_from(("near", "far", "short", "empty")))
+    if kind == "empty":
+        a, b = draw(st.text(alphabet="abc", max_size=30)), ""
+    elif kind == "short":
+        a = draw(st.text(alphabet="abc", max_size=13))
+        b = draw(st.text(alphabet="abc", max_size=13))
+    else:
+        b = draw(st.text(alphabet="abc", min_size=14, max_size=60))
+        if kind == "far":
+            a = draw(st.text(alphabet="abc", min_size=len(b), max_size=len(b) + 3))
+        else:
+            a = list(b)
+            for _ in range(draw(st.integers(0, 4))):
+                i = draw(st.integers(0, len(a) - 1))
+                a[i] = draw(st.sampled_from("abc"))
+            a = "".join(a) + draw(st.text(alphabet="abc", max_size=3))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
 @pytest.fixture
 def banded_calls(monkeypatch):
-    """The argument tuples of every ``_banded`` call made by the test."""
+    """The problem lists of every ``_lanes`` call made by the test."""
     calls = []
-    banded = metrics._banded
-    monkeypatch.setattr(metrics, "_banded", lambda *args: calls.append(args) or banded(*args))
+    lanes = metrics._lanes
+    monkeypatch.setattr(metrics, "_lanes",
+                        lambda problems: calls.append(problems) or lanes(problems))
     return calls
 
 
 class TestBandedPass:
-    @given(band_cases(), st.sampled_from((1, 2, 3, 5, 64)))
-    @settings(max_examples=400, deadline=None)
-    def test_exact_within_the_cutoff_and_above_it_otherwise(self, case, block):
-        # A small block slides the window many times on short inputs.
-        a, b, k = case
-        expected = oracle_levenshtein_dp(a, b)
+    @given(st.lists(band_cases(), min_size=1, max_size=9), st.sampled_from((1, 2, 3, 5, 128)))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_within_the_cutoff_and_above_it_otherwise(self, cases, block):
+        # A small block slides the windows many times on short inputs.
         with mock.patch.object(metrics, "_BLOCK", block):
-            got = metrics._banded(a, b, k)
-        if expected <= k:
-            assert got == expected, (a, b, k, block)
-        else:
-            assert got > k, (a, b, k, block)
+            got = metrics._lanes(cases)
+        for (a, b, k), distance in zip(cases, got):
+            expected = oracle_levenshtein_dp(a, b)
+            if expected <= k:
+                assert distance == expected, (a, b, k, block)
+            else:
+                assert distance > k, (a, b, k, block)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
     def test_lengths_across_block_boundaries(self, block):
+        # Each batch holds every text length for one pattern length, so
+        # lanes end at every column of a block.
         rng = random.Random(block)
         with mock.patch.object(metrics, "_BLOCK", block):
             for m in range(1, 4 * block + 3):
+                cases = []
                 for extra in range(0, 2 * block + 2):
                     b = "".join(rng.choice("ab") for _ in range(m))
                     a = noisy(rng, b, 0.3, "ab") + "".join(rng.choice("ab") for _ in range(extra))
@@ -273,35 +326,72 @@ class TestBandedPass:
                         a, b = b, a
                     expected = oracle_levenshtein_dp(a, b)
                     for k in (len(a) - len(b), len(a) - len(b) + 1, expected, expected + 3):
-                        if k < len(a) - len(b):
-                            continue
-                        got = metrics._banded(a, b, k)
-                        assert got == expected if expected <= k else got > k, (a, b, k)
+                        if k >= len(a) - len(b):
+                            cases.append((a, b, k, expected))
+                got = metrics._lanes([case[:3] for case in cases])
+                for (a, b, k, expected), distance in zip(cases, got):
+                    assert distance == expected if expected <= k else distance > k, (a, b, k)
+
+    def test_a_carry_out_of_every_column_stays_in_its_lane(self):
+        # An identical one-symbol pair: eq and pv are all ones in its
+        # window, so (eq & pv) + pv carries out of its top row at every
+        # column, into the guard below the next lane.
+        rng = random.Random(31)
+        alphabet = "abcdefghijklmnopqrstuvwxyz "
+        below = page_text(rng, 640)
+        above = page_text(rng, 600)
+        problems = [
+            (below, noisy(rng, below, 0.04, alphabet)),
+            ("a" * 400, "a" * 400),
+            (above, noisy(rng, above, 0.04, alphabet)),
+        ]
+        problems = [(a, b) if len(a) >= len(b) else (b, a) for a, b in problems]
+        problems = [(a, b, metrics._cutoff(len(a), len(b))) for a, b in problems]
+        assert all(k for _, _, k in problems)
+        got = metrics._lanes(problems)
+        assert got == [metrics._lanes([problem])[0] for problem in problems]
+        assert got == [oracle_levenshtein_dp(a, b) for a, b, _ in problems]
+        assert got[1] == 0
+
+    @given(st.lists(mixed_pairs(), min_size=1, max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_batches_of_mixed_pairs_match_the_oracle(self, pairs):
+        with mock.patch.object(metrics, "_BLOCK", 2), \
+                mock.patch.object(metrics, "_cutoff", small_cutoff):
+            got = metrics.levenshtein_many(pairs)
+        assert got == [oracle_levenshtein_dp(a, b) for a, b in pairs]
 
     def test_long_page_text_matches_the_plain_loop(self, banded_calls):
         rng = random.Random(19)
         alphabet = "abcdefghijklmnopqrstuvwxyzé0123456789 \n"
-        for length, rate in [(300, 0.04), (1200, 0.04), (2800, 0.04), (2800, 0.08),
-                             (1200, 0.3), (2800, 0.0)]:
+        pairs = []
+        for length, rate in [(400, 0.04), (1200, 0.04), (2800, 0.04), (2800, 0.08),
+                             (1200, 0.3), (2800, 0.0), (1100, 0.02), (1300, 0.02),
+                             (1250, 0.06), (900, 0.01)]:
             truth = page_text(rng, length)
             pred = noisy(rng, truth, rate, alphabet)
-            expected = plain_loop(truth, pred)
-            assert levenshtein(truth, pred) == expected, (length, rate)
-            assert levenshtein(pred, truth) == expected, (length, rate)
-        assert len(banded_calls) == 2 * 6
+            pairs.append((truth, pred) if rng.random() < 0.5 else (pred, truth))
+        expected = [plain_loop(a, b) for a, b in pairs]
+        assert metrics.levenshtein_many(pairs) == expected
+        assert len(banded_calls) == 2
+        assert sorted(map(len, banded_calls)) == [2, 8]
+        assert [levenshtein(a, b) for a, b in pairs] == expected
+        assert len(banded_calls) == 2 + 10
         truth = page_text(rng, 600)
         pred = noisy(rng, truth, 0.05, alphabet)
         assert levenshtein(truth, pred) == oracle_levenshtein_dp(truth, pred)
 
     def test_long_word_lists_match_the_plain_loop(self, banded_calls):
         rng = random.Random(23)
-        for length, rate in [(300, 0.05), (600, 0.1), (900, 0.02)]:
+        pairs = []
+        for length, rate in [(400, 0.05), (600, 0.1), (900, 0.02)]:
             truth = [rng.choice(PAGE_WORDS) for _ in range(length)]
-            pred = noisy(rng, truth, rate, PAGE_WORDS + ["Vichi", "fils."])
-            expected = oracle_levenshtein_dp(truth, pred)
-            assert plain_loop(truth, pred) == expected
-            assert levenshtein(truth, pred) == expected, (length, rate)
-        assert len(banded_calls) == 3
+            pairs.append((truth, noisy(rng, truth, rate, PAGE_WORDS + ["Vichi", "fils."])))
+        expected = [oracle_levenshtein_dp(a, b) for a, b in pairs]
+        assert [plain_loop(a, b) for a, b in pairs] == expected
+        assert [levenshtein(a, b) for a, b in pairs] == expected
+        assert metrics.levenshtein_many(pairs) == expected
+        assert list(map(len, banded_calls)) == [1, 1, 1, 3]
 
     def test_names_and_page_word_lists_take_the_plain_loop(self, banded_calls):
         names = [entry.canonical_name for entry in DEMO_GAZETTEER]
@@ -311,10 +401,13 @@ class TestBandedPass:
                 similarity(name, other)
             similarity(name, name[::-1] + "-sur-Allier")
         rng = random.Random(29)
-        for length in (150, 200, 230, 257):
+        lists = []
+        for length in (150, 200, 230, 257, 385):
             truth = [rng.choice(PAGE_WORDS) for _ in range(length)]
-            levenshtein(truth, noisy(rng, truth, 0.1, PAGE_WORDS))
-            levenshtein(truth, truth[: length // 2])
+            lists += [(truth, noisy(rng, truth, 0.1, PAGE_WORDS)), (truth, truth[: length // 2])]
+        for a, b in lists:
+            levenshtein(a, b)
+        metrics.levenshtein_many(lists)
         assert banded_calls == []
         truth = page_text(rng, 1200)
         levenshtein(truth, noisy(rng, truth, 0.04, "xyz"))
@@ -584,6 +677,114 @@ class TestEvaluateCorpus:
         self._write(tmp_path / "pred", "a.txt", [golden])
         report = evaluate_corpus(tmp_path / "truth", tmp_path / "pred")
         assert "CER" in format_corpus_report(report)
+
+
+def per_page_report(truth_dir: Path, pred_dir: Path) -> CorpusReport:
+    """``evaluate_corpus`` assembled one page at a time from the single-pair
+    functions, as it was before its character distances were batched."""
+    results = []
+    for name in sorted(p.name for p in truth_dir.glob("*.txt")):
+        truth_pages = read_fixture(truth_dir / name)
+        pred_pages = read_fixture(pred_dir / name) if (pred_dir / name).exists() else []
+        count = max(len(truth_pages), len(pred_pages))
+        for i in range(count):
+            empty = PageTranscript((), page_id=name, page_index_in_register=i)
+            truth = truth_pages[i] if i < len(truth_pages) else empty
+            missing = i >= len(pred_pages)
+            pred = empty if missing else pred_pages[i]
+            truth_households = group_page(truth)
+            matched = 0
+            if len(truth.records) == len(pred.records):
+                matched = match_count(group_page(pred), truth_households)
+            results.append(PageResult(
+                name=name if count <= 1 else f"{name}#{i}",
+                error_rates=error_rates(truth, pred),
+                entities=entity_scores(truth, pred),
+                households_matched=matched,
+                households_total=len(truth_households),
+                missing_prediction=missing,
+            ))
+    rates, entities = ErrorRates.ZERO, EntityScores({})
+    for r in results:
+        rates, entities = rates + r.error_rates, entities + r.entities
+    return CorpusReport(
+        error_rates=rates,
+        entities=entities,
+        households_matched=sum(r.households_matched for r in results),
+        households_total=sum(r.households_total for r in results),
+        pages=tuple(results),
+    )
+
+
+def noisy_corpus(root: Path, seed: int, noise: float, pages: int = 10) -> tuple[Path, Path]:
+    """Truth pages of ~1,000-1,400 tag-stripped chars and the mock
+    recognizer's reading of them with ``noise`` character substitutions and
+    2% dropped fields; the last page's prediction file is left out and the
+    first one holds an extra page."""
+    truth_dir, pred_dir = root / "truth", root / "pred"
+    truth_dir.mkdir(parents=True)
+    pred_dir.mkdir(parents=True)
+    recognizer = MockRecognizer(seed, NoiseSpec(char_substitution=noise, entity_drop=0.02))
+    predicted = []
+    for i in range(pages):
+        page = generate_synthetic_page(1000 * seed + i, page_id=f"p{i}")
+        write_fixture([page], truth_dir / f"p{i:02d}.txt")
+        label = json.dumps({"identifier": f"p{i}", "page_class": "LIST", "label": encode(page)})
+        predicted.append(decode_lenient(recognizer.recognize(label.encode())).transcript)
+    write_fixture(predicted[:2], pred_dir / "p00.txt")
+    for i in range(1, pages - 1):
+        write_fixture([predicted[i]], pred_dir / f"p{i:02d}.txt")
+    return truth_dir, pred_dir
+
+
+class TestEvaluateCorpusOracle:
+    @pytest.mark.parametrize("seed, noise", [(1, 0.02), (2, 0.08), (3, 0.3)])
+    def test_report_equals_the_per_page_report(self, tmp_path, seed, noise, banded_calls):
+        truth_dir, pred_dir = noisy_corpus(tmp_path, seed, noise)
+        plain = metrics._plain
+        texts = []
+
+        def counted(a, b):
+            if isinstance(a, str):
+                texts.append(a)
+            return plain(a, b)
+
+        with mock.patch.object(metrics, "_plain", counted):
+            report = evaluate_corpus(truth_dir, pred_dir)
+        # The empty sides of the extra and the missing page take the plain
+        # loop; at 30% noise so does every page, its distance over the cutoff.
+        assert len(texts) == (2 + 9 if noise > 0.2 else 2)
+        expected = per_page_report(truth_dir, pred_dir)
+        assert corpus_report_json(report) == corpus_report_json(expected)
+        assert report.pages == expected.pages
+        assert [(p.name, p.missing_prediction) for p in report.pages][:2] == [
+            ("p00.txt#0", False), ("p00.txt#1", False)]
+        assert report.pages[-1].missing_prediction
+        # One batch of eight lanes and one of the rest, then one lane per
+        # page for the oracle's single pairs.
+        assert list(map(len, banded_calls[:2])) == [8, 1]
+
+    def test_pages_scored_in_batches_give_the_same_report(self, tmp_path, banded_calls):
+        # A batch closes after the file that fills it: p00's two pages and
+        # p01 (the extra page's empty truth takes the plain loop), then
+        # three files of one page twice, then the missing p08.
+        truth_dir, pred_dir = noisy_corpus(tmp_path, 5, 0.04, pages=9)
+        with mock.patch.object(metrics, "_PAGES_PER_BATCH", 3):
+            report = evaluate_corpus(truth_dir, pred_dir)
+        assert list(map(len, banded_calls)) == [2, 3, 3]
+        expected = per_page_report(truth_dir, pred_dir)
+        assert report.pages == expected.pages
+        assert corpus_report_json(report) == corpus_report_json(expected)
+
+    def test_a_stray_prediction_file_is_never_read(self, tmp_path):
+        # A prediction file with no truth file of its name adds no page,
+        # not even as insertions, and is not opened: one that is not a
+        # fixture at all raises nothing.
+        truth_dir, pred_dir = noisy_corpus(tmp_path, 4, 0.05, pages=3)
+        before = corpus_report_json(evaluate_corpus(truth_dir, pred_dir))
+        (pred_dir / "stray.txt").write_bytes((pred_dir / "p01.txt").read_bytes())
+        (pred_dir / "garbage.txt").write_bytes(b"\xff\xfe not a fixture\n")
+        assert corpus_report_json(evaluate_corpus(truth_dir, pred_dir)) == before
 
 
 class TestTagScore:
