@@ -19,7 +19,7 @@ from typing import Optional
 import click
 
 from . import __version__, fixtures, iiif, ingest, metrics, simulate as simulate_mod
-from .domain import MalformedFixture, write_fixture
+from .domain import CorruptLine, MalformedFixture, UnserializablePage, write_fixture
 from .pipeline import (
     EmptySelection,
     ExternalProcessWorker,
@@ -31,7 +31,7 @@ from .pipeline import (
     plan_batch,
     run_batch,
 )
-from .pipeline.manifests import CorruptLine, WorkspaceBusy
+from .pipeline.manifests import WorkspaceBusy
 from .pipeline.runner import STAGES, Workspace, state_counts
 from .pipeline.stages import payload_transcript, select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
@@ -106,7 +106,21 @@ def _setup_logging(verbosity: int) -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+# The operational failures of every command: each prints one error line
+# and exits 1 (``_Main``).
+_OPERATIONAL_ERRORS = (CorruptLine, WorkspaceBusy, EmptySelection, MalformedFixture,
+                       UnserializablePage, metrics.NoMatchingPages, simulate_mod.Infeasible)
+
+
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _OPERATIONAL_ERRORS as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__)
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
 @click.option("--seed", type=int, default=None, help="Global seed (overrides the config).")
@@ -432,16 +446,13 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
     run is: it exits 1 while another plan or run writes, and leaves a checkpoint.
     """
     registry = ingest.load_registry(registry_path)
-    try:
-        # An empty selection exits before the lock creates the workspace.
-        count = len(select_images(registry, **selection))
-        if dry_run:
-            click.echo(f"dry run: would plan {count} tasks under {workspace}")
-            return
-        with Workspace.open(workspace, writer=True) as ws:
-            manifests = plan_batch(registry, ws, **selection)
-    except (EmptySelection, WorkspaceBusy, CorruptLine) as exc:
-        _fail(str(exc))
+    # An empty selection exits before the lock creates the workspace.
+    count = len(select_images(registry, **selection))
+    if dry_run:
+        click.echo(f"dry run: would plan {count} tasks under {workspace}")
+        return
+    with Workspace.open(workspace, writer=True) as ws:
+        manifests = plan_batch(registry, ws, **selection)
     pending = state_counts(manifests)[TaskState.PENDING.value]
     click.echo(f"planned {len(manifests)} tasks ({pending} pending) under {workspace}")
 
@@ -504,10 +515,7 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
             )
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        try:
-            images = len(select_images(registry, **selection))
-        except EmptySelection as exc:
-            _fail(str(exc))
+        images = len(select_images(registry, **selection))
 
         click.echo(
             f"run: images={images} "
@@ -517,10 +525,7 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
         if dry_run:
             click.echo("dry run: nothing executed")
             return
-        try:
-            report = run_batch(run_config)
-        except (WorkspaceBusy, CorruptLine) as exc:
-            _fail(str(exc))
+        report = run_batch(run_config)
     _echo_counts(report.counts)
     if report.households_csv:
         click.echo(
@@ -542,11 +547,8 @@ def status_cmd(workspace):
     Reads the task log from its checkpoint on (``Workspace.tasks``) and
     writes nothing; a log line that is not a transition record exits 1.
     """
-    try:
-        with Workspace.open(workspace, writer=False) as ws:
-            manifests = [ws.tasks[task_id] for task_id in sorted(ws.tasks)]
-    except CorruptLine as exc:
-        _fail(str(exc))
+    with Workspace.open(workspace, writer=False) as ws:
+        manifests = [ws.tasks[task_id] for task_id in sorted(ws.tasks)]
     click.echo(f"tasks: {len(manifests)}")
     _echo_counts(state_counts(manifests))
     for m in manifests:
@@ -579,30 +581,27 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
             _fail(f"no {ws.registry_file.name} in {workspace}: run `censusflow plan --registry R "
                   f"--workspace {workspace}` with the registry and selection it was planned with")
         registry = ingest.load_registry(ws.registry_file)
-        try:
-            store = ws.store
-            if dry_run:
-                click.echo(f"dry run: {len(store)} stored results over "
-                           f"{len(registry.registers)} registers")
-                return
-            if households_path:
-                exported, skipped, people = export_batch(registry, store, households_path)
-                click.echo(f"wrote {people} people / {exported} registers to "
-                           f"{households_path} ({skipped} registers incomplete)")
-            if pages_dir:
-                out = Path(pages_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                count = 0
-                for register_id in store.pages:
-                    for payload in store.payloads(register_id):
-                        transcript = payload_transcript(payload)
-                        if transcript is not None:
-                            name = transcript.page_id.replace("/", "__") + ".txt"
-                            write_fixture([transcript], out / name)
-                            count += 1
-                click.echo(f"wrote {count} transcript pages to {pages_dir}")
-        except CorruptLine as exc:
-            _fail(str(exc))
+        store = ws.store
+        if dry_run:
+            click.echo(f"dry run: {len(store)} stored results over "
+                       f"{len(registry.registers)} registers")
+            return
+        if households_path:
+            exported, skipped, people = export_batch(registry, store, households_path)
+            click.echo(f"wrote {people} people / {exported} registers to "
+                       f"{households_path} ({skipped} registers incomplete)")
+        if pages_dir:
+            out = Path(pages_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            count = 0
+            for register_id in store.pages:
+                for payload in store.payloads(register_id):
+                    transcript = payload_transcript(payload)
+                    if transcript is not None:
+                        name = transcript.page_id.replace("/", "__") + ".txt"
+                        write_fixture([transcript], out / name)
+                        count += 1
+            click.echo(f"wrote {count} transcript pages to {pages_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +620,7 @@ def evaluate_cmd(truth_dir, pred_dir, json_path, dry_run):
         names = sorted(p.name for p in Path(truth_dir).glob("*.txt"))
         click.echo(f"dry run: would evaluate {len(names)} truth files against {pred_dir}")
         return
-    try:
-        report = metrics.evaluate_corpus(truth_dir, pred_dir)
-    except (metrics.NoMatchingPages, MalformedFixture) as exc:
-        _fail(str(exc))
+    report = metrics.evaluate_corpus(truth_dir, pred_dir)
     click.echo(metrics.format_corpus_report(report))
     if json_path:
         Path(json_path).write_text(
@@ -672,8 +668,6 @@ def simulate_cmd(config: GlobalConfig, n_images, stage_specs, deadline, mode, ca
             stages[stages.index(unknown[0])] = replace(unknown[0], workers=count)
             click.echo(f"minimum workers for {unknown[0].name}: {count}")
         result = simulate_mod.simulate(n_images, stages, seed=config.seed, mode=mode)
-    except simulate_mod.Infeasible as exc:
-        _fail(str(exc))
     except simulate_mod.InvalidModel as exc:
         raise click.UsageError(str(exc))
     click.echo(simulate_mod.format_report(result, stages))

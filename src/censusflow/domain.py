@@ -5,7 +5,8 @@ fixed vocabulary (each tag's token in page labels and its field name in
 fixtures, payloads and exports, as precomputed maps and patterns), the five
 page classes, and the immutable value objects describing people, households,
 pages and registers. Also provides the plain-text fixture serialization used
-to store page transcripts on disk.
+to store page transcripts on disk, and the error for a bad line of an NDJSON
+file (``CorruptLine``).
 """
 
 from __future__ import annotations
@@ -220,6 +221,21 @@ class RegisterDocument:
         return [p for p in self.pages if p.page_class is PageClass.LIST]
 
 
+class CorruptLine(ValueError):
+    """A whole line of an NDJSON file (the registry, the task log, the
+    result store) that is not a JSON object, or a record that its reader
+    cannot index or that does not fit its schema; ``reason`` says which."""
+
+    def __init__(
+        self, path: str | Path, offset: int, reason: str, register_id: Optional[str] = None
+    ):
+        where = "" if register_id is None else f" (register {register_id!r})"
+        super().__init__(f"{path}: line at byte {offset}{where} {reason}")
+        self.path = path
+        self.offset = offset
+        self.register_id = register_id
+
+
 # ---------------------------------------------------------------------------
 # Fixture serialization
 # ---------------------------------------------------------------------------
@@ -230,18 +246,31 @@ class RegisterDocument:
 #   #page\t<page_id>\t<page_index>
 #
 # followed by one line per record of tab-separated lowercase tag=value pairs,
-# e.g. "surname_head=Gendre\tfirstname=Pierre". Values must not contain tabs
-# or newlines. Files are UTF-8.
+# e.g. "surname_head=Gendre\tfirstname=Pierre". Lines end at "\n" only (one
+# "\r" before it is dropped, so CRLF files read), and values must not contain
+# tabs, "\n" or "\r". Files are UTF-8.
 
 _PAGE_SEPARATOR = "---"
 _HEADER_PREFIX = "#page"
 
 
+class UnserializablePage(ValueError):
+    """A page whose id or a value holds a tab, a line feed or a carriage
+    return, which the fixture format cannot hold; the message names the
+    page."""
+
+
 def dumps_pages(pages: Iterable[PageTranscript]) -> str:
+    """The fixture text of ``pages`` (see above).
+
+    Raises:
+        UnserializablePage: naming the page whose id or value holds a tab,
+            a line feed or a carriage return.
+    """
     blocks = []
     for page in pages:
-        if "\t" in page.page_id or "\n" in page.page_id:
-            raise ValueError(f"page_id not serializable: {page.page_id!r}")
+        if "\t" in page.page_id or "\n" in page.page_id or "\r" in page.page_id:
+            raise UnserializablePage(f"page_id not serializable: {page.page_id!r}")
         lines = [f"{_HEADER_PREFIX}\t{page.page_id}\t{page.page_index_in_register}"]
         for record in page.records:
             parts = []
@@ -249,8 +278,9 @@ def dumps_pages(pages: Iterable[PageTranscript]) -> str:
                 value = record.fields.get(tag)
                 if value is None:
                     continue
-                if "\t" in value or "\n" in value:
-                    raise ValueError(f"value not serializable: {value!r}")
+                if "\t" in value or "\n" in value or "\r" in value:
+                    raise UnserializablePage(
+                        f"page {page.page_id!r}: value not serializable: {value!r}")
                 parts.append(f"{NAME_FOR_TAG[tag]}={value}")
             if parts:
                 lines.append("\t".join(parts))
@@ -264,42 +294,48 @@ class MalformedFixture(ValueError):
 
 
 def loads_pages(text: str) -> list[PageTranscript]:
+    """The pages of a fixture text, in one pass over its lines.
+
+    Raises:
+        MalformedFixture: naming the first line that does not parse; lines
+            count from 1 across pages, separators included.
+    """
     if text.strip() == "":
         return []
     pages = []
-    first = 1  # the number of the block's first line
-    for index, block in enumerate(re.split(rf"^{_PAGE_SEPARATOR}$", text, flags=re.MULTILINE)):
-        page_id = f"page-{index}"
-        page_index = index
-        records = []
-        lines = block.splitlines()
-        for number, line in enumerate(lines, first):
-            line = line.rstrip("\r")
-            if not line.strip():
+    page_id, page_index, records = "page-0", 0, []
+    for number, line in enumerate(text.split("\n"), 1):
+        if line[-1:] == "\r":
+            line = line[:-1]
+        if line == _PAGE_SEPARATOR:
+            pages.append(
+                PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index)
+            )
+            page_index = len(pages)
+            page_id, records = f"page-{page_index}", []
+            continue
+        if not line.strip():
+            continue
+        try:
+            if line.startswith(_HEADER_PREFIX + "\t"):
+                _, page_id, raw_index = line.split("\t", 2)
+                page_index = int(raw_index)
+                if page_index < 0:
+                    raise ValueError(f"negative page index {page_index}")
                 continue
-            try:
-                if line.startswith(_HEADER_PREFIX + "\t"):
-                    _, page_id, raw_index = line.split("\t", 2)
-                    page_index = int(raw_index)
-                    if page_index < 0:
-                        raise ValueError(f"negative page index {page_index}")
-                    continue
-                fields = {}
-                for item in line.split("\t"):
-                    name, sep, value = item.partition("=")
-                    if not sep:
-                        raise ValueError(f"malformed fixture line: {line!r}")
-                    tag = TAG_FOR_NAME.get(name)
-                    if tag is None:
-                        raise ValueError(f"unknown tag name in fixture: {name!r}")
-                    fields[tag] = value
-            except ValueError as exc:
-                raise MalformedFixture(f"line {number}: {exc}") from None
-            records.append(PersonRecord(fields))
-        first += len(lines)
-        pages.append(
-            PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index)
-        )
+            fields = {}
+            for item in line.split("\t"):
+                name, sep, value = item.partition("=")
+                if not sep:
+                    raise ValueError(f"malformed fixture line: {line!r}")
+                tag = TAG_FOR_NAME.get(name)
+                if tag is None:
+                    raise ValueError(f"unknown tag name in fixture: {name!r}")
+                fields[tag] = value
+        except ValueError as exc:
+            raise MalformedFixture(f"line {number}: {exc}") from None
+        records.append(PersonRecord(fields))
+    pages.append(PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index))
     return pages
 
 

@@ -3,8 +3,8 @@
 URL builders cover API versions 2 and 3. Integrity of an image is checked
 through its ``info.json``: a parseable body with positive dimensions counts
 as OK (optionally the full image is fetched and sniffed as well). Transport
-is injected so everything is testable without a network; transient failures
-retry with exponential backoff and full jitter.
+is injected so everything is testable without a network; every GET retries
+transient failures (``_get``) with exponential backoff and full jitter.
 """
 
 from __future__ import annotations
@@ -169,6 +169,25 @@ def _parse_dimensions(body: bytes) -> Optional[tuple[int, int]]:
     return width, height
 
 
+def _get(endpoint: IiifEndpoint, url: str, transport: Transport,
+         rng: Optional[random.Random], sleep: Callable[[float], None]) -> TransportResponse:
+    """GET ``url``, the one retry loop of every IIIF request: a
+    TransportFailure or any answer but 200 and 404 (a 5xx answer may be
+    retried, RFC 9110 section 15.6) is asked again until the endpoint's
+    attempts run out. Returns the last answer or raises the last failure."""
+    for _ in endpoint.retry.attempts(rng, sleep):
+        try:
+            response = transport.get(url, endpoint.timeout_ms)
+        except TransportFailure as exc:
+            failure, response = exc, None
+            continue
+        if response.status_code in (200, 404):
+            break
+    if response is None:
+        raise failure
+    return response
+
+
 def check_integrity(
     endpoint: IiifEndpoint,
     image: ImageRef,
@@ -180,44 +199,34 @@ def check_integrity(
 ) -> IntegrityResult:
     """Verify that an image is present and uncorrupted on the server.
 
-    Fetches ``info.json``: HTTP 404 means MISSING, an unparseable body or
-    non-positive dimensions mean CORRUPT, and network failures (after the
-    endpoint's retries with exponential backoff and full jitter) mean
-    TRANSPORT_ERROR. On success the result carries the image's dimensions.
-    With ``fetch_pixels`` the full image is downloaded and its header
-    sniffed as well.
+    Fetches ``info.json`` (``_get``): HTTP 404 means MISSING, an unparseable
+    body or non-positive dimensions mean CORRUPT, and a transport failure or
+    any other answer on the last attempt means TRANSPORT_ERROR. On success
+    the result carries the image's dimensions. With ``fetch_pixels`` the
+    full image is downloaded and its header sniffed as well.
 
     Total function: every outcome is encoded in the result status (only an
     IsolationViolation from the transport propagates, by design).
     """
-    url = info_url(endpoint, image.iiif_identifier)
-    last_detail = ""
-    for _ in endpoint.retry.attempts(rng, sleep):
-        try:
-            response = transport.get(url, endpoint.timeout_ms)
-        except TransportFailure as exc:
-            last_detail = str(exc)
-            continue
+    try:
+        response = _get(endpoint, info_url(endpoint, image.iiif_identifier), transport, rng, sleep)
         if response.status_code == 404:
             return IntegrityResult(image, IntegrityStatus.MISSING)
         if response.status_code != 200:
-            last_detail = f"HTTP {response.status_code}"
-            continue
+            return IntegrityResult(image, IntegrityStatus.TRANSPORT_ERROR,
+                                   detail=f"HTTP {response.status_code}")
         dims = _parse_dimensions(response.body)
         if dims is None:
             return IntegrityResult(image, IntegrityStatus.CORRUPT, detail="bad info.json")
-        width, height = dims
         if fetch_pixels:
-            try:
-                pixels = transport.get(full_image_url(endpoint, image.iiif_identifier),
-                                       endpoint.timeout_ms)
-            except TransportFailure as exc:
-                last_detail = str(exc)
-                continue
+            pixels = _get(endpoint, full_image_url(endpoint, image.iiif_identifier), transport,
+                          rng, sleep)
             if pixels.status_code != 200 or not pixels.body.startswith(_IMAGE_MAGICS):
                 return IntegrityResult(image, IntegrityStatus.CORRUPT, detail="bad image payload")
-        return IntegrityResult(image, IntegrityStatus.OK, width=width, height=height)
-    return IntegrityResult(image, IntegrityStatus.TRANSPORT_ERROR, detail=last_detail)
+    except TransportFailure as exc:
+        return IntegrityResult(image, IntegrityStatus.TRANSPORT_ERROR, detail=str(exc))
+    width, height = dims
+    return IntegrityResult(image, IntegrityStatus.OK, width=width, height=height)
 
 
 def fetch_image(
@@ -228,24 +237,17 @@ def fetch_image(
     rng: Optional[random.Random] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> bytes:
-    """Download the full-size image, retrying transient failures.
+    """Download the full-size image, retrying as ``_get`` does.
 
     Raises:
-        FetchError: on a definitive non-200 answer.
-        TransportFailure: when retries are exhausted.
+        FetchError: when the last answer is not 200.
+        TransportFailure: when the last attempt failed in transport.
     """
     url = full_image_url(endpoint, identifier)
-    last: Optional[TransportFailure] = None
-    for _ in endpoint.retry.attempts(rng, sleep):
-        try:
-            response = transport.get(url, endpoint.timeout_ms)
-        except TransportFailure as exc:
-            last = exc
-            continue
-        if response.status_code != 200:
-            raise FetchError(response.status_code, url)
-        return response.body
-    raise last if last is not None else TransportFailure(f"no attempts made for {url}")
+    response = _get(endpoint, url, transport, rng, sleep)
+    if response.status_code != 200:
+        raise FetchError(response.status_code, url)
+    return response.body
 
 
 def write_results_csv(results: Sequence[IntegrityResult], path) -> None:

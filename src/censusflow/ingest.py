@@ -20,6 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .domain import CorruptLine
 from .metrics import levenshtein
 
 # Census years run every five years from 1836 to 1936; the 1871 edition was
@@ -615,33 +616,59 @@ def registry_ndjson(registry: Registry) -> str:
     return "".join(lines)
 
 
+def _typed(value, kind: type, what: str):
+    """``value``, if its JSON type is ``kind`` (a bool is not an int)."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
+def _register(record) -> Register:
+    """The register of one registry line's JSON value."""
+    record = _typed(record, dict, "the line")
+    commune = _typed(record["commune"], dict, "commune")
+    metadata = RegisterMetadata(
+        census_year=_typed(record["census_year"], int, "census_year"),
+        commune=GazetteerEntry(
+            code=_typed(commune["code"], str, "commune.code"),
+            canonical_name=_typed(commune["canonical_name"], str, "commune.canonical_name"),
+            department=_typed(commune["department"], str, "commune.department"),
+            valid_names=tuple(_typed(commune.get("valid_names", []), list, "commune.valid_names")),
+        ),
+        archival_id=_typed(record["archival_id"], str, "archival_id"),
+        source_rows=tuple(_typed(record.get("source_rows", []), list, "source_rows")),
+    )
+    images = []
+    for image in _typed(record["images"], list, "images"):
+        image = _typed(image, dict, "an image")
+        images.append(ImageRef(register=metadata,
+                               iiif_identifier=_typed(image["identifier"], str, "identifier"),
+                               sequence_index=_typed(image["sequence_index"], int,
+                                                     "sequence_index")))
+    return Register(metadata, tuple(images))
+
+
 def load_registry(path: str | Path) -> Registry:
+    """Read a registry that ``save_registry`` wrote. Lines end at a line
+    feed only: names and identifiers may hold any other line break (U+0085,
+    U+2028), which JSON writes raw.
+
+    Raises:
+        CorruptLine: naming the file and the byte offset of the first line
+            that is not a register (not JSON, a key missing or of the wrong
+            type, or a value its register rejects).
+    """
     registers = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        commune = GazetteerEntry(
-            code=record["commune"]["code"],
-            canonical_name=record["commune"]["canonical_name"],
-            department=record["commune"]["department"],
-            valid_names=tuple(record["commune"].get("valid_names", ())),
-        )
-        metadata = RegisterMetadata(
-            census_year=record["census_year"],
-            commune=commune,
-            archival_id=record["archival_id"],
-            source_rows=tuple(record.get("source_rows", ())),
-        )
-        images = tuple(
-            ImageRef(
-                register=metadata,
-                iiif_identifier=img["identifier"],
-                sequence_index=img["sequence_index"],
-            )
-            for img in record["images"]
-        )
-        registers.append(Register(metadata, images))
+    offset = 0
+    for line in Path(path).read_bytes().split(b"\n"):
+        if line.strip():
+            try:
+                registers.append(_register(json.loads(line.decode("utf-8"))))
+            except KeyError as exc:
+                raise CorruptLine(path, offset, f"is not a register: missing key {exc}") from None
+            except (ValueError, TypeError) as exc:  # also UnicodeDecodeError
+                raise CorruptLine(path, offset, f"is not a register: {exc}") from None
+        offset += len(line) + 1
     return Registry(tuple(registers))
 
 

@@ -34,6 +34,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
+from ..domain import CorruptLine
 from ..ingest import ImageRef
 
 
@@ -190,21 +191,6 @@ def read_lines(path: Path, start: int = 0) -> Iterator[tuple[int, bytes]]:
             if line.strip():
                 yield offset, line
             offset += len(line)
-
-
-class CorruptLine(ValueError):
-    """A whole line of an NDJSON file that is not a JSON object, or a
-    record that its reader cannot index or that does not fit its schema;
-    ``reason`` says which."""
-
-    def __init__(
-        self, path: str | Path, offset: int, reason: str, register_id: Optional[str] = None
-    ):
-        where = "" if register_id is None else f" (register {register_id!r})"
-        super().__init__(f"{path}: line at byte {offset}{where} {reason}")
-        self.path = path
-        self.offset = offset
-        self.register_id = register_id
 
 
 def parse_line(

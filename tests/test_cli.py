@@ -691,6 +691,21 @@ class TestIngestCommand:
         exceptions = (out / "exceptions.csv").read_text(encoding="utf-8")
         assert "InvalidCensusYear" in exceptions
 
+    def test_a_registry_with_line_breaks_in_an_image_path_plans(self, runner, tmp_path):
+        """An image path holding U+0085, which JSON writes raw, reaches a
+        registry that plan reads back whole."""
+        csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
+        csv_path.write_text(csv_path.read_text("utf-8").replace("img_10", "img\x85_10"), "utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["ingest", "--csv", str(csv_path), "--mapping", str(mapping),
+                                      "--gazetteer", str(gazetteer), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "\x85" in (out / "registry.ndjson").read_text("utf-8")
+        result = runner.invoke(main, ["plan", "--registry", str(out / "registry.ndjson"),
+                                      "--workspace", str(tmp_path / "ws")])
+        assert result.exit_code == 0, result.output
+        assert "planned 2 tasks" in result.output
+
     def test_ingest_dry_run(self, runner, tmp_path):
         csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
         out = tmp_path / "out"
@@ -893,6 +908,35 @@ class TestExportCommand:
         name = payload["page_id"].replace("/", "__") + ".txt"
         assert (pages / name).read_text("utf-8") == dumps_pages([payload_transcript(payload)])
         assert {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("char", ["\r", "\t"], ids=["cr", "tab"])
+    def test_a_value_the_pages_cannot_hold_exits_one(self, runner, tmp_path, char):
+        """A stored label whose value holds a carriage return or a tab:
+        --pages prints one error naming the page and exits 1; the pages
+        written before it stay."""
+        corpus, workspace, pages = tmp_path / "corpus", tmp_path / "ws", tmp_path / "pages"
+        result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
+                                      "--registers", "2", "--limit-images", "12"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus)])
+        assert result.exit_code == 0, result.output
+        store = workspace / "results_store.ndjson"
+        payloads = [json.loads(line) for line in store.read_text("utf-8").splitlines()]
+        payload = [record for record in payloads if record["transcript"]][-1]
+        payload["transcript"] = re.sub(r"^(<[^>]*>)[^ \n]*", rf"\1La{char}ter",
+                                       payload["transcript"])
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n")
+
+        result = runner.invoke(main, ["export", "--workspace", str(workspace),
+                                      "--pages", str(pages)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: page {payload['page_id']!r}: value not serializable: "
+                          f"{'La' + char + 'ter'!r}"]
+        assert len(list(pages.iterdir())) == 5
 
     def test_export_of_a_partly_planned_register_is_the_runs(self, runner, tmp_path):
         """A register of which only some pages are planned is incomplete for
@@ -1141,6 +1185,46 @@ class TestCorruptLine:
         assert f"error: {path}: line at byte {offset} cannot be indexed" in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestBadRegistry:
+    """A registry line that is not a register makes each command that reads
+    it exit 1 with one error naming the file and the line's byte offset."""
+
+    @pytest.mark.parametrize("command", ["plan", "check-images", "export"])
+    @pytest.mark.parametrize("bad, reason", [
+        ("{not json", "Expecting property name"),
+        ('{"census_year": 1881}', "missing key 'commune'"),
+        ("[]", "the line is list, not dict"),
+    ], ids=["not-json", "missing-key", "wrong-type"])
+    def test_exits_one_naming_the_line(self, runner, tmp_path, command, bad, reason):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        if command == "export":
+            run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+            assert runner.invoke(main, run).exit_code == 0
+            path = workspace / "registry.ndjson"
+        else:
+            path = corpus / "registry.ndjson"
+        first = path.read_bytes().splitlines(keepends=True)[0]
+        path.write_bytes(first + bad.encode() + b"\n" + path.read_bytes()[len(first):])
+        out = tmp_path / "out.csv"
+        argv = {
+            "plan": ["plan", "--registry", str(path), "--workspace", str(workspace)],
+            "check-images": ["check-images", "--registry", str(path), "--fixture", str(corpus),
+                             "--out", str(out)],
+            "export": ["export", "--workspace", str(workspace), "--households", str(out)],
+        }[command]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(
+            f"error: {path}: line at byte {len(first)} is not a register: {reason}")
+        assert "Traceback" not in result.output
+        assert not out.exists()
+        if command == "plan":
+            assert not workspace.exists()
 
 
 class TestBadTranscript:

@@ -3,9 +3,12 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censusflow.domain import (
     FIELD_ORDER,
+    TAG_FOR_NAME,
     TAG_FOR_TOKEN,
     TOKEN_FOR_TAG,
     EntityTag,
@@ -16,10 +19,12 @@ from censusflow.domain import (
     PersonRecord,
     RegisterPage,
     RowCountWarning,
+    UnserializablePage,
     dumps_pages,
     loads_pages,
     read_fixture,
     validate_record,
+    write_fixture,
 )
 
 
@@ -201,3 +206,116 @@ class TestFixtureSerialization:
             (PersonRecord({EntityTag.OBSERVATION: "x=y"}),), page_id="eq"
         )
         assert loads_pages(dumps_pages([page])) == [page]
+
+    # Line breaks of str.splitlines other than "\n" and "\r".
+    BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("brk", BREAKS)
+    def test_values_with_other_line_breaks_read_back(self, tmp_path, golden, brk):
+        page = PageTranscript(
+            (PersonRecord({EntityTag.SURNAME: f"a{brk}b", EntityTag.AGE: brk}),),
+            page_id=f"p{brk}1", page_index_in_register=2,
+        )
+        path = tmp_path / "a.txt"
+        write_fixture([golden, page, golden], path)
+        assert read_fixture(path) == [golden, page, golden]
+
+    def test_carriage_return_is_rejected_naming_the_page(self):
+        page = PageTranscript((PersonRecord({EntityTag.SURNAME: "a\rb"}),), page_id="p7")
+        with pytest.raises(UnserializablePage, match=r"^page 'p7': value not serializable"):
+            dumps_pages([page])
+        with pytest.raises(UnserializablePage, match=r"^page_id not serializable: 'p\\r'"):
+            dumps_pages([PageTranscript((), page_id="p\r")])
+
+    def test_crlf_files_read(self, golden):
+        second = PageTranscript(golden.records[:2], page_id="p2", page_index_in_register=3)
+        text = dumps_pages([golden, second])
+        assert loads_pages(text.replace("\n", "\r\n")) == loads_pages(text) == [golden, second]
+
+
+def oracle_loads_pages(text):
+    """``loads_pages`` as it was, splitting blocks with ``re.split`` and
+    lines with ``str.splitlines``: the oracle for texts that hold none of
+    the line breaks it treats differently."""
+    if text.strip() == "":
+        return []
+    pages = []
+    first = 1
+    for index, block in enumerate(re.split(r"^---$", text, flags=re.MULTILINE)):
+        page_id = f"page-{index}"
+        page_index = index
+        records = []
+        lines = block.splitlines()
+        for number, line in enumerate(lines, first):
+            line = line.rstrip("\r")
+            if not line.strip():
+                continue
+            try:
+                if line.startswith("#page\t"):
+                    _, page_id, raw_index = line.split("\t", 2)
+                    page_index = int(raw_index)
+                    if page_index < 0:
+                        raise ValueError(f"negative page index {page_index}")
+                    continue
+                fields = {}
+                for item in line.split("\t"):
+                    name, sep, value = item.partition("=")
+                    if not sep:
+                        raise ValueError(f"malformed fixture line: {line!r}")
+                    tag = TAG_FOR_NAME.get(name)
+                    if tag is None:
+                        raise ValueError(f"unknown tag name in fixture: {name!r}")
+                    fields[tag] = value
+            except ValueError as exc:
+                raise MalformedFixture(f"line {number}: {exc}") from None
+            records.append(PersonRecord(fields))
+        first += len(lines)
+        pages.append(
+            PageTranscript(tuple(records), page_id=page_id, page_index_in_register=page_index)
+        )
+    return pages
+
+
+# Text without the characters that str.splitlines breaks lines at.
+_plain_text = st.text(
+    st.characters(blacklist_categories=("Cs",),
+                  blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    max_size=6,
+)
+_names = st.sampled_from(sorted(TAG_FOR_NAME) + ["shoe_size", ""])
+_fixture_lines = st.one_of(
+    st.lists(st.tuples(_names, st.sampled_from(["=", ""]), _plain_text), min_size=1,
+             max_size=4).map(lambda items: "\t".join(n + sep + v for n, sep, v in items)),
+    st.tuples(_plain_text, st.sampled_from(["0", "3", "-1", "x", " 2"])).map(
+        lambda h: f"#page\t{h[0]}\t{h[1]}"),
+    st.sampled_from(["---", "--- ", "#page\tp", "", " ", "\u3000"]),
+    _plain_text,
+)
+
+
+class TestSinglePassParser:
+    """The one-pass ``loads_pages`` against the oracle of old."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except MalformedFixture as exc:
+            return str(exc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_fixture_lines, max_size=30), st.booleans())
+    def test_same_pages_and_line_numbers(self, lines, newline_at_end):
+        text = "\n".join(lines) + ("\n" if newline_at_end else "")
+        assert self.outcome(loads_pages, text) == self.outcome(oracle_loads_pages, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.dictionaries(st.sampled_from(FIELD_ORDER), _plain_text,
+                                             min_size=1, max_size=4), max_size=5),
+                    min_size=1, max_size=4))
+    def test_written_pages_read_back(self, pages):
+        transcripts = [PageTranscript(tuple(map(PersonRecord, records)), page_id=f"p{i}",
+                                      page_index_in_register=i)
+                       for i, records in enumerate(pages)]
+        text = dumps_pages(transcripts)
+        assert loads_pages(text) == oracle_loads_pages(text) == transcripts

@@ -218,6 +218,77 @@ class TestRetryRng:
             assert sleeps == expected
 
 
+class TestOneRetryRule:
+    """Every GET, ``info.json``, the pixels and the download, is asked again
+    after a transport failure or any answer but 200 and 404, up to the
+    endpoint's attempts, and a 404 is final at once."""
+
+    JPEG = TransportResponse(200, b"\xff\xd8rest")
+
+    def test_fetch_image_recovers_after_a_503(self):
+        transport = ScriptedTransport(TransportResponse(503, b"busy"),
+                                      TransportResponse(200, b"bytes"))
+        assert fetch_image(ENDPOINT, "p01", transport, sleep=lambda s: None) == b"bytes"
+        assert len(transport.calls) == 2
+
+    def test_fetch_image_raises_the_last_503(self):
+        transport = ScriptedTransport(*[TransportResponse(503, b"busy")] * 3)
+        with pytest.raises(FetchError) as caught:
+            fetch_image(ENDPOINT, "p01", transport, sleep=lambda s: None)
+        assert caught.value.status_code == 503
+        assert len(transport.calls) == 3
+
+    def test_fetch_image_404_is_one_get(self):
+        transport = ScriptedTransport(TransportResponse(404, b""))
+        with pytest.raises(FetchError) as caught:
+            fetch_image(ENDPOINT, "p01", transport, sleep=lambda s: None)
+        assert caught.value.status_code == 404
+        assert len(transport.calls) == 1
+
+    def test_info_404_is_one_get(self):
+        transport = ScriptedTransport(TransportResponse(404, b""))
+        result = check_integrity(ENDPOINT, image_ref(), transport, fetch_pixels=True,
+                                 sleep=lambda s: None)
+        assert result.status is IntegrityStatus.MISSING
+        assert len(transport.calls) == 1
+
+    def test_pixel_transport_failure_retries_only_the_pixels(self):
+        transport = ScriptedTransport(ok_info(), TransportFailure("reset"), self.JPEG)
+        result = check_integrity(ENDPOINT, image_ref(), transport, fetch_pixels=True,
+                                 sleep=lambda s: None)
+        assert result.status is IntegrityStatus.OK
+        info, pixels = info_url(ENDPOINT, "reg1/p01"), full_image_url(ENDPOINT, "reg1/p01")
+        assert transport.calls == [info, pixels, pixels]
+
+    def test_pixel_503_is_asked_again(self):
+        transport = ScriptedTransport(ok_info(), TransportResponse(503, b"busy"), self.JPEG)
+        result = check_integrity(ENDPOINT, image_ref(), transport, fetch_pixels=True,
+                                 sleep=lambda s: None)
+        assert result.status is IntegrityStatus.OK
+        assert (result.width, result.height) == (2000, 3000)
+        assert len(transport.calls) == 3
+
+    def test_pixel_transport_failures_exhausted(self):
+        transport = ScriptedTransport(ok_info(), *[TransportFailure("reset")] * 3)
+        result = check_integrity(ENDPOINT, image_ref(), transport, fetch_pixels=True,
+                                 sleep=lambda s: None)
+        assert result.status is IntegrityStatus.TRANSPORT_ERROR
+        assert result.detail == "reset"
+        assert len(transport.calls) == 4
+
+    def test_the_last_attempt_decides(self):
+        """A 503 then two transport failures raise the last failure; two
+        failures then a 503 give the 503."""
+        transport = ScriptedTransport(TransportResponse(503, b""), TransportFailure("a"),
+                                      TransportFailure("b"))
+        with pytest.raises(TransportFailure, match="b"):
+            fetch_image(ENDPOINT, "p01", transport, sleep=lambda s: None)
+        transport = ScriptedTransport(TransportFailure("a"), TransportFailure("b"),
+                                      TransportResponse(503, b""))
+        result = check_integrity(ENDPOINT, image_ref(), transport, sleep=lambda s: None)
+        assert (result.status, result.detail) == (IntegrityStatus.TRANSPORT_ERROR, "HTTP 503")
+
+
 class TestNullTransport:
     def test_raises_isolation_violation(self):
         with pytest.raises(IsolationViolation):

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import censusflow.ingest as ingest_module
+from censusflow.domain import CorruptLine
 from censusflow.fixtures import DEMO_GAZETTEER
 from censusflow.ingest import (
     DEFAULT_THRESHOLD,
@@ -17,11 +19,15 @@ from censusflow.ingest import (
     EmptyFile,
     EmptyGazetteer,
     GazetteerEntry,
+    ImageRef,
     MatchCandidate,
     MatchResult,
     MatchStatus,
     MissingColumn,
     RawRow,
+    Register,
+    RegisterMetadata,
+    Registry,
     build_registry,
     import_csv,
     load_gazetteer,
@@ -622,6 +628,50 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
         loaded = load_registry(first)
         assert loaded == result.registry
+
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+    def test_line_breaks_inside_values_roundtrip(self, tmp_path, brk):
+        """Identifiers and names may hold the line breaks that JSON writes
+        raw; each registry line still ends at its "\\n"."""
+        commune = GazetteerEntry(f"03{brk}310", f"Vi{brk}chy", f"Al{brk}lier", (f"V{brk}y",))
+        meta = RegisterMetadata(1881, commune, f"6M{brk}1", (2, 3))
+        registry = Registry((
+            Register(meta, (ImageRef(meta, f"img{brk}_1.jpg", 0), ImageRef(meta, "img_2.jpg", 1))),
+            Register(RegisterMetadata(1886, GAZETTEER[2], "6M2"),
+                     (ImageRef(RegisterMetadata(1886, GAZETTEER[2], "6M2"), "a", 0),)),
+        ))
+        path = tmp_path / "registry.ndjson"
+        save_registry(registry, path)
+        assert brk in path.read_text(encoding="utf-8")
+        assert load_registry(path) == registry
+
+    @pytest.mark.parametrize("bad, reason", [
+        (b"{not json", "Expecting property name"),
+        (b"\xff", "'utf-8' codec can't decode"),
+        (b"[1881]", "the line is list, not dict"),
+        (b"{}", "missing key 'commune'"),
+        (lambda r: dict(r, commune="Vichy"), "commune is str, not dict"),
+        (lambda r: dict(r, census_year="1886"), "census_year is str, not int"),
+        (lambda r: dict(r, census_year=1916), "1916 is not a census year"),
+        (lambda r: dict(r, images={}), "images is dict, not list"),
+        (lambda r: dict(r, images=[dict(r["images"][0], sequence_index=True)]),
+         "sequence_index is bool, not int"),
+        (lambda r: dict(r, images=[{"identifier": "a"}]), "missing key 'sequence_index'"),
+    ], ids=["not-json", "not-utf8", "list", "no-commune", "commune-str", "year-str",
+            "no-census", "images-dict", "index-bool", "no-index"])
+    def test_a_line_that_is_not_a_register(self, tmp_path, bad, reason):
+        """The first bad line raises one CorruptLine naming the file and
+        the line's byte offset."""
+        rows = import_rows(tmp_path, ["1881,Vichy,6M1,img_2.jpg,", "1886,Vichy,6M9,img_1.jpg,"])
+        path = tmp_path / "registry.ndjson"
+        save_registry(build_registry(rows, GAZETTEER).registry, path)
+        first, second = path.read_bytes().splitlines(keepends=True)
+        line = bad if isinstance(bad, bytes) else json.dumps(bad(json.loads(second))).encode()
+        path.write_bytes(first + line + b"\n" + second)
+        with pytest.raises(CorruptLine) as caught:
+            load_registry(path)
+        assert str(caught.value).startswith(
+            f"{path}: line at byte {len(first)} is not a register: {reason}")
 
     def test_gazetteer_roundtrip(self, tmp_path):
         path = tmp_path / "gazetteer.csv"

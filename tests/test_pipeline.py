@@ -203,6 +203,23 @@ class TestPrestage:
             )
         assert manifests[0].state is TaskState.STAGED
 
+    def test_one_503_on_a_download_is_asked_again(self, tmp_path, corpus, ctx):
+        """A download answered once with 503 is retried like info.json: the
+        task is STAGED with its image on disk, not FAILED."""
+        manifests = plan_batch(corpus.registry, ctx)
+        victim = manifests[0]
+        transport = ImageGetFails(transport_for(corpus), victim.image.iiif_identifier, times=1)
+        endpoint = IiifEndpoint(ENDPOINT.base_url, retry=RetryPolicy(3, 0))
+        with LocalExecutor(1) as serial:
+            run_stage_prestage(
+                manifests, ctx, endpoint=endpoint, transport=transport,
+                executor=serial, results_store=store_of(ctx),
+            )
+        assert transport.times == 0
+        assert all(m.state is TaskState.STAGED for m in manifests)
+        assert ctx.staged_file(victim.task_id).read_bytes() == (
+            corpus.root / "images" / f"{victim.image.iiif_identifier}.json").read_bytes()
+
     def test_rerun_touches_only_pending(self, tmp_path, corpus, ctx, pool):
         manifests = plan_batch(corpus.registry, ctx)
         transport = transport_for(corpus)
@@ -1233,14 +1250,18 @@ class TestWorkspaceRegistry:
 
 
 class ImageGetFails:
-    """A transport whose full-image requests for one identifier answer 503."""
+    """A transport whose full-image requests for one identifier answer 503,
+    the first ``times`` of them or all."""
 
-    def __init__(self, inner, identifier):
+    def __init__(self, inner, identifier, times=None):
         self.inner = inner
         self.identifier = identifier
+        self.times = times
 
     def get(self, url, timeout_ms):
-        if url == full_image_url(ENDPOINT, self.identifier):
+        if url == full_image_url(ENDPOINT, self.identifier) and self.times != 0:
+            if self.times is not None:
+                self.times -= 1
             return TransportResponse(503, b"busy")
         return self.inner.get(url, timeout_ms)
 
