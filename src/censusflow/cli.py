@@ -27,12 +27,11 @@ from .pipeline import (
     RunConfig,
     TaskState,
     WorkerSet,
-    export_batch,
     plan_batch,
     run_batch,
 )
 from .pipeline.manifests import WorkspaceBusy
-from .pipeline.runner import STAGES, Workspace, state_counts
+from .pipeline.runner import STAGES, UnknownImage, Workspace, state_counts
 from .pipeline.stages import payload_transcript, select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
 
@@ -108,8 +107,9 @@ def _setup_logging(verbosity: int) -> None:
 
 # The operational failures of every command: each prints one error line
 # and exits 1 (``_Main``).
-_OPERATIONAL_ERRORS = (CorruptLine, WorkspaceBusy, EmptySelection, MalformedFixture,
-                       UnserializablePage, metrics.NoMatchingPages, simulate_mod.Infeasible)
+_OPERATIONAL_ERRORS = (CorruptLine, WorkspaceBusy, EmptySelection, UnknownImage,
+                       MalformedFixture, UnserializablePage, metrics.NoMatchingPages,
+                       simulate_mod.Infeasible)
 
 
 class _Main(click.Group):
@@ -259,10 +259,15 @@ def _threshold_option(ctx: click.Context, param: click.Parameter, value: Optiona
         raise click.BadParameter(str(exc))
 
 
-def _fixture_setup(fixture_root: str, endpoint_url: Optional[str], api_version: int):
-    registry = ingest.load_registry(Path(fixture_root) / "registry.ndjson")
-    endpoint = iiif.IiifEndpoint(endpoint_url or "https://fixture.local/iiif", api_version)
-    return registry, endpoint, fixtures.FixtureTransport(fixture_root)
+def _source(fixture_root: Optional[str], endpoint_url: Optional[str], api_version: str):
+    """``(registry, endpoint, transport)`` of --fixture, else --endpoint's, else Nones."""
+    if fixture_root:
+        url = endpoint_url or "https://fixture.local/iiif"
+        return (ingest.load_registry(Path(fixture_root) / "registry.ndjson"),
+                iiif.IiifEndpoint(url, int(api_version)), fixtures.FixtureTransport(fixture_root))
+    if endpoint_url:
+        return None, iiif.IiifEndpoint(endpoint_url, int(api_version)), iiif.HttpTransport()
+    return None, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +350,9 @@ def check_images_cmd(registry_path, endpoint_url, api_version, concurrency, out_
     """Verify presence and integrity of every registry image over IIIF."""
     registry = ingest.load_registry(registry_path)
     images = list(registry.iter_images())
-    if fixture_root:
-        _, endpoint, transport = _fixture_setup(fixture_root, endpoint_url, int(api_version))
-    else:
-        if not endpoint_url:
-            raise click.UsageError("--endpoint is required without --fixture")
-        endpoint = iiif.IiifEndpoint(endpoint_url, int(api_version))
-        transport = iiif.HttpTransport()
+    _, endpoint, transport = _source(fixture_root, endpoint_url, api_version)
+    if endpoint is None:
+        raise click.UsageError("--endpoint is required without --fixture")
     click.echo(f"checking {len(images)} images against {endpoint.base_url}")
     if dry_run:
         click.echo("dry run: nothing written")
@@ -423,28 +424,18 @@ def gen_fixtures_cmd(config: GlobalConfig, out_dir, registers, list_pages_min, l
 # ---------------------------------------------------------------------------
 
 
-def _selection_options(command):
-    """``plan``'s and ``run``'s image selection, added last first (--help order)."""
-    for option in (click.option("--limit", type=click.IntRange(min=1), default=None),
-                   click.option("--register-id", default=None),
-                   click.option("--commune", "commune_code", default=None),
-                   click.option("--year", type=int, default=None)):
-        command = option(command)
-    return command
-
-
 @main.command("plan")
 @click.option("--registry", "registry_path", required=True, type=click.Path(exists=True))
 @click.option("--workspace", required=True, type=click.Path())
-@_selection_options
+@click.option("--year", type=int, default=None)
+@click.option("--commune", "commune_code", default=None)
+@click.option("--register-id", default=None)
+@click.option("--limit", type=click.IntRange(min=1), default=None)
 @click.option("--dry-run", is_flag=True)
 def plan_cmd(registry_path, workspace, dry_run, **selection):
-    """Create PENDING task manifests for selected registry images.
-
-    A later run plans its own selection: give it the same --year, --commune,
-    --register-id and --limit, or it plans every image. Plan is a writer, as
-    run is: it exits 1 while another plan or run writes, and leaves a checkpoint.
-    """
+    """Create PENDING task manifests for selected registry images; a run
+    works on every task planned. Plan is a writer, as run is: it exits 1
+    while another plan or run writes, and leaves a checkpoint."""
     registry = ingest.load_registry(registry_path)
     # An empty selection exits before the lock creates the workspace.
     count = len(select_images(registry, **selection))
@@ -460,9 +451,10 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
 @main.command("run")
 @click.option("--workspace", required=True, type=click.Path())
 @click.option("--fixture", "fixture_root", type=click.Path(exists=True), default=None,
-              help="Synthetic corpus directory (registry + fixture transport).")
-@click.option("--registry", "registry_path", type=click.Path(exists=True), default=None)
-@click.option("--endpoint", "endpoint_url", default=None)
+              help="Synthetic corpus directory: its registry, planned whole, and transport.")
+@click.option("--registry", "registry_path", type=click.Path(exists=True), default=None,
+              help="A registry to plan whole before the run.")
+@click.option("--endpoint", "endpoint_url", default=None, help="IIIF base URL, for pre.")
 @click.option("--api-version", type=click.Choice(["2", "3"]), default="2", show_default=True)
 @click.option("--stages", default="pre,proc,post", show_default=True,
               help="Comma-separated subset of pre,proc,post to run on each window; "
@@ -473,55 +465,46 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
 @click.option("--retry-limit", type=int, default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Cap on pre-stage download concurrency.")
-@_selection_options
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj
 def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoint_url,
             api_version, stages, worker_spec, scheduler_spec, window, retry_limit,
-            jobs, dry_run, **selection):
-    """Drive tasks through the pre-stage, process and integrate stages.
+            jobs, dry_run):
+    """Drive the workspace's planned tasks through the pre-stage, process
+    and integrate stages; --fixture or --registry plans a registry whole first.
 
-    Exits 1 at once while another plan or run holds the workspace's writer
-    lock.
+    Only pre needs --fixture or --endpoint: a compute-node job is ``run
+    --workspace ws --stages proc``. Exits 1 if nothing is planned, and at
+    once while another plan or run holds the workspace's writer lock.
     """
-    if fixture_root:
-        registry, endpoint, transport = _fixture_setup(fixture_root, endpoint_url, int(api_version))
-    elif registry_path and endpoint_url:
+    if fixture_root and registry_path:
+        raise click.UsageError("--fixture plans its own registry: give --fixture or --registry")
+    stage_set = {s.strip() for s in stages.split(",") if s.strip()}
+    if "pre" in stage_set and not (fixture_root or endpoint_url):
+        raise click.UsageError("the pre stage downloads: give --fixture or --endpoint")
+    registry, endpoint, transport = _source(fixture_root, endpoint_url, api_version)
+    if registry_path:
         registry = ingest.load_registry(registry_path)
-        endpoint = iiif.IiifEndpoint(endpoint_url, int(api_version))
-        transport = iiif.HttpTransport()
-    else:
-        raise click.UsageError("need --fixture, or --registry together with --endpoint")
 
     workers = parse_worker_spec(worker_spec, config.seed)
     pipeline_cfg = config.pipeline
-    prestage_concurrency = pipeline_cfg.get("prestage_concurrency", 14)
-    if jobs is not None:
-        prestage_concurrency = min(prestage_concurrency, jobs)
+    prestage_concurrency = min(pipeline_cfg.get("prestage_concurrency", 14), jobs or math.inf)
     with parse_scheduler_spec(scheduler_spec) as scheduler:
         try:
             run_config = RunConfig(
-                workspace=Path(workspace),
-                registry=registry,
-                endpoint=endpoint,
-                transport=transport,
-                workers=workers,
-                scheduler=scheduler,
-                prestage_concurrency=prestage_concurrency,
+                workspace=workspace, registry=registry, endpoint=endpoint, transport=transport,
+                workers=workers, scheduler=scheduler, prestage_concurrency=prestage_concurrency,
                 retry_limit=retry_limit if retry_limit is not None else pipeline_cfg.get("retry_limit", 3),
                 window=window if window is not None else pipeline_cfg.get("window", 64),
-                stages={s.strip() for s in stages.split(",") if s.strip()},
-                **selection,
+                stages=stage_set,
             )
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        images = len(select_images(registry, **selection))
+        run_config.check_planned()
 
-        click.echo(
-            f"run: images={images} "
-            f"stages={','.join(s for s in STAGES if s in run_config.stages)} "
-            f"workers={worker_spec} scheduler={scheduler_spec} seed={config.seed}"
-        )
+        click.echo(f"run: workspace={workspace} "
+                   f"stages={','.join(s for s in STAGES if s in run_config.stages)} "
+                   f"workers={worker_spec} scheduler={scheduler_spec} seed={config.seed}")
         if dry_run:
             click.echo("dry run: nothing executed")
             return
@@ -580,14 +563,13 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
         if not ws.registry_file.exists():
             _fail(f"no {ws.registry_file.name} in {workspace}: run `censusflow plan --registry R "
                   f"--workspace {workspace}` with the registry and selection it was planned with")
-        registry = ingest.load_registry(ws.registry_file)
         store = ws.store
         if dry_run:
             click.echo(f"dry run: {len(store)} stored results over "
-                       f"{len(registry.registers)} registers")
+                       f"{len(ws.registry.registers)} registers")
             return
         if households_path:
-            exported, skipped, people = export_batch(registry, store, households_path)
+            exported, skipped, people = ws.export(households_path)
             click.echo(f"wrote {people} people / {exported} registers to "
                        f"{households_path} ({skipped} registers incomplete)")
         if pages_dir:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -48,8 +49,9 @@ class Transport(Protocol):
     def get(self, url: str, timeout_ms: int) -> TransportResponse: ...
 
 
-class HttpTransport:
-    """Real HTTP transport backed by requests."""
+class HttpTransport(threading.local):
+    """Real HTTP transport backed by requests, one ``Session`` per thread: as
+    a ``threading.local``, each thread that uses it runs ``__init__`` once."""
 
     def __init__(self):
         import requests

@@ -83,9 +83,10 @@ class ColumnMapping:
 
 
 def load_mapping(path: str | Path) -> ColumnMapping:
-    """Read a ``column=ROLE`` mapping file (# comments and blanks allowed)."""
+    """Read a ``column=ROLE`` mapping file (# comments and blanks allowed),
+    whose lines end at ``\n``, ``\r\n`` or ``\r`` only, as CSV records do."""
     roles: dict[str, ColumnRole] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -662,14 +663,19 @@ def load_registry(path: str | Path) -> Registry:
     offset = 0
     for line in Path(path).read_bytes().split(b"\n"):
         if line.strip():
-            try:
-                registers.append(_register(json.loads(line.decode("utf-8"))))
-            except KeyError as exc:
-                raise CorruptLine(path, offset, f"is not a register: missing key {exc}") from None
-            except (ValueError, TypeError) as exc:  # also UnicodeDecodeError
-                raise CorruptLine(path, offset, f"is not a register: {exc}") from None
+            registers.append(parse_register(line, path, offset))
         offset += len(line) + 1
     return Registry(tuple(registers))
+
+
+def parse_register(line: bytes, path: str | Path, offset: int) -> Register:
+    """The register on a line at byte ``offset`` of ``path``, as ``load_registry`` reads it."""
+    try:
+        return _register(json.loads(line.decode("utf-8")))
+    except KeyError as exc:
+        raise CorruptLine(path, offset, f"is not a register: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:  # also UnicodeDecodeError
+        raise CorruptLine(path, offset, f"is not a register: {exc}") from None
 
 
 def write_exceptions_csv(exceptions: Sequence[ExceptionRecord], path: str | Path) -> None:

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from ..domain import CorruptLine
-from ..ingest import ImageRef
+from ..ingest import ImageRef, Registry, parse_register
 
 
 class TaskState(Enum):
@@ -99,7 +99,7 @@ def parse_task_id(task_id: str) -> tuple[str, int]:
 @dataclass(slots=True)
 class TaskManifest:
     """One task's fold. ``image`` is None in a manifest folded from the log,
-    which holds no images; ``plan_batch`` sets it from the registry."""
+    which holds no images; ``plan_batch`` and ``Workspace.planned`` set it."""
 
     task_id: str
     image: Optional[ImageRef]
@@ -590,7 +590,15 @@ class PipelineContext:
 
     @property
     def registry_file(self) -> Path:
-        return self.log.path.parent / "registry.ndjson"
+        return self.log.path.parent / REGISTRY_NAME
+
+    @cached_property
+    def registry(self) -> Registry:
+        """The registers in ``registry_file``, read once, whole lines only
+        (``read_lines``), as the log is; ``plan_batch`` sets it as it writes."""
+        path = self.registry_file
+        return Registry(tuple(parse_register(line, path, offset)
+                              for offset, line in read_lines(path)))
 
     @property
     def checkpoint_file(self) -> Path:
@@ -610,9 +618,10 @@ class PipelineContext:
         return self.log.tasks
 
 
-# The other files of a workspace: the result store, the export memo (next to
-# its store), the household export, and the checkpoint (``read_checkpoint``)
-# with its format version.
+# The other files of a workspace: the registry, the result store, the export
+# memo (next to its store), the household export, and the checkpoint
+# (``read_checkpoint``) with its format version.
+REGISTRY_NAME = "registry.ndjson"
 STORE_NAME = "results_store.ndjson"
 MEMO_NAME = "households.parts.ndjson"
 HOUSEHOLDS_NAME = "households.csv"

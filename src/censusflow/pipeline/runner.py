@@ -1,9 +1,9 @@
 """Batch orchestration: drive the three stages to termination and export.
 
-``run_batch`` plans tasks from a registry, then makes one pass over bounded
-windows of the tasks not yet terminal, running pre-stage, process and
-integrate on each window; after its window's pass every task is INTEGRATED
-or FAILED. A run may name fewer stages, so the connected and isolated
+``run_batch`` makes one pass over bounded windows of the workspace's
+planned tasks not yet terminal, running pre-stage, process and integrate
+on each window; after its window's pass every task is INTEGRATED or
+FAILED. A run may name fewer stages, so the connected and isolated
 stages can run as separate jobs, each windowed the same way; only a run
 with the integrate stage exports. The process stage appends each result to
 the result store, its only copy, before it logs the task PROCESSED. Because
@@ -12,22 +12,17 @@ append-only task log and every result in its append-only store,
 interrupting the pass at any point, even in the middle of an append, and
 calling ``run_batch`` again yields the same terminal result set.
 
-Export works one register at a time. The result store indexes its line
-offsets by register when it opens, parsing each record after the part its
-checkpoint section vouches for, and keeps the index up to date as it
-appends. The store keeps each page's label as the recognizer returned it;
-export reads each register's records through ``ResultStore.payloads``,
-which checks each against the schema the process stage checked on write
-(``validate_payload``), decodes their labels and folds them straight into
-CSV rows, without building domain objects. The fold runs once per register,
-when the window that completes the register has been integrated: its CSV
-text goes to an append-only memo, ``households.parts.ndjson``, keyed by the
-store's digest of the register's lines and the decoder's version. Export
-then copies each complete register's memoised text if that key still
-holds, folds it otherwise, and replaces ``households.csv`` atomically once
-every row is written. So a resume folds only the registers it completes,
-and memory holds the largest register's payloads plus small per-record
-and per-register indexes, whatever the batch size.
+Export works one register at a time, in the order of the workspace
+registry, for ``run`` and ``censusflow export`` alike (``Workspace.export``).
+The store keeps each page's label as the recognizer returned it; export
+reads a register's records through the store's index (``ResultStore``),
+checks them (``validate_payload``), decodes their labels and folds them
+straight into CSV rows. The fold runs once per register, when the window
+that completes it has been integrated, and its text goes to a memo
+(``ExportMemo``); export copies each memoised text that still holds, folds
+the rest, and replaces ``households.csv`` atomically once every row is
+written. So a resume folds only the registers it completes, and memory
+holds the largest register's payloads plus small indexes.
 
 ``Workspace`` opens the workspace for every command, ``run_batch`` included:
 the lock, the checkpoint, the log's fold, the store and the memo, each once;
@@ -56,6 +51,7 @@ from ..label_codec import DECODER_VERSION, decode_fields
 from .manifests import (
     HOUSEHOLDS_NAME,
     MEMO_NAME,
+    REGISTRY_NAME,
     STORE_NAME,
     TERMINAL_STATES,
     AppendFile,
@@ -68,10 +64,12 @@ from .manifests import (
     parse_task_id,
     read_lines,
     read_ndjson,
+    task_id_for,
     write_checkpoint,
     writer_lock,
 )
 from .stages import (
+    EmptySelection,
     LocalExecutor,
     plan_batch,
     run_stage_integrate,
@@ -251,39 +249,42 @@ class RunConfig:
     ``PipelineContext`` for the staged images).
 
     ``stages`` names the stages to run, a non-empty subset of ``STAGES``, so
-    the connected and isolated stages can run as separate jobs.
+    the connected and isolated stages can run as separate jobs; only the
+    pre-stage needs ``endpoint`` and ``transport``. A given ``registry`` is
+    planned whole before the run.
     """
 
     workspace: Path
-    registry: Registry
-    endpoint: IiifEndpoint
-    transport: Transport
     workers: WorkerSet
     scheduler: LocalExecutor
+    registry: Optional[Registry] = None
+    endpoint: Optional[IiifEndpoint] = None
+    transport: Optional[Transport] = None
     prestage_concurrency: int = 14
     retry_limit: int = 3
     window: int = 64
-    year: Optional[int] = None
-    commune_code: Optional[str] = None
-    register_id: Optional[str] = None
-    limit: Optional[int] = None
     stages: frozenset[str] = frozenset(STAGES)
     clock: Callable[[], float] = time.time
     on_transition: Optional[Callable[[TaskManifest], None]] = None
 
     def __post_init__(self):
         self.workspace = Path(self.workspace)
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.prestage_concurrency < 1:
-            raise ValueError("prestage_concurrency must be >= 1")
-        if self.retry_limit < 1:
-            raise ValueError("retry_limit must be >= 1")
+        for name in ("window", "prestage_concurrency", "retry_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.stages = frozenset(self.stages)
         if not self.stages:
             raise ValueError(f"stages must name at least one of {', '.join(STAGES)}")
         if not self.stages <= set(STAGES):
             raise ValueError(f"unknown stages: {sorted(self.stages - set(STAGES))}")
+        if "pre" in self.stages and (self.endpoint is None or self.transport is None):
+            raise ValueError("the pre stage downloads: it needs an endpoint and a transport")
+
+    def check_planned(self) -> None:
+        """Raises ``EmptySelection`` if there is no registry and nothing planned."""
+        if self.registry is None and not (self.workspace / REGISTRY_NAME).exists():
+            raise EmptySelection(f"nothing is planned in {self.workspace}: plan it first "
+                                 "(censusflow plan), or give the run a registry")
 
     @property
     def store_path(self) -> Path:
@@ -315,37 +316,39 @@ def state_counts(manifests: Iterable[TaskManifest]) -> dict[str, int]:
 
 
 def run_batch(config: RunConfig) -> BatchReport:
-    """Run ``config.stages`` over every planned task; export households
-    when the post stage runs.
+    """Run ``config.stages`` over every task planned in the workspace that
+    is not terminal; export households when the post stage runs.
 
-    Each stage filters its window by state, so with all three stages one
-    pass over windows of the non-terminal tasks ends with every task
-    terminal, and conservation holds: INTEGRATED + FAILED equals the planned
-    task count. A run of fewer stages leaves each task at the state its
-    last stage gives it, for a later run to pick up.
+    ``config.registry``, if given, is planned whole first (``plan_batch``);
+    the tasks are ``Workspace.planned``. Each stage filters its window by
+    state, so with all three stages one pass over windows of the
+    non-terminal tasks ends with every task terminal, and conservation
+    holds: INTEGRATED + FAILED equals the planned task count. A run of fewer
+    stages leaves each task at the state its last stage gives it, for a
+    later run to pick up.
 
     After each window's integrate, the rows of every register that window
     completed are folded and memoised (``ExportMemo.keep``); the export
-    then copies them. The run is the workspace's writer (``Workspace``). It
-    downloads on one pool, opened inside the workspace so that it closes,
-    its downloads finished, before the writer lock is released. The
-    report's ``registers_skipped`` counts the incomplete registers among
-    those with planned tasks, as ``censusflow export`` does.
+    (``Workspace.export``) then copies them. The run is the workspace's
+    writer (``Workspace``). It downloads on one pool, opened inside the
+    workspace so that it closes, its downloads finished, before the writer
+    lock is released. It raises ``EmptySelection`` if nothing is planned
+    (``RunConfig.check_planned``) and ``UnknownImage`` (``Workspace.planned``).
 
     A checkpoint is written after a window once the log has grown since the
     last checkpoint by at least that checkpoint's size (``Workspace.due``),
     and when the run returns, so the checkpoints of a run total O(log) bytes
     and a kill leaves at most one such interval of log to read again.
     """
+    config.check_planned()
     pre, post = "pre" in config.stages, "post" in config.stages
     with (Workspace.open(config.workspace, writer=True, clock=config.clock,
                          on_transition=config.on_transition) as ws,
           (LocalExecutor(config.prestage_concurrency) if pre else nullcontext()) as downloads):
-        manifests = plan_batch(config.registry, ws, year=config.year,
-                               commune_code=config.commune_code,
-                               register_id=config.register_id, limit=config.limit)
-        registers = {register.metadata.register_id: register
-                     for register in config.registry.registers}
+        if config.registry is not None:
+            plan_batch(config.registry, ws)
+        manifests = ws.planned()
+        registers = {register.metadata.register_id: register for register in ws.registry.registers}
         store = ws.store  # every run opens the store, its checkpoint section included
 
         todo = [m for m in manifests if m.state not in TERMINAL_STATES]
@@ -373,11 +376,14 @@ def run_batch(config: RunConfig) -> BatchReport:
                           for m in manifests if m.state is TaskState.FAILED],
         )
         if post:
-            planned = {m.image.register.register_id for m in manifests}
             report.households_csv = str(config.households_path)
-            exported = _export(config.registry, ws.memo, report.households_csv, planned)
+            exported = ws.export(report.households_csv)
             report.registers_exported, report.registers_skipped, report.households_exported = exported
     return report
+
+
+class UnknownImage(LookupError):
+    """A task in the workspace's log whose image its registry lacks."""
 
 
 class Workspace(PipelineContext):
@@ -441,6 +447,23 @@ class Workspace(PipelineContext):
         memo = ExportMemo(self.store, writable=self.writer)
         self._handles.enter_context(memo.file)
         return memo
+
+    def planned(self) -> list[TaskManifest]:
+        """Every task in the log, each given its image from ``registry``, in
+        ``select_images``' (register, sequence) order; ``UnknownImage``
+        names a task whose image ``registry`` lacks."""
+        images = {task_id_for(image): image for image in self.registry.iter_images()}
+        for task_id, manifest in self.tasks.items():
+            manifest.image = images.get(task_id)
+            if manifest.image is None:
+                raise UnknownImage(f"task {task_id} of {self.log.path} has no image in "
+                                   f"{self.registry_file}")
+        return sorted(self.tasks.values(),
+                      key=lambda m: (m.image.register.register_id, m.image.sequence_index))
+
+    def export(self, out_path: str | Path) -> tuple[int, int, int]:
+        """``export_batch`` of ``registry`` through ``memo``."""
+        return _export(self.registry, self.memo, out_path)
 
     def due(self) -> bool:
         """Whether the log has grown since the last checkpoint by at least
@@ -625,28 +648,13 @@ class ExportMemo:
 def export_batch(
     registry: Registry, store: ResultStore, out_path: str | Path
 ) -> tuple[int, int, int]:
-    """Write the households of every complete register to one CSV, one
-    register at a time.
-
-    Reads the records ``store`` knows about: every record on disk when it
-    opened plus its own adds, through its ``pages`` index, so the scan at
-    the store's open is the only one per run; a later record for the same
-    page wins. In registry order, each register whose every image has a
-    record is taken: if the export memo (``ExportMemo``) holds rows for the
-    store's digest of its lines (``ResultStore.digest``), they are copied
-    without reading the lines when ``store`` holds that digest already;
-    otherwise the payloads are folded into rows (``register_rows``), each
-    label decoded into plain field dicts. Each register is written before
-    the next is read, so memory holds one register's payloads plus the
-    indexes. Other registers are skipped as incomplete. No domain objects
-    are built, so a page of more than ``ROW_COUNT_SOFT_LIMIT`` records does
-    not warn here; ``export --pages`` warns as it builds the page. The CSV
-    goes to a temporary file
-    that replaces ``out_path`` only once it is whole, so an error or a kill
-    leaves any earlier CSV as it was. The store and the memo are read
-    through one handle each, and only read: a writer's ``Workspace`` writes them.
-
-    Returns (registers exported, registers skipped, person rows written).
+    """Write the households of every complete register of ``registry`` to
+    one CSV from the records ``store`` knows about, through a memo it only
+    reads; registers with an image that has no record are skipped as
+    incomplete. No domain objects are built, so a page of more than
+    ``ROW_COUNT_SOFT_LIMIT`` records does not warn here, as ``export
+    --pages`` does. Returns (registers exported, registers skipped, person
+    rows written).
 
     Raises:
         CorruptLine: if a record of a complete register that is read is
@@ -659,17 +667,11 @@ def export_batch(
         return _export(registry, memo, out_path)
 
 
-def _export(registry: Registry, memo: ExportMemo, out_path: str | Path,
-            planned: Optional[set[str]] = None) -> tuple[int, int, int]:
-    """``export_batch``'s work and result; only the registers in ``planned``,
-    if it is given, count as skipped."""
-    complete, skipped = [], 0
-    for register in registry.registers:
-        if _complete(register, memo.store.pages):
-            complete.append(register)
-        elif planned is None or register.metadata.register_id in planned:
-            skipped += 1
+def _export(registry: Registry, memo: ExportMemo, out_path: str | Path) -> tuple[int, int, int]:
+    """``export_batch``'s work and result."""
+    complete = [register for register in registry.registers
+                if _complete(register, memo.store.pages)]
     people = write_export(
         (memo.part(register.metadata.register_id) for register in complete), out_path
     )
-    return len(complete), skipped, people
+    return len(complete), len(registry.registers) - len(complete), people

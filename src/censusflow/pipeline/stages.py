@@ -26,7 +26,7 @@ from ..iiif import (
     check_integrity,
     fetch_image,
 )
-from ..ingest import ImageRef, Registry, load_registry, registry_ndjson
+from ..ingest import ImageRef, Registry, registry_ndjson
 from ..label_codec import decode_lenient
 from .manifests import (
     FailureInfo,
@@ -130,9 +130,9 @@ def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[Ta
     same task id means the same register and sequence index). The known
     tasks are ``ctx.tasks``, the log's fold from the workspace checkpoint.
     Before the first new task is logged, the whole registers of the
-    selected images go to the workspace registry, replacing the entries
-    with their ids; with no new task it is written only if missing, and
-    never read. The entries follow ``registry``'s order, and those it does
+    selected images go to ``ctx.registry``, replacing the entries with
+    their ids; with no new task it is written only if missing, and not
+    read here. The entries follow ``registry``'s order, and those it does
     not name follow them in the order the file kept them, so ``export``
     writes registers in the order a run of ``registry`` does.
 
@@ -154,16 +154,15 @@ def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[Ta
     path = ctx.registry_file
     if new or not path.exists():
         ids = {image.register.register_id for image in selected}
-        kept = load_registry(path).registers if path.exists() else ()
-        by_id = {r.metadata.register_id: r for r in kept}
+        by_id = {r.metadata.register_id: r for r in ctx.registry.registers}
         by_id.update((r.metadata.register_id, r) for r in registry.registers
                      if r.metadata.register_id in ids)
         order = dict.fromkeys(r.metadata.register_id for r in registry.registers
                               if r.metadata.register_id in by_id)
         order.update(dict.fromkeys(by_id))  # then the kept entries it does not name
-        text = registry_ndjson(Registry(tuple(by_id[key] for key in order)))
+        ctx.registry = Registry(tuple(by_id[key] for key in order))
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, text.encode("utf-8"))
+        atomic_write_bytes(path, registry_ndjson(ctx.registry).encode("utf-8"))
     for manifest in new:  # the creation record, stamped as ``advance`` stamps
         at = ctx.log.latest = max(ctx.clock(), ctx.log.latest)
         ctx.log.append({"task_id": manifest.task_id, "from": None, "to": "PENDING", "at": at})

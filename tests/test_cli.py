@@ -16,10 +16,14 @@ from censusflow.cli import (
     parse_worker_spec,
 )
 from censusflow.domain import NAME_FOR_TAG, dumps_pages
+from censusflow.fixtures import FixtureTransport
+from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import Registry, load_registry, registry_ndjson
-from censusflow.pipeline import TaskState, TransitionLog
+from censusflow.pipeline import LocalExecutor, RunConfig, TaskState, TransitionLog, run_batch
 from censusflow.label_codec import decode_lenient
 from censusflow.pipeline.stages import payload_transcript
+
+from conftest import mock_worker_set
 
 
 @pytest.fixture
@@ -527,25 +531,79 @@ class TestPipelineCommands:
         assert not (tmp_path / "ws").exists()
 
     def test_run_with_the_selection_of_plan(self, runner, tmp_path):
+        """After ``plan --register-id R``, a run given no registry works on
+        R's images alone and leaves the workspace registry as plan wrote it."""
         corpus = make_corpus(runner, tmp_path, registers=3)
         register = load_registry(corpus / "registry.ndjson").registers[0]
         workspace = tmp_path / "ws"
-        select = ["--register-id", register.metadata.register_id]
         plan = runner.invoke(
             main,
             ["plan", "--registry", str(corpus / "registry.ndjson"),
-             "--workspace", str(workspace)] + select,
+             "--workspace", str(workspace), "--register-id", register.metadata.register_id],
         )
         assert plan.exit_code == 0, plan.output
-        run = runner.invoke(
-            main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)] + select
-        )
-        assert run.exit_code == 0, run.output
+        planned = (workspace / "registry.ndjson").read_bytes()
+        with LocalExecutor(2) as scheduler:
+            report = run_batch(RunConfig(
+                workspace=workspace, endpoint=IiifEndpoint("https://fixture.local/iiif"),
+                transport=FixtureTransport(corpus), workers=mock_worker_set(seed=0),
+                scheduler=scheduler, prestage_concurrency=2))
+        assert report.planned == report.counts["INTEGRATED"] == len(register.images)
+        assert (report.registers_exported, report.registers_skipped) == (1, 0)
         status = runner.invoke(main, ["status", "--workspace", str(workspace)])
         assert status.exit_code == 0, status.output
         assert f"tasks: {len(register.images)}\n" in status.output
         assert f"INTEGRATED: {len(register.images)}\n" in status.output
-        assert load_registry(workspace / "registry.ndjson").registers == (register,)
+        assert (workspace / "registry.ndjson").read_bytes() == planned
+
+    def test_compute_node_jobs_need_only_the_workspace(self, runner, tmp_path):
+        """``pre`` with --fixture, then ``proc`` and ``post`` with neither
+        --fixture nor --endpoint: the households and the result store of one
+        full run, byte for byte."""
+        corpus = make_corpus(runner, tmp_path)
+        full, split = tmp_path / "full", tmp_path / "split"
+        result = runner.invoke(main, ["run", "--workspace", str(full), "--fixture", str(corpus)])
+        assert result.exit_code == 0, result.output
+        for args in (["--fixture", str(corpus), "--stages", "pre"],
+                     ["--stages", "proc", "--scheduler", "local:n=2"], ["--stages", "post"]):
+            result = runner.invoke(main, ["run", "--workspace", str(split)] + args)
+            assert result.exit_code == 0, (args, result.output)
+        assert "INTEGRATED: " in result.output
+        for name in ("households.csv", "results_store.ndjson"):
+            assert (split / name).read_bytes() == (full / name).read_bytes(), name
+
+    @pytest.mark.parametrize("args, message", [
+        (["--register-id", "X"], "No such option '--register-id'"),
+        (["--fixture", "CORPUS", "--registry", "CORPUS/registry.ndjson"],
+         "give --fixture or --registry"),
+        (["--stages", "pre"], "give --fixture or --endpoint"),
+        (["--registry", "CORPUS/registry.ndjson"], "give --fixture or --endpoint"),
+    ], ids=["selection", "fixture+registry", "pre-without-endpoint", "registry-without-endpoint"])
+    def test_run_usage_errors_create_nothing(self, runner, tmp_path, args, message):
+        corpus = make_corpus(runner, tmp_path)
+        before = snapshot(tmp_path)
+        args = [arg.replace("CORPUS", str(corpus)) for arg in args]
+        result = runner.invoke(main, ["run", "--workspace", str(tmp_path / "ws")] + args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert snapshot(tmp_path) == before
+
+    def test_a_task_without_an_image_stops_the_run(self, runner, tmp_path):
+        corpus = make_corpus(runner, tmp_path)
+        workspace = tmp_path / "ws"
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus), "--stages", "pre"])
+        assert result.exit_code == 0, result.output
+        registry_file = workspace / "registry.ndjson"
+        dropped = load_registry(registry_file).registers[1].metadata.register_id
+        registry_file.write_bytes(registry_file.read_bytes().splitlines(keepends=True)[0])
+        result = runner.invoke(main, ["run", "--workspace", str(workspace), "--stages", "proc"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(f"error: task {dropped}-p")
+        assert errors[0].endswith(f"has no image in {registry_file}")
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("limit", ["-1", "0"])
     def test_plan_limit_below_one_is_a_usage_error(self, runner, tmp_path, limit):
@@ -569,17 +627,20 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["real", "dry-run"])
     def test_empty_selection_exits_one_and_creates_nothing(self, runner, tmp_path, command,
                                                            dry_run):
+        """A plan that selects no image, and a run with no registry on a
+        workspace where nothing is planned."""
         corpus = make_corpus(runner, tmp_path)
-        source = (["--registry", str(corpus / "registry.ndjson")] if command == "plan"
-                  else ["--fixture", str(corpus)])
+        workspace = tmp_path / "ws"
+        args, error = {
+            "plan": (["--registry", str(corpus / "registry.ndjson"), "--register-id", "bogus"],
+                     "error: no images match the given filter"),
+            "run": (["--stages", "proc,post"], f"error: nothing is planned in {workspace}: "),
+        }[command]
         before = snapshot(tmp_path)
-        result = runner.invoke(
-            main,
-            [command, "--workspace", str(tmp_path / "ws"), "--register-id", "bogus"]
-            + source + dry_run,
-        )
+        result = runner.invoke(main, [command, "--workspace", str(workspace)] + args + dry_run)
         assert result.exit_code == 1
-        assert "error: no images match the given filter" in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(error), result.output
         assert snapshot(tmp_path) == before
 
     def test_split_stages_from_different_directories(self, runner, tmp_path, monkeypatch):
@@ -690,6 +751,21 @@ class TestIngestCommand:
         assert [img["identifier"] for img in record["images"]] == ["img_2.jpg", "img_10.jpg"]
         exceptions = (out / "exceptions.csv").read_text(encoding="utf-8")
         assert "InvalidCensusYear" in exceptions
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028"])
+    def test_a_column_name_with_a_line_break_is_mapped(self, runner, tmp_path, char):
+        """A header and a mapping that name ``com<U+0085>mune``: the mapping
+        file's lines end at a line feed only, as the CSV's records do."""
+        csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
+        for path in (csv_path, mapping):
+            path.write_text(path.read_text("utf-8").replace("commune", f"com{char}mune"),
+                            "utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["ingest", "--csv", str(csv_path), "--mapping", str(mapping),
+                                      "--gazetteer", str(gazetteer), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        record = json.loads((out / "registry.ndjson").read_text("utf-8").splitlines()[0])
+        assert record["commune"]["code"] == "03190"
 
     def test_a_registry_with_line_breaks_in_an_image_path_plans(self, runner, tmp_path):
         """An image path holding U+0085, which JSON writes raw, reaches a
@@ -946,8 +1022,11 @@ class TestExportCommand:
         result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
                                       "--registers", "2", "--limit-images", "12"])
         assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["plan", "--registry", str(corpus / "registry.ndjson"),
+                                      "--workspace", str(workspace), "--limit", "3"])
+        assert result.exit_code == 0, result.output
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
-                                      "--fixture", str(corpus), "--limit", "3"])
+                                      "--stages", "proc,post"])
         assert result.exit_code == 0, result.output
         assert "0 people over 0 registers" in result.output
         assert "(1 registers incomplete)" in result.output

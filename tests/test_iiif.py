@@ -1,8 +1,10 @@
 import itertools
 import json
 import random
+import threading
 
 import pytest
+import requests
 
 from censusflow.iiif import (
     EmptyIdentifier,
@@ -312,3 +314,42 @@ def test_http_transport_wraps_request_errors():
     transport = HttpTransport()
     with pytest.raises(TransportFailure):
         transport.get("http://127.0.0.1:1/nope", timeout_ms=200)
+
+
+def test_http_transport_keeps_one_session_per_thread(monkeypatch):
+    """Each thread gets a session of its own at its first use and reuses
+    it; no session is shared between threads. No request leaves the
+    process: ``requests.Session`` is a stand-in here."""
+
+    class Response:
+        status_code = 200
+        content = b"ok"
+
+    class Session:
+        made = []
+
+        def __init__(self):
+            self.gets = []
+            Session.made.append(self)
+
+        def get(self, url, timeout):
+            self.gets.append((threading.get_ident(), url))
+            return Response()
+
+    monkeypatch.setattr(requests, "Session", Session)
+    transport = HttpTransport()
+    assert len(Session.made) == 1  # the constructing thread's, which makes no request
+
+    def two_gets(name):
+        for k in range(2):
+            assert transport.get(f"https://a.example/{name}/{k}", 1000).body == b"ok"
+
+    threads = [threading.Thread(target=two_gets, args=(name,)) for name in "ab"]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    names = sorted([url.split("/")[3] for _, url in session.gets] for session in Session.made)
+    assert names == [[], ["a", "a"], ["b", "b"]]
+    assert all(len({ident for ident, _ in session.gets}) == 1 for session in Session.made[1:])

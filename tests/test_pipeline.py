@@ -50,6 +50,7 @@ from censusflow.pipeline import (
     task_id_for,
     validate_payload,
 )
+from censusflow.pipeline.runner import Workspace
 from censusflow.pipeline.manifests import (
     AppendFile,
     FailureInfo,
@@ -58,6 +59,7 @@ from censusflow.pipeline.manifests import (
     parse_task_id,
     read_checkpoint,
 )
+import censusflow.pipeline.manifests as manifests_module
 import censusflow.pipeline.stages as stages_module
 
 from conftest import SeededExecutor, mock_worker_set
@@ -1120,6 +1122,20 @@ class TestStages:
         with pytest.raises(ValueError):
             run_config(tmp_path, corpus, stages=stages)
 
+    @pytest.mark.parametrize("missing", ["endpoint", "transport"])
+    def test_only_the_pre_stage_needs_an_endpoint_and_a_transport(self, tmp_path, corpus,
+                                                                   missing):
+        with pytest.raises(ValueError, match="needs an endpoint and a transport"):
+            run_config(tmp_path, corpus, **{missing: None})
+        config = run_config(tmp_path, corpus, stages={"proc", "post"}, **{missing: None})
+        assert config.stages == {"proc", "post"}
+
+    def test_a_run_with_nothing_planned_creates_nothing(self, tmp_path, corpus):
+        config = run_config(tmp_path, corpus, registry=None, stages={"proc", "post"})
+        with pytest.raises(EmptySelection, match="nothing is planned"):
+            run_batch(config)
+        assert not config.workspace.exists()
+
     def test_pre_only_stages_every_task_and_exports_nothing(self, tmp_path, corpus):
         config = run_config(tmp_path, corpus, stages={"pre"}, window=3)
         report = run_batch(config)
@@ -1214,14 +1230,44 @@ class TestWorkspaceRegistry:
         plan_batch(corpus.registry, ctx)
         assert saved == [True] * corpus.image_count
 
-    def test_a_run_with_nothing_new_neither_reads_nor_writes_it(self, tmp_path, corpus):
+    def test_a_run_with_nothing_new_reads_it_once_and_writes_nothing(self, tmp_path, corpus,
+                                                                      monkeypatch):
         config = run_config(tmp_path, corpus)
         run_batch(config)
         registry_file = config.workspace / "registry.ndjson"
-        registry_file.write_bytes(b"not a registry\n")
+        before = registry_file.read_bytes(), registry_file.stat().st_mtime_ns
+        reads = []
+        read_lines = manifests_module.read_lines
+
+        def counted(path, *args):
+            reads.append(path)
+            return read_lines(path, *args)
+
+        monkeypatch.setattr(manifests_module, "read_lines", counted)
         report = run_batch(config)
         assert report.counts["INTEGRATED"] == corpus.image_count
-        assert registry_file.read_bytes() == b"not a registry\n"
+        assert reads.count(registry_file) == 1
+        assert (registry_file.read_bytes(), registry_file.stat().st_mtime_ns) == before
+
+    def test_a_torn_registry_exports_the_same_bytes(self, tmp_path, corpus):
+        """Every NDJSON file of a finished workspace torn as a kill in the
+        middle of an append leaves it, the registry included: the run reads
+        its whole lines and exports what it exported before, and so does
+        export."""
+        config = run_config(tmp_path, corpus)
+        run_batch(config)
+        exported = config.households_path.read_bytes()
+        for path in sorted(config.workspace.rglob("*.ndjson")):
+            data = path.read_bytes()
+            last = data.rstrip(b"\n").rsplit(b"\n", 1)[-1]
+            path.write_bytes(data + last[: len(last) // 2])
+        for registry in (corpus.registry, None):
+            report = run_batch(replace(config, registry=registry, stages={"proc", "post"}))
+            assert report.counts["INTEGRATED"] == corpus.image_count
+            assert config.households_path.read_bytes() == exported
+        with Workspace.open(config.workspace, writer=False) as ws:
+            assert ws.export(tmp_path / "again.csv")[:2] == (2, 0)
+        assert (tmp_path / "again.csv").read_bytes() == exported
 
     def test_a_missing_registry_is_saved_with_nothing_new(self, tmp_path, corpus):
         config = run_config(tmp_path, corpus)
