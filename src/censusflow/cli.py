@@ -1,8 +1,13 @@
 """Unified command line: ingest -> check-images -> plan/run -> evaluate -> export.
 
+Every setting is a flag, so a command line states all that its job ran
+with; a default that the library already has (``RunConfig``'s fields,
+``ingest.DEFAULT_*``) is the flag's default.
+
 Exit codes: 0 success, 1 operational failure (failed tasks, unmet deadline,
-no matching data), 2 usage or configuration error. Every subcommand accepts
-``--dry-run`` to print its plan without writing anything.
+no matching data, a file that cannot be read or written), 2 usage error.
+Every subcommand accepts ``--dry-run`` to print its plan without writing
+anything.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import logging
 import math
 import shlex
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -36,66 +41,6 @@ from .pipeline.stages import payload_transcript, select_images
 from .pipeline.workers import MockClassifier, MockRecognizer, NoiseSpec
 
 
-class ConfigInvalid(click.UsageError):
-    pass
-
-
-_CONFIG_KEYS = {
-    "seed": None,
-    "verbosity": None,
-    "ingest": {"threshold", "auto_threshold"},
-    "pipeline": {"prestage_concurrency", "retry_limit", "window"},
-    "simulate": {"mode"},
-}
-
-# The types of a section's values, and how an error names them.
-_CONFIG_KINDS = {"ingest": ((int, float), "a number"), "pipeline": (int, "an integer")}
-
-
-@dataclass
-class GlobalConfig:
-    seed: int = 0
-    verbosity: int = 0
-    ingest: dict = field(default_factory=dict)
-    pipeline: dict = field(default_factory=dict)
-    simulate: dict = field(default_factory=dict)
-
-
-def load_config(path: Optional[str]) -> GlobalConfig:
-    config = GlobalConfig()
-    if path is None:
-        return config
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigInvalid(f"cannot read config {path}: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    for key, value in data.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigInvalid(f"unknown config key {key!r}")
-        allowed = _CONFIG_KEYS[key]
-        if allowed is not None:
-            if not isinstance(value, dict):
-                raise ConfigInvalid(f"config section {key!r} must be an object")
-            for sub, item in value.items():
-                if sub not in allowed:
-                    raise ConfigInvalid(f"unknown config key {key}.{sub}")
-                kinds = _CONFIG_KINDS.get(key)
-                if kinds is not None and (type(item) is bool or not isinstance(item, kinds[0])):
-                    raise ConfigInvalid(f"config key {key}.{sub} must be {kinds[1]}, "
-                                        f"got {item!r}")
-                if key == "ingest":
-                    try:
-                        ingest.check_threshold(f"config key {key}.{sub}", item)
-                    except ValueError as exc:
-                        raise ConfigInvalid(str(exc))
-            setattr(config, key, dict(value))
-        else:
-            setattr(config, key, value)
-    return config
-
-
 def _setup_logging(verbosity: int) -> None:
     level = logging.WARNING
     if verbosity == 1:
@@ -106,10 +51,11 @@ def _setup_logging(verbosity: int) -> None:
 
 
 # The operational failures of every command: each prints one error line
-# and exits 1 (``_Main``).
+# and exits 1 (``_Main``). ``OSError`` covers a file a command cannot read
+# or write, such as an output path whose directory is missing.
 _OPERATIONAL_ERRORS = (CorruptLine, WorkspaceBusy, EmptySelection, UnknownImage,
                        MalformedFixture, UnserializablePage, metrics.NoMatchingPages,
-                       simulate_mod.Infeasible)
+                       simulate_mod.Infeasible, OSError)
 
 
 class _Main(click.Group):
@@ -122,18 +68,13 @@ class _Main(click.Group):
 
 @click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__)
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--seed", type=int, default=None, help="Global seed (overrides the config).")
+@click.option("--seed", type=int, default=0, show_default=True, help="Global seed.")
 @click.option("-v", "--verbose", count=True, help="Increase log verbosity (-v, -vv).")
 @click.pass_context
-def main(ctx: click.Context, config_path: Optional[str], seed: Optional[int], verbose: int):
+def main(ctx: click.Context, seed: int, verbose: int):
     """Batch tools for handwritten census table processing."""
-    config = load_config(config_path)
-    if seed is not None:
-        config.seed = seed
-    config.verbosity = max(config.verbosity or 0, verbose)
-    _setup_logging(config.verbosity)
-    ctx.obj = config
+    _setup_logging(verbose)
+    ctx.obj = seed
 
 
 def _fail(message: str) -> None:
@@ -249,14 +190,16 @@ def parse_scheduler_spec(spec: str) -> LocalExecutor:
         raise click.BadParameter(f"{spec!r}: {exc}")
 
 
-def _threshold_option(ctx: click.Context, param: click.Parameter, value: Optional[float]):
+def _threshold_option(ctx: click.Context, param: click.Parameter, value: float):
     """Reject a threshold flag outside [0, 1], NaN included."""
-    if value is None:
-        return None
     try:
         return ingest.check_threshold(param.name, value)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
+
+
+# ``run``'s defaults are ``RunConfig``'s own.
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _source(fixture_root: Optional[str], endpoint_url: Optional[str], api_version: str):
@@ -283,19 +226,14 @@ def _source(fixture_root: Optional[str], endpoint_url: Optional[str], api_versio
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--resolutions", type=click.Path(exists=True), default=None,
               help="Worklist CSV with resolved_code filled in.")
-@click.option("--threshold", type=float, default=None, callback=_threshold_option,
-              help=f"Fuzzy match threshold [default: config, else {ingest.DEFAULT_THRESHOLD}]")
-@click.option("--auto-threshold", type=float, default=None, callback=_threshold_option,
-              help=f"Auto-accept threshold [default: config, else {ingest.DEFAULT_AUTO_THRESHOLD}]")
+@click.option("--threshold", type=float, default=ingest.DEFAULT_THRESHOLD, show_default=True,
+              callback=_threshold_option, help="Fuzzy match threshold.")
+@click.option("--auto-threshold", type=float, default=ingest.DEFAULT_AUTO_THRESHOLD,
+              show_default=True, callback=_threshold_option, help="Auto-accept threshold.")
 @click.option("--dry-run", is_flag=True)
-@click.pass_obj
-def ingest_cmd(config: GlobalConfig, csv_path, mapping_path, gazetteer_path, out_dir,
-               resolutions, threshold, auto_threshold, dry_run):
+def ingest_cmd(csv_path, mapping_path, gazetteer_path, out_dir, resolutions, threshold,
+               auto_threshold, dry_run):
     """Normalize archive CSV metadata into a register registry."""
-    if threshold is None:
-        threshold = config.ingest.get("threshold", ingest.DEFAULT_THRESHOLD)
-    if auto_threshold is None:
-        auto_threshold = config.ingest.get("auto_threshold", ingest.DEFAULT_AUTO_THRESHOLD)
     try:
         mapping = ingest.load_mapping(mapping_path)
         gazetteer = ingest.load_gazetteer(gazetteer_path)
@@ -386,7 +324,7 @@ def check_images_cmd(registry_path, endpoint_url, api_version, concurrency, out_
               help="Stop after roughly N images.")
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj
-def gen_fixtures_cmd(config: GlobalConfig, out_dir, registers, list_pages_min, list_pages_max,
+def gen_fixtures_cmd(seed: int, out_dir, registers, list_pages_min, list_pages_max,
                      rows_min, rows_max, household_mean, limit_images, dry_run):
     """Generate a synthetic archive corpus (registry, images, ground truth)."""
     from .label_codec import InvalidProfile, SyntheticProfile
@@ -402,7 +340,7 @@ def gen_fixtures_cmd(config: GlobalConfig, out_dir, registers, list_pages_min, l
         raise click.UsageError(str(exc))
     click.echo(
         f"generating corpus: registers={registers} list_pages=[{list_pages_min},{list_pages_max}] "
-        f"rows=[{rows_min},{rows_max}] seed={config.seed}"
+        f"rows=[{rows_min},{rows_max}] seed={seed}"
     )
     if dry_run:
         click.echo("dry run: nothing written")
@@ -410,7 +348,7 @@ def gen_fixtures_cmd(config: GlobalConfig, out_dir, registers, list_pages_min, l
     info = fixtures.generate_corpus(
         out_dir,
         registers=registers,
-        seed=config.seed,
+        seed=seed,
         list_pages_min=list_pages_min,
         list_pages_max=list_pages_max,
         profile=profile,
@@ -461,13 +399,14 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
                    "households.csv is exported only when post runs.")
 @click.option("--workers", "worker_spec", default="mock:seed=0", show_default=True)
 @click.option("--scheduler", "scheduler_spec", default="local:n=4", show_default=True)
-@click.option("--window", type=int, default=None, help="Max in-flight tasks per round.")
-@click.option("--retry-limit", type=int, default=None)
-@click.option("--jobs", type=click.IntRange(min=1), default=None,
-              help="Cap on pre-stage download concurrency.")
+@click.option("--window", type=int, default=_RUN_DEFAULTS["window"], show_default=True,
+              help="Max in-flight tasks per round.")
+@click.option("--retry-limit", type=int, default=_RUN_DEFAULTS["retry_limit"], show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=_RUN_DEFAULTS["prestage_concurrency"],
+              show_default=True, help="Pre-stage download threads.")
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj
-def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoint_url,
+def run_cmd(seed: int, workspace, fixture_root, registry_path, endpoint_url,
             api_version, stages, worker_spec, scheduler_spec, window, retry_limit,
             jobs, dry_run):
     """Drive the workspace's planned tasks through the pre-stage, process
@@ -486,17 +425,13 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
     if registry_path:
         registry = ingest.load_registry(registry_path)
 
-    workers = parse_worker_spec(worker_spec, config.seed)
-    pipeline_cfg = config.pipeline
-    prestage_concurrency = min(pipeline_cfg.get("prestage_concurrency", 14), jobs or math.inf)
+    workers = parse_worker_spec(worker_spec, seed)
     with parse_scheduler_spec(scheduler_spec) as scheduler:
         try:
             run_config = RunConfig(
                 workspace=workspace, registry=registry, endpoint=endpoint, transport=transport,
-                workers=workers, scheduler=scheduler, prestage_concurrency=prestage_concurrency,
-                retry_limit=retry_limit if retry_limit is not None else pipeline_cfg.get("retry_limit", 3),
-                window=window if window is not None else pipeline_cfg.get("window", 64),
-                stages=stage_set,
+                workers=workers, scheduler=scheduler, prestage_concurrency=jobs,
+                retry_limit=retry_limit, window=window, stages=stage_set,
             )
         except ValueError as exc:
             raise click.UsageError(str(exc))
@@ -504,7 +439,8 @@ def run_cmd(config: GlobalConfig, workspace, fixture_root, registry_path, endpoi
 
         click.echo(f"run: workspace={workspace} "
                    f"stages={','.join(s for s in STAGES if s in run_config.stages)} "
-                   f"workers={worker_spec} scheduler={scheduler_spec} seed={config.seed}")
+                   f"workers={worker_spec} scheduler={scheduler_spec} jobs={jobs} "
+                   f"window={window} retry-limit={retry_limit} seed={seed}")
         if dry_run:
             click.echo("dry run: nothing executed")
             return
@@ -621,18 +557,18 @@ def evaluate_cmd(truth_dir, pred_dir, json_path, dry_run):
 @click.option("--stage", "stage_specs", multiple=True, required=True,
               help="name:service_s:workers, workers may be ? (repeatable).")
 @click.option("--deadline", default=None, help="e.g. 691200, 8d, 192h.")
-@click.option("--mode", type=click.Choice(["pipelined", "sequential"]), default=None)
+@click.option("--mode", type=click.Choice(["pipelined", "sequential"]), default="pipelined",
+              show_default=True)
 @click.option("--cap", type=click.IntRange(min=1), default=4096, show_default=True,
               help="Max workers considered when solving for ?.")
 @click.option("--json", "json_path", type=click.Path(), default=None)
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj
-def simulate_cmd(config: GlobalConfig, n_images, stage_specs, deadline, mode, cap,
+def simulate_cmd(seed: int, n_images, stage_specs, deadline, mode, cap,
                  json_path, dry_run):
     """Simulate batch throughput; solve for an unknown worker count."""
     stages = [parse_stage_spec(s) for s in stage_specs]
     deadline_s = parse_duration(deadline) if deadline else None
-    mode = mode or config.simulate.get("mode", "pipelined")
     unknown = [s for s in stages if s.workers is None]
     if dry_run:
         click.echo(
@@ -645,11 +581,11 @@ def simulate_cmd(config: GlobalConfig, n_images, stage_specs, deadline, mode, ca
             if not deadline:
                 raise click.UsageError("a stage has workers '?': --deadline is required")
             count = simulate_mod.min_workers_for_deadline(
-                n_images, stages, deadline_s, seed=config.seed, mode=mode, cap=cap
+                n_images, stages, deadline_s, seed=seed, mode=mode, cap=cap
             )
             stages[stages.index(unknown[0])] = replace(unknown[0], workers=count)
             click.echo(f"minimum workers for {unknown[0].name}: {count}")
-        result = simulate_mod.simulate(n_images, stages, seed=config.seed, mode=mode)
+        result = simulate_mod.simulate(n_images, stages, seed=seed, mode=mode)
     except simulate_mod.InvalidModel as exc:
         raise click.UsageError(str(exc))
     click.echo(simulate_mod.format_report(result, stages))

@@ -486,7 +486,9 @@ def build_registry(
     Commune names resolve through ``resolutions`` (raw name to gazetteer
     code, the manual worklist output) or, failing that, fuzzy matching.
     Invalid census years, unresolved communes and duplicate image paths are
-    routed to the exceptions list; every input row lands in exactly one of
+    routed to the exceptions list, and so is each group whose register id
+    (which folds the archival id's case and punctuation) an earlier group in
+    sorted order already has; every input row lands in exactly one of
     registry or exceptions. Output ordering is deterministic. The gazetteer
     is indexed once per call.
 
@@ -557,6 +559,7 @@ def build_registry(
         commune_for_group[key] = entry
 
     registers = []
+    archival_id_of: dict[str, str] = {}
     for key in sorted(groups):
         year, code, archival_id = key
         group_rows = groups[key]
@@ -566,6 +569,12 @@ def build_registry(
             archival_id=archival_id,
             source_rows=tuple(r.row_number for r in group_rows),
         )
+        first = archival_id_of.setdefault(metadata.register_id, archival_id)
+        if first != archival_id:
+            for row in group_rows:
+                reject(row, "DuplicateRegisterId",
+                       f"register id {metadata.register_id} already taken by archival id {first}")
+            continue
         ordered = sorted(group_rows, key=lambda r: natural_key(r.image_path))
         images = tuple(
             ImageRef(register=metadata, iiif_identifier=r.image_path, sequence_index=i)
@@ -657,13 +666,21 @@ def load_registry(path: str | Path) -> Registry:
     Raises:
         CorruptLine: naming the file and the byte offset of the first line
             that is not a register (not JSON, a key missing or of the wrong
-            type, or a value its register rejects).
+            type, or a value its register rejects), or whose register id an
+            earlier line already had.
     """
     registers = []
+    seen: set[str] = set()
     offset = 0
     for line in Path(path).read_bytes().split(b"\n"):
         if line.strip():
-            registers.append(parse_register(line, path, offset))
+            register = parse_register(line, path, offset)
+            register_id = register.metadata.register_id
+            if register_id in seen:
+                raise CorruptLine(path, offset, "repeats an earlier line's register id",
+                                  register_id)
+            seen.add(register_id)
+            registers.append(register)
         offset += len(line) + 1
     return Registry(tuple(registers))
 

@@ -673,19 +673,30 @@ def _fmt(value: float, defined: bool = True) -> str:
     return f"{value:.4f}"
 
 
+def _score_row(label: str, width: int, s: TagScore) -> str:
+    """One report row: ``label`` padded to ``width``, then P, R, F1 and support."""
+    return (f"{label:<{width}} {_fmt(s.precision, s.precision_defined):>8} "
+            f"{_fmt(s.recall, s.recall_defined):>8} {_fmt(s.f1):>8} {s.support:>8}")
+
+
+def _score_json(s: TagScore) -> dict:
+    """A score's counts and rates as a JSON-ready dict; an undefined rate is None."""
+    return {
+        "tp": s.tp,
+        "fp": s.fp,
+        "fn": s.fn,
+        "precision": s.precision if s.precision_defined else None,
+        "recall": s.recall if s.recall_defined else None,
+        "f1": s.f1,
+        "support": s.support,
+    }
+
+
 def format_entity_report(scores: EntityScores) -> str:
     lines = [f"{'Tag':<14} {'P':>8} {'R':>8} {'F1':>8} {'Support':>8}"]
     for tag in FIELD_ORDER:
-        s = scores.per_tag.get(tag, TagScore())
-        lines.append(
-            f"{NAME_FOR_TAG[tag]:<14} {_fmt(s.precision, s.precision_defined):>8} "
-            f"{_fmt(s.recall, s.recall_defined):>8} {_fmt(s.f1):>8} {s.support:>8}"
-        )
-    micro = scores.micro
-    lines.append(
-        f"{'total':<14} {_fmt(micro.precision, micro.precision_defined):>8} "
-        f"{_fmt(micro.recall, micro.recall_defined):>8} {_fmt(micro.f1):>8} {micro.support:>8}"
-    )
+        lines.append(_score_row(NAME_FOR_TAG[tag], 14, scores.per_tag.get(tag, TagScore())))
+    lines.append(_score_row("total", 14, scores.micro))
     return "\n".join(lines)
 
 
@@ -701,10 +712,7 @@ def format_classification_report(cm: ConfusionMatrix) -> str:
     lines.append("")
     lines.append(f"{'Class':<{width}} {'P':>8} {'R':>8} {'F1':>8} {'Support':>8}")
     for cls, s in cm.scores().items():
-        lines.append(
-            f"{cls.name:<{width}} {_fmt(s.precision, s.precision_defined):>8} "
-            f"{_fmt(s.recall, s.recall_defined):>8} {_fmt(s.f1):>8} {s.support:>8}"
-        )
+        lines.append(_score_row(cls.name, width, s))
     return "\n".join(lines)
 
 
@@ -716,18 +724,7 @@ def classification_report_json(cm: ConfusionMatrix) -> dict:
             p.name: {t.name: cm.count(p, t) for t in PageClass if cm.count(p, t)}
             for p in PageClass
         },
-        "classes": {
-            cls.name: {
-                "tp": s.tp,
-                "fp": s.fp,
-                "fn": s.fn,
-                "precision": s.precision if s.precision_defined else None,
-                "recall": s.recall if s.recall_defined else None,
-                "f1": s.f1,
-                "support": s.support,
-            }
-            for cls, s in cm.scores().items()
-        },
+        "classes": {cls.name: _score_json(s) for cls, s in cm.scores().items()},
     }
 
 
@@ -759,16 +756,7 @@ def corpus_report_json(report: CorpusReport) -> dict:
         "households_matched": report.households_matched,
         "households_total": report.households_total,
         "entities": {
-            NAME_FOR_TAG[tag]: {
-                "tp": s.tp,
-                "fp": s.fp,
-                "fn": s.fn,
-                "precision": s.precision if s.precision_defined else None,
-                "recall": s.recall if s.recall_defined else None,
-                "f1": s.f1,
-                "support": s.support,
-            }
-            for tag, s in report.entities.per_tag.items()
+            NAME_FOR_TAG[tag]: _score_json(s) for tag, s in report.entities.per_tag.items()
         },
         "micro": {
             "precision": report.entities.micro.precision,

@@ -20,6 +20,7 @@ from censusflow.fixtures import FixtureTransport
 from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import Registry, load_registry, registry_ndjson
 from censusflow.pipeline import LocalExecutor, RunConfig, TaskState, TransitionLog, run_batch
+from censusflow.pipeline.runner import BatchReport
 from censusflow.label_codec import decode_lenient
 from censusflow.pipeline.stages import payload_transcript
 
@@ -175,55 +176,43 @@ class TestUsageErrors:
         result = runner.invoke(main, ["frobnicate"])
         assert result.exit_code == 2
 
-    def test_unknown_config_key(self, runner, tmp_path):
+    def test_config_file_is_not_an_option(self, runner, tmp_path):
+        """Every setting is a flag: there is no settings file to pass."""
         config = tmp_path / "config.json"
-        config.write_text('{"wrokspace": "x"}')
+        config.write_text('{"seed": 7}')
         result = runner.invoke(main, ["--config", str(config), "status", "--workspace", "."])
         assert result.exit_code == 2
-        assert "unknown config key" in result.output
-
-    def test_workspace_is_not_a_config_key(self, runner, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text('{"workspace": "ws"}')
-        result = runner.invoke(main, ["--config", str(config), "status", "--workspace", "."])
-        assert result.exit_code == 2
-        assert "unknown config key" in result.output
-
-    def test_config_sections_validated(self, runner, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text('{"pipeline": {"warp_speed": 9}}')
-        result = runner.invoke(main, ["--config", str(config), "status", "--workspace", "."])
-        assert result.exit_code == 2
+        assert "--config" in result.output
 
 
-    @pytest.mark.parametrize("section", [
-        {"pipeline": {"window": "64"}},
-        {"pipeline": {"retry_limit": True}},
-        {"pipeline": {"prestage_concurrency": 2.5}},
-        {"ingest": {"threshold": "0.8"}},
-        {"ingest": {"auto_threshold": False}},
-        {"ingest": {"threshold": 1.5}},
-        {"ingest": {"auto_threshold": -0.1}},
-        {"ingest": {"threshold": float("nan")}},
-        {"ingest": {"auto_threshold": float("inf")}},
-    ], ids=["window-string", "retry-bool", "concurrency-float", "threshold-string",
-            "auto-threshold-bool", "threshold-above-one", "auto-threshold-negative",
-            "threshold-nan", "auto-threshold-infinite"])
-    def test_config_values_of_the_wrong_type(self, runner, tmp_path, section):
-        """A pipeline value that is not an integer, or an ingest value that
-        is not a number in [0, 1], is a configuration error before any
-        command runs."""
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["export", "evaluate", "check-images", "simulate"])
+    def test_a_missing_directory_is_one_error_line(self, runner, tmp_path, command):
+        """An output path whose directory does not exist exits 1 with one
+        ``error:`` line naming it, not a traceback."""
         corpus = make_corpus(runner, tmp_path)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(section))
         workspace = tmp_path / "ws"
-        result = runner.invoke(main, ["--config", str(config), "run", "--workspace",
-                                      str(workspace), "--fixture", str(corpus)])
-        assert result.exit_code == 2, result.output
-        assert "must be" in result.output
-        [(_, value)] = next(iter(section.values())).items()
-        assert f"got {value!r}" in result.output
-        assert not workspace.exists()
+        missing = tmp_path / "missing"
+        if command == "export":
+            run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
+            assert runner.invoke(main, run).exit_code == 0
+        pages = str(corpus / "truth" / "pages")
+        argv = {
+            "export": ["export", "--workspace", str(workspace),
+                       "--households", str(missing / "h.csv")],
+            "evaluate": ["evaluate", "--truth", pages, "--pred", pages,
+                         "--json", str(missing / "x.json")],
+            "check-images": ["check-images", "--registry", str(corpus / "registry.ndjson"),
+                             "--fixture", str(corpus), "--out", str(missing / "i.csv")],
+            "simulate": ["simulate", "--images", "10", "--stage", "a:1:1",
+                         "--json", str(missing / "s.json")],
+        }[command]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and str(missing) in errors[0], result.output
+        assert "Traceback" not in result.output
+        assert not missing.exists()
 
 
 class TestGenFixtures:
@@ -446,23 +435,34 @@ class TestPipelineCommands:
         assert result.exit_code == 2
         assert not (tmp_path / "ws").exists()
 
-    @pytest.mark.parametrize("flags, config", [
-        (["--jobs", "0"], None), (["--jobs", "-3"], None),
-        ([], {"pipeline": {"prestage_concurrency": 0}}),
-    ])
-    def test_zero_download_concurrency_is_a_usage_error(self, runner, tmp_path, flags, config):
+    @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-3"]],
+                             ids=["flags0-None", "flags1-None"])
+    def test_zero_download_concurrency_is_a_usage_error(self, runner, tmp_path, flags):
         corpus = make_corpus(runner, tmp_path)
-        args = []
-        if config is not None:
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(config))
-            args = ["--config", str(path)]
         result = runner.invoke(
-            main,
-            args + ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus)] + flags,
+            main, ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus)] + flags,
         )
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("flags, jobs", [([], 14), (["--jobs", "20"], 20)])
+    def test_jobs_sets_the_download_threads(self, runner, tmp_path, monkeypatch, flags, jobs):
+        """``--jobs N`` is N download threads, not a cap; with no flags the
+        run takes ``RunConfig``'s defaults, and its ``run:`` line says so."""
+        corpus = make_corpus(runner, tmp_path)
+        configs = []
+
+        def fake_run_batch(config):
+            configs.append(config)
+            return BatchReport(planned=0, counts={})
+
+        monkeypatch.setattr("censusflow.cli.run_batch", fake_run_batch)
+        result = runner.invoke(
+            main, ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus), *flags])
+        assert result.exit_code == 0, result.output
+        [config] = configs
+        assert (config.prestage_concurrency, config.window, config.retry_limit) == (jobs, 64, 3)
+        assert f"jobs={jobs} window=64 retry-limit=3 seed=0" in result.output
 
     def test_failed_task_exits_one_and_is_named(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
@@ -793,43 +793,29 @@ class TestIngestCommand:
         assert result.exit_code == 0, result.output
         assert not out.exists()
 
-    def ingest_misspelt(self, runner, tmp_path, out, config=None, flags=()):
+    def ingest_misspelt(self, runner, tmp_path, out, flags=()):
         csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
         # "Moulin" scores 6/7 against "Moulins": ambiguous under the default
         # auto threshold of 0.95, matched automatically under 0.8.
         csv_path.write_text("annee,commune,cote,chemin\n1881,Moulin,6M1,img_1.jpg\n")
-        args = []
-        if config is not None:
-            path = tmp_path / f"{out}.json"
-            path.write_text(json.dumps(config))
-            args = ["--config", str(path)]
         result = runner.invoke(
             main,
-            args + ["ingest", "--csv", str(csv_path), "--mapping", str(mapping),
-                    "--gazetteer", str(gazetteer), "--out", str(tmp_path / out), *flags],
+            ["ingest", "--csv", str(csv_path), "--mapping", str(mapping),
+             "--gazetteer", str(gazetteer), "--out", str(tmp_path / out), *flags],
         )
         assert result.exit_code == 0, result.output
         return (tmp_path / out / "registry.ndjson").read_text(encoding="utf-8")
 
-    def test_config_threshold_acts_like_the_flag(self, runner, tmp_path):
-        default = self.ingest_misspelt(runner, tmp_path, "default")
-        flag = self.ingest_misspelt(runner, tmp_path, "flag", flags=["--auto-threshold", "0.8"])
-        config = self.ingest_misspelt(
-            runner, tmp_path, "config", config={"ingest": {"auto_threshold": 0.8}}
-        )
-        assert default == ""
-        assert flag == config != ""
-
     def test_flag_overrides_config_threshold(self, runner, tmp_path):
-        both = self.ingest_misspelt(
-            runner, tmp_path, "both", config={"ingest": {"auto_threshold": 0.8}},
-            flags=["--auto-threshold", "0.95"],
-        )
-        assert both == ""
-        raised = self.ingest_misspelt(
-            runner, tmp_path, "raised", config={"ingest": {"threshold": 0.9}},
-            flags=["--auto-threshold", "0.8"],
-        )
+        """The threshold flags override the defaults: a lower auto
+        threshold matches "Moulin", and a threshold above its score does
+        not, whatever the auto threshold."""
+        assert self.ingest_misspelt(runner, tmp_path, "default") == ""
+        lowered = self.ingest_misspelt(runner, tmp_path, "lowered",
+                                       flags=["--auto-threshold", "0.8"])
+        assert '"code": "03190"' in lowered
+        raised = self.ingest_misspelt(runner, tmp_path, "raised",
+                                      flags=["--threshold", "0.9", "--auto-threshold", "0.8"])
         assert raised == ""
 
     @pytest.mark.parametrize("flag,value", [

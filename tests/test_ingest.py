@@ -590,6 +590,27 @@ class TestBuildRegistry:
         result = build_registry(rows, GAZETTEER)
         assert result.registry.registers[0].metadata.register_id == "1881-03310-6m-1"
 
+    def test_a_register_id_taken_twice(self, tmp_path):
+        """Archival ids that differ only in case or punctuation slug to one
+        register id: the first group in sorted order keeps it, and each row
+        of a later group is a ``DuplicateRegisterId`` exception naming the
+        first group's archival id."""
+        rows = import_rows(tmp_path, [
+            "1881,Vichy,6m1,a.jpg,", "1881,Vichy,6M1,b.jpg,", "1881,Vichy,6M1,c.jpg,",
+            "1881,Vichy,6M 2,d.jpg,", "1881,Vichy,6M-2,e.jpg,",
+        ])
+        result = build_registry(rows, GAZETTEER)
+        ids = [r.metadata.register_id for r in result.registry.registers]
+        assert ids == ["1881-03310-6m-2", "1881-03310-6m1"]
+        assert [r.metadata.archival_id for r in result.registry.registers] == ["6M 2", "6M1"]
+        assert [(e.row_number, e.reason, e.detail) for e in result.exceptions] == [
+            (6, "DuplicateRegisterId",
+             "register id 1881-03310-6m-2 already taken by archival id 6M 2"),
+            (2, "DuplicateRegisterId",
+             "register id 1881-03310-6m1 already taken by archival id 6M1"),
+        ]
+        assert result.registry.image_count() + len(result.exceptions) == len(rows)
+
 
 class TestLoadResolutions:
     @pytest.mark.parametrize("header", ["nom,resolved_code", "name,candidates,best_code"])
@@ -672,6 +693,21 @@ class TestPersistence:
             load_registry(path)
         assert str(caught.value).startswith(
             f"{path}: line at byte {len(first)} is not a register: {reason}")
+
+    def test_a_register_id_on_two_lines(self, tmp_path):
+        """A line whose register id an earlier line had raises CorruptLine
+        at that line's offset."""
+        rows = import_rows(tmp_path, ["1881,Vichy,6M1,img_1.jpg,", "1886,Vichy,6M9,img_2.jpg,"])
+        path = tmp_path / "registry.ndjson"
+        save_registry(build_registry(rows, GAZETTEER).registry, path)
+        first, second = path.read_bytes().splitlines(keepends=True)
+        twin = json.dumps(dict(json.loads(first), archival_id="6m1")).encode() + b"\n"
+        path.write_bytes(first + second + twin)
+        with pytest.raises(CorruptLine) as caught:
+            load_registry(path)
+        assert caught.value.offset == len(first + second)
+        assert caught.value.register_id == "1881-03310-6m1"
+        assert "repeats an earlier line's register id" in str(caught.value)
 
     def test_gazetteer_roundtrip(self, tmp_path):
         path = tmp_path / "gazetteer.csv"
