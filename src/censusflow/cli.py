@@ -175,21 +175,6 @@ def parse_worker_spec(spec: str, default_seed: int) -> WorkerSet:
     raise click.BadParameter(f"unknown worker kind {kind!r}")
 
 
-def parse_scheduler_spec(spec: str) -> LocalExecutor:
-    """``local`` or ``local:n=4``: how many pages the process stage works on
-    at once."""
-    kind, options = _parse_kv(spec)
-    if kind != "local":
-        raise click.BadParameter(f"unknown scheduler kind {kind!r}")
-    n = options.pop("n", "4")
-    if options:
-        raise click.BadParameter(f"unknown {kind} scheduler options: {sorted(options)}")
-    try:
-        return LocalExecutor(int(n))
-    except ValueError as exc:
-        raise click.BadParameter(f"{spec!r}: {exc}")
-
-
 def _threshold_option(ctx: click.Context, param: click.Parameter, value: float):
     """Reject a threshold flag outside [0, 1], NaN included."""
     try:
@@ -203,14 +188,13 @@ _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _source(fixture_root: Optional[str], endpoint_url: Optional[str], api_version: str):
-    """``(registry, endpoint, transport)`` of --fixture, else --endpoint's, else Nones."""
+    """``(endpoint, transport)`` of --fixture's images, else of --endpoint, else Nones."""
     if fixture_root:
         url = endpoint_url or "https://fixture.local/iiif"
-        return (ingest.load_registry(Path(fixture_root) / "registry.ndjson"),
-                iiif.IiifEndpoint(url, int(api_version)), fixtures.FixtureTransport(fixture_root))
+        return iiif.IiifEndpoint(url, int(api_version)), fixtures.FixtureTransport(fixture_root)
     if endpoint_url:
-        return None, iiif.IiifEndpoint(endpoint_url, int(api_version)), iiif.HttpTransport()
-    return None, None, None
+        return iiif.IiifEndpoint(endpoint_url, int(api_version)), iiif.HttpTransport()
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +272,7 @@ def check_images_cmd(registry_path, endpoint_url, api_version, concurrency, out_
     """Verify presence and integrity of every registry image over IIIF."""
     registry = ingest.load_registry(registry_path)
     images = list(registry.iter_images())
-    _, endpoint, transport = _source(fixture_root, endpoint_url, api_version)
+    endpoint, transport = _source(fixture_root, endpoint_url, api_version)
     if endpoint is None:
         raise click.UsageError("--endpoint is required without --fixture")
     click.echo(f"checking {len(images)} images against {endpoint.base_url}")
@@ -389,16 +373,15 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
 @main.command("run")
 @click.option("--workspace", required=True, type=click.Path())
 @click.option("--fixture", "fixture_root", type=click.Path(exists=True), default=None,
-              help="Synthetic corpus directory: its registry, planned whole, and transport.")
-@click.option("--registry", "registry_path", type=click.Path(exists=True), default=None,
-              help="A registry to plan whole before the run.")
+              help="Serve pre's images from a synthetic corpus instead of the network.")
 @click.option("--endpoint", "endpoint_url", default=None, help="IIIF base URL, for pre.")
 @click.option("--api-version", type=click.Choice(["2", "3"]), default="2", show_default=True)
 @click.option("--stages", default="pre,proc,post", show_default=True,
               help="Comma-separated subset of pre,proc,post to run on each window; "
                    "households.csv is exported only when post runs.")
 @click.option("--workers", "worker_spec", default="mock:seed=0", show_default=True)
-@click.option("--scheduler", "scheduler_spec", default="local:n=4", show_default=True)
+@click.option("--proc-threads", type=click.IntRange(min=1), default=4, show_default=True,
+              help="Pages the process stage works on at once.")
 @click.option("--window", type=int, default=_RUN_DEFAULTS["window"], show_default=True,
               help="Max in-flight tasks per round.")
 @click.option("--retry-limit", type=int, default=_RUN_DEFAULTS["retry_limit"], show_default=True)
@@ -406,30 +389,25 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
               show_default=True, help="Pre-stage download threads.")
 @click.option("--dry-run", is_flag=True)
 @click.pass_obj
-def run_cmd(seed: int, workspace, fixture_root, registry_path, endpoint_url,
-            api_version, stages, worker_spec, scheduler_spec, window, retry_limit,
-            jobs, dry_run):
-    """Drive the workspace's planned tasks through the pre-stage, process
-    and integrate stages; --fixture or --registry plans a registry whole first.
+def run_cmd(seed: int, workspace, fixture_root, endpoint_url, api_version, stages,
+            worker_spec, proc_threads, window, retry_limit, jobs, dry_run):
+    """Drive the tasks that ``censusflow plan`` planned through the
+    pre-stage, process and integrate stages.
 
     Only pre needs --fixture or --endpoint: a compute-node job is ``run
     --workspace ws --stages proc``. Exits 1 if nothing is planned, and at
     once while another plan or run holds the workspace's writer lock.
     """
-    if fixture_root and registry_path:
-        raise click.UsageError("--fixture plans its own registry: give --fixture or --registry")
     stage_set = {s.strip() for s in stages.split(",") if s.strip()}
     if "pre" in stage_set and not (fixture_root or endpoint_url):
         raise click.UsageError("the pre stage downloads: give --fixture or --endpoint")
-    registry, endpoint, transport = _source(fixture_root, endpoint_url, api_version)
-    if registry_path:
-        registry = ingest.load_registry(registry_path)
+    endpoint, transport = _source(fixture_root, endpoint_url, api_version)
 
     workers = parse_worker_spec(worker_spec, seed)
-    with parse_scheduler_spec(scheduler_spec) as scheduler:
+    with LocalExecutor(proc_threads) as scheduler:
         try:
             run_config = RunConfig(
-                workspace=workspace, registry=registry, endpoint=endpoint, transport=transport,
+                workspace=workspace, endpoint=endpoint, transport=transport,
                 workers=workers, scheduler=scheduler, prestage_concurrency=jobs,
                 retry_limit=retry_limit, window=window, stages=stage_set,
             )
@@ -439,7 +417,7 @@ def run_cmd(seed: int, workspace, fixture_root, registry_path, endpoint_url,
 
         click.echo(f"run: workspace={workspace} "
                    f"stages={','.join(s for s in STAGES if s in run_config.stages)} "
-                   f"workers={worker_spec} scheduler={scheduler_spec} jobs={jobs} "
+                   f"workers={worker_spec} proc-threads={proc_threads} jobs={jobs} "
                    f"window={window} retry-limit={retry_limit} seed={seed}")
         if dry_run:
             click.echo("dry run: nothing executed")

@@ -210,13 +210,19 @@ def write_export(registers: Iterable[tuple[str, int]], path: str | Path) -> int:
     raised while reading ``registers`` or writing leaves any earlier file as
     it was.
 
-    Returns the number of rows written.
+    Returns the number of rows written. A directory of ``path`` that is
+    missing raises ``FileNotFoundError`` (or ``NotADirectoryError``) naming
+    ``path``, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     count = 0
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(csv_text([EXPORT_COLUMNS]))
             for text, rows in registers:
                 fh.write(text)

@@ -111,7 +111,6 @@ class RawRow:
     commune: str
     archival_id: str
     image_path: str
-    flags: tuple[str, ...] = ()
 
 
 def import_csv(path: str | Path, mapping: ColumnMapping) -> tuple[list[RawRow], list[str]]:
@@ -121,8 +120,9 @@ def import_csv(path: str | Path, mapping: ColumnMapping) -> tuple[list[RawRow], 
     header name given twice means its last column, a short row's missing
     cells read as empty and extra cells are ignored. Blank lines are
     skipped and not numbered; ``row_number`` counts the header as 1 and
-    each record after it. A UTF-8 byte-order mark is allowed. Rows with an
-    unparseable year are flagged (``UnparseableYear``), never dropped.
+    each record after it. A UTF-8 byte-order mark is allowed. A row with an
+    unparseable year is kept with ``year`` None and an ``UnparseableYear``
+    diagnostic, never dropped.
     Returns the rows plus human-readable diagnostics.
 
     Raises:
@@ -150,12 +150,10 @@ def import_csv(path: str | Path, mapping: ColumnMapping) -> tuple[list[RawRow], 
             if len(cells) < width:
                 cells += [""] * (width - len(cells))
             year_text = cells[year_at].strip()
-            flags = ()
             try:
                 year: Optional[int] = int(year_text)
             except ValueError:
                 year = None
-                flags = ("UnparseableYear",)
                 diagnostics.append(f"row {number}: UnparseableYear {year_text!r}")
             rows.append(
                 RawRow(
@@ -165,7 +163,6 @@ def import_csv(path: str | Path, mapping: ColumnMapping) -> tuple[list[RawRow], 
                     commune=cells[commune_at].strip(),
                     archival_id=cells[id_at].strip() if id_at is not None else "",
                     image_path=cells[path_at].strip(),
-                    flags=flags,
                 )
             )
     return rows, diagnostics

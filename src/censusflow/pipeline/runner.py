@@ -284,7 +284,7 @@ class RunConfig:
         """Raises ``EmptySelection`` if there is no registry and nothing planned."""
         if self.registry is None and not (self.workspace / REGISTRY_NAME).exists():
             raise EmptySelection(f"nothing is planned in {self.workspace}: plan it first "
-                                 "(censusflow plan), or give the run a registry")
+                                 "(censusflow plan)")
 
     @property
     def store_path(self) -> Path:

@@ -11,20 +11,15 @@ from click.testing import CliRunner
 from censusflow.cli import (
     main,
     parse_duration,
-    parse_scheduler_spec,
     parse_stage_spec,
     parse_worker_spec,
 )
 from censusflow.domain import NAME_FOR_TAG, dumps_pages
-from censusflow.fixtures import FixtureTransport
-from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import Registry, load_registry, registry_ndjson
-from censusflow.pipeline import LocalExecutor, RunConfig, TaskState, TransitionLog, run_batch
+from censusflow.pipeline import TaskState, TransitionLog
 from censusflow.pipeline.runner import BatchReport
 from censusflow.label_codec import decode_lenient
 from censusflow.pipeline.stages import payload_transcript
-
-from conftest import mock_worker_set
 
 
 @pytest.fixture
@@ -45,6 +40,14 @@ def make_corpus(runner, root: Path, registers=2) -> Path:
     )
     assert result.exit_code == 0, result.output
     return corpus
+
+
+def plan(runner, corpus: Path, workspace, *selection) -> None:
+    """``censusflow plan`` of ``corpus``'s registry into ``workspace``: every
+    image, or those the ``selection`` flags select."""
+    result = runner.invoke(main, ["plan", "--registry", str(corpus / "registry.ndjson"),
+                                  "--workspace", str(workspace), *selection])
+    assert result.exit_code == 0, result.output
 
 
 class TestParsers:
@@ -78,23 +81,6 @@ class TestParsers:
     def test_bad_mock_worker_values(self, spec):
         with pytest.raises(click.BadParameter):
             parse_worker_spec(spec, default_seed=0)
-
-    @pytest.mark.parametrize("spec, attribute, count", [
-        ("local", "workers", 4), ("local:n=2", "workers", 2),
-    ])
-    def test_scheduler_spec(self, spec, attribute, count):
-        scheduler = parse_scheduler_spec(spec)
-        assert getattr(scheduler, attribute) == count
-        scheduler.shutdown()
-
-    @pytest.mark.parametrize("spec", ["local:threads=8", "local:n=2,nodes=2", "simulated:workers=2",
-                                      "local:n=0", "simulated:nodes=x", "slurm:n=2",
-                                      "simulated", "simulated:nodes=2", "simulated:n=3",
-                                      "local:n=2,workers=3", "local:workers=2,n=2",
-                                      "local:workers=3"])
-    def test_bad_scheduler_spec(self, spec):
-        with pytest.raises(click.BadParameter):
-            parse_scheduler_spec(spec)
 
 
 class TestSimulateCommand:
@@ -189,28 +175,28 @@ class TestOutputPaths:
     @pytest.mark.parametrize("command", ["export", "evaluate", "check-images", "simulate"])
     def test_a_missing_directory_is_one_error_line(self, runner, tmp_path, command):
         """An output path whose directory does not exist exits 1 with one
-        ``error:`` line naming it, not a traceback."""
+        ``error:`` line naming the path given, not a temporary file beside
+        it, and no traceback."""
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
         missing = tmp_path / "missing"
         if command == "export":
+            plan(runner, corpus, workspace)
             run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
             assert runner.invoke(main, run).exit_code == 0
         pages = str(corpus / "truth" / "pages")
-        argv = {
-            "export": ["export", "--workspace", str(workspace),
-                       "--households", str(missing / "h.csv")],
-            "evaluate": ["evaluate", "--truth", pages, "--pred", pages,
-                         "--json", str(missing / "x.json")],
-            "check-images": ["check-images", "--registry", str(corpus / "registry.ndjson"),
-                             "--fixture", str(corpus), "--out", str(missing / "i.csv")],
-            "simulate": ["simulate", "--images", "10", "--stage", "a:1:1",
-                         "--json", str(missing / "s.json")],
+        argv, out = {
+            "export": (["export", "--workspace", str(workspace), "--households"], "h.csv"),
+            "evaluate": (["evaluate", "--truth", pages, "--pred", pages, "--json"], "x.json"),
+            "check-images": (["check-images", "--registry", str(corpus / "registry.ndjson"),
+                              "--fixture", str(corpus), "--out"], "i.csv"),
+            "simulate": (["simulate", "--images", "10", "--stage", "a:1:1", "--json"], "s.json"),
         }[command]
-        result = runner.invoke(main, argv)
+        result = runner.invoke(main, argv + [str(missing / out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
         errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
-        assert len(errors) == 1 and str(missing) in errors[0], result.output
+        assert len(errors) == 1 and errors[0].endswith(f"'{missing / out}'"), result.output
+        assert ".tmp" not in errors[0]
         assert "Traceback" not in result.output
         assert not missing.exists()
 
@@ -251,11 +237,12 @@ class TestPipelineCommands:
     def test_full_run_and_status_and_export(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
 
         result = runner.invoke(
             main,
             ["run", "--workspace", str(workspace), "--fixture", str(corpus),
-             "--workers", "mock:seed=0", "--scheduler", "local:n=2"],
+             "--workers", "mock:seed=0", "--proc-threads", "2"],
         )
         assert result.exit_code == 0, result.output
         assert "INTEGRATED" in result.output
@@ -308,6 +295,7 @@ class TestPipelineCommands:
         workspace = tmp_path / "ws"
         victim = json.loads((corpus / "registry.ndjson").read_text().splitlines()[0])
         (corpus / "images" / f"{victim['images'][1]['identifier']}.json").unlink()
+        plan(runner, corpus, workspace)
         result = runner.invoke(
             main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         )
@@ -338,6 +326,7 @@ class TestPipelineCommands:
         ``export`` take no lock."""
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         result = runner.invoke(main, run + ["--stages", "pre,proc"])
         assert result.exit_code == 0, result.output
@@ -348,9 +337,9 @@ class TestPipelineCommands:
             fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
             held.write("pid 4242 on node7\n")
             held.flush()
-            plan = ["plan", "--registry", str(corpus / "registry.ndjson"),
-                    "--workspace", str(workspace)]
-            for argv in (run, plan):
+            replan = ["plan", "--registry", str(corpus / "registry.ndjson"),
+                      "--workspace", str(workspace)]
+            for argv in (run, replan):
                 result = runner.invoke(main, argv)
                 assert result.exit_code == 1, (argv, result.output)
                 assert "pid 4242 on node7" in result.output
@@ -365,11 +354,12 @@ class TestPipelineCommands:
     def test_staged_run_in_three_calls(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         for stage in ("pre", "proc", "post"):
             result = runner.invoke(
                 main,
                 ["run", "--workspace", str(workspace), "--fixture", str(corpus),
-                 "--stages", stage, "--scheduler", "local:n=2"],
+                 "--stages", stage, "--proc-threads", "2"],
             )
             assert result.exit_code == 0, result.output
         status = runner.invoke(main, ["status", "--workspace", str(workspace)])
@@ -383,6 +373,7 @@ class TestPipelineCommands:
         result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
                                       "--registers", "2", "--limit-images", "12"])
         assert result.exit_code == 0, result.output
+        plan(runner, corpus, workspace)
         for stage in ("pre", "proc", "post"):
             result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                           "--fixture", str(corpus), "--stages", stage])
@@ -400,6 +391,7 @@ class TestPipelineCommands:
     def test_pre_stage_only_stages_every_task(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         result = runner.invoke(
             main,
             ["run", "--workspace", str(workspace), "--fixture", str(corpus),
@@ -414,6 +406,7 @@ class TestPipelineCommands:
     def test_split_run_exports_truth(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         for stages in ("pre,proc", "post"):
             result = runner.invoke(
                 main,
@@ -450,6 +443,7 @@ class TestPipelineCommands:
         """``--jobs N`` is N download threads, not a cap; with no flags the
         run takes ``RunConfig``'s defaults, and its ``run:`` line says so."""
         corpus = make_corpus(runner, tmp_path)
+        plan(runner, corpus, tmp_path / "ws")
         configs = []
 
         def fake_run_batch(config):
@@ -462,13 +456,15 @@ class TestPipelineCommands:
         assert result.exit_code == 0, result.output
         [config] = configs
         assert (config.prestage_concurrency, config.window, config.retry_limit) == (jobs, 64, 3)
-        assert f"jobs={jobs} window=64 retry-limit=3 seed=0" in result.output
+        assert config.scheduler.workers == 4
+        assert f"proc-threads=4 jobs={jobs} window=64 retry-limit=3 seed=0" in result.output
 
     def test_failed_task_exits_one_and_is_named(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         # Remove one image from the fixture store: prestage will 404.
         victim = sorted((corpus / "images").rglob("p0001.json"))[0]
         victim.unlink()
+        plan(runner, corpus, tmp_path / "ws")
         result = runner.invoke(
             main, ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus)]
         )
@@ -478,6 +474,7 @@ class TestPipelineCommands:
 
     def test_run_dry_run_writes_nothing(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
+        plan(runner, corpus, tmp_path / "ws")
         before = snapshot(tmp_path)
         result = runner.invoke(
             main,
@@ -509,47 +506,41 @@ class TestPipelineCommands:
             "limit": ["--limit", "5"],
             "register+limit": ["--register-id", register.register_id, "--limit", "2"],
         }[filters]
-        plan = ["plan", "--registry", str(corpus / "registry.ndjson"),
+        argv = ["plan", "--registry", str(corpus / "registry.ndjson"),
                 "--workspace", str(tmp_path / "ws")] + args
-        dry = runner.invoke(main, plan + ["--dry-run"])
+        dry = runner.invoke(main, argv + ["--dry-run"])
         assert dry.exit_code == 0, dry.output
-        real = runner.invoke(main, plan)
+        real = runner.invoke(main, argv)
         assert real.exit_code == 0, real.output
         would = int(dry.output.split("would plan ")[1].split()[0])
         planned = int(real.output.split("planned ")[1].split()[0])
         assert would == planned == len(TransitionLog(tmp_path / "ws").load_all())
 
     def test_unknown_scheduler_option_is_a_usage_error(self, runner, tmp_path):
+        """``--proc-threads`` is at least 1, and ``--scheduler`` is gone."""
         corpus = make_corpus(runner, tmp_path)
-        result = runner.invoke(
-            main,
-            ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus),
-             "--scheduler", "local:threads=8"],
-        )
-        assert result.exit_code == 2
-        assert "threads" in result.output
+        run = ["run", "--workspace", str(tmp_path / "ws"), "--fixture", str(corpus)]
+        for flags, message in ((["--proc-threads", "0"], "Invalid value for '--proc-threads'"),
+                               (["--scheduler", "local:n=2"], "No such option '--scheduler'")):
+            result = runner.invoke(main, run + flags)
+            assert result.exit_code == 2, (flags, result.output)
+            assert message in result.output
         assert not (tmp_path / "ws").exists()
 
     def test_run_with_the_selection_of_plan(self, runner, tmp_path):
-        """After ``plan --register-id R``, a run given no registry works on
-        R's images alone and leaves the workspace registry as plan wrote it."""
+        """After ``plan --register-id R``, ``run --fixture F`` downloads,
+        processes and exports R's images alone, and leaves the workspace
+        registry as plan wrote it: F only serves images."""
         corpus = make_corpus(runner, tmp_path, registers=3)
         register = load_registry(corpus / "registry.ndjson").registers[0]
         workspace = tmp_path / "ws"
-        plan = runner.invoke(
-            main,
-            ["plan", "--registry", str(corpus / "registry.ndjson"),
-             "--workspace", str(workspace), "--register-id", register.metadata.register_id],
-        )
-        assert plan.exit_code == 0, plan.output
+        plan(runner, corpus, workspace, "--register-id", register.metadata.register_id)
         planned = (workspace / "registry.ndjson").read_bytes()
-        with LocalExecutor(2) as scheduler:
-            report = run_batch(RunConfig(
-                workspace=workspace, endpoint=IiifEndpoint("https://fixture.local/iiif"),
-                transport=FixtureTransport(corpus), workers=mock_worker_set(seed=0),
-                scheduler=scheduler, prestage_concurrency=2))
-        assert report.planned == report.counts["INTEGRATED"] == len(register.images)
-        assert (report.registers_exported, report.registers_skipped) == (1, 0)
+        result = runner.invoke(main, ["run", "--workspace", str(workspace),
+                                      "--fixture", str(corpus), "--proc-threads", "2"])
+        assert result.exit_code == 0, result.output
+        assert f"INTEGRATED: {len(register.images)}\n" in result.output
+        assert "over 1 registers" in result.output and "(0 registers incomplete)" in result.output
         status = runner.invoke(main, ["status", "--workspace", str(workspace)])
         assert status.exit_code == 0, status.output
         assert f"tasks: {len(register.images)}\n" in status.output
@@ -562,10 +553,12 @@ class TestPipelineCommands:
         full run, byte for byte."""
         corpus = make_corpus(runner, tmp_path)
         full, split = tmp_path / "full", tmp_path / "split"
+        plan(runner, corpus, full)
+        plan(runner, corpus, split)
         result = runner.invoke(main, ["run", "--workspace", str(full), "--fixture", str(corpus)])
         assert result.exit_code == 0, result.output
         for args in (["--fixture", str(corpus), "--stages", "pre"],
-                     ["--stages", "proc", "--scheduler", "local:n=2"], ["--stages", "post"]):
+                     ["--stages", "proc", "--proc-threads", "2"], ["--stages", "post"]):
             result = runner.invoke(main, ["run", "--workspace", str(split)] + args)
             assert result.exit_code == 0, (args, result.output)
         assert "INTEGRATED: " in result.output
@@ -575,9 +568,10 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("args, message", [
         (["--register-id", "X"], "No such option '--register-id'"),
         (["--fixture", "CORPUS", "--registry", "CORPUS/registry.ndjson"],
-         "give --fixture or --registry"),
+         "No such option '--registry'"),
         (["--stages", "pre"], "give --fixture or --endpoint"),
-        (["--registry", "CORPUS/registry.ndjson"], "give --fixture or --endpoint"),
+        (["--registry", "CORPUS/registry.ndjson", "--stages", "proc"],
+         "No such option '--registry'"),
     ], ids=["selection", "fixture+registry", "pre-without-endpoint", "registry-without-endpoint"])
     def test_run_usage_errors_create_nothing(self, runner, tmp_path, args, message):
         corpus = make_corpus(runner, tmp_path)
@@ -591,6 +585,7 @@ class TestPipelineCommands:
     def test_a_task_without_an_image_stops_the_run(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                       "--fixture", str(corpus), "--stages", "pre"])
         assert result.exit_code == 0, result.output
@@ -623,21 +618,24 @@ class TestPipelineCommands:
         )
         assert result.exit_code == 1
 
-    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("command", ["plan", "run", "run-fixture"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["real", "dry-run"])
     def test_empty_selection_exits_one_and_creates_nothing(self, runner, tmp_path, command,
                                                            dry_run):
-        """A plan that selects no image, and a run with no registry on a
-        workspace where nothing is planned."""
+        """A plan that selects no image, and a run on a workspace where
+        nothing is planned, with or without a corpus to serve images."""
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        unplanned = f"error: nothing is planned in {workspace}: plan it first (censusflow plan)"
         args, error = {
             "plan": (["--registry", str(corpus / "registry.ndjson"), "--register-id", "bogus"],
                      "error: no images match the given filter"),
-            "run": (["--stages", "proc,post"], f"error: nothing is planned in {workspace}: "),
+            "run": (["--stages", "proc,post"], unplanned),
+            "run-fixture": (["--fixture", str(corpus)], unplanned),
         }[command]
         before = snapshot(tmp_path)
-        result = runner.invoke(main, [command, "--workspace", str(workspace)] + args + dry_run)
+        result = runner.invoke(main, [command.removesuffix("-fixture"), "--workspace",
+                                      str(workspace)] + args + dry_run)
         assert result.exit_code == 1
         errors = [line for line in result.output.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith(error), result.output
@@ -648,6 +646,7 @@ class TestPipelineCommands:
         different relative path to the same workspace."""
         corpus = make_corpus(runner, tmp_path)
         (tmp_path / "demo").mkdir()
+        plan(runner, corpus, tmp_path / "demo" / "ws2")
         for cwd, workspace, stages in ((tmp_path, "demo/ws2", "pre"),
                                        (tmp_path / "demo", "ws2", "proc,post")):
             monkeypatch.chdir(cwd)
@@ -904,6 +903,7 @@ class TestExportCommand:
     def test_dry_run_without_output_opens_no_store(self, runner, tmp_path, monkeypatch):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         result = runner.invoke(
             main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         )
@@ -921,6 +921,7 @@ class TestExportCommand:
     def test_pages_are_the_stored_transcripts(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path, registers=3)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         result = runner.invoke(
             main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         )
@@ -949,6 +950,7 @@ class TestExportCommand:
         result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
                                       "--registers", "2", "--limit-images", "12"])
         assert result.exit_code == 0, result.output
+        plan(runner, corpus, workspace)
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                       "--fixture", str(corpus)])
         assert result.exit_code == 0, result.output
@@ -980,6 +982,7 @@ class TestExportCommand:
         result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
                                       "--registers", "2", "--limit-images", "12"])
         assert result.exit_code == 0, result.output
+        plan(runner, corpus, workspace)
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                       "--fixture", str(corpus)])
         assert result.exit_code == 0, result.output
@@ -1008,9 +1011,7 @@ class TestExportCommand:
         result = runner.invoke(main, ["--seed", "5", "gen-fixtures", "--out", str(corpus),
                                       "--registers", "2", "--limit-images", "12"])
         assert result.exit_code == 0, result.output
-        result = runner.invoke(main, ["plan", "--registry", str(corpus / "registry.ndjson"),
-                                      "--workspace", str(workspace), "--limit", "3"])
-        assert result.exit_code == 0, result.output
+        plan(runner, corpus, workspace, "--limit", "3")
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                       "--stages", "proc,post"])
         assert result.exit_code == 0, result.output
@@ -1034,6 +1035,7 @@ class TestExportCommand:
         (corpus / "registry.ndjson").write_text(registry_ndjson(Registry(tuple(descending))),
                                                 encoding="utf-8")
         workspace, out = tmp_path / "ws", tmp_path / "h.csv"
+        plan(runner, corpus, workspace)
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                       "--fixture", str(corpus)])
         assert result.exit_code == 0, result.output
@@ -1046,6 +1048,7 @@ class TestExportCommand:
     def test_export_reads_no_task_log(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace, out = tmp_path / "ws", tmp_path / "h.csv"
+        plan(runner, corpus, workspace)
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                       "--fixture", str(corpus)])
         assert result.exit_code == 0, result.output
@@ -1059,6 +1062,7 @@ class TestExportCommand:
     def test_workspace_without_registry_names_the_plan_that_writes_it(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace, out = tmp_path / "ws", tmp_path / "h.csv"
+        plan(runner, corpus, workspace)
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                       "--fixture", str(corpus)])
         assert result.exit_code == 0, result.output
@@ -1068,9 +1072,7 @@ class TestExportCommand:
         assert result.exit_code == 1
         assert f"censusflow plan --registry R --workspace {workspace}" in result.output
         assert not out.exists()
-        plan = ["plan", "--registry", str(corpus / "registry.ndjson"),
-                "--workspace", str(workspace)]
-        assert runner.invoke(main, plan).exit_code == 0
+        plan(runner, corpus, workspace)
         assert runner.invoke(main, export).exit_code == 0
         assert out.read_bytes() == (workspace / "households.csv").read_bytes()
 
@@ -1096,6 +1098,7 @@ class TestOldStoreFormat:
     def old(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         result = runner.invoke(main, ["run", "--workspace", str(workspace),
                                       "--fixture", str(corpus)])
         assert result.exit_code == 0, result.output
@@ -1136,6 +1139,7 @@ class TestOldStoreFormat:
     def test_one_old_record_appended_to_a_new_store(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         assert runner.invoke(main, ["run", "--workspace", str(workspace),
                                     "--fixture", str(corpus)]).exit_code == 0
         store = workspace / "results_store.ndjson"
@@ -1165,6 +1169,7 @@ class TestCorruptLine:
     def test_exits_one_naming_the_line(self, runner, tmp_path, name, command):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         assert runner.invoke(main, run).exit_code == 0
         (workspace / "checkpoint.json").unlink()
@@ -1196,6 +1201,7 @@ class TestCorruptLine:
         record's offset, and writes nothing."""
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         assert runner.invoke(main, run).exit_code == 0
         argv = {
@@ -1236,6 +1242,7 @@ class TestCorruptLine:
         checkpoint, exits 1 with one error naming the file and offset."""
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         assert runner.invoke(main, run).exit_code == 0
         path = workspace / "results_store.ndjson"
@@ -1266,6 +1273,7 @@ class TestBadRegistry:
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
         if command == "export":
+            plan(runner, corpus, workspace)
             run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
             assert runner.invoke(main, run).exit_code == 0
             path = workspace / "registry.ndjson"
@@ -1304,6 +1312,7 @@ class TestBadTranscript:
     def test_exits_one_naming_the_page(self, runner, tmp_path, case, command):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         run = ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         assert runner.invoke(main, run).exit_code == 0
         path = workspace / "results_store.ndjson"
@@ -1396,6 +1405,7 @@ class TestDryRunWritesNothing:
     def test_all_commands(self, runner, tmp_path):
         corpus = make_corpus(runner, tmp_path)
         workspace = tmp_path / "ws"
+        plan(runner, corpus, workspace)
         result = runner.invoke(
             main, ["run", "--workspace", str(workspace), "--fixture", str(corpus)]
         )
@@ -1418,7 +1428,7 @@ class TestDryRunWritesNothing:
             ["gen-fixtures", "--out", str(tmp_path / "corpus2")],
             ["plan", "--registry", str(corpus / "registry.ndjson"),
              "--workspace", str(tmp_path / "ws2")],
-            ["run", "--workspace", str(tmp_path / "ws3"), "--fixture", str(corpus)],
+            ["run", "--workspace", str(workspace), "--fixture", str(corpus)],
             ["export", "--workspace", str(workspace),
              "--households", str(tmp_path / "hh.csv")],
             ["evaluate", "--truth", str(corpus / "truth" / "pages"), "--pred", str(pages),

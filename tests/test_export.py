@@ -41,7 +41,7 @@ from censusflow.domain import (
     RowCountWarning,
 )
 from censusflow.fixtures import FixtureTransport, generate_corpus
-from censusflow.household import EXPORT_COLUMNS, export_households, merge_register
+from censusflow.household import EXPORT_COLUMNS, export_households, merge_register, write_export
 from censusflow.iiif import IiifEndpoint
 from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetadata, Registry
 from censusflow.label_codec import DECODER_VERSION, SyntheticProfile, decode_fields, encode
@@ -439,6 +439,18 @@ class TestExportEdgeCases:
             )
         assert finished.households_path.read_bytes() == before
         assert sorted(p.name for p in finished.workspace.iterdir()) == listing
+
+    @pytest.mark.parametrize("parent, error", [("missing", FileNotFoundError),
+                                               ("file", NotADirectoryError)])
+    def test_a_directory_that_is_not_one_names_the_path(self, tmp_path, parent, error):
+        """An output path under a missing directory, or under a file: the
+        error names the path given, not the temporary file beside it."""
+        (tmp_path / "file").write_text("")
+        path = tmp_path / parent / "h.csv"
+        with pytest.raises(error) as raised:
+            write_export([("", 0)], path)
+        assert raised.value.filename == str(path) and ".tmp" not in str(raised.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 # ---------------------------------------------------------------------------

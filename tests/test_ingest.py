@@ -119,8 +119,7 @@ class TestImportCsv:
         rows, diagnostics = import_csv(path, MAPPING)
         assert len(rows) == 1
         assert rows[0].year is None
-        assert rows[0].flags == ("UnparseableYear",)
-        assert "UnparseableYear" in diagnostics[0]
+        assert diagnostics == ["row 2: UnparseableYear '183?'"]
 
     def test_mapped_column_missing_from_header(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -153,12 +152,10 @@ def dictreader_import_csv(path, mapping):
         path_col = mapping.column(ColumnRole.IMAGE_PATH)
         for number, record in enumerate(reader, start=2):  # header is line 1
             year_text = (record.get(year_col) or "").strip()
-            flags = []
             try:
                 year = int(year_text)
             except ValueError:
                 year = None
-                flags.append("UnparseableYear")
                 diagnostics.append(f"row {number}: UnparseableYear {year_text!r}")
             rows.append(
                 RawRow(
@@ -168,7 +165,6 @@ def dictreader_import_csv(path, mapping):
                     commune=(record.get(commune_col) or "").strip(),
                     archival_id=(record.get(id_col) or "").strip() if id_col else "",
                     image_path=(record.get(path_col) or "").strip(),
-                    flags=tuple(flags),
                 )
             )
     return rows, diagnostics
