@@ -6,8 +6,8 @@ with; a default that the library already has (``RunConfig``'s fields,
 
 Exit codes: 0 success, 1 operational failure (failed tasks, unmet deadline,
 no matching data, a file that cannot be read or written), 2 usage error.
-Every subcommand accepts ``--dry-run`` to print its plan without writing
-anything.
+Every command that writes accepts ``--dry-run`` to print its plan without
+writing anything.
 """
 
 from __future__ import annotations
@@ -364,7 +364,7 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
     if dry_run:
         click.echo(f"dry run: would plan {count} tasks under {workspace}")
         return
-    with Workspace.open(workspace, writer=True) as ws:
+    with Workspace(workspace, writer=True) as ws:
         manifests = plan_batch(registry, ws, **selection)
     pending = state_counts(manifests)[TaskState.PENDING.value]
     click.echo(f"planned {len(manifests)} tasks ({pending} pending) under {workspace}")
@@ -444,7 +444,7 @@ def status_cmd(workspace):
     Reads the task log from its checkpoint on (``Workspace.tasks``) and
     writes nothing; a log line that is not a transition record exits 1.
     """
-    with Workspace.open(workspace, writer=False) as ws:
+    with Workspace(workspace) as ws:
         manifests = [ws.tasks[task_id] for task_id in sorted(ws.tasks)]
     click.echo(f"tasks: {len(manifests)}")
     _echo_counts(state_counts(manifests))
@@ -473,7 +473,7 @@ def export_cmd(workspace, households_path, pages_dir, dry_run):
     """
     if not households_path and not pages_dir:
         raise click.UsageError("nothing to export: pass --households and/or --pages")
-    with Workspace.open(workspace, writer=False) as ws:
+    with Workspace(workspace) as ws:
         if not ws.registry_file.exists():
             _fail(f"no {ws.registry_file.name} in {workspace}: run `censusflow plan --registry R "
                   f"--workspace {workspace}` with the registry and selection it was planned with")

@@ -191,14 +191,29 @@ class GazetteerEntry:
 
 def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
     """Load a gazetteer CSV with columns code, canonical_name, department,
-    variants (pipe-separated)."""
+    variants (pipe-separated); the last two may be missing.
+
+    Raises:
+        MissingColumn: if the file has no header, or one without ``code`` or
+            ``canonical_name``.
+        ValueError: naming the file and line of a row whose code or
+            canonical name is empty, or whose code an earlier row has.
+    """
     entries = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for record in csv.DictReader(fh):
-            code = (record.get("code") or "").strip()
+        reader = csv.DictReader(fh)
+        for column in ("code", "canonical_name"):
+            if column not in (reader.fieldnames or ()):
+                raise MissingColumn(f"column {column!r} not in gazetteer header of {path}")
+        for record in reader:
+            code = (record["code"] or "").strip()
+            name = (record["canonical_name"] or "").strip()
+            if not (code and name):
+                raise ValueError(f"{path}:{reader.line_num}: gazetteer row without a "
+                                 f"{'code' if not code else 'canonical name'}")
             if code in seen:
-                raise ValueError(f"duplicate gazetteer code {code!r}")
+                raise ValueError(f"{path}:{reader.line_num}: duplicate gazetteer code {code!r}")
             seen.add(code)
             variants = tuple(
                 v.strip() for v in (record.get("variants") or "").split("|") if v.strip()
@@ -206,7 +221,7 @@ def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
             entries.append(
                 GazetteerEntry(
                     code=code,
-                    canonical_name=(record.get("canonical_name") or "").strip(),
+                    canonical_name=name,
                     department=(record.get("department") or "").strip(),
                     valid_names=variants,
                 )

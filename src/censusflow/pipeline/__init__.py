@@ -18,8 +18,9 @@ a kill is dropped on open, and a derived checkpoint lets a run fold only
 the records appended since it. A task's files follow from its id, so the log
 holds no paths and a workspace may move between runs. That makes every step idempotent and crash
 recovery a matter of re-running the batch.
-One handle, ``runner.Workspace``, opens a workspace for plan, run, status
-and export; only a writer locks it and writes the checkpoint.
+One handle, ``Workspace``, opens a workspace for plan, run, status and
+export, and is all that planning and each stage take; only a writer locks
+it and writes the checkpoint.
 Every thread pool is a ``LocalExecutor``, which returns results in item
 order, so the calling thread logs each window's outcomes in task order.
 """
@@ -30,7 +31,6 @@ from .manifests import (
     FailureInfo,
     IllegalTransition,
     ManifestStore,
-    PipelineContext,
     TaskManifest,
     TaskState,
     TransitionLog,
@@ -45,7 +45,7 @@ from .stages import (
     run_stage_process,
     validate_payload,
 )
-from .runner import BatchReport, ResultStore, RunConfig, export_batch, run_batch
+from .runner import BatchReport, ResultStore, RunConfig, Workspace, export_batch, run_batch
 from .workers import (
     ExternalProcessWorker,
     MockClassifier,
@@ -68,7 +68,6 @@ __all__ = [
     "MockClassifier",
     "MockRecognizer",
     "NoiseSpec",
-    "PipelineContext",
     "ResultStore",
     "RunConfig",
     "TaskManifest",
@@ -76,6 +75,7 @@ __all__ = [
     "TransitionLog",
     "WorkerError",
     "WorkerSet",
+    "Workspace",
     "export_batch",
     "plan_batch",
     "run_batch",

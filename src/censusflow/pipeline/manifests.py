@@ -6,7 +6,7 @@ record is one transition (``task_id``, ``from``, ``to``, ``at``), ``from``
 being None in a task's first; a later one adds only the ``attempts`` or
 ``failure`` it sets. The log keeps nothing the task id or the registry
 fixes: a task's files follow from its id, its image from the workspace
-registry (``PipelineContext``). The state of every task is the fold of its
+registry (``runner.Workspace``). The state of every task is the fold of its
 records, each stamped no earlier than the one before. A kill in the middle
 of an append leaves a torn last line; readers skip it and the next writer
 cuts it off. A workspace checkpoint (``read_checkpoint``) holds the fold up
@@ -26,16 +26,17 @@ import json
 import math
 import os
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..domain import CorruptLine
-from ..ingest import ImageRef, Registry, parse_register
+from ..ingest import ImageRef
+
+if TYPE_CHECKING:
+    from .runner import Workspace
 
 
 class TaskState(Enum):
@@ -556,68 +557,6 @@ def _fold(tasks: dict[str, TaskManifest], path: Path, start: int = 0, latest: fl
 ManifestStore = TransitionLog
 
 
-@dataclass
-class PipelineContext:
-    """Shared plumbing handed to every stage, and the workspace layout.
-
-    The workspace is the log's directory. ``plan_batch`` keeps the registers
-    of its tasks in ``registry.ndjson`` there. The pre-stage writes a task's
-    image to ``staging/<task_id>.jpg``, and integrate deletes it. The path
-    follows from the task id alone, so the log does not record it, and a
-    workspace may be moved or used from any working directory between
-    stages. The process stage appends each result to the result store
-    (``runner.ResultStore``), its only copy; no stage writes a file per
-    result. ``runner.Workspace`` opens and closes the workspace.
-
-    ``on_transition`` is a test hook invoked after each persisted transition;
-    raising from it simulates a crash at that point.
-    """
-
-    log: TransitionLog
-    clock: Callable[[], float] = time.time
-    on_transition: Optional[Callable[[TaskManifest], None]] = None
-
-    @classmethod
-    def at(cls, root: str | Path, **kwargs) -> "PipelineContext":
-        return cls(log=TransitionLog(root), **kwargs)
-
-    @property
-    def staging_dir(self) -> Path:
-        return self.log.path.parent / "staging"
-
-    def staged_file(self, task_id: str) -> Path:
-        return self.staging_dir / f"{task_id}.jpg"
-
-    @property
-    def registry_file(self) -> Path:
-        return self.log.path.parent / REGISTRY_NAME
-
-    @cached_property
-    def registry(self) -> Registry:
-        """The registers in ``registry_file``, read once, whole lines only
-        (``read_lines``), as the log is; ``plan_batch`` sets it as it writes."""
-        path = self.registry_file
-        return Registry(tuple(parse_register(line, path, offset)
-                              for offset, line in read_lines(path)))
-
-    @property
-    def checkpoint_file(self) -> Path:
-        return self.log.path.parent / CHECKPOINT_NAME
-
-    @cached_property
-    def checkpoint(self) -> dict[str, dict]:
-        """The checkpoint's sections (``read_checkpoint``), read once."""
-        return read_checkpoint(self.checkpoint_file)
-
-    @property
-    def tasks(self) -> dict[str, TaskManifest]:
-        """Every task's manifest by id, folded once from ``checkpoint`` on;
-        the stages keep it current."""
-        if self.log.tasks is None:
-            self.log.fold(self.checkpoint.get("log"))
-        return self.log.tasks
-
-
 # The other files of a workspace: the registry, the result store, the export
 # memo (next to its store), the household export, and the checkpoint
 # (``read_checkpoint``) with its format version.
@@ -663,7 +602,7 @@ def write_checkpoint(path: Path, sections: dict[str, dict]) -> int:
 def advance(
     manifest: TaskManifest,
     new_state: TaskState,
-    ctx: PipelineContext,
+    ws: Workspace,
     *,
     attempts: Optional[dict[str, int]] = None,
     failure: Optional[FailureInfo] = None,
@@ -673,7 +612,7 @@ def advance(
     latest record."""
     if new_state not in ALLOWED_TRANSITIONS[manifest.state]:
         raise IllegalTransition(manifest.task_id, manifest.state, new_state)
-    at = ctx.log.latest = max(ctx.clock(), ctx.log.latest)
+    at = ws.log.latest = max(ws.clock(), ws.log.latest)
     record = {"task_id": manifest.task_id, "from": manifest.state.value,
               "to": new_state.value, "at": at}
     if attempts is not None:
@@ -682,8 +621,8 @@ def advance(
         manifest.failure = failure
         record["failure"] = asdict(failure)
     manifest.state = new_state
-    ctx.log.append(record)
-    if ctx.on_transition is not None:
-        ctx.on_transition(manifest)
+    ws.log.append(record)
+    if ws.on_transition is not None:
+        ws.on_transition(manifest)
     return manifest
 

@@ -24,9 +24,10 @@ the rest, and replaces ``households.csv`` atomically once every row is
 written. So a resume folds only the registers it completes, and memory
 holds the largest register's payloads plus small indexes.
 
-``Workspace`` opens the workspace for every command, ``run_batch`` included:
-the lock, the checkpoint, the log's fold, the store and the memo, each once;
-it closes their handles (``AppendFile``) and writes the next checkpoint.
+``Workspace`` is the one handle on a workspace: every command opens it,
+``run_batch`` included, and the stages take it alone. It opens the lock,
+the checkpoint, the log's fold, the store and the memo, each once; it
+closes their handles (``AppendFile``) and writes the next checkpoint.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from typing import Callable, Iterable, Optional
 from ..domain import NAME_FOR_TAG, EntityTag
 from ..household import EXPORT_COLUMNS, csv_text, write_export
 from ..iiif import IiifEndpoint, Transport
-from ..ingest import Registry
+from ..ingest import Registry, parse_register
 from ..label_codec import DECODER_VERSION, decode_fields
 from .manifests import (
+    CHECKPOINT_NAME,
     HOUSEHOLDS_NAME,
     MEMO_NAME,
     REGISTRY_NAME,
@@ -57,11 +59,12 @@ from .manifests import (
     AppendFile,
     CorruptLine,
     FilePrefix,
-    PipelineContext,
     TaskManifest,
     TaskState,
+    TransitionLog,
     parse_line,
     parse_task_id,
+    read_checkpoint,
     read_lines,
     read_ndjson,
     task_id_for,
@@ -246,7 +249,7 @@ STAGES = ("pre", "proc", "post")
 @dataclass
 class RunConfig:
     """Everything run_batch needs; its files live under ``workspace`` (see
-    ``PipelineContext`` for the staged images).
+    ``Workspace`` for the layout).
 
     ``stages`` names the stages to run, a non-empty subset of ``STAGES``, so
     the connected and isolated stages can run as separate jobs; only the
@@ -342,28 +345,26 @@ def run_batch(config: RunConfig) -> BatchReport:
     """
     config.check_planned()
     pre, post = "pre" in config.stages, "post" in config.stages
-    with (Workspace.open(config.workspace, writer=True, clock=config.clock,
-                         on_transition=config.on_transition) as ws,
+    with (Workspace(config.workspace, writer=True, clock=config.clock,
+                    on_transition=config.on_transition) as ws,
           (LocalExecutor(config.prestage_concurrency) if pre else nullcontext()) as downloads):
         if config.registry is not None:
             plan_batch(config.registry, ws)
         manifests = ws.planned()
         registers = {register.metadata.register_id: register for register in ws.registry.registers}
-        store = ws.store  # every run opens the store, its checkpoint section included
+        ws.store  # every run opens the store, its checkpoint section included
 
         todo = [m for m in manifests if m.state not in TERMINAL_STATES]
         for start in range(0, len(todo), config.window):
             window = todo[start : start + config.window]
             if pre:
                 run_stage_prestage(window, ws, endpoint=config.endpoint,
-                                   transport=config.transport, executor=downloads,
-                                   results_store=store)
+                                   transport=config.transport, executor=downloads)
             if "proc" in config.stages:
                 run_stage_process(window, ws, workers=config.workers,
-                                  scheduler=config.scheduler, results_store=store,
-                                  retry_limit=config.retry_limit)
+                                  scheduler=config.scheduler, retry_limit=config.retry_limit)
             if post:
-                run_stage_integrate(window, ws, results_store=store)
+                run_stage_integrate(window, ws)
                 for register_id in dict.fromkeys(m.image.register.register_id for m in window):
                     ws.memo.keep(registers[register_id])
             if start + config.window < len(todo) and ws.due():
@@ -386,9 +387,16 @@ class UnknownImage(LookupError):
     """A task in the workspace's log whose image its registry lacks."""
 
 
-class Workspace(PipelineContext):
-    """A workspace opened for one command, entered with ``with``: which of
-    its files the command opens, in what order, and what it writes back.
+class Workspace:
+    """A workspace opened for one command, entered with ``with``: its
+    layout, which of its files the command opens, in what order, and what it
+    writes back.
+
+    ``root`` holds the log, the registry ``plan_batch`` keeps and the
+    result store (``store``), the only copy of each result. The pre-stage
+    writes a task's image to ``staging/<task_id>.jpg`` and integrate deletes
+    it. A task's files follow from its id alone, so the log does not record
+    them, and a workspace may be moved between stages.
 
     A reader (``status``, ``export``) takes no lock and writes nothing; it
     folds the log (``tasks``) or opens the store (``store``) only if asked.
@@ -398,27 +406,59 @@ class Workspace(PipelineContext):
     memo (``memo``) when a run first integrates. On an exit without an error
     it writes a checkpoint (``save``). Both read ``checkpoint`` once, and the
     exit closes every handle, the lock's included.
+
+    ``clock`` stamps each transition (``advance``), and ``on_transition``,
+    a test hook, runs after it is logged: raising there simulates a crash.
     """
 
-    @classmethod
-    def open(cls, path: str | Path, writer: bool, **context) -> "Workspace":
-        """``context``: ``PipelineContext``'s ``clock`` and ``on_transition``."""
-        ws = cls.at(path, **context)
-        ws.writer = writer
-        ws._handles = ExitStack()
-        return ws
+    def __init__(self, root: str | Path, writer: bool = False,
+                 clock: Callable[[], float] = time.time,
+                 on_transition: Optional[Callable[[TaskManifest], None]] = None):
+        self.root = Path(root)
+        self.log = TransitionLog(self.root)
+        self.writer = writer
+        self.clock = clock
+        self.on_transition = on_transition
+        self.staging_dir = self.root / "staging"
+        self.registry_file = self.root / REGISTRY_NAME
+        self.checkpoint_file = self.root / CHECKPOINT_NAME
+        self._handles = ExitStack()
+
+    def staged_file(self, task_id: str) -> Path:
+        return self.staging_dir / f"{task_id}.jpg"
+
+    @cached_property
+    def registry(self) -> Registry:
+        """The registers in ``registry_file``, read once, whole lines only
+        (``read_lines``), as the log is; ``plan_batch`` sets it as it writes."""
+        path = self.registry_file
+        return Registry(tuple(parse_register(line, path, offset)
+                              for offset, line in read_lines(path)))
+
+    @cached_property
+    def checkpoint(self) -> dict[str, dict]:
+        """The checkpoint's sections (``read_checkpoint``), read once."""
+        return read_checkpoint(self.checkpoint_file)
+
+    @property
+    def tasks(self) -> dict[str, TaskManifest]:
+        """Every task's manifest by id, folded once from ``checkpoint`` on;
+        the stages keep it current."""
+        if self.log.tasks is None:
+            self.log.fold(self.checkpoint.get("log"))
+        return self.log.tasks
 
     def __enter__(self) -> "Workspace":
         if not self.writer:
             return self
         try:
-            self._handles.enter_context(writer_lock(self.log.path.parent))
+            self._handles.enter_context(writer_lock(self.root))
             self._handles.enter_context(self.log.file)
             self.log.fold(self.checkpoint.get("log"))
             # What the last checkpoint covers of the log, and of the store
             # once it is opened, as ``save`` sees them (None: unused).
             self._written = [self.log.prefix.length or None, None]
-            for stale in self.log.path.parent.glob(f".{HOUSEHOLDS_NAME}.*.tmp"):
+            for stale in self.root.glob(f".{HOUSEHOLDS_NAME}.*.tmp"):
                 stale.unlink(missing_ok=True)
         except BaseException:
             self._handles.close()
@@ -435,7 +475,7 @@ class Workspace(PipelineContext):
     def store(self) -> ResultStore:
         """The result store, opened from the checkpoint's store section at
         its first use."""
-        store = ResultStore(self.log.path.with_name(STORE_NAME), self.checkpoint.get("store"))
+        store = ResultStore(self.root / STORE_NAME, self.checkpoint.get("store"))
         self._handles.enter_context(store.file)
         if self.writer:
             self._written[1] = store.verified or None, dict(store.digests)

@@ -1,10 +1,12 @@
 """The three pipeline stages plus batch planning.
 
-Every stage is idempotent: it only touches tasks in its input states, all
-file writes are atomic or appends, and re-running a stage over a mixed batch
-leaves already-advanced tasks alone. The result store, not the log, says
-whether a task's result exists, so a stage trusts a transition only as far
-as the store backs it. That property is what makes kill-and-resume
+Each takes the workspace (``runner.Workspace``) alone and reaches the task
+log, the staged images and the result store (``Workspace.store``) through
+it. Every stage is idempotent: it only touches tasks in its input states,
+all file writes are atomic or appends, and re-running a stage over a mixed
+batch leaves already-advanced tasks alone. The result store, not the log,
+says whether a task's result exists, so a stage trusts a transition only
+as far as the store backs it. That property is what makes kill-and-resume
 equivalent to an uninterrupted run.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..domain import PageClass, PageTranscript
 from ..iiif import (
@@ -30,7 +32,6 @@ from ..ingest import ImageRef, Registry, registry_ndjson
 from ..label_codec import decode_lenient
 from .manifests import (
     FailureInfo,
-    PipelineContext,
     TaskManifest,
     TaskState,
     advance,
@@ -38,6 +39,9 @@ from .manifests import (
     task_id_for,
 )
 from .workers import WorkerSet
+
+if TYPE_CHECKING:
+    from .runner import Workspace
 
 logger = logging.getLogger(__name__)
 
@@ -75,11 +79,11 @@ class LocalExecutor:
         self.shutdown()
 
 
-def _fail(manifest: TaskManifest, ctx: PipelineContext, stage: str, reason: str,
+def _fail(manifest: TaskManifest, ws: Workspace, stage: str, reason: str,
           attempts: Optional[dict[str, int]] = None) -> None:
     """Advance a task to FAILED at ``stage``, recording ``attempts`` if
     given, and log one warning naming the stage and the task."""
-    advance(manifest, TaskState.FAILED, ctx, attempts=attempts,
+    advance(manifest, TaskState.FAILED, ws, attempts=attempts,
             failure=FailureInfo(stage, reason))
     logger.warning("%s failed for %s: %s", stage, manifest.task_id, reason)
 
@@ -121,16 +125,16 @@ def select_images(
     return selected
 
 
-def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[TaskManifest]:
+def plan_batch(registry: Registry, ws: Workspace, **selection) -> list[TaskManifest]:
     """Create PENDING manifests for the images ``select_images(registry,
     **selection)`` picks, in its order.
 
     Replanning is idempotent: existing manifests are returned in whatever
     state they are. Every manifest takes its image from ``registry`` (the
     same task id means the same register and sequence index). The known
-    tasks are ``ctx.tasks``, the log's fold from the workspace checkpoint.
+    tasks are ``ws.tasks``, the log's fold from the workspace checkpoint.
     Before the first new task is logged, the whole registers of the
-    selected images go to ``ctx.registry``, replacing the entries with
+    selected images go to ``ws.registry``, replacing the entries with
     their ids; with no new task it is written only if missing, and not
     read here. The entries follow ``registry``'s order, and those it does
     not name follow them in the order the file kept them, so ``export``
@@ -140,7 +144,7 @@ def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[Ta
         EmptySelection: if the filter matches no image.
     """
     selected = select_images(registry, **selection)
-    known = ctx.tasks
+    known = ws.tasks
     manifests, new = [], []
     for image in selected:
         task_id = task_id_for(image)
@@ -151,21 +155,21 @@ def plan_batch(registry: Registry, ctx: PipelineContext, **selection) -> list[Ta
         else:
             manifest.image = image
         manifests.append(manifest)
-    path = ctx.registry_file
+    path = ws.registry_file
     if new or not path.exists():
         ids = {image.register.register_id for image in selected}
-        by_id = {r.metadata.register_id: r for r in ctx.registry.registers}
+        by_id = {r.metadata.register_id: r for r in ws.registry.registers}
         by_id.update((r.metadata.register_id, r) for r in registry.registers
                      if r.metadata.register_id in ids)
         order = dict.fromkeys(r.metadata.register_id for r in registry.registers
                               if r.metadata.register_id in by_id)
         order.update(dict.fromkeys(by_id))  # then the kept entries it does not name
-        ctx.registry = Registry(tuple(by_id[key] for key in order))
+        ws.registry = Registry(tuple(by_id[key] for key in order))
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, registry_ndjson(ctx.registry).encode("utf-8"))
+        atomic_write_bytes(path, registry_ndjson(ws.registry).encode("utf-8"))
     for manifest in new:  # the creation record, stamped as ``advance`` stamps
-        at = ctx.log.latest = max(ctx.clock(), ctx.log.latest)
-        ctx.log.append({"task_id": manifest.task_id, "from": None, "to": "PENDING", "at": at})
+        at = ws.log.latest = max(ws.clock(), ws.log.latest)
+        ws.log.append({"task_id": manifest.task_id, "from": None, "to": "PENDING", "at": at})
     return manifests
 
 
@@ -180,26 +184,25 @@ _STAGED_STATES = (TaskState.STAGED, TaskState.PROCESSING, TaskState.PROCESSED)
 
 def run_stage_prestage(
     tasks: Sequence[TaskManifest],
-    ctx: PipelineContext,
+    ws: Workspace,
     *,
     endpoint: IiifEndpoint,
     transport: Transport,
     executor: LocalExecutor,
-    results_store,
 ) -> None:
     """Check each PENDING task's image (``check_integrity``) and fetch its
-    bytes to ``ctx.staged_file(task_id)``, on ``executor``.
+    bytes to ``ws.staged_file(task_id)``, on ``executor``.
 
     Tasks move to STAGED on success or FAILED(prestage) otherwise. A task
-    past staging whose result ``results_store`` does not hold and whose
+    past staging whose result ``ws.store`` does not hold and whose
     staged image is gone is fetched again, with no transition unless it
     fails: integrate deletes each image once its result is stored, so a lost
     store tail or log tail can leave a task that must be processed again
     without its image. Tasks in any other state are untouched.
     """
     todo = [m for m in tasks if m.state is TaskState.PENDING or (
-        m.state in _STAGED_STATES and m.task_id not in results_store
-        and not ctx.staged_file(m.task_id).exists())]
+        m.state in _STAGED_STATES and m.task_id not in ws.store
+        and not ws.staged_file(m.task_id).exists())]
 
     def work(manifest: TaskManifest):
         result = check_integrity(endpoint, manifest.image, transport)
@@ -209,17 +212,17 @@ def run_stage_prestage(
             payload = fetch_image(endpoint, manifest.image.iiif_identifier, transport)
         except (FetchError, TransportFailure) as exc:
             return manifest, f"fetch failed: {exc}"
-        atomic_write_bytes(ctx.staged_file(manifest.task_id), payload)
+        atomic_write_bytes(ws.staged_file(manifest.task_id), payload)
         return manifest, ""
 
     if not todo:
         return
-    ctx.staging_dir.mkdir(parents=True, exist_ok=True)
+    ws.staging_dir.mkdir(parents=True, exist_ok=True)
     for manifest, reason in executor.run("prestage", todo, work):
         if reason:
-            _fail(manifest, ctx, "prestage", reason, attempts={"prestage": 1})
+            _fail(manifest, ws, "prestage", reason, attempts={"prestage": 1})
         elif manifest.state is TaskState.PENDING:
-            advance(manifest, TaskState.STAGED, ctx)
+            advance(manifest, TaskState.STAGED, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +291,14 @@ def payload_transcript(payload: dict) -> Optional[PageTranscript]:
 
 def run_stage_process(
     tasks: Sequence[TaskManifest],
-    ctx: PipelineContext,
+    ws: Workspace,
     *,
     workers: WorkerSet,
     scheduler: LocalExecutor,
-    results_store,
     retry_limit: int = 3,
 ) -> None:
     """Classify STAGED pages and recognize list pages on ``scheduler``, and
-    append each page's result to ``results_store``.
+    append each page's result to the workspace's store (``ws.store``).
 
     Each worker builds its page's payload, checks it (``validate_payload``)
     and returns only its JSON line, encoded in UTF-8. The calling thread
@@ -315,18 +317,19 @@ def run_stage_process(
     store (a lost store tail) is processed again, with no transition logged
     back.
     """
+    store = ws.store
     todo = [m for m in tasks if m.state in (TaskState.STAGED, TaskState.PROCESSING) or (
-        m.state is TaskState.PROCESSED and m.task_id not in results_store)]
+        m.state is TaskState.PROCESSED and m.task_id not in store)]
     if not todo:
         return
 
     for manifest in todo:
         if manifest.state is TaskState.STAGED:
-            advance(manifest, TaskState.PROCESSING, ctx)
+            advance(manifest, TaskState.PROCESSING, ws)
 
     def work(manifest: TaskManifest):
         try:
-            image_bytes = ctx.staged_file(manifest.task_id).read_bytes()
+            image_bytes = ws.staged_file(manifest.task_id).read_bytes()
         except FileNotFoundError:
             return manifest, "missing_input", 1, None
         attempts = 0
@@ -351,19 +354,19 @@ def run_stage_process(
         except UnicodeEncodeError:  # a lone surrogate, which json.loads can return
             return manifest, "schema: payload is not valid UTF-8", attempts, None
 
-    run = [m for m in todo if m.task_id not in results_store]
+    run = [m for m in todo if m.task_id not in store]
     outcomes = {}
     for manifest, reason, attempts, line in scheduler.run("process", run, work):
         if line is not None:
-            results_store.add(manifest.task_id, line)
+            store.add(manifest.task_id, line)
         outcomes[manifest.task_id] = reason, attempts
     for manifest in todo:
         reason, attempts = outcomes.get(manifest.task_id, ("", None))
         counts = None if attempts is None else {"process": attempts}
         if reason:
-            _fail(manifest, ctx, "process", reason, attempts=counts)
+            _fail(manifest, ws, "process", reason, attempts=counts)
         elif manifest.state is TaskState.PROCESSING:
-            advance(manifest, TaskState.PROCESSED, ctx, attempts=counts)
+            advance(manifest, TaskState.PROCESSED, ws, attempts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +374,8 @@ def run_stage_process(
 # ---------------------------------------------------------------------------
 
 
-def run_stage_integrate(
-    tasks: Sequence[TaskManifest],
-    ctx: PipelineContext,
-    *,
-    results_store,
-) -> None:
-    """Move each PROCESSED task whose result ``results_store`` holds to
+def run_stage_integrate(tasks: Sequence[TaskManifest], ws: Workspace) -> None:
+    """Move each PROCESSED task whose result ``ws.store`` holds to
     INTEGRATED, deleting its staged image first: nothing reads it again.
 
     The process stage stored the result; a PROCESSED task missing from the
@@ -385,6 +383,6 @@ def run_stage_integrate(
     the transition leaves a stored task without an image, which needs none.
     """
     for manifest in tasks:
-        if manifest.state is TaskState.PROCESSED and manifest.task_id in results_store:
-            ctx.staged_file(manifest.task_id).unlink(missing_ok=True)
-            advance(manifest, TaskState.INTEGRATED, ctx)
+        if manifest.state is TaskState.PROCESSED and manifest.task_id in ws.store:
+            ws.staged_file(manifest.task_id).unlink(missing_ok=True)
+            advance(manifest, TaskState.INTEGRATED, ws)

@@ -47,16 +47,15 @@ from censusflow.pipeline import (
     LocalExecutor,
     MockRecognizer,
     NoiseSpec,
-    ResultStore,
     RunConfig,
     TaskState,
     TransitionLog,
     WorkerSet,
+    Workspace,
     run_batch,
     run_stage_process,
 )
 from censusflow.pipeline.stages import run_stage_prestage
-from censusflow.pipeline.manifests import PipelineContext
 from censusflow.pipeline.stages import plan_batch
 from censusflow.simulate import (
     StageModel,
@@ -285,17 +284,6 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         with pytest.raises(IsolationViolation):
             NullTransport().get("https://a.example/info.json", 1000)
 
-        iso_ws = tmp_path / "ws_isolated"
-        ctx = PipelineContext.at(iso_ws, clock=lambda: 0.0)
-        manifests = plan_batch(corpus.registry, ctx, limit=4)
-        store = ResultStore(iso_ws / "results_store.ndjson")
-        with LocalExecutor(2) as downloads:
-            run_stage_prestage(
-                manifests, ctx,
-                endpoint=IiifEndpoint("https://fixture.local/iiif"),
-                transport=FixtureTransport(corpus.root), executor=downloads, results_store=store,
-            )
-
         class RogueClassifier:
             version = "rogue/1"
 
@@ -309,14 +297,22 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         rogue = RogueClassifier()
         workers = WorkerSet(rogue, MockRecognizer())
         rogue.workers = workers
-        run_stage_process(
-            manifests, ctx, workers=workers,
-            scheduler=LocalExecutor(2), results_store=store,
-        )
-        assert all(m.state is TaskState.FAILED for m in manifests)
-        assert all("isolation" in m.failure.reason for m in manifests)
-        assert len(store) == 0
-        assert all(m.attempts == {"process": 1} for m in manifests)
+        iso_ws = tmp_path / "ws_isolated"
+        with Workspace(iso_ws, clock=lambda: 0.0) as ws, LocalExecutor(2) as downloads:
+            manifests = plan_batch(corpus.registry, ws, limit=4)
+            store = ws.store
+            run_stage_prestage(
+                manifests, ws,
+                endpoint=IiifEndpoint("https://fixture.local/iiif"),
+                transport=FixtureTransport(corpus.root), executor=downloads,
+            )
+            run_stage_process(
+                manifests, ws, workers=workers, scheduler=LocalExecutor(2),
+            )
+            assert all(m.state is TaskState.FAILED for m in manifests)
+            assert all("isolation" in m.failure.reason for m in manifests)
+            assert len(store) == 0
+            assert all(m.attempts == {"process": 1} for m in manifests)
 
 
 def test_criterion_8_throughput_reproduction():

@@ -22,7 +22,6 @@ from censusflow.ingest import GazetteerEntry, ImageRef, Register, RegisterMetada
 from censusflow.label_codec import SyntheticProfile
 from censusflow.pipeline import (
     LocalExecutor,
-    PipelineContext,
     ResultStore,
     RunConfig,
     TaskState,
@@ -124,7 +123,7 @@ def resume_both(tmp_path: Path, corpus, executor, source: Path, checkpoint: byte
         sections = read_checkpoint(workspace / CHECKPOINT)
         verified = {"store": ResultStore(workspace / STORE, sections.get("store")).verified}
 
-        ctx = PipelineContext.at(workspace, clock=itertools.count(2e6).__next__)
+        ctx = Workspace(workspace, clock=itertools.count(2e6).__next__)
         plan = plan_batch(corpus.registry, ctx)
         verified["log"] = ctx.log.prefix.length
         report = run_batch(config(workspace, corpus, executor))
@@ -277,7 +276,7 @@ class TestCheckpointAgainstReplay:
         any run, closes the workspace. A plan never opens the store, so on a
         new workspace the checkpoint has no store section."""
         workspace = tmp_path / "planned"
-        with Workspace.open(workspace, writer=True, clock=itertools.count(0.0).__next__) as ws:
+        with Workspace(workspace, writer=True, clock=itertools.count(0.0).__next__) as ws:
             plan_batch(corpus.registry, ws)
         sections = read_checkpoint(workspace / CHECKPOINT)
         assert {group[0] for group in sections["log"]["tasks"]} == {"PENDING"}
@@ -369,7 +368,7 @@ class TestCheckpointAgainstReplay:
 def small_log(workspace: Path) -> tuple[dict, list[str]]:
     """A log of three tasks, one STAGED, one FAILED and one INTEGRATED, and
     its checkpoint section; returns the section and the task ids."""
-    ctx = PipelineContext.at(workspace, clock=itertools.count(100.0).__next__)
+    ctx = Workspace(workspace, clock=itertools.count(100.0).__next__)
     staged, failed, done = plan_batch(make_registry([3]), ctx)
     advance(staged, TaskState.STAGED, ctx)
     advance(failed, TaskState.FAILED, ctx, attempts={"prestage": 1},
@@ -585,7 +584,7 @@ class TestPlanMemory:
         a valid checkpoint is at most half of the full replay's."""
         registry = make_registry([10] * 1_000)
         workspace = tmp_path / "ws"
-        ctx = PipelineContext.at(workspace, clock=itertools.count(1.7e9, 0.25).__next__)
+        ctx = Workspace(workspace, clock=itertools.count(1.7e9, 0.25).__next__)
         with ctx.log.file:
             for k, manifest in enumerate(plan_batch(registry, ctx)):
                 if k % 97 == 0:
@@ -599,7 +598,7 @@ class TestPlanMemory:
             write_checkpoint(ctx.checkpoint_file, {"log": ctx.log.section()})
 
         def peak() -> tuple[int, int]:
-            ctx = PipelineContext.at(workspace)
+            ctx = Workspace(workspace)
             tracemalloc.start()
             try:
                 assert len(plan_batch(registry, ctx)) == 10_000

@@ -781,6 +781,20 @@ class TestIngestCommand:
         assert result.exit_code == 0, result.output
         assert "planned 2 tasks" in result.output
 
+    @pytest.mark.parametrize("text", [
+        "code,canonical_name,department,variants\n,Moulins,Allier,\n",
+        "name,canonical_name,department,variants\n03190,Moulins,Allier,\n",
+    ], ids=["blank-code", "no-code-column"])
+    def test_a_gazetteer_without_codes_is_a_usage_error(self, runner, tmp_path, text):
+        csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
+        gazetteer.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["ingest", "--csv", str(csv_path), "--mapping", str(mapping),
+                                      "--gazetteer", str(gazetteer), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert str(gazetteer) in result.output
+        assert not out.exists()
+
     def test_ingest_dry_run(self, runner, tmp_path):
         csv_path, mapping, gazetteer = self.write_inputs(tmp_path)
         out = tmp_path / "out"

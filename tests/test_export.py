@@ -797,7 +797,7 @@ class TestDecoderVersion:
         assert got[1:] == want and want != rows[1:]
 
         folded.clear()  # both versions' rows are memoised now
-        with Workspace.open(finished.workspace, writer=False) as ws:
+        with Workspace(finished.workspace) as ws:
             export_batch(finished.registry, ws.store, finished.workspace / "again.csv")
             monkeypatch.setattr(runner_module, "DECODER_VERSION", DECODER_VERSION)
             export_batch(finished.registry, ws.store, finished.workspace / "first.csv")

@@ -718,6 +718,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match="duplicate"):
             load_gazetteer(path)
 
+    @pytest.mark.parametrize("row,missing", [(",Vichy,Allier,", "code"),
+                                             ("03310, ,Allier,", "canonical name")],
+                             ids=["blank-code", "blank-canonical-name"])
+    def test_a_blank_code_or_name_names_the_file_and_line(self, tmp_path, row, missing):
+        path = tmp_path / "gazetteer.csv"
+        path.write_text("code,canonical_name,department,variants\n03190,Moulins,Allier,\n\n"
+                        f"{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_gazetteer(path)
+        assert str(caught.value) == f"{path}:4: gazetteer row without a {missing}"
+
+    def test_a_header_without_code_is_a_missing_column(self, tmp_path):
+        path = tmp_path / "gazetteer.csv"
+        path.write_text("name,canonical_name,department,variants\n03190,Moulins,Allier,\n"
+                        "03310,Vichy,Allier,\n", encoding="utf-8")
+        with pytest.raises(MissingColumn) as caught:
+            load_gazetteer(path)
+        assert str(caught.value) == f"column 'code' not in gazetteer header of {path}"
+
     def test_exceptions_csv(self, tmp_path):
         rows = import_rows(tmp_path, ["1916,Vichy,6M1,img_1.jpg,"])
         result = build_registry(rows, GAZETTEER)

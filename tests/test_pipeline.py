@@ -1,6 +1,7 @@
 import builtins
 import json
 import logging
+import os
 import shutil
 import signal
 import subprocess
@@ -36,12 +37,12 @@ from censusflow.pipeline import (
     LocalExecutor,
     MockClassifier,
     MockRecognizer,
-    PipelineContext,
     ResultStore,
     RunConfig,
     TaskState,
     TransitionLog,
     WorkerSet,
+    Workspace,
     plan_batch,
     run_batch,
     run_stage_integrate,
@@ -50,7 +51,6 @@ from censusflow.pipeline import (
     task_id_for,
     validate_payload,
 )
-from censusflow.pipeline.runner import Workspace
 from censusflow.pipeline.manifests import (
     AppendFile,
     FailureInfo,
@@ -60,6 +60,7 @@ from censusflow.pipeline.manifests import (
     read_checkpoint,
 )
 import censusflow.pipeline.manifests as manifests_module
+import censusflow.pipeline.runner as runner_module
 import censusflow.pipeline.stages as stages_module
 
 from conftest import SeededExecutor, mock_worker_set
@@ -78,8 +79,10 @@ def corpus(tmp_path):
 
 
 @pytest.fixture
-def ctx(tmp_path):
-    return PipelineContext.at(tmp_path / "ws")
+def ws(tmp_path):
+    """A workspace that is no writer, closed when the test ends."""
+    with Workspace(tmp_path / "ws") as ws:
+        yield ws
 
 
 @pytest.fixture
@@ -113,78 +116,78 @@ class TestStateMachine:
         assert ALLOWED_TRANSITIONS[TaskState.INTEGRATED] == frozenset()
         assert ALLOWED_TRANSITIONS[TaskState.FAILED] == frozenset()
 
-    def test_illegal_transition_rejected(self, corpus, ctx):
-        manifests = plan_batch(corpus.registry, ctx)
+    def test_illegal_transition_rejected(self, corpus, ws):
+        manifests = plan_batch(corpus.registry, ws)
         with pytest.raises(IllegalTransition):
-            advance(manifests[0], TaskState.PROCESSED, ctx)
+            advance(manifests[0], TaskState.PROCESSED, ws)
 
     def test_failed_reachable_from_active_states(self):
         for state in (TaskState.PENDING, TaskState.STAGED, TaskState.PROCESSING,
                       TaskState.PROCESSED):
             assert TaskState.FAILED in ALLOWED_TRANSITIONS[state]
 
-    def test_manifest_json_roundtrip(self, corpus, ctx):
+    def test_manifest_json_roundtrip(self, corpus, ws):
         """A manifest persisted through the log folds back equal, but for its
         image, which the log does not hold."""
-        manifest = plan_batch(corpus.registry, ctx)[0]
-        advance(manifest, TaskState.STAGED, ctx)
-        advance(manifest, TaskState.PROCESSING, ctx)
-        advance(manifest, TaskState.FAILED, ctx, attempts={"process": 2},
+        manifest = plan_batch(corpus.registry, ws)[0]
+        advance(manifest, TaskState.STAGED, ws)
+        advance(manifest, TaskState.PROCESSING, ws)
+        advance(manifest, TaskState.FAILED, ws, attempts={"process": 2},
                 failure=FailureInfo("process", "worker_error: x"))
-        (clone,) = [m for m in ctx.log.load_all() if m.task_id == manifest.task_id]
+        (clone,) = [m for m in ws.log.load_all() if m.task_id == manifest.task_id]
         assert clone == replace(manifest, image=None)
 
 
 class TestPlanBatch:
-    def test_plans_every_image(self, corpus, ctx):
-        manifests = plan_batch(corpus.registry, ctx)
+    def test_plans_every_image(self, corpus, ws):
+        manifests = plan_batch(corpus.registry, ws)
         assert len(manifests) == corpus.image_count
         assert all(m.state is TaskState.PENDING for m in manifests)
         ids = [m.task_id for m in manifests]
         assert ids == sorted(ids)
 
-    def test_replan_is_idempotent(self, corpus, ctx):
-        first = plan_batch(corpus.registry, ctx)
-        advance(first[0], TaskState.STAGED, ctx)
-        second = plan_batch(corpus.registry, ctx)
+    def test_replan_is_idempotent(self, corpus, ws):
+        first = plan_batch(corpus.registry, ws)
+        advance(first[0], TaskState.STAGED, ws)
+        second = plan_batch(corpus.registry, ws)
         assert len(second) == len(first)
         assert second[0].state is TaskState.STAGED
         assert sum(1 for m in second if m.state is TaskState.PENDING) == len(first) - 1
 
-    def test_filters(self, corpus, ctx):
+    def test_filters(self, corpus, ws):
         register = corpus.registry.registers[0]
         manifests = plan_batch(
-            corpus.registry, ctx, register_id=register.metadata.register_id
+            corpus.registry, ws, register_id=register.metadata.register_id
         )
         assert len(manifests) == len(register.images)
 
-    def test_empty_selection(self, corpus, ctx):
+    def test_empty_selection(self, corpus, ws):
         with pytest.raises(EmptySelection):
-            plan_batch(corpus.registry, ctx, year=1916)
+            plan_batch(corpus.registry, ws, year=1916)
 
-    def test_limit(self, corpus, ctx):
-        assert len(plan_batch(corpus.registry, ctx, limit=3)) == 3
+    def test_limit(self, corpus, ws):
+        assert len(plan_batch(corpus.registry, ws, limit=3)) == 3
 
 
 class TestPrestage:
-    def test_all_fetches_succeed(self, tmp_path, corpus, ctx, pool):
-        manifests = plan_batch(corpus.registry, ctx)
+    def test_all_fetches_succeed(self, tmp_path, corpus, ws, pool):
+        manifests = plan_batch(corpus.registry, ws)
         run_stage_prestage(
-            manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
-            executor=pool, results_store=store_of(ctx),
+            manifests, ws, endpoint=ENDPOINT, transport=transport_for(corpus),
+            executor=pool,
         )
         assert all(m.state is TaskState.STAGED for m in manifests)
         for m in manifests:
-            assert ctx.staged_file(m.task_id) == tmp_path / "ws" / "staging" / f"{m.task_id}.jpg"
-            assert ctx.staged_file(m.task_id).exists()
+            assert ws.staged_file(m.task_id) == tmp_path / "ws" / "staging" / f"{m.task_id}.jpg"
+            assert ws.staged_file(m.task_id).exists()
 
-    def test_missing_image_fails_task(self, tmp_path, corpus, ctx, pool):
-        manifests = plan_batch(corpus.registry, ctx)
+    def test_missing_image_fails_task(self, tmp_path, corpus, ws, pool):
+        manifests = plan_batch(corpus.registry, ws)
         victim = manifests[0].image.iiif_identifier
         transport = transport_for(corpus, missing=[victim])
         run_stage_prestage(
-            manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            executor=pool, results_store=store_of(ctx),
+            manifests, ws, endpoint=ENDPOINT, transport=transport,
+            executor=pool,
         )
         states = {m.task_id: m.state for m in manifests}
         failed = [m for m in manifests if m.state is TaskState.FAILED]
@@ -194,68 +197,67 @@ class TestPrestage:
         assert "missing" in failed[0].failure.reason
         assert sum(1 for s in states.values() if s is TaskState.STAGED) == len(manifests) - 1
 
-    def test_transient_failures_retried(self, tmp_path, corpus, ctx):
-        manifests = plan_batch(corpus.registry, ctx)
+    def test_transient_failures_retried(self, tmp_path, corpus, ws):
+        manifests = plan_batch(corpus.registry, ws)
         victim = manifests[0].image.iiif_identifier
         transport = transport_for(corpus, flaky={victim: 2})
         with LocalExecutor(1) as serial:
             run_stage_prestage(
-                manifests, ctx, endpoint=ENDPOINT, transport=transport,
-                executor=serial, results_store=store_of(ctx),
+                manifests, ws, endpoint=ENDPOINT, transport=transport,
+                executor=serial,
             )
         assert manifests[0].state is TaskState.STAGED
 
-    def test_one_503_on_a_download_is_asked_again(self, tmp_path, corpus, ctx):
+    def test_one_503_on_a_download_is_asked_again(self, tmp_path, corpus, ws):
         """A download answered once with 503 is retried like info.json: the
         task is STAGED with its image on disk, not FAILED."""
-        manifests = plan_batch(corpus.registry, ctx)
+        manifests = plan_batch(corpus.registry, ws)
         victim = manifests[0]
         transport = ImageGetFails(transport_for(corpus), victim.image.iiif_identifier, times=1)
         endpoint = IiifEndpoint(ENDPOINT.base_url, retry=RetryPolicy(3, 0))
         with LocalExecutor(1) as serial:
             run_stage_prestage(
-                manifests, ctx, endpoint=endpoint, transport=transport,
-                executor=serial, results_store=store_of(ctx),
+                manifests, ws, endpoint=endpoint, transport=transport,
+                executor=serial,
             )
         assert transport.times == 0
         assert all(m.state is TaskState.STAGED for m in manifests)
-        assert ctx.staged_file(victim.task_id).read_bytes() == (
+        assert ws.staged_file(victim.task_id).read_bytes() == (
             corpus.root / "images" / f"{victim.image.iiif_identifier}.json").read_bytes()
 
-    def test_rerun_touches_only_pending(self, tmp_path, corpus, ctx, pool):
-        manifests = plan_batch(corpus.registry, ctx)
+    def test_rerun_touches_only_pending(self, tmp_path, corpus, ws, pool):
+        manifests = plan_batch(corpus.registry, ws)
         transport = transport_for(corpus)
         run_stage_prestage(
-            manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            executor=pool, results_store=store_of(ctx),
+            manifests, ws, endpoint=ENDPOINT, transport=transport,
+            executor=pool,
         )
         calls_before = transport.calls
         run_stage_prestage(
-            manifests, ctx, endpoint=ENDPOINT, transport=transport,
-            executor=pool, results_store=store_of(ctx),
+            manifests, ws, endpoint=ENDPOINT, transport=transport,
+            executor=pool,
         )
         assert transport.calls == calls_before
 
-    def test_fetches_again_only_images_a_result_still_needs(self, tmp_path, corpus, ctx, pool):
+    def test_fetches_again_only_images_a_result_still_needs(self, tmp_path, corpus, ws, pool):
         """Of three tasks whose staged image is gone, two PROCESSED with a
         stored result and one STAGED, only the STAGED one is fetched again,
         and no transition is logged."""
-        manifests = staged_manifests(tmp_path, corpus, ctx)
-        store = store_of(ctx)
-        run_stage_process(manifests[:2], ctx, workers=mock_worker_set(),
-                          scheduler=LocalExecutor(1), results_store=store)
+        manifests = staged_manifests(tmp_path, corpus, ws)
+        run_stage_process(manifests[:2], ws, workers=mock_worker_set(),
+                          scheduler=LocalExecutor(1))
         for manifest in manifests[:3]:
-            ctx.staged_file(manifest.task_id).unlink()
-        log_before = ctx.log.path.read_bytes()
+            ws.staged_file(manifest.task_id).unlink()
+        log_before = ws.log.path.read_bytes()
         transport = transport_for(corpus)
-        run_stage_prestage(manifests, ctx, endpoint=ENDPOINT, transport=transport,
-                           executor=pool, results_store=store)
+        run_stage_prestage(manifests, ws, endpoint=ENDPOINT, transport=transport,
+                           executor=pool)
         assert transport.calls == 2  # the image's info.json and its bytes
-        assert [ctx.staged_file(m.task_id).exists() for m in manifests[:3]] == [
+        assert [ws.staged_file(m.task_id).exists() for m in manifests[:3]] == [
             False, False, True]
         assert [m.state for m in manifests[:3]] == [
             TaskState.PROCESSED, TaskState.PROCESSED, TaskState.STAGED]
-        assert ctx.log.path.read_bytes() == log_before
+        assert ws.log.path.read_bytes() == log_before
 
     def test_downloads_run_side_by_side(self, tmp_path, corpus):
         """Under ``run_batch`` with two download threads, the first two
@@ -276,24 +278,19 @@ class TestPrestage:
         assert report.counts["INTEGRATED"] == corpus.image_count
 
 
-def staged_manifests(tmp_path, corpus, ctx):
-    manifests = plan_batch(corpus.registry, ctx)
+def staged_manifests(tmp_path, corpus, ws):
+    manifests = plan_batch(corpus.registry, ws)
     with LocalExecutor(4) as downloads:
         run_stage_prestage(
-            manifests, ctx, endpoint=ENDPOINT, transport=transport_for(corpus),
-            executor=downloads, results_store=store_of(ctx),
+            manifests, ws, endpoint=ENDPOINT, transport=transport_for(corpus),
+            executor=downloads,
         )
     return manifests
 
 
-def store_of(ctx) -> ResultStore:
-    """The workspace's result store, where run_batch keeps it."""
-    return ResultStore(ctx.log.path.parent / "results_store.ndjson")
-
-
-def stored(ctx) -> dict[str, dict]:
+def stored(ws) -> dict[str, dict]:
     """The stored payloads by task id."""
-    return {record["task_id"]: record for record in store_of(ctx).records()}
+    return {record["task_id"]: record for record in ws.store.records()}
 
 
 def image_bytes(corpus) -> dict[str, bytes]:
@@ -319,24 +316,22 @@ class CountingWorkers(WorkerSet):
 
 
 class TestProcess:
-    def test_non_list_pages_skip_recognizer(self, tmp_path, corpus, ctx):
-        manifests = staged_manifests(tmp_path, corpus, ctx)
+    def test_non_list_pages_skip_recognizer(self, tmp_path, corpus, ws):
+        manifests = staged_manifests(tmp_path, corpus, ws)
         run_stage_process(
-            manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(4),
-            results_store=store_of(ctx),
+            manifests, ws, workers=mock_worker_set(), scheduler=LocalExecutor(4),
         )
         assert all(m.state is TaskState.PROCESSED for m in manifests)
-        payloads = stored(ctx)
+        payloads = stored(ws)
         recap = next(m for m in manifests if payloads[m.task_id]["page_class"] == "RECAP")
         assert payloads[recap.task_id]["transcript"] is None
 
-    def test_zero_noise_matches_fixture_truth(self, tmp_path, corpus, ctx):
-        manifests = staged_manifests(tmp_path, corpus, ctx)
+    def test_zero_noise_matches_fixture_truth(self, tmp_path, corpus, ws):
+        manifests = staged_manifests(tmp_path, corpus, ws)
         run_stage_process(
-            manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(4),
-            results_store=store_of(ctx),
+            manifests, ws, workers=mock_worker_set(), scheduler=LocalExecutor(4),
         )
-        payloads = stored(ctx)
+        payloads = stored(ws)
         synth = corpus.registers[0]
         for page in synth.document.pages:
             if page.page_class is not PageClass.LIST:
@@ -348,11 +343,11 @@ class TestProcess:
             assert label == encode(page.transcript)
             assert decode_lenient(label).transcript.records == page.transcript.records
 
-    def test_stores_the_label_as_the_recognizer_returned_it(self, tmp_path, corpus, ctx):
+    def test_stores_the_label_as_the_recognizer_returned_it(self, tmp_path, corpus, ws):
         """A noisy label of 45 records is stored byte for byte, undecoded:
         the process stage builds no transcript, so it does not warn
         (``RowCountWarning``) and stores no decoder warnings."""
-        manifests = staged_manifests(tmp_path, corpus, ctx)
+        manifests = staged_manifests(tmp_path, corpus, ws)
         noisy = ("<zz>junk <s-h>Gendre <f>Jean <f>Paul <o> é,\"x\"\\\r \n\n<"
                  + "".join(f"\n<f>{i}" for i in range(44)))
         workers = mock_worker_set()
@@ -366,10 +361,9 @@ class TestProcess:
         workers.recognizer = Noisy()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_stage_process(manifests, ctx, workers=workers, scheduler=LocalExecutor(2),
-                              results_store=store_of(ctx))
+            run_stage_process(manifests, ws, workers=workers, scheduler=LocalExecutor(2))
         assert not caught
-        payloads = [p for p in stored(ctx).values() if p["page_class"] == "LIST"]
+        payloads = [p for p in stored(ws).values() if p["page_class"] == "LIST"]
         assert payloads and all(p["transcript"] == noisy for p in payloads)
         assert {key for p in payloads for key in p} == {
             "task_id", "register_id", "page_id", "sequence_index", "page_class", "transcript",
@@ -377,18 +371,17 @@ class TestProcess:
         with pytest.warns(RowCountWarning):  # a transcript built from it warns
             assert len(decode_lenient(noisy).transcript.records) == 46
 
-    def test_missing_staged_file_fails(self, tmp_path, corpus, ctx):
-        manifests = staged_manifests(tmp_path, corpus, ctx)
-        ctx.staged_file(manifests[0].task_id).unlink()
+    def test_missing_staged_file_fails(self, tmp_path, corpus, ws):
+        manifests = staged_manifests(tmp_path, corpus, ws)
+        ws.staged_file(manifests[0].task_id).unlink()
         run_stage_process(
-            manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(2),
-            results_store=store_of(ctx),
+            manifests, ws, workers=mock_worker_set(), scheduler=LocalExecutor(2),
         )
         assert manifests[0].state is TaskState.FAILED
         assert manifests[0].failure.reason == "missing_input"
 
-    def test_worker_crash_retries_then_fails(self, tmp_path, corpus, ctx):
-        manifests = staged_manifests(tmp_path, corpus, ctx)
+    def test_worker_crash_retries_then_fails(self, tmp_path, corpus, ws):
+        manifests = staged_manifests(tmp_path, corpus, ws)
 
         class CrashingClassifier:
             version = "crash/1"
@@ -400,8 +393,8 @@ class TestProcess:
 
         workers = WorkerSet(CrashingClassifier(), MockRecognizer())
         run_stage_process(
-            manifests, ctx, workers=workers, scheduler=LocalExecutor(1),
-            results_store=store_of(ctx), retry_limit=3,
+            manifests, ws, workers=workers, scheduler=LocalExecutor(1),
+            retry_limit=3,
         )
         assert all(m.state is TaskState.FAILED for m in manifests)
         first = manifests[0]
@@ -409,11 +402,11 @@ class TestProcess:
         assert "worker_error" in first.failure.reason
         assert first.attempts["process"] == 3
 
-    def test_calls_run_side_by_side(self, tmp_path, corpus, ctx):
+    def test_calls_run_side_by_side(self, tmp_path, corpus, ws):
         """The first two classify calls meet at a barrier, which only two
         calls in flight at once can pass; a lone call times out and, with
         no retry, fails its task."""
-        manifests = staged_manifests(tmp_path, corpus, ctx)
+        manifests = staged_manifests(tmp_path, corpus, ws)
         barrier = threading.Barrier(2, timeout=10)
         calls = count()
         mock = MockClassifier()
@@ -429,8 +422,8 @@ class TestProcess:
         executor = LocalExecutor(2)
         try:
             run_stage_process(
-                manifests, ctx, workers=WorkerSet(MeetingClassifier(), MockRecognizer()),
-                scheduler=executor, results_store=store_of(ctx), retry_limit=1,
+                manifests, ws, workers=WorkerSet(MeetingClassifier(), MockRecognizer()),
+                scheduler=executor, retry_limit=1,
             )
         finally:
             executor.shutdown()
@@ -439,10 +432,10 @@ class TestProcess:
 
 
 class TestIsolation:
-    def test_rogue_worker_fails_under_simulated_scheduler(self, tmp_path, corpus, ctx):
+    def test_rogue_worker_fails_under_simulated_scheduler(self, tmp_path, corpus, ws):
         """A worker that reaches for the network fails ``isolation`` on its
         first attempt, under a thread pool like any executor."""
-        manifests = staged_manifests(tmp_path, corpus, ctx)
+        manifests = staged_manifests(tmp_path, corpus, ws)
 
         class RogueClassifier:
             """Tries to phone home from the compute stage."""
@@ -459,17 +452,16 @@ class TestIsolation:
         workers = WorkerSet(None, MockRecognizer())
         workers.classifier = RogueClassifier(workers)
         run_stage_process(
-            manifests, ctx, workers=workers, scheduler=LocalExecutor(2),
-            results_store=store_of(ctx),
+            manifests, ws, workers=workers, scheduler=LocalExecutor(2),
         )
         assert all(m.state is TaskState.FAILED for m in manifests)
         assert all(m.failure.reason.startswith("isolation: ") for m in manifests)
         assert all(m.attempts == {"process": 1} for m in manifests)
 
-    def test_isolated_run_restores_caller_transport(self, tmp_path, corpus, ctx):
+    def test_isolated_run_restores_caller_transport(self, tmp_path, corpus, ws):
         """Every call sees a null transport, the caller's WorkerSet is left
         as it was, and no transport can be given to it."""
-        manifests = staged_manifests(tmp_path, corpus, ctx)
+        manifests = staged_manifests(tmp_path, corpus, ws)
         seen = []
 
         class SpyClassifier:
@@ -482,8 +474,7 @@ class TestIsolation:
         workers = WorkerSet(SpyClassifier(), MockRecognizer())
         before = dict(vars(workers))
         run_stage_process(
-            manifests, ctx, workers=workers, scheduler=LocalExecutor(2),
-            results_store=store_of(ctx),
+            manifests, ws, workers=workers, scheduler=LocalExecutor(2),
         )
         assert len(seen) == len(manifests)
         assert all(isinstance(t, NullTransport) for t in seen)
@@ -563,58 +554,108 @@ class TestLocalExecutor:
         assert threading.active_count() == before
 
 
+def open_under(root: Path) -> list[str]:
+    """The paths under ``root`` that a file descriptor of this process
+    resolves to."""
+    root = str(root.resolve())
+    paths = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed since
+            continue
+        if target == root or target.startswith(root + os.sep):
+            paths.append(target)
+    return paths
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+def test_a_workspace_closes_every_handle_it_opened(tmp_path, corpus):
+    """No descriptor of the test process is left on a workspace file after
+    a run stopped in the middle of a window (a raise from ``on_transition``
+    at the second integrate of the second window, once the store and the
+    memo are open), after a run returns, after ``status`` and after
+    ``export``."""
+    from click.testing import CliRunner
+
+    from censusflow.cli import main
+
+    class Crash(BaseException):
+        pass
+
+    integrated = count()
+
+    def bomb(manifest):
+        if manifest.state is TaskState.INTEGRATED and next(integrated) == 5:
+            raise Crash()
+
+    workspace = tmp_path / "ws"
+    config = run_config(tmp_path, corpus, window=4, scheduler=SeededExecutor(0))
+    with pytest.raises(Crash) as killed:  # its traceback keeps the run's frames alive
+        run_batch(replace(config, on_transition=bomb))
+    assert open_under(workspace) == [], killed
+    assert run_batch(config).counts["INTEGRATED"] == corpus.image_count
+    assert open_under(workspace) == []
+    for args in (["status"], ["export", "--households", str(tmp_path / "h.csv")]):
+        result = CliRunner().invoke(main, [*args, "--workspace", str(workspace)])
+        assert result.exit_code == 0, result.output
+        assert open_under(workspace) == []
+
+
 class TestIntegrate:
-    def make_processed(self, tmp_path, corpus, ctx, store):
-        manifests = staged_manifests(tmp_path, corpus, ctx)
+    def make_processed(self, tmp_path, corpus, ws):
+        manifests = staged_manifests(tmp_path, corpus, ws)
         run_stage_process(
-            manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(4),
-            results_store=store,
+            manifests, ws, workers=mock_worker_set(), scheduler=LocalExecutor(4),
         )
         return manifests
 
-    def test_integrates_all(self, tmp_path, corpus, ctx):
-        store = store_of(ctx)
-        manifests = self.make_processed(tmp_path, corpus, ctx, store)
+    def test_integrates_all(self, tmp_path, corpus, ws):
+        manifests = self.make_processed(tmp_path, corpus, ws)
+        store = ws.store
         assert len(store) == len(manifests)
-        run_stage_integrate(manifests, ctx, results_store=store)
+        run_stage_integrate(manifests, ws)
         assert all(m.state is TaskState.INTEGRATED for m in manifests)
         assert len(store) == len(manifests)
-        assert list(ctx.staging_dir.iterdir()) == []
+        assert list(ws.staging_dir.iterdir()) == []
 
     def test_task_missing_from_the_store_waits_for_the_process_stage(self, tmp_path, corpus,
-                                                                     ctx):
+                                                                     ws):
         """Integrate leaves a PROCESSED task whose store line was lost, and
         its image; the next process stage stores it, with no transition."""
-        store = store_of(ctx)
-        manifests = self.make_processed(tmp_path, corpus, ctx, store)
-        data = store.path.read_bytes()
-        store.path.write_bytes(data[: data.rindex(b"\n", 0, len(data) - 1) + 1])
-        store, last = store_of(ctx), manifests[-1]
-        run_stage_integrate(manifests, ctx, results_store=store)
-        assert [m.state for m in manifests[:-1]] == [TaskState.INTEGRATED] * (len(manifests) - 1)
-        assert last.state is TaskState.PROCESSED and last.task_id not in store
-        assert list(ctx.staging_dir.iterdir()) == [ctx.staged_file(last.task_id)]
+        manifests = self.make_processed(tmp_path, corpus, ws)
+        data = ws.store.path.read_bytes()
+        ws.store.path.write_bytes(data[: data.rindex(b"\n", 0, len(data) - 1) + 1])
+        # The workspace opened again, as a resumed run opens it, holds the
+        # store as the cut left it.
+        with Workspace(ws.root) as ws:
+            store, last = ws.store, manifests[-1]
+            run_stage_integrate(manifests, ws)
+            assert [m.state for m in manifests[:-1]] == [TaskState.INTEGRATED] * (
+                len(manifests) - 1)
+            assert last.state is TaskState.PROCESSED and last.task_id not in store
+            assert list(ws.staging_dir.iterdir()) == [ws.staged_file(last.task_id)]
 
-        log_before = ctx.log.path.read_bytes()
-        run_stage_process(manifests, ctx, workers=mock_worker_set(), scheduler=LocalExecutor(1),
-                          results_store=store)
-        assert last.state is TaskState.PROCESSED and last.task_id in store
-        assert ctx.log.path.read_bytes() == log_before
-        run_stage_integrate(manifests, ctx, results_store=store)
-        assert all(m.state is TaskState.INTEGRATED for m in manifests)
+            log_before = ws.log.path.read_bytes()
+            run_stage_process(manifests, ws, workers=mock_worker_set(),
+                              scheduler=LocalExecutor(1))
+            assert last.state is TaskState.PROCESSED and last.task_id in store
+            assert ws.log.path.read_bytes() == log_before
+            run_stage_integrate(manifests, ws)
+            assert all(m.state is TaskState.INTEGRATED for m in manifests)
 
-    def test_duplicate_integration_is_noop(self, tmp_path, corpus, ctx):
-        store = store_of(ctx)
-        manifests = self.make_processed(tmp_path, corpus, ctx, store)
-        run_stage_integrate(manifests, ctx, results_store=store)
+    def test_duplicate_integration_is_noop(self, tmp_path, corpus, ws):
+        manifests = self.make_processed(tmp_path, corpus, ws)
+        store = ws.store
+        run_stage_integrate(manifests, ws)
         records_before = store.records()
         # Fresh store over the same file simulates a resumed integrator.
-        resumed = store_of(ctx)
+        resumed = ResultStore(store.path)
         for manifest in manifests:
             assert not resumed.add(manifest.task_id, b'{"task_id": "again"}\n')
         assert resumed.records() == records_before
 
-    def test_schema_violation_fails_task(self, tmp_path, corpus, ctx, monkeypatch):
+    def test_schema_violation_fails_task(self, tmp_path, corpus, ws, monkeypatch):
         """A transcript on a TOTALS page fails its task at process: it is
         never stored, and integrate leaves it alone."""
         build = stages_module.build_payload
@@ -626,9 +667,9 @@ class TestIntegrate:
             return payload
 
         monkeypatch.setattr(stages_module, "build_payload", with_transcript)
-        store = store_of(ctx)
-        manifests = self.make_processed(tmp_path, corpus, ctx, store)
-        run_stage_integrate(manifests, ctx, results_store=store)
+        manifests = self.make_processed(tmp_path, corpus, ws)
+        store = ws.store
+        run_stage_integrate(manifests, ws)
         totals = [m for m in manifests if m.image.sequence_index == 4]
         assert totals and all(m.state is TaskState.FAILED for m in totals)
         assert all(m.failure == FailureInfo("process", "schema: transcript present on TOTALS page")
@@ -636,11 +677,11 @@ class TestIntegrate:
         assert not any(m.task_id in store for m in totals)
         assert sum(m.state is TaskState.INTEGRATED for m in manifests) == len(store)
 
-    def test_store_keeps_result_text(self, tmp_path, corpus, ctx):
+    def test_store_keeps_result_text(self, tmp_path, corpus, ws):
         """Each record is the process stage's one encoding of its payload,
         key-sorted with non-ASCII characters as they are, in task order."""
-        store = store_of(ctx)
-        manifests = self.make_processed(tmp_path, corpus, ctx, store)
+        manifests = self.make_processed(tmp_path, corpus, ws)
+        store = ws.store
         lines = store.path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["task_id"] for line in lines] == [m.task_id for m in manifests]
         assert lines == [
@@ -1202,32 +1243,32 @@ class TestWorkspaceRegistry:
     """plan_batch keeps the whole registers of its tasks in the workspace's
     registry.ndjson, sorted by register id, and the log holds no image."""
 
-    def test_plan_saves_whole_registers(self, corpus, ctx):
+    def test_plan_saves_whole_registers(self, corpus, ws):
         """In the order of the registry planned, then the kept entries it
         does not name, in their file order."""
         first, second = sorted(corpus.registry.registers, key=lambda r: r.metadata.register_id)
         cut = Registry((replace(first, images=first.images[:2]),))
-        plan_batch(cut, ctx)
-        assert load_registry(ctx.registry_file).registers == cut.registers
+        plan_batch(cut, ws)
+        assert load_registry(ws.registry_file).registers == cut.registers
         # A new task's register replaces the entry with its id.
-        plan_batch(corpus.registry, ctx, register_id=first.metadata.register_id, limit=3)
-        assert load_registry(ctx.registry_file).registers == (first,)
-        plan_batch(Registry((second,)), ctx, limit=1)
-        assert load_registry(ctx.registry_file).registers == (second, first)
-        plan_batch(Registry((first, second)), ctx, register_id=first.metadata.register_id,
+        plan_batch(corpus.registry, ws, register_id=first.metadata.register_id, limit=3)
+        assert load_registry(ws.registry_file).registers == (first,)
+        plan_batch(Registry((second,)), ws, limit=1)
+        assert load_registry(ws.registry_file).registers == (second, first)
+        plan_batch(Registry((first, second)), ws, register_id=first.metadata.register_id,
                    limit=4)
-        assert load_registry(ctx.registry_file).registers == (first, second)
-        assert all(set(record) == {"task_id", "from", "to", "at"} for record in ctx.log.replay())
+        assert load_registry(ws.registry_file).registers == (first, second)
+        assert all(set(record) == {"task_id", "from", "to", "at"} for record in ws.log.replay())
 
     def test_saved_before_the_first_creation_record(self, tmp_path, corpus):
         saved = []
 
         def clock():
-            saved.append(ctx.registry_file.exists())
+            saved.append(ws.registry_file.exists())
             return 0.0
 
-        ctx = PipelineContext.at(tmp_path / "ws", clock=clock)
-        plan_batch(corpus.registry, ctx)
+        ws = Workspace(tmp_path / "ws", clock=clock)
+        plan_batch(corpus.registry, ws)
         assert saved == [True] * corpus.image_count
 
     def test_a_run_with_nothing_new_reads_it_once_and_writes_nothing(self, tmp_path, corpus,
@@ -1243,7 +1284,8 @@ class TestWorkspaceRegistry:
             reads.append(path)
             return read_lines(path, *args)
 
-        monkeypatch.setattr(manifests_module, "read_lines", counted)
+        for module in (manifests_module, runner_module):  # the log's reader, the registry's
+            monkeypatch.setattr(module, "read_lines", counted)
         report = run_batch(config)
         assert report.counts["INTEGRATED"] == corpus.image_count
         assert reads.count(registry_file) == 1
@@ -1265,7 +1307,7 @@ class TestWorkspaceRegistry:
             report = run_batch(replace(config, registry=registry, stages={"proc", "post"}))
             assert report.counts["INTEGRATED"] == corpus.image_count
             assert config.households_path.read_bytes() == exported
-        with Workspace.open(config.workspace, writer=False) as ws:
+        with Workspace(config.workspace) as ws:
             assert ws.export(tmp_path / "again.csv")[:2] == (2, 0)
         assert (tmp_path / "again.csv").read_bytes() == exported
 
@@ -1327,7 +1369,7 @@ FAILURES = {
 
 class TestFailurePaths:
     @pytest.mark.parametrize("kind", sorted(FAILURES))
-    def test_one_task_fails_with_one_warning(self, tmp_path, corpus, ctx, caplog, monkeypatch,
+    def test_one_task_fails_with_one_warning(self, tmp_path, corpus, ws, caplog, monkeypatch,
                                              kind):
         """The task ends FAILED with its stage, reason and attempts, every
         other task integrates, and exactly one warning names the stage and
@@ -1370,7 +1412,7 @@ class TestFailurePaths:
             if manifest.task_id != victim:
                 return
             if manifest.state is TaskState.STAGED and kind == "missing_input":
-                ctx.staged_file(manifest.task_id).unlink()
+                ws.staged_file(manifest.task_id).unlink()
 
         config = run_config(
             tmp_path, corpus, transport=transport, workers=workers,
