@@ -18,6 +18,11 @@ server is the one that started ``workers`` jobs earlier
 memory is O(workers) whatever the batch size. A server that frees at the
 instant of an arrival serves a waiting job first.
 
+A deterministic stage whose jobs all arrive at one instant (the first stage
+of a pipelined run, every stage of a sequential one) needs no ring: its
+completions come in rounds of ``workers`` jobs, each round ``s`` after the
+one before, so the stage is built from ``itertools`` in closed form.
+
 Service times are deterministic by default (only means are usually known);
 exponential and lognormal options support sensitivity runs. All stochastic
 stages draw from one seeded stream, in the order the chained generators pull
@@ -31,7 +36,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush, heapreplace
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 SECONDS_PER_DAY = 86_400.0
@@ -69,8 +74,8 @@ class StageModel:
     def __post_init__(self):
         if not 0 < self.service_time < math.inf:
             raise InvalidModel(f"stage {self.name}: service time must be finite and > 0")
-        if self.workers is not None and self.workers < 1:
-            raise InvalidModel(f"stage {self.name}: workers must be >= 1")
+        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+            raise InvalidModel(f"stage {self.name}: workers must be an int >= 1")
         if self.distribution not in _DISTRIBUTIONS:
             raise InvalidModel(f"stage {self.name}: unknown distribution {self.distribution!r}")
         if not 0 <= self.cv < math.inf:
@@ -85,7 +90,20 @@ class StageModel:
             return lambda: rng.expovariate(rate)
         sigma = math.sqrt(math.log(1.0 + self.cv**2))
         mu = math.log(self.service_time) - sigma**2 / 2.0
-        return lambda: rng.lognormvariate(mu, sigma)
+        uniform, log, exp, magic = rng.random, math.log, math.exp, random.NV_MAGICCONST
+
+        def lognormal() -> float:
+            # rng.lognormvariate(mu, sigma) without its two method calls: the
+            # same ratio-of-uniforms loop (Kinderman and Monahan, 1977) on the
+            # same stream, so the same numbers.
+            while True:
+                u1 = uniform()
+                u2 = 1.0 - uniform()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    return exp(mu + z * sigma)
+
+        return lognormal
 
 
 @dataclass(frozen=True)
@@ -209,26 +227,37 @@ def _fixed_stage(
     """
     free: deque[float] = deque()  # completion times of the jobs in service
     pop, push = free.popleft, free.append
+    empty = math.inf
+    head = empty  # free[0], or inf while the ring is empty
+    idle = workers
     waiting = 0
     busy = 0.0
-    max_queue = 0
+    max_queue = 1  # the first arrival finds no job waiting
     arrivals = iter(arrivals)
     first_start = next(arrivals)
     for a in chain((first_start,), arrivals):
-        while free and free[0] <= a:
+        while head <= a:
             f = pop()
             if waiting:
                 waiting -= 1
                 busy += service_time
                 push(f + service_time)
+                head = free[0]
+            else:
+                idle += 1
+                head = free[0] if idle < workers else empty
             yield f
-        if waiting >= max_queue:
-            max_queue = waiting + 1
-        if len(free) < workers:
+        if idle:
+            d = a + service_time
+            if idle == workers:
+                head = d
+            idle -= 1
             busy += service_time
-            push(a + service_time)
+            push(d)
         else:
             waiting += 1
+            if waiting > max_queue:
+                max_queue = waiting
     # Drain: every server frees in turn and serves the jobs still waiting.
     while waiting:
         f = pop()
@@ -241,6 +270,39 @@ def _fixed_stage(
                  last_completion=free[-1])
 
 
+def _queued_stage(
+    start: float,
+    n: int,
+    workers: int,
+    service_time: float,
+    stats: dict,
+) -> Iterator[float]:
+    """:func:`_fixed_stage` over ``n`` arrivals all at ``start``, in closed form.
+
+    Every server starts a job at ``start`` and takes the next waiting one the
+    instant it frees, so the completions come in rounds of ``workers`` (the
+    last round may be partial), each ``service_time`` after the round before:
+    d_i = d_{i-workers} + s. The times are summed in the ring's order, so
+    they and ``stats`` are bit-identical to the ring's; ``stats`` is filled
+    at once, and the times are yielded lazily by ``itertools``. Should
+    ``start + service_time`` round to ``start``, every server is free again
+    at each arrival and the ring counts no job waiting.
+    """
+    rounds = -(-n // workers)
+
+    def completions() -> Iterator[float]:
+        return accumulate(repeat(service_time, rounds - 1), initial=start + service_time)
+
+    def last(values: Iterable[float]) -> float:
+        return deque(values, maxlen=1)[0]
+
+    stats.update(busy=last(accumulate(repeat(service_time, n), initial=0.0)),
+                 max_queue=max(1, n - workers) if start + service_time > start else 1,
+                 first_start=start,
+                 last_completion=last(completions()))
+    return islice(chain.from_iterable(map(repeat, completions(), repeat(workers))), n)
+
+
 def _run_pipeline(
     n: int,
     stages: Sequence[StageModel],
@@ -248,13 +310,18 @@ def _run_pipeline(
     start_time: float,
 ) -> tuple[float, list[dict]]:
     """Run a tandem as a chain of stage generators, all jobs queued at
-    stage 0 at ``start_time``: :func:`_fixed_stage` (a FIFO ring) for a
-    deterministic stage, :func:`_fifo_stage` (a heap) for a stochastic one,
-    each in O(workers) memory. Returns (last completion time, per-stage
-    stats)."""
+    stage 0 at ``start_time``: :func:`_queued_stage` (closed form) for a
+    deterministic first stage, :func:`_fixed_stage` (a FIFO ring) for a
+    later deterministic one, :func:`_fifo_stage` (a heap) for a stochastic
+    one, each in O(workers) memory. Returns (last completion time,
+    per-stage stats)."""
     stats: list[dict] = [{} for _ in stages]
-    times: Iterable[float] = repeat(start_time, n)
-    for stage, draw, out in zip(stages, samplers, stats):
+    first = stages[0]
+    if first.distribution == "deterministic":
+        times = _queued_stage(start_time, n, first.workers, first.service_time, stats[0])
+    else:
+        times = _fifo_stage(repeat(start_time, n), first.workers, samplers[0], stats[0])
+    for stage, draw, out in zip(stages[1:], samplers[1:], stats[1:]):
         if stage.distribution == "deterministic":
             times = _fixed_stage(times, stage.workers, stage.service_time, out)
         else:
@@ -357,9 +424,10 @@ def min_workers_for_deadline(
 
     Raises:
         Infeasible: when even ``cap`` workers cannot meet the deadline.
-        InvalidModel: unless exactly one stage is unknown, or deadline <= 0.
+        InvalidModel: unless exactly one stage is unknown and deadline > 0
+            (a NaN deadline is not).
     """
-    if deadline <= 0:
+    if not deadline > 0:  # NaN too
         raise InvalidModel("deadline must be > 0")
     unknown = [i for i, s in enumerate(stages) if s.workers is None]
     if len(unknown) != 1:

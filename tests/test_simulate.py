@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from heapq import heappop, heappush
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from censusflow.simulate import (
     simulate,
     single_image_latency,
 )
-from censusflow.simulate import _fifo_stage, _fixed_stage, _run_pipeline
+from censusflow.simulate import _fifo_stage, _fixed_stage, _queued_stage, _run_pipeline
 import censusflow.simulate as simulate_module
 
 
@@ -203,6 +204,8 @@ class TestSimulate:
             {"name": "x", "service_time": math.inf, "workers": 1},
             {"name": "x", "service_time": 1.0, "workers": 1, "cv": math.nan},
             {"name": "x", "service_time": 1.0, "workers": 1, "cv": math.inf},
+            {"name": "x", "service_time": 1.0, "workers": 2.5},
+            {"name": "x", "service_time": 1.0, "workers": True},
         ],
     )
     def test_invalid_stage_models(self, kwargs):
@@ -411,6 +414,51 @@ class TestFixedStage:
             assert fixed == heap
 
 
+class TestQueuedStage:
+    """The closed form of a deterministic stage whose jobs all arrive at
+    once, against the ring and the heap fed the same arrivals."""
+
+    @pytest.mark.parametrize("workers", range(1, 15))
+    @pytest.mark.parametrize("start", [0.0, 907858.4])
+    def test_same_completions_and_stats_as_ring_and_heap(self, workers, start):
+        service_times = (0.1, 1.6, 7.2, 12.5, random.Random(workers).uniform(0.1, 20.0))
+        sizes = {1, workers - 1, workers, workers + 1, 7 * workers, 7 * workers + 3} - {0}
+        for service_time in service_times:
+            for n in sorted(sizes):
+                closed_stats, ring_stats, heap_stats = {}, {}, {}
+                closed = list(_queued_stage(start, n, workers, service_time, closed_stats))
+                ring = list(_fixed_stage(repeat(start, n), workers, service_time, ring_stats))
+                heap = list(_fifo_stage(repeat(start, n), workers, lambda: service_time,
+                                        heap_stats))
+                assert closed == ring == heap, (service_time, n)
+                assert closed_stats == ring_stats == heap_stats, (service_time, n)
+
+    def test_service_time_below_start_resolution(self):
+        # 2**60 + 1.6 rounds to 2**60: every server frees as each job arrives.
+        start = 2.0**60
+        for workers, n in ((1, 5), (3, 10)):
+            closed_stats, ring_stats = {}, {}
+            closed = list(_queued_stage(start, n, workers, 1.6, closed_stats))
+            ring = list(_fixed_stage(repeat(start, n), workers, 1.6, ring_stats))
+            assert closed == ring == [start] * n
+            assert closed_stats == ring_stats
+
+
+class TestSampler:
+    @pytest.mark.parametrize("cv", [0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_lognormal_draws_as_the_random_module(self, cv, seed):
+        # The inlined ratio-of-uniforms loop against random.Random's own.
+        stage = StageModel("x", 12.5, 1, distribution="lognormal", cv=cv)
+        sigma = math.sqrt(math.log(1.0 + cv**2))
+        mu = math.log(12.5) - sigma**2 / 2.0
+        draw = stage.sampler(random.Random(seed))
+        oracle = random.Random(seed)
+        assert [draw() for _ in range(10_000)] == [
+            oracle.lognormvariate(mu, sigma) for _ in range(10_000)
+        ]
+
+
 class TestMinWorkers:
     def unknown_stages(self):
         return [
@@ -435,6 +483,15 @@ class TestMinWorkers:
         stages = [StageModel("pre", 10.0, 1), StageModel("proc", 1.0, None)]
         with pytest.raises(Infeasible):
             min_workers_for_deadline(1000, stages, 200.0)
+
+    @pytest.mark.parametrize("distribution", ["deterministic", "lognormal"])
+    @pytest.mark.parametrize("deadline", [math.nan, -1.0, 0.0])
+    def test_deadline_must_be_positive(self, distribution, deadline):
+        cv = 0.3 if distribution == "lognormal" else 0.0
+        stages = [StageModel("pre", 1.6, 14),
+                  StageModel("proc", 12.5, None, distribution=distribution, cv=cv)]
+        with pytest.raises(InvalidModel, match="deadline must be > 0"):
+            min_workers_for_deadline(1_000, stages, deadline)
 
     def test_requires_exactly_one_unknown(self):
         with pytest.raises(InvalidModel):
