@@ -18,10 +18,13 @@ server is the one that started ``workers`` jobs earlier
 memory is O(workers) whatever the batch size. A server that frees at the
 instant of an arrival serves a waiting job first.
 
-A deterministic stage whose jobs all arrive at one instant (the first stage
-of a pipelined run, every stage of a sequential one) needs no ring: its
-completions come in rounds of ``workers`` jobs, each round ``s`` after the
-one before, so the stage is built from ``itertools`` in closed form.
+Times pass between stages as runs, ``(time, count)`` pairs of equal times,
+while every stage so far is deterministic: all jobs arrive at the first
+stage as one run, and a deterministic stage moves in lock-step rounds (the
+paper model's first stage frees 14 jobs every 1.6 s), so its ring holds
+runs and takes one step per run, not per job, with the same float
+operations. A stochastic stage reads runs and yields one time per job; a
+deterministic stage after it keeps a ring of single times.
 
 Service times are deterministic by default (only means are usually known);
 exponential and lognormal options support sensitivity runs. All stochastic
@@ -36,7 +39,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush, heapreplace
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 SECONDS_PER_DAY = 86_400.0
@@ -80,6 +83,12 @@ class StageModel:
             raise InvalidModel(f"stage {self.name}: unknown distribution {self.distribution!r}")
         if not 0 <= self.cv < math.inf:
             raise InvalidModel(f"stage {self.name}: cv must be finite and >= 0")
+        if self.cv and self.distribution != "lognormal":
+            raise InvalidModel(f"stage {self.name}: cv applies to a lognormal stage only")
+        try:
+            self.cv**2  # as the lognormal sampler takes it
+        except OverflowError:
+            raise InvalidModel(f"stage {self.name}: cv {self.cv:g} is too large") from None
 
     def sampler(self, rng: random.Random) -> Callable[[], float]:
         if self.distribution == "deterministic":
@@ -165,49 +174,55 @@ _DRAIN = math.inf
 
 
 def _fifo_stage(
-    arrivals: Iterable[float],
+    runs: Iterable[tuple[float, int]],
     workers: int,
     draw: Callable[[], float],
     stats: dict,
 ) -> Iterator[float]:
     """One FIFO stage with ``workers`` servers and an unbounded queue.
 
-    Reads arrival times in non-decreasing order and yields completion times
-    in non-decreasing order. Before an arrival at ``a`` is counted, every
-    server free at or before ``a`` serves a waiting job or goes idle; the
-    arrival then starts on an idle server or waits. ``max_queue`` is the
-    largest count of waiting jobs, the new one included, seen by an arrival.
-    Once drained, fills ``stats`` with ``busy``, ``max_queue``,
-    ``first_start`` and ``last_completion``.
+    Reads arrivals as runs, ``(time, count)`` pairs in non-decreasing time,
+    and yields one completion time per job, in non-decreasing order. Before
+    an arrival at ``a`` is counted, every server free at or before ``a``
+    serves a waiting job or goes idle; the arrival then starts on an idle
+    server or waits. An arrival that finds every server busy leaves no
+    server free before ``a``, so the rest of its run waits with it at once.
+    ``max_queue`` is the largest count of waiting jobs, the new one
+    included, seen by an arrival. Once drained, fills ``stats`` with
+    ``busy``, ``max_queue``, ``first_start`` and ``last_completion``.
     """
     free: list[float] = []  # completion times of the jobs in service
     waiting = 0
     busy = 0.0
-    max_queue = 0
-    arrivals = iter(arrivals)
-    first_start = next(arrivals)
-    for a in chain((first_start,), arrivals, (_DRAIN,)):
-        while free and free[0] <= a:
-            f = free[0]
-            if waiting:
-                waiting -= 1
-                d = draw()
-                busy += d
-                heapreplace(free, f + d)
-            else:
-                heappop(free)
-            yield f
-        if a is _DRAIN:
-            break
-        if waiting >= max_queue:
-            max_queue = waiting + 1
-        if len(free) < workers:
+    max_queue = 1  # the first arrival finds no job waiting
+    runs = iter(runs)
+    first = next(runs)
+    for a, k in chain((first,), runs, ((_DRAIN, 0),)):
+        while True:
+            while free and free[0] <= a:
+                f = free[0]
+                if waiting:
+                    waiting -= 1
+                    d = draw()
+                    busy += d
+                    heapreplace(free, f + d)
+                else:
+                    heappop(free)
+                yield f
+            if not k:  # the drain
+                break
+            if len(free) == workers:
+                waiting += k
+                if waiting > max_queue:
+                    max_queue = waiting
+                break
             d = draw()
             busy += d
             heappush(free, a + d)
-        else:
-            waiting += 1
-    stats.update(busy=busy, max_queue=max_queue, first_start=first_start, last_completion=f)
+            k -= 1
+            if not k:
+                break
+    stats.update(busy=busy, max_queue=max_queue, first_start=first[0], last_completion=f)
 
 
 def _fixed_stage(
@@ -216,7 +231,8 @@ def _fixed_stage(
     service_time: float,
     stats: dict,
 ) -> Iterator[float]:
-    """:func:`_fifo_stage` for a stage whose every job takes ``service_time``.
+    """:func:`_fifo_stage` for a stage whose every job takes ``service_time``,
+    over one arrival time per job.
 
     Jobs finish in the order they start, so the jobs in service sit in a
     FIFO ring of completion times, oldest first, and no draw is made. The
@@ -270,37 +286,95 @@ def _fixed_stage(
                  last_completion=free[-1])
 
 
-def _queued_stage(
-    start: float,
-    n: int,
+def _runs_stage(
+    runs: Iterable[tuple[float, int]],
     workers: int,
     service_time: float,
     stats: dict,
-) -> Iterator[float]:
-    """:func:`_fixed_stage` over ``n`` arrivals all at ``start``, in closed form.
+) -> Iterator[tuple[float, int]]:
+    """:func:`_fixed_stage` over runs, ``(time, count)`` pairs of equal
+    times in non-decreasing order, read and yielded.
 
-    Every server starts a job at ``start`` and takes the next waiting one the
-    instant it frees, so the completions come in rounds of ``workers`` (the
-    last round may be partial), each ``service_time`` after the round before:
-    d_i = d_{i-workers} + s. The times are summed in the ring's order, so
-    they and ``stats`` are bit-identical to the ring's; ``stats`` is filled
-    at once, and the times are yielded lazily by ``itertools``. Should
-    ``start + service_time`` round to ``start``, every server is free again
-    at each arrival and the ring counts no job waiting.
+    The ring holds ``(completion, jobs)`` runs, oldest first: at most
+    ``workers`` of them. A run of c jobs that frees at f starts
+    min(c, waiting) waiting jobs at f + s, and the rest go idle; an arrival
+    run of k jobs at a starts min(idle, k) of them at a + s, and the rest
+    wait at once. Equal completions pushed back to back merge into one run.
+    Each f + s and a + s is the float operation the ring makes for every
+    job of the run, so the times, expanded per job, and ``stats`` are the
+    ring's; ``busy`` is the same n additions of s. Should a + s round to
+    a, each job frees its server before the next one arrives and no job
+    waits, as in the ring: the run passes through.
+
+    One input run is read at a time, and a run is yielded before the next
+    input past it is read. The first stage of a pipelined run, and every
+    stage of a sequential one, is this stage over the single run
+    ``(start, n)``: rounds of ``workers`` completions, each one service
+    time after the round before (d_i = d_{i-c} + s).
     """
-    rounds = -(-n // workers)
-
-    def completions() -> Iterator[float]:
-        return accumulate(repeat(service_time, rounds - 1), initial=start + service_time)
-
-    def last(values: Iterable[float]) -> float:
-        return deque(values, maxlen=1)[0]
-
-    stats.update(busy=last(accumulate(repeat(service_time, n), initial=0.0)),
-                 max_queue=max(1, n - workers) if start + service_time > start else 1,
-                 first_start=start,
-                 last_completion=last(completions()))
-    return islice(chain.from_iterable(map(repeat, completions(), repeat(workers))), n)
+    ring: deque[tuple[float, int]] = deque()
+    pop, push = ring.popleft, ring.append
+    empty = math.inf
+    head = empty  # ring[0]'s completion, or inf while the ring is empty
+    idle = workers
+    waiting = 0
+    jobs = 0
+    max_queue = 1  # the first arrival finds no job waiting
+    runs = iter(runs)
+    first = next(runs)
+    for a, k in chain((first,), runs):
+        jobs += k
+        while head <= a:
+            f, c = pop()
+            if waiting:
+                m = c if c < waiting else waiting
+                waiting -= m
+                idle += c - m
+                d = f + service_time
+                if ring and ring[-1][0] == d:
+                    ring[-1] = (d, ring[-1][1] + m)
+                else:
+                    push((d, m))
+                head = ring[0][0]
+            else:
+                idle += c
+                head = ring[0][0] if ring else empty
+            yield f, c
+        if idle:
+            d = a + service_time
+            if d == a:
+                f = a
+                yield f, k
+                continue
+            m = idle if idle < k else k
+            idle -= m
+            k -= m
+            if not ring:
+                head = d
+                push((d, m))
+            elif ring[-1][0] == d:
+                ring[-1] = (d, ring[-1][1] + m)
+            else:
+                push((d, m))
+        if k:
+            waiting += k
+            if waiting > max_queue:
+                max_queue = waiting
+    # Drain: every run frees in turn and serves the jobs still waiting.
+    while waiting:
+        f, c = pop()
+        m = c if c < waiting else waiting
+        waiting -= m
+        d = f + service_time
+        if ring and ring[-1][0] == d:
+            ring[-1] = (d, ring[-1][1] + m)
+        else:
+            push((d, m))
+        yield f, c
+    yield from ring
+    stats.update(busy=deque(accumulate(repeat(service_time, jobs), initial=0.0), maxlen=1)[0],
+                 max_queue=max_queue, first_start=first[0],
+                 last_completion=ring[-1][0] if ring else f)
 
 
 def _run_pipeline(
@@ -310,25 +384,32 @@ def _run_pipeline(
     start_time: float,
 ) -> tuple[float, list[dict]]:
     """Run a tandem as a chain of stage generators, all jobs queued at
-    stage 0 at ``start_time``: :func:`_queued_stage` (closed form) for a
-    deterministic first stage, :func:`_fixed_stage` (a FIFO ring) for a
-    later deterministic one, :func:`_fifo_stage` (a heap) for a stochastic
-    one, each in O(workers) memory. Returns (last completion time,
-    per-stage stats)."""
+    stage 0 at ``start_time``, each stage in O(workers) memory. Stages pass
+    runs of equal times while every stage so far is deterministic
+    (:func:`_runs_stage`); a stochastic stage (:func:`_fifo_stage`, a heap)
+    reads runs and yields one time per job, and a deterministic stage after
+    it is a FIFO ring over those times (:func:`_fixed_stage`). Returns
+    (last completion time, per-stage stats)."""
     stats: list[dict] = [{} for _ in stages]
-    first = stages[0]
-    if first.distribution == "deterministic":
-        times = _queued_stage(start_time, n, first.workers, first.service_time, stats[0])
-    else:
-        times = _fifo_stage(repeat(start_time, n), first.workers, samplers[0], stats[0])
-    for stage, draw, out in zip(stages[1:], samplers[1:], stats[1:]):
-        if stage.distribution == "deterministic":
-            times = _fixed_stage(times, stage.workers, stage.service_time, out)
+    times: Iterable = ((start_time, n),)
+    runs = True  # ``times`` yields runs, not one time per job
+    for stage, draw, out in zip(stages, samplers, stats):
+        if stage.distribution != "deterministic":
+            times = _fifo_stage(times if runs else zip(times, repeat(1)), stage.workers,
+                                draw, out)
+            runs = False
+        elif runs:
+            times = _runs_stage(times, stage.workers, stage.service_time, out)
         else:
-            times = _fifo_stage(times, stage.workers, draw, out)
+            times = _fixed_stage(times, stage.workers, stage.service_time, out)
     deque(times, maxlen=0)
     stats[0]["max_queue"] = n  # every job is queued at stage 0 at the start
     return stats[-1]["last_completion"], stats
+
+
+def _check_count(name: str, value) -> None:
+    if type(value) is not int or value < 1:
+        raise InvalidModel(f"{name} must be an int >= 1")
 
 
 def simulate(
@@ -354,11 +435,10 @@ def simulate(
     versions, which drew in event order.
 
     Raises:
-        InvalidModel: on an empty model, unresolved worker counts or
-            ``n_images`` < 1.
+        InvalidModel: on an empty model, unresolved worker counts or an
+            ``n_images`` that is not an int >= 1.
     """
-    if n_images < 1:
-        raise InvalidModel("n_images must be >= 1")
+    _check_count("n_images", n_images)
     if not stages:
         raise InvalidModel("at least one stage is required")
     if mode not in ("pipelined", "sequential"):
@@ -424,11 +504,13 @@ def min_workers_for_deadline(
 
     Raises:
         Infeasible: when even ``cap`` workers cannot meet the deadline.
-        InvalidModel: unless exactly one stage is unknown and deadline > 0
-            (a NaN deadline is not).
+        InvalidModel: unless exactly one stage is unknown, deadline > 0 (a
+            NaN deadline is not), and ``n_images`` and ``cap`` are ints >= 1.
     """
     if not deadline > 0:  # NaN too
         raise InvalidModel("deadline must be > 0")
+    _check_count("n_images", n_images)
+    _check_count("cap", cap)
     unknown = [i for i, s in enumerate(stages) if s.workers is None]
     if len(unknown) != 1:
         raise InvalidModel(f"exactly one stage must have unknown workers, got {len(unknown)}")

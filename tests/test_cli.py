@@ -148,7 +148,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "spec", ["a:1.0:1:lognormal:abc", "a:1.0:1:lognormal:nan", "a:nan:2", "a:inf:2",
-                 "a:1:2:det:0:junk"]
+                 "a:1:2:det:0:junk", "proc:12.5:9:lognormal:1e200", "proc:12.5:9:exp:0.3",
+                 "proc:12.5:9:det:0.3"]
     )
     def test_bad_stage_spec_is_usage_error(self, runner, spec):
         result = runner.invoke(main, ["simulate", "--images", "10", "--stage", spec])

@@ -2,7 +2,7 @@ import math
 import random
 import tracemalloc
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import chain, groupby, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from censusflow.simulate import (
     simulate,
     single_image_latency,
 )
-from censusflow.simulate import _fifo_stage, _fixed_stage, _queued_stage, _run_pipeline
+from censusflow.simulate import _fifo_stage, _fixed_stage, _run_pipeline, _runs_stage
 import censusflow.simulate as simulate_module
 
 
@@ -183,6 +183,22 @@ class TestSimulate:
         ]
         assert got == want
 
+    def test_shared_stream_draw_order_pinned(self):
+        # Two stochastic stages draw from one stream, in the order the
+        # chained generators pull them; no event-loop oracle draws in that
+        # order, so the values are pinned.
+        stages = [
+            StageModel("pre", 1.6, 14),
+            StageModel("proc", 12.5, 9, distribution="lognormal", cv=0.3),
+            StageModel("post", 7.2, 14),
+            StageModel("qa", 0.9, 1, distribution="exponential"),
+            StageModel("pub", 0.5, 2),
+        ]
+        result = simulate(5_000, stages, seed=3)
+        assert result.makespan == 6947.38312535678
+        qa = result.stages[3]
+        assert (qa.busy_time, qa.max_queue) == (4528.7119354171155, 9)
+
     def test_conservation_asserted_internally(self):
         # Deterministic stages with exactly representable times: every job
         # is served once per stage, so each stage's busy time is n times its
@@ -206,6 +222,11 @@ class TestSimulate:
             {"name": "x", "service_time": 1.0, "workers": 1, "cv": math.inf},
             {"name": "x", "service_time": 1.0, "workers": 2.5},
             {"name": "x", "service_time": 1.0, "workers": True},
+            {"name": "x", "service_time": 1.0, "workers": 1, "distribution": "exponential",
+             "cv": 0.3},
+            {"name": "x", "service_time": 1.0, "workers": 1, "cv": 0.3},
+            {"name": "x", "service_time": 1.0, "workers": 1, "distribution": "lognormal",
+             "cv": 1e200},
         ],
     )
     def test_invalid_stage_models(self, kwargs):
@@ -219,6 +240,19 @@ class TestSimulate:
             simulate(1, [])
         with pytest.raises(InvalidModel):
             simulate(1, [StageModel("x", 1.0, None)])
+
+    @pytest.mark.parametrize("n_images", [True, 2.5, math.nan, math.inf, 0, -3, 10.0])
+    def test_n_images_must_be_an_int(self, n_images):
+        stages = [StageModel("pre", 1.6, 14), StageModel("proc", 12.5, None)]
+        with pytest.raises(InvalidModel, match="n_images must be an int >= 1"):
+            simulate(n_images, [StageModel("pre", 1.6, 14)])
+        with pytest.raises(InvalidModel, match="n_images must be an int >= 1"):
+            min_workers_for_deadline(n_images, stages, 1_000.0)
+
+    def test_largest_lognormal_cv_runs(self):
+        cv = 1e150  # its square is finite
+        stage = StageModel("x", 12.5, 2, distribution="lognormal", cv=cv)
+        assert simulate(20, [stage], seed=1).makespan > 0
 
 
 def random_model(rng, integer_times):
@@ -375,48 +409,155 @@ class TestPipelineAgainstEventLoop:
         assert peak(100_000) < small + 8 * 1024
 
 
+def runs_of(times):
+    """Runs of equal times, ``(time, count)``, in order."""
+    return [(t, len(list(group))) for t, group in groupby(times)]
+
+
+def singles(times):
+    """One run per job."""
+    return zip(times, repeat(1))
+
+
+def per_job(runs):
+    return [t for t, k in runs for _ in range(k)]
+
+
+def counting(items, taken):
+    """Yield ``items``, appending each to ``taken`` as it is read."""
+    for item in items:
+        taken.append(item)
+        yield item
+
+
+def heap_stage(arrivals, workers, draw, stats):
+    """A stochastic stage that reads one arrival time at a time and frees
+    servers only on reading the next: the oracle of ``_fifo_stage``'s draws
+    and their order."""
+    free = []
+    waiting = 0
+    busy = 0.0
+    max_queue = 0
+    arrivals = iter(arrivals)
+    first_start = next(arrivals)
+    for a in chain((first_start,), arrivals, (math.inf,)):
+        while free and free[0] <= a:
+            f = heappop(free)
+            if waiting:
+                waiting -= 1
+                d = draw()
+                busy += d
+                heappush(free, f + d)
+            yield f
+        if a == math.inf:
+            break
+        max_queue = max(max_queue, waiting + 1)
+        if len(free) < workers:
+            d = draw()
+            busy += d
+            heappush(free, a + d)
+        else:
+            waiting += 1
+    stats.update(busy=busy, max_queue=max_queue, first_start=first_start, last_completion=f)
+
+
+def assert_chain_as_one_job_at_a_time(stages, start, n):
+    """The pipeline against a chain of float rings and heaps fed one job at
+    a time, drawing from one stream in the same order."""
+    rng = random.Random(4)
+    end, stats = _run_pipeline(n, stages, [s.sampler(rng) for s in stages], start)
+    rng = random.Random(4)
+    want = [{} for _ in stages]
+    times = repeat(start, n)
+    for stage, out in zip(stages, want):
+        if stage.distribution == "deterministic":
+            times = _fixed_stage(times, stage.workers, stage.service_time, out)
+        else:
+            times = heap_stage(times, stage.workers, stage.sampler(rng), out)
+    assert list(times)[-1] == end
+    want[0]["max_queue"] = n
+    assert stats == want
+
+
 class TestFixedStage:
-    """The FIFO ring of a deterministic stage against the heap it replaces."""
+    """A deterministic stage over any arrivals: the runs stage and the float
+    ring against the heap, fed the same jobs."""
 
     @pytest.mark.parametrize("workers", range(1, 15))
     def test_same_completions_and_stats_as_heap(self, workers):
         # Arrivals on a coarse grid repeat and land on completion times, so
-        # ties between a freeing server and an arrival are frequent.
+        # ties between a freeing server and an arrival are frequent, and the
+        # runs are long. The runs stage and the heap read the arrivals both
+        # as maximal runs and as one run per job.
         rng = random.Random(workers)
         for _ in range(40):
             service_time = rng.choice((0.5, 1.0, 1.5, 2.0, 3.0, rng.uniform(0.1, 4.0)))
             arrivals = sorted(rng.choice((0.5, 1.0)) * rng.randint(0, 40)
                               for _ in range(rng.randint(1, 120)))
-            fixed_stats, heap_stats = {}, {}
-            fixed = list(_fixed_stage(iter(arrivals), workers, service_time, fixed_stats))
-            heap = list(_fifo_stage(iter(arrivals), workers, lambda: service_time, heap_stats))
-            assert fixed == heap
-            assert fixed_stats == heap_stats
+            ring_stats = {}
+            ring = list(_fixed_stage(iter(arrivals), workers, service_time, ring_stats))
+            for feed in (runs_of, singles):
+                runs_stats, heap_stats = {}, {}
+                runs = list(_runs_stage(feed(arrivals), workers, service_time, runs_stats))
+                heap = list(_fifo_stage(feed(arrivals), workers, lambda: service_time,
+                                        heap_stats))
+                assert per_job(runs) == ring == heap
+                assert runs_stats == ring_stats == heap_stats
+                assert all(k >= 1 for _, k in runs)
 
     def test_pulls_arrivals_as_the_heap_does(self):
         # The count of arrivals pulled before each completion is yielded:
         # a chained stochastic stage draws in this order.
         def pulls(stage, arrivals):
             taken = []
-
-            def source():
-                for a in arrivals:
-                    taken.append(a)
-                    yield a
-
-            return [len(taken) for _ in stage(source())]
+            return [len(taken) for _ in stage(counting(arrivals, taken))]
 
         rng = random.Random(3)
         for workers in (1, 2, 5):
             arrivals = sorted(rng.randint(0, 30) * 0.5 for _ in range(80))
             fixed = pulls(lambda src: _fixed_stage(src, workers, 1.5, {}), arrivals)
-            heap = pulls(lambda src: _fifo_stage(src, workers, lambda: 1.5, {}), arrivals)
+            heap = pulls(lambda src: _fifo_stage(singles(src), workers, lambda: 1.5, {}),
+                         arrivals)
             assert fixed == heap
+
+    @pytest.mark.parametrize("start, step", [(0.0, 0.5), (2.0**60, 512.0)])
+    def test_runs_stage_pulls_no_run_before_the_ring(self, start, step):
+        # For each job yielded, the runs stage has read no more input runs
+        # than the ring has read first jobs of runs. At 2**60 the service
+        # time rounds away and every run passes through.
+        rng = random.Random(5)
+        for workers in (1, 2, 5, 9):
+            runs = runs_of(sorted(start + rng.randint(0, 30) * step for _ in range(80)))
+            run_of_job = [i for i, (_, k) in enumerate(runs) for _ in range(k)]
+            ring_taken, runs_taken = [], []
+            ring = [run_of_job[len(ring_taken) - 1] + 1
+                    for _ in _fixed_stage(counting(per_job(runs), ring_taken), workers, 1.5, {})]
+            read = [len(runs_taken)
+                    for _, k in _runs_stage(counting(runs, runs_taken), workers, 1.5, {})
+                    for _ in range(k)]
+            assert len(read) == len(ring)
+            assert all(r <= g for r, g in zip(read, ring)), workers
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_heap_reads_runs_as_one_job_each(self, seed):
+        # Exponential draws: a run that finds every server busy waits at
+        # once, and the draws are made in the order of one job at a time.
+        rng = random.Random(seed)
+        arrivals = sorted(rng.randint(0, 60) * 0.5 for _ in range(300))
+        for workers in (1, 3, 8):
+            out = []
+            for stage, feed in ((_fifo_stage, runs_of), (_fifo_stage, singles),
+                                (heap_stage, iter)):
+                stats = {}
+                draw = StageModel("x", 2.0, workers, "exponential").sampler(random.Random(seed))
+                out.append((list(stage(feed(arrivals), workers, draw, stats)), stats))
+            assert out[0] == out[1] == out[2]
 
 
 class TestQueuedStage:
-    """The closed form of a deterministic stage whose jobs all arrive at
-    once, against the ring and the heap fed the same arrivals."""
+    """A deterministic stage whose jobs all arrive at once: the runs stage
+    over the single run ``(start, n)``, against the ring and the heap fed
+    the same jobs."""
 
     @pytest.mark.parametrize("workers", range(1, 15))
     @pytest.mark.parametrize("start", [0.0, 907858.4])
@@ -425,23 +566,57 @@ class TestQueuedStage:
         sizes = {1, workers - 1, workers, workers + 1, 7 * workers, 7 * workers + 3} - {0}
         for service_time in service_times:
             for n in sorted(sizes):
-                closed_stats, ring_stats, heap_stats = {}, {}, {}
-                closed = list(_queued_stage(start, n, workers, service_time, closed_stats))
+                runs_stats, ring_stats, heap_stats = {}, {}, {}
+                runs = list(_runs_stage([(start, n)], workers, service_time, runs_stats))
                 ring = list(_fixed_stage(repeat(start, n), workers, service_time, ring_stats))
-                heap = list(_fifo_stage(repeat(start, n), workers, lambda: service_time,
+                heap = list(_fifo_stage([(start, n)], workers, lambda: service_time,
                                         heap_stats))
-                assert closed == ring == heap, (service_time, n)
-                assert closed_stats == ring_stats == heap_stats, (service_time, n)
+                assert per_job(runs) == ring == heap, (service_time, n)
+                assert runs_stats == ring_stats == heap_stats, (service_time, n)
+                # One ring step per round of ``workers`` jobs.
+                assert len(runs) == -(-n // workers), (service_time, n)
 
     def test_service_time_below_start_resolution(self):
         # 2**60 + 1.6 rounds to 2**60: every server frees as each job arrives.
         start = 2.0**60
         for workers, n in ((1, 5), (3, 10)):
-            closed_stats, ring_stats = {}, {}
-            closed = list(_queued_stage(start, n, workers, 1.6, closed_stats))
+            runs_stats, ring_stats = {}, {}
+            runs = list(_runs_stage([(start, n)], workers, 1.6, runs_stats))
             ring = list(_fixed_stage(repeat(start, n), workers, 1.6, ring_stats))
-            assert closed == ring == [start] * n
-            assert closed_stats == ring_stats
+            assert per_job(runs) == ring == [start] * n
+            assert runs_stats == ring_stats
+        # Runs one ulp (256 s) or more apart: each passes through in turn.
+        arrivals = [start + 512.0 * (i // 3) for i in range(20)]
+        runs_stats, ring_stats = {}, {}
+        runs = list(_runs_stage(runs_of(arrivals), 2, 1.6, runs_stats))
+        ring = list(_fixed_stage(iter(arrivals), 2, 1.6, ring_stats))
+        assert per_job(runs) == ring == arrivals
+        assert runs_stats == ring_stats
+
+    @pytest.mark.parametrize("second", [1.6, 300.0])
+    @pytest.mark.parametrize("workers", [(1, 1, 1), (3, 2, 4), (14, 9, 2)])
+    @pytest.mark.parametrize("later", [(), ("exponential", "lognormal")],
+                             ids=["one-stochastic", "three-stochastic"])
+    def test_below_resolution_through_a_chain(self, second, workers, later):
+        # At 2**60 one ulp is 256 s: the first stage's 1.6 s rounds away, a
+        # second stage's 300 s rounds to one ulp, and a 300 s mean
+        # exponential stage rounds to zero, one or more ulps.
+        stages = [StageModel("a", 1.6, workers[0]), StageModel("b", second, workers[1]),
+                  StageModel("c", 300.0, workers[2], "exponential")]
+        stages += [StageModel(f"d{i}", 300.0, 2, distribution, 1.0 if i else 0.0)
+                   for i, distribution in enumerate(later)]
+        assert_chain_as_one_job_at_a_time(stages, 2.0**60, 60)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_below_resolution_through_stochastic_stages(self, n):
+        # Every draw rounds away at 2**60: each stage frees a server as a job
+        # starts, and yields it only after reading the next arrival, so the
+        # stages downstream draw after the ones upstream, as job by job.
+        stages = [StageModel("a", 1.0, 3, "exponential"),
+                  StageModel("b", 5.0, 2, "lognormal", 0.5),
+                  StageModel("c", 1.6, 2),
+                  StageModel("d", 1.0, 1, "exponential")]
+        assert_chain_as_one_job_at_a_time(stages, 2.0**60, n)
 
 
 class TestSampler:
@@ -492,6 +667,15 @@ class TestMinWorkers:
                   StageModel("proc", 12.5, None, distribution=distribution, cv=cv)]
         with pytest.raises(InvalidModel, match="deadline must be > 0"):
             min_workers_for_deadline(1_000, stages, deadline)
+
+    @pytest.mark.parametrize("distribution", ["deterministic", "lognormal"])
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True, math.nan])
+    def test_cap_must_be_an_int(self, distribution, cap):
+        cv = 0.3 if distribution == "lognormal" else 0.0
+        stages = [StageModel("pre", 1.6, 14),
+                  StageModel("proc", 12.5, None, distribution=distribution, cv=cv)]
+        with pytest.raises(InvalidModel, match="cap must be an int >= 1"):
+            min_workers_for_deadline(1_000, stages, 3_000.0, cap=cap)
 
     def test_requires_exactly_one_unknown(self):
         with pytest.raises(InvalidModel):
