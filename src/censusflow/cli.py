@@ -379,7 +379,9 @@ def plan_cmd(registry_path, workspace, dry_run, **selection):
 @click.option("--stages", default="pre,proc,post", show_default=True,
               help="Comma-separated subset of pre,proc,post to run on each window; "
                    "households.csv is exported only when post runs.")
-@click.option("--workers", "worker_spec", default="mock:seed=0", show_default=True)
+@click.option("--workers", "worker_spec", default="mock:seed=0", show_default=True,
+              help="mock:seed=S,noise=P,drop=P,flip=P (fixture images, seeded noise) "
+                   "or external:classify=CMD,recognize=CMD.")
 @click.option("--proc-threads", type=click.IntRange(min=1), default=4, show_default=True,
               help="Pages the process stage works on at once.")
 @click.option("--window", type=int, default=_RUN_DEFAULTS["window"], show_default=True,

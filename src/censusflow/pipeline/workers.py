@@ -16,15 +16,20 @@ import random
 import string
 import subprocess
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
-from ..domain import TAG_SPLIT_PATTERN, EntityTag, PageClass, PersonRecord
+from ..domain import TAG_SPLIT_PATTERN, TOKEN_FOR_TAG, EntityTag, PageClass
 from ..iiif import NullTransport
-from ..label_codec import decode_strict, encode
+from ..label_codec import decode_strict
 
 _SUBSTITUTION_POOL = string.ascii_lowercase + string.digits
+#: Each surname token and the token a head flip turns it into.
+_FLIPPED = {TOKEN_FOR_TAG[EntityTag.SURNAME_HEAD]: TOKEN_FOR_TAG[EntityTag.SURNAME],
+            TOKEN_FOR_TAG[EntityTag.SURNAME]: TOKEN_FOR_TAG[EntityTag.SURNAME_HEAD]}
+#: Each tag token's place in the canonical field order.
+_RANK = {token: i for i, token in enumerate(TOKEN_FOR_TAG.values())}
 
 
 class WorkerError(RuntimeError):
@@ -36,6 +41,9 @@ def parse_fixture_image(image_bytes: bytes) -> dict:
         payload = json.loads(image_bytes.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise WorkerError(f"not a fixture image: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise WorkerError(
+            f"not a fixture image: expected a JSON object, got {type(payload).__name__}")
     if "page_class" not in payload:
         raise WorkerError("fixture image lacks a page_class")
     return payload
@@ -76,7 +84,7 @@ class MockClassifier:
         payload = parse_fixture_image(image_bytes)
         try:
             return PageClass[payload["page_class"]]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:  # TypeError: an unhashable page_class
             raise WorkerError(f"unknown page class {payload['page_class']!r}") from exc
 
 
@@ -84,7 +92,20 @@ class MockRecognizer:
     """Fixture-backed recognizer with seeded, per-image deterministic noise.
 
     The noise RNG is seeded from (seed, image identifier), so re-running a
-    task after a crash reproduces the same prediction.
+    task after a crash reproduces the same prediction. The noise edits the
+    fixture's label text in two passes, and the draws come in this order:
+
+    1. When ``entity_drop`` or ``head_flip`` is set, each field in label
+       order draws a head flip first (surname fields only, and only when
+       ``head_flip`` is set), then a drop (only when ``entity_drop`` is
+       set). The label comes back as ``encode`` would write its
+       ``decode_strict`` records after those edits, and a label that
+       ``decode_strict`` rejects raises its ``MalformedLabel``.
+    2. When ``char_substitution`` is set, each character of the text
+       between tags, newlines aside, draws a substitution in label order.
+
+    ``tests/test_codec_pin.py`` pins the predictions, so a change to this
+    order changes every noisy prediction.
     """
 
     version = "mock-recognizer/1"
@@ -98,6 +119,8 @@ class MockRecognizer:
         label = payload.get("label")
         if label is None:
             raise WorkerError("fixture image lacks a label")
+        if not isinstance(label, str):
+            raise WorkerError("fixture label is not a string")
         if self.noise.is_zero:
             return label
         rng = random.Random(f"{self.seed}:{payload.get('identifier', '')}")
@@ -106,25 +129,7 @@ class MockRecognizer:
     def _perturb(self, label: str, rng: random.Random) -> str:
         noise = self.noise
         if noise.entity_drop or noise.head_flip:
-            page = decode_strict(label)
-            records = []
-            for record in page.records:
-                fields: dict[EntityTag, str] = {}
-                for tag, value in record.fields.items():
-                    if noise.head_flip and tag in (EntityTag.SURNAME_HEAD, EntityTag.SURNAME):
-                        if rng.random() < noise.head_flip:
-                            tag = (
-                                EntityTag.SURNAME
-                                if tag is EntityTag.SURNAME_HEAD
-                                else EntityTag.SURNAME_HEAD
-                            )
-                    if noise.entity_drop and rng.random() < noise.entity_drop:
-                        continue
-                    fields[tag] = value
-                if fields:
-                    records.append(PersonRecord(fields))
-            page = replace(page, records=tuple(records))
-            label = encode(page, token_budget=10**9)
+            label = self._drop_and_flip(label, rng)
         if noise.char_substitution:
             pieces = TAG_SPLIT_PATTERN.split(label)
             for i in range(0, len(pieces), 2):  # even pieces are plain text
@@ -136,6 +141,68 @@ class MockRecognizer:
                 pieces[i] = "".join(chars)
             label = "".join(pieces)
         return label
+
+    def _drop_and_flip(self, label: str, rng: random.Random) -> str:
+        """Drop fields and flip surname tags in the label text itself.
+
+        Each line is split once on its tags. A field's value is the text
+        after its tag, less one leading and one trailing space, and a
+        surname tag opens a new record once the open one has a field, as
+        in ``decode_strict``. Each record's kept fields are written in
+        canonical order, one record a line, as ``encode`` writes them.
+        """
+        drop = self.noise.entity_drop
+        flip = self.noise.head_flip
+        draw = rng.random
+        split = TAG_SPLIT_PATTERN.split
+        lines = []
+        tags = 0
+        for line in label.split("\n"):
+            pieces = split(line)
+            if pieces[0]:
+                _reject(label)  # text before the line's first tag
+            tags += len(pieces) >> 1
+            seen: set[str] = set()  # the open record's tokens
+            kept: list[tuple[int, str]] = []  # its kept fields, by rank
+            for token, value in zip(pieces[1::2], pieces[2::2]):
+                if value[:1] == " ":
+                    value = value[1:]
+                if value[-1:] == " ":
+                    value = value[:-1]
+                if not value:
+                    _reject(label)  # an empty value
+                if token in _FLIPPED:
+                    if seen:
+                        if kept:
+                            lines.append(_joined(kept))
+                            kept = []
+                        seen = set()
+                    if flip and draw() < flip:
+                        token = _FLIPPED[token]
+                elif token in seen:
+                    _reject(label)  # a duplicate field
+                seen.add(token)
+                if drop and draw() < drop:
+                    continue
+                kept.append((_RANK[token], token + value))
+            if kept:
+                lines.append(_joined(kept))
+        if label.count("<") != tags:
+            _reject(label)  # an unknown token or a lone "<"
+        return "\n".join(lines)
+
+
+def _joined(fields: list[tuple[int, str]]) -> str:
+    """One record's line: its ranked ``token + value`` fields in canonical
+    order, one space apart."""
+    fields.sort()
+    return " ".join([field for _, field in fields])
+
+
+def _reject(label: str) -> NoReturn:
+    """Raise the ``MalformedLabel`` that ``decode_strict`` raises for ``label``."""
+    decode_strict(label)
+    raise AssertionError(f"decode_strict accepts {label!r}")
 
 
 class ExternalProcessWorker:

@@ -1,11 +1,14 @@
+import json
 import random
 import re
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from censusflow.domain import (
+    TAG_SPLIT_PATTERN,
     TOKEN_FOR_TAG,
     EntityTag,
     PageTranscript,
@@ -25,6 +28,7 @@ from censusflow.label_codec import (
     decode_strict,
     encode,
 )
+from censusflow.pipeline.workers import MockRecognizer, NoiseSpec
 
 from conftest import GOLDEN_LABEL, generate_synthetic_page
 
@@ -525,3 +529,137 @@ class TestDecoderEdgeCases:
             (28, WarningKind.DUPLICATE_FIELD_IN_RECORD),
             (28, WarningKind.RECORD_WITHOUT_SURNAME),
         )
+
+
+# ---------------------------------------------------------------------------
+# The mock recognizer drops fields and flips surname tags in the label text.
+# Oracle: the recognizer it replaced, which decoded each label strictly,
+# edited the records and encoded them again. Both must give the same
+# prediction, or raise the same error, for every label and seed.
+# ---------------------------------------------------------------------------
+
+_SUBSTITUTION_POOL = string.ascii_lowercase + string.digits
+
+
+def oracle_perturb(label, noise, rng):
+    if noise.entity_drop or noise.head_flip:
+        records = []
+        for record in decode_strict(label).records:
+            fields = {}
+            for tag, value in record.fields.items():
+                if noise.head_flip and tag in _LEADING_TAGS:
+                    if rng.random() < noise.head_flip:
+                        tag = (EntityTag.SURNAME if tag is EntityTag.SURNAME_HEAD
+                               else EntityTag.SURNAME_HEAD)
+                if noise.entity_drop and rng.random() < noise.entity_drop:
+                    continue
+                fields[tag] = value
+            if fields:
+                records.append(PersonRecord(fields))
+        label = encode(PageTranscript(tuple(records)), token_budget=10**9)
+    if noise.char_substitution:
+        pieces = TAG_SPLIT_PATTERN.split(label)
+        for i in range(0, len(pieces), 2):
+            chars = list(pieces[i])
+            for j, c in enumerate(chars):
+                if c != "\n" and rng.random() < noise.char_substitution:
+                    chars[j] = rng.choice(_SUBSTITUTION_POOL.replace(c, ""))
+            pieces[i] = "".join(chars)
+        label = "".join(pieces)
+    return label
+
+
+_DROP_FLIP_NOISE = [
+    NoiseSpec(0, 0.02, 0.01), NoiseSpec(0, 0.02, 0), NoiseSpec(0, 0, 0.01),
+    NoiseSpec(0, 0.3, 0.5), NoiseSpec(0, 0.5, 0.5), NoiseSpec(0, 1.0, 0),
+    NoiseSpec(0, 0, 1.0), NoiseSpec(0, 1.0, 1.0), NoiseSpec(0.02, 0.02, 0.01),
+]
+
+
+def _error_or(call):
+    try:
+        return call()
+    except MalformedLabel as err:
+        return (type(err), str(err))
+
+
+def assert_mock_matches_oracle(label, seeds=range(3)):
+    for noise in _DROP_FLIP_NOISE:
+        for seed in seeds:
+            identifier = f"diff/{seed}"
+            image = json.dumps({"identifier": identifier, "page_class": "LIST",
+                                "label": label}).encode("utf-8")
+            got = _error_or(lambda: MockRecognizer(seed, noise).recognize(image))
+            want = _error_or(
+                lambda: oracle_perturb(label, noise, random.Random(f"{seed}:{identifier}")))
+            assert got == want, (label, noise, seed)
+
+
+def _noncanonical_label(rng, page):
+    """A label that ``decode_strict`` accepts but ``encode`` does not write:
+    fields out of canonical order (a surname among them opens a record
+    there), a surname tag mid-line, one space around values, no space
+    between fields, blank lines."""
+    lines = []
+    for record in page.records:
+        fields = [f"{TOKEN_FOR_TAG[tag]}{' ' * (rng.random() < 0.3)}{value}"
+                  for tag, value in record.fields.items()]
+        if rng.random() < 0.5:
+            rng.shuffle(fields)
+        line = "".join(field + rng.choice(("", " ", " ", " ")) for field in fields)
+        opens_record = fields[0].startswith(tuple(TOKEN_FOR_TAG[tag] for tag in _LEADING_TAGS))
+        if lines and rng.random() < 0.3 and opens_record:
+            lines[-1] += line  # a surname tag mid-line opens this record
+        else:
+            lines.append(line)
+        if rng.random() < 0.05:
+            lines.append("")
+    return "\n".join(lines)
+
+
+_MALFORMED_LABELS = [
+    "<s>A <zz>B",  # unknown token
+    "<s>A <f>B <",  # lone "<"
+    "<s>A <f>B<x",  # lone "<" mid-value
+    "<s>A <f>B <f>C",  # duplicate field
+    "<f>B <a>5 <f>C <s>D",  # duplicate field before a surname
+    "<s>A <a>",  # empty value
+    "<s>A <a>  <f>B",  # empty value after trimming
+    "x<s>A",  # text before the first tag
+    " <s>A",
+    "<s>A\nB <f>C",  # text before a later line's first tag
+    "<s-h>A <f>B\n<s>C <f>D <zz>E <f>",  # the first error in label order wins
+]
+
+
+class TestMockDropAndFlipAgainstOracle:
+    @pytest.mark.filterwarnings("ignore::censusflow.domain.RowCountWarning")
+    def test_synthetic_pages(self):
+        for seed in range(25):
+            assert_mock_matches_oracle(encode(generate_synthetic_page(seed)), seeds=(seed,))
+
+    def test_many_seeds_on_one_page(self):
+        label = encode(generate_synthetic_page(3))
+        assert_mock_matches_oracle(label, seeds=range(40))
+
+    @pytest.mark.filterwarnings("ignore::censusflow.domain.RowCountWarning")
+    def test_noncanonical_labels(self):
+        rng = random.Random(11)
+        for seed in range(25):
+            label = _noncanonical_label(rng, generate_synthetic_page(seed))
+            decode_strict(label)  # valid
+            assert label != encode(decode_strict(label))  # and not canonical
+            assert_mock_matches_oracle(label, seeds=(seed,))
+
+    @pytest.mark.parametrize("label", _MALFORMED_LABELS)
+    def test_malformed_labels(self, label):
+        with pytest.raises(MalformedLabel):
+            decode_strict(label)
+        assert_mock_matches_oracle(label)
+
+    def test_seeded_random_labels(self):
+        # Mostly malformed: unknown tokens, lone brackets, empty values.
+        rng = random.Random(13)
+        for _ in range(300):
+            text = "".join(rng.choice(_ATOMS) for _ in range(rng.randint(0, 40)))
+            assert_mock_matches_oracle(text, seeds=(rng.randrange(100),))

@@ -37,10 +37,12 @@ from censusflow.pipeline import (
     LocalExecutor,
     MockClassifier,
     MockRecognizer,
+    NoiseSpec,
     ResultStore,
     RunConfig,
     TaskState,
     TransitionLog,
+    WorkerError,
     WorkerSet,
     Workspace,
     plan_batch,
@@ -487,6 +489,33 @@ class TestIsolation:
     def test_null_transport_raises(self):
         with pytest.raises(IsolationViolation):
             NullTransport().get("https://anywhere", 1)
+
+
+def fixture_image(**payload) -> bytes:
+    return json.dumps({"identifier": "img/1", **payload}).encode("utf-8")
+
+
+class TestMockWorkers:
+    @pytest.mark.parametrize("image", [b'"a page_class"', b'["page_class"]', b"7", b"null"])
+    def test_a_json_value_that_is_not_an_object_is_not_a_fixture_image(self, image):
+        for call in (MockClassifier().classify, MockRecognizer().recognize,
+                     MockRecognizer(0, NoiseSpec(0.02, 0.02, 0.01)).recognize):
+            with pytest.raises(WorkerError, match="^not a fixture image: "):
+                call(image)
+
+    @pytest.mark.parametrize("page_class", [["LIST"], {"LIST": 1}, "list", 7, None])
+    def test_unknown_page_class(self, page_class):
+        with pytest.raises(WorkerError, match="^unknown page class "):
+            MockClassifier().classify(fixture_image(page_class=page_class))
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.02), NoiseSpec(0, 0.02, 0.01)])
+    @pytest.mark.parametrize("label", [7, ["<s>A"], {"<s>": "A"}, True])
+    def test_a_label_that_is_not_a_string_fails_with_and_without_noise(self, noise, label):
+        recognizer = MockRecognizer(0, noise)
+        with pytest.raises(WorkerError, match="^fixture label is not a string$"):
+            recognizer.recognize(fixture_image(page_class="LIST", label=label))
+        with pytest.raises(WorkerError, match="^fixture image lacks a label$"):
+            recognizer.recognize(fixture_image(page_class="LIST"))
 
 
 class TestLocalExecutor:
